@@ -282,51 +282,39 @@ class PTDiv:
 
 
 class PQuo:
-    """Quotient of division with remainder by a divisor monic in one variable."""
+    """One part of division with remainder by a divisor monic in one variable.
 
-    __slots__ = ("shape", "modulus", "var")
+    `part` is "quo" for the quotient or "rem" for the remainder.
+    """
 
-    def __init__(self, shape: SlotShape, modulus: MultiPoly, var: str):
+    __slots__ = ("shape", "modulus", "var", "part")
+
+    def __init__(self, shape: SlotShape, modulus: MultiPoly, var: str, part: str):
         if modulus.ring != shape.ring():
             raise ValueError("modulus not in the slot ring")
+        if part not in ("quo", "rem"):
+            raise ValueError(f"division part must be 'quo' or 'rem', not {part!r}")
         self.shape = shape
         self.modulus = modulus
         self.var = var
+        self.part = part
 
     src = property(lambda self: self.shape)
     dst = property(lambda self: self.shape)
 
     def apply(self, p: MultiPoly) -> MultiPoly:
-        return p.divmod_in_var(self.modulus, self.var)[0]
+        quo, rem = p.divmod_in_var(self.modulus, self.var)
+        return quo if self.part == "quo" else rem
 
     def signature(self):
-        return ("quo", self.shape, self.modulus, self.var)
+        return (self.part, self.shape, self.modulus, self.var)
 
     def lift(self, left, right, asrc, adst):
         emb = _embed_names(self.shape, asrc, left)
-        return PQuo(asrc, self.modulus.rename(emb, asrc.ring()), emb[self.var])
+        return PQuo(asrc, self.modulus.rename(emb, asrc.ring()), emb[self.var], self.part)
 
     def describe(self):
-        return {"kind": "quo", "modulus": str(self.modulus), "var": self.var}
-
-
-class PRem(PQuo):
-    """Remainder of the same division."""
-
-    __slots__ = ()
-
-    def apply(self, p: MultiPoly) -> MultiPoly:
-        return p.divmod_in_var(self.modulus, self.var)[1]
-
-    def signature(self):
-        return ("rem", self.shape, self.modulus, self.var)
-
-    def lift(self, left, right, asrc, adst):
-        emb = _embed_names(self.shape, asrc, left)
-        return PRem(asrc, self.modulus.rename(emb, asrc.ring()), emb[self.var])
-
-    def describe(self):
-        return {"kind": "rem", "modulus": str(self.modulus), "var": self.var}
+        return {"kind": self.part, "modulus": str(self.modulus), "var": self.var}
 
 
 class PCoeff:
@@ -458,12 +446,10 @@ class Word:
     def signature(self):
         return (self.src, self.dst, tuple(p.signature() for p in self.prims))
 
-    def lift(self, left: int, right: int, ambient_nvars_check=None) -> "Word":
+    def lift(self, left: int, right: int) -> "Word":
         asrc = SlotShape(left + self.src.nslots + right, self.src.nvars, self.src.conductor)
         adst = SlotShape(left + self.dst.nslots + right, self.dst.nvars, self.dst.conductor)
         prims = []
-        cur_src, cur_dst = asrc, adst
-        # each prim is lifted with the same contexts; shapes thread through
         for prim in self.prims:
             ps = SlotShape(left + prim.src.nslots + right, prim.src.nvars, prim.src.conductor)
             pd = SlotShape(left + prim.dst.nslots + right, prim.dst.nvars, prim.dst.conductor)
@@ -474,7 +460,7 @@ class Word:
         return {"coeff": str(self.coeff), "word": [p.describe() for p in self.prims]}
 
     def __repr__(self):
-        inner = "∘".join(type(p).__name__[1:].lower() for p in reversed(self.prims)) or "id"
+        inner = "∘".join(p.describe()["kind"] for p in reversed(self.prims)) or "id"
         return f"({self.coeff})*{inner}"
 
 
@@ -526,11 +512,11 @@ def w_tdiv(shape: SlotShape, var: str, into: str) -> Word:
 
 
 def w_quo(shape: SlotShape, modulus: MultiPoly, var: str) -> Word:
-    return Word.of(PQuo(shape, modulus, var))
+    return Word.of(PQuo(shape, modulus, var, "quo"))
 
 
 def w_rem(shape: SlotShape, modulus: MultiPoly, var: str) -> Word:
-    return Word.of(PRem(shape, modulus, var))
+    return Word.of(PQuo(shape, modulus, var, "rem"))
 
 
 def w_coeff(shape: SlotShape, var: str, k: int) -> Word:
@@ -789,35 +775,39 @@ def op_equal(A: Operator, B: Operator, cutoff: int = DEFAULT_CUTOFF):
     return True, "verified-to-cutoff"
 
 
-def lift_left(op: Operator, right: FreeBimod) -> Operator:
-    """op ⊗ id on a slot-glued product (right factor untouched)."""
-    shift = right.shape.nslots - 1
-    src = FreeBimod(op.src.shape.glue(right.shape), op.src.rank * right.rank)
-    dst = FreeBimod(op.dst.shape.glue(right.shape), op.dst.rank * right.rank)
-    out = Operator.zero(src, dst)
+def _kron(op: Operator, ident: FreeBimod, op_first: bool, glue: bool = True) -> Operator:
+    """op ⊗ id (op_first) or id ⊗ op, with id the identity of `ident`.
+
+    Kronecker placement: copy (n, q) of op ⊗ id sits at n·rank(ident) + q and
+    copy (p, n) of id ⊗ op at p·rank(op) + n.  With `glue` the two factors
+    live on separate slot chains that are glued, and every word is lifted
+    into the glued chain; without it both share op's chain and the words are
+    placed as they are.
+    """
+    k = ident.rank
+    lrank, rrank = (1, k) if op_first else (k, 1)
+    shift = ident.shape.nslots - 1
+    lslots, rslots = (0, shift) if op_first else (shift, 0)
+
+    def module(m: FreeBimod) -> FreeBimod:
+        shape = m.shape
+        if glue:
+            shape = shape.glue(ident.shape) if op_first else ident.shape.glue(shape)
+        return FreeBimod(shape, k * m.rank)
+
+    out = Operator.zero(module(op.src), module(op.dst))
     for n in range(op.dst.rank):
         for m in range(op.src.rank):
-            words = [w.lift(0, shift) for w in op.entries[n][m]]
+            words = op.entries[n][m]
             if not words:
                 continue
-            for q in range(right.rank):
-                out.entries[n * right.rank + q][m * right.rank + q].extend(words)
-    return out
-
-
-def lift_right(op: Operator, left: FreeBimod) -> Operator:
-    """id ⊗ op on a slot-glued product (left factor untouched)."""
-    shift = left.shape.nslots - 1
-    src = FreeBimod(left.shape.glue(op.src.shape), left.rank * op.src.rank)
-    dst = FreeBimod(left.shape.glue(op.dst.shape), left.rank * op.dst.rank)
-    out = Operator.zero(src, dst)
-    for n in range(op.dst.rank):
-        for m in range(op.src.rank):
-            words = [w.lift(shift, 0) for w in op.entries[n][m]]
-            if not words:
-                continue
-            for p in range(left.rank):
-                out.entries[p * op.dst.rank + n][p * op.src.rank + m].extend(words)
+            if glue:
+                words = [w.lift(lslots, rslots) for w in words]
+            for p in range(lrank):
+                for q in range(rrank):
+                    row = (p * op.dst.rank + n) * rrank + q
+                    col = (p * op.src.rank + m) * rrank + q
+                    out.entries[row][col].extend(words)
     return out
 
 
@@ -1073,6 +1063,31 @@ def _block_offset(X: MBF, Y: MBF, parity: int, i: int, j: int) -> int:
     raise ValueError("block not in this parity part")
 
 
+def _tensor(X: MBF, Y: MBF, glue: bool) -> MBF:
+    """X ⊗ Y with the derivation-style signs d_X ⊗ 1 + (−1)^i 1 ⊗ d_Y on X_i.
+
+    A source block X_i Y_j maps by d_X to X_{1−i} Y_j and by d_Y to X_i Y_{1−j};
+    blocks are ordered as in _tensor_blocks.  `glue` is passed to _kron.
+    """
+    shape = X.shape.glue(Y.shape) if glue else X.shape
+    r = lambda i, j: X.component(i).rank * Y.component(j).rank
+    mods = [FreeBimod(shape, sum(r(i, j) for i, j in _tensor_blocks(p))) for p in (0, 1)]
+    diffs = []
+    for parity in (0, 1):
+        src_blocks, dst_blocks = _tensor_blocks(parity), _tensor_blocks(1 + parity)
+        blocks = [[None, None], [None, None]]
+        for c, (i, j) in enumerate(src_blocks):
+            blocks[dst_blocks.index((1 - i, j))][c] = _kron(
+                X.differential_from(i), Y.component(j), True, glue)
+            dy = _kron(Y.differential_from(j), X.component(i), False, glue)
+            blocks[dst_blocks.index((i, 1 - j))][c] = dy.scale(-1) if i else dy
+        diffs.append(_block_operator(
+            mods[parity], mods[1 - parity], blocks,
+            [r(i, j) for i, j in src_blocks], [r(i, j) for i, j in dst_blocks],
+        ))
+    return MBF(mods[0], mods[1], diffs[0], diffs[1], X.w)
+
+
 def tensor_obj(X: MBF, Y: MBF) -> MBF:
     """Slot-glued tensor product with the derivation-style sign pattern."""
     hit = X._tcache.get(id(Y))
@@ -1080,23 +1095,7 @@ def tensor_obj(X: MBF, Y: MBF) -> MBF:
         return hit[1]
     if X.w != Y.w:
         raise ValueError("potential mismatch")
-    shape = X.shape.glue(Y.shape)
-    r = lambda i, j: X.component(i).rank * Y.component(j).rank
-    m0 = FreeBimod(shape, r(0, 0) + r(1, 1))
-    m1 = FreeBimod(shape, r(1, 0) + r(0, 1))
-    d0 = _block_operator(
-        m0, m1,
-        [[lift_left(X.d0, Y.m0), lift_right(Y.d1, X.m1).scale(-1)],
-         [lift_right(Y.d0, X.m0), lift_left(X.d1, Y.m1)]],
-        [r(0, 0), r(1, 1)], [r(1, 0), r(0, 1)],
-    )
-    d1 = _block_operator(
-        m1, m0,
-        [[lift_left(X.d1, Y.m0), lift_right(Y.d1, X.m0)],
-         [lift_right(Y.d0, X.m1).scale(-1), lift_left(X.d0, Y.m1)]],
-        [r(1, 0), r(0, 1)], [r(0, 0), r(1, 1)],
-    )
-    T = MBF(m0, m1, d0, d1, X.w)
+    T = _tensor(X, Y, glue=True)
     X._tcache[id(Y)] = (Y, T)
     return T
 
@@ -1114,7 +1113,7 @@ def tensor_mor(f: Morphism, g: Morphism) -> Morphism:
         for (i, j) in _tensor_blocks(sp):
             fi, gj = f.op_from(i), g.op_from(j)
             ip, jp = (i + f.parity) % 2, (j + g.parity) % 2
-            piece = lift_left(fi, Yp.component(jp)).compose(lift_right(gj, X.component(i)))
+            piece = _kron(fi, Yp.component(jp), True).compose(_kron(gj, X.component(i), False))
             if g.parity and i:
                 piece = piece.scale(-1)
             roff = _block_offset(Xp, Yp, tp, ip, jp)
@@ -1146,35 +1145,31 @@ def _triple_layout(X: MBF, Y: MBF, Z: MBF, parity: int, left_bracketed: bool):
     return out
 
 
-def associator(X: MBF, Y: MBF, Z: MBF) -> Morphism:
-    """(X⊗Y)⊗Z → X⊗(Y⊗Z): a pure copy permutation, no signs."""
-    src = tensor_obj(tensor_obj(X, Y), Z)
-    dst = tensor_obj(X, tensor_obj(Y, Z))
+def _associator(X: MBF, Y: MBF, Z: MBF, forward: bool) -> Morphism:
+    """(X⊗Y)⊗Z → X⊗(Y⊗Z) if `forward`, else back: a pure copy permutation."""
+    left = tensor_obj(tensor_obj(X, Y), Z)
+    right = tensor_obj(X, tensor_obj(Y, Z))
+    src, dst = (left, right) if forward else (right, left)
     ident = Word.identity(src.shape)
     ops = {}
     for parity in (0, 1):
-        s_layout = _triple_layout(X, Y, Z, parity, True)
-        t_pos = {t: n for n, t in enumerate(_triple_layout(X, Y, Z, parity, False))}
+        s_layout = _triple_layout(X, Y, Z, parity, forward)
+        t_pos = {t: n for n, t in enumerate(_triple_layout(X, Y, Z, parity, not forward))}
         op = Operator.zero(src.component(parity), dst.component(parity))
         for col, key in enumerate(s_layout):
             op.entries[t_pos[key]][col].append(ident)
         ops[parity] = op
     return Morphism(src, dst, 0, ops[0], ops[1])
+
+
+def associator(X: MBF, Y: MBF, Z: MBF) -> Morphism:
+    """(X⊗Y)⊗Z → X⊗(Y⊗Z): a pure copy permutation, no signs."""
+    return _associator(X, Y, Z, True)
 
 
 def associator_inv(X: MBF, Y: MBF, Z: MBF) -> Morphism:
-    src = tensor_obj(X, tensor_obj(Y, Z))
-    dst = tensor_obj(tensor_obj(X, Y), Z)
-    ident = Word.identity(src.shape)
-    ops = {}
-    for parity in (0, 1):
-        s_layout = _triple_layout(X, Y, Z, parity, False)
-        t_pos = {t: n for n, t in enumerate(_triple_layout(X, Y, Z, parity, True))}
-        op = Operator.zero(src.component(parity), dst.component(parity))
-        for col, key in enumerate(s_layout):
-            op.entries[t_pos[key]][col].append(ident)
-        ops[parity] = op
-    return Morphism(src, dst, 0, ops[0], ops[1])
+    """X⊗(Y⊗Z) → (X⊗Y)⊗Z, the inverse permutation."""
+    return _associator(X, Y, Z, False)
 
 
 # -- the x^d defect family -------------------------------------------------------
@@ -1239,51 +1234,7 @@ def tensor_prime(X: MBF, Y: MBF) -> MBF:
     """Same-ring tensor (no junction slot): Kronecker blocks, same signs."""
     if X.shape != Y.shape:
         raise ValueError("tensor_prime factors must share the slot shape")
-    shape = X.shape
-
-    def kron_left(op: Operator, rrank: int, s_mod, d_mod) -> Operator:
-        out = Operator.zero(s_mod, d_mod)
-        for n in range(op.dst.rank):
-            for m_ in range(op.src.rank):
-                for q in range(rrank):
-                    out.entries[n * rrank + q][m_ * rrank + q].extend(op.entries[n][m_])
-        return out
-
-    def kron_right(op: Operator, lrank: int, s_mod, d_mod) -> Operator:
-        out = Operator.zero(s_mod, d_mod)
-        for n in range(op.dst.rank):
-            for m_ in range(op.src.rank):
-                for p in range(lrank):
-                    out.entries[p * op.dst.rank + n][p * op.src.rank + m_].extend(
-                        op.entries[n][m_]
-                    )
-        return out
-
-    r = lambda i, j: X.component(i).rank * Y.component(j).rank
-    m0 = FreeBimod(shape, r(0, 0) + r(1, 1))
-    m1 = FreeBimod(shape, r(1, 0) + r(0, 1))
-    mod = lambda i, j: FreeBimod(shape, r(i, j))
-    d0 = _block_operator(
-        m0, m1,
-        [
-            [kron_left(X.d0, Y.m0.rank, mod(0, 0), mod(1, 0)),
-             kron_right(Y.d1, X.m1.rank, mod(1, 1), mod(1, 0)).scale(-1)],
-            [kron_right(Y.d0, X.m0.rank, mod(0, 0), mod(0, 1)),
-             kron_left(X.d1, Y.m1.rank, mod(1, 1), mod(0, 1))],
-        ],
-        [r(0, 0), r(1, 1)], [r(1, 0), r(0, 1)],
-    )
-    d1 = _block_operator(
-        m1, m0,
-        [
-            [kron_left(X.d1, Y.m0.rank, mod(1, 0), mod(0, 0)),
-             kron_right(Y.d1, X.m0.rank, mod(0, 1), mod(0, 0))],
-            [kron_right(Y.d0, X.m1.rank, mod(1, 0), mod(1, 1)).scale(-1),
-             kron_left(X.d0, Y.m1.rank, mod(0, 1), mod(1, 1))],
-        ],
-        [r(1, 0), r(0, 1)], [r(0, 0), r(1, 1)],
-    )
-    return MBF(m0, m1, d0, d1, X.w)
+    return _tensor(X, Y, glue=False)
 
 
 def unit_object(w: MultiPoly) -> MBF:

@@ -80,6 +80,34 @@ def parse_set(text: str, d: int):
     return tuple(sorted(items))
 
 
+def _int_at_least(text: str, low: int) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}") from None
+    if value < low:
+        raise argparse.ArgumentTypeError(f"must be >= {low}, got {value}")
+    return value
+
+
+def _degree(text: str) -> int:
+    """--d: the degree d of W = x^d, at least 2."""
+    return _int_at_least(text, 2)
+
+
+def _level(text: str) -> int:
+    """--k: the level k of the 6j symbols, at least 0."""
+    return _int_at_least(text, 0)
+
+
+def _charge(text: str):
+    """--charge: an exact rational 'p' or 'p/q' with q nonzero."""
+    try:
+        return parse_rat(text)
+    except (ValueError, ZeroDivisionError):
+        raise argparse.ArgumentTypeError(f"expected a rational p or p/q, got {text!r}") from None
+
+
 def _write(text: str, out: str | None):
     if out:
         with open(out, "w") as fh:
@@ -197,7 +225,7 @@ def cmd_fusing(args) -> int:
 def cmd_hom(args) -> int:
     source = parse_set(args.source, args.d)
     target = parse_set(args.target, args.d)
-    charge = "all" if args.all or args.charge is None else parse_rat(args.charge)
+    charge = "all" if args.all or args.charge is None else args.charge
     hs = hom_space(
         PSObject(args.d, source).underlying,
         PSObject(args.d, target).underlying,
@@ -391,30 +419,30 @@ def build_parser() -> argparse.ArgumentParser:
     vp = sub.add_parser("verify", help="coherence verification suites")
     vsub = vp.add_subparsers(dest="what", required=True)
     vm = vsub.add_parser("monoidal", help="pentagon/triangle/unit-iso/homotopy suite")
-    vm.add_argument("--d", type=int, required=True)
+    vm.add_argument("--d", type=_degree, required=True)
     vm.add_argument("--cutoff", type=int, default=DEFAULT_CUTOFF)
     _add_out(vm)
     vm.set_defaults(func=cmd_verify)
 
     fp = sub.add_parser("fusing", help="solve the 2x2 fusing matrix exactly")
-    fp.add_argument("--d", type=int, required=True)
+    fp.add_argument("--d", type=_degree, required=True)
     fp.add_argument("--verify-homotopy", action="store_true")
     fp.add_argument("--cutoff", type=int, default=DEFAULT_CUTOFF)
     _add_out(fp)
     fp.set_defaults(func=cmd_fusing)
 
     hp = sub.add_parser("hom", help="cohomology of graded morphisms between defects")
-    hp.add_argument("--d", type=int, required=True)
+    hp.add_argument("--d", type=_degree, required=True)
     hp.add_argument("--source", required=True, help='residue set, e.g. "0,1" or "0+2"')
     hp.add_argument("--target", required=True)
     hg = hp.add_mutually_exclusive_group()
-    hg.add_argument("--charge", help='single R-charge sector, e.g. "2/5"')
+    hg.add_argument("--charge", type=_charge, help='single R-charge sector, e.g. "2/5"')
     hg.add_argument("--all", action="store_true", help="every sector (default)")
     _add_out(hp)
     hp.set_defaults(func=cmd_hom)
 
     up = sub.add_parser("fuse", help="reduce a tensor product and decompose it")
-    up.add_argument("--d", type=int, required=True)
+    up.add_argument("--d", type=_degree, required=True)
     up.add_argument("--left", required=True)
     up.add_argument("--right", required=True)
     _add_out(up)
@@ -423,21 +451,21 @@ def build_parser() -> argparse.ArgumentParser:
     cp = sub.add_parser("cft", help="quantum 6j and coset data")
     csub = cp.add_subparsers(dest="cftcmd", required=True)
     c1 = csub.add_parser("sixj", help="CSV table of admissible 6j values")
-    c1.add_argument("--k", type=int, required=True)
+    c1.add_argument("--k", type=_level, required=True)
     c1.add_argument("--precision", type=int, default=DEFAULT_PREC)
     _add_out(c1)
     c2 = csub.add_parser("pentagon", help="largest pentagon residual at level k")
-    c2.add_argument("--k", type=int, required=True)
+    c2.add_argument("--k", type=_level, required=True)
     c2.add_argument("--precision", type=int, default=DEFAULT_PREC)
     c2.add_argument("--tol", type=float, default=1e-18)
     _add_out(c2)
     c3 = csub.add_parser("fusing", help="worked 2x2 example against closed forms")
-    c3.add_argument("--d", type=int, required=True)
+    c3.add_argument("--d", type=_degree, required=True)
     c3.add_argument("--precision", type=int, default=DEFAULT_PREC)
     c3.add_argument("--tol", type=float, default=1e-10)
     _add_out(c3)
     c4 = csub.add_parser("spectrum", help="defect-changing spectrum labels")
-    c4.add_argument("--d", type=int, required=True)
+    c4.add_argument("--d", type=_degree, required=True)
     c4.add_argument("--u", type=int, default=0)
     c4.add_argument("--n", type=int, default=0)
     c4.add_argument("--chiral-only", action="store_true")
@@ -448,26 +476,24 @@ def build_parser() -> argparse.ArgumentParser:
     mp_ = sub.add_parser("compare", help="cross-verification of the two sides")
     msub = mp_.add_subparsers(dest="cmpcmd", required=True)
     m1 = msub.add_parser("ratio", help="gauge-invariant fusing ratio")
-    m1.add_argument("--d", type=int)
-    m1.add_argument("--d-min", type=int)
-    m1.add_argument("--d-max", type=int)
+    m1.add_argument("--d", type=_degree)
+    m1.add_argument("--d-min", type=_degree)
+    m1.add_argument("--d-max", type=_degree)
     m1.add_argument("--tol", type=float, default=1e-10)
     _add_out(m1)
     m2 = msub.add_parser("spectrum", help="defect-changing charge multisets")
-    m2.add_argument("--d", type=int, required=True)
+    m2.add_argument("--d", type=_degree, required=True)
     m2.add_argument("--u", type=int)
-    m2.add_argument("--tol", type=float, default=1e-10)
     _add_out(m2)
     m3 = msub.add_parser("fusion", help="fusion rules under the label dictionary")
-    m3.add_argument("--d", type=int, required=True)
+    m3.add_argument("--d", type=_degree, required=True)
     m3.add_argument("--verify-homotopy", action="store_true")
-    m3.add_argument("--tol", type=float, default=1e-10)
     _add_out(m3)
     for m in (m1, m2, m3):
         m.set_defaults(func=cmd_compare)
 
     sp = sub.add_parser("sixj", help="evaluate one 6j symbol (doubled-spin labels)")
-    sp.add_argument("--k", type=int, required=True)
+    sp.add_argument("--k", type=_level, required=True)
     sp.add_argument(
         "--labels",
         required=True,

@@ -332,28 +332,6 @@ class Cyclo:
         return " + ".join(parts) if parts else "0"
 
 
-def cyclo_arith(lhs: Cyclo, rhs: Cyclo, op: str) -> Cyclo:
-    """Field operation dispatch; conductors must match ('lift' first if not)."""
-    if op == "add":
-        return lhs + rhs
-    if op == "sub":
-        return lhs - rhs
-    if op == "mul":
-        return lhs * rhs
-    if op == "div":
-        return lhs / rhs
-    raise ValueError(f"unknown op {op!r}")
-
-
-def embed_numeric(e: Cyclo, precision_bits: int = DEFAULT_PRECISION_BITS):
-    return e.to_complex(precision_bits)
-
-
-def cyclo_ratio_real(num: Cyclo, den: Cyclo) -> Cyclo:
-    """Exact quotient num/den in Q(zeta_n) (callers embed numerically as needed)."""
-    return num / den
-
-
 def real_value(x, precision_bits: int = DEFAULT_PRECISION_BITS):
     """Evaluate a Cyclo (or pass through mpf) as a real number, checking the
     imaginary part vanishes to precision."""
@@ -365,8 +343,3 @@ def real_value(x, precision_bits: int = DEFAULT_PRECISION_BITS):
             return z.real
     return x
 
-
-def _selftest_phi():  # small always-true guard used by tests
-    assert cyclotomic_poly(1) == (-RAT_ONE, RAT_ONE)
-    assert cyclotomic_poly(12) == (RAT_ONE, RAT_ZERO, -RAT_ONE, RAT_ZERO, RAT_ONE)
-    return True

@@ -3,10 +3,11 @@
 Everything in this module lives over the family of rank-(1,1) defects
 P_S = (p_{S^c}, p_S) with S a proper subset of residues mod d.  It provides
 
-* the explicit junction morphisms between such defects (the group-like
-  family ``lam``, the sign pair ``F_l``/``F_r``, and the six one-to-many
-  junctions ``A[1]`` .. ``A[6]``), each built from slot words and checked
-  to be delta-closed and of charge zero;
+* the explicit junction morphisms between such defects, each built from
+  slot words and checked to be delta-closed and of charge zero: the
+  group-like family `lam` (a function of d alone), and in `Junctions` the
+  sign pair ``F_l``/``F_r`` and the six one-to-many junctions ``A[1]`` ..
+  ``A[6]``;
 * extraction of the exact 2x2 fusing matrix from the one-to-many junction
   relations (`solve_fusing_2x2`), plus homotopy verification of the entries
   that do not hold on the nose (`verify_fusing_up_to_homotopy`);
@@ -111,14 +112,37 @@ def _closed_and_chargeless(phi: Morphism, gs: GradedMBF, gt: GradedMBF, name: st
         raise ValueError(f"{name}: charge {q!r}, expected 0")
 
 
+def m_word(d: int, j: int) -> Word:
+    """Merge the middle slot rightward with twist eta^j per power."""
+    return w_collapse(SlotShape(3, 1, d), 1, _eta(d, j), "left")
+
+
+def lam(d: int, i: int, j: int, check: bool = True) -> Morphism:
+    """The group-like junction P_i ⊗ P_j → P_{i+j}, acting by m_word(d, j)
+    on the Y0 columns."""
+    gi = PSObject(d, [i]).underlying
+    gj = PSObject(d, [j]).underlying
+    gt = graded_tensor(gi, gj)
+    gk = PSObject(d, [(i + j) % d]).underlying
+    T, K = gt.base, gk.base
+    m = m_word(d, j)
+    mor = Morphism(
+        T, K, 0,
+        Operator.single(T.m0, K.m0, 0, 0, m),
+        Operator.single(T.m1, K.m1, 0, 0, m),
+    )
+    if check:
+        _closed_and_chargeless(mor, gt, gk, f"lam({i},{j})")
+    return mor
+
+
 class Junctions:
     """Explicit defect-junction morphisms for W = t^d.
 
-    ``lam(i, j)`` is the group-like junction P_i ⊗ P_j → P_{i+j}; for even
-    d the pair ``F_l``/``F_r`` fuses the (d-1)-element defect with the
-    half-set one; for d >= 4 the dict ``A`` holds the six one-to-many
-    junctions used by the 2x2 fusing computation, keyed 1..6.  Every
-    morphism is verified delta-closed (exactly) and of charge 0 on
+    For even d the pair ``F_l``/``F_r`` fuses the (d-1)-element defect with
+    the half-set one; for d >= 4 the dict ``A`` holds the six one-to-many
+    junctions used by the 2x2 fusing computation, keyed 1..6.  With `check`,
+    every morphism is verified delta-closed (exactly) and of charge 0 on
     construction.
     """
 
@@ -145,7 +169,6 @@ class Junctions:
         self.F_r = None
         self.P_A = None
         self.P_B = None
-        self._check = check
         if d >= 4:
             self._build_a_collection()
         if d >= 4 and d % 2 == 0:
@@ -154,10 +177,6 @@ class Junctions:
             self.check_all()
 
     # -- words ---------------------------------------------------------
-
-    def m_word(self, j: int) -> Word:
-        """Merge the middle slot rightward with twist eta^j per power."""
-        return w_collapse(self.sh3, 1, _eta(self.d, j), "left")
 
     def m_prime_word(self, j: int) -> Word:
         """Merge the middle slot leftward with twist eta^{-j} per power."""
@@ -170,29 +189,6 @@ class Junctions:
             return self.J.scaled(cv)
         return self.J.then(w_mul(self.sh3, poly))
 
-    # -- group-like junctions -------------------------------------------
-
-    def lam(self, i: int, j: int, check: bool | None = None) -> Morphism:
-        """P_i ⊗ P_j → P_{i+j}, acting by m_word(j) on the Y0 columns."""
-        d = self.d
-        gi = PSObject(d, [i]).underlying
-        gj = PSObject(d, [j]).underlying
-        gt = graded_tensor(gi, gj)
-        gk = PSObject(d, [(i + j) % d]).underlying
-        T, K = gt.base, gk.base
-        m = self.m_word(j)
-        mor = Morphism(
-            T, K, 0,
-            Operator.single(T.m0, K.m0, 0, 0, m),
-            Operator.single(T.m1, K.m1, 0, 0, m),
-        )
-        if self._check if check is None else check:
-            _closed_and_chargeless(mor, gt, gk, f"lam({i},{j})")
-        return mor
-
-    def graded_P(self, S) -> GradedMBF:
-        return PSObject(self.d, S).underlying
-
     # -- the sign pair ---------------------------------------------------
 
     def _build_f_pair(self):
@@ -203,7 +199,7 @@ class Junctions:
         TA, TB = self.P_A.mbf, self.P_B.mbf
         TL = tensor_obj(TA, TB)
         TR = tensor_obj(TB, TA)
-        m, mp = self.m_word(h), self.m_prime_word(h)
+        m, mp = m_word(d, h), self.m_prime_word(h)
         sign = Cyclo.from_rat(d, (-1) ** (h - 1))
         self.F_l = Morphism(
             TL, TB, 0,
@@ -284,10 +280,6 @@ class Junctions:
             _closed_and_chargeless(self.F_r, graded_tensor(gb, ga), gb, "F_r")
 
 
-def junction_morphisms(d: int, check: bool = True) -> Junctions:
-    return Junctions(d, check=check)
-
-
 # -- proportionality of composite junctions ------------------------------------
 
 
@@ -342,13 +334,12 @@ def proportionality_scalar(L: Morphism, R: Morphism, cutoff: int = DEFAULT_CUTOF
 def verify_group_like(d: int, i: int, j: int, k: int,
                       cutoff: int = DEFAULT_CUTOFF) -> Cyclo:
     """Scalar relating the two bracketings of lam-composites; must be 1."""
-    jn = Junctions(d, check=False)
     Pi, Pj, Pk = (ps_object(d, [t]) for t in (i, j, k))
-    lam = lambda a, b: jn.lam(a, b, check=False)
-    left = (lam(i, (j + k) % d)
-            .compose(tensor_mor(Morphism.identity(Pi), lam(j, k)))
+    junction = lambda a, b: lam(d, a, b, check=False)
+    left = (junction(i, (j + k) % d)
+            .compose(tensor_mor(Morphism.identity(Pi), junction(j, k)))
             .compose(associator(Pi, Pj, Pk)))
-    right = lam((i + j) % d, k).compose(tensor_mor(lam(i, j), Morphism.identity(Pk)))
+    right = junction((i + j) % d, k).compose(tensor_mor(junction(i, j), Morphism.identity(Pk)))
     c, _ = proportionality_scalar(left, right, cutoff)
     return c
 

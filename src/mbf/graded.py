@@ -133,7 +133,7 @@ def graded_validate(g: GradedMBF):
 
 def _word_charge_units(word):
     """Charge shift of one generator word in q_x units; None if inhomogeneous."""
-    from .bifact import PMul, PSubst, PTDiv, PQuo, PRem, PCoeff
+    from .bifact import PMul, PSubst, PTDiv, PQuo, PCoeff
 
     total = Rat(0)
     for prim in word.prims:
@@ -146,15 +146,12 @@ def _word_charge_units(word):
             pass
         elif isinstance(prim, PTDiv):
             total -= 1
-        elif isinstance(prim, PRem):
-            g = prim.modulus.homogeneous_degree()
-            if g is None:
-                return None
         elif isinstance(prim, PQuo):
             g = prim.modulus.homogeneous_degree()
             if g is None:
                 return None
-            total -= g
+            if prim.part == "quo":
+                total -= g
         elif isinstance(prim, PCoeff):
             total -= prim.k
         else:
@@ -267,7 +264,7 @@ class _Ansatz:
     def __init__(self, gs: GradedMBF, gt: GradedMBF, parity: int, units: Rat):
         self.gs = gs
         self.gt = gt
-        self.parity = parity
+        self.parity = parity % 2
         self.units = units
         self.ring = gs.base.shape.ring()
         self.vars = []  # (leg, i, j, m, n)
@@ -322,43 +319,40 @@ class _Ansatz:
         )
 
 
-def _delta_legs(gs: MBF, gt: MBF, parity: int, legE: PolyMatrix, legO: PolyMatrix):
-    """delta on multiplier block matrices, as plain matrix algebra."""
+def _delta_matrix(ansatz: _Ansatz, index: dict, extra=()) -> list:
+    """δ of every unit vector of `ansatz`, as the columns of an equation matrix.
+
+    Row r holds the coefficient of the coordinate (leg, i, j, exponents) that
+    `index` maps to r; coordinates missing from `index` are appended to it in
+    order of first appearance.  Each leg pair in `extra` becomes one more
+    column after the ansatz ones.  The multiplier matrices of the four
+    differentials are read once.
+    """
+    gs, gt, parity = ansatz.gs.base, ansatz.gt.base, ansatz.parity
     D0, D1 = gs.d0.pure_mul_matrix(), gs.d1.pure_mul_matrix()
     E0, E1 = gt.d0.pure_mul_matrix(), gt.d1.pure_mul_matrix()
-    if parity == 0:
-        return (E0 * legE - legO * D0, E1 * legO - legE * D1)
-    return (E1 * legE + legO * D0, E0 * legO + legE * D1)
 
+    def delta(legE: PolyMatrix, legO: PolyMatrix):
+        if parity == 0:
+            return (E0 * legE - legO * D0, E1 * legO - legE * D1)
+        return (E1 * legE + legO * D0, E0 * legO + legE * D1)
 
-class _Vectorizer:
-    """Maps (leg, block, monomial) coefficients into a growing coordinate list."""
-
-    def __init__(self, conductor: int):
-        self.index = {}
-        self.conductor = conductor
-
-    def vectorize(self, pair) -> dict:
-        out = {}
+    pairs = [delta(*ansatz.unit_vector(k)) for k in range(len(ansatz))] + list(extra)
+    columns = []
+    for pair in pairs:
+        col = {}
         for leg, pm in enumerate(pair):
             for i in range(pm.rows):
                 for j in range(pm.cols):
                     for e, c in pm[i, j].terms.items():
-                        key = (leg, i, j, e)
-                        col = self.index.setdefault(key, len(self.index))
-                        out[col] = c
-        return out
-
-    def rows(self, sparse_rows) -> list:
-        n = len(self.index)
-        z = Cyclo.zero(self.conductor)
-        out = []
-        for sr in sparse_rows:
-            row = [z] * n
-            for col, c in sr.items():
-                row[col] = c
-            out.append(row)
-        return out
+                        col[index.setdefault((leg, i, j, e), len(index))] = c
+        columns.append(col)
+    z = Cyclo.zero(gs.shape.conductor)
+    matrix = [[z] * len(columns) for _ in range(len(index))]
+    for k, col in enumerate(columns):
+        for r, c in col.items():
+            matrix[r][k] = c
+    return matrix
 
 
 def _closed_subspace(ansatz: _Ansatz):
@@ -366,51 +360,24 @@ def _closed_subspace(ansatz: _Ansatz):
     from .linalg import nullspace
 
     d = ansatz.gs.base.shape.conductor
-    vec = _Vectorizer(d)
-    sparse = []
-    for k in range(len(ansatz)):
-        legs = ansatz.unit_vector(k)
-        img = _delta_legs(ansatz.gs.base, ansatz.gt.base, ansatz.parity, *legs)
-        sparse.append(vec.vectorize(img))
-    cols = vec.rows(sparse)  # one row per ansatz variable
-    if not vec.index:
+    matrix = _delta_matrix(ansatz, {})
+    if not matrix:
         return [
             [Cyclo.one(d) if t == k else Cyclo.zero(d) for t in range(len(ansatz))]
             for k in range(len(ansatz))
         ]
-    # each coordinate of the stacked evaluation is one linear equation
-    neq = len(vec.index)
-    matrix = [[cols[k][e] for k in range(len(ansatz))] for e in range(neq)]
     return nullspace(matrix, d, ncols=len(ansatz))
 
 
-def _image_vectors(ansatz_even: _Ansatz, gs, gt, units: Rat, parity: int):
-    """delta of every odd-ansatz basis vector, in even-ansatz coordinates."""
-    half = Rat(gs.d, 2)
-    lower = _Ansatz(gs, gt, 1 - parity, units - half)
-    coords = {
-        (leg, i, j, m, n): t for t, (leg, i, j, m, n) in enumerate(ansatz_even.vars)
-    }
-    out = []
-    d = gs.base.shape.conductor
-    for k in range(len(lower)):
-        legs = lower.unit_vector(k)
-        imgE, imgO = _delta_legs(gs.base, gt.base, 1 - parity, *legs)
-        vecv = [Cyclo.zero(d)] * len(ansatz_even)
-        ok = True
-        for leg, pm in enumerate((imgE, imgO)):
-            for i in range(pm.rows):
-                for j in range(pm.cols):
-                    for e, c in pm[i, j].terms.items():
-                        key = (leg, i, j, e[0], e[1])
-                        t = coords.get(key)
-                        if t is None:
-                            ok = False
-                        else:
-                            vecv[t] = vecv[t] + c
-        assert ok, "delta image left the charge sector"
-        out.append(vecv)
-    return out, lower
+def _image_vectors(ansatz: _Ansatz):
+    """delta of every basis vector of the opposite-parity ansatz d/2 charge
+    units lower, in `ansatz` coordinates."""
+    gs, gt = ansatz.gs, ansatz.gt
+    lower = _Ansatz(gs, gt, 1 - ansatz.parity, ansatz.units - Rat(gs.d, 2))
+    coords = {(leg, i, j, (m, n)): t for t, (leg, i, j, m, n) in enumerate(ansatz.vars)}
+    matrix = _delta_matrix(lower, coords)
+    assert len(coords) == len(ansatz), "delta image left the charge sector"
+    return [list(col) for col in zip(*matrix)]
 
 
 class HomSector:
@@ -467,7 +434,7 @@ def _solve_sector(gs: GradedMBF, gt: GradedMBF, units: Rat, parity: int = 0):
     closed = _closed_subspace(ansatz)
     if not closed:
         return 0, []
-    image, _ = _image_vectors(ansatz, gs, gt, units, parity)
+    image = _image_vectors(ansatz)
     ech = Echelon(gs.base.shape.conductor)
     for vecv in image:
         ech.insert(vecv)
@@ -524,22 +491,11 @@ def is_null_homotopic(phi: Morphism, gs: GradedMBF, gt: GradedMBF):
     units = q / Rat(2, d)
     half = Rat(d, 2)
     lower = _Ansatz(gs, gt, 1 + phi.parity, units - half)
-    vec = _Vectorizer(gs.base.shape.conductor)
-    sparse = []
-    for k in range(len(lower)):
-        legs = lower.unit_vector(k)
-        img = _delta_legs(gs.base, gt.base, 1 + phi.parity, *legs)
-        sparse.append(vec.vectorize(img))
-    target_sparse = vec.vectorize((pmE, pmO))
-    cols = vec.rows(sparse)
-    neq = len(vec.index)
-    matrix = [[cols[k][e] for k in range(len(lower))] for e in range(neq)]
-    z = Cyclo.zero(gs.base.shape.conductor)
-    rhs = [z] * neq
-    for col, c in target_sparse.items():
-        rhs[col] = c
-    if not matrix or not matrix[0]:
+    if not len(lower):
         return None
+    augmented = _delta_matrix(lower, {}, extra=[(pmE, pmO)])
+    matrix = [row[:-1] for row in augmented]
+    rhs = [row[-1] for row in augmented]
     sol = solve(matrix, rhs, gs.base.shape.conductor)
     if sol is None:
         return None

@@ -97,13 +97,6 @@ def in_span(rows, vector, conductor: int) -> bool:
     return rank(rows + [list(vector)], conductor) == base
 
 
-def quotient_dimension(closed_rows, exact_rows, conductor: int, ncols: int) -> int:
-    """dim(span(closed) / span(exact)); exact must be a subspace of closed."""
-    rc = rank(closed_rows, conductor) if closed_rows else 0
-    re = rank(exact_rows, conductor) if exact_rows else 0
-    return rc - re
-
-
 class Echelon:
     """Growing row-echelon basis supporting incremental rank queries."""
 

@@ -715,14 +715,3 @@ class PolyMatrix:
     def __repr__(self):
         return "[" + "; ".join(", ".join(str(p) for p in r) for r in self.entries) + "]"
 
-
-def divided_difference(p: MultiPoly, v1: str, v2: str) -> MultiPoly:
-    return p.divided_difference(v1, v2)
-
-
-def exact_divide(p: MultiPoly, q: MultiPoly) -> MultiPoly:
-    return p.exact_divide(q)
-
-
-def substitute(p: MultiPoly, assignment: Mapping[str, MultiPoly]) -> MultiPoly:
-    return p.substitute(assignment)

@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from mbf.bifact import (
+    _kron,
     DEFAULT_CUTOFF,
     FreeBimod,
     MBF,
@@ -14,8 +15,6 @@ from mbf.bifact import (
     associator_inv,
     fermat_potential,
     homotopy_psi,
-    lift_left,
-    lift_right,
     mbf_from_polys,
     morphism_equal,
     mu_relation_check,
@@ -482,10 +481,21 @@ class TestOperatorEquality:
 
     def test_lift_shapes(self):
         D = ps_object(3, [0])
-        L = lift_left(D.d0, D.m0)
+        L = _kron(D.d0, D.m0, True)
         assert L.src.shape.nslots == 3 and L.src.rank == 1
-        R = lift_right(D.d0, D.m1)
+        R = _kron(D.d0, D.m1, False)
         assert R.dst.shape.nslots == 3
+        # Kronecker placement: op ⊗ id puts copy (n, q) at n·k + q, id ⊗ op
+        # puts copy (p, n) at p·rank + n; without gluing words stay unlifted
+        mod2 = FreeBimod(D.shape, 2)
+        op = Operator.zero(mod2, D.m0)
+        op.entries[0][1].append(w_mul(D.shape, D.shape.ring().var("a")))
+        for op_first, want in ((True, {(0, 2), (1, 3)}), (False, {(0, 1), (1, 3)})):
+            K = _kron(op, mod2, op_first, glue=False)
+            assert (K.src.rank, K.dst.rank, K.src.shape) == (4, 2, D.shape)
+            filled = {(r, c) for r in range(2) for c in range(4) if K.entries[r][c]}
+            assert filled == want
+            assert all(w is op.entries[0][1][0] for r, c in filled for w in K.entries[r][c])
 
     def test_json_shapes(self):
         D = ps_object(3, [1])

@@ -39,6 +39,25 @@ class TestSetSyntax:
             parse_set(" ", 4)
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["hom", "--d", "0", "--source", "0", "--target", "0"],
+        ["hom", "--d", "4", "--source", "0", "--target", "0", "--charge", "1/0"],
+        ["cft", "sixj", "--k", "-1"],
+        ["compare", "fusion", "--d", "4", "--tol", "1e-3"],
+    ],
+    ids=["d-zero", "charge-zero-denominator", "negative-k", "removed-tol"],
+)
+def test_bad_arguments_are_usage_errors(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    captured = capsys.readouterr()
+    assert exc.value.code == 2 and captured.out == ""
+    errors = [line for line in captured.err.splitlines() if "error:" in line]
+    assert len(errors) == 1 and captured.err.endswith(errors[0] + "\n")
+
+
 class TestSixjAlias:
     def test_worked_example(self, capsys):
         code, out = run(capsys, "sixj", "--k", "2", "--labels", "1,1,0,1,1,2")

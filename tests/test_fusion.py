@@ -13,7 +13,7 @@ from mbf.bifact import (
     ps_object,
     tensor_obj,
 )
-from mbf.graded import graded_validate, morphism_charge
+from mbf.graded import graded_tensor, graded_validate, morphism_charge
 from mbf.fusion import (
     DETERMINED,
     HOMOTOPY_POSITIONS,
@@ -22,7 +22,7 @@ from mbf.fusion import (
     PSObject,
     decompose_into_PS,
     fuse,
-    junction_morphisms,
+    lam,
     proportionality_scalar,
     reduce_tensor,
     solve_fusing_2x2,
@@ -57,10 +57,9 @@ class TestPSObject:
 
 class TestGroupLikeJunctions:
     def test_all_lam_closed_charge_zero_d5(self):
-        jn = Junctions(5)
         for i in range(5):
             for j in range(5):
-                jn.lam(i, j, check=True)  # raises on failure
+                lam(5, i, j, check=True)  # raises on failure
 
     def test_trivial_triple(self):
         assert verify_group_like(3, 0, 0, 0) == Cyclo.one(3)
@@ -107,11 +106,11 @@ class TestACollection:
     @pytest.mark.parametrize("d", list(range(4, 10)))
     def test_division_entries_exist(self, d):
         # the (2,1) entries require an exact polynomial division at each d
-        jn = junction_morphisms(d)
+        jn = Junctions(d)
         assert sorted(jn.A) == [1, 2, 3, 4, 5, 6]
 
     def test_d3_has_no_collection(self):
-        assert junction_morphisms(3).A == {}
+        assert Junctions(3).A == {}
 
     def test_closed_and_chargeless(self):
         jn = Junctions(6, check=False)
@@ -256,6 +255,20 @@ class TestReduceTensor:
         with pytest.raises(ValueError):
             reduce_tensor(PSObject(5, (0, 1)), rt.reduced_graded)
 
+    @pytest.mark.parametrize("d", [4, 5, 6])
+    def test_division_word_charges(self, d):
+        # the homotopy is built from quotient words, which lower the charge
+        # by the modulus degree; proj ends in remainder words, which keep it
+        for s in range(1, d):
+            for t in range(1, d):
+                gA = PSObject(d, range(s)).underlying
+                gB = PSObject(d, [(1 + u) % d for u in range(t)]).underlying
+                rt = reduce_tensor(gA, gB, check=False)
+                gT, gR = graded_tensor(gA, gB), rt.reduced_graded
+                assert morphism_charge(rt.homotopy, gT, gT) == -1
+                assert morphism_charge(rt.proj, gT, gR) == 0
+                assert morphism_charge(rt.incl, gR, gT) == 0
+
     @settings(max_examples=15, deadline=None)
     @given(st.integers(3, 6), st.data())
     def test_singleton_fusion_adds_indices(self, d, data):
@@ -329,14 +342,12 @@ class TestHomotopyVerification:
 class TestProportionality:
     def test_scalar_multiple_recovered(self):
         d = 5
-        jn = Junctions(d, check=False)
-        lam = jn.lam(1, 2, check=False)
+        junction = lam(d, 1, 2, check=False)
         c = Cyclo.root(d, 3)
-        got, mode = proportionality_scalar(lam.scale(c), lam)
+        got, mode = proportionality_scalar(junction.scale(c), junction)
         assert got == c and mode.startswith("exact")
 
     def test_non_proportional_raises(self):
         d = 5
-        jn = Junctions(d, check=False)
         with pytest.raises(ValueError):
-            proportionality_scalar(jn.lam(1, 2), jn.lam(2, 1))
+            proportionality_scalar(lam(d, 1, 2, check=False), lam(d, 2, 1, check=False))

@@ -205,10 +205,11 @@ class TestNullHomotopy:
         ring = gs.base.shape.ring()
         degE = data.draw(st.integers(min_value=0, max_value=3), label="degE")
         cE = data.draw(st.integers(min_value=-3, max_value=3), label="cE")
+        parity = data.draw(st.integers(min_value=0, max_value=1), label="parity")
         psi = Morphism.from_poly_blocks(
             gs.base,
             gt.base,
-            1,
+            parity,
             [[ring.monomial({"a": degE}, cE)]],
             [[ring.zero()]],
         )
