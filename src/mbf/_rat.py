@@ -1,8 +1,11 @@
 """Arbitrary-precision rationals: gmpy2.mpq when available, fractions.Fraction otherwise.
 
-Both types share the slice of API used throughout the package (ring ops,
-comparisons, hashing, .numerator/.denominator), so everything downstream is
-agnostic to which one is active.
+Rat is used only at the edges of the exact side: parsing and printing
+coefficients, the coefficient view ``Cyclo.coeffs``, the Euclidean algorithm
+behind ``Cyclo.inverse`` and R-charges.  ``Cyclo`` arithmetic itself runs on
+Python ints over a common denominator (see ``exactalg``), so which type is
+active no longer changes its speed.  Both types share the slice of API used
+here (ring ops, comparisons, hashing, .numerator/.denominator).
 """
 
 try:
@@ -10,7 +13,6 @@ try:
 except ImportError:  # pragma: no cover - exercised only on gmpy2-less installs
     from fractions import Fraction as Rat
 
-RAT_ZERO = Rat(0)
 RAT_ONE = Rat(1)
 
 

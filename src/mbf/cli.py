@@ -50,6 +50,7 @@ from .compare import fusion_rule_compare, ratio_compare, spectrum_compare
 from .fusion import (
     DEFAULT_CUTOFF,
     PSObject,
+    VerificationError,
     fuse,
     solve_fusing_2x2,
     verify_fusing_up_to_homotopy,
@@ -512,7 +513,7 @@ def main(argv=None) -> int:
         return args.func(args)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+        return EXIT_FAIL if isinstance(exc, VerificationError) else EXIT_USAGE
 
 
 if __name__ == "__main__":

@@ -1,22 +1,33 @@
-"""Exact scalar arithmetic: rationals, cyclotomic fields Q(zeta_n), numeric embedding.
+"""Exact scalar arithmetic: cyclotomic fields Q(zeta_n) and their numeric embedding.
 
-Elements of Q(zeta_n) are stored as coefficient vectors of length phi(n) in the
-power basis 1, t, ..., t^{phi(n)-1} of Q[t]/(Phi_n(t)), with Phi_n the n-th
-cyclotomic polynomial.  Working modulo Phi_n (rather than t^n - 1) keeps the
-representation a field with canonical equality.
+An element of Q(zeta_n) is stored as an integer polynomial over one common
+denominator, the layout of FLINT's ``fmpq_poly``: ``num`` is a tuple of phi(n)
+Python ints, the coefficients in the power basis 1, t, ..., t^{phi(n)-1} of
+Q[t]/(Phi_n(t)), and ``den`` is a positive int; the value is
+sum(num[i] * t^i) / den.  Working modulo the cyclotomic polynomial Phi_n
+(rather than t^n - 1) keeps the representation a field with canonical
+equality.  Phi_n is monic with integer coefficients, so reducing a product
+modulo Phi_n never leaves the integers.
+
+The form is canonical: ``gcd(den, *num) == 1``, and zero is
+``((0,) * phi(n), 1)``.  Equal values therefore have equal ``(n, den, num)``,
+which is what ``==`` and ``hash`` compare.  Rationals (``_rat.Rat``) appear
+only at the edges: the constructor, ``coeffs``, printing, JSON and the field
+inverse, whose Euclidean algorithm runs over Q.
 
 Values are immutable; all operations return fresh objects, so sharing across
-threads is safe.  The Phi_n cache is filled idempotently (recomputation yields
-the identical value), which is harmless under concurrent first use.
+threads is safe.  The Phi_n caches are filled idempotently (recomputation
+yields the identical value), which is harmless under concurrent first use.
 """
 
 from __future__ import annotations
 
 import math
+from operator import add, sub
 
 import mpmath
 
-from ._rat import RAT_ONE, RAT_ZERO, Rat, parse_rat, rat_str
+from ._rat import RAT_ONE, Rat, parse_rat, rat_str
 
 DEFAULT_PRECISION_BITS = 128
 
@@ -34,16 +45,17 @@ def _poly_trim(c: list) -> list:
 
 
 def _poly_divmod(num: list, den: list) -> tuple[list, list]:
-    # Dense long division in Q[t]; den must be non-zero.
+    # Dense long division; den must be non-zero.  A monic den keeps integer
+    # input integral, otherwise the coefficients must be Rat.
     num = list(num)
     dn = len(den) - 1
     lead = den[-1]
-    q = [RAT_ZERO] * max(0, len(num) - dn)
+    q = [0] * max(0, len(num) - dn)
     for i in range(len(num) - 1, dn - 1, -1):
         c = num[i]
         if c == 0:
             continue
-        f = c / lead
+        f = c if lead == 1 else c / lead
         q[i - dn] = f
         for j, d in enumerate(den):
             num[i - dn + j] -= f * d
@@ -51,7 +63,7 @@ def _poly_divmod(num: list, den: list) -> tuple[list, list]:
 
 
 def cyclotomic_poly(n: int) -> tuple:
-    """Dense coefficients (low to high) of Phi_n, computed by exact division.
+    """Dense integer coefficients (low to high) of Phi_n, by exact division.
 
     Phi_n = (t^n - 1) / prod_{d | n, d < n} Phi_d, recursively; results cached.
     """
@@ -60,12 +72,12 @@ def cyclotomic_poly(n: int) -> tuple:
     cached = _PHI_CACHE.get(n)
     if cached is not None:
         return cached
-    num = [RAT_ZERO] * (n + 1)
-    num[0] = -RAT_ONE
-    num[n] = RAT_ONE
+    num = [0] * (n + 1)
+    num[0] = -1
+    num[n] = 1
     for d in range(1, n):
         if n % d == 0:
-            num, rem = _poly_divmod(num, list(cyclotomic_poly(d)))
+            num, rem = _poly_divmod(num, cyclotomic_poly(d))
             if rem:
                 raise AssertionError(f"Phi_{d} must divide t^{n}-1 exactly")
     result = tuple(num)
@@ -81,68 +93,82 @@ _RED_ROWS: dict = {}
 
 
 def _reduction_rows(n: int) -> tuple:
-    """Row k: coefficients of t^(phi+k) mod Phi_n, for k up to phi-2."""
+    """Row k: the non-zero (j, c) of t^(phi+k) mod Phi_n = sum c*t^j, for k
+    up to phi-2.  Integers, since Phi_n is monic over Z."""
     rows = _RED_ROWS.get(n)
     if rows is None:
         phi = euler_phi(n)
-        den = list(cyclotomic_poly(n))
         out = []
         for k in range(max(0, phi - 1)):
-            num = [RAT_ZERO] * (phi + k) + [RAT_ONE]
-            _, rem = _poly_divmod(num, den)
-            rem = list(rem) + [RAT_ZERO] * (phi - len(rem))
-            out.append(tuple(rem))
+            _, rem = _poly_divmod([0] * (phi + k) + [1], cyclotomic_poly(n))
+            out.append(tuple((j, c) for j, c in enumerate(rem) if c))
         rows = tuple(out)
         _RED_ROWS[n] = rows
     return rows
 
 
-class Cyclo:
-    """An element of Q(zeta_n), canonical coefficient vector mod Phi_n."""
+def _normalized(n: int, num: tuple, den: int) -> "Cyclo":
+    # divide out the content gcd(den, *num); den > 0, len(num) == phi(n)
+    g = math.gcd(den, *num)
+    if g != 1:
+        num = tuple(c // g for c in num)
+        den //= g
+    return _raw(n, num, den)
 
-    __slots__ = ("n", "coeffs")
+
+def _from_ints(n: int, ints: list, den: int) -> "Cyclo":
+    """sum ints[i]*t^i / den for any length of ints (reduced mod Phi_n)."""
+    phi = euler_phi(n)
+    if len(ints) > phi:
+        _, ints = _poly_divmod(ints, cyclotomic_poly(n))
+    return _normalized(n, tuple(ints) + (0,) * (phi - len(ints)), den)
+
+
+class Cyclo:
+    """An element of Q(zeta_n): integers ``num`` mod Phi_n over ``den``."""
+
+    __slots__ = ("n", "num", "den")
 
     def __init__(self, n: int, coeffs):
-        phi = euler_phi(n)
-        cs = list(coeffs)
-        if len(cs) > phi:
-            _, cs = _poly_divmod(cs, list(cyclotomic_poly(n)))
-        cs += [RAT_ZERO] * (phi - len(cs))
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "coeffs", tuple(Rat(c) for c in cs))
+        """From rational coefficients of 1, t, t^2, ... (any length)."""
+        rats = [Rat(c) for c in coeffs]
+        den = math.lcm(*(int(r.denominator) for r in rats)) if rats else 1
+        c = _from_ints(n, [int(r.numerator) * (den // int(r.denominator)) for r in rats], den)
+        _set_n(self, n)
+        _set_num(self, c.num)
+        _set_den(self, c.den)
 
     def __setattr__(self, *a):  # immutable
         raise AttributeError("Cyclo is immutable")
 
-    @classmethod
-    def _raw(cls, n: int, coeffs: tuple) -> "Cyclo":
-        # internal fast path: coeffs must already be canonical (length phi, Rat)
-        self = object.__new__(cls)
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "coeffs", coeffs)
-        return self
+    @property
+    def coeffs(self) -> tuple:
+        """The phi(n) power-basis coefficients as Rat."""
+        den = self.den
+        return tuple(Rat(c, den) for c in self.num)
 
     # -- constructors ------------------------------------------------------
 
     @staticmethod
     def from_rat(n: int, value) -> "Cyclo":
-        return Cyclo(n, [Rat(value)])
+        if type(value) is not int:
+            value = Rat(value)
+        tail = (0,) * (euler_phi(n) - 1)
+        return _raw(n, (int(value.numerator),) + tail, int(value.denominator))
 
     @staticmethod
     def zero(n: int) -> "Cyclo":
-        return Cyclo(n, [])
+        return _raw(n, (0,) * euler_phi(n), 1)
 
     @staticmethod
     def one(n: int) -> "Cyclo":
-        return Cyclo(n, [RAT_ONE])
+        return Cyclo.from_rat(n, 1)
 
     @staticmethod
     def root(n: int, k: int = 1) -> "Cyclo":
         """zeta_n^k as a field element."""
         k %= n
-        c = [RAT_ZERO] * (k + 1)
-        c[k] = RAT_ONE
-        return Cyclo(n, c)
+        return _from_ints(n, [0] * k + [1], 1)
 
     # -- helpers -----------------------------------------------------------
 
@@ -153,13 +179,13 @@ class Cyclo:
             )
 
     def is_zero(self) -> bool:
-        return all(c == 0 for c in self.coeffs)
+        return not any(self.num)
 
     def is_rational(self):
         """The value as a Rat if it lies in Q, else None."""
-        if any(c != 0 for c in self.coeffs[1:]):
+        if any(self.num[1:]):
             return None
-        return self.coeffs[0] if self.coeffs else RAT_ZERO
+        return Rat(self.num[0], self.den)
 
     # -- ring/field ops ----------------------------------------------------
 
@@ -171,22 +197,39 @@ class Cyclo:
             return Cyclo.from_rat(self.n, other)
         return None
 
+    # The binary operators test for the common case, a Cyclo of the same
+    # conductor, before calling _coerce.
+
     def __add__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return Cyclo._raw(self.n, tuple(a + b for a, b in zip(self.coeffs, o.coeffs)))
+        o = other
+        if o.__class__ is not Cyclo or o.n != self.n:
+            o = self._coerce(other)
+            if o is None:
+                return NotImplemented
+        da, db = self.den, o.den
+        if da == db:
+            num = tuple(map(add, self.num, o.num))
+            return _raw(self.n, num, 1) if da == 1 else _normalized(self.n, num, da)
+        num = tuple(a * db + b * da for a, b in zip(self.num, o.num))
+        return _normalized(self.n, num, da * db)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return Cyclo._raw(self.n, tuple(-a for a in self.coeffs))
+        return _raw(self.n, tuple(-a for a in self.num), self.den)
 
     def __sub__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return Cyclo._raw(self.n, tuple(a - b for a, b in zip(self.coeffs, o.coeffs)))
+        o = other
+        if o.__class__ is not Cyclo or o.n != self.n:
+            o = self._coerce(other)
+            if o is None:
+                return NotImplemented
+        da, db = self.den, o.den
+        if da == db:
+            num = tuple(map(sub, self.num, o.num))
+            return _raw(self.n, num, 1) if da == 1 else _normalized(self.n, num, da)
+        num = tuple(a * db - b * da for a, b in zip(self.num, o.num))
+        return _normalized(self.n, num, da * db)
 
     def __rsub__(self, other):
         o = self._coerce(other)
@@ -195,32 +238,33 @@ class Cyclo:
         return o - self
 
     def __mul__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        a, b = self.coeffs, o.coeffs
-        phi = len(a)
-        if phi == 1:
-            return Cyclo._raw(self.n, (a[0] * b[0],))
-        out = [RAT_ZERO] * (2 * phi - 1)
-        for i, ca in enumerate(a):
-            if ca == 0:
-                continue
-            for j, cb in enumerate(b):
-                if cb == 0:
-                    continue
-                out[i + j] += ca * cb
-        head = out[:phi]
-        rows = _reduction_rows(self.n)
-        for k in range(phi, 2 * phi - 1):
-            c = out[k]
-            if c == 0:
-                continue
-            row = rows[k - phi]
-            for j, rc in enumerate(row):
-                if rc != 0:
-                    head[j] += c * rc
-        return Cyclo._raw(self.n, tuple(head))
+        o = other
+        if o.__class__ is not Cyclo or o.n != self.n:
+            o = self._coerce(other)
+            if o is None:
+                return NotImplemented
+        a, b = self.num, o.num
+        den = self.den * o.den
+        if any(a[1:]) and any(b[1:]):
+            phi = len(a)
+            out = [0] * (2 * phi - 1)
+            for i, ca in enumerate(a):
+                if ca:
+                    for j, cb in enumerate(b, i):
+                        out[j] += ca * cb
+            head = out[:phi]
+            for row, c in zip(_reduction_rows(self.n), out[phi:]):
+                if c:
+                    for j, rc in row:
+                        head[j] += c * rc
+            num = tuple(head)
+        else:
+            # a rational factor (most products): scale the other vector
+            if any(b[1:]):
+                a, b = b, a
+            c = b[0]
+            num = a if c == 1 else tuple([x * c for x in a])
+        return _raw(self.n, num, 1) if den == 1 else _normalized(self.n, num, den)
 
     __rmul__ = __mul__
 
@@ -228,20 +272,23 @@ class Cyclo:
         """Field inverse via the extended Euclidean algorithm against Phi_n."""
         if self.is_zero():
             raise ZeroDivisionError("inverse of zero in Q(zeta_n)")
-        r = self.is_rational()
-        if r is not None:
-            return Cyclo.from_rat(self.n, RAT_ONE / r)
-        # invariants: s0*self + t0*Phi = r0, s1*self + t1*Phi = r1 (t's untracked)
-        r0, r1 = list(cyclotomic_poly(self.n)), _poly_trim(list(self.coeffs))
+        num, den = self.num, self.den
+        if not any(num[1:]):
+            sign = -1 if num[0] < 0 else 1
+            return _raw(self.n, (sign * den,) + num[1:], sign * num[0])
+        # 1/(N/den) = den * N^{-1}; Euclid over Q on the integer polynomial N
+        # invariants: s0*N + t0*Phi = r0, s1*N + t1*Phi = r1 (t's untracked)
+        r0 = [Rat(c) for c in cyclotomic_poly(self.n)]
+        r1 = _poly_trim([Rat(c) for c in num])
         s0, s1 = [], [RAT_ONE]
         while len(r1) > 1:
             q, rem = _poly_divmod(r0, r1)
             r0, r1 = r1, rem
-            qs1 = [RAT_ZERO] * (len(q) + len(s1) - 1) if q and s1 else []
+            qs1 = [0] * (len(q) + len(s1) - 1) if q and s1 else []
             for i, cq in enumerate(q):
                 for j, cs in enumerate(s1):
                     qs1[i + j] += cq * cs
-            new_s = [RAT_ZERO] * max(len(s0), len(qs1))
+            new_s = [0] * max(len(s0), len(qs1))
             for i, c in enumerate(s0):
                 new_s[i] += c
             for i, c in enumerate(qs1):
@@ -250,7 +297,7 @@ class Cyclo:
         if not r1:
             raise ZeroDivisionError("element not invertible (zero divisor?)")
         lead = r1[0]
-        return Cyclo(self.n, [c / lead for c in s1])
+        return Cyclo(self.n, [c * den / lead for c in s1])
 
     def __truediv__(self, other):
         o = self._coerce(other)
@@ -277,14 +324,14 @@ class Cyclo:
         return result
 
     def __eq__(self, other):
-        if isinstance(other, (int,)) or type(other) is type(RAT_ONE):
+        if isinstance(other, int) or type(other) is type(RAT_ONE):
             other = Cyclo.from_rat(self.n, other)
         if not isinstance(other, Cyclo):
             return NotImplemented
-        return self.n == other.n and self.coeffs == other.coeffs
+        return self.n == other.n and self.den == other.den and self.num == other.num
 
     def __hash__(self):
-        return hash((self.n, self.coeffs))
+        return hash((self.n, self.den, self.num))
 
     def __bool__(self):
         return not self.is_zero()
@@ -296,11 +343,9 @@ class Cyclo:
         if m % self.n:
             raise ConductorMismatch(f"{self.n} does not divide {m}")
         step = m // self.n
-        out = Cyclo.zero(m)
-        for i, c in enumerate(self.coeffs):
-            if c != 0:
-                out = out + Cyclo.root(m, i * step) * Cyclo.from_rat(m, c)
-        return out
+        ints = [0] * ((len(self.num) - 1) * step + 1)
+        ints[::step] = self.num
+        return _from_ints(m, ints, self.den)
 
     def to_complex(self, precision_bits: int = DEFAULT_PRECISION_BITS):
         """Numeric embedding zeta_n -> exp(2*pi*i/n) at the given precision."""
@@ -330,6 +375,18 @@ class Cyclo:
                 mono = sym if i == 1 else f"{sym}^{i}"
                 parts.append(mono if c == 1 else f"{rat_str(c)}*{mono}")
         return " + ".join(parts) if parts else "0"
+
+
+_set_n, _set_num, _set_den = Cyclo.n.__set__, Cyclo.num.__set__, Cyclo.den.__set__
+
+
+def _raw(n: int, num: tuple, den: int) -> Cyclo:
+    # internal fast path: (num, den) must already be canonical
+    self = object.__new__(Cyclo)
+    _set_n(self, n)
+    _set_num(self, num)
+    _set_den(self, den)
+    return self
 
 
 def real_value(x, precision_bits: int = DEFAULT_PRECISION_BITS):

@@ -5,9 +5,8 @@ P_S = (p_{S^c}, p_S) with S a proper subset of residues mod d.  It provides
 
 * the explicit junction morphisms between such defects, each built from
   slot words and checked to be delta-closed and of charge zero: the
-  group-like family `lam` (a function of d alone), and in `Junctions` the
-  sign pair ``F_l``/``F_r`` and the six one-to-many junctions ``A[1]`` ..
-  ``A[6]``;
+  group-like family `lam` and the sign pair `f_pair` (functions of d alone),
+  and in `Junctions` the six one-to-many junctions ``A[1]`` .. ``A[6]``;
 * extraction of the exact 2x2 fusing matrix from the one-to-many junction
   relations (`solve_fusing_2x2`), plus homotopy verification of the entries
   that do not hold on the nose (`verify_fusing_up_to_homotopy`);
@@ -76,6 +75,11 @@ from .graded import (
 from . import linalg
 
 
+class VerificationError(ValueError):
+    """An exact check on a computed object failed: the computation, not its
+    input, is at fault (the CLI maps this to exit 1, not to a usage error)."""
+
+
 def _eta(d: int, k: int = 1) -> Cyclo:
     return Cyclo.root(d, k % d)
 
@@ -106,15 +110,20 @@ class PSObject:
 def _closed_and_chargeless(phi: Morphism, gs: GradedMBF, gt: GradedMBF, name: str):
     ok, mode = phi.is_closed()
     if not ok or not mode.startswith("exact"):
-        raise ValueError(f"{name}: not exactly delta-closed ({mode})")
+        raise VerificationError(f"{name}: not exactly delta-closed ({mode})")
     q = morphism_charge(phi, gs, gt)
     if q is NotHomogeneous or q != 0:
-        raise ValueError(f"{name}: charge {q!r}, expected 0")
+        raise VerificationError(f"{name}: charge {q!r}, expected 0")
 
 
 def m_word(d: int, j: int) -> Word:
     """Merge the middle slot rightward with twist eta^j per power."""
     return w_collapse(SlotShape(3, 1, d), 1, _eta(d, j), "left")
+
+
+def m_prime_word(d: int, j: int) -> Word:
+    """Merge the middle slot leftward with twist eta^{-j} per power."""
+    return w_collapse(SlotShape(3, 1, d), 0, _eta(d, -j), "right")
 
 
 def lam(d: int, i: int, j: int, check: bool = True) -> Morphism:
@@ -136,14 +145,39 @@ def lam(d: int, i: int, j: int, check: bool = True) -> Morphism:
     return mor
 
 
+def f_pair(d: int):
+    """The sign pair for even d: (P_A, P_B, F_l, F_r), with F_l : P_A ⊗ P_B → P_B
+    and F_r : P_B ⊗ P_A → P_B, where P_A is the (d-1)-element defect and P_B
+    the half-set one.  Unchecked; `Junctions` checks it."""
+    h = d // 2
+    P_A = PSObject(d, [(h + 1 + t) % d for t in range(d - 1)])
+    P_B = PSObject(d, range(h))
+    TA, TB = P_A.mbf, P_B.mbf
+    TL = tensor_obj(TA, TB)
+    TR = tensor_obj(TB, TA)
+    m, mp = m_word(d, h), m_prime_word(d, h)
+    sign = Cyclo.from_rat(d, (-1) ** (h - 1))
+    F_l = Morphism(
+        TL, TB, 0,
+        Operator.single(TL.m0, TB.m0, 0, 1, mp),
+        Operator.single(TL.m1, TB.m1, 0, 0, mp.scaled(sign)),
+    )
+    F_r = Morphism(
+        TR, TB, 0,
+        Operator.single(TR.m0, TB.m0, 0, 1, m),
+        Operator.single(TR.m1, TB.m1, 0, 1, m),
+    )
+    return P_A, P_B, F_l, F_r
+
+
 class Junctions:
     """Explicit defect-junction morphisms for W = t^d.
 
-    For even d the pair ``F_l``/``F_r`` fuses the (d-1)-element defect with
-    the half-set one; for d >= 4 the dict ``A`` holds the six one-to-many
-    junctions used by the 2x2 fusing computation, keyed 1..6.  With `check`,
-    every morphism is verified delta-closed (exactly) and of charge 0 on
-    construction.
+    For even d the pair ``F_l``/``F_r`` (built by `f_pair`) fuses the
+    (d-1)-element defect with the half-set one; for d >= 4 the dict ``A``
+    holds the six one-to-many junctions used by the 2x2 fusing computation,
+    keyed 1..6.  With `check`, every morphism is verified delta-closed
+    (exactly) and of charge 0 on construction.
     """
 
     # (I, J, K) index sets of A[n]: a junction P_K -> P_I ⊗ P_J
@@ -165,22 +199,13 @@ class Junctions:
         self.J = w_insert(self.sh2, 1)
         self.A: dict = {}
         self.A_endpoints: dict = {}
-        self.F_l = None
-        self.F_r = None
-        self.P_A = None
-        self.P_B = None
+        self.P_A = self.P_B = self.F_l = self.F_r = None
         if d >= 4:
             self._build_a_collection()
         if d >= 4 and d % 2 == 0:
-            self._build_f_pair()
+            self.P_A, self.P_B, self.F_l, self.F_r = f_pair(d)
         if check:
             self.check_all()
-
-    # -- words ---------------------------------------------------------
-
-    def m_prime_word(self, j: int) -> Word:
-        """Merge the middle slot leftward with twist eta^{-j} per power."""
-        return w_collapse(self.sh3, 0, _eta(self.d, -j), "right")
 
     def _bracket(self, poly: MultiPoly) -> Word:
         # [p]^ ∘ J: insert a middle slot, then multiply by p(a, x1, b)
@@ -188,29 +213,6 @@ class Junctions:
         if cv is not None:
             return self.J.scaled(cv)
         return self.J.then(w_mul(self.sh3, poly))
-
-    # -- the sign pair ---------------------------------------------------
-
-    def _build_f_pair(self):
-        d = self.d
-        h = d // 2
-        self.P_A = PSObject(d, [(h + 1 + t) % d for t in range(d - 1)])
-        self.P_B = PSObject(d, range(h))
-        TA, TB = self.P_A.mbf, self.P_B.mbf
-        TL = tensor_obj(TA, TB)
-        TR = tensor_obj(TB, TA)
-        m, mp = m_word(d, h), self.m_prime_word(h)
-        sign = Cyclo.from_rat(d, (-1) ** (h - 1))
-        self.F_l = Morphism(
-            TL, TB, 0,
-            Operator.single(TL.m0, TB.m0, 0, 1, mp),
-            Operator.single(TL.m1, TB.m1, 0, 0, mp.scaled(sign)),
-        )
-        self.F_r = Morphism(
-            TR, TB, 0,
-            Operator.single(TR.m0, TB.m0, 0, 1, m),
-            Operator.single(TR.m1, TB.m1, 0, 1, m),
-        )
 
     # -- the one-to-many collection --------------------------------------
 
@@ -348,12 +350,12 @@ def verify_sign(d: int, cutoff: int = DEFAULT_CUTOFF) -> Cyclo:
     """Scalar relating the two bracketings of the F pair: (-1)^{(d-2)/2}."""
     if d < 4 or d % 2:
         raise ValueError("need even d >= 4")
-    jn = Junctions(d, check=False)
-    A, B = jn.P_A.mbf, jn.P_B.mbf
-    left = (jn.F_l
-            .compose(tensor_mor(Morphism.identity(A), jn.F_r))
+    P_A, P_B, F_l, F_r = f_pair(d)
+    A, B = P_A.mbf, P_B.mbf
+    left = (F_l
+            .compose(tensor_mor(Morphism.identity(A), F_r))
             .compose(associator(A, B, A)))
-    right = jn.F_r.compose(tensor_mor(jn.F_l, Morphism.identity(A)))
+    right = F_r.compose(tensor_mor(F_l, Morphism.identity(A)))
     c, _ = proportionality_scalar(left, right, cutoff)
     return c
 
@@ -435,10 +437,10 @@ def _solve_pair(d, polyL, polyX, polyY):
             rhs.append(pL.terms.get(e, z))
     _, pivots = linalg.rref([list(r) for r in rows], d)
     if len(pivots) < 2:
-        raise ValueError("fusing system underdetermined")
+        raise VerificationError("fusing system underdetermined")
     sol = linalg.solve(rows, rhs, d)
     if sol is None:
-        raise ValueError("fusing system inconsistent")
+        raise VerificationError("fusing system inconsistent")
     return sol[0], sol[1]
 
 
@@ -454,7 +456,7 @@ def solve_fusing_2x2(d: int, cutoff: int = DEFAULT_CUTOFF) -> FusingReport:
     ratio = f00 * f22 * (f02 * f20).inverse()
     z = ratio.to_complex(96)
     if abs(z.imag) > 1e-20:
-        raise ValueError("fusing ratio should be real")
+        raise VerificationError("fusing ratio should be real")
     return FusingReport(d, F, list(DETERMINED), [], ratio, float(z.real))
 
 
@@ -625,12 +627,12 @@ def reduce_tensor(A, B, check: bool = True) -> ReducedTensor:
     if check:
         rep = validate_mbf(reduced)
         if not rep or rep.mode != "exact":
-            raise ValueError(f"reduced object invalid: {rep.violations}")
+            raise VerificationError(f"reduced object invalid: {rep.violations}")
         eq, mode = morphism_equal(proj.compose(incl), Morphism.identity(reduced))
         if not eq or not mode.startswith("exact"):
-            raise ValueError("proj∘incl is not the identity")
+            raise VerificationError("proj∘incl is not the identity")
         if not graded_validate(reduced_graded)["ok"]:
-            raise ValueError("reduced grading invalid")
+            raise VerificationError("reduced grading invalid")
     return out
 
 
@@ -839,7 +841,7 @@ def verify_fusing_up_to_homotopy(d: int, cutoff: int = DEFAULT_CUTOFF,
         theta = _pure_mul_morphism(transport.compose(delta), r2.reduced)
         ok, mode = theta.is_closed(cutoff)
         if not ok:
-            raise ValueError(f"transported defect not closed ({mode})")
+            raise VerificationError(f"transported defect not closed ({mode})")
         witness = is_null_homotopic(theta, gk, r2.reduced_graded)
         status = "witness" if witness is not None else "no"
         for pos in HOMOTOPY_POSITIONS:

@@ -142,6 +142,14 @@ class MultiPoly:
     def __setattr__(self, *a):
         raise AttributeError("MultiPoly is immutable")
 
+    @classmethod
+    def _raw(cls, ring: Ring, terms: dict) -> "MultiPoly":
+        # internal fast path: terms must hold no zero coefficient
+        self = object.__new__(cls)
+        object.__setattr__(self, "ring", ring)
+        object.__setattr__(self, "terms", terms)
+        return self
+
     # -- basics --------------------------------------------------------------
 
     def is_zero(self) -> bool:
@@ -186,12 +194,12 @@ class MultiPoly:
                     del out[e]
                 else:
                     out[e] = s
-        return MultiPoly(self.ring, out)
+        return MultiPoly._raw(self.ring, out)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return MultiPoly(self.ring, {e: -c for e, c in self.terms.items()})
+        return MultiPoly._raw(self.ring, {e: -c for e, c in self.terms.items()})
 
     def __sub__(self, other):
         o = self._coerce(other)
@@ -210,7 +218,7 @@ class MultiPoly:
             c = self.ring.coerce_scalar(other)
             if c.is_zero():
                 return self.ring.zero()
-            return MultiPoly(self.ring, {e: k * c for e, k in self.terms.items()})
+            return MultiPoly._raw(self.ring, {e: k * c for e, k in self.terms.items()})
         o = self._coerce(other)
         if o is None:
             return NotImplemented

@@ -3,8 +3,10 @@ import io
 import json
 
 import pytest
+from hypothesis import HealthCheck, assume, given, settings, strategies as st
 
-from mbf import __version__
+from mbf import __version__, fusion
+from mbf._rat import Rat
 from mbf.cli import main, parse_set
 
 
@@ -56,6 +58,97 @@ def test_bad_arguments_are_usage_errors(capsys, argv):
     assert exc.value.code == 2 and captured.out == ""
     errors = [line for line in captured.err.splitlines() if "error:" in line]
     assert len(errors) == 1 and captured.err.endswith(errors[0] + "\n")
+
+
+def test_failed_verification_exits_one(capsys, monkeypatch):
+    # a junction whose charge check fails is a broken computation, not bad usage
+    monkeypatch.setattr(fusion, "morphism_charge", lambda *a: Rat(1))
+    code = main(["fusing", "--d", "4"])
+    captured = capsys.readouterr()
+    assert code == 1 and captured.out == ""
+    assert "Traceback" not in captured.err
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+    assert "A1: charge" in captured.err
+
+
+# each subcommand with the flags it takes; the argv test draws mostly these
+_COMMANDS = {
+    ("verify", "monoidal"): ["--d", "--cutoff"],
+    ("fusing",): ["--d", "--verify-homotopy", "--cutoff"],
+    ("hom",): ["--d", "--source", "--target", "--charge", "--all"],
+    ("fuse",): ["--d", "--left", "--right"],
+    ("sixj",): ["--k", "--labels", "--precision"],
+    ("cft", "sixj"): ["--k", "--precision"],
+    ("cft", "pentagon"): ["--k", "--precision", "--tol"],
+    ("cft", "fusing"): ["--d", "--precision", "--tol"],
+    ("cft", "spectrum"): ["--d", "--u", "--n", "--chiral-only"],
+    ("compare", "ratio"): ["--d", "--d-min", "--d-max", "--tol"],
+    ("compare", "spectrum"): ["--d", "--u"],
+    ("compare", "fusion"): ["--d", "--verify-homotopy"],
+    ("verify",): [], ("cft",): [], ("compare",): [], (): [],
+}
+_DEGREES = ["2", "3", "4", "5"]
+# flag -> (valid values, invalid values)
+_VALUES = {
+    "--d": (_DEGREES, ["0", "1", "-3", "x"]),
+    "--d-min": (_DEGREES, ["1"]), "--d-max": (_DEGREES, ["d"]),
+    "--k": (["0", "1", "2", "3"], ["-1", "k"]),
+    "--cutoff": (["4", "8"], ["0", "-2", "x"]),
+    "--source": (["0", "0,1", "0+2", "1+3", "9"], ["", "a", "0+0", "0+-1"]),
+    "--target": (["1", "0,2", "2+2"], [",", "b"]),
+    "--left": (["0", "0+2", "1,2"], ["x"]), "--right": (["1", "0+3", "0,1"], [""]),
+    "--charge": (["0", "1/2", "2/5", "-1"], ["1/0", "q"]),
+    "--labels": (["1,1,0,1,1,2", "1,0,0,0,0,0", "2,2,2,2,2,2"],
+                 ["1,1,0", "a,b,c,d,e,f", "-1,1,0,1,1,2"]),
+    "--precision": (["64", "96"], ["0", "-8", "p"]),
+    "--tol": (["1e-10", "0"], ["-1", "nan", "t"]),
+    "--u": (["0", "1", "2"], ["-1", "7", "u"]), "--n": (["0", "2"], ["-2", "n"]),
+}
+_SWITCHES = ["--verify-homotopy", "--all", "--chiral-only", "--version", "-h"]
+_JUNK = ["", "-", "--", "x", "0", "-1", "1/0", "nan", "--nosuch", "ö", "0+0", ",", "3.5"]
+
+
+def _expensive(argv) -> bool:
+    """Runs that take seconds each; their output is covered by other tests."""
+    ds = [int(v) for f, v in zip(argv, argv[1:]) if f == "--d" and v in _DEGREES]
+    return argv[:2] == ["compare", "fusion"] and any(d >= 4 for d in ds)
+
+
+def _option(draw, flag):
+    if flag not in _VALUES:
+        return [flag]
+    valid, invalid = _VALUES[flag]
+    pool = invalid if draw(st.integers(0, 5)) == 0 else valid
+    return [flag, draw(st.sampled_from(pool))]
+
+
+@st.composite
+def _argvs(draw):
+    """A subcommand, a random subset of its own flags with drawn values, and a
+    few foreign flags, switches or junk tokens."""
+    command = draw(st.sampled_from(sorted(_COMMANDS)))
+    parts = [_option(draw, f) for f in _COMMANDS[command] if draw(st.integers(0, 5))]
+    if draw(st.integers(0, 3)) == 0:
+        parts.append(_option(draw, draw(st.sampled_from(sorted(_VALUES) + _SWITCHES))))
+    if draw(st.integers(0, 3)) == 0:
+        parts.append([draw(st.sampled_from(_JUNK))])
+    parts = draw(st.permutations(parts))
+    return list(command) + [tok for part in parts for tok in part]
+
+
+@settings(max_examples=200, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(argv=_argvs())
+def test_any_argv_exits_cleanly(capsys, argv):
+    """Exit 0, 1 or 2 for every argv, and never a traceback."""
+    assume(not _expensive(argv))
+    try:
+        code = main(argv)
+    except SystemExit as exc:
+        code = exc.code
+    captured = capsys.readouterr()
+    assert code in (0, 1, 2), argv
+    assert "Traceback" not in captured.err, argv
 
 
 class TestSixjAlias:

@@ -20,15 +20,18 @@ from mbf.fusion import (
     _POS_TO_LEG,
     Junctions,
     PSObject,
+    VerificationError,
     decompose_into_PS,
     fuse,
     lam,
+    m_prime_word,
     proportionality_scalar,
     reduce_tensor,
     solve_fusing_2x2,
     verify_fusing_up_to_homotopy,
     verify_group_like,
     verify_sign,
+    _closed_and_chargeless,
     _entry_polys,
     _fusing_composites,
 )
@@ -82,8 +85,9 @@ class TestSignPair:
         assert verify_sign(d) == Cyclo.from_rat(d, want)
 
     def test_odd_d_rejected(self):
-        with pytest.raises(ValueError):
-            verify_sign(5)
+        for d in (3, 5):
+            with pytest.raises(ValueError):
+                verify_sign(d)
 
     def test_wrong_sign_variant_not_closed(self):
         # dropping the (-1)^{d/2-1} factor must break delta-closedness
@@ -91,7 +95,7 @@ class TestSignPair:
         jn = Junctions(d)
         TL = tensor_obj(jn.P_A.mbf, jn.P_B.mbf)
         TB = jn.P_B.mbf
-        mp = jn.m_prime_word(d // 2)
+        mp = m_prime_word(d, d // 2)
         bad = Morphism(
             TL, TB, 0,
             Operator.single(TL.m0, TB.m0, 0, 1, mp),
@@ -100,6 +104,10 @@ class TestSignPair:
         ok, _ = bad.is_closed()
         assert not ok
         assert jn.F_l.is_closed()[0]
+        # the construction-time check reports it as a failed verification
+        gt = graded_tensor(jn.P_A.underlying, jn.P_B.underlying)
+        with pytest.raises(VerificationError):
+            _closed_and_chargeless(bad, gt, jn.P_B.underlying, "F_l")
 
 
 class TestACollection:
