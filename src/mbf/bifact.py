@@ -393,7 +393,7 @@ class Word:
     def apply(self, p: MultiPoly) -> MultiPoly:
         for prim in self.prims:
             p = prim.apply(p)
-        return p * self.coeff
+        return p if self.coeff.is_one() else p * self.coeff
 
     def then(self, other: "Word") -> "Word":
         if self.dst != other.src:

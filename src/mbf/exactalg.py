@@ -181,6 +181,9 @@ class Cyclo:
     def is_zero(self) -> bool:
         return not any(self.num)
 
+    def is_one(self) -> bool:
+        return self.den == 1 and self.num[0] == 1 and not any(self.num[1:])
+
     def is_rational(self):
         """The value as a Rat if it lies in Q, else None."""
         if any(self.num[1:]):

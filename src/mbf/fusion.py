@@ -305,8 +305,12 @@ def _poly_ratio(p: MultiPoly, q: MultiPoly):
 def proportionality_scalar(L: Morphism, R: Morphism, cutoff: int = DEFAULT_CUTOFF):
     """The exact scalar c with L = c*R, plus the equality mode.
 
-    Raises ValueError if the sides are not proportional (checked with
-    morphism_equal after the candidate is extracted from probe images).
+    "Sides not proportional" is a failed verification, so it raises
+    VerificationError (exit 1 in `mbf`): the callers compare two bracketings
+    the theory says are proportional, and a probe image or the final
+    morphism_equal that tells them apart refutes that computation.  A parity
+    mismatch or a right side that vanishes on every probe leaves no scalar
+    to check and stays a plain ValueError about the input.
     """
     if L.parity != R.parity:
         raise ValueError("parity mismatch")
@@ -319,17 +323,17 @@ def proportionality_scalar(L: Morphism, R: Morphism, cutoff: int = DEFAULT_CUTOF
                 for pL, pR in zip(imL, imR):
                     if pR.is_zero():
                         if not pL.is_zero():
-                            raise ValueError("sides not proportional")
+                            raise VerificationError("sides not proportional")
                         continue
                     c = _poly_ratio(pL, pR)
                     if c is None or (candidate is not None and c != candidate):
-                        raise ValueError("sides not proportional")
+                        raise VerificationError("sides not proportional")
                     candidate = c
     if candidate is None:
         raise ValueError("right side vanishes on all probes")
     eq, mode = morphism_equal(L, R.scale(candidate), cutoff)
     if not eq:
-        raise ValueError(f"sides not proportional ({mode})")
+        raise VerificationError(f"sides not proportional ({mode})")
     return candidate, mode
 
 
@@ -729,7 +733,12 @@ def decompose_into_PS(D, *, d: int | None = None):
     Accepts an MBF, a GradedMBF, or a ReducedTensor.  Invertible constant
     entries are stripped by exact elimination; surviving pivots must clear
     their row and column by exact division and then factor into distinct
-    (a - eta^i b) terms, else a ValueError reports the offending block.
+    (a - eta^i b) terms.  A residual block with no such pivot is a failed
+    verification, so "residual block not factorable" raises VerificationError
+    (exit 1 in `mbf`): the input passed the shape checks, and it is the claim
+    that it splits into P_S summands that this elimination could not confirm.
+    Input of the wrong kind (TypeError) or shape (not 2-slot, differentials
+    not pure multiplications) is a plain ValueError.
     """
     if isinstance(D, ReducedTensor):
         D = D.reduced
@@ -757,7 +766,7 @@ def decompose_into_PS(D, *, d: int | None = None):
                 break
         if hit is None:
             shown = [[str(p) for p in row] for row in B]
-            raise ValueError(f"residual block not factorable: {shown}")
+            raise VerificationError(f"residual block not factorable: {shown}")
         M, P, tag, (i, j) = hit
         _clear_pivot(M, P, i, j)
         _assert_split(P, j, i, tag)

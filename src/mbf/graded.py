@@ -447,6 +447,16 @@ def hom_space(gs: GradedMBF, gt: GradedMBF, charge="all", parity: int = 0) -> Ho
 
     `charge` is an actual R-charge (rational) or "all", which scans every
     sector reachable with block entry degrees up to 2d.
+
+    Why 2d is enough between rank-one defects P_S -> P_T: with A = S & T,
+    B = S - T, C = T - S and D the residues in neither, a closed even
+    morphism is (p_C h, p_B h) and it is exact iff h lies in (p_A, p_D); a
+    closed odd one is (p_D k, p_A k), exact iff k lies in (p_B, p_C).  Two
+    coprime binary forms of degrees m and n span every degree from m+n-1 on,
+    so a non-zero class has deg h <= |A|+|D|-2 (deg k <= |B|+|C|-2), and its
+    entries on one leg have degree <= d - 2.  For other objects the
+    cohomology is a module over the Jacobian ring C[a,b]/(a^(d-1), b^(d-1)),
+    whose top degree is 2d - 4; there 2d is a scan limit, not a proof.
     """
     d = gs.d
     qx = Rat(2, d)

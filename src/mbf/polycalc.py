@@ -438,33 +438,37 @@ class MultiPoly:
         """Division with remainder by a divisor monic in `var`.
 
         Returns (q, r) with self = q*divisor + r and deg_var(r) < deg_var(divisor).
+        The lead coefficient must be a non-zero constant, so division is linear
+        over the other variables: a term c*m*var^k maps to c*m times row k of
+        the divisor's power table (see `_PowerTable`).
         """
         self._check(divisor)
-        i = self.ring.index(var)
-        n = divisor.degree_in(var)
-        if n < 0:
-            raise ZeroDivisionError("division by zero polynomial")
-        lead_terms = {
-            e[:i] + (0,) + e[i + 1 :]: c for e, c in divisor.terms.items() if e[i] == n
-        }
-        lead = MultiPoly(self.ring, lead_terms)
-        lc = lead.constant_value()
-        if lc is None or lc.is_zero():
-            raise ValueError(f"divisor is not monic-with-unit-lead in {var!r}")
-        inv_lc = lc.inverse()
-        q = self.ring.zero()
-        r = self
-        while True:
-            k = r.degree_in(var)
+        key = (self.ring, var, divisor)
+        table = _DIV_CACHE.get(key)
+        if table is None:
+            table = _DIV_CACHE.setdefault(key, _PowerTable(divisor, var))
+        i, n = table.i, table.n
+        quo: dict = {}
+        rem: dict = {}
+        for e, c in self.terms.items():
+            k = e[i]
             if k < n:
-                return q, r
-            top = {
-                e[:i] + (0,) + e[i + 1 :]: c for e, c in r.terms.items() if e[i] == k
-            }
-            factor = MultiPoly(self.ring, top) * inv_lc
-            shift = self.ring.monomial({var: k - n})
-            q = q + factor * shift
-            r = r - factor * shift * divisor
+                s = rem.get(e)
+                rem[e] = c if s is None else s + c
+                continue
+            m = e[:i] + (0,) + e[i + 1 :]
+            shifted, one = any(m), c.is_one()
+            for out, row in zip((quo, rem), table.row(k)):
+                for e2, c2 in row.terms.items():
+                    if shifted:
+                        e2 = tuple([a + b for a, b in zip(e2, m)])
+                    v = c2 if one else c * c2
+                    s = out.get(e2)
+                    out[e2] = v if s is None else s + v
+        if len(self.terms) == 1:
+            # one term: scaled copies of one row over a field, so no zeros
+            return MultiPoly._raw(self.ring, quo), MultiPoly._raw(self.ring, rem)
+        return MultiPoly(self.ring, quo), MultiPoly(self.ring, rem)
 
     # -- printing ---------------------------------------------------------------
 
@@ -475,6 +479,53 @@ class MultiPoly:
 
     def to_json(self) -> str:
         return poly_to_str(self)
+
+
+# -- division by a monic modulus ---------------------------------------------------
+
+# (ring, var, divisor) -> _PowerTable
+_DIV_CACHE: dict = {}
+
+
+class _PowerTable:
+    """x^k = quo_k*q + rem_k for a divisor q monic in x with constant unit lead.
+
+    Writing q = lc*x^n + low, row n is (1/lc, -low/lc).  Row k+1 comes from
+    row k by one shift: x*rem_k has x-degree <= n, and its x^n part c*x^n is
+    replaced by c*(q/lc - low/lc), so quo_{k+1} = x*quo_k + c/lc and
+    rem_{k+1} = (x*rem_k - c*x^n) - c*low/lc.  `rows` maps k >= n to
+    (quo_k, rem_k); it is filled upward with setdefault, so concurrent first
+    use is harmless.
+    """
+
+    __slots__ = ("var", "i", "n", "inv_lc", "low", "rows")
+
+    def __init__(self, divisor: MultiPoly, var: str):
+        n = divisor.degree_in(var)
+        if n < 0:
+            raise ZeroDivisionError("division by zero polynomial")
+        lc = divisor.coefficients_in(var)[n].constant_value()
+        if lc is None or lc.is_zero():
+            raise ValueError(f"divisor is not monic-with-unit-lead in {var!r}")
+        ring = divisor.ring
+        self.var, self.i, self.n, self.inv_lc = var, ring.index(var), n, lc.inverse()
+        self.low = (divisor - ring.monomial({var: n}, lc)) * self.inv_lc
+        self.rows = {n: (ring.const(self.inv_lc), -self.low)}
+
+    def row(self, k: int):
+        """(quo_k, rem_k) for k >= n, extending the table upward as needed."""
+        rows = self.rows
+        for j in range(self.n + len(rows), k + 1):
+            rows.setdefault(j, self._next(*rows[j - 1]))
+        return rows[k]
+
+    def _next(self, quo: MultiPoly, rem: MultiPoly):
+        x = quo.ring.var(self.var)
+        c = rem.coefficients_in(self.var).get(self.n - 1)
+        if c is None:
+            return quo * x, rem * x
+        top = c * quo.ring.monomial({self.var: self.n - 1})
+        return quo * x + c * self.inv_lc, (rem - top) * x - c * self.low
 
 
 # -- textual form ----------------------------------------------------------------
@@ -641,15 +692,27 @@ class PolyMatrix:
     def __setattr__(self, *a):
         raise AttributeError("PolyMatrix is immutable")
 
+    @classmethod
+    def _raw(cls, ring: Ring, rows: list) -> "PolyMatrix":
+        # internal fast path: rows must be non-ragged lists of entries in `ring`
+        self = object.__new__(cls)
+        object.__setattr__(self, "ring", ring)
+        object.__setattr__(self, "rows", len(rows))
+        object.__setattr__(self, "cols", len(rows[0]) if rows else 0)
+        object.__setattr__(self, "entries", rows)
+        return self
+
     @staticmethod
     def zero(ring: Ring, rows: int, cols: int) -> "PolyMatrix":
         z = ring.zero()
-        return PolyMatrix(ring, [[z] * cols for _ in range(rows)])
+        return PolyMatrix._raw(ring, [[z] * cols for _ in range(rows)])
 
     @staticmethod
     def identity(ring: Ring, n: int) -> "PolyMatrix":
         z, o = ring.zero(), ring.one()
-        return PolyMatrix(ring, [[o if i == j else z for j in range(n)] for i in range(n)])
+        return PolyMatrix._raw(
+            ring, [[o if i == j else z for j in range(n)] for i in range(n)]
+        )
 
     @staticmethod
     def scalar(ring: Ring, n: int, p: MultiPoly) -> "PolyMatrix":
@@ -669,10 +732,15 @@ class PolyMatrix:
     def __hash__(self):
         return hash((self.ring, tuple(tuple(r) for r in self.entries)))
 
+    def _check(self, other: "PolyMatrix"):
+        if self.ring != other.ring:
+            raise RingMismatch(f"{self.ring} vs {other.ring}")
+
     def __add__(self, other):
         if self.rows != other.rows or self.cols != other.cols:
             raise ValueError("shape mismatch")
-        return PolyMatrix(
+        self._check(other)
+        return PolyMatrix._raw(
             self.ring,
             [
                 [a + b for a, b in zip(ra, rb)]
@@ -681,7 +749,7 @@ class PolyMatrix:
         )
 
     def __neg__(self):
-        return PolyMatrix(self.ring, [[-a for a in r] for r in self.entries])
+        return PolyMatrix._raw(self.ring, [[-a for a in r] for r in self.entries])
 
     def __sub__(self, other):
         return self + (-other)
@@ -690,6 +758,7 @@ class PolyMatrix:
         if isinstance(other, PolyMatrix):
             if self.cols != other.rows:
                 raise ValueError("shape mismatch in product")
+            self._check(other)
             z = self.ring.zero()
             out = []
             for i in range(self.rows):
@@ -704,7 +773,7 @@ class PolyMatrix:
                         acc = acc + a * b
                     row.append(acc)
                 out.append(row)
-            return PolyMatrix(self.ring, out)
+            return PolyMatrix._raw(self.ring, out)
         return PolyMatrix(self.ring, [[a * other for a in r] for r in self.entries])
 
     __rmul__ = __mul__

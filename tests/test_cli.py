@@ -5,7 +5,7 @@ import json
 import pytest
 from hypothesis import HealthCheck, assume, given, settings, strategies as st
 
-from mbf import __version__, fusion
+from mbf import __version__, cli, fusion
 from mbf._rat import Rat
 from mbf.cli import main, parse_set
 
@@ -69,6 +69,32 @@ def test_failed_verification_exits_one(capsys, monkeypatch):
     assert "Traceback" not in captured.err
     assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
     assert "A1: charge" in captured.err
+
+
+def _not_proportional(d, left, right, check):
+    # no subcommand compares bracketings; stand in for `fuse` to reach the check
+    return fusion.proportionality_scalar(
+        fusion.lam(d, 1, 2, check=False), fusion.lam(d, 2, 1, check=False))
+
+
+@pytest.mark.parametrize(
+    "target,name,replacement,message",
+    [
+        (fusion, "_find_pivot", lambda *a: None, "residual block not factorable"),
+        (cli, "fuse", _not_proportional, "sides not proportional"),
+    ],
+    ids=["residual-block", "not-proportional"],
+)
+def test_failed_decomposition_checks_exit_one(capsys, monkeypatch, target, name,
+                                              replacement, message):
+    # both are verdicts on a computed object, not on the arguments
+    monkeypatch.setattr(target, name, replacement)
+    code = main(["fuse", "--d", "5", "--left", "0", "--right", "1"])
+    captured = capsys.readouterr()
+    assert code == 1 and captured.out == ""
+    assert "Traceback" not in captured.err
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+    assert message in captured.err
 
 
 # each subcommand with the flags it takes; the argv test draws mostly these

@@ -60,6 +60,14 @@ class TestCycloArithmetic:
             e = mpmath.e ** (1j * mpmath.pi / 3)
             assert close((eta6**2 + eta6 + 1).to_complex(), e * 2)
 
+    def test_is_one(self):
+        for n in (1, 2, 5, 12):
+            assert Cyclo.one(n).is_one() and (Cyclo.root(n) ** n).is_one()
+            others = [Cyclo.zero(n), Cyclo.from_rat(n, Rat(1, 2)), Cyclo.from_rat(n, -1)]
+            if n > 2:
+                others += [Cyclo.root(n), Cyclo.root(n) + 1]
+            assert not any(x.is_one() for x in others)
+
     def test_power_basis_reduction(self):
         # zeta_12^4 has degree beyond phi(12)=4 basis only after products
         z = Cyclo.root(12)

@@ -315,7 +315,7 @@ class TestDecompose:
         d1 = [[a2, b2], [b2, a2]]
         d0 = [[a2, -b2], [-b2, a2]]
         D = mbf_from_polys(sh, d0, d1, fermat_potential(d))
-        with pytest.raises(ValueError, match="not factorable"):
+        with pytest.raises(VerificationError, match="not factorable"):
             decompose_into_PS(D)
 
     def test_accepts_graded_and_rejects_junk(self):
@@ -357,5 +357,5 @@ class TestProportionality:
 
     def test_non_proportional_raises(self):
         d = 5
-        with pytest.raises(ValueError):
+        with pytest.raises(VerificationError, match="sides not proportional"):
             proportionality_scalar(lam(d, 1, 2, check=False), lam(d, 2, 1, check=False))

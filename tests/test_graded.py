@@ -1,3 +1,5 @@
+import random
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -136,6 +138,29 @@ class TestHomSpace:
                 H = hom_space(graded_ps(d, i, 0), graded_ps(d, i, j), "all")
                 assert H.total_dim() == ref.total_dim()
                 assert H.charges() == ref.charges()
+
+    @pytest.mark.parametrize("d,sample", [(3, None), (4, 12)])
+    def test_scan_limit_misses_no_sector(self, d, sample):
+        """hom_space("all") scans entry degrees up to 2d; up to 4d finds
+        nothing more, and the dimensions are the |S&T|*|neither| (even) and
+        |S-T|*|T-S| (odd) the hom_space docstring derives."""
+        from mbf.graded import _solve_sector
+
+        sets = [(i, j) for i in range(d) for j in range(d - 1)]
+        pairs = [(s, t) for s in sets for t in sets]
+        if sample:
+            pairs = random.Random(4).sample(pairs, sample)
+        for (i, j), (k, m) in pairs:
+            S = {(i + t) % d for t in range(j + 1)}
+            T = {(k + t) % d for t in range(m + 1)}
+            gs, gt = graded_ps(d, i, j), graded_ps(d, k, m)
+            units = {deg + ci - cj for leg in (0, 1) for ci in gt.charges(leg)
+                     for cj in gs.charges(leg) for deg in range(4 * d + 1)}
+            wide = [u * Rat(2, d) for u in sorted(units) if _solve_sector(gs, gt, u)[0]]
+            H = hom_space(gs, gt, "all")
+            assert H.charges() == wide
+            assert H.total_dim() == len(S & T) * (d - len(S | T))
+            assert hom_space(gs, gt, "all", 1).total_dim() == len(S - T) * len(T - S)
 
     def test_representatives_closed_and_nontrivial(self):
         gs, gt = graded_ps(6, 0, 0), graded_ps(6, 0, 2)

@@ -3,6 +3,7 @@ import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from mbf import polycalc
 from mbf._rat import Rat
 from mbf.exactalg import Cyclo
 from mbf.polycalc import (
@@ -206,6 +207,112 @@ class TestDivision:
         assert r.degree_in("x") < nroots
 
 
+def _divmod_reference(p: MultiPoly, divisor: MultiPoly, var: str):
+    """Plain long division by a divisor monic in `var`, one leading x-power at a time."""
+    i = p.ring.index(var)
+    n = divisor.degree_in(var)
+    lead = {e[:i] + (0,) + e[i + 1 :]: c for e, c in divisor.terms.items() if e[i] == n}
+    inv_lc = MultiPoly(p.ring, lead).constant_value().inverse()
+    q, r = p.ring.zero(), p
+    while True:
+        k = r.degree_in(var)
+        if k < n:
+            return q, r
+        top = {e[:i] + (0,) + e[i + 1 :]: c for e, c in r.terms.items() if e[i] == k}
+        factor = MultiPoly(p.ring, top) * inv_lc
+        shift = p.ring.monomial({var: k - n})
+        q = q + factor * shift
+        r = r - factor * shift * divisor
+
+
+_DIV_VARS = {2: ("x", "b"), 3: ("a", "x", "b")}
+_exps = st.lists(st.integers(0, 3), min_size=3, max_size=3)
+
+
+@st.composite
+def _division_case(draw):
+    """(dividend, divisor) in 2-3 variables at conductor 5; divisor monic in x."""
+    R = Ring(_DIV_VARS[draw(st.sampled_from([2, 3]))], 5)
+    zeta = R.root()
+
+    def poly(terms):
+        out = R.zero()
+        for xk, rest, c, z in terms:
+            exps = dict(zip((v for v in R.vars if v != "x"), rest))
+            exps["x"] = xk
+            out = out + R.monomial(exps, c) * zeta**z
+        return out
+
+    coeff = st.integers(-3, 3).filter(bool)
+    term = lambda xdeg: st.tuples(xdeg, _exps, coeff, st.integers(0, 4))
+    dividend = poly(draw(st.lists(term(st.integers(0, 14)), max_size=6)))
+    n = draw(st.integers(0, 4))
+    lead = draw(st.sampled_from([R.one(), R.const(2), R.const(zeta)]))
+    low = poly(draw(st.lists(term(st.integers(0, n - 1)), max_size=4))) if n else R.zero()
+    return dividend, lead * R.var("x") ** n + low
+
+
+class TestPowerTableDivision:
+    """divmod_in_var through the per-divisor table of x^k = quo_k*q + rem_k."""
+
+    @given(_division_case())
+    @settings(max_examples=150, deadline=None)
+    def test_matches_long_division(self, case):
+        p, divisor = case
+        q, r = p.divmod_in_var(divisor, "x")
+        assert q * divisor + r == p
+        assert r.degree_in("x") < divisor.degree_in("x")
+        assert (q, r) == _divmod_reference(p, divisor, "x")
+
+    def test_constant_divisor(self):
+        R = Ring(["a", "x"], 5)
+        p = R.parse("a^2*x^3 - 3*x + z*a")
+        c = R.const(R.root(2) + 3)
+        q, r = p.divmod_in_var(c, "x")
+        assert r.is_zero() and q * c == p
+        assert (q, r) == _divmod_reference(p, c, "x")
+
+    def test_rows_out_of_order_match_fresh_table(self):
+        R = Ring(["a", "x", "b"], 7)
+        divisor = R.p_S([1, 4, 6], "x", "b") + R.parse("a*b*x - a^2")
+        key = (R, "x", divisor)
+        polycalc._DIV_CACHE.pop(key, None)
+        dividends = [R.parse(t) for t in ("a*x^3", "x^12*b - x", "z*x^5*a*b^2")]
+        out_of_order = [p.divmod_in_var(divisor, "x") for p in dividends]
+        assert len(polycalc._DIV_CACHE[key].rows) == 12 - 3 + 1
+        for p, got in zip(dividends, out_of_order):
+            polycalc._DIV_CACHE.pop(key)
+            assert p.divmod_in_var(divisor, "x") == got == _divmod_reference(p, divisor, "x")
+
+    def test_bad_divisors_raise_every_time(self):
+        R = Ring(["a", "x"], 3)
+        a, x = R.var("a"), R.var("x")
+        for _ in range(2):
+            with pytest.raises(ZeroDivisionError):
+                x.divmod_in_var(R.zero(), "x")
+            with pytest.raises(ValueError):
+                (x**2).divmod_in_var(a * x, "x")
+        assert (R, "x", R.zero()) not in polycalc._DIV_CACHE
+        assert (R, "x", a * x) not in polycalc._DIV_CACHE
+
+    def test_corrupted_row_fails_identity(self):
+        # negative control: the identity check sees a wrong table row
+        R = Ring(["a", "x", "b"], 5)
+        divisor = R.p_S([0, 2], "x", "b") + R.parse("a*b")
+        key = (R, "x", divisor)
+        p = R.parse("a*x^6 + b*x")
+        polycalc._DIV_CACHE.pop(key, None)
+        try:
+            q, r = p.divmod_in_var(divisor, "x")
+            assert q * divisor + r == p
+            quo6, rem6 = polycalc._DIV_CACHE[key].row(6)
+            rem6.terms[(0, 0, 3)] = R.root()
+            q, r = p.divmod_in_var(divisor, "x")
+            assert q * divisor + r != p
+        finally:
+            polycalc._DIV_CACHE.pop(key, None)
+
+
 class TestSubstitution:
     def test_scale_map_to_other_ring(self):
         R = Ring(["a", "b"], 4)
@@ -382,6 +489,13 @@ class TestPolyMatrix:
             M * M
         with pytest.raises(ValueError):
             M + PolyMatrix.identity(R, 2)
+
+    def test_ring_mismatch_between_matrices(self):
+        R, S = Ring(["a"], 3), Ring(["b"], 3)
+        M, N = PolyMatrix.zero(R, 2, 2), PolyMatrix.zero(S, 2, 2)
+        for op in (lambda: M + N, lambda: M * N, lambda: PolyMatrix(R, [[S.one()]])):
+            with pytest.raises(RingMismatch):
+                op()
 
     def test_scalar_mul(self):
         R = Ring(["a"], 3)
