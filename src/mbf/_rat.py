@@ -1,19 +1,12 @@
-"""Arbitrary-precision rationals: gmpy2.mpq when available, fractions.Fraction otherwise.
+"""Arbitrary-precision rationals: ``Rat`` is ``fractions.Fraction``.
 
 Rat is used only at the edges of the exact side: parsing and printing
 coefficients, the coefficient view ``Cyclo.coeffs``, the Euclidean algorithm
 behind ``Cyclo.inverse`` and R-charges.  ``Cyclo`` arithmetic itself runs on
-Python ints over a common denominator (see ``exactalg``), so which type is
-active no longer changes its speed.  Both types share the slice of API used
-here (ring ops, comparisons, hashing, .numerator/.denominator).
+Python ints over a common denominator (see ``exactalg``).
 """
 
-try:
-    from gmpy2 import mpq as Rat
-except ImportError:  # pragma: no cover - exercised only on gmpy2-less installs
-    from fractions import Fraction as Rat
-
-RAT_ONE = Rat(1)
+from fractions import Fraction as Rat
 
 
 def rat_str(r) -> str:

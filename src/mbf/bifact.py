@@ -661,10 +661,6 @@ class Operator:
                 out.entries[i][j] = ws
         return out
 
-    def is_structural_zero(self) -> bool:
-        n = self.normalized()
-        return all(not n.entries[i][j] for i in range(self.dst.rank) for j in range(self.src.rank))
-
     def apply(self, element) -> list:
         sring = self.src.shape.ring()
         out = [self.dst.shape.ring().zero() for _ in range(self.dst.rank)]

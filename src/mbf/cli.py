@@ -208,14 +208,14 @@ def cmd_verify(args) -> int:
 
 def cmd_fusing(args) -> int:
     if args.verify_homotopy:
-        rep = verify_fusing_up_to_homotopy(args.d, args.cutoff)
+        rep = verify_fusing_up_to_homotopy(args.d)
         ok = all(e["status"] == "witness" for e in rep.homotopy_entries)
     else:
-        rep = solve_fusing_2x2(args.d, args.cutoff)
+        rep = solve_fusing_2x2(args.d)
         ok = True
     doc = _document(
         "fusing",
-        {"d": args.d, "cutoff": args.cutoff},
+        {"d": args.d},
         {"report": rep.to_json(), "homotopy_verified": bool(args.verify_homotopy)},
         ok,
     )
@@ -428,7 +428,6 @@ def build_parser() -> argparse.ArgumentParser:
     fp = sub.add_parser("fusing", help="solve the 2x2 fusing matrix exactly")
     fp.add_argument("--d", type=_degree, required=True)
     fp.add_argument("--verify-homotopy", action="store_true")
-    fp.add_argument("--cutoff", type=int, default=DEFAULT_CUTOFF)
     _add_out(fp)
     fp.set_defaults(func=cmd_fusing)
 

@@ -40,14 +40,13 @@ from .cft import (
     mm_fuse,
     mm_normalize,
 )
-from .fusion import DEFAULT_CUTOFF, PSObject, fuse, solve_fusing_2x2
+from .fusion import PSObject, fuse, solve_fusing_2x2
 from .graded import hom_space
 
 
 def ratio_compare(
     d: int,
     tol: float = 1e-10,
-    cutoff: int = DEFAULT_CUTOFF,
     prec: int = DEFAULT_PREC,
 ) -> dict:
     """Gauge-invariant fusing ratio, three ways, compared at tolerance tol.
@@ -58,7 +57,7 @@ def ratio_compare(
     """
     if d < 4:
         raise ValueError("the 2x2 fusing example needs d >= 4")
-    report = solve_fusing_2x2(d, cutoff)
+    report = solve_fusing_2x2(d)
     exact = report.ratio_exact
     with mp.workprec(prec):
         lg = exact.to_complex(prec)

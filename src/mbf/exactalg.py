@@ -27,7 +27,7 @@ from operator import add, sub
 
 import mpmath
 
-from ._rat import RAT_ONE, Rat, parse_rat, rat_str
+from ._rat import Rat, parse_rat, rat_str
 
 DEFAULT_PRECISION_BITS = 128
 
@@ -132,8 +132,8 @@ class Cyclo:
     def __init__(self, n: int, coeffs):
         """From rational coefficients of 1, t, t^2, ... (any length)."""
         rats = [Rat(c) for c in coeffs]
-        den = math.lcm(*(int(r.denominator) for r in rats)) if rats else 1
-        c = _from_ints(n, [int(r.numerator) * (den // int(r.denominator)) for r in rats], den)
+        den = math.lcm(*(r.denominator for r in rats)) if rats else 1
+        c = _from_ints(n, [r.numerator * (den // r.denominator) for r in rats], den)
         _set_n(self, n)
         _set_num(self, c.num)
         _set_den(self, c.den)
@@ -154,7 +154,7 @@ class Cyclo:
         if type(value) is not int:
             value = Rat(value)
         tail = (0,) * (euler_phi(n) - 1)
-        return _raw(n, (int(value.numerator),) + tail, int(value.denominator))
+        return _raw(n, (value.numerator,) + tail, value.denominator)
 
     @staticmethod
     def zero(n: int) -> "Cyclo":
@@ -196,7 +196,7 @@ class Cyclo:
         if isinstance(other, Cyclo):
             self._check(other)
             return other
-        if isinstance(other, int) or type(other) is type(RAT_ONE):
+        if isinstance(other, int) or type(other) is Rat:
             return Cyclo.from_rat(self.n, other)
         return None
 
@@ -283,7 +283,7 @@ class Cyclo:
         # invariants: s0*N + t0*Phi = r0, s1*N + t1*Phi = r1 (t's untracked)
         r0 = [Rat(c) for c in cyclotomic_poly(self.n)]
         r1 = _poly_trim([Rat(c) for c in num])
-        s0, s1 = [], [RAT_ONE]
+        s0, s1 = [], [Rat(1)]
         while len(r1) > 1:
             q, rem = _poly_divmod(r0, r1)
             r0, r1 = r1, rem
@@ -327,7 +327,7 @@ class Cyclo:
         return result
 
     def __eq__(self, other):
-        if isinstance(other, int) or type(other) is type(RAT_ONE):
+        if isinstance(other, int) or type(other) is Rat:
             other = Cyclo.from_rat(self.n, other)
         if not isinstance(other, Cyclo):
             return NotImplemented

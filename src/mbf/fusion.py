@@ -448,7 +448,7 @@ def _solve_pair(d, polyL, polyX, polyY):
     return sol[0], sol[1]
 
 
-def solve_fusing_2x2(d: int, cutoff: int = DEFAULT_CUTOFF) -> FusingReport:
+def solve_fusing_2x2(d: int) -> FusingReport:
     """Solve the on-the-nose entries of the 2x2 junction relations exactly."""
     if d < 4:
         raise ValueError("need d >= 4")
@@ -721,10 +721,10 @@ def _drop(mat, row: int, col: int):
 def _assert_split(P, j: int, i: int, what: str):
     for k, p in enumerate(P[j]):
         if k != i and not p.is_zero():
-            raise ValueError(f"{what}: partner row not split after clearing")
+            raise VerificationError(f"{what}: partner row not split after clearing")
     for row in (P[k] for k in range(len(P)) if k != j):
         if not row[i].is_zero():
-            raise ValueError(f"{what}: partner column not split after clearing")
+            raise VerificationError(f"{what}: partner column not split after clearing")
 
 
 def decompose_into_PS(D, *, d: int | None = None):
@@ -733,12 +733,14 @@ def decompose_into_PS(D, *, d: int | None = None):
     Accepts an MBF, a GradedMBF, or a ReducedTensor.  Invertible constant
     entries are stripped by exact elimination; surviving pivots must clear
     their row and column by exact division and then factor into distinct
-    (a - eta^i b) terms.  A residual block with no such pivot is a failed
-    verification, so "residual block not factorable" raises VerificationError
-    (exit 1 in `mbf`): the input passed the shape checks, and it is the claim
-    that it splits into P_S summands that this elimination could not confirm.
-    Input of the wrong kind (TypeError) or shape (not 2-slot, differentials
-    not pure multiplications) is a plain ValueError.
+    (a - eta^i b) terms.  A residual block with no such pivot, a partner row
+    or column left unsplit by the clearing, and a pivot that does not factor
+    into defect lines or factors into none or all of them are failed
+    verifications: each raises VerificationError (exit 1 in `mbf`), since the
+    input passed the shape checks and it is the claim that it splits into P_S
+    summands that this elimination could not confirm.  Input of the wrong kind
+    (TypeError) or shape (not 2-slot, differentials not pure multiplications)
+    is a plain ValueError.
     """
     if isinstance(D, ReducedTensor):
         D = D.reduced
@@ -790,9 +792,9 @@ def decompose_into_PS(D, *, d: int | None = None):
             except NotDivisibleError:
                 pass
         if rem.constant_value() is None:
-            raise ValueError(f"block does not factor into defect lines: {p}")
+            raise VerificationError(f"block does not factor into defect lines: {p}")
         if not S or len(S) == d:
-            raise ValueError(f"block is not a proper defect: {p}")
+            raise VerificationError(f"block is not a proper defect: {p}")
         out.append(tuple(S))
     return sorted(out, key=lambda s: (len(s), s))
 
@@ -817,17 +819,18 @@ def _pure_mul_morphism(phi: Morphism, dst: MBF) -> Morphism:
     )
 
 
-def verify_fusing_up_to_homotopy(d: int, cutoff: int = DEFAULT_CUTOFF,
-                                 perturb=None) -> FusingReport:
+def verify_fusing_up_to_homotopy(d: int, perturb=None) -> FusingReport:
     """Check that the solved 2x2 matrix closes both relations up to homotopy.
 
     The defect (relation minus its exact right side) is transported through
     the contraction maps to a finite-rank endpoint, where the charge-sector
-    witness search is complete, so a "no" verdict is a certificate.  With
+    witness search is complete, so a "no" verdict is a certificate.  The
+    transported defect has a 2-slot source, so its closedness is settled in
+    an exact `op_equal` tier and no degree cutoff is involved.  With
     `perturb=(r, c)` the matrix entry at that position is shifted by 1
     first; any perturbation must produce at least one "no".
     """
-    report = solve_fusing_2x2(d, cutoff)
+    report = solve_fusing_2x2(d)
     F = [row[:] for row in report.F]
     if perturb is not None:
         r, c = perturb
@@ -848,7 +851,7 @@ def verify_fusing_up_to_homotopy(d: int, cutoff: int = DEFAULT_CUTOFF,
     for eqno, L, f0, f2 in ((1, L1, F[0][0], F[0][1]), (2, L2, F[1][0], F[1][1])):
         delta = L - X.scale(f0) - Y.scale(f2)
         theta = _pure_mul_morphism(transport.compose(delta), r2.reduced)
-        ok, mode = theta.is_closed(cutoff)
+        ok, mode = theta.is_closed()
         if not ok:
             raise VerificationError(f"transported defect not closed ({mode})")
         witness = is_null_homotopic(theta, gk, r2.reduced_graded)

@@ -15,8 +15,8 @@ from __future__ import annotations
 
 from ._rat import Rat, rat_str
 from .exactalg import Cyclo
-from .linalg import rref
-from .bifact import MBF, Morphism, ps_object, unit_object, fermat_potential
+from .linalg import Echelon, nullspace, solve
+from .bifact import MBF, Morphism, ps_object
 from .polycalc import MultiPoly, PolyMatrix
 
 
@@ -299,12 +299,6 @@ class _Ansatz:
             shapes[leg][i][j] = shapes[leg][i][j] + mono
         return (PolyMatrix(ring, shapes[0]), PolyMatrix(ring, shapes[1]))
 
-    def unit_vector(self, k: int):
-        d = self.gs.base.shape.conductor
-        out = [Cyclo.zero(d)] * len(self.vars)
-        out[k] = Cyclo.one(d)
-        return self.legs_for(out)
-
     def morphism(self, coeffs) -> Morphism:
         legE, legO = self.legs_for(coeffs)
         from .bifact import Operator
@@ -319,53 +313,42 @@ class _Ansatz:
         )
 
 
-def _delta_matrix(ansatz: _Ansatz, index: dict, extra=()) -> list:
-    """δ of every unit vector of `ansatz`, as the columns of an equation matrix.
+def _delta_columns(ansatz: _Ansatz, index: dict) -> list:
+    """δ(e_k) of every ansatz basis vector e_k, as a column {row: Cyclo}.
 
-    Row r holds the coefficient of the coordinate (leg, i, j, exponents) that
-    `index` maps to r; coordinates missing from `index` are appended to it in
-    order of first appearance.  Each leg pair in `extra` becomes one more
-    column after the ansatz ones.  The multiplier matrices of the four
-    differentials are read once.
+    Row r is the coordinate (leg, i, j, exponents) of δ that `index` maps to
+    r; coordinates missing from `index` are appended in order of first use.
+    With D the source and E the target differentials, δφ = E∘φ − (−1)^p φ∘D
+    (`Morphism.delta`).  For e_k = a^m b^n at row i, column j of leg L:
+    column i of E out of component L+p, shifted by (m, n), goes into column j
+    of leg L, and row j of D out of component 1−L, shifted the same way and
+    times −(−1)^p, goes into row i of leg 1−L.  The two parts never share a
+    coordinate, so every entry is a copied or negated differential coefficient.
     """
-    gs, gt, parity = ansatz.gs.base, ansatz.gt.base, ansatz.parity
-    D0, D1 = gs.d0.pure_mul_matrix(), gs.d1.pure_mul_matrix()
-    E0, E1 = gt.d0.pure_mul_matrix(), gt.d1.pure_mul_matrix()
-
-    def delta(legE: PolyMatrix, legO: PolyMatrix):
-        if parity == 0:
-            return (E0 * legE - legO * D0, E1 * legO - legE * D1)
-        return (E1 * legE + legO * D0, E0 * legO + legE * D1)
-
-    pairs = [delta(*ansatz.unit_vector(k)) for k in range(len(ansatz))] + list(extra)
+    src, tgt, p = ansatz.gs.base, ansatz.gt.base, ansatz.parity
+    D = (src.d0.pure_mul_matrix(), src.d1.pure_mul_matrix())
+    E = (tgt.d0.pure_mul_matrix(), tgt.d1.pure_mul_matrix())
     columns = []
-    for pair in pairs:
+    for leg, i, j, m, n in ansatz.vars:
+        shift = tuple({"a": m, "b": n}.get(v, 0) for v in ansatz.ring.vars)
+        Et, Ds = E[(leg + p) % 2], D[1 - leg]
+        parts = [(leg, r, j, Et[r, i], False) for r in range(Et.rows)]
+        parts += [(1 - leg, i, c, Ds[j, c], p == 0) for c in range(Ds.cols)]
         col = {}
-        for leg, pm in enumerate(pair):
-            for i in range(pm.rows):
-                for j in range(pm.cols):
-                    for e, c in pm[i, j].terms.items():
-                        col[index.setdefault((leg, i, j, e), len(index))] = c
+        for out, r, c, poly, negate in sorted(parts, key=lambda t: t[0]):
+            for e, v in poly.terms.items():
+                e = tuple(x + y for x, y in zip(e, shift))
+                col[index.setdefault((out, r, c, e), len(index))] = -v if negate else v
         columns.append(col)
-    z = Cyclo.zero(gs.shape.conductor)
-    matrix = [[z] * len(columns) for _ in range(len(index))]
-    for k, col in enumerate(columns):
-        for r, c in col.items():
-            matrix[r][k] = c
-    return matrix
+    return columns
 
 
 def _closed_subspace(ansatz: _Ansatz):
     """Basis vectors (over the ansatz variables) of the delta kernel."""
-    from .linalg import nullspace
-
     d = ansatz.gs.base.shape.conductor
-    matrix = _delta_matrix(ansatz, {})
-    if not matrix:
-        return [
-            [Cyclo.one(d) if t == k else Cyclo.zero(d) for t in range(len(ansatz))]
-            for k in range(len(ansatz))
-        ]
+    index, z = {}, Cyclo.zero(d)
+    columns = _delta_columns(ansatz, index)
+    matrix = [[col.get(r, z) for col in columns] for r in range(len(index))]
     return nullspace(matrix, d, ncols=len(ansatz))
 
 
@@ -375,9 +358,10 @@ def _image_vectors(ansatz: _Ansatz):
     gs, gt = ansatz.gs, ansatz.gt
     lower = _Ansatz(gs, gt, 1 - ansatz.parity, ansatz.units - Rat(gs.d, 2))
     coords = {(leg, i, j, (m, n)): t for t, (leg, i, j, m, n) in enumerate(ansatz.vars)}
-    matrix = _delta_matrix(lower, coords)
+    columns = _delta_columns(lower, coords)
     assert len(coords) == len(ansatz), "delta image left the charge sector"
-    return [list(col) for col in zip(*matrix)]
+    z = Cyclo.zero(gs.d)
+    return [[col.get(t, z) for t in range(len(ansatz))] for col in columns]
 
 
 class HomSector:
@@ -426,8 +410,6 @@ class HomSpace:
 
 def _solve_sector(gs: GradedMBF, gt: GradedMBF, units: Rat, parity: int = 0):
     """(dim, representatives) of the charge-u cohomology, exact."""
-    from .linalg import Echelon
-
     ansatz = _Ansatz(gs, gt, parity, units)
     if not len(ansatz):
         return 0, []
@@ -486,8 +468,6 @@ def is_null_homotopic(phi: Morphism, gs: GradedMBF, gt: GradedMBF):
     phi must be charge-homogeneous with multiplier-only blocks; homogeneity
     makes the forced-sector ansatz complete, so failure is a proof.
     """
-    from .linalg import solve
-
     pmE = phi.opE.pure_mul_matrix()
     pmO = phi.opO.pure_mul_matrix()
     if pmE is None or pmO is None:
@@ -503,10 +483,16 @@ def is_null_homotopic(phi: Morphism, gs: GradedMBF, gt: GradedMBF):
     lower = _Ansatz(gs, gt, 1 + phi.parity, units - half)
     if not len(lower):
         return None
-    augmented = _delta_matrix(lower, {}, extra=[(pmE, pmO)])
-    matrix = [row[:-1] for row in augmented]
-    rhs = [row[-1] for row in augmented]
-    sol = solve(matrix, rhs, gs.base.shape.conductor)
+    index, z = {}, Cyclo.zero(d)
+    columns = _delta_columns(lower, index)
+    rhs = {}
+    for leg, pm in enumerate((pmE, pmO)):
+        for i, row in enumerate(pm.entries):
+            for j, poly in enumerate(row):
+                for e, c in poly.terms.items():
+                    rhs[index.setdefault((leg, i, j, e), len(index))] = c
+    matrix = [[col.get(r, z) for col in columns] for r in range(len(index))]
+    sol = solve(matrix, [rhs.get(r, z) for r in range(len(index))], d)
     if sol is None:
         return None
     return lower.morphism(sol)

@@ -89,14 +89,6 @@ def solve(rows, rhs, conductor: int):
     return x
 
 
-def in_span(rows, vector, conductor: int) -> bool:
-    """Whether vector lies in the row span of rows."""
-    if not rows:
-        return all(v.is_zero() for v in vector)
-    base = rank(rows, conductor)
-    return rank(rows + [list(vector)], conductor) == base
-
-
 class Echelon:
     """Growing row-echelon basis supporting incremental rank queries."""
 

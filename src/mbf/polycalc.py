@@ -15,7 +15,7 @@ from __future__ import annotations
 import re
 from typing import Iterable, Mapping
 
-from ._rat import RAT_ONE, Rat, rat_str
+from ._rat import Rat, rat_str
 from .exactalg import Cyclo
 
 _ZERO_EXP_CACHE: dict[int, tuple] = {}
@@ -166,7 +166,7 @@ class MultiPoly:
         if isinstance(other, MultiPoly):
             self._check(other)
             return other
-        if isinstance(other, (int, Cyclo)) or type(other) is type(RAT_ONE):
+        if isinstance(other, (int, Cyclo)) or type(other) is Rat:
             return self.ring.const(other)
         return None
 
@@ -214,7 +214,7 @@ class MultiPoly:
         return o - self
 
     def __mul__(self, other):
-        if isinstance(other, (int, Cyclo)) or type(other) is type(RAT_ONE):
+        if isinstance(other, (int, Cyclo)) or type(other) is Rat:
             c = self.ring.coerce_scalar(other)
             if c.is_zero():
                 return self.ring.zero()

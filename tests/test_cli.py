@@ -48,8 +48,10 @@ class TestSetSyntax:
         ["hom", "--d", "4", "--source", "0", "--target", "0", "--charge", "1/0"],
         ["cft", "sixj", "--k", "-1"],
         ["compare", "fusion", "--d", "4", "--tol", "1e-3"],
+        ["fusing", "--d", "4", "--cutoff", "8"],
     ],
-    ids=["d-zero", "charge-zero-denominator", "negative-k", "removed-tol"],
+    ids=["d-zero", "charge-zero-denominator", "negative-k", "removed-tol",
+         "removed-cutoff"],
 )
 def test_bad_arguments_are_usage_errors(capsys, argv):
     with pytest.raises(SystemExit) as exc:
@@ -77,19 +79,37 @@ def _not_proportional(d, left, right, check):
         fusion.lam(d, 1, 2, check=False), fusion.lam(d, 2, 1, check=False))
 
 
+_clear_pivot = fusion._clear_pivot
+
+
+def _clear_then_set_pivot(text):
+    # clear as usual, then put `text` on the pivot and its partner entry
+    def clear(M, P, i, j):
+        _clear_pivot(M, P, i, j)
+        M[i][j] = P[j][i] = M[i][j].ring.parse(text)
+    return clear
+
+
 @pytest.mark.parametrize(
     "target,name,replacement,message",
     [
         (fusion, "_find_pivot", lambda *a: None, "residual block not factorable"),
         (cli, "fuse", _not_proportional, "sides not proportional"),
+        (fusion, "_clear_pivot", lambda *a: None, "not split after clearing"),
+        (fusion, "_clear_pivot", _clear_then_set_pivot("a^2 + 2*b^2"),
+         "block does not factor into defect lines"),
+        (fusion, "_clear_pivot", _clear_then_set_pivot("a^5 - b^5"),
+         "block is not a proper defect"),
     ],
-    ids=["residual-block", "not-proportional"],
+    ids=["residual-block", "not-proportional", "unsplit-partner", "not-lines",
+         "improper-defect"],
 )
 def test_failed_decomposition_checks_exit_one(capsys, monkeypatch, target, name,
                                               replacement, message):
-    # both are verdicts on a computed object, not on the arguments
+    # each is a verdict on a computed object, not on the arguments
     monkeypatch.setattr(target, name, replacement)
-    code = main(["fuse", "--d", "5", "--left", "0", "--right", "1"])
+    # P_{0,1} x P_{1,2,3} has two summands, so clearing a pivot has work to do
+    code = main(["fuse", "--d", "5", "--left", "0,1", "--right", "1+2"])
     captured = capsys.readouterr()
     assert code == 1 and captured.out == ""
     assert "Traceback" not in captured.err
@@ -100,7 +120,7 @@ def test_failed_decomposition_checks_exit_one(capsys, monkeypatch, target, name,
 # each subcommand with the flags it takes; the argv test draws mostly these
 _COMMANDS = {
     ("verify", "monoidal"): ["--d", "--cutoff"],
-    ("fusing",): ["--d", "--verify-homotopy", "--cutoff"],
+    ("fusing",): ["--d", "--verify-homotopy"],
     ("hom",): ["--d", "--source", "--target", "--charge", "--all"],
     ("fuse",): ["--d", "--left", "--right"],
     ("sixj",): ["--k", "--labels", "--precision"],
@@ -202,7 +222,7 @@ class TestFusingCommand:
         code, doc = run_json(capsys, "fusing", "--d", "4")
         assert code == 0 and doc["pass"]
         assert doc["version"] == __version__
-        assert doc["d"] == 4 and doc["cutoff"] == 30
+        assert doc["d"] == 4
         assert doc["report"]["F"][0][0] == "-1/2 + -1/2*z4"
 
     def test_with_homotopy_verification(self, capsys):

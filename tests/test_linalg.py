@@ -5,7 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mbf.exactalg import Cyclo
-from mbf.linalg import in_span, nullspace, rank, rref, solve
+from mbf.linalg import nullspace, rank, rref, solve
 
 
 def C(n, v):
@@ -104,17 +104,6 @@ class TestSolve:
 
     def test_empty_system(self):
         assert solve([], [], 1) == []
-
-
-class TestSpan:
-    def test_in_span(self):
-        rows = mat(1, [[1, 0, 1], [0, 1, 1]])
-        assert in_span(rows, mat(1, [[2, 3, 5]])[0], 1)
-        assert not in_span(rows, mat(1, [[0, 0, 1]])[0], 1)
-
-    def test_empty_span(self):
-        assert in_span([], [C(1, 0)], 1)
-        assert not in_span([], [C(1, 1)], 1)
 
 
 @st.composite
