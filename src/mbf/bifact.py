@@ -15,11 +15,17 @@ invariant is what makes equality decidable here:
 Operators from sources with internal slots are compared structurally after
 word normalization (substitution merging, multiplier merging and pushing)
 and, failing that, pointwise on internal monomials up to a degree cutoff.
+
+An `Operator` is an immutable sparse matrix, {(row, col): tuple of words},
+built once by its one constructor.  Because it cannot change, it caches its
+normal form (which is its own normal form) and its multiplier matrix; an
+operator made by `Operator.from_poly_matrix` starts with the matrix it was
+given.
 """
 
 from __future__ import annotations
 
-from itertools import product as _iproduct
+from types import MappingProxyType
 
 from .exactalg import Cyclo
 from .polycalc import MultiPoly, PolyMatrix, Ring
@@ -27,6 +33,7 @@ from .polycalc import MultiPoly, PolyMatrix, Ring
 DEFAULT_CUTOFF = 30
 
 _RING_CACHE: dict = {}
+_UNSET = object()  # an operator's multiplier matrix before it is computed
 
 
 def _slot_names(nslots: int, nvars: int, slot: int) -> tuple:
@@ -527,88 +534,75 @@ def w_coeff(shape: SlotShape, var: str, k: int) -> Word:
 
 
 class Operator:
-    """Matrix of formal word sums between free slot modules."""
+    """Sparse matrix of formal word sums between free slot modules.
 
-    __slots__ = ("src", "dst", "entries")
+    `cells` maps (row, col) to the tuple of words summed in that entry, in
+    row-major key order; a missing key is a zero entry.  The one constructor
+    copies what it is given into a read-only view, so an operator never
+    changes: its normal form and its multiplier matrix are computed at most
+    once and cached, and a normal form is its own normal form.
+    """
 
-    def __init__(self, src: FreeBimod, dst: FreeBimod, entries):
-        self.src = src
-        self.dst = dst
-        self.entries = [[list(entries[i][j]) for j in range(src.rank)] for i in range(dst.rank)]
+    # _normal: None until computed, True on a normal form, else the normal form
+    __slots__ = ("src", "dst", "cells", "_normal", "_pm")
 
-    @staticmethod
-    def zero(src: FreeBimod, dst: FreeBimod) -> "Operator":
-        return Operator(src, dst, [[[] for _ in range(src.rank)] for _ in range(dst.rank)])
+    def __init__(self, src: FreeBimod, dst: FreeBimod, cells=None):
+        cells = {k: tuple(ws) for k, ws in sorted(cells.items()) if ws} if cells else {}
+        object.__setattr__(self, "src", src)
+        object.__setattr__(self, "dst", dst)
+        object.__setattr__(self, "cells", MappingProxyType(cells))
+        object.__setattr__(self, "_normal", None)
+        object.__setattr__(self, "_pm", _UNSET)
+
+    def __setattr__(self, *a):
+        raise AttributeError("Operator is immutable")
 
     @staticmethod
     def identity(mod: FreeBimod) -> "Operator":
-        op = Operator.zero(mod, mod)
-        for i in range(mod.rank):
-            op.entries[i][i].append(Word.identity(mod.shape))
-        return op
-
-    @staticmethod
-    def single(src: FreeBimod, dst: FreeBimod, i: int, j: int, word: Word) -> "Operator":
-        op = Operator.zero(src, dst)
-        op.entries[i][j].append(word)
-        return op
-
-    @staticmethod
-    def diagonal(mod_src: FreeBimod, mod_dst: FreeBimod, word: Word) -> "Operator":
-        if mod_src.rank != mod_dst.rank:
-            raise ValueError("diagonal needs equal ranks")
-        op = Operator.zero(mod_src, mod_dst)
-        for i in range(mod_src.rank):
-            op.entries[i][i].append(word)
-        return op
+        return Operator(mod, mod, {(i, i): (Word.identity(mod.shape),) for i in range(mod.rank)})
 
     @staticmethod
     def from_poly_matrix(src: FreeBimod, dst: FreeBimod, pm: PolyMatrix) -> "Operator":
+        """Multiplication by `pm`, which is cached as the multiplier matrix."""
         if pm.rows != dst.rank or pm.cols != src.rank:
             raise ValueError("matrix shape mismatch")
         if src.shape != dst.shape:
             raise ValueError("from_poly_matrix needs equal shapes")
-        op = Operator.zero(src, dst)
-        for i in range(dst.rank):
-            for j in range(src.rank):
-                p = pm[i, j]
-                if not p.is_zero():
-                    op.entries[i][j].append(w_mul(src.shape, p))
+        op = Operator(src, dst, {
+            (i, j): (w_mul(src.shape, p),)
+            for i, row in enumerate(pm.entries) for j, p in enumerate(row) if not p.is_zero()
+        })
+        object.__setattr__(op, "_pm", pm)
         return op
 
     def compose(self, first: "Operator") -> "Operator":
         """self ∘ first (apply `first`, then self)."""
         if first.dst != self.src:
             raise ValueError(f"cannot compose {first.dst} into {self.src}")
-        out = Operator.zero(first.src, self.dst)
-        for i in range(self.dst.rank):
-            for j in range(first.src.rank):
-                acc = out.entries[i][j]
-                for k in range(self.src.rank):
-                    left = self.entries[i][k]
-                    if not left:
-                        continue
-                    for wf in first.entries[k][j]:
-                        for ws in left:
-                            acc.append(wf.then(ws))
-        return out
+        by_col: dict = {}
+        for (i, k), ws in self.cells.items():
+            by_col.setdefault(k, []).append((i, ws))
+        out: dict = {}
+        for (k, j), wfs in first.cells.items():  # k ascending in every cell
+            for i, wss in by_col.get(k, ()):
+                acc = out.setdefault((i, j), [])
+                for wf in wfs:
+                    for ws in wss:
+                        acc.append(wf.then(ws))
+        return Operator(first.src, self.dst, out)
 
     def __add__(self, other: "Operator") -> "Operator":
         if self.src != other.src or self.dst != other.dst:
             raise ValueError("operator shape mismatch in sum")
-        out = Operator.zero(self.src, self.dst)
-        for i in range(self.dst.rank):
-            for j in range(self.src.rank):
-                out.entries[i][j] = self.entries[i][j] + other.entries[i][j]
-        return out
+        out = dict(self.cells)
+        for k, ws in other.cells.items():
+            out[k] = out[k] + ws if k in out else ws
+        return Operator(self.src, self.dst, out)
 
     def scale(self, c) -> "Operator":
         cc = c if isinstance(c, Cyclo) else Cyclo.from_rat(self.src.shape.conductor, c)
-        out = Operator.zero(self.src, self.dst)
-        for i in range(self.dst.rank):
-            for j in range(self.src.rank):
-                out.entries[i][j] = [w.scaled(cc) for w in self.entries[i][j]]
-        return out
+        return Operator(self.src, self.dst, {
+            k: tuple(w.scaled(cc) for w in ws) for k, ws in self.cells.items()})
 
     def __neg__(self) -> "Operator":
         return self.scale(-1)
@@ -619,59 +613,26 @@ class Operator:
     def normalized(self) -> "Operator":
         """Normalize every word, then merge words that differ only in a
         trailing multiplier by summing the multiplier polynomials."""
-        out = Operator.zero(self.src, self.dst)
-        for i in range(self.dst.rank):
-            for j in range(self.src.rank):
-                groups: dict = {}
-                order: list = []
-                for w in self.entries[i][j]:
-                    nw = w.normalized()
-                    if nw is None:
-                        continue
-                    if nw.prims and isinstance(nw.prims[-1], PMul):
-                        prefix = nw.prims[:-1]
-                        poly = nw.prims[-1].poly * nw.coeff
-                    else:
-                        prefix = nw.prims
-                        poly = nw.dst.ring().const(nw.coeff)
-                    key = (nw.src, nw.dst, tuple(p.signature() for p in prefix))
-                    if key in groups:
-                        prev = groups[key]
-                        groups[key] = (prefix, prev[1] + poly, nw.src, nw.dst)
-                    else:
-                        groups[key] = (prefix, poly, nw.src, nw.dst)
-                        order.append(key)
-                ws = []
-                for key in order:
-                    prefix, poly, srcs, dsts = groups[key]
-                    if poly.is_zero():
-                        continue
-                    cv = poly.constant_value()
-                    if cv is not None:
-                        ws.append(Word(cv, prefix, srcs, dsts))
-                    else:
-                        ws.append(
-                            Word(
-                                Cyclo.one(dsts.conductor),
-                                prefix + (PMul(dsts, poly),),
-                                srcs,
-                                dsts,
-                            )
-                        )
-                out.entries[i][j] = ws
-        return out
+        if self._normal is True:
+            return self
+        if self._normal is None:
+            n = Operator(self.src, self.dst,
+                         {k: _normal_words(ws) for k, ws in self.cells.items()})
+            object.__setattr__(n, "_normal", True)
+            object.__setattr__(self, "_normal", n)
+        return self._normal
 
     def apply(self, element) -> list:
         sring = self.src.shape.ring()
+        if any(p.ring != sring for p in element if not p.is_zero()):
+            raise ValueError("element not in the source ring")
         out = [self.dst.shape.ring().zero() for _ in range(self.dst.rank)]
-        for j, p in enumerate(element):
+        for (i, j), ws in self.cells.items():
+            p = element[j]
             if p.is_zero():
                 continue
-            if p.ring != sring:
-                raise ValueError("element not in the source ring")
-            for i in range(self.dst.rank):
-                for w in self.entries[i][j]:
-                    out[i] = out[i] + w.apply(p)
+            for w in ws:
+                out[i] = out[i] + w.apply(p)
         return out
 
     def apply_basis(self, copy: int, exps: dict) -> list:
@@ -694,35 +655,66 @@ class Operator:
         )
 
     def pure_mul_matrix(self):
-        """PolyMatrix of multipliers if every word is a plain multiplication."""
+        """PolyMatrix of multipliers if every word is a plain multiplication,
+        else None; computed once from the normal form."""
+        if self._pm is _UNSET:
+            object.__setattr__(self, "_pm", self._multipliers())
+        return self._pm
+
+    def _multipliers(self):
         if self.src.shape != self.dst.shape:
             return None
         ring = self.src.shape.ring()
-        n = self.normalized()
-        rows = []
-        for i in range(self.dst.rank):
-            row = []
-            for j in range(self.src.rank):
-                p = ring.zero()
-                for w in n.entries[i][j]:
-                    if len(w.prims) == 0:
-                        p = p + ring.const(w.coeff)
-                    elif len(w.prims) == 1 and isinstance(w.prims[0], PMul):
-                        p = p + w.prims[0].poly * w.coeff
-                    else:
-                        return None
-                row.append(p)
-            rows.append(row)
-        return PolyMatrix(ring, rows)
+        rows = [[ring.zero()] * self.src.rank for _ in range(self.dst.rank)]
+        for (i, j), ws in self.normalized().cells.items():
+            p = ring.zero()
+            for w in ws:
+                if len(w.prims) == 0:
+                    p = p + ring.const(w.coeff)
+                elif len(w.prims) == 1 and isinstance(w.prims[0], PMul):
+                    p = p + w.prims[0].poly * w.coeff
+                else:
+                    return None
+            rows[i][j] = p
+        return PolyMatrix._raw(ring, rows)
 
     def to_json(self):
         return {
             "src": {"slots": self.src.shape.nslots, "rank": self.src.rank},
             "dst": {"slots": self.dst.shape.nslots, "rank": self.dst.rank},
             "entries": [
-                [[w.describe() for w in self.entries[i][j]] for j in range(self.src.rank)]
+                [[w.describe() for w in self.cells.get((i, j), ())] for j in range(self.src.rank)]
             for i in range(self.dst.rank)],
         }
+
+
+def _normal_words(words) -> list:
+    """One cell of `Operator.normalized`: the normal form of every word, with
+    words that share all but a trailing multiplier merged, in first-seen order."""
+    groups: dict = {}
+    for w in words:
+        nw = w.normalized()
+        if nw is None:
+            continue
+        if nw.prims and isinstance(nw.prims[-1], PMul):
+            prefix = nw.prims[:-1]
+            poly = nw.prims[-1].poly * nw.coeff
+        else:
+            prefix = nw.prims
+            poly = nw.dst.ring().const(nw.coeff)
+        key = (nw.src, nw.dst, tuple(p.signature() for p in prefix))
+        prev = groups.get(key)
+        groups[key] = (prefix, poly if prev is None else prev[1] + poly, nw.src, nw.dst)
+    ws = []
+    for prefix, poly, srcs, dsts in groups.values():
+        if poly.is_zero():
+            continue
+        cv = poly.constant_value()
+        if cv is not None:
+            ws.append(Word(cv, prefix, srcs, dsts))
+        else:
+            ws.append(Word(Cyclo.one(dsts.conductor), prefix + (PMul(dsts, poly),), srcs, dsts))
+    return ws
 
 
 def _internal_monomials(shape: SlotShape, cutoff: int):
@@ -753,9 +745,7 @@ def op_equal(A: Operator, B: Operator, cutoff: int = DEFAULT_CUTOFF):
     if A.src != B.src or A.dst != B.dst:
         raise ValueError("operator shape mismatch")
     diff = (A - B).normalized()
-    if all(
-        not diff.entries[i][j] for i in range(diff.dst.rank) for j in range(diff.src.rank)
-    ):
+    if not diff.cells:
         return True, "exact-structural"
     pm = diff.pure_mul_matrix()
     if pm is not None:
@@ -791,25 +781,20 @@ def _kron(op: Operator, ident: FreeBimod, op_first: bool, glue: bool = True) -> 
             shape = shape.glue(ident.shape) if op_first else ident.shape.glue(shape)
         return FreeBimod(shape, k * m.rank)
 
-    out = Operator.zero(module(op.src), module(op.dst))
-    for n in range(op.dst.rank):
-        for m in range(op.src.rank):
-            words = op.entries[n][m]
-            if not words:
-                continue
-            if glue:
-                words = [w.lift(lslots, rslots) for w in words]
-            for p in range(lrank):
-                for q in range(rrank):
-                    row = (p * op.dst.rank + n) * rrank + q
-                    col = (p * op.src.rank + m) * rrank + q
-                    out.entries[row][col].extend(words)
-    return out
+    cells = {}
+    for (n, m), words in op.cells.items():
+        if glue:
+            words = [w.lift(lslots, rslots) for w in words]
+        for p in range(lrank):
+            for q in range(rrank):
+                cells[(p * op.dst.rank + n) * rrank + q, (p * op.src.rank + m) * rrank + q] = words
+    return Operator(module(op.src), module(op.dst), cells)
 
 
 def _block_operator(src: FreeBimod, dst: FreeBimod, blocks, col_mods, row_mods) -> Operator:
-    """Stitch a 2x2 grid of Operators (or None) into one Operator."""
-    out = Operator.zero(src, dst)
+    """Stitch a 2x2 grid of Operators (or None) into one Operator; block
+    (bi, bj) has row_mods[bi] rows and col_mods[bj] columns."""
+    cells = {}
     roff = 0
     for bi, rm in enumerate(row_mods):
         coff = 0
@@ -818,12 +803,11 @@ def _block_operator(src: FreeBimod, dst: FreeBimod, blocks, col_mods, row_mods) 
             if blk is not None:
                 if blk.src.rank != cm or blk.dst.rank != rm:
                     raise ValueError("block rank mismatch")
-                for i in range(rm):
-                    for j in range(cm):
-                        out.entries[roff + i][coff + j].extend(blk.entries[i][j])
+                for (i, j), words in blk.cells.items():
+                    cells[roff + i, coff + j] = words
             coff += cm
         roff += rm
-    return out
+    return Operator(src, dst, cells)
 
 
 # -- objects and morphisms ------------------------------------------------------
@@ -909,31 +893,26 @@ class ValidationReport:
 
 def validate_mbf(D: MBF, cutoff: int = DEFAULT_CUTOFF) -> ValidationReport:
     """Check d1∘d0 = (W(a)−W(b))·id on D0 and d0∘d1 likewise on D1."""
-    wdiff = D.w_difference()
-    target0 = Operator.diagonal(D.m0, D.m0, w_mul(D.shape, wdiff))
-    target1 = Operator.diagonal(D.m1, D.m1, w_mul(D.shape, wdiff))
+    wdiff = w_mul(D.shape, D.w_difference())
     violations = []
     modes = []
-    for name, got, want in (
-        ("d1*d0", D.d1.compose(D.d0), target0),
-        ("d0*d1", D.d0.compose(D.d1), target1),
+    for name, got, mod in (
+        ("d1*d0", D.d1.compose(D.d0), D.m0),
+        ("d0*d1", D.d0.compose(D.d1), D.m1),
     ):
+        want = Operator(mod, mod, {(i, i): (wdiff,) for i in range(mod.rank)})
         eq, mode = op_equal(got, want, cutoff)
         modes.append(mode)
         if not eq:
             diff = (got - want).normalized()
             detail = None
-            for i in range(diff.dst.rank):
-                for j in range(diff.src.rank):
-                    if diff.entries[i][j]:
-                        pm = diff.pure_mul_matrix()
-                        detail = {
-                            "block": [i, j],
-                            "difference": str(pm[i, j]) if pm is not None else "non-multiplier word",
-                        }
-                        break
-                if detail:
-                    break
+            if diff.cells:
+                i, j = next(iter(diff.cells))
+                pm = diff.pure_mul_matrix()
+                detail = {
+                    "block": [i, j],
+                    "difference": str(pm[i, j]) if pm is not None else "non-multiplier word",
+                }
             violations.append({"which": name, "mode": mode, "detail": detail})
     mode = "exact" if all(m.startswith("exact") for m in modes) else "verified-to-cutoff"
     return ValidationReport(not violations, mode, violations)
@@ -964,8 +943,8 @@ class Morphism:
     def zero(src: MBF, dst: MBF, parity: int = 0) -> "Morphism":
         return Morphism(
             src, dst, parity,
-            Operator.zero(src.m0, dst.component(parity)),
-            Operator.zero(src.m1, dst.component(1 + parity)),
+            Operator(src.m0, dst.component(parity)),
+            Operator(src.m1, dst.component(1 + parity)),
         )
 
     @staticmethod
@@ -1105,19 +1084,18 @@ def tensor_mor(f: Morphism, g: Morphism) -> Morphism:
     ops = {}
     for sp in (0, 1):
         tp = (sp + par) % 2
-        acc = Operator.zero(src.component(sp), dst.component(tp))
-        for (i, j) in _tensor_blocks(sp):
+        src_blocks, dst_blocks = _tensor_blocks(sp), _tensor_blocks(tp)
+        blocks = [[None, None], [None, None]]
+        for c, (i, j) in enumerate(src_blocks):
             fi, gj = f.op_from(i), g.op_from(j)
             ip, jp = (i + f.parity) % 2, (j + g.parity) % 2
             piece = _kron(fi, Yp.component(jp), True).compose(_kron(gj, X.component(i), False))
-            if g.parity and i:
-                piece = piece.scale(-1)
-            roff = _block_offset(Xp, Yp, tp, ip, jp)
-            coff = _block_offset(X, Y, sp, i, j)
-            for u in range(piece.dst.rank):
-                for v in range(piece.src.rank):
-                    acc.entries[roff + u][coff + v].extend(piece.entries[u][v])
-        ops[sp] = acc
+            blocks[dst_blocks.index((ip, jp))][c] = piece.scale(-1) if g.parity and i else piece
+        ops[sp] = _block_operator(
+            src.component(sp), dst.component(tp), blocks,
+            [X.component(i).rank * Y.component(j).rank for i, j in src_blocks],
+            [Xp.component(i).rank * Yp.component(j).rank for i, j in dst_blocks],
+        )
     return Morphism(src, dst, par, ops[0], ops[1])
 
 
@@ -1151,10 +1129,8 @@ def _associator(X: MBF, Y: MBF, Z: MBF, forward: bool) -> Morphism:
     for parity in (0, 1):
         s_layout = _triple_layout(X, Y, Z, parity, forward)
         t_pos = {t: n for n, t in enumerate(_triple_layout(X, Y, Z, parity, not forward))}
-        op = Operator.zero(src.component(parity), dst.component(parity))
-        for col, key in enumerate(s_layout):
-            op.entries[t_pos[key]][col].append(ident)
-        ops[parity] = op
+        ops[parity] = Operator(src.component(parity), dst.component(parity),
+                               {(t_pos[key], col): (ident,) for col, key in enumerate(s_layout)})
     return Morphism(src, dst, 0, ops[0], ops[1])
 
 
@@ -1274,17 +1250,14 @@ def unit_isos(D: MBF):
     cr = w_collapse(DI.shape, D.shape.nslots - 1)
 
     def proj(src_obj, src_parity, left_block_parities, word, dst_mod, unit_left):
-        op = Operator.zero(src_obj.component(src_parity), dst_mod)
         i, j = left_block_parities
         off = _block_offset(*( (I, D) if unit_left else (D, I) ), src_parity, i, j)
         unit_copies = I.component(i if unit_left else j).rank
-        for c in range(dst_mod.rank):
-            if unit_left:
-                # copies ordered (unit copy, D copy); unit generator is copy 0
-                op.entries[c][off + 0 * dst_mod.rank + c].append(word)
-            else:
-                op.entries[c][off + c * unit_copies + 0].append(word)
-        return op
+        # copies ordered (unit copy, D copy) or (D copy, unit copy); the unit
+        # generator is copy 0
+        step = 1 if unit_left else unit_copies
+        return Operator(src_obj.component(src_parity), dst_mod,
+                        {(c, off + c * step): (word,) for c in range(dst_mod.rank)})
 
     lam = Morphism(
         ID, D, 0,
@@ -1323,18 +1296,14 @@ def unit_isos_inverse(D: MBF):
     def stack(top_mod, bot_mod, src_mod, corr, sign=1):
         # [insert; ±corr∘insert] into the two blocks of a tensor parity part
         dst = FreeBimod(ID.shape, top_mod.rank + bot_mod.rank)
-        op = Operator.zero(src_mod, dst)
-        for c in range(src_mod.rank):
-            op.entries[c][c].append(ins)
+        cells = {(c, c): (ins,) for c in range(src_mod.rank)}
         for i in range(bot_mod.rank):
             for j in range(src_mod.rank):
                 p = corr[i][j]
                 if not p.is_zero():
-                    op.entries[top_mod.rank + i][j].append(
-                        ins.then(w_mul(ID.shape, p)).scaled(
-                            Cyclo.from_rat(ID.shape.conductor, sign))
-                    )
-        return op
+                    cells[top_mod.rank + i, j] = (ins.then(w_mul(ID.shape, p)).scaled(
+                        Cyclo.from_rat(ID.shape.conductor, sign)),)
+        return Operator(src_mod, dst, cells)
 
     r0, r1 = D.m0.rank, D.m1.rank
     q0 = [[dd_into_x(pm0[i, j]) for j in range(r0)] for i in range(r1)]
@@ -1356,16 +1325,13 @@ def unit_isos_inverse(D: MBF):
 
 def _swap_stack(ID, src_mod, r0, r1, corr, ins):
     # odd part of λ⁻¹: [corr∘insert; insert] into (I1 D0, I0 D1)
-    dst = FreeBimod(ID.shape, r0 + r1)
-    op = Operator.zero(src_mod, dst)
+    cells = {(r0 + c, c): (ins,) for c in range(src_mod.rank)}
     for i in range(r0):
         for j in range(src_mod.rank):
             p = corr[i][j]
             if not p.is_zero():
-                op.entries[i][j].append(ins.then(w_mul(ID.shape, p)))
-    for c in range(src_mod.rank):
-        op.entries[r0 + c][c].append(ins)
-    return op
+                cells[i, j] = (ins.then(w_mul(ID.shape, p)),)
+    return Operator(src_mod, FreeBimod(ID.shape, r0 + r1), cells)
 
 
 def homotopy_psi(D: MBF, side: str) -> Morphism:
@@ -1376,23 +1342,16 @@ def homotopy_psi(D: MBF, side: str) -> Morphism:
     r0, r1 = D.m0.rank, D.m1.rank
     if side == "left":
         ID = tensor_obj(I, D)
-        td = w_tdiv(ID.shape, "x1", "a")
-        opE = Operator.zero(ID.m0, ID.m1)
-        for c in range(r0):  # I0 D0 → I1 D0
-            opE.entries[c][c].append(td)
-        opO = Operator.zero(ID.m1, ID.m0)
-        for c in range(r1):  # I0 D1 → I1 D1
-            opO.entries[r0 + c][r0 + c].append(td)
+        td = (w_tdiv(ID.shape, "x1", "a"),)
+        opE = Operator(ID.m0, ID.m1, {(c, c): td for c in range(r0)})  # I0 D0 → I1 D0
+        opO = Operator(ID.m1, ID.m0, {(r0 + c, r0 + c): td for c in range(r1)})  # I0 D1 → I1 D1
         return Morphism(ID, ID, 1, opE, opO)
     if side == "right":
         DI = tensor_obj(D, I)
         td = w_tdiv(DI.shape, "x1", "b")
-        opE = Operator.zero(DI.m0, DI.m1)
-        for c in range(r0):  # D0 I0 → D0 I1, sign −
-            opE.entries[r1 + c][c].append(td.scaled(Cyclo.from_rat(DI.shape.conductor, -1)))
-        opO = Operator.zero(DI.m1, DI.m0)
-        for c in range(r1):  # D1 I0 → D1 I1
-            opO.entries[r0 + c][c].append(td)
+        minus = (td.scaled(Cyclo.from_rat(DI.shape.conductor, -1)),)
+        opE = Operator(DI.m0, DI.m1, {(r1 + c, c): minus for c in range(r0)})  # D0 I0 → D0 I1, sign −
+        opO = Operator(DI.m1, DI.m0, {(r0 + c, c): (td,) for c in range(r1)})  # D1 I0 → D1 I1
         return Morphism(DI, DI, 1, opE, opO)
     raise ValueError("side must be 'left' or 'right'")
 
@@ -1425,13 +1384,11 @@ def mu_relation_check(w: MultiPoly):
     mu_word = Word.of(PSubst(two, one_slot, m))
     src0 = FreeBimod(two, 1)
     tgt = FreeBimod(one_slot, 1)
-    mu = Operator.single(src0, tgt, 0, 0, mu_word)
+    mu = Operator(src0, tgt, {(0, 0): (mu_word,)})
     dw = w.rename({w.ring.vars[0]: "t"}, onesr).derivative("t")
-    mu_i0 = mu.compose(Operator.from_poly_matrix(src0, src0, PolyMatrix(two.ring(), [[I.d0.pure_mul_matrix()[0, 0]]])))
-    want = Operator.single(src0, tgt, 0, 0, mu_word.then(w_mul(one_slot, dw)))
-    ok0, mode0 = op_equal(mu_i0, want)
-    mu_i1 = mu.compose(Operator.from_poly_matrix(src0, src0, PolyMatrix(two.ring(), [[I.d1.pure_mul_matrix()[0, 0]]])))
-    ok1, mode1 = op_equal(mu_i1, Operator.zero(src0, tgt))
+    want = Operator(src0, tgt, {(0, 0): (mu_word.then(w_mul(one_slot, dw)),)})
+    ok0, mode0 = op_equal(mu.compose(I.d0), want)
+    ok1, mode1 = op_equal(mu.compose(I.d1), Operator(src0, tgt))
     return {"mu_iota0": {"ok": ok0, "mode": mode0}, "mu_iota1": {"ok": ok1, "mode": mode1}}
 
 
@@ -1467,9 +1424,10 @@ def rxa_lemma_check(d: int, cutoff: int = DEFAULT_CUTOFF, phi: MultiPoly | None 
     ring = shape.ring()
     mod = FreeBimod(shape, 1)
     a, x = ring.var("a"), ring.var("x1")
-    td = Operator.single(mod, mod, 0, 0, w_tdiv(shape, "x1", "a"))
-    mul_ax = Operator.single(mod, mod, 0, 0, w_mul(shape, a - x))
-    transfer = Operator.single(mod, mod, 0, 0, w_transfer(shape, "x1", "a"))
+    single = lambda word: Operator(mod, mod, {(0, 0): (word,)})
+    td = single(w_tdiv(shape, "x1", "a"))
+    mul_ax = single(w_mul(shape, a - x))
+    transfer = single(w_transfer(shape, "x1", "a"))
     ident = Operator.identity(mod)
     report = {}
     eq, mode = op_equal(td.compose(mul_ax), ident.scale(-1), cutoff)
@@ -1480,10 +1438,10 @@ def rxa_lemma_check(d: int, cutoff: int = DEFAULT_CUTOFF, phi: MultiPoly | None 
         phi = ring.p_S([1], "x1", "b") * ring.var("b") + ring.var("x1") ** 2
     else:
         phi = phi.rename({}, ring)
-    mul_phi = Operator.single(mod, mod, 0, 0, w_mul(shape, phi))
+    mul_phi = single(w_mul(shape, phi))
     lhs = td.compose(mul_phi) - mul_phi.compose(td)
     dd_phi = phi.rename({"x1": "a", "a": "a"}, ring).divided_difference("a", "x1")
-    rhs = Operator.single(mod, mod, 0, 0, w_transfer(shape, "x1", "a").then(w_mul(shape, dd_phi)))
+    rhs = single(w_transfer(shape, "x1", "a").then(w_mul(shape, dd_phi)))
     eq, mode = op_equal(lhs, rhs, cutoff)
     report["iii"] = {"ok": eq, "mode": mode}
     report["ok"] = all(report[k]["ok"] for k in ("i", "ii", "iii"))

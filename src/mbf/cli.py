@@ -101,6 +101,13 @@ def _level(text: str) -> int:
     return _int_at_least(text, 0)
 
 
+def _precision(text: str) -> int:
+    """--precision: working precision in bits, at least 53 (a double); the
+    reports print floats and the numeric self-checks compare to 1e-12, which
+    lower precisions cannot reach."""
+    return _int_at_least(text, 53)
+
+
 def _charge(text: str):
     """--charge: an exact rational 'p' or 'p/q' with q nonzero."""
     try:
@@ -452,16 +459,16 @@ def build_parser() -> argparse.ArgumentParser:
     csub = cp.add_subparsers(dest="cftcmd", required=True)
     c1 = csub.add_parser("sixj", help="CSV table of admissible 6j values")
     c1.add_argument("--k", type=_level, required=True)
-    c1.add_argument("--precision", type=int, default=DEFAULT_PREC)
+    c1.add_argument("--precision", type=_precision, default=DEFAULT_PREC)
     _add_out(c1)
     c2 = csub.add_parser("pentagon", help="largest pentagon residual at level k")
     c2.add_argument("--k", type=_level, required=True)
-    c2.add_argument("--precision", type=int, default=DEFAULT_PREC)
+    c2.add_argument("--precision", type=_precision, default=DEFAULT_PREC)
     c2.add_argument("--tol", type=float, default=1e-18)
     _add_out(c2)
     c3 = csub.add_parser("fusing", help="worked 2x2 example against closed forms")
     c3.add_argument("--d", type=_degree, required=True)
-    c3.add_argument("--precision", type=int, default=DEFAULT_PREC)
+    c3.add_argument("--precision", type=_precision, default=DEFAULT_PREC)
     c3.add_argument("--tol", type=float, default=1e-10)
     _add_out(c3)
     c4 = csub.add_parser("spectrum", help="defect-changing spectrum labels")
@@ -499,7 +506,7 @@ def build_parser() -> argparse.ArgumentParser:
         required=True,
         help="six doubled spins a,b,e,d,c,f; e.g. 1,1,0,1,1,2",
     )
-    sp.add_argument("--precision", type=int, default=DEFAULT_PREC)
+    sp.add_argument("--precision", type=_precision, default=DEFAULT_PREC)
     _add_out(sp)
     sp.set_defaults(func=cmd_sixj)
     return p

@@ -135,11 +135,8 @@ def lam(d: int, i: int, j: int, check: bool = True) -> Morphism:
     gk = PSObject(d, [(i + j) % d]).underlying
     T, K = gt.base, gk.base
     m = m_word(d, j)
-    mor = Morphism(
-        T, K, 0,
-        Operator.single(T.m0, K.m0, 0, 0, m),
-        Operator.single(T.m1, K.m1, 0, 0, m),
-    )
+    mor = Morphism(T, K, 0, Operator(T.m0, K.m0, {(0, 0): (m,)}),
+                   Operator(T.m1, K.m1, {(0, 0): (m,)}))
     if check:
         _closed_and_chargeless(mor, gt, gk, f"lam({i},{j})")
     return mor
@@ -157,16 +154,10 @@ def f_pair(d: int):
     TR = tensor_obj(TB, TA)
     m, mp = m_word(d, h), m_prime_word(d, h)
     sign = Cyclo.from_rat(d, (-1) ** (h - 1))
-    F_l = Morphism(
-        TL, TB, 0,
-        Operator.single(TL.m0, TB.m0, 0, 1, mp),
-        Operator.single(TL.m1, TB.m1, 0, 0, mp.scaled(sign)),
-    )
-    F_r = Morphism(
-        TR, TB, 0,
-        Operator.single(TR.m0, TB.m0, 0, 1, m),
-        Operator.single(TR.m1, TB.m1, 0, 1, m),
-    )
+    F_l = Morphism(TL, TB, 0, Operator(TL.m0, TB.m0, {(0, 1): (mp,)}),
+                   Operator(TL.m1, TB.m1, {(0, 0): (mp.scaled(sign),)}))
+    F_r = Morphism(TR, TB, 0, Operator(TR.m0, TB.m0, {(0, 1): (m,)}),
+                   Operator(TR.m1, TB.m1, {(0, 1): (m,)}))
     return P_A, P_B, F_l, F_r
 
 
@@ -263,13 +254,10 @@ class Junctions:
             gk = PSObject(d, kset).underlying
             gt = graded_tensor(gi, gj)
             K, T = gk.base, gt.base
-            opE = Operator.zero(K.m0, T.m0)
-            opO = Operator.zero(K.m1, T.m1)
-            for op, row, poly in ((opE, 0, r11), (opE, 1, r21),
-                                  (opO, 0, r32), (opO, 1, r42)):
-                if not poly.is_zero():
-                    op.entries[row][0].append(self._bracket(poly))
-            self.A[n] = Morphism(K, T, 0, opE, opO)
+            legs = [{(row, 0): (self._bracket(poly),) for row, poly in enumerate(col)
+                     if not poly.is_zero()} for col in ((r11, r21), (r32, r42))]
+            self.A[n] = Morphism(K, T, 0, Operator(K.m0, T.m0, legs[0]),
+                                 Operator(K.m1, T.m1, legs[1]))
             self.A_endpoints[n] = (gk, gt)
 
     def check_all(self):
@@ -580,45 +568,36 @@ def reduce_tensor(A, B, check: bool = True) -> ReducedTensor:
         return ins.then(w_mul(sh3, word_poly))
 
     # incl: reduced generator (u, j) |-> copy_u * x^j plus the quotient
-    # correction on the complementary block; exact chain map
-    incl_E = Operator.zero(reduced.m0, T.m0)
-    incl_O = Operator.zero(reduced.m1, T.m1)
-    for u in range(rA0):
-        for j in range(g):
-            col = u * g + j
-            incl_E.entries[u][col].append(carry(xpow[j]))
-            for v in range(rA1):
-                quo = (dA0[v][u] * xpow[j]).divmod_in_var(q1, "x1")[0]
-                if not quo.is_zero():
-                    incl_E.entries[rA0 + v][col].append(carry(quo))
-    for u in range(rA1):
-        for j in range(g):
-            col = u * g + j
-            incl_O.entries[u][col].append(carry(xpow[j]))
-            for v in range(rA0):
-                quo = (dA1[v][u] * xpow[j]).divmod_in_var(q1, "x1")[0]
-                if not quo.is_zero():
-                    incl_O.entries[rA1 + v][col].append(carry(-quo))
-    incl = Morphism(reduced, T, 0, incl_E, incl_O)
+    # correction on the complementary block (negated out of odd copies);
+    # exact chain map
+    incl_cells = []
+    for dA, rsrc, rdst, negate in ((dA0, rA0, rA1, False), (dA1, rA1, rA0, True)):
+        cells = {}
+        for u in range(rsrc):
+            for j in range(g):
+                col = u * g + j
+                cells[u, col] = (carry(xpow[j]),)
+                for v in range(rdst):
+                    quo = (dA[v][u] * xpow[j]).divmod_in_var(q1, "x1")[0]
+                    if not quo.is_zero():
+                        cells[rsrc + v, col] = (carry(-quo if negate else quo),)
+        incl_cells.append(cells)
+    incl = Morphism(reduced, T, 0, Operator(reduced.m0, T.m0, incl_cells[0]),
+                    Operator(reduced.m1, T.m1, incl_cells[1]))
 
     # proj: remainder coefficients on the ⊗B0 blocks, zero on the rest
-    proj_E = Operator.zero(T.m0, reduced.m0)
-    proj_O = Operator.zero(T.m1, reduced.m1)
-    for op, rk in ((proj_E, rA0), (proj_O, rA1)):
-        for u in range(rk):
-            for m in range(g):
-                op.entries[u * g + m][u].append(
-                    w_rem(sh3, q1, "x1").then(w_coeff(sh3, "x1", m)))
+    rem_coeff = lambda m: (w_rem(sh3, q1, "x1").then(w_coeff(sh3, "x1", m)),)
+    proj_E = Operator(T.m0, reduced.m0,
+                      {(u * g + m, u): rem_coeff(m) for u in range(rA0) for m in range(g)})
+    proj_O = Operator(T.m1, reduced.m1,
+                      {(u * g + m, u): rem_coeff(m) for u in range(rA1) for m in range(g)})
     proj = Morphism(T, reduced, 0, proj_E, proj_O)
 
     # odd homotopy: division quotients between the complementary blocks
     minus = -Cyclo.one(d)
-    h0 = Operator.zero(T.m0, T.m1)
-    h1 = Operator.zero(T.m1, T.m0)
-    for u in range(rA0):
-        h0.entries[rA1 + u][u].append(w_quo(sh3, q1, "x1").scaled(minus))
-    for u in range(rA1):
-        h1.entries[rA0 + u][u].append(w_quo(sh3, q1, "x1"))
+    h0 = Operator(T.m0, T.m1, {
+        (rA1 + u, u): (w_quo(sh3, q1, "x1").scaled(minus),) for u in range(rA0)})
+    h1 = Operator(T.m1, T.m0, {(rA0 + u, u): (w_quo(sh3, q1, "x1"),) for u in range(rA1)})
     homotopy = Morphism(T, T, 1, h0, h1)
 
     cB = gB.charges(0)[0]

@@ -164,19 +164,17 @@ def operator_charge_units(op, src_units, dst_units):
 
     Returns None for a structurally zero operator (any charge fits).
     """
-    n = op.normalized()
     found = None
-    for i in range(n.dst.rank):
-        for j in range(n.src.rank):
-            for w in n.entries[i][j]:
-                wc = _word_charge_units(w)
-                if wc is None:
-                    return NotHomogeneous
-                q = wc + dst_units[i] - src_units[j]
-                if found is None:
-                    found = q
-                elif q != found:
-                    return NotHomogeneous
+    for (i, j), words in op.normalized().cells.items():
+        for w in words:
+            wc = _word_charge_units(w)
+            if wc is None:
+                return NotHomogeneous
+            q = wc + dst_units[i] - src_units[j]
+            if found is None:
+                found = q
+            elif q != found:
+                return NotHomogeneous
     return found
 
 
@@ -231,15 +229,11 @@ def zero_charge_structure_check(d: int):
     )
 
     # negative control: one entry of lambda scaled by a must be flagged
-    from .bifact import Operator, Word, w_mul
+    from .bifact import Operator, w_mul
 
-    bad = Operator.zero(lam.opE.src, lam.opE.dst)
-    for i in range(lam.opE.dst.rank):
-        for j in range(lam.opE.src.rank):
-            for w in lam.opE.entries[i][j]:
-                if (i, j) == (0, 0):
-                    w = w.then(w_mul(w.dst, w.dst.ring().parse("a")))
-                bad.entries[i][j].append(w)
+    cells = dict(lam.opE.cells)
+    cells[0, 0] = [w.then(w_mul(w.dst, w.dst.ring().parse("a"))) for w in cells.get((0, 0), ())]
+    bad = Operator(lam.opE.src, lam.opE.dst, cells)
     marred = Morphism(lam.src, lam.dst, 0, bad, lam.opO)
     q = morphism_charge(marred, graded_tensor(gI, gD), gD)
     flagged = q is NotHomogeneous

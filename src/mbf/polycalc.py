@@ -129,15 +129,19 @@ def _grlex_key(e: tuple) -> tuple:
 
 
 class MultiPoly:
-    """Immutable sparse polynomial; {exponent tuple: non-zero Cyclo}."""
+    """Immutable sparse polynomial; {exponent tuple: non-zero Cyclo}.
 
-    __slots__ = ("ring", "terms")
+    The hash is computed on first use and kept in `_hash`.
+    """
+
+    __slots__ = ("ring", "terms", "_hash")
 
     def __init__(self, ring: Ring, terms: dict):
         object.__setattr__(self, "ring", ring)
         object.__setattr__(
             self, "terms", {e: c for e, c in terms.items() if not c.is_zero()}
         )
+        object.__setattr__(self, "_hash", None)
 
     def __setattr__(self, *a):
         raise AttributeError("MultiPoly is immutable")
@@ -148,6 +152,7 @@ class MultiPoly:
         self = object.__new__(cls)
         object.__setattr__(self, "ring", ring)
         object.__setattr__(self, "terms", terms)
+        object.__setattr__(self, "_hash", None)
         return self
 
     # -- basics --------------------------------------------------------------
@@ -177,7 +182,9 @@ class MultiPoly:
         return self.terms == o.terms
 
     def __hash__(self):
-        return hash((self.ring, frozenset(self.terms.items())))
+        if self._hash is None:
+            object.__setattr__(self, "_hash", hash((self.ring, frozenset(self.terms.items()))))
+        return self._hash
 
     def __add__(self, other):
         o = self._coerce(other)
@@ -672,12 +679,13 @@ def _parse_poly(ring: Ring, text: str) -> MultiPoly:
 
 
 class PolyMatrix:
-    """Dense matrix of MultiPoly entries over one ring."""
+    """Immutable dense matrix of MultiPoly entries over one ring; `entries`
+    is a tuple of row tuples, so a matrix can be cached and shared."""
 
     __slots__ = ("ring", "rows", "cols", "entries")
 
     def __init__(self, ring: Ring, entries):
-        rows = [list(r) for r in entries]
+        rows = tuple(tuple(r) for r in entries)
         object.__setattr__(self, "ring", ring)
         object.__setattr__(self, "rows", len(rows))
         object.__setattr__(self, "cols", len(rows[0]) if rows else 0)
@@ -694,12 +702,12 @@ class PolyMatrix:
 
     @classmethod
     def _raw(cls, ring: Ring, rows: list) -> "PolyMatrix":
-        # internal fast path: rows must be non-ragged lists of entries in `ring`
+        # internal fast path: rows must be non-ragged sequences of entries in `ring`
         self = object.__new__(cls)
         object.__setattr__(self, "ring", ring)
         object.__setattr__(self, "rows", len(rows))
         object.__setattr__(self, "cols", len(rows[0]) if rows else 0)
-        object.__setattr__(self, "entries", rows)
+        object.__setattr__(self, "entries", tuple(map(tuple, rows)))
         return self
 
     @staticmethod
@@ -730,7 +738,7 @@ class PolyMatrix:
         )
 
     def __hash__(self):
-        return hash((self.ring, tuple(tuple(r) for r in self.entries)))
+        return hash((self.ring, self.entries))
 
     def _check(self, other: "PolyMatrix"):
         if self.ring != other.ring:

@@ -4,7 +4,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from mbf.bifact import (
+    _block_offset,
     _kron,
+    _tensor_blocks,
     DEFAULT_CUTOFF,
     FreeBimod,
     MBF,
@@ -33,9 +35,10 @@ from mbf.bifact import (
     unit_object,
     validate_mbf,
     w_mul,
+    Word,
 )
 from mbf.exactalg import Cyclo
-from mbf.polycalc import Ring
+from mbf.polycalc import PolyMatrix, Ring
 
 
 def strs(pm):
@@ -361,7 +364,7 @@ class TestUnitIsos:
         # for the cubic unit the correction block is multiplication by a+x+b
         I = unit_object(fermat_potential(3))
         lam_inv, _ = unit_isos_inverse(I)
-        words = lam_inv.opE.normalized().entries[1][0]
+        words = lam_inv.opE.normalized().cells[1, 0]
         assert len(words) == 1
         d = words[0].describe()
         assert d["word"][-1] == {"kind": "mul", "poly": "a + x1 + b"}
@@ -409,13 +412,7 @@ class TestHomotopies:
         psi = homotopy_psi(ps_object(3, [0]), "left")
         assert psi.parity == 1
         n = psi.opE.normalized()
-        nonzero = [
-            (i, j)
-            for i in range(n.dst.rank)
-            for j in range(n.src.rank)
-            if n.entries[i][j]
-        ]
-        assert nonzero == [(0, 0)]
+        assert list(n.cells) == [(0, 0)] and n.cells[0, 0]
 
 
 class TestRxa:
@@ -474,8 +471,8 @@ class TestOperatorEquality:
     def test_detects_difference_exactly(self):
         D = ps_object(4, [0])
         ring = D.shape.ring()
-        a = Operator.diagonal(D.m0, D.m0, w_mul(D.shape, ring.var("a")))
-        b = Operator.diagonal(D.m0, D.m0, w_mul(D.shape, ring.var("b")))
+        a = Operator(D.m0, D.m0, {(0, 0): [w_mul(D.shape, ring.var("a"))]})
+        b = Operator(D.m0, D.m0, {(0, 0): [w_mul(D.shape, ring.var("b"))]})
         eq, mode = op_equal(a, b)
         assert not eq and mode in ("exact-multiplier", "exact-structural")
 
@@ -488,14 +485,13 @@ class TestOperatorEquality:
         # Kronecker placement: op ⊗ id puts copy (n, q) at n·k + q, id ⊗ op
         # puts copy (p, n) at p·rank + n; without gluing words stay unlifted
         mod2 = FreeBimod(D.shape, 2)
-        op = Operator.zero(mod2, D.m0)
-        op.entries[0][1].append(w_mul(D.shape, D.shape.ring().var("a")))
+        word = w_mul(D.shape, D.shape.ring().var("a"))
+        op = Operator(mod2, D.m0, {(0, 1): [word]})
         for op_first, want in ((True, {(0, 2), (1, 3)}), (False, {(0, 1), (1, 3)})):
             K = _kron(op, mod2, op_first, glue=False)
             assert (K.src.rank, K.dst.rank, K.src.shape) == (4, 2, D.shape)
-            filled = {(r, c) for r in range(2) for c in range(4) if K.entries[r][c]}
-            assert filled == want
-            assert all(w is op.entries[0][1][0] for r, c in filled for w in K.entries[r][c])
+            assert set(K.cells) == want
+            assert all(ws == (word,) and ws[0] is word for ws in K.cells.values())
 
     def test_json_shapes(self):
         D = ps_object(3, [1])
@@ -505,3 +501,298 @@ class TestOperatorEquality:
         lam, _ = unit_isos(D)
         mj = lam.to_json()
         assert mj["parity"] == "even"
+
+
+# -- the sparse Operator against the dense word matrix it replaced ---------------
+
+
+class _Dense:
+    """A dense matrix of word lists, the representation `Operator` had before
+    it became sparse, with its operations: the reference for the order of
+    the words in every cell."""
+
+    def __init__(self, nrows, ncols, entries=None):
+        self.nrows, self.ncols = nrows, ncols
+        self.entries = entries or [[[] for _ in range(ncols)] for _ in range(nrows)]
+
+    @staticmethod
+    def of(op):
+        return _Dense(op.dst.rank, op.src.rank, [
+            [list(op.cells.get((i, j), ())) for j in range(op.src.rank)]
+            for i in range(op.dst.rank)])
+
+    def keys(self):
+        return [[[(w.coeff, w.signature()) for w in cell] for cell in row] for row in self.entries]
+
+    def compose(self, first):
+        out = _Dense(self.nrows, first.ncols)
+        for i in range(self.nrows):
+            for j in range(first.ncols):
+                for k in range(self.ncols):
+                    for wf in first.entries[k][j]:
+                        for ws in self.entries[i][k]:
+                            out.entries[i][j].append(wf.then(ws))
+        return out
+
+    def __add__(self, other):
+        return _Dense(self.nrows, self.ncols, [
+            [a + b for a, b in zip(ra, rb)] for ra, rb in zip(self.entries, other.entries)])
+
+    def scale(self, c):
+        return _Dense(self.nrows, self.ncols, [
+            [[w.scaled(c) for w in cell] for cell in row] for row in self.entries])
+
+    def kron(self, ident, op_first, glue):
+        k = ident.rank
+        lrank, rrank = (1, k) if op_first else (k, 1)
+        shift = ident.shape.nslots - 1
+        lslots, rslots = (0, shift) if op_first else (shift, 0)
+        out = _Dense(k * self.nrows, k * self.ncols)
+        for n in range(self.nrows):
+            for m in range(self.ncols):
+                words = self.entries[n][m]
+                if glue:
+                    words = [w.lift(lslots, rslots) for w in words]
+                for p in range(lrank):
+                    for q in range(rrank):
+                        row = (p * self.nrows + n) * rrank + q
+                        col = (p * self.ncols + m) * rrank + q
+                        out.entries[row][col].extend(words)
+        return out
+
+    def place(self, block, roff, coff):
+        for i in range(block.nrows):
+            for j in range(block.ncols):
+                self.entries[roff + i][coff + j].extend(block.entries[i][j])
+
+    def apply(self, element, zero):
+        out = [zero] * self.nrows
+        for j, p in enumerate(element):
+            if p.is_zero():
+                continue
+            for i in range(self.nrows):
+                for w in self.entries[i][j]:
+                    out[i] = out[i] + w.apply(p)
+        return out
+
+
+def _ref_tensor(X, Y):
+    """Dense reference of the differentials of tensor_obj(X, Y)."""
+    T = tensor_obj(X, Y)
+    diffs = []
+    for parity in (0, 1):
+        out = _Dense(T.component(1 + parity).rank, T.component(parity).rank)
+        for i, j in _tensor_blocks(parity):
+            coff = _block_offset(X, Y, parity, i, j)
+            dx = _Dense.of(X.differential_from(i)).kron(Y.component(j), True, True)
+            out.place(dx, _block_offset(X, Y, 1 + parity, 1 - i, j), coff)
+            dy = _Dense.of(Y.differential_from(j)).kron(X.component(i), False, True)
+            out.place(dy.scale(Cyclo.from_rat(X.shape.conductor, -1)) if i else dy,
+                      _block_offset(X, Y, 1 + parity, i, 1 - j), coff)
+        diffs.append(out)
+    return diffs
+
+
+def _ref_tensor_mor(f, g):
+    X, Y, Xp, Yp = f.src, g.src, f.dst, g.dst
+    par = (f.parity + g.parity) % 2
+    legs = []
+    for sp in (0, 1):
+        tp = (sp + par) % 2
+        acc = _Dense(tensor_obj(Xp, Yp).component(tp).rank, tensor_obj(X, Y).component(sp).rank)
+        for i, j in _tensor_blocks(sp):
+            ip, jp = (i + f.parity) % 2, (j + g.parity) % 2
+            piece = _Dense.of(f.op_from(i)).kron(Yp.component(jp), True, True).compose(
+                _Dense.of(g.op_from(j)).kron(X.component(i), False, True))
+            if g.parity and i:
+                piece = piece.scale(Cyclo.from_rat(X.shape.conductor, -1))
+            acc.place(piece, _block_offset(Xp, Yp, tp, ip, jp), _block_offset(X, Y, sp, i, j))
+        legs.append(acc)
+    return legs
+
+
+def _assert_matches_dense(ops, d):
+    """compose, +, scale and _kron of every operator (and composable pair)
+    give the reference's words in the reference's order."""
+    c = Cyclo.root(d, 1)
+    ident = FreeBimod(SlotShape(2, 1, d), 2)
+    for op in ops:
+        ref = _Dense.of(op)
+        assert all(0 <= i < op.dst.rank and 0 <= j < op.src.rank for i, j in op.cells)
+        assert _Dense.of(op.scale(c)).keys() == ref.scale(c).keys()
+        assert _Dense.of(op + op.scale(c)).keys() == (ref + ref.scale(c)).keys()
+        for op_first in (True, False):
+            for glue in (True, False):
+                got = _kron(op, ident, op_first, glue)
+                assert _Dense.of(got).keys() == ref.kron(ident, op_first, glue).keys()
+        for first in ops:
+            if first.dst == op.src:
+                want = ref.compose(_Dense.of(first))
+                assert _Dense.of(op.compose(first)).keys() == want.keys()
+
+
+def _legs(*morphisms):
+    return [op for m in morphisms for op in (m.opE, m.opO)]
+
+
+class TestSparseOperatorAgainstDense:
+    @pytest.mark.parametrize("d", [3, 4])
+    def test_tensor_differentials_and_associators(self, d):
+        X, Y, Z = ps_object(d, [0]), ps_object(d, [1]), ps_object(d, [0, 1])
+        XY = tensor_obj(X, Y)
+        for A, B in ((X, Y), (XY, Z), (X, tensor_obj(Y, Z))):
+            T = tensor_obj(A, B)
+            ref0, ref1 = _ref_tensor(A, B)
+            assert _Dense.of(T.d0).keys() == ref0.keys()
+            assert _Dense.of(T.d1).keys() == ref1.keys()
+        TT = tensor_obj(XY, Z)
+        ops = [XY.d0, XY.d1, TT.d0, TT.d1]
+        ops += _legs(associator(X, Y, Z), associator_inv(X, Y, Z))
+        _assert_matches_dense(ops, d)
+
+    @pytest.mark.parametrize("d", [3, 4])
+    def test_unit_isomorphisms_and_homotopies(self, d):
+        X, Y = ps_object(d, [0]), ps_object(d, [1, 2])
+        ops = []
+        for D in (X, Y):
+            ops += _legs(*unit_isos(D), *unit_isos_inverse(D))
+            ops += _legs(homotopy_psi(D, "left"), homotopy_psi(D, "right"))
+        _assert_matches_dense(ops, d)
+
+    @pytest.mark.parametrize("d", [3, 4])
+    def test_reduction_data_and_junctions(self, d):
+        from mbf.fusion import PSObject, lam, reduce_tensor
+
+        rt = reduce_tensor(PSObject(d, [0, 1]), PSObject(d, [1]))
+        ops = _legs(rt.incl, rt.proj, rt.homotopy, lam(d, 1, 2), lam(d, 0, 1))
+        ops += [rt.original.d0, rt.original.d1, rt.reduced.d0, rt.reduced.d1]
+        _assert_matches_dense(ops, d)
+
+    @pytest.mark.parametrize("d", [3, 4])
+    def test_tensor_mor(self, d):
+        from mbf.fusion import lam
+
+        X, Y = ps_object(d, [0]), ps_object(d, [1])
+        lam_X, rho_X = unit_isos(X)
+        lam_inv_Y, _ = unit_isos_inverse(Y)
+        psi_X, psi_Y = homotopy_psi(X, "right"), homotopy_psi(Y, "left")
+        pairs = [
+            (Morphism.identity(X), psi_Y),  # odd g: the sign on odd X blocks
+            (psi_X, lam_inv_Y),
+            (lam_X, rho_X),
+            (lam(d, 1, 1), Morphism.identity(Y)),
+        ]
+        for f, g in pairs:
+            got = tensor_mor(f, g)
+            want = _ref_tensor_mor(f, g)
+            assert _Dense.of(got.opE).keys() == want[0].keys()
+            assert _Dense.of(got.opO).keys() == want[1].keys()
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.data())
+    def test_random_word_matrices(self, data):
+        shape = SlotShape(2, 1, 3)
+        ring = shape.ring()
+        a, b = ring.var("a"), ring.var("b")
+        z = Cyclo.root(3, 1)
+        pool = [
+            Word.identity(shape), w_mul(shape, a), w_mul(shape, b - a * z),
+            w_mul(shape, a * b + ring.const(2)), w_mul(shape, ring.const(z)),
+            w_mul(shape, a).scaled(-z), Word.identity(shape).scaled(z),
+        ]
+        ranks = [data.draw(st.integers(0, 3)) for _ in range(4)]
+        mods = [FreeBimod(shape, r) for r in ranks]
+
+        def draw_op(src, dst):
+            cells = {}
+            for i in range(dst.rank):
+                for j in range(src.rank):
+                    picks = data.draw(st.lists(st.sampled_from(pool), max_size=3))
+                    if picks:
+                        cells[i, j] = picks
+            return Operator(src, dst, cells)
+
+        A, C = draw_op(mods[0], mods[1]), draw_op(mods[0], mods[1])
+        B, E = draw_op(mods[1], mods[2]), draw_op(mods[2], mods[3])
+        rA, rB, rC, rE = (_Dense.of(op) for op in (A, B, C, E))
+        assert _Dense.of(B.compose(A)).keys() == rB.compose(rA).keys()
+        assert _Dense.of(A + C).keys() == (rA + rC).keys()
+        # results feed further operations: their cells stay in row-major order
+        BAC = B.compose(A + C)
+        assert _Dense.of(BAC).keys() == rB.compose(rA + rC).keys()
+        assert _Dense.of(E.compose(BAC)).keys() == rE.compose(rB.compose(rA + rC)).keys()
+        for op in (BAC, A + C, E.compose(B), _kron(B, FreeBimod(shape, 2), False)):
+            assert list(op.cells) == sorted(op.cells)
+        assert _Dense.of(A.scale(z)).keys() == rA.scale(z).keys()
+        ident = FreeBimod(shape, data.draw(st.integers(1, 3)))
+        for op_first in (True, False):
+            for glue in (True, False):
+                got = _Dense.of(_kron(A, ident, op_first, glue)).keys()
+                assert got == rA.kron(ident, op_first, glue).keys()
+        polys = [ring.zero(), a, b * b + a, a * b * z + ring.one()]
+        element = [data.draw(st.sampled_from(polys)) for _ in range(A.src.rank)]
+        got = A.apply(element)
+        want = rA.apply(element, ring.zero())
+        assert [list(p.terms.items()) for p in got] == [list(p.terms.items()) for p in want]
+        n = A.normalized()
+        assert n.normalized() is n and A.normalized() is n
+
+
+class TestOperatorImmutability:
+    def _op(self):
+        D = ps_object(4, [1])
+        lam, _ = unit_isos(D)
+        return lam.opE
+
+    def test_normal_form_is_cached_and_its_own(self):
+        op = self._op()
+        n = op.normalized()
+        assert op.normalized() is n and n.normalized() is n
+        fresh = Operator(n.src, n.dst, dict(n.cells)).normalized()
+        assert fresh is not n
+        assert _Dense.of(fresh).keys() == _Dense.of(n).keys()
+
+    def test_pure_mul_matrix_is_read_from_the_given_matrix(self, monkeypatch):
+        P = ps_object(5, [0, 2])
+        ring = P.shape.ring()
+        pm = PolyMatrix(ring, [[ring.p_S([1, 3, 4]), ring.const(2)], [ring.zero(), ring.var("a")]])
+        mod = FreeBimod(P.shape, 2)
+
+        def refuse(self):
+            raise AssertionError("Word.normalized called")
+
+        monkeypatch.setattr(Word, "normalized", refuse)
+        op = Operator.from_poly_matrix(mod, mod, pm)
+        assert op.pure_mul_matrix() == pm and op.pure_mul_matrix() is pm
+        assert set(op.cells) == {(0, 0), (0, 1), (1, 1)}
+        monkeypatch.undo()
+        # the matrix read back through the normal form is the same
+        rebuilt = Operator(mod, mod, dict(op.cells)).pure_mul_matrix()
+        assert rebuilt == pm
+        assert [list(p.terms.items()) for row in rebuilt.entries for p in row] == [
+            list(p.terms.items()) for row in pm.entries for p in row]
+
+    def test_writing_into_cells_raises(self):
+        op = self._op()
+        key = next(iter(op.cells))
+        word = op.cells[key][0]
+        with pytest.raises(TypeError):
+            op.cells[key] = (word,)
+        with pytest.raises(TypeError):
+            op.cells[key] += (word,)
+        with pytest.raises(AttributeError):
+            op.cells[key].append(word)
+        with pytest.raises(AttributeError):
+            op.cells = {}
+        # the cached multiplier matrix is handed to every caller: read-only too
+        pm = ps_object(4, [1]).d0.pure_mul_matrix()
+        with pytest.raises(TypeError):
+            pm.entries[0][0] = pm[0, 0] * 2
+        with pytest.raises(TypeError):
+            pm.entries[0] = (pm[0, 0],)
+        # the constructor copies: changing what it was given changes nothing
+        given = {key: [word]}
+        other = Operator(op.src, op.dst, given)
+        given[key].append(word)
+        given[0, 0] = [word]
+        assert dict(other.cells) == {key: (word,)}

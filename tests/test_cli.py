@@ -49,9 +49,11 @@ class TestSetSyntax:
         ["cft", "sixj", "--k", "-1"],
         ["compare", "fusion", "--d", "4", "--tol", "1e-3"],
         ["fusing", "--d", "4", "--cutoff", "8"],
+        ["cft", "fusing", "--d", "4", "--precision", "0"],
+        ["cft", "fusing", "--d", "4", "--precision", "52"],
     ],
     ids=["d-zero", "charge-zero-denominator", "negative-k", "removed-tol",
-         "removed-cutoff"],
+         "removed-cutoff", "precision-zero", "precision-below-double"],
 )
 def test_bad_arguments_are_usage_errors(capsys, argv):
     with pytest.raises(SystemExit) as exc:

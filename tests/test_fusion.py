@@ -98,8 +98,8 @@ class TestSignPair:
         mp = m_prime_word(d, d // 2)
         bad = Morphism(
             TL, TB, 0,
-            Operator.single(TL.m0, TB.m0, 0, 1, mp),
-            Operator.single(TL.m1, TB.m1, 0, 0, mp),
+            Operator(TL.m0, TB.m0, {(0, 1): [mp]}),
+            Operator(TL.m1, TB.m1, {(0, 0): [mp]}),
         )
         ok, _ = bad.is_closed()
         assert not ok

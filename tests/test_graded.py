@@ -260,7 +260,7 @@ class TestNullHomotopy:
         gI = graded_unit(4)
         psi = is_null_homotopic(Morphism.zero(gI.base, gI.base, 0), gI, gI)
         for op in (psi.opE, psi.opO):
-            assert op_equal(op, Operator.zero(op.src, op.dst)) == (True, "exact-structural")
+            assert op_equal(op, Operator(op.src, op.dst)) == (True, "exact-structural")
 
     def test_rejects_mixed_input(self):
         gI = graded_unit(5)

@@ -59,6 +59,23 @@ class TestRingBasics:
         assert R.const(R.root(1)) == R.root(1)
         assert R.var("a") != 1
 
+    def test_equal_polys_hash_equal_by_every_route(self):
+        # a^2 + z*ab - (1+z)*b^2 built as a sum, a product, raw terms and a
+        # rename; the hash is computed once and kept
+        R = Ring(["a", "b"], 5)
+        a, b, z, one = R.var("a"), R.var("b"), R.root(1), Cyclo.one(5)
+        by_sum = R.monomial({"b": 2}, -(one + z)) + R.monomial({"a": 1, "b": 1}, z) + a ** 2
+        by_product = (a - b) * (a + b * (one + z))
+        by_raw = MultiPoly._raw(R, {(0, 2): -(one + z), (2, 0): one, (1, 1): z})
+        S = Ring(["x", "y"], 5)
+        x, y = S.var("x"), S.var("y")
+        by_rename = (x * x + x * y * z - y * y * (one + z)).rename({"x": "a", "y": "b"}, R)
+        polys = [by_sum, by_product, by_raw, by_rename]
+        assert all(p == by_sum for p in polys)
+        assert len({hash(p) for p in polys}) == 1
+        assert len(set(polys)) == 1
+        assert all(p._hash == hash(p) for p in polys)
+
 
 class TestArithmeticAgainstSympy:
     d = 5
