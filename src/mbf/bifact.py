@@ -14,7 +14,9 @@ invariant is what makes equality decidable here:
 
 Operators from sources with internal slots are compared structurally after
 word normalization (substitution merging, multiplier merging and pushing)
-and, failing that, pointwise on internal monomials up to a degree cutoff.
+and, failing that, pointwise on internal monomials up to a total degree:
+evidence, not proof.  Only `op_equal` and `morphism_equal` take that degree
+(`cutoff`); every check built on them sweeps to `DEFAULT_CUTOFF`.
 
 An `Operator` is an immutable sparse matrix, {(row, col): tuple of words},
 built once by its one constructor.  Because it cannot change, it caches its
@@ -740,8 +742,12 @@ def op_equal(A: Operator, B: Operator, cutoff: int = DEFAULT_CUTOFF):
     comparison (faithful on any chain); generator images (complete for
     sources without internal slots); pointwise on internal monomials up to
     `cutoff` total degree.  Verdicts from the first three tiers are exact;
-    a False from the last carries the failing basis element in the mode.
+    a True from the last, "verified-to-cutoff", is evidence, and a False
+    carries the failing basis element in the mode.  A negative `cutoff`
+    would sweep no monomial at all, so it raises ValueError.
     """
+    if cutoff < 0:
+        raise ValueError(f"cutoff must be >= 0, got {cutoff}")
     if A.src != B.src or A.dst != B.dst:
         raise ValueError("operator shape mismatch")
     diff = (A - B).normalized()
@@ -891,7 +897,7 @@ class ValidationReport:
         return f"ValidationReport(ok={self.ok}, mode={self.mode!r})"
 
 
-def validate_mbf(D: MBF, cutoff: int = DEFAULT_CUTOFF) -> ValidationReport:
+def validate_mbf(D: MBF) -> ValidationReport:
     """Check d1∘d0 = (W(a)−W(b))·id on D0 and d0∘d1 likewise on D1."""
     wdiff = w_mul(D.shape, D.w_difference())
     violations = []
@@ -901,7 +907,7 @@ def validate_mbf(D: MBF, cutoff: int = DEFAULT_CUTOFF) -> ValidationReport:
         ("d0*d1", D.d0.compose(D.d1), D.m1),
     ):
         want = Operator(mod, mod, {(i, i): (wdiff,) for i in range(mod.rank)})
-        eq, mode = op_equal(got, want, cutoff)
+        eq, mode = op_equal(got, want)
         modes.append(mode)
         if not eq:
             diff = (got - want).normalized()
@@ -996,9 +1002,9 @@ class Morphism:
             opO = Y.d0.compose(self.opO) + self.opE.compose(X.d1)
         return Morphism(X, Y, 1 + self.parity, opE, opO)
 
-    def is_closed(self, cutoff: int = DEFAULT_CUTOFF):
+    def is_closed(self):
         z = Morphism.zero(self.src, self.dst, 1 + self.parity)
-        return morphism_equal(self.delta(), z, cutoff)
+        return morphism_equal(self.delta(), z)
 
     def to_json(self):
         return {
@@ -1395,7 +1401,7 @@ def mu_relation_check(w: MultiPoly):
 # -- coherence checks --------------------------------------------------------------
 
 
-def triangle_check(X: MBF, Y: MBF, cutoff: int = DEFAULT_CUTOFF):
+def triangle_check(X: MBF, Y: MBF):
     """(id_X ⊗ λ_Y) ∘ α_{X,I,Y} = ρ_X ⊗ id_Y."""
     I = unit_for(X)
     lam_Y, _ = unit_isos(Y)
@@ -1403,22 +1409,22 @@ def triangle_check(X: MBF, Y: MBF, cutoff: int = DEFAULT_CUTOFF):
     alpha = associator(X, I, Y)
     lhs = tensor_mor(Morphism.identity(X), lam_Y).compose(alpha)
     rhs = tensor_mor(rho_X, Morphism.identity(Y))
-    eq, mode = morphism_equal(lhs, rhs, cutoff)
+    eq, mode = morphism_equal(lhs, rhs)
     return {"ok": eq, "mode": mode}
 
 
-def pentagon_check(W: MBF, X: MBF, Y: MBF, Z: MBF, cutoff: int = DEFAULT_CUTOFF):
+def pentagon_check(W: MBF, X: MBF, Y: MBF, Z: MBF):
     lhs = associator(W, X, tensor_obj(Y, Z)).compose(associator(tensor_obj(W, X), Y, Z))
     rhs = (
         tensor_mor(Morphism.identity(W), associator(X, Y, Z))
         .compose(associator(W, tensor_obj(X, Y), Z))
         .compose(tensor_mor(associator(W, X, Y), Morphism.identity(Z)))
     )
-    eq, mode = morphism_equal(lhs, rhs, cutoff)
+    eq, mode = morphism_equal(lhs, rhs)
     return {"ok": eq, "mode": mode}
 
 
-def rxa_lemma_check(d: int, cutoff: int = DEFAULT_CUTOFF, phi: MultiPoly | None = None):
+def rxa_lemma_check(d: int, phi: MultiPoly | None = None):
     """The three divided-transfer identities on a 3-slot chain."""
     shape = SlotShape(3, 1, d)
     ring = shape.ring()
@@ -1430,9 +1436,9 @@ def rxa_lemma_check(d: int, cutoff: int = DEFAULT_CUTOFF, phi: MultiPoly | None 
     transfer = single(w_transfer(shape, "x1", "a"))
     ident = Operator.identity(mod)
     report = {}
-    eq, mode = op_equal(td.compose(mul_ax), ident.scale(-1), cutoff)
+    eq, mode = op_equal(td.compose(mul_ax), ident.scale(-1))
     report["i"] = {"ok": eq, "mode": mode}
-    eq, mode = op_equal(mul_ax.compose(td), transfer - ident, cutoff)
+    eq, mode = op_equal(mul_ax.compose(td), transfer - ident)
     report["ii"] = {"ok": eq, "mode": mode}
     if phi is None:
         phi = ring.p_S([1], "x1", "b") * ring.var("b") + ring.var("x1") ** 2
@@ -1442,7 +1448,7 @@ def rxa_lemma_check(d: int, cutoff: int = DEFAULT_CUTOFF, phi: MultiPoly | None 
     lhs = td.compose(mul_phi) - mul_phi.compose(td)
     dd_phi = phi.rename({"x1": "a", "a": "a"}, ring).divided_difference("a", "x1")
     rhs = single(w_transfer(shape, "x1", "a").then(w_mul(shape, dd_phi)))
-    eq, mode = op_equal(lhs, rhs, cutoff)
+    eq, mode = op_equal(lhs, rhs)
     report["iii"] = {"ok": eq, "mode": mode}
     report["ok"] = all(report[k]["ok"] for k in ("i", "ii", "iii"))
     return report

@@ -26,6 +26,7 @@ from typing import Iterable, List, Optional, Sequence, Tuple
 
 from mpmath import mp
 
+from . import VerificationError
 from ._rat import Rat
 
 DEFAULT_PREC = 128
@@ -434,7 +435,7 @@ def cft_fusing_examples(d: int, which: str, prec: int = DEFAULT_PREC):
             for i, j, kk in itertools.product(range(d), repeat=3)
         }
         if len(values) != 1:
-            raise RuntimeError(f"group-like scalars are not constant: {sorted(values)}")
+            raise VerificationError(f"group-like scalars are not constant: {sorted(values)}")
         return values.pop()
     if which == "sign":
         if d % 2 or d < 4:
@@ -447,7 +448,7 @@ def cft_fusing_examples(d: int, which: str, prec: int = DEFAULT_PREC):
             snapped = int(mp.nint(val))
             bad = abs(val - snapped) > mp.mpf("1e-10") or abs(check - snapped) > mp.mpf("1e-10")
         if bad:
-            raise RuntimeError(f"sign example failed to settle on an integer: {val}")
+            raise VerificationError(f"sign example failed to settle on an integer: {val}")
         return snapped
     if which == "twoByTwo":
         if d < 4:
@@ -465,7 +466,7 @@ def cft_fusing_examples(d: int, which: str, prec: int = DEFAULT_PREC):
                 with mp.workprec(2 * prec + _GUARD_BITS):
                     drift = abs(v - entry(p, q, 2 * prec))
                 if drift > mp.mpf("1e-12"):
-                    raise RuntimeError(f"entry ({p},{q}) drifts by {drift} under re-evaluation")
+                    raise VerificationError(f"entry ({p},{q}) drifts by {drift} under re-evaluation")
                 row.append(v)
             rows.append(tuple(row))
         return tuple(rows)

@@ -20,9 +20,10 @@ from fractions import Fraction
 
 from mpmath import mp
 
-from . import __version__
+from . import VerificationError, __version__
 from ._rat import parse_rat, rat_str
 from .bifact import (
+    DEFAULT_CUTOFF,
     Morphism,
     fermat_potential,
     homotopy_psi,
@@ -48,9 +49,7 @@ from .cft import (
 )
 from .compare import fusion_rule_compare, ratio_compare, spectrum_compare
 from .fusion import (
-    DEFAULT_CUTOFF,
     PSObject,
-    VerificationError,
     fuse,
     solve_fusing_2x2,
     verify_fusing_up_to_homotopy,
@@ -147,14 +146,14 @@ def _document(command: str, params: dict, payload: dict, ok: bool) -> dict:
 # verify monoidal
 
 
-def _run_monoidal_suite(d: int, cutoff: int):
+def _run_monoidal_suite(d: int):
     checks = []
 
     def add(name, ok, mode=""):
         checks.append({"name": name, "ok": bool(ok), "mode": mode})
 
     unit = unit_object(fermat_potential(d))
-    rep = validate_mbf(unit, cutoff)
+    rep = validate_mbf(unit)
     add("unit-object-valid", bool(rep) and rep.mode == "exact", rep.mode)
 
     uc = unit_coincidence_check(d)
@@ -166,28 +165,28 @@ def _run_monoidal_suite(d: int, cutoff: int):
         lam, rho = unit_isos(D)
         lam_i, rho_i = unit_isos_inverse(D)
         ident = Morphism.identity(D)
-        eq_l, m_l = morphism_equal(lam.compose(lam_i), ident, cutoff)
-        eq_r, m_r = morphism_equal(rho.compose(rho_i), ident, cutoff)
+        eq_l, m_l = morphism_equal(lam.compose(lam_i), ident)
+        eq_r, m_r = morphism_equal(rho.compose(rho_i), ident)
         add(f"unit-iso-roundtrip-{tag}", eq_l and eq_r, f"{m_l};{m_r}")
         for side, iso, inv in (("left", lam, lam_i), ("right", rho, rho_i)):
             psi = homotopy_psi(D, side)
             gap = inv.compose(iso) - Morphism.identity(psi.src)
-            eq, mode = morphism_equal(gap, psi.delta(), cutoff)
+            eq, mode = morphism_equal(gap, psi.delta())
             add(f"homotopy-condition-{side}-{tag}", eq, mode)
 
     P0 = ps_object(d, (0,))
     P1 = ps_object(d, (1 % d,))
     P01 = ps_object(d, (0, 1))
-    tri = triangle_check(P0, P1, cutoff)
+    tri = triangle_check(P0, P1)
     add("triangle-singletons", tri["ok"], tri["mode"])
-    tri2 = triangle_check(P01, P1, cutoff)
+    tri2 = triangle_check(P01, P1)
     add("triangle-consecutive", tri2["ok"], tri2["mode"])
-    pent = mbf_pentagon_check(P0, P1, P0, P1, cutoff)
+    pent = mbf_pentagon_check(P0, P1, P0, P1)
     add("pentagon-singletons", pent["ok"], pent["mode"])
-    pent2 = mbf_pentagon_check(P01, P0, P1, P01, cutoff)
+    pent2 = mbf_pentagon_check(P01, P0, P1, P01)
     add("pentagon-consecutive", pent2["ok"], pent2["mode"])
 
-    rxa = rxa_lemma_check(d, cutoff)
+    rxa = rxa_lemma_check(d)
     for item in ("i", "ii", "iii"):
         add(f"transfer-lemma-{item}", rxa[item]["ok"], rxa[item]["mode"])
 
@@ -197,11 +196,11 @@ def _run_monoidal_suite(d: int, cutoff: int):
 
 
 def cmd_verify(args) -> int:
-    checks = _run_monoidal_suite(args.d, args.cutoff)
+    checks = _run_monoidal_suite(args.d)
     ok = all(c["ok"] for c in checks)
     doc = _document(
         "verify monoidal",
-        {"d": args.d, "cutoff": args.cutoff},
+        {"d": args.d, "cutoff": DEFAULT_CUTOFF},
         {"checks": checks},
         ok,
     )
@@ -428,7 +427,6 @@ def build_parser() -> argparse.ArgumentParser:
     vsub = vp.add_subparsers(dest="what", required=True)
     vm = vsub.add_parser("monoidal", help="pentagon/triangle/unit-iso/homotopy suite")
     vm.add_argument("--d", type=_degree, required=True)
-    vm.add_argument("--cutoff", type=int, default=DEFAULT_CUTOFF)
     _add_out(vm)
     vm.set_defaults(func=cmd_verify)
 

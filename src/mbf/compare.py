@@ -138,20 +138,17 @@ def _label_to_set(lab) -> Tuple[int, ...]:
     return tuple(sorted((m + i) % lab.d for i in range(lab.l + 1)))
 
 
-def fusion_rule_compare(
-    d: int, verify_homotopy: bool = False, cutoff: int | None = None
-) -> dict:
+def fusion_rule_compare(d: int, verify_homotopy: bool = False) -> dict:
     """Tensor decompositions against coset fusion for all consecutive pairs.
 
     Every reduction is built with its exact validity checks on (the retract
     identity in particular); verify_homotopy additionally confirms the
-    homotopy witness for the other composite on each pair, pointwise up to
-    the cutoff (default 2d, enough for the degrees that occur).
+    homotopy witness for the other composite on each pair.  That witness
+    reaches `morphism_equal`'s pointwise sweep (evidence, not proof), run to
+    total degree 2d, as the report's `homotopy_cutoff` records.
     """
     if not 3 <= d <= 8:
         raise ValueError("supported range is 3 <= d <= 8 (runtime grows fast)")
-    if cutoff is None:
-        cutoff = 2 * d
     sets = consecutive_sets(d)
     key = lambda s: (len(s), s)
     rows = []
@@ -172,7 +169,7 @@ def fusion_rule_compare(
         }
         if verify_homotopy:
             gap = rt.incl.compose(rt.proj) - Morphism.identity(rt.original)
-            eq, mode = morphism_equal(rt.homotopy.delta(), gap, cutoff)
+            eq, mode = morphism_equal(rt.homotopy.delta(), gap, 2 * d)
             row["homotopy_witness"] = bool(eq)
             row["homotopy_mode"] = mode
             if not eq:
@@ -184,7 +181,7 @@ def fusion_rule_compare(
         "pairs": len(rows),
         "mismatches": mismatches,
         "homotopy_checked": verify_homotopy,
-        "homotopy_cutoff": cutoff if verify_homotopy else None,
+        "homotopy_cutoff": 2 * d if verify_homotopy else None,
         "witness_failures": witness_failures if verify_homotopy else None,
         "rows": rows,
         "pass": mismatches == 0 and witness_failures == 0,

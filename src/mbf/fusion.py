@@ -38,11 +38,11 @@ d = 4 every entry happens to hold on the nose).
 
 from __future__ import annotations
 
+from . import VerificationError
 from ._rat import Rat
 from .exactalg import Cyclo
 from .polycalc import MultiPoly, NotDivisibleError, PolyMatrix
 from .bifact import (
-    DEFAULT_CUTOFF,
     MBF,
     Morphism,
     Operator,
@@ -75,11 +75,6 @@ from .graded import (
 from . import linalg
 
 
-class VerificationError(ValueError):
-    """An exact check on a computed object failed: the computation, not its
-    input, is at fault (the CLI maps this to exit 1, not to a usage error)."""
-
-
 def _eta(d: int, k: int = 1) -> Cyclo:
     return Cyclo.root(d, k % d)
 
@@ -95,7 +90,7 @@ class PSObject:
             raise ValueError("S must be a proper nonempty set of residues mod d")
         self.d = d
         self.S = S
-        c0, c1 = charge_matrix_ps(d, 0, len(S) - 1)
+        c0, c1 = charge_matrix_ps(d, len(S) - 1)
         label = "P{" + ",".join(map(str, S)) + "}"
         self.underlying = GradedMBF(ps_object(d, S), c0, c1, label)
 
@@ -290,7 +285,7 @@ def _poly_ratio(p: MultiPoly, q: MultiPoly):
     return c if q * c == p else None
 
 
-def proportionality_scalar(L: Morphism, R: Morphism, cutoff: int = DEFAULT_CUTOFF):
+def proportionality_scalar(L: Morphism, R: Morphism):
     """The exact scalar c with L = c*R, plus the equality mode.
 
     "Sides not proportional" is a failed verification, so it raises
@@ -319,14 +314,13 @@ def proportionality_scalar(L: Morphism, R: Morphism, cutoff: int = DEFAULT_CUTOF
                     candidate = c
     if candidate is None:
         raise ValueError("right side vanishes on all probes")
-    eq, mode = morphism_equal(L, R.scale(candidate), cutoff)
+    eq, mode = morphism_equal(L, R.scale(candidate))
     if not eq:
         raise VerificationError(f"sides not proportional ({mode})")
     return candidate, mode
 
 
-def verify_group_like(d: int, i: int, j: int, k: int,
-                      cutoff: int = DEFAULT_CUTOFF) -> Cyclo:
+def verify_group_like(d: int, i: int, j: int, k: int) -> Cyclo:
     """Scalar relating the two bracketings of lam-composites; must be 1."""
     Pi, Pj, Pk = (ps_object(d, [t]) for t in (i, j, k))
     junction = lambda a, b: lam(d, a, b, check=False)
@@ -334,11 +328,11 @@ def verify_group_like(d: int, i: int, j: int, k: int,
             .compose(tensor_mor(Morphism.identity(Pi), junction(j, k)))
             .compose(associator(Pi, Pj, Pk)))
     right = junction((i + j) % d, k).compose(tensor_mor(junction(i, j), Morphism.identity(Pk)))
-    c, _ = proportionality_scalar(left, right, cutoff)
+    c, _ = proportionality_scalar(left, right)
     return c
 
 
-def verify_sign(d: int, cutoff: int = DEFAULT_CUTOFF) -> Cyclo:
+def verify_sign(d: int) -> Cyclo:
     """Scalar relating the two bracketings of the F pair: (-1)^{(d-2)/2}."""
     if d < 4 or d % 2:
         raise ValueError("need even d >= 4")
@@ -348,7 +342,7 @@ def verify_sign(d: int, cutoff: int = DEFAULT_CUTOFF) -> Cyclo:
             .compose(tensor_mor(Morphism.identity(A), F_r))
             .compose(associator(A, B, A)))
     right = F_r.compose(tensor_mor(F_l, Morphism.identity(A)))
-    c, _ = proportionality_scalar(left, right, cutoff)
+    c, _ = proportionality_scalar(left, right)
     return c
 
 
@@ -473,24 +467,26 @@ class ReducedTensor:
         self.proj = proj
         self.homotopy = homotopy
 
-    def validate(self, cutoff: int = DEFAULT_CUTOFF) -> dict:
+    def _exact_checks(self):
+        """The exact invariants `reduce_tensor(check=True)` enforces, lazily and
+        in that order: (report key, holds, failure message)."""
+        rep = validate_mbf(self.reduced)
+        yield ("reduced_valid", bool(rep) and rep.mode == "exact",
+               f"reduced object invalid: {rep.violations}")
+        eq, mode = morphism_equal(self.proj.compose(self.incl), Morphism.identity(self.reduced))
+        yield "proj_incl_identity", eq and mode.startswith("exact"), "proj∘incl is not the identity"
+        yield "grading_valid", graded_validate(self.reduced_graded)["ok"], "reduced grading invalid"
+
+    def validate(self) -> dict:
         """Re-run every contraction invariant; all verdicts must be true."""
-        out = {}
-        rep = validate_mbf(self.reduced, cutoff)
-        out["reduced_valid"] = bool(rep) and rep.mode == "exact"
-        eq, mode = morphism_equal(self.proj.compose(self.incl),
-                                  Morphism.identity(self.reduced), cutoff)
-        out["proj_incl_identity"] = eq and mode.startswith("exact")
-        ok_i, mode_i = self.incl.is_closed(cutoff)
-        ok_p, mode_p = self.proj.is_closed(cutoff)
+        out = {key: ok for key, ok, _ in self._exact_checks()}
+        ok_i, mode_i = self.incl.is_closed()
+        ok_p, _ = self.proj.is_closed()
         out["incl_closed"] = ok_i and mode_i.startswith("exact")
         out["proj_closed"] = bool(ok_p)
         ip = self.incl.compose(self.proj) - Morphism.identity(self.original)
-        dh = self.homotopy.delta()
-        eq_h, _ = morphism_equal(dh, ip, cutoff)
+        eq_h, _ = morphism_equal(self.homotopy.delta(), ip)
         out["homotopy_witness"] = bool(eq_h)
-        if self.reduced_graded is not None:
-            out["grading_valid"] = graded_validate(self.reduced_graded)["ok"]
         out["ok"] = all(out.values())
         return out
 
@@ -608,14 +604,9 @@ def reduce_tensor(A, B, check: bool = True) -> ReducedTensor:
 
     out = ReducedTensor(T, reduced, reduced_graded, incl, proj, homotopy)
     if check:
-        rep = validate_mbf(reduced)
-        if not rep or rep.mode != "exact":
-            raise VerificationError(f"reduced object invalid: {rep.violations}")
-        eq, mode = morphism_equal(proj.compose(incl), Morphism.identity(reduced))
-        if not eq or not mode.startswith("exact"):
-            raise VerificationError("proj∘incl is not the identity")
-        if not graded_validate(reduced_graded)["ok"]:
-            raise VerificationError("reduced grading invalid")
+        for _, ok, message in out._exact_checks():
+            if not ok:
+                raise VerificationError(message)
     return out
 
 
@@ -816,7 +807,7 @@ def verify_fusing_up_to_homotopy(d: int, perturb=None) -> FusingReport:
         F[r][c] = F[r][c] + Cyclo.one(d)
     _, P, L1, L2, X, Y = _fusing_composites(d, check=False)
 
-    c0, c1 = charge_matrix_ps(d, 0, 1)
+    c0, c1 = charge_matrix_ps(d, 1)
     gP = GradedMBF(P, c0, c1, "P{0,1}")
     r1 = reduce_tensor(gP, gP)
     r2 = reduce_tensor(r1.reduced_graded, gP)

@@ -64,8 +64,8 @@ class GradedMBF:
         return f"GradedMBF({self.label or 'object'}, c0={self.charges0}, c1={self.charges1})"
 
 
-def charge_matrix_ps(d: int, i: int, j: int):
-    """Charge vectors of P_{{i,...,i+j}}: independent of the offset i."""
+def charge_matrix_ps(d: int, j: int):
+    """Charge vectors of P_{{i,...,i+j}}, which do not depend on the offset i."""
     if j < 0 or j > d - 2:
         raise ValueError("need 0 <= j <= d-2 for a proper consecutive set")
     return (Rat(-j, 2),), (Rat(j - d + 2, 2),)
@@ -73,7 +73,7 @@ def charge_matrix_ps(d: int, i: int, j: int):
 
 def graded_ps(d: int, i: int, j: int) -> GradedMBF:
     S = [(i + t) % d for t in range(j + 1)]
-    c0, c1 = charge_matrix_ps(d, i, j)
+    c0, c1 = charge_matrix_ps(d, j)
     label = "P{" + ",".join(str(s) for s in sorted(S)) + "}"
     return GradedMBF(ps_object(d, S), c0, c1, label)
 

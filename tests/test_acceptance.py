@@ -170,7 +170,7 @@ def test_criterion_05_unit_endomorphisms(capsys):
 def test_criterion_06_monoidal_coherence(capsys):
     t0 = time.time()
     for d in (3, 4, 5):
-        checks = _run_monoidal_suite(d, 30)
+        checks = _run_monoidal_suite(d)
         assert all(c["ok"] for c in checks), [c for c in checks if not c["ok"]]
         objs = {"P0": ps_object(d, (0,)), "P1": ps_object(d, (1,)),
                 "P01": ps_object(d, (0, 1))}

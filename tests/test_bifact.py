@@ -35,6 +35,7 @@ from mbf.bifact import (
     unit_object,
     validate_mbf,
     w_mul,
+    w_transfer,
     Word,
 )
 from mbf.exactalg import Cyclo
@@ -238,7 +239,7 @@ class TestTensorMorphism:
         psi = Morphism.from_poly_blocks(E, E, 0, [[ring.parse("b^2")]], [[ring.parse("b^2")]])
         assert psi.is_closed()[0]
         t = tensor_mor(phi, psi)
-        ok, _ = t.is_closed(cutoff=12)
+        ok, _ = t.is_closed()
         assert ok
 
 
@@ -380,8 +381,8 @@ class TestUnitIsos:
         w = ring.var("x") ** 3 + ring.var("y") ** 3
         I = unit_object(w)
         lam, rho = unit_isos(I)
-        assert lam.is_closed(cutoff=4)[0]
-        assert rho.is_closed(cutoff=4)[0]
+        assert lam.is_closed()[0]
+        assert rho.is_closed()[0]
 
 
 class TestHomotopies:
@@ -418,7 +419,7 @@ class TestHomotopies:
 class TestRxa:
     @pytest.mark.parametrize("d", [3, 4, 6])
     def test_all_items(self, d):
-        rep = rxa_lemma_check(d, cutoff=DEFAULT_CUTOFF)
+        rep = rxa_lemma_check(d)
         assert rep["ok"], rep
 
     def test_item_iii_with_ps_entry(self):
@@ -426,7 +427,7 @@ class TestRxa:
         shape = SlotShape(3, 1, 4)
         ring = shape.ring()
         phi = ring.p_S([0, 2, 3], "x1", "b")
-        rep = rxa_lemma_check(4, cutoff=DEFAULT_CUTOFF, phi=phi)
+        rep = rxa_lemma_check(4, phi=phi)
         assert rep["iii"]["ok"]
 
 
@@ -475,6 +476,19 @@ class TestOperatorEquality:
         b = Operator(D.m0, D.m0, {(0, 0): [w_mul(D.shape, ring.var("b"))]})
         eq, mode = op_equal(a, b)
         assert not eq and mode in ("exact-multiplier", "exact-structural")
+
+    def test_sweep_degree_must_be_nonnegative(self):
+        # a 3-slot difference that only the pointwise sweep settles; a negative
+        # degree would sweep no monomial at all and call it equal
+        shape = SlotShape(3, 1, 4)
+        mod = FreeBimod(shape, 1)
+        transfer = Operator(mod, mod, {(0, 0): (w_transfer(shape, "x1", "a"),)})
+        zero = Operator(mod, mod)
+        with pytest.raises(ValueError, match="cutoff"):
+            op_equal(transfer, zero, cutoff=-1)
+        # the constant monomial already tells them apart
+        assert op_equal(transfer, zero, cutoff=0) == (
+            False, "counterexample at copy 0, monomial {'x1': 0}")
 
     def test_lift_shapes(self):
         D = ps_object(3, [0])

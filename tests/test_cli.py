@@ -5,7 +5,7 @@ import json
 import pytest
 from hypothesis import HealthCheck, assume, given, settings, strategies as st
 
-from mbf import __version__, cli, fusion
+from mbf import __version__, cft, cli, fusion
 from mbf._rat import Rat
 from mbf.cli import main, parse_set
 
@@ -49,11 +49,13 @@ class TestSetSyntax:
         ["cft", "sixj", "--k", "-1"],
         ["compare", "fusion", "--d", "4", "--tol", "1e-3"],
         ["fusing", "--d", "4", "--cutoff", "8"],
+        ["verify", "monoidal", "--d", "3", "--cutoff", "8"],
         ["cft", "fusing", "--d", "4", "--precision", "0"],
         ["cft", "fusing", "--d", "4", "--precision", "52"],
     ],
     ids=["d-zero", "charge-zero-denominator", "negative-k", "removed-tol",
-         "removed-cutoff", "precision-zero", "precision-below-double"],
+         "removed-cutoff", "removed-monoidal-cutoff", "precision-zero",
+         "precision-below-double"],
 )
 def test_bad_arguments_are_usage_errors(capsys, argv):
     with pytest.raises(SystemExit) as exc:
@@ -73,6 +75,18 @@ def test_failed_verification_exits_one(capsys, monkeypatch):
     assert "Traceback" not in captured.err
     assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
     assert "A1: charge" in captured.err
+
+
+def test_failed_numeric_self_check_exits_one(capsys, monkeypatch):
+    # group-like scalars that differ refute the numeric computation, as in
+    # the exact checks above: exit 1 with one error line
+    monkeypatch.setattr(cft, "u1_data", lambda N, kind, r, s, t, **kw: 1 + r)
+    code = main(["cft", "fusing", "--d", "5"])
+    captured = capsys.readouterr()
+    assert code == 1 and captured.out == ""
+    assert "Traceback" not in captured.err
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+    assert "group-like scalars are not constant" in captured.err
 
 
 def _not_proportional(d, left, right, check):
@@ -121,7 +135,7 @@ def test_failed_decomposition_checks_exit_one(capsys, monkeypatch, target, name,
 
 # each subcommand with the flags it takes; the argv test draws mostly these
 _COMMANDS = {
-    ("verify", "monoidal"): ["--d", "--cutoff"],
+    ("verify", "monoidal"): ["--d"],
     ("fusing",): ["--d", "--verify-homotopy"],
     ("hom",): ["--d", "--source", "--target", "--charge", "--all"],
     ("fuse",): ["--d", "--left", "--right"],

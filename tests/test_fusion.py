@@ -3,10 +3,12 @@ import math
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from mbf import fusion
 from mbf.exactalg import Cyclo
 from mbf.bifact import (
     Morphism,
     Operator,
+    ValidationReport,
     fermat_potential,
     mbf_from_polys,
     morphism_equal,
@@ -253,6 +255,27 @@ class TestReduceTensor:
             "grading_valid": True,
             "ok": True,
         }
+
+    @pytest.mark.parametrize(
+        "name,replacement,message,key",
+        [
+            ("validate_mbf", lambda D: ValidationReport(False, "exact", ["v"]),
+             "reduced object invalid: ['v']", "reduced_valid"),
+            ("graded_validate", lambda g: {"ok": False}, "reduced grading invalid",
+             "grading_valid"),
+        ],
+        ids=["reduced-object", "grading"],
+    )
+    def test_failed_check_raises_and_is_reported(self, monkeypatch, name, replacement,
+                                                 message, key):
+        # reduce_tensor(check=True) and validate read the same checks
+        monkeypatch.setattr(fusion, name, replacement)
+        with pytest.raises(VerificationError) as exc:
+            reduce_tensor(PSObject(4, [0]), PSObject(4, [1]))
+        assert str(exc.value) == message
+        report = reduce_tensor(PSObject(4, [0]), PSObject(4, [1]), check=False).validate()
+        assert not report[key] and not report["ok"]
+        assert report["proj_incl_identity"] and report["homotopy_witness"]
 
     def test_reduced_grading_valid(self):
         rt = reduce_tensor(PSObject(6, (0, 1, 2)), PSObject(6, (2, 3)))

@@ -32,12 +32,12 @@ class TestChargeMatrix:
     def test_unit_charges(self):
         # j=0: generator charges (0, (2-d)/2)
         for d in (3, 4, 7):
-            c0, c1 = charge_matrix_ps(d, 0, 0)
+            c0, c1 = charge_matrix_ps(d, 0)
             assert c0 == (Rat(0),)
             assert c1 == (Rat(2 - d, 2),)
 
     def test_d4_pair(self):
-        assert charge_matrix_ps(4, 0, 1) == ((Rat(-1, 2),), (Rat(-1, 2),))
+        assert charge_matrix_ps(4, 1) == ((Rat(-1, 2),), (Rat(-1, 2),))
 
     @pytest.mark.parametrize("d", [3, 5, 8])
     def test_offset_independent(self, d):
@@ -50,7 +50,7 @@ class TestChargeMatrix:
 
     def test_range_guard(self):
         with pytest.raises(ValueError):
-            charge_matrix_ps(4, 0, 3)
+            charge_matrix_ps(4, 3)
 
 
 class TestGradedValidate:
