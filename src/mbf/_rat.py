@@ -1,8 +1,7 @@
 """Arbitrary-precision rationals: ``Rat`` is ``fractions.Fraction``.
 
 Rat is used only at the edges of the exact side: parsing and printing
-coefficients, the coefficient view ``Cyclo.coeffs``, the Euclidean algorithm
-behind ``Cyclo.inverse`` and R-charges.  ``Cyclo`` arithmetic itself runs on
+coefficients, the coefficient view ``Cyclo.coeffs`` and R-charges.  ``Cyclo`` arithmetic itself runs on
 Python ints over a common denominator (see ``exactalg``).
 """
 

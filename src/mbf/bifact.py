@@ -29,6 +29,7 @@ from __future__ import annotations
 
 from types import MappingProxyType
 
+from ._rat import Rat
 from .exactalg import Cyclo
 from .polycalc import MultiPoly, PolyMatrix, Ring
 
@@ -182,9 +183,6 @@ class PMul:
     def lift(self, left: int, right: int, asrc: SlotShape, adst: SlotShape) -> "PMul":
         return PMul(asrc, self.poly.rename(_embed_names(self.shape, asrc, left), asrc.ring()))
 
-    def describe(self):
-        return {"kind": "mul", "poly": str(self.poly)}
-
 
 class PSubst:
     """Ring map var -> scalar * var between slot rings.
@@ -254,12 +252,6 @@ class PSubst:
                 m[sv] = (one, dv)
         return PSubst(asrc, adst, m)
 
-    def describe(self):
-        return {
-            "kind": "subst",
-            "map": {v: [str(c), w] for v, (c, w) in sorted(self.mapping.items())},
-        }
-
 
 class PTDiv:
     """Divided transfer: p ↦ (p − p[v1→v2]) / (v1 − v2), shape preserved."""
@@ -285,9 +277,6 @@ class PTDiv:
     def lift(self, left, right, asrc, adst):
         emb = _embed_names(self.shape, asrc, left)
         return PTDiv(asrc, emb[self.v1], emb[self.v2])
-
-    def describe(self):
-        return {"kind": "tdiv", "from": self.v1, "into": self.v2}
 
 
 class PQuo:
@@ -321,9 +310,6 @@ class PQuo:
     def lift(self, left, right, asrc, adst):
         emb = _embed_names(self.shape, asrc, left)
         return PQuo(asrc, self.modulus.rename(emb, asrc.ring()), emb[self.var], self.part)
-
-    def describe(self):
-        return {"kind": self.part, "modulus": str(self.modulus), "var": self.var}
 
 
 class PCoeff:
@@ -371,9 +357,6 @@ class PCoeff:
     def lift(self, left, right, asrc, adst):
         emb = _embed_names(self.shape, asrc, left)
         return PCoeff(asrc, emb[self.var], self.k)
-
-    def describe(self):
-        return {"kind": "coeff", "var": self.var, "power": self.k}
 
 
 # -- words -------------------------------------------------------------------
@@ -465,11 +448,8 @@ class Word:
             prims.append(prim.lift(left, right, ps, pd))
         return Word(self.coeff, tuple(prims), asrc, adst)
 
-    def describe(self):
-        return {"coeff": str(self.coeff), "word": [p.describe() for p in self.prims]}
-
     def __repr__(self):
-        inner = "∘".join(p.describe()["kind"] for p in reversed(self.prims)) or "id"
+        inner = "∘".join(p.signature()[0] for p in reversed(self.prims)) or "id"
         return f"({self.coeff})*{inner}"
 
 
@@ -680,15 +660,6 @@ class Operator:
             rows[i][j] = p
         return PolyMatrix._raw(ring, rows)
 
-    def to_json(self):
-        return {
-            "src": {"slots": self.src.shape.nslots, "rank": self.src.rank},
-            "dst": {"slots": self.dst.shape.nslots, "rank": self.dst.rank},
-            "entries": [
-                [[w.describe() for w in self.cells.get((i, j), ())] for j in range(self.src.rank)]
-            for i in range(self.dst.rank)],
-        }
-
 
 def _normal_words(words) -> list:
     """One cell of `Operator.normalized`: the normal form of every word, with
@@ -820,22 +791,34 @@ def _block_operator(src: FreeBimod, dst: FreeBimod, blocks, col_mods, row_mods) 
 
 
 class MBF:
-    """Matrix bi-factorisation: two modules, two differentials, a potential."""
+    """Matrix bi-factorisation: two modules, two differentials, a potential.
 
-    __slots__ = ("m0", "m1", "d0", "d1", "w", "_tcache")
+    `grading` is None or the pair (charges of the D0 copies, charges of the
+    D1 copies): exact R-charges in units of q_x = 2/d (see `graded`).  Only
+    the x^d family is graded; `charges` raises ValueError on other objects.
+    """
 
-    def __init__(self, m0: FreeBimod, m1: FreeBimod, d0: Operator, d1: Operator, w: MultiPoly):
+    __slots__ = ("m0", "m1", "d0", "d1", "w", "grading", "_tcache")
+
+    def __init__(self, m0: FreeBimod, m1: FreeBimod, d0: Operator, d1: Operator, w: MultiPoly,
+                 grading=None):
         if m0.shape != m1.shape:
             raise ValueError("component modules must share the slot shape")
         if d0.src != m0 or d0.dst != m1 or d1.src != m1 or d1.dst != m0:
             raise ValueError("differential endpoints inconsistent")
         if len(w.ring.vars) != m0.shape.nvars:
             raise ValueError("potential variable count mismatch")
+        if grading is not None:
+            c0, c1 = grading
+            if len(c0) != m0.rank or len(c1) != m1.rank:
+                raise ValueError("charge vector length does not match rank")
+            grading = (tuple(Rat(c) for c in c0), tuple(Rat(c) for c in c1))
         self.m0 = m0
         self.m1 = m1
         self.d0 = d0
         self.d1 = d1
         self.w = w
+        self.grading = grading
         self._tcache = {}
 
     @property
@@ -854,20 +837,15 @@ class MBF:
     def differential_from(self, parity: int) -> Operator:
         return self.d0 if parity % 2 == 0 else self.d1
 
-    def to_json(self):
-        return {
-            "slots": self.shape.nslots,
-            "nvars": self.shape.nvars,
-            "conductor": self.shape.conductor,
-            "rank0": self.m0.rank,
-            "rank1": self.m1.rank,
-            "potential": str(self.w),
-            "d0": self.d0.to_json()["entries"],
-            "d1": self.d1.to_json()["entries"],
-        }
+    def charges(self, parity: int) -> tuple:
+        """R-charges of the copies of component `parity`."""
+        if self.grading is None:
+            raise ValueError("object carries no R-charge grading")
+        return self.grading[parity % 2]
 
 
-def mbf_from_polys(shape: SlotShape, d0_entries, d1_entries, w: MultiPoly) -> MBF:
+def mbf_from_polys(shape: SlotShape, d0_entries, d1_entries, w: MultiPoly,
+                   grading=None) -> MBF:
     ring = shape.ring()
     pm0 = PolyMatrix(ring, d0_entries)
     pm1 = PolyMatrix(ring, d1_entries)
@@ -876,7 +854,7 @@ def mbf_from_polys(shape: SlotShape, d0_entries, d1_entries, w: MultiPoly) -> MB
     if pm1.rows != m0.rank or pm1.cols != m1.rank:
         raise ValueError("d0/d1 shapes inconsistent")
     return MBF(m0, m1, Operator.from_poly_matrix(m0, m1, pm0),
-               Operator.from_poly_matrix(m1, m0, pm1), w)
+               Operator.from_poly_matrix(m1, m0, pm1), w, grading)
 
 
 class ValidationReport:
@@ -1006,13 +984,6 @@ class Morphism:
         z = Morphism.zero(self.src, self.dst, 1 + self.parity)
         return morphism_equal(self.delta(), z)
 
-    def to_json(self):
-        return {
-            "parity": "even" if self.parity == 0 else "odd",
-            "from_even": self.opE.to_json()["entries"],
-            "from_odd": self.opO.to_json()["entries"],
-        }
-
 
 def morphism_equal(f: Morphism, g: Morphism, cutoff: int = DEFAULT_CUTOFF):
     if f.parity != g.parity:
@@ -1048,7 +1019,10 @@ def _tensor(X: MBF, Y: MBF, glue: bool) -> MBF:
     """X ⊗ Y with the derivation-style signs d_X ⊗ 1 + (−1)^i 1 ⊗ d_Y on X_i.
 
     A source block X_i Y_j maps by d_X to X_{1−i} Y_j and by d_Y to X_i Y_{1−j};
-    blocks are ordered as in _tensor_blocks.  `glue` is passed to _kron.
+    blocks are ordered as in _tensor_blocks, and within a block the copy of
+    X_i ⊗ Y_j is X-major (as _kron places it).  If both factors are graded,
+    a copy's charge is the sum of its factors' charges.  `glue` is passed to
+    _kron.
     """
     shape = X.shape.glue(Y.shape) if glue else X.shape
     r = lambda i, j: X.component(i).rank * Y.component(j).rank
@@ -1066,7 +1040,11 @@ def _tensor(X: MBF, Y: MBF, glue: bool) -> MBF:
             mods[parity], mods[1 - parity], blocks,
             [r(i, j) for i, j in src_blocks], [r(i, j) for i, j in dst_blocks],
         ))
-    return MBF(mods[0], mods[1], diffs[0], diffs[1], X.w)
+    grading = None
+    if X.grading is not None and Y.grading is not None:
+        grading = tuple([cx + cy for i, j in _tensor_blocks(p)
+                         for cx in X.charges(i) for cy in Y.charges(j)] for p in (0, 1))
+    return MBF(mods[0], mods[1], diffs[0], diffs[1], X.w, grading)
 
 
 def tensor_obj(X: MBF, Y: MBF) -> MBF:
@@ -1158,19 +1136,32 @@ def fermat_potential(d: int) -> MultiPoly:
     return ring.var("t") ** d
 
 
+def charge_matrix_ps(d: int, j: int):
+    """Charge vectors of P_S with |S| = j + 1, in q_x units.
+
+    They depend only on |S|: p_{S^c} has degree d - 1 - j and p_S degree
+    j + 1, and both differentials must carry charge d/2.
+    """
+    if j < 0 or j > d - 2:
+        raise ValueError("need 0 <= j <= d-2 for a proper residue set")
+    return (Rat(-j, 2),), (Rat(j - d + 2, 2),)
+
+
 def ps_object(d: int, S) -> MBF:
-    """P_S = (R⊗R, R⊗R, p_{S^c}, p_S) for W = x^d."""
+    """P_S = (R⊗R, R⊗R, p_{S^c}, p_S) for W = x^d, graded."""
     S = sorted(set(i % d for i in S))
     if not S or len(S) == d:
         raise ValueError("S must be a proper nonempty residue set")
     shape = SlotShape(2, 1, d)
     ring = shape.ring()
     Sc = [i for i in range(d) if i not in S]
-    return mbf_from_polys(shape, [[ring.p_S(Sc)]], [[ring.p_S(S)]], fermat_potential(d))
+    return mbf_from_polys(shape, [[ring.p_S(Sc)]], [[ring.p_S(S)]], fermat_potential(d),
+                          charge_matrix_ps(d, len(S) - 1))
 
 
 def twist_object(D: MBF, m: int, n: int) -> MBF:
-    """Substitute a → η^{−m} a, b → η^{−n} b in the differentials (W = x^d)."""
+    """Substitute a → η^{−m} a, b → η^{−n} b in the differentials (W = x^d);
+    the charges are kept."""
     pm0 = D.d0.pure_mul_matrix()
     pm1 = D.d1.pure_mul_matrix()
     if pm0 is None or pm1 is None:
@@ -1186,7 +1177,7 @@ def twist_object(D: MBF, m: int, n: int) -> MBF:
         D.m0, D.m1,
         Operator.from_poly_matrix(D.m0, D.m1, pm0.map(sub)),
         Operator.from_poly_matrix(D.m1, D.m0, pm1.map(sub)),
-        D.w,
+        D.w, D.grading,
     )
 
 
@@ -1218,9 +1209,11 @@ def tensor_prime(X: MBF, Y: MBF) -> MBF:
 def unit_object(w: MultiPoly) -> MBF:
     """The identity defect for the potential w (any number of variables).
 
-    One variable: rank-1 pair with the divided difference and a−b.  Several
-    variables: the left-bracketed junction-free product of the per-variable
-    difference-quotient factorisations.
+    One variable: rank-1 pair with the divided difference and a−b; for
+    t^d, with d the conductor, these are the differentials of P_{0} and the
+    object is graded like it.  Several variables: the left-bracketed
+    junction-free product of the per-variable difference-quotient
+    factorisations, ungraded.
     """
     if w.total_degree() < 2:
         raise ValueError("potential must have degree at least 2")
@@ -1228,6 +1221,9 @@ def unit_object(w: MultiPoly) -> MBF:
     shape = SlotShape(2, N, w.ring.conductor)
     ring = shape.ring()
     a_names, b_names = shape.left_names(), shape.right_names()
+    grading = None
+    if w.terms == {(shape.conductor,): shape.one()}:  # t^d
+        grading = charge_matrix_ps(shape.conductor, 0)
     factors = []
     for i in range(N):
         assign = {
@@ -1236,7 +1232,7 @@ def unit_object(w: MultiPoly) -> MBF:
         head = w.substitute(assign)
         delta_i = head.divided_difference(a_names[i], b_names[i])
         lin = ring.var(a_names[i]) - ring.var(b_names[i])
-        factors.append(mbf_from_polys(shape, [[delta_i]], [[lin]], w))
+        factors.append(mbf_from_polys(shape, [[delta_i]], [[lin]], w, grading))
     out = factors[0]
     for F in factors[1:]:
         out = tensor_prime(out, F)
@@ -1299,45 +1295,30 @@ def unit_isos_inverse(D: MBF):
     def dd_from_b(p):  # (p(a,x1) − p(a,b)) / (x1 − b)
         return lift(p).rename({"b": "x1"}, ring3).divided_difference("x1", "b")
 
-    def stack(top_mod, bot_mod, src_mod, corr, sign=1):
-        # [insert; ±corr∘insert] into the two blocks of a tensor parity part
-        dst = FreeBimod(ID.shape, top_mod.rank + bot_mod.rank)
-        cells = {(c, c): (ins,) for c in range(src_mod.rank)}
-        for i in range(bot_mod.rank):
-            for j in range(src_mod.rank):
-                p = corr[i][j]
-                if not p.is_zero():
-                    cells[top_mod.rank + i, j] = (ins.then(w_mul(ID.shape, p)).scaled(
-                        Cyclo.from_rat(ID.shape.conductor, sign)),)
-        return Operator(src_mod, dst, cells)
-
     r0, r1 = D.m0.rank, D.m1.rank
+    minus = Cyclo.from_rat(D.shape.conductor, -1)
+
+    def leg(src_mod, corr, diag_at, corr_at, negate=False):
+        # insert on the diagonal of the block at row diag_at and ±corr∘insert
+        # in the block at row corr_at of a tensor parity part (ID and DI
+        # share the 3-slot shape)
+        cells = {(diag_at + c, c): (ins,) for c in range(src_mod.rank)}
+        for i, row in enumerate(corr):
+            for j, p in enumerate(row):
+                if not p.is_zero():
+                    w = ins.then(w_mul(ID.shape, p))
+                    cells[corr_at + i, j] = (w.scaled(minus) if negate else w,)
+        return Operator(src_mod, FreeBimod(ID.shape, r0 + r1), cells)
+
     q0 = [[dd_into_x(pm0[i, j]) for j in range(r0)] for i in range(r1)]
     q1 = [[dd_into_x(pm1[i, j]) for j in range(r1)] for i in range(r0)]
-    lam_inv = Morphism(
-        D, ID, 0,
-        stack(FreeBimod(ID.shape, r0), FreeBimod(ID.shape, r1), D.m0, q0),
-        _swap_stack(ID, D.m1, r0, r1, q1, ins),
-    )
+    # even part into (I0 D0, I1 D1), odd part into (I1 D0, I0 D1)
+    lam_inv = Morphism(D, ID, 0, leg(D.m0, q0, 0, r0), leg(D.m1, q1, r0, 0))
     s0 = [[dd_from_b(pm0[i, j]) for j in range(r0)] for i in range(r1)]
     s1 = [[dd_from_b(pm1[i, j]) for j in range(r1)] for i in range(r0)]
-    rho_inv = Morphism(
-        D, DI, 0,
-        stack(FreeBimod(DI.shape, r0), FreeBimod(DI.shape, r1), D.m0, s0),
-        stack(FreeBimod(DI.shape, r1), FreeBimod(DI.shape, r0), D.m1, s1, sign=-1),
-    )
+    # even part into (D0 I0, D1 I1), odd part into (D1 I0, D0 I1)
+    rho_inv = Morphism(D, DI, 0, leg(D.m0, s0, 0, r0), leg(D.m1, s1, 0, r1, negate=True))
     return lam_inv, rho_inv
-
-
-def _swap_stack(ID, src_mod, r0, r1, corr, ins):
-    # odd part of λ⁻¹: [corr∘insert; insert] into (I1 D0, I0 D1)
-    cells = {(r0 + c, c): (ins,) for c in range(src_mod.rank)}
-    for i in range(r0):
-        for j in range(src_mod.rank):
-            p = corr[i][j]
-            if not p.is_zero():
-                cells[i, j] = (ins.then(w_mul(ID.shape, p)),)
-    return Operator(src_mod, FreeBimod(ID.shape, r0 + r1), cells)
 
 
 def homotopy_psi(D: MBF, side: str) -> Morphism:

@@ -48,12 +48,7 @@ from .cft import (
     sixj,
 )
 from .compare import fusion_rule_compare, ratio_compare, spectrum_compare
-from .fusion import (
-    PSObject,
-    fuse,
-    solve_fusing_2x2,
-    verify_fusing_up_to_homotopy,
-)
+from .fusion import fuse, solve_fusing_2x2, verify_fusing_up_to_homotopy
 from .graded import hom_space, zero_charge_structure_check
 
 EXIT_OK = 0
@@ -233,11 +228,7 @@ def cmd_hom(args) -> int:
     source = parse_set(args.source, args.d)
     target = parse_set(args.target, args.d)
     charge = "all" if args.all or args.charge is None else args.charge
-    hs = hom_space(
-        PSObject(args.d, source).underlying,
-        PSObject(args.d, target).underlying,
-        charge=charge,
-    )
+    hs = hom_space(ps_object(args.d, source), ps_object(args.d, target), charge=charge)
     doc = _document(
         "hom",
         {

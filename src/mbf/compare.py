@@ -30,7 +30,7 @@ from typing import List, Tuple
 from mpmath import mp
 
 from ._rat import rat_str
-from .bifact import Morphism, morphism_equal
+from .bifact import Morphism, morphism_equal, ps_object
 from .cft import (
     DEFAULT_PREC,
     cft_fusing_examples,
@@ -40,7 +40,7 @@ from .cft import (
     mm_fuse,
     mm_normalize,
 )
-from .fusion import PSObject, fuse, solve_fusing_2x2
+from .fusion import fuse, solve_fusing_2x2
 from .graded import hom_space
 
 
@@ -89,9 +89,7 @@ def spectrum_compare(d: int, u: int) -> dict:
     every cohomology sector charge with multiplicity, the coset side sums the
     chiral charges of each spectrum pair.
     """
-    src = PSObject(d, (0,))
-    tgt = PSObject(d, tuple(range(u + 1)))
-    hs = hom_space(src.underlying, tgt.underlying)
+    hs = hom_space(ps_object(d, (0,)), ps_object(d, range(u + 1)))
     lg_charges = sorted(
         itertools.chain.from_iterable([s.charge] * s.dim for s in hs.sectors)
     )

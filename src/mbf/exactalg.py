@@ -12,8 +12,9 @@ modulo Phi_n never leaves the integers.
 The form is canonical: ``gcd(den, *num) == 1``, and zero is
 ``((0,) * phi(n), 1)``.  Equal values therefore have equal ``(n, den, num)``,
 which is what ``==`` and ``hash`` compare.  Rationals (``_rat.Rat``) appear
-only at the edges: the constructor, ``coeffs``, printing, JSON and the field
-inverse, whose Euclidean algorithm runs over Q.
+only at the edges: the constructor, ``coeffs``, printing and JSON.  The field
+inverse is integral too: the product of the other Galois conjugates over the
+norm.
 
 Values are immutable; all operations return fresh objects, so sharing across
 threads is safe.  The Phi_n caches are filled idempotently (recomputation
@@ -23,7 +24,8 @@ yields the identical value), which is harmless under concurrent first use.
 from __future__ import annotations
 
 import math
-from operator import add, sub
+from functools import reduce
+from operator import add, mul, sub
 
 import mpmath
 
@@ -45,20 +47,18 @@ def _poly_trim(c: list) -> list:
 
 
 def _poly_divmod(num: list, den: list) -> tuple[list, list]:
-    # Dense long division; den must be non-zero.  A monic den keeps integer
-    # input integral, otherwise the coefficients must be Rat.
+    # Dense long division by a monic den (every caller divides by a Phi_d),
+    # so integer input stays integral.
     num = list(num)
     dn = len(den) - 1
-    lead = den[-1]
     q = [0] * max(0, len(num) - dn)
     for i in range(len(num) - 1, dn - 1, -1):
         c = num[i]
         if c == 0:
             continue
-        f = c if lead == 1 else c / lead
-        q[i - dn] = f
+        q[i - dn] = c
         for j, d in enumerate(den):
-            num[i - dn + j] -= f * d
+            num[i - dn + j] -= c * d
     return _poly_trim(q), _poly_trim(num)
 
 
@@ -272,35 +272,30 @@ class Cyclo:
     __rmul__ = __mul__
 
     def inverse(self) -> "Cyclo":
-        """Field inverse via the extended Euclidean algorithm against Phi_n."""
+        """Field inverse: the product of the other Galois conjugates over the norm.
+
+        With x = N/den and sigma_j the automorphism t -> t^j (gcd(j, n) = 1),
+        N * prod_{j != 1} sigma_j(N) is the norm of N, a non-zero integer, so
+        1/x = den * prod_{j != 1} sigma_j(N) / norm, all in integers.
+        """
         if self.is_zero():
             raise ZeroDivisionError("inverse of zero in Q(zeta_n)")
-        num, den = self.num, self.den
+        n, num, den = self.n, self.num, self.den
         if not any(num[1:]):
             sign = -1 if num[0] < 0 else 1
-            return _raw(self.n, (sign * den,) + num[1:], sign * num[0])
-        # 1/(N/den) = den * N^{-1}; Euclid over Q on the integer polynomial N
-        # invariants: s0*N + t0*Phi = r0, s1*N + t1*Phi = r1 (t's untracked)
-        r0 = [Rat(c) for c in cyclotomic_poly(self.n)]
-        r1 = _poly_trim([Rat(c) for c in num])
-        s0, s1 = [], [Rat(1)]
-        while len(r1) > 1:
-            q, rem = _poly_divmod(r0, r1)
-            r0, r1 = r1, rem
-            qs1 = [0] * (len(q) + len(s1) - 1) if q and s1 else []
-            for i, cq in enumerate(q):
-                for j, cs in enumerate(s1):
-                    qs1[i + j] += cq * cs
-            new_s = [0] * max(len(s0), len(qs1))
-            for i, c in enumerate(s0):
-                new_s[i] += c
-            for i, c in enumerate(qs1):
-                new_s[i] -= c
-            s0, s1 = s1, _poly_trim(new_s)
-        if not r1:
-            raise ZeroDivisionError("element not invertible (zero divisor?)")
-        lead = r1[0]
-        return Cyclo(self.n, [c * den / lead for c in s1])
+            return _raw(n, (sign * den,) + num[1:], sign * num[0])
+        conjugates = []
+        for j in range(2, n):
+            if math.gcd(j, n) == 1:
+                ints = [0] * n
+                for i, c in enumerate(num):
+                    ints[i * j % n] += c
+                conjugates.append(_from_ints(n, ints, 1))
+        others = reduce(mul, conjugates)
+        norm = (_raw(n, num, 1) * others).num[0]
+        if norm < 0:
+            norm, den = -norm, -den
+        return _normalized(n, tuple(c * den for c in others.num), norm)
 
     def __truediv__(self, other):
         o = self._coerce(other)

@@ -4,14 +4,16 @@ Everything in this module lives over the family of rank-(1,1) defects
 P_S = (p_{S^c}, p_S) with S a proper subset of residues mod d.  It provides
 
 * the explicit junction morphisms between such defects, each built from
-  slot words and checked to be delta-closed and of charge zero: the
+  slot words and checked to be delta-closed and of charge zero against the
+  charges of its endpoints (`bifact.ps_object` grades every P_S): the
   group-like family `lam` and the sign pair `f_pair` (functions of d alone),
   and in `Junctions` the six one-to-many junctions ``A[1]`` .. ``A[6]``;
 * extraction of the exact 2x2 fusing matrix from the one-to-many junction
   relations (`solve_fusing_2x2`), plus homotopy verification of the entries
   that do not hold on the nose (`verify_fusing_up_to_homotopy`);
 * finite-rank contraction of a tensor product with a rank-(1,1) right
-  factor (`reduce_tensor`), with inclusion/projection/homotopy data;
+  factor (`reduce_tensor`), with inclusion/projection/homotopy data and the
+  grading of the reduced object;
 * decomposition of a finite-rank two-slot factorisation into P_S summands
   (`decompose_into_PS`).
 
@@ -39,7 +41,6 @@ d = 4 every entry happens to hold on the nose).
 from __future__ import annotations
 
 from . import VerificationError
-from ._rat import Rat
 from .exactalg import Cyclo
 from .polycalc import MultiPoly, NotDivisibleError, PolyMatrix
 from .bifact import (
@@ -63,15 +64,7 @@ from .bifact import (
     w_quo,
     w_rem,
 )
-from .graded import (
-    GradedMBF,
-    NotHomogeneous,
-    charge_matrix_ps,
-    graded_tensor,
-    graded_validate,
-    is_null_homotopic,
-    morphism_charge,
-)
+from .graded import NotHomogeneous, graded_validate, is_null_homotopic, morphism_charge
 from . import linalg
 
 
@@ -80,33 +73,20 @@ def _eta(d: int, k: int = 1) -> Cyclo:
 
 
 class PSObject:
-    """Rank-(1,1) defect P_S for t^d: d0 = p_{S^c}, d1 = p_S, with grading."""
+    """`underlying` is `ps_object(d, S)`.  Only the benchmark's workloads
+    still build P_S through this class; everything else calls `ps_object`."""
 
-    __slots__ = ("d", "S", "underlying")
+    __slots__ = ("underlying",)
 
     def __init__(self, d: int, S):
-        S = tuple(sorted({i % d for i in S}))
-        if not S or len(S) == d:
-            raise ValueError("S must be a proper nonempty set of residues mod d")
-        self.d = d
-        self.S = S
-        c0, c1 = charge_matrix_ps(d, len(S) - 1)
-        label = "P{" + ",".join(map(str, S)) + "}"
-        self.underlying = GradedMBF(ps_object(d, S), c0, c1, label)
-
-    @property
-    def mbf(self) -> MBF:
-        return self.underlying.base
-
-    def __repr__(self):
-        return f"PSObject(d={self.d}, S={set(self.S)})"
+        self.underlying = ps_object(d, S)
 
 
-def _closed_and_chargeless(phi: Morphism, gs: GradedMBF, gt: GradedMBF, name: str):
+def _closed_and_chargeless(phi: Morphism, name: str):
     ok, mode = phi.is_closed()
     if not ok or not mode.startswith("exact"):
         raise VerificationError(f"{name}: not exactly delta-closed ({mode})")
-    q = morphism_charge(phi, gs, gt)
+    q = morphism_charge(phi)
     if q is NotHomogeneous or q != 0:
         raise VerificationError(f"{name}: charge {q!r}, expected 0")
 
@@ -124,16 +104,13 @@ def m_prime_word(d: int, j: int) -> Word:
 def lam(d: int, i: int, j: int, check: bool = True) -> Morphism:
     """The group-like junction P_i ⊗ P_j → P_{i+j}, acting by m_word(d, j)
     on the Y0 columns."""
-    gi = PSObject(d, [i]).underlying
-    gj = PSObject(d, [j]).underlying
-    gt = graded_tensor(gi, gj)
-    gk = PSObject(d, [(i + j) % d]).underlying
-    T, K = gt.base, gk.base
+    T = tensor_obj(ps_object(d, [i]), ps_object(d, [j]))
+    K = ps_object(d, [(i + j) % d])
     m = m_word(d, j)
     mor = Morphism(T, K, 0, Operator(T.m0, K.m0, {(0, 0): (m,)}),
                    Operator(T.m1, K.m1, {(0, 0): (m,)}))
     if check:
-        _closed_and_chargeless(mor, gt, gk, f"lam({i},{j})")
+        _closed_and_chargeless(mor, f"lam({i},{j})")
     return mor
 
 
@@ -142,17 +119,16 @@ def f_pair(d: int):
     and F_r : P_B ⊗ P_A → P_B, where P_A is the (d-1)-element defect and P_B
     the half-set one.  Unchecked; `Junctions` checks it."""
     h = d // 2
-    P_A = PSObject(d, [(h + 1 + t) % d for t in range(d - 1)])
-    P_B = PSObject(d, range(h))
-    TA, TB = P_A.mbf, P_B.mbf
-    TL = tensor_obj(TA, TB)
-    TR = tensor_obj(TB, TA)
+    P_A = ps_object(d, [(h + 1 + t) % d for t in range(d - 1)])
+    P_B = ps_object(d, range(h))
+    TL = tensor_obj(P_A, P_B)
+    TR = tensor_obj(P_B, P_A)
     m, mp = m_word(d, h), m_prime_word(d, h)
     sign = Cyclo.from_rat(d, (-1) ** (h - 1))
-    F_l = Morphism(TL, TB, 0, Operator(TL.m0, TB.m0, {(0, 1): (mp,)}),
-                   Operator(TL.m1, TB.m1, {(0, 0): (mp.scaled(sign),)}))
-    F_r = Morphism(TR, TB, 0, Operator(TR.m0, TB.m0, {(0, 1): (m,)}),
-                   Operator(TR.m1, TB.m1, {(0, 1): (m,)}))
+    F_l = Morphism(TL, P_B, 0, Operator(TL.m0, P_B.m0, {(0, 1): (mp,)}),
+                   Operator(TL.m1, P_B.m1, {(0, 0): (mp.scaled(sign),)}))
+    F_r = Morphism(TR, P_B, 0, Operator(TR.m0, P_B.m0, {(0, 1): (m,)}),
+                   Operator(TR.m1, P_B.m1, {(0, 1): (m,)}))
     return P_A, P_B, F_l, F_r
 
 
@@ -184,7 +160,6 @@ class Junctions:
         self.sh3 = SlotShape(3, 1, d)
         self.J = w_insert(self.sh2, 1)
         self.A: dict = {}
-        self.A_endpoints: dict = {}
         self.P_A = self.P_B = self.F_l = self.F_r = None
         if d >= 4:
             self._build_a_collection()
@@ -244,25 +219,19 @@ class Junctions:
             num = (r42 * ring.p_S(sorted(full - set(iset)), "a", "x1")
                    - r32 * ring.p_S(sorted(full - set(jset)), "x1", "b"))
             r21 = num.exact_divide(ring.p_S(sorted(kset), "a", "b"))
-            gi = PSObject(d, iset).underlying
-            gj = PSObject(d, jset).underlying
-            gk = PSObject(d, kset).underlying
-            gt = graded_tensor(gi, gj)
-            K, T = gk.base, gt.base
+            K = ps_object(d, kset)
+            T = tensor_obj(ps_object(d, iset), ps_object(d, jset))
             legs = [{(row, 0): (self._bracket(poly),) for row, poly in enumerate(col)
                      if not poly.is_zero()} for col in ((r11, r21), (r32, r42))]
             self.A[n] = Morphism(K, T, 0, Operator(K.m0, T.m0, legs[0]),
                                  Operator(K.m1, T.m1, legs[1]))
-            self.A_endpoints[n] = (gk, gt)
 
     def check_all(self):
         for n, mor in self.A.items():
-            gk, gt = self.A_endpoints[n]
-            _closed_and_chargeless(mor, gk, gt, f"A{n}")
+            _closed_and_chargeless(mor, f"A{n}")
         if self.F_l is not None:
-            ga, gb = self.P_A.underlying, self.P_B.underlying
-            _closed_and_chargeless(self.F_l, graded_tensor(ga, gb), gb, "F_l")
-            _closed_and_chargeless(self.F_r, graded_tensor(gb, ga), gb, "F_r")
+            _closed_and_chargeless(self.F_l, "F_l")
+            _closed_and_chargeless(self.F_r, "F_r")
 
 
 # -- proportionality of composite junctions ------------------------------------
@@ -336,8 +305,7 @@ def verify_sign(d: int) -> Cyclo:
     """Scalar relating the two bracketings of the F pair: (-1)^{(d-2)/2}."""
     if d < 4 or d % 2:
         raise ValueError("need even d >= 4")
-    P_A, P_B, F_l, F_r = f_pair(d)
-    A, B = P_A.mbf, P_B.mbf
+    A, B, F_l, F_r = f_pair(d)
     left = (F_l
             .compose(tensor_mor(Morphism.identity(A), F_r))
             .compose(associator(A, B, A)))
@@ -455,14 +423,15 @@ class ReducedTensor:
     incl : reduced -> original and proj : original -> reduced satisfy
     proj∘incl = id exactly; homotopy h (odd) satisfies
     delta(h) = incl∘proj - id, so the two objects are homotopy equivalent.
+    `reduced` is graded: its copy u·x^j carries the charge of A-copy u, plus
+    that of B's even copy, plus j.
     """
 
-    __slots__ = ("original", "reduced", "reduced_graded", "incl", "proj", "homotopy")
+    __slots__ = ("original", "reduced", "incl", "proj", "homotopy")
 
-    def __init__(self, original, reduced, reduced_graded, incl, proj, homotopy):
+    def __init__(self, original, reduced, incl, proj, homotopy):
         self.original = original
         self.reduced = reduced
-        self.reduced_graded = reduced_graded
         self.incl = incl
         self.proj = proj
         self.homotopy = homotopy
@@ -475,7 +444,7 @@ class ReducedTensor:
                f"reduced object invalid: {rep.violations}")
         eq, mode = morphism_equal(self.proj.compose(self.incl), Morphism.identity(self.reduced))
         yield "proj_incl_identity", eq and mode.startswith("exact"), "proj∘incl is not the identity"
-        yield "grading_valid", graded_validate(self.reduced_graded)["ok"], "reduced grading invalid"
+        yield "grading_valid", graded_validate(self.reduced)["ok"], "reduced grading invalid"
 
     def validate(self) -> dict:
         """Re-run every contraction invariant; all verdicts must be true."""
@@ -491,23 +460,14 @@ class ReducedTensor:
         return out
 
 
-def _as_graded(obj):
-    if isinstance(obj, PSObject):
-        return obj.underlying
-    if isinstance(obj, GradedMBF):
-        return obj
-    raise TypeError("expected PSObject or GradedMBF")
-
-
-def reduce_tensor(A, B, check: bool = True) -> ReducedTensor:
-    """Contract A ⊗ B to finite rank; B must be rank (1,1).
+def reduce_tensor(Am: MBF, Bm: MBF, check: bool = True) -> ReducedTensor:
+    """Contract Am ⊗ Bm to finite rank; Bm must be rank (1,1), and both
+    factors graded.
 
     The middle slot is eliminated by division with remainder by the
     monic-in-x entry of B's d1, so the reduced generators are the A-copies
     times the x-powers below its degree.
     """
-    gA, gB = _as_graded(A), _as_graded(B)
-    Am, Bm = gA.base, gB.base
     if Am.shape.nslots != 2 or Bm.shape.nslots != 2:
         raise ValueError("factors must be 2-slot objects")
     if Bm.m0.rank != 1 or Bm.m1.rank != 1:
@@ -553,8 +513,10 @@ def reduce_tensor(A, B, check: bool = True) -> ReducedTensor:
                             rows[v * g + m][u * g + j] + cp.rename(drop, r2))
         return rows
 
+    cB = Bm.charges(0)[0]
+    grading = [[c + cB + j for c in Am.charges(p) for j in range(g)] for p in (0, 1)]
     reduced = mbf_from_polys(sh2, red_block(dA0, rA0, rA1),
-                             red_block(dA1, rA1, rA0), Am.w)
+                             red_block(dA1, rA1, rA0), Am.w, grading)
 
     ins = w_insert(sh2, 1)
 
@@ -596,13 +558,7 @@ def reduce_tensor(A, B, check: bool = True) -> ReducedTensor:
     h1 = Operator(T.m1, T.m0, {(rA0 + u, u): (w_quo(sh3, q1, "x1"),) for u in range(rA1)})
     homotopy = Morphism(T, T, 1, h0, h1)
 
-    cB = gB.charges(0)[0]
-    ch0 = tuple(gA.charges(0)[u] + cB + j for u in range(rA0) for j in range(g))
-    ch1 = tuple(gA.charges(1)[u] + cB + j for u in range(rA1) for j in range(g))
-    label = f"red({gA.label}⊗{gB.label})" if gA.label and gB.label else ""
-    reduced_graded = GradedMBF(reduced, ch0, ch1, label)
-
-    out = ReducedTensor(T, reduced, reduced_graded, incl, proj, homotopy)
+    out = ReducedTensor(T, reduced, incl, proj, homotopy)
     if check:
         for _, ok, message in out._exact_checks():
             if not ok:
@@ -700,7 +656,7 @@ def _assert_split(P, j: int, i: int, what: str):
 def decompose_into_PS(D, *, d: int | None = None):
     """Multiset of index sets S with D ≃ ⊕ P_S (plus contractible pieces).
 
-    Accepts an MBF, a GradedMBF, or a ReducedTensor.  Invertible constant
+    Accepts an MBF or a ReducedTensor.  Invertible constant
     entries are stripped by exact elimination; surviving pivots must clear
     their row and column by exact division and then factor into distinct
     (a - eta^i b) terms.  A residual block with no such pivot, a partner row
@@ -714,10 +670,8 @@ def decompose_into_PS(D, *, d: int | None = None):
     """
     if isinstance(D, ReducedTensor):
         D = D.reduced
-    if isinstance(D, GradedMBF):
-        D = D.base
     if not isinstance(D, MBF):
-        raise TypeError("expected an MBF, GradedMBF, or ReducedTensor")
+        raise TypeError("expected an MBF or a ReducedTensor")
     if D.shape.nslots != 2:
         raise ValueError("decomposition expects a 2-slot object")
     d = D.shape.conductor if d is None else d
@@ -771,7 +725,7 @@ def decompose_into_PS(D, *, d: int | None = None):
 
 def fuse(d: int, left, right, check: bool = True):
     """Reduce P_left ⊗ P_right and decompose: (ReducedTensor, multiset)."""
-    rt = reduce_tensor(PSObject(d, left), PSObject(d, right), check=check)
+    rt = reduce_tensor(ps_object(d, left), ps_object(d, right), check=check)
     return rt, decompose_into_PS(rt)
 
 
@@ -807,15 +761,12 @@ def verify_fusing_up_to_homotopy(d: int, perturb=None) -> FusingReport:
         F[r][c] = F[r][c] + Cyclo.one(d)
     _, P, L1, L2, X, Y = _fusing_composites(d, check=False)
 
-    c0, c1 = charge_matrix_ps(d, 1)
-    gP = GradedMBF(P, c0, c1, "P{0,1}")
-    r1 = reduce_tensor(gP, gP)
-    r2 = reduce_tensor(r1.reduced_graded, gP)
+    r1 = reduce_tensor(P, P)
+    r2 = reduce_tensor(r1.reduced, P)
     assoc_inv = associator_inv(P, P, P)
     transport = (r2.proj
                  .compose(tensor_mor(r1.proj, Morphism.identity(P)))
                  .compose(assoc_inv))
-    gk = PSObject(d, (1, 2)).underlying
 
     entries = []
     for eqno, L, f0, f2 in ((1, L1, F[0][0], F[0][1]), (2, L2, F[1][0], F[1][1])):
@@ -824,7 +775,7 @@ def verify_fusing_up_to_homotopy(d: int, perturb=None) -> FusingReport:
         ok, mode = theta.is_closed()
         if not ok:
             raise VerificationError(f"transported defect not closed ({mode})")
-        witness = is_null_homotopic(theta, gk, r2.reduced_graded)
+        witness = is_null_homotopic(theta)
         status = "witness" if witness is not None else "no"
         for pos in HOMOTOPY_POSITIONS:
             entries.append({"pos": list(pos), "equation": eqno, "status": status})

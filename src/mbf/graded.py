@@ -1,9 +1,16 @@
 """R-charge structure for the x^d defect family.
 
+The charges live on the objects: `bifact.MBF.grading` holds one charge per
+copy of each component.  `ps_object` and the one-variable `unit_object`
+grade themselves, tensor products add the charges of their factors, and
+`fusion.reduce_tensor` grades the reduced object.  This module reads them.
+
 Charges are exact rationals in units of q_x = 2/d (the charge of the chain
 variable).  In these units the differentials carry charge d/2 and an even
 morphism block entry a^m b^n from generator j to generator i carries
-q_x * (m + n + c_target(i) - c_source(j)).
+q_x * (m + n + c_target(i) - c_source(j)).  Every function here takes the
+charges from the objects or the endpoints of the morphism it is given, and
+an ungraded object raises ValueError.
 
 Hom spaces are computed sector by sector: homogeneity forces the total
 degree of every block entry, so each charge sector is a finite linear
@@ -16,7 +23,20 @@ from __future__ import annotations
 from ._rat import Rat, rat_str
 from .exactalg import Cyclo
 from .linalg import Echelon, nullspace, solve
-from .bifact import MBF, Morphism, ps_object
+from .bifact import (
+    MBF,
+    Morphism,
+    Operator,
+    PCoeff,
+    PMul,
+    PQuo,
+    PSubst,
+    PTDiv,
+    associator,
+    ps_object,
+    unit_isos,
+    w_mul,
+)
 from .polycalc import MultiPoly, PolyMatrix
 
 
@@ -40,77 +60,17 @@ class _NotHomogeneous:
 NotHomogeneous = _NotHomogeneous()
 
 
-class GradedMBF:
-    """A bi-factorisation with charge vectors for both parities."""
-
-    __slots__ = ("base", "charges0", "charges1", "label")
-
-    def __init__(self, base: MBF, charges0, charges1, label: str = ""):
-        if len(charges0) != base.m0.rank or len(charges1) != base.m1.rank:
-            raise ValueError("charge vector length does not match rank")
-        self.base = base
-        self.charges0 = tuple(Rat(c) for c in charges0)
-        self.charges1 = tuple(Rat(c) for c in charges1)
-        self.label = label
-
-    @property
-    def d(self) -> int:
-        return self.base.shape.conductor
-
-    def charges(self, parity: int):
-        return self.charges0 if parity % 2 == 0 else self.charges1
-
-    def __repr__(self):
-        return f"GradedMBF({self.label or 'object'}, c0={self.charges0}, c1={self.charges1})"
-
-
-def charge_matrix_ps(d: int, j: int):
-    """Charge vectors of P_{{i,...,i+j}}, which do not depend on the offset i."""
-    if j < 0 or j > d - 2:
-        raise ValueError("need 0 <= j <= d-2 for a proper consecutive set")
-    return (Rat(-j, 2),), (Rat(j - d + 2, 2),)
-
-
-def graded_ps(d: int, i: int, j: int) -> GradedMBF:
-    S = [(i + t) % d for t in range(j + 1)]
-    c0, c1 = charge_matrix_ps(d, j)
-    label = "P{" + ",".join(str(s) for s in sorted(S)) + "}"
-    return GradedMBF(ps_object(d, S), c0, c1, label)
-
-
-def graded_unit(d: int) -> GradedMBF:
-    g = graded_ps(d, 0, 0)
-    return GradedMBF(g.base, g.charges0, g.charges1, "I")
-
-
-def graded_tensor(gx: GradedMBF, gy: GradedMBF) -> GradedMBF:
-    """Tensor object with generator charges added blockwise."""
-    from .bifact import tensor_obj, _tensor_blocks
-
-    T = tensor_obj(gx.base, gy.base)
-    charges = {0: [], 1: []}
-    for parity in (0, 1):
-        for (i, j) in _tensor_blocks(parity):
-            for cx in gx.charges(i):
-                for cy in gy.charges(j):
-                    charges[parity].append(cx + cy)
-    label = f"({gx.label})({gy.label})" if gx.label and gy.label else ""
-    return GradedMBF(T, charges[0], charges[1], label)
-
-
 def _entry_charges(poly: MultiPoly, qshift: Rat):
     """Set of q_x-unit charges of the monomials of one block entry."""
     return {sum(e) + qshift for e in poly.terms}
 
 
-def graded_validate(g: GradedMBF):
+def graded_validate(D: MBF):
     """Every differential entry must carry charge d/2 in q_x units."""
-    half = Rat(g.d, 2)
+    half = Rat(D.shape.conductor, 2)
     violations = []
-    for name, op, csrc, cdst in (
-        ("d0", g.base.d0, g.charges0, g.charges1),
-        ("d1", g.base.d1, g.charges1, g.charges0),
-    ):
+    c0, c1 = D.charges(0), D.charges(1)
+    for name, op, csrc, cdst in (("d0", D.d0, c0, c1), ("d1", D.d1, c1, c0)):
         pm = op.pure_mul_matrix()
         if pm is None:
             violations.append({"which": name, "reason": "non-multiplier entries"})
@@ -133,8 +93,6 @@ def graded_validate(g: GradedMBF):
 
 def _word_charge_units(word):
     """Charge shift of one generator word in q_x units; None if inhomogeneous."""
-    from .bifact import PMul, PSubst, PTDiv, PQuo, PCoeff
-
     total = Rat(0)
     for prim in word.prims:
         if isinstance(prim, PMul):
@@ -178,18 +136,16 @@ def operator_charge_units(op, src_units, dst_units):
     return found
 
 
-def morphism_charge(phi: Morphism, source: GradedMBF, target: GradedMBF):
-    """Exact R-charge of a homogeneous morphism (in actual units, q_x = 2/d).
+def morphism_charge(phi: Morphism):
+    """Exact R-charge of a homogeneous morphism (in actual units, q_x = 2/d),
+    read against the charges of its endpoints.
 
     Zero morphisms report charge 0; mixed sectors give NotHomogeneous.
     """
-    d = source.d
-    qE = operator_charge_units(
-        phi.opE, source.charges0, target.charges(phi.parity)
-    )
-    qO = operator_charge_units(
-        phi.opO, source.charges1, target.charges(1 + phi.parity)
-    )
+    source, target = phi.src, phi.dst
+    d = source.shape.conductor
+    qE = operator_charge_units(phi.opE, source.charges(0), target.charges(phi.parity))
+    qO = operator_charge_units(phi.opO, source.charges(1), target.charges(1 + phi.parity))
     if qE is NotHomogeneous or qO is NotHomogeneous:
         return NotHomogeneous
     if qE is None and qO is None:
@@ -202,40 +158,27 @@ def morphism_charge(phi: Morphism, source: GradedMBF, target: GradedMBF):
 
 def zero_charge_structure_check(d: int):
     """The associator and unit maps carry R-charge zero."""
-    from .bifact import associator, unit_isos
-
     report = {"checks": [], "ok": True}
 
-    def record(name, phi, gs, gt):
-        q = morphism_charge(phi, gs, gt)
+    def record(name, phi):
+        q = morphism_charge(phi)
         ok = q == 0 if q is not NotHomogeneous else False
         report["checks"].append({"which": name, "charge": str(q), "ok": ok})
         if not ok:
             report["ok"] = False
 
-    gD = graded_ps(d, 0, 1)
-    gI = graded_unit(d)
-    lam, rho = unit_isos(gD.base)
-    record("lambda", lam, graded_tensor(gI, gD), gD)
-    record("rho", rho, graded_tensor(gD, gI), gD)
-    gs = [graded_ps(d, i, 0) for i in range(min(3, d))]
-    a, b, c = gs[0], gs[1 % len(gs)], gs[2 % len(gs)]
-    al = associator(a.base, b.base, c.base)
-    record(
-        "associator",
-        al,
-        graded_tensor(graded_tensor(a, b), c),
-        graded_tensor(a, graded_tensor(b, c)),
-    )
+    lam, rho = unit_isos(ps_object(d, [0, 1]))
+    record("lambda", lam)
+    record("rho", rho)
+    ps = [ps_object(d, [i]) for i in range(min(3, d))]
+    record("associator", associator(ps[0], ps[1 % len(ps)], ps[2 % len(ps)]))
 
     # negative control: one entry of lambda scaled by a must be flagged
-    from .bifact import Operator, w_mul
-
     cells = dict(lam.opE.cells)
     cells[0, 0] = [w.then(w_mul(w.dst, w.dst.ring().parse("a"))) for w in cells.get((0, 0), ())]
     bad = Operator(lam.opE.src, lam.opE.dst, cells)
     marred = Morphism(lam.src, lam.dst, 0, bad, lam.opO)
-    q = morphism_charge(marred, graded_tensor(gI, gD), gD)
+    q = morphism_charge(marred)
     flagged = q is NotHomogeneous
     report["checks"].append(
         {"which": "negative-control", "charge": str(q), "ok": flagged}
@@ -255,12 +198,12 @@ def _is_nonneg_int(x) -> bool:
 class _Ansatz:
     """Finite monomial basis of one parity-leg pair at fixed charge."""
 
-    def __init__(self, gs: GradedMBF, gt: GradedMBF, parity: int, units: Rat):
+    def __init__(self, gs: MBF, gt: MBF, parity: int, units: Rat):
         self.gs = gs
         self.gt = gt
         self.parity = parity % 2
         self.units = units
-        self.ring = gs.base.shape.ring()
+        self.ring = gs.shape.ring()
         self.vars = []  # (leg, i, j, m, n)
         for leg in (0, 1):
             csrc = gs.charges(leg)
@@ -295,9 +238,7 @@ class _Ansatz:
 
     def morphism(self, coeffs) -> Morphism:
         legE, legO = self.legs_for(coeffs)
-        from .bifact import Operator
-
-        src, tgt = self.gs.base, self.gt.base
+        src, tgt = self.gs, self.gt
         return Morphism(
             src,
             tgt,
@@ -319,7 +260,7 @@ def _delta_columns(ansatz: _Ansatz, index: dict) -> list:
     times −(−1)^p, goes into row i of leg 1−L.  The two parts never share a
     coordinate, so every entry is a copied or negated differential coefficient.
     """
-    src, tgt, p = ansatz.gs.base, ansatz.gt.base, ansatz.parity
+    src, tgt, p = ansatz.gs, ansatz.gt, ansatz.parity
     D = (src.d0.pure_mul_matrix(), src.d1.pure_mul_matrix())
     E = (tgt.d0.pure_mul_matrix(), tgt.d1.pure_mul_matrix())
     columns = []
@@ -339,7 +280,7 @@ def _delta_columns(ansatz: _Ansatz, index: dict) -> list:
 
 def _closed_subspace(ansatz: _Ansatz):
     """Basis vectors (over the ansatz variables) of the delta kernel."""
-    d = ansatz.gs.base.shape.conductor
+    d = ansatz.gs.shape.conductor
     index, z = {}, Cyclo.zero(d)
     columns = _delta_columns(ansatz, index)
     matrix = [[col.get(r, z) for col in columns] for r in range(len(index))]
@@ -350,11 +291,12 @@ def _image_vectors(ansatz: _Ansatz):
     """delta of every basis vector of the opposite-parity ansatz d/2 charge
     units lower, in `ansatz` coordinates."""
     gs, gt = ansatz.gs, ansatz.gt
-    lower = _Ansatz(gs, gt, 1 - ansatz.parity, ansatz.units - Rat(gs.d, 2))
+    d = gs.shape.conductor
+    lower = _Ansatz(gs, gt, 1 - ansatz.parity, ansatz.units - Rat(d, 2))
     coords = {(leg, i, j, (m, n)): t for t, (leg, i, j, m, n) in enumerate(ansatz.vars)}
     columns = _delta_columns(lower, coords)
     assert len(coords) == len(ansatz), "delta image left the charge sector"
-    z = Cyclo.zero(gs.d)
+    z = Cyclo.zero(d)
     return [[col.get(t, z) for t in range(len(ansatz))] for col in columns]
 
 
@@ -368,11 +310,9 @@ class HomSector:
 
 
 class HomSpace:
-    __slots__ = ("source", "target", "sectors")
+    __slots__ = ("sectors",)
 
-    def __init__(self, source, target, sectors):
-        self.source = source
-        self.target = target
+    def __init__(self, sectors):
         self.sectors = sectors
 
     def total_dim(self) -> int:
@@ -383,8 +323,6 @@ class HomSpace:
 
     def to_json(self):
         return {
-            "source": self.source,
-            "target": self.target,
             "sectors": [
                 {
                     "charge": rat_str(s.charge),
@@ -402,7 +340,7 @@ class HomSpace:
         }
 
 
-def _solve_sector(gs: GradedMBF, gt: GradedMBF, units: Rat, parity: int = 0):
+def _solve_sector(gs: MBF, gt: MBF, units: Rat, parity: int = 0):
     """(dim, representatives) of the charge-u cohomology, exact."""
     ansatz = _Ansatz(gs, gt, parity, units)
     if not len(ansatz):
@@ -411,15 +349,16 @@ def _solve_sector(gs: GradedMBF, gt: GradedMBF, units: Rat, parity: int = 0):
     if not closed:
         return 0, []
     image = _image_vectors(ansatz)
-    ech = Echelon(gs.base.shape.conductor)
+    ech = Echelon(gs.shape.conductor)
     for vecv in image:
         ech.insert(vecv)
     reps = [ansatz.morphism(vecv) for vecv in closed if ech.insert(vecv)]
     return len(reps), reps
 
 
-def hom_space(gs: GradedMBF, gt: GradedMBF, charge="all", parity: int = 0) -> HomSpace:
-    """Cohomology classes of morphisms gs -> gt, per exact charge sector.
+def hom_space(gs: MBF, gt: MBF, charge="all", parity: int = 0) -> HomSpace:
+    """Cohomology classes of morphisms gs -> gt, per exact charge sector;
+    both objects must be graded.
 
     `charge` is an actual R-charge (rational) or "all", which scans every
     sector reachable with block entry degrees up to 2d.
@@ -434,7 +373,7 @@ def hom_space(gs: GradedMBF, gt: GradedMBF, charge="all", parity: int = 0) -> Ho
     cohomology is a module over the Jacobian ring C[a,b]/(a^(d-1), b^(d-1)),
     whose top degree is 2d - 4; there 2d is a scan limit, not a proof.
     """
-    d = gs.d
+    d = gs.shape.conductor
     qx = Rat(2, d)
     if charge == "all":
         units_candidates = set()
@@ -453,28 +392,29 @@ def hom_space(gs: GradedMBF, gt: GradedMBF, charge="all", parity: int = 0) -> Ho
         dim, reps = _solve_sector(gs, gt, units, parity)
         if dim > 0 or charge != "all":
             sectors.append(HomSector(units * qx, dim, reps))
-    return HomSpace(gs.label, gt.label, sectors)
+    return HomSpace(sectors)
 
 
-def is_null_homotopic(phi: Morphism, gs: GradedMBF, gt: GradedMBF):
+def is_null_homotopic(phi: Morphism):
     """Exact witness psi with delta(psi) = phi, or None (a certified No).
 
-    phi must be charge-homogeneous with multiplier-only blocks; homogeneity
-    makes the forced-sector ansatz complete, so failure is a proof.
+    phi must be charge-homogeneous with multiplier-only blocks between graded
+    objects; homogeneity makes the forced-sector ansatz complete, so failure
+    is a proof.
     """
     pmE = phi.opE.pure_mul_matrix()
     pmO = phi.opO.pure_mul_matrix()
     if pmE is None or pmO is None:
         raise ValueError("need multiplier-only blocks")
     if pmE.is_zero() and pmO.is_zero():
-        return Morphism.zero(gs.base, gt.base, 1 + phi.parity)
-    q = morphism_charge(phi, gs, gt)
+        return Morphism.zero(phi.src, phi.dst, 1 + phi.parity)
+    q = morphism_charge(phi)
     if q is NotHomogeneous:
         raise ValueError("morphism mixes charge sectors")
-    d = gs.d
+    d = phi.src.shape.conductor
     units = q / Rat(2, d)
     half = Rat(d, 2)
-    lower = _Ansatz(gs, gt, 1 + phi.parity, units - half)
+    lower = _Ansatz(phi.src, phi.dst, 1 + phi.parity, units - half)
     if not len(lower):
         return None
     index, z = {}, Cyclo.zero(d)

@@ -29,7 +29,6 @@ from mbf.compare import fusion_rule_compare, ratio_compare
 from mbf.exactalg import Cyclo
 from mbf.fusion import (
     DETERMINED,
-    PSObject,
     verify_fusing_up_to_homotopy,
     verify_group_like,
     verify_sign,
@@ -150,8 +149,8 @@ def test_criterion_04_scalar_examples(capsys):
 
 def test_criterion_05_unit_endomorphisms(capsys):
     for d in range(3, 11):
-        P0 = PSObject(d, (0,))
-        hs = hom_space(P0.underlying, P0.underlying)
+        P0 = ps_object(d, (0,))
+        hs = hom_space(P0, P0)
         charges = sorted(
             itertools.chain.from_iterable([s.charge] * s.dim for s in hs.sectors)
         )

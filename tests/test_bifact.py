@@ -367,8 +367,19 @@ class TestUnitIsos:
         lam_inv, _ = unit_isos_inverse(I)
         words = lam_inv.opE.normalized().cells[1, 0]
         assert len(words) == 1
-        d = words[0].describe()
-        assert d["word"][-1] == {"kind": "mul", "poly": "a + x1 + b"}
+        last = words[0].prims[-1]
+        assert last.signature()[0] == "mul" and str(last.poly) == "a + x1 + b"
+
+    def test_word_repr_names_primitive_kinds(self):
+        from mbf.fusion import reduce_tensor
+
+        I = unit_object(fermat_potential(3))
+        lam_inv, _ = unit_isos_inverse(I)
+        assert repr(lam_inv.opE.normalized().cells[1, 0][0]) == "(1)*mul∘subst"
+        assert repr(homotopy_psi(I, "left").opE.cells[0, 0][0]) == "(1)*tdiv"
+        rt = reduce_tensor(ps_object(4, [0, 1]), ps_object(4, [1]))
+        assert repr(rt.proj.opE.cells[0, 0][0]) == "(1)*coeff∘rem"
+        assert repr(rt.homotopy.opE.cells[1, 0][0]) == "(-1)*quo"
 
     @pytest.mark.parametrize("d", [3, 5, 8])
     def test_left_right_coincide_on_unit(self, d):
@@ -506,15 +517,6 @@ class TestOperatorEquality:
             assert (K.src.rank, K.dst.rank, K.src.shape) == (4, 2, D.shape)
             assert set(K.cells) == want
             assert all(ws == (word,) and ws[0] is word for ws in K.cells.values())
-
-    def test_json_shapes(self):
-        D = ps_object(3, [1])
-        js = D.to_json()
-        assert js["rank0"] == 1 and js["slots"] == 2
-        assert isinstance(js["d0"][0][0], list)
-        lam, _ = unit_isos(D)
-        mj = lam.to_json()
-        assert mj["parity"] == "even"
 
 
 # -- the sparse Operator against the dense word matrix it replaced ---------------
@@ -675,9 +677,9 @@ class TestSparseOperatorAgainstDense:
 
     @pytest.mark.parametrize("d", [3, 4])
     def test_reduction_data_and_junctions(self, d):
-        from mbf.fusion import PSObject, lam, reduce_tensor
+        from mbf.fusion import lam, reduce_tensor
 
-        rt = reduce_tensor(PSObject(d, [0, 1]), PSObject(d, [1]))
+        rt = reduce_tensor(ps_object(d, [0, 1]), ps_object(d, [1]))
         ops = _legs(rt.incl, rt.proj, rt.homotopy, lam(d, 1, 2), lam(d, 0, 1))
         ops += [rt.original.d0, rt.original.d1, rt.reduced.d0, rt.reduced.d1]
         _assert_matches_dense(ops, d)

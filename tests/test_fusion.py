@@ -15,7 +15,7 @@ from mbf.bifact import (
     ps_object,
     tensor_obj,
 )
-from mbf.graded import graded_tensor, graded_validate, morphism_charge
+from mbf.graded import graded_validate, morphism_charge
 from mbf.fusion import (
     DETERMINED,
     HOMOTOPY_POSITIONS,
@@ -49,9 +49,13 @@ def expected_F(d):
 
 class TestPSObject:
     def test_normalizes_and_grades(self):
-        p = PSObject(5, (7, 1))
-        assert p.S == (1, 2)
-        assert graded_validate(p.underlying)["ok"]
+        # the shell the benchmark reads holds ps_object(d, S), graded
+        p = PSObject(5, (7, 1)).underlying
+        ref = ps_object(5, (1, 2))
+        assert p.d0.pure_mul_matrix() == ref.d0.pure_mul_matrix()
+        assert p.d1.pure_mul_matrix() == ref.d1.pure_mul_matrix()
+        assert p.grading == ref.grading
+        assert graded_validate(p)["ok"]
 
     def test_rejects_improper(self):
         with pytest.raises(ValueError):
@@ -95,8 +99,8 @@ class TestSignPair:
         # dropping the (-1)^{d/2-1} factor must break delta-closedness
         d = 4
         jn = Junctions(d)
-        TL = tensor_obj(jn.P_A.mbf, jn.P_B.mbf)
-        TB = jn.P_B.mbf
+        TL = tensor_obj(jn.P_A, jn.P_B)
+        TB = jn.P_B
         mp = m_prime_word(d, d // 2)
         bad = Morphism(
             TL, TB, 0,
@@ -107,9 +111,8 @@ class TestSignPair:
         assert not ok
         assert jn.F_l.is_closed()[0]
         # the construction-time check reports it as a failed verification
-        gt = graded_tensor(jn.P_A.underlying, jn.P_B.underlying)
         with pytest.raises(VerificationError):
-            _closed_and_chargeless(bad, gt, jn.P_B.underlying, "F_l")
+            _closed_and_chargeless(bad, "F_l")
 
 
 class TestACollection:
@@ -127,8 +130,7 @@ class TestACollection:
         for n, mor in jn.A.items():
             ok, mode = mor.is_closed()
             assert ok and mode.startswith("exact")
-            gk, gt = jn.A_endpoints[n]
-            assert morphism_charge(mor, gk, gt) == 0
+            assert morphism_charge(mor) == 0
 
 
 class TestFusingMatrix:
@@ -220,7 +222,7 @@ class TestGaugeInvariance:
 
 class TestReduceTensor:
     def test_singleton_pair_d3(self):
-        rt = reduce_tensor(PSObject(3, [0]), PSObject(3, [1]))
+        rt = reduce_tensor(ps_object(3, [0]), ps_object(3, [1]))
         assert (rt.reduced.m0.rank, rt.reduced.m1.rank) == (1, 1)
         assert decompose_into_PS(rt) == [(1,)]
 
@@ -228,7 +230,7 @@ class TestReduceTensor:
     def test_singleton_pairs_proj_incl_identity(self, d):
         for i in range(2):
             for j in range(2):
-                rt = reduce_tensor(PSObject(d, [i]), PSObject(d, [j]), check=False)
+                rt = reduce_tensor(ps_object(d, [i]), ps_object(d, [j]), check=False)
                 comp = rt.proj.compose(rt.incl)
                 eq, mode = morphism_equal(comp, Morphism.identity(rt.reduced))
                 assert eq and mode.startswith("exact")
@@ -243,7 +245,7 @@ class TestReduceTensor:
         assert summands == [(1, 2)]
 
     def test_validate_full(self):
-        rt = reduce_tensor(PSObject(5, (0, 1)), PSObject(5, (0, 1)))
+        rt = reduce_tensor(ps_object(5, (0, 1)), ps_object(5, (0, 1)))
         report = rt.validate()
         assert report["ok"]
         assert report == {
@@ -271,20 +273,20 @@ class TestReduceTensor:
         # reduce_tensor(check=True) and validate read the same checks
         monkeypatch.setattr(fusion, name, replacement)
         with pytest.raises(VerificationError) as exc:
-            reduce_tensor(PSObject(4, [0]), PSObject(4, [1]))
+            reduce_tensor(ps_object(4, [0]), ps_object(4, [1]))
         assert str(exc.value) == message
-        report = reduce_tensor(PSObject(4, [0]), PSObject(4, [1]), check=False).validate()
+        report = reduce_tensor(ps_object(4, [0]), ps_object(4, [1]), check=False).validate()
         assert not report[key] and not report["ok"]
         assert report["proj_incl_identity"] and report["homotopy_witness"]
 
     def test_reduced_grading_valid(self):
-        rt = reduce_tensor(PSObject(6, (0, 1, 2)), PSObject(6, (2, 3)))
-        assert graded_validate(rt.reduced_graded)["ok"]
+        rt = reduce_tensor(ps_object(6, (0, 1, 2)), ps_object(6, (2, 3)))
+        assert graded_validate(rt.reduced)["ok"]
 
     def test_right_factor_must_be_rank_one(self):
-        rt = reduce_tensor(PSObject(5, (0, 1)), PSObject(5, (0, 1)))
+        rt = reduce_tensor(ps_object(5, (0, 1)), ps_object(5, (0, 1)))
         with pytest.raises(ValueError):
-            reduce_tensor(PSObject(5, (0, 1)), rt.reduced_graded)
+            reduce_tensor(ps_object(5, (0, 1)), rt.reduced)
 
     @pytest.mark.parametrize("d", [4, 5, 6])
     def test_division_word_charges(self, d):
@@ -292,13 +294,12 @@ class TestReduceTensor:
         # by the modulus degree; proj ends in remainder words, which keep it
         for s in range(1, d):
             for t in range(1, d):
-                gA = PSObject(d, range(s)).underlying
-                gB = PSObject(d, [(1 + u) % d for u in range(t)]).underlying
+                gA = ps_object(d, range(s))
+                gB = ps_object(d, [(1 + u) % d for u in range(t)])
                 rt = reduce_tensor(gA, gB, check=False)
-                gT, gR = graded_tensor(gA, gB), rt.reduced_graded
-                assert morphism_charge(rt.homotopy, gT, gT) == -1
-                assert morphism_charge(rt.proj, gT, gR) == 0
-                assert morphism_charge(rt.incl, gR, gT) == 0
+                assert morphism_charge(rt.homotopy) == -1
+                assert morphism_charge(rt.proj) == 0
+                assert morphism_charge(rt.incl) == 0
 
     @settings(max_examples=15, deadline=None)
     @given(st.integers(3, 6), st.data())
@@ -342,7 +343,7 @@ class TestDecompose:
             decompose_into_PS(D)
 
     def test_accepts_graded_and_rejects_junk(self):
-        assert decompose_into_PS(PSObject(4, (0, 1)).underlying) == [(0, 1)]
+        assert decompose_into_PS(ps_object(4, (0, 1))) == [(0, 1)]
         with pytest.raises(TypeError):
             decompose_into_PS("nope")
 

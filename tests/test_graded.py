@@ -5,27 +5,46 @@ from hypothesis import given, settings, strategies as st
 
 from mbf._rat import Rat
 from mbf.exactalg import Cyclo
+from mbf import cli
 from mbf.fusion import reduce_tensor
-from mbf.bifact import Morphism, Operator, morphism_equal, op_equal, ps_object
-from mbf.graded import (
-    GradedMBF,
-    NotHomogeneous,
+from mbf.bifact import (
+    MBF,
+    Morphism,
+    Operator,
     charge_matrix_ps,
-    graded_ps,
-    graded_tensor,
-    graded_unit,
+    fermat_potential,
+    mbf_from_polys,
+    morphism_equal,
+    op_equal,
+    ps_object,
+    tensor_obj,
+    twist_object,
+    unit_object,
+)
+from mbf.graded import (
+    NotHomogeneous,
     graded_validate,
     hom_space,
     is_null_homotopic,
     morphism_charge,
     zero_charge_structure_check,
 )
+from mbf.polycalc import Ring
+
+
+def graded_ps(d, i, j):
+    """P_{i, ..., i+j} for x^d."""
+    return ps_object(d, [(i + t) % d for t in range(j + 1)])
+
+
+def graded_unit(d):
+    return unit_object(fermat_potential(d))
 
 
 def diag_morphism(g, text):
-    ring = g.base.shape.ring()
+    ring = g.shape.ring()
     p = ring.parse(text)
-    return Morphism.from_poly_blocks(g.base, g.base, 0, [[p]], [[p]])
+    return Morphism.from_poly_blocks(g, g, 0, [[p]], [[p]])
 
 
 class TestChargeMatrix:
@@ -45,8 +64,7 @@ class TestChargeMatrix:
             ref = graded_ps(d, 0, j)
             for i in range(1, d):
                 g = graded_ps(d, i, j)
-                assert g.charges0 == ref.charges0
-                assert g.charges1 == ref.charges1
+                assert g.grading == ref.grading
 
     def test_range_guard(self):
         with pytest.raises(ValueError):
@@ -62,8 +80,9 @@ class TestGradedValidate:
                 assert graded_validate(graded_ps(d, i, j))["ok"]
 
     def test_wrong_charge_flagged(self):
+        # P_{0,1} at d = 5 with its even charge shifted from -1/2 to 0
         g = graded_ps(5, 0, 1)
-        bad = GradedMBF(g.base, (Rat(0),), g.charges1)
+        bad = MBF(g.m0, g.m1, g.d0, g.d1, g.w, ((Rat(0),), g.charges(1)))
         report = graded_validate(bad)
         assert not report["ok"]
         assert report["violations"][0]["which"] in ("d0", "d1")
@@ -72,31 +91,31 @@ class TestGradedValidate:
         # blockwise charge sums keep the differential at charge 1
         gI = graded_unit(4)
         gP = graded_ps(4, 1, 1)
-        assert graded_validate(graded_tensor(gI, gP))["ok"]
-        assert graded_validate(graded_tensor(gP, gP))["ok"]
+        assert graded_validate(tensor_obj(gI, gP))["ok"]
+        assert graded_validate(tensor_obj(gP, gP))["ok"]
 
 
 class TestMorphismCharge:
     def test_identity_is_charge_zero(self):
         for d, j in ((3, 0), (5, 2)):
             g = graded_ps(d, 0, j)
-            assert morphism_charge(Morphism.identity(g.base), g, g) == 0
+            assert morphism_charge(Morphism.identity(g)) == 0
 
     @pytest.mark.parametrize("d,i", [(3, 1), (5, 2), (7, 4)])
     def test_unit_endomorphism_charge(self, d, i):
         gI = graded_unit(d)
         phi = diag_morphism(gI, f"a^{i}")
-        assert morphism_charge(phi, gI, gI) == Rat(2 * i, d)
+        assert morphism_charge(phi) == Rat(2 * i, d)
 
     def test_mixed_sectors_flagged(self):
         gI = graded_unit(5)
         phi = diag_morphism(gI, "a + a^2")
-        assert morphism_charge(phi, gI, gI) is NotHomogeneous
+        assert morphism_charge(phi) is NotHomogeneous
 
     def test_zero_morphism_defaults_to_zero(self):
         gI = graded_unit(5)
-        z = Morphism.zero(gI.base, gI.base, 0)
-        assert morphism_charge(z, gI, gI) == 0
+        z = Morphism.zero(gI, gI, 0)
+        assert morphism_charge(z) == 0
 
 
 class TestHomSpace:
@@ -172,12 +191,12 @@ class TestHomSpace:
             for rep in s.representatives:
                 ok, how = rep.is_closed()
                 assert ok and how == "exact-structural"
-                assert is_null_homotopic(rep, gs, gt) is None
+                assert is_null_homotopic(rep) is None
 
     def test_json_shape(self):
         gI = graded_unit(4)
         doc = hom_space(gI, gI, "all").to_json()
-        assert doc["source"] == "I" and doc["target"] == "I"
+        assert set(doc) == {"sectors"}
         assert [s["charge"] for s in doc["sectors"]] == ["0", "1/2", "1"]
         assert all(
             set(b) == {"even", "odd"} for s in doc["sectors"] for b in s["basis"]
@@ -210,7 +229,7 @@ class TestDeltaColumns:
         from mbf.graded import _Ansatz, _delta_columns
 
         P = [graded_ps(d, 0, 0), graded_ps(d, 1, d - 2)]
-        R = [reduce_tensor(graded_ps(d, 0, 0), graded_ps(d, 0, j)).reduced_graded
+        R = [reduce_tensor(graded_ps(d, 0, 0), graded_ps(d, 0, j)).reduced
              for j in range(1, d - 1)]
         pairs = [(P[0], P[1]), (P[1], P[1]), (P[0], R[0]), (R[-1], P[1]), (R[-1], R[0])]
         one, zero = Cyclo.one(d), Cyclo.zero(d)
@@ -240,32 +259,32 @@ class TestNullHomotopy:
     def test_exact_generator_has_witness(self):
         gI = graded_unit(3)
         phi = diag_morphism(gI, "a - b")
-        psi = is_null_homotopic(phi, gI, gI)
+        psi = is_null_homotopic(phi)
         assert psi is not None
         assert morphism_equal(psi.delta(), phi)[0]
 
     def test_unit_class_is_not_exact(self):
         gI = graded_unit(3)
-        assert is_null_homotopic(Morphism.identity(gI.base), gI, gI) is None
+        assert is_null_homotopic(Morphism.identity(gI)) is None
 
     @pytest.mark.parametrize("d", [3, 4, 5])
     def test_potential_derivative_is_exact(self, d):
         gI = graded_unit(d)
         phi = diag_morphism(gI, f"{d}*a^{d - 1}")
-        psi = is_null_homotopic(phi, gI, gI)
+        psi = is_null_homotopic(phi)
         assert psi is not None
         assert morphism_equal(psi.delta(), phi)[0]
 
     def test_zero_gets_zero_witness(self):
         gI = graded_unit(4)
-        psi = is_null_homotopic(Morphism.zero(gI.base, gI.base, 0), gI, gI)
+        psi = is_null_homotopic(Morphism.zero(gI, gI, 0))
         for op in (psi.opE, psi.opO):
             assert op_equal(op, Operator(op.src, op.dst)) == (True, "exact-structural")
 
     def test_rejects_mixed_input(self):
         gI = graded_unit(5)
         with pytest.raises(ValueError):
-            is_null_homotopic(diag_morphism(gI, "1 + a"), gI, gI)
+            is_null_homotopic(diag_morphism(gI, "1 + a"))
 
     @settings(max_examples=20, deadline=None)
     @given(
@@ -277,13 +296,13 @@ class TestNullHomotopy:
         """Anything built as delta(psi) must come back with a witness."""
         j = j % (d - 1)
         gs, gt = graded_ps(d, 0, 0), graded_ps(d, 0, j)
-        ring = gs.base.shape.ring()
+        ring = gs.shape.ring()
         degE = data.draw(st.integers(min_value=0, max_value=3), label="degE")
         cE = data.draw(st.integers(min_value=-3, max_value=3), label="cE")
         parity = data.draw(st.integers(min_value=0, max_value=1), label="parity")
         psi = Morphism.from_poly_blocks(
-            gs.base,
-            gt.base,
+            gs,
+            gt,
             parity,
             [[ring.monomial({"a": degE}, cE)]],
             [[ring.zero()]],
@@ -291,7 +310,7 @@ class TestNullHomotopy:
         phi = psi.delta()
         if phi.opE.pure_mul_matrix().is_zero() and phi.opO.pure_mul_matrix().is_zero():
             return
-        witness = is_null_homotopic(phi, gs, gt)
+        witness = is_null_homotopic(phi)
         assert witness is not None
         assert morphism_equal(witness.delta(), phi)[0]
 
@@ -305,3 +324,88 @@ class TestZeroChargeStructure:
         for name in ("lambda", "rho", "associator"):
             assert by_name[name]["charge"] == "0"
         assert by_name["negative-control"]["charge"] == "NotHomogeneous"
+
+
+def _blockwise(gx, gy):
+    """Charges of X ⊗ Y from the factors' (even, odd) charges: blocks
+    (X0 Y0, X1 Y1) and (X1 Y0, X0 Y1), X-major inside a block."""
+    out = []
+    for blocks in (((0, 0), (1, 1)), ((1, 0), (0, 1))):
+        out.append(tuple(cx + cy for i, j in blocks for cx in gx[i] for cy in gy[j]))
+    return tuple(out)
+
+
+class TestGradingOnObjects:
+    def test_charge_vector_length_checked(self):
+        P = graded_ps(4, 0, 1)
+        with pytest.raises(ValueError, match="charge vector length"):
+            MBF(P.m0, P.m1, P.d0, P.d1, P.w, ((Rat(0), Rat(1)), (Rat(0),)))
+        ring = P.shape.ring()
+        with pytest.raises(ValueError, match="charge vector length"):
+            mbf_from_polys(P.shape, [[ring.one()]], [[ring.one()]], P.w, ((), (Rat(0),)))
+
+    @pytest.mark.parametrize("d", range(3, 9))
+    def test_unit_is_graded_like_singleton(self, d):
+        I, P0 = graded_unit(d), graded_ps(d, 0, 0)
+        assert I.grading == P0.grading == charge_matrix_ps(d, 0)
+        assert I.d0.pure_mul_matrix() == P0.d0.pure_mul_matrix()
+        assert I.d1.pure_mul_matrix() == P0.d1.pure_mul_matrix()
+
+    @pytest.mark.parametrize("d", [3, 4, 5])
+    def test_tensor_and_reduced_charges(self, d):
+        objs = [graded_ps(d, 0, j) for j in range(d - 1)] + [graded_ps(d, 1, d - 2), graded_unit(d)]
+        for X in objs:
+            for Y in objs:
+                T = tensor_obj(X, Y)
+                assert T.grading == _blockwise(X.grading, Y.grading)
+                assert graded_validate(T)["ok"]
+        X, Y, Z = objs[0], objs[-2], objs[1]
+        left = tensor_obj(tensor_obj(X, Y), Z)
+        right = tensor_obj(X, tensor_obj(Y, Z))
+        assert left.grading == _blockwise(_blockwise(X.grading, Y.grading), Z.grading)
+        assert right.grading == _blockwise(X.grading, _blockwise(Y.grading, Z.grading))
+        assert graded_validate(left)["ok"] and graded_validate(right)["ok"]
+        # two rank-2 factors whose charge gaps differ (2 - d and 4 - d), so the
+        # X-major copy order inside a block shows
+        XX, YY = tensor_obj(objs[0], objs[0]), tensor_obj(objs[1], objs[1])
+        four = tensor_obj(XX, YY)
+        assert four.grading == _blockwise(XX.grading, YY.grading)
+        assert graded_validate(four)["ok"]
+        # P ⊕ Q with charges 0 and -(d-2)/2 on its even copies, so the copy
+        # order of a reduced object shows
+        P, Q = objs[0], objs[-2]
+        z = P.shape.ring().zero()
+        e = lambda D, k: D.differential_from(k).pure_mul_matrix()[0, 0]
+        dsum = mbf_from_polys(P.shape, [[e(P, 0), z], [z, e(Q, 0)]], [[e(P, 1), z], [z, e(Q, 1)]],
+                              P.w, tuple(P.charges(p) + Q.charges(p) for p in (0, 1)))
+        for A in objs + [dsum]:
+            for B in objs:
+                for R in (A, reduce_tensor(A, B, check=False).reduced):
+                    red = reduce_tensor(R, B, check=False).reduced
+                    g = B.d1.pure_mul_matrix()[0, 0].degree_in("a")
+                    want = tuple(tuple(c + B.charges(0)[0] + j for c in R.charges(p) for j in range(g))
+                                 for p in (0, 1))
+                    assert red.grading == want
+                    assert graded_validate(red)["ok"]
+
+    def test_twist_keeps_charges(self):
+        P = graded_ps(5, 0, 1)
+        T = twist_object(P, 1, 3)
+        assert T.grading == P.grading and graded_validate(T)["ok"]
+
+    def test_ungraded_object_raises(self, monkeypatch, capsys):
+        ring = Ring(("x", "y"), 3)
+        I = unit_object(ring.var("x") ** 3 + ring.var("y") ** 3)
+        assert I.grading is None
+        with pytest.raises(ValueError, match="no R-charge grading"):
+            morphism_charge(Morphism.identity(I))
+        with pytest.raises(ValueError, match="no R-charge grading"):
+            hom_space(I, I)
+        with pytest.raises(ValueError, match="no R-charge grading"):
+            graded_validate(tensor_obj(I, I))
+        # the same ValueError reaches `mbf hom` as a usage error, not a traceback
+        monkeypatch.setattr(cli, "ps_object", lambda d, S: I)
+        assert cli.main(["hom", "--d", "3", "--source", "0", "--target", "0"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "no R-charge grading" in err
+        assert "Traceback" not in err
