@@ -22,7 +22,9 @@ An `Operator` is an immutable sparse matrix, {(row, col): tuple of words},
 built once by its one constructor.  Because it cannot change, it caches its
 normal form (which is its own normal form) and its multiplier matrix; an
 operator made by `Operator.from_poly_matrix` starts with the matrix it was
-given.
+given.  Objects cache nothing: `tensor_obj` builds its product on every call
+(no workload asks for the same product twice often enough to pay for a
+cache).
 """
 
 from __future__ import annotations
@@ -469,6 +471,16 @@ def w_insert(src: SlotShape, position: int) -> Word:
     return Word.of(PSubst(src, dst, m))
 
 
+def w_then_mul(word: Word, poly: MultiPoly) -> Word:
+    """`word`, then multiplication by `poly` on its target chain; a constant
+    `poly` scales `word` instead.  After `w_insert` this is [p]^ ∘ J: insert a
+    middle slot, then multiply by p(a, x1, b)."""
+    cv = poly.constant_value()
+    if cv is not None:
+        return word.scaled(cv)
+    return word.then(w_mul(word.dst, poly))
+
+
 def w_collapse(src: SlotShape, pair_left: int, scalar=None, twist_on: str = "left") -> Word:
     """Merge slots pair_left, pair_left+1; the twisted side picks up `scalar`."""
     dst = SlotShape(src.nslots - 1, src.nvars, src.conductor)
@@ -798,7 +810,7 @@ class MBF:
     the x^d family is graded; `charges` raises ValueError on other objects.
     """
 
-    __slots__ = ("m0", "m1", "d0", "d1", "w", "grading", "_tcache")
+    __slots__ = ("m0", "m1", "d0", "d1", "w", "grading")
 
     def __init__(self, m0: FreeBimod, m1: FreeBimod, d0: Operator, d1: Operator, w: MultiPoly,
                  grading=None):
@@ -819,7 +831,6 @@ class MBF:
         self.d1 = d1
         self.w = w
         self.grading = grading
-        self._tcache = {}
 
     @property
     def shape(self) -> SlotShape:
@@ -827,9 +838,9 @@ class MBF:
 
     def w_difference(self) -> MultiPoly:
         ring = self.shape.ring()
-        left = {v: ring.var(n) for v, n in zip(self.w.ring.vars, self.shape.left_names())}
-        right = {v: ring.var(n) for v, n in zip(self.w.ring.vars, self.shape.right_names())}
-        return self.w.substitute(left) - self.w.substitute(right)
+        left = dict(zip(self.w.ring.vars, self.shape.left_names()))
+        right = dict(zip(self.w.ring.vars, self.shape.right_names()))
+        return self.w.rename(left, ring) - self.w.rename(right, ring)
 
     def component(self, parity: int) -> FreeBimod:
         return self.m0 if parity % 2 == 0 else self.m1
@@ -1049,14 +1060,9 @@ def _tensor(X: MBF, Y: MBF, glue: bool) -> MBF:
 
 def tensor_obj(X: MBF, Y: MBF) -> MBF:
     """Slot-glued tensor product with the derivation-style sign pattern."""
-    hit = X._tcache.get(id(Y))
-    if hit is not None and hit[0] is Y:
-        return hit[1]
     if X.w != Y.w:
         raise ValueError("potential mismatch")
-    T = _tensor(X, Y, glue=True)
-    X._tcache[id(Y)] = (Y, T)
-    return T
+    return _tensor(X, Y, glue=True)
 
 
 def tensor_mor(f: Morphism, g: Morphism) -> Morphism:
@@ -1226,10 +1232,8 @@ def unit_object(w: MultiPoly) -> MBF:
         grading = charge_matrix_ps(shape.conductor, 0)
     factors = []
     for i in range(N):
-        assign = {
-            w.ring.vars[j]: ring.var(b_names[j] if j < i else a_names[j]) for j in range(N)
-        }
-        head = w.substitute(assign)
+        assign = {w.ring.vars[j]: b_names[j] if j < i else a_names[j] for j in range(N)}
+        head = w.rename(assign, ring)
         delta_i = head.divided_difference(a_names[i], b_names[i])
         lin = ring.var(a_names[i]) - ring.var(b_names[i])
         factors.append(mbf_from_polys(shape, [[delta_i]], [[lin]], w, grading))
@@ -1239,13 +1243,9 @@ def unit_object(w: MultiPoly) -> MBF:
     return out
 
 
-def unit_for(D: MBF) -> MBF:
-    return unit_object(D.w)
-
-
 def unit_isos(D: MBF):
     """(λ_D: I⊗D → D, ρ_D: D⊗I → D), multiplication as untwisted collapse."""
-    I = unit_for(D)
+    I = unit_object(D.w)
     ID = tensor_obj(I, D)
     DI = tensor_obj(D, I)
     cl = w_collapse(ID.shape, 0)
@@ -1282,7 +1282,7 @@ def unit_isos_inverse(D: MBF):
     pm1 = D.d1.pure_mul_matrix()
     if pm0 is None or pm1 is None:
         raise ValueError("inverse unit isomorphisms need multiplier-only differentials")
-    I = unit_for(D)
+    I = unit_object(D.w)
     ID = tensor_obj(I, D)
     DI = tensor_obj(D, I)
     ins = w_insert(D.shape, 1)
@@ -1325,7 +1325,7 @@ def homotopy_psi(D: MBF, side: str) -> Morphism:
     """The odd divided-transfer homotopy for λ (side='left') or ρ (side='right')."""
     if D.shape.nvars != 1 or D.shape.nslots != 2:
         raise ValueError("homotopy witnesses: one-variable 2-slot objects only")
-    I = unit_for(D)
+    I = unit_object(D.w)
     r0, r1 = D.m0.rank, D.m1.rank
     if side == "left":
         ID = tensor_obj(I, D)
@@ -1384,7 +1384,7 @@ def mu_relation_check(w: MultiPoly):
 
 def triangle_check(X: MBF, Y: MBF):
     """(id_X ⊗ λ_Y) ∘ α_{X,I,Y} = ρ_X ⊗ id_Y."""
-    I = unit_for(X)
+    I = unit_object(X.w)
     lam_Y, _ = unit_isos(Y)
     _, rho_X = unit_isos(X)
     alpha = associator(X, I, Y)

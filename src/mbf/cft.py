@@ -478,6 +478,12 @@ def fusing_ratio(F):
     return F[0][0] * F[1][1] / (F[0][1] * F[1][0])
 
 
+def fusing_ratio_closed_form(d: int):
+    """-1/(1 + 2 cos(2 pi/d)), the value of `fusing_ratio` on the twoByTwo
+    example, at the current mpmath precision."""
+    return -1 / (1 + 2 * mp.cospi(mp.mpf(2) / d))
+
+
 def gauge_transform(F, scalars: Sequence):
     """Rescale the six junction-basis vectors entering the twoByTwo example.
 

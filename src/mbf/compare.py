@@ -37,6 +37,7 @@ from .cft import (
     chiral_charge,
     defect_spectrum,
     fusing_ratio,
+    fusing_ratio_closed_form,
     mm_fuse,
     mm_normalize,
 )
@@ -44,25 +45,22 @@ from .fusion import fuse, solve_fusing_2x2
 from .graded import hom_space
 
 
-def ratio_compare(
-    d: int,
-    tol: float = 1e-10,
-    prec: int = DEFAULT_PREC,
-) -> dict:
+def ratio_compare(d: int, tol: float = 1e-10) -> dict:
     """Gauge-invariant fusing ratio, three ways, compared at tolerance tol.
 
     The exact side comes out of the 2x2 fusing solve; the closed form is
-    -1/(1 + 2 cos(2 pi/d)); the third value multiplies 6j symbols with torus
-    signs.  The report never raises on disagreement.
+    `fusing_ratio_closed_form`; the third value multiplies 6j symbols with
+    torus signs.  All three are evaluated at `DEFAULT_PREC` bits.  The report
+    never raises on disagreement.
     """
     if d < 4:
         raise ValueError("the 2x2 fusing example needs d >= 4")
     report = solve_fusing_2x2(d)
     exact = report.ratio_exact
-    with mp.workprec(prec):
-        lg = exact.to_complex(prec)
-        closed = -1 / (1 + 2 * mp.cospi(mp.mpf(2) / d))
-        cft_ratio = fusing_ratio(cft_fusing_examples(d, "twoByTwo", prec=prec))
+    with mp.workprec(DEFAULT_PREC):
+        lg = exact.to_complex(DEFAULT_PREC)
+        closed = fusing_ratio_closed_form(d)
+        cft_ratio = fusing_ratio(cft_fusing_examples(d, "twoByTwo", prec=DEFAULT_PREC))
         lg_vs_closed = float(abs(lg - closed))
         cft_vs_closed = float(abs(cft_ratio - closed))
         lg_vs_cft = float(abs(lg - cft_ratio))

@@ -12,7 +12,7 @@ modulo Phi_n never leaves the integers.
 The form is canonical: ``gcd(den, *num) == 1``, and zero is
 ``((0,) * phi(n), 1)``.  Equal values therefore have equal ``(n, den, num)``,
 which is what ``==`` and ``hash`` compare.  Rationals (``_rat.Rat``) appear
-only at the edges: the constructor, ``coeffs``, printing and JSON.  The field
+only at the edges: the constructor, ``coeffs`` and printing.  The field
 inverse is integral too: the product of the other Galois conjugates over the
 norm.
 
@@ -29,7 +29,7 @@ from operator import add, mul, sub
 
 import mpmath
 
-from ._rat import Rat, parse_rat, rat_str
+from ._rat import Rat, rat_str
 
 DEFAULT_PRECISION_BITS = 128
 
@@ -354,13 +354,6 @@ class Cyclo:
                 acc = acc * zeta + mpmath.mpf(c.numerator) / c.denominator
             return acc
 
-    def to_json(self) -> dict:
-        return {"conductor": self.n, "coeffs": [rat_str(c) for c in self.coeffs]}
-
-    @staticmethod
-    def from_json(data: dict) -> "Cyclo":
-        return Cyclo(data["conductor"], [parse_rat(s) for s in data["coeffs"]])
-
     def __repr__(self):
         sym = f"z{self.n}"
         parts = []
@@ -385,16 +378,3 @@ def _raw(n: int, num: tuple, den: int) -> Cyclo:
     _set_num(self, num)
     _set_den(self, den)
     return self
-
-
-def real_value(x, precision_bits: int = DEFAULT_PRECISION_BITS):
-    """Evaluate a Cyclo (or pass through mpf) as a real number, checking the
-    imaginary part vanishes to precision."""
-    if isinstance(x, Cyclo):
-        z = x.to_complex(precision_bits)
-        with mpmath.workprec(precision_bits):
-            if abs(z.imag) > mpmath.mpf(2) ** (8 - precision_bits):
-                raise ValueError(f"value has non-negligible imaginary part: {z}")
-            return z.real
-    return x
-

@@ -3,11 +3,13 @@
 Everything in this module lives over the family of rank-(1,1) defects
 P_S = (p_{S^c}, p_S) with S a proper subset of residues mod d.  It provides
 
-* the explicit junction morphisms between such defects, each built from
-  slot words and checked to be delta-closed and of charge zero against the
-  charges of its endpoints (`bifact.ps_object` grades every P_S): the
-  group-like family `lam` and the sign pair `f_pair` (functions of d alone),
-  and in `Junctions` the six one-to-many junctions ``A[1]`` .. ``A[6]``;
+* the explicit junction morphisms between such defects, built from slot
+  words: the group-like family `lam` and the sign pair `f_pair` (functions of
+  d alone, built unchecked; `verify_group_like` and `verify_sign` compare
+  their two bracketings), and in `Junctions` the six one-to-many junctions
+  ``A[1]`` .. ``A[6]``, each checked on construction to be delta-closed and
+  of charge zero against the charges of its endpoints (`bifact.ps_object`
+  grades every P_S);
 * extraction of the exact 2x2 fusing matrix from the one-to-many junction
   relations (`solve_fusing_2x2`), plus homotopy verification of the entries
   that do not hold on the nose (`verify_fusing_up_to_homotopy`);
@@ -60,7 +62,7 @@ from .bifact import (
     w_coeff,
     w_collapse,
     w_insert,
-    w_mul,
+    w_then_mul,
     w_quo,
     w_rem,
 )
@@ -101,23 +103,20 @@ def m_prime_word(d: int, j: int) -> Word:
     return w_collapse(SlotShape(3, 1, d), 0, _eta(d, -j), "right")
 
 
-def lam(d: int, i: int, j: int, check: bool = True) -> Morphism:
+def lam(d: int, i: int, j: int) -> Morphism:
     """The group-like junction P_i ⊗ P_j → P_{i+j}, acting by m_word(d, j)
-    on the Y0 columns."""
+    on the Y0 columns.  Unchecked."""
     T = tensor_obj(ps_object(d, [i]), ps_object(d, [j]))
     K = ps_object(d, [(i + j) % d])
     m = m_word(d, j)
-    mor = Morphism(T, K, 0, Operator(T.m0, K.m0, {(0, 0): (m,)}),
-                   Operator(T.m1, K.m1, {(0, 0): (m,)}))
-    if check:
-        _closed_and_chargeless(mor, f"lam({i},{j})")
-    return mor
+    return Morphism(T, K, 0, Operator(T.m0, K.m0, {(0, 0): (m,)}),
+                    Operator(T.m1, K.m1, {(0, 0): (m,)}))
 
 
 def f_pair(d: int):
     """The sign pair for even d: (P_A, P_B, F_l, F_r), with F_l : P_A ⊗ P_B → P_B
     and F_r : P_B ⊗ P_A → P_B, where P_A is the (d-1)-element defect and P_B
-    the half-set one.  Unchecked; `Junctions` checks it."""
+    the half-set one.  Unchecked."""
     h = d // 2
     P_A = ps_object(d, [(h + 1 + t) % d for t in range(d - 1)])
     P_B = ps_object(d, range(h))
@@ -133,13 +132,11 @@ def f_pair(d: int):
 
 
 class Junctions:
-    """Explicit defect-junction morphisms for W = t^d.
+    """The one-to-many defect junctions for W = t^d.
 
-    For even d the pair ``F_l``/``F_r`` (built by `f_pair`) fuses the
-    (d-1)-element defect with the half-set one; for d >= 4 the dict ``A``
-    holds the six one-to-many junctions used by the 2x2 fusing computation,
-    keyed 1..6.  With `check`, every morphism is verified delta-closed
-    (exactly) and of charge 0 on construction.
+    For d >= 4 the dict ``A`` holds the six junctions used by the 2x2 fusing
+    computation, keyed 1..6; for d = 3 it is empty.  Every morphism is
+    verified delta-closed (exactly) and of charge 0 on construction.
     """
 
     # (I, J, K) index sets of A[n]: a junction P_K -> P_I ⊗ P_J
@@ -152,34 +149,20 @@ class Junctions:
         6: ((0, 1, 2), (0, 1), (1, 2)),
     }
 
-    def __init__(self, d: int, check: bool = True):
+    def __init__(self, d: int):
         if d < 3:
             raise ValueError("need d >= 3")
         self.d = d
-        self.sh2 = SlotShape(2, 1, d)
-        self.sh3 = SlotShape(3, 1, d)
-        self.J = w_insert(self.sh2, 1)
         self.A: dict = {}
-        self.P_A = self.P_B = self.F_l = self.F_r = None
         if d >= 4:
             self._build_a_collection()
-        if d >= 4 and d % 2 == 0:
-            self.P_A, self.P_B, self.F_l, self.F_r = f_pair(d)
-        if check:
-            self.check_all()
-
-    def _bracket(self, poly: MultiPoly) -> Word:
-        # [p]^ ∘ J: insert a middle slot, then multiply by p(a, x1, b)
-        cv = poly.constant_value()
-        if cv is not None:
-            return self.J.scaled(cv)
-        return self.J.then(w_mul(self.sh3, poly))
-
-    # -- the one-to-many collection --------------------------------------
+        for n, mor in self.A.items():
+            _closed_and_chargeless(mor, f"A{n}")
 
     def _build_a_collection(self):
         d = self.d
-        ring = self.sh3.ring()
+        J = w_insert(SlotShape(2, 1, d), 1)
+        ring = J.dst.ring()
         one = Cyclo.one(d)
         e = lambda k: _eta(d, k)
 
@@ -221,17 +204,10 @@ class Junctions:
             r21 = num.exact_divide(ring.p_S(sorted(kset), "a", "b"))
             K = ps_object(d, kset)
             T = tensor_obj(ps_object(d, iset), ps_object(d, jset))
-            legs = [{(row, 0): (self._bracket(poly),) for row, poly in enumerate(col)
+            legs = [{(row, 0): (w_then_mul(J, poly),) for row, poly in enumerate(col)
                      if not poly.is_zero()} for col in ((r11, r21), (r32, r42))]
             self.A[n] = Morphism(K, T, 0, Operator(K.m0, T.m0, legs[0]),
                                  Operator(K.m1, T.m1, legs[1]))
-
-    def check_all(self):
-        for n, mor in self.A.items():
-            _closed_and_chargeless(mor, f"A{n}")
-        if self.F_l is not None:
-            _closed_and_chargeless(self.F_l, "F_l")
-            _closed_and_chargeless(self.F_r, "F_r")
 
 
 # -- proportionality of composite junctions ------------------------------------
@@ -292,11 +268,10 @@ def proportionality_scalar(L: Morphism, R: Morphism):
 def verify_group_like(d: int, i: int, j: int, k: int) -> Cyclo:
     """Scalar relating the two bracketings of lam-composites; must be 1."""
     Pi, Pj, Pk = (ps_object(d, [t]) for t in (i, j, k))
-    junction = lambda a, b: lam(d, a, b, check=False)
-    left = (junction(i, (j + k) % d)
-            .compose(tensor_mor(Morphism.identity(Pi), junction(j, k)))
+    left = (lam(d, i, (j + k) % d)
+            .compose(tensor_mor(Morphism.identity(Pi), lam(d, j, k)))
             .compose(associator(Pi, Pj, Pk)))
-    right = junction((i + j) % d, k).compose(tensor_mor(junction(i, j), Morphism.identity(Pk)))
+    right = lam(d, (i + j) % d, k).compose(tensor_mor(lam(d, i, j), Morphism.identity(Pk)))
     c, _ = proportionality_scalar(left, right)
     return c
 
@@ -353,22 +328,24 @@ class FusingReport:
         return f"FusingReport(d={self.d}, ratio={self.ratio_numeric})"
 
 
-def _fusing_composites(d: int, check: bool = True):
-    """The four composite junctions of the 2x2 relations.
+def _fusing_composites(d: int):
+    """The four composite junctions of the 2x2 relations, from checked
+    junctions.
 
-    Returns (jn, P, L1, L2, X, Y): both relations read L_i = f_i0*X + f_i2*Y
+    Returns (P, L1, L2, X, Y): both relations read L_i = f_i0*X + f_i2*Y
     as even morphisms P_{1,2} -> P ⊗ (P ⊗ P) with P = P_{0,1}.
     """
-    jn = Junctions(d, check=check)
+    if d < 4:
+        raise ValueError("need d >= 4")
+    A = Junctions(d).A
     P = ps_object(d, (0, 1))
     ident = Morphism.identity(P)
     assoc = associator(P, P, P)
-    A = jn.A
     L1 = assoc.compose(tensor_mor(A[1], ident)).compose(A[5])
     L2 = assoc.compose(tensor_mor(A[2], ident)).compose(A[6])
     X = tensor_mor(ident, A[1]).compose(A[3])
     Y = tensor_mor(ident, A[2]).compose(A[4])
-    return jn, P, L1, L2, X, Y
+    return P, L1, L2, X, Y
 
 
 def _entry_polys(mor: Morphism):
@@ -398,11 +375,8 @@ def _solve_pair(d, polyL, polyX, polyY):
     return sol[0], sol[1]
 
 
-def solve_fusing_2x2(d: int) -> FusingReport:
-    """Solve the on-the-nose entries of the 2x2 junction relations exactly."""
-    if d < 4:
-        raise ValueError("need d >= 4")
-    _, _, L1, L2, X, Y = _fusing_composites(d)
+def _fusing_report(d, L1, L2, X, Y) -> FusingReport:
+    """The exact 2x2 matrix solved from the composites of `_fusing_composites`."""
     pX, pY = _entry_polys(X), _entry_polys(Y)
     f00, f02 = _solve_pair(d, _entry_polys(L1), pX, pY)
     f20, f22 = _solve_pair(d, _entry_polys(L2), pX, pY)
@@ -412,6 +386,11 @@ def solve_fusing_2x2(d: int) -> FusingReport:
     if abs(z.imag) > 1e-20:
         raise VerificationError("fusing ratio should be real")
     return FusingReport(d, F, list(DETERMINED), [], ratio, float(z.real))
+
+
+def solve_fusing_2x2(d: int) -> FusingReport:
+    """Solve the on-the-nose entries of the 2x2 junction relations exactly."""
+    return _fusing_report(d, *_fusing_composites(d)[1:])
 
 
 # -- finite-rank reduction of tensor products -----------------------------------
@@ -520,11 +499,6 @@ def reduce_tensor(Am: MBF, Bm: MBF, check: bool = True) -> ReducedTensor:
 
     ins = w_insert(sh2, 1)
 
-    def carry(word_poly):
-        if word_poly.constant_value() is not None:
-            return ins.scaled(word_poly.constant_value())
-        return ins.then(w_mul(sh3, word_poly))
-
     # incl: reduced generator (u, j) |-> copy_u * x^j plus the quotient
     # correction on the complementary block (negated out of odd copies);
     # exact chain map
@@ -534,11 +508,11 @@ def reduce_tensor(Am: MBF, Bm: MBF, check: bool = True) -> ReducedTensor:
         for u in range(rsrc):
             for j in range(g):
                 col = u * g + j
-                cells[u, col] = (carry(xpow[j]),)
+                cells[u, col] = (w_then_mul(ins, xpow[j]),)
                 for v in range(rdst):
                     quo = (dA[v][u] * xpow[j]).divmod_in_var(q1, "x1")[0]
                     if not quo.is_zero():
-                        cells[rsrc + v, col] = (carry(-quo if negate else quo),)
+                        cells[rsrc + v, col] = (w_then_mul(ins, -quo if negate else quo),)
         incl_cells.append(cells)
     incl = Morphism(reduced, T, 0, Operator(reduced.m0, T.m0, incl_cells[0]),
                     Operator(reduced.m1, T.m1, incl_cells[1]))
@@ -653,7 +627,7 @@ def _assert_split(P, j: int, i: int, what: str):
             raise VerificationError(f"{what}: partner column not split after clearing")
 
 
-def decompose_into_PS(D, *, d: int | None = None):
+def decompose_into_PS(D):
     """Multiset of index sets S with D ≃ ⊕ P_S (plus contractible pieces).
 
     Accepts an MBF or a ReducedTensor.  Invertible constant
@@ -674,7 +648,7 @@ def decompose_into_PS(D, *, d: int | None = None):
         raise TypeError("expected an MBF or a ReducedTensor")
     if D.shape.nslots != 2:
         raise ValueError("decomposition expects a 2-slot object")
-    d = D.shape.conductor if d is None else d
+    d = D.shape.conductor
     pm1, pm0 = D.d1.pure_mul_matrix(), D.d0.pure_mul_matrix()
     if pm1 is None or pm0 is None:
         raise ValueError("differentials must be pure multiplications")
@@ -734,12 +708,11 @@ def fuse(d: int, left, right, check: bool = True):
 
 def _pure_mul_morphism(phi: Morphism, dst: MBF) -> Morphism:
     """Rewrite a 2-slot-source morphism as multiplier blocks (faithful)."""
-    me = phi.opE.generator_matrix()
-    mo = phi.opO.generator_matrix()
-    return Morphism.from_poly_blocks(
-        phi.src, dst, phi.parity,
-        [[me[i, j] for j in range(me.cols)] for i in range(me.rows)],
-        [[mo[i, j] for j in range(mo.cols)] for i in range(mo.rows)],
+    src, par = phi.src, phi.parity
+    return Morphism(
+        src, dst, par,
+        Operator.from_poly_matrix(src.m0, dst.component(par), phi.opE.generator_matrix()),
+        Operator.from_poly_matrix(src.m1, dst.component(1 + par), phi.opO.generator_matrix()),
     )
 
 
@@ -754,12 +727,12 @@ def verify_fusing_up_to_homotopy(d: int, perturb=None) -> FusingReport:
     `perturb=(r, c)` the matrix entry at that position is shifted by 1
     first; any perturbation must produce at least one "no".
     """
-    report = solve_fusing_2x2(d)
+    P, L1, L2, X, Y = _fusing_composites(d)
+    report = _fusing_report(d, L1, L2, X, Y)
     F = [row[:] for row in report.F]
     if perturb is not None:
         r, c = perturb
         F[r][c] = F[r][c] + Cyclo.one(d)
-    _, P, L1, L2, X, Y = _fusing_composites(d, check=False)
 
     r1 = reduce_tensor(P, P)
     r2 = reduce_tensor(r1.reduced, P)

@@ -341,26 +341,6 @@ class MultiPoly:
             out[key] = coeff if prev is None else prev + coeff
         return MultiPoly(target, out)
 
-    def substitute(self, assignment: Mapping[str, "MultiPoly"]) -> "MultiPoly":
-        """General substitution var -> polynomial (all in one target ring)."""
-        target = None
-        for p in assignment.values():
-            target = p.ring
-            break
-        if target is None:
-            raise ValueError("empty assignment")
-        out = target.zero()
-        for e, c in self.terms.items():
-            term = target.const(c if c.n == target.conductor else c.lift(target.conductor))
-            for i, k in enumerate(e):
-                if k:
-                    v = self.ring.vars[i]
-                    if v not in assignment:
-                        raise KeyError(f"variable {v!r} occurs but is not assigned")
-                    term = term * assignment[v] ** k
-            out = out + term
-        return out
-
     def rename(self, name_map: Mapping[str, str], target: Ring) -> "MultiPoly":
         """Variable renaming into `target`; names absent there stay unmapped
         (so dropping a variable is fine as long as it does not occur)."""
@@ -483,9 +463,6 @@ class MultiPoly:
         return poly_to_str(self)
 
     __str__ = __repr__
-
-    def to_json(self) -> str:
-        return poly_to_str(self)
 
 
 # -- division by a monic modulus ---------------------------------------------------
@@ -680,7 +657,10 @@ def _parse_poly(ring: Ring, text: str) -> MultiPoly:
 
 class PolyMatrix:
     """Immutable dense matrix of MultiPoly entries over one ring; `entries`
-    is a tuple of row tuples, so a matrix can be cached and shared."""
+    is a tuple of row tuples, so a matrix can be cached and shared.
+
+    It is read-only data: the differentials and morphism blocks are built
+    from it, and all arithmetic happens on the entries or on operators."""
 
     __slots__ = ("ring", "rows", "cols", "entries")
 
@@ -710,23 +690,6 @@ class PolyMatrix:
         object.__setattr__(self, "entries", tuple(map(tuple, rows)))
         return self
 
-    @staticmethod
-    def zero(ring: Ring, rows: int, cols: int) -> "PolyMatrix":
-        z = ring.zero()
-        return PolyMatrix._raw(ring, [[z] * cols for _ in range(rows)])
-
-    @staticmethod
-    def identity(ring: Ring, n: int) -> "PolyMatrix":
-        z, o = ring.zero(), ring.one()
-        return PolyMatrix._raw(
-            ring, [[o if i == j else z for j in range(n)] for i in range(n)]
-        )
-
-    @staticmethod
-    def scalar(ring: Ring, n: int, p: MultiPoly) -> "PolyMatrix":
-        z = ring.zero()
-        return PolyMatrix(ring, [[p if i == j else z for j in range(n)] for i in range(n)])
-
     def __getitem__(self, ij):
         return self.entries[ij[0]][ij[1]]
 
@@ -739,52 +702,6 @@ class PolyMatrix:
 
     def __hash__(self):
         return hash((self.ring, self.entries))
-
-    def _check(self, other: "PolyMatrix"):
-        if self.ring != other.ring:
-            raise RingMismatch(f"{self.ring} vs {other.ring}")
-
-    def __add__(self, other):
-        if self.rows != other.rows or self.cols != other.cols:
-            raise ValueError("shape mismatch")
-        self._check(other)
-        return PolyMatrix._raw(
-            self.ring,
-            [
-                [a + b for a, b in zip(ra, rb)]
-                for ra, rb in zip(self.entries, other.entries)
-            ],
-        )
-
-    def __neg__(self):
-        return PolyMatrix._raw(self.ring, [[-a for a in r] for r in self.entries])
-
-    def __sub__(self, other):
-        return self + (-other)
-
-    def __mul__(self, other):
-        if isinstance(other, PolyMatrix):
-            if self.cols != other.rows:
-                raise ValueError("shape mismatch in product")
-            self._check(other)
-            z = self.ring.zero()
-            out = []
-            for i in range(self.rows):
-                row = []
-                for j in range(other.cols):
-                    acc = z
-                    for k in range(self.cols):
-                        a = self.entries[i][k]
-                        b = other.entries[k][j]
-                        if a.is_zero() or b.is_zero():
-                            continue
-                        acc = acc + a * b
-                    row.append(acc)
-                out.append(row)
-            return PolyMatrix._raw(self.ring, out)
-        return PolyMatrix(self.ring, [[a * other for a in r] for r in self.entries])
-
-    __rmul__ = __mul__
 
     def is_zero(self) -> bool:
         return all(p.is_zero() for r in self.entries for p in r)

@@ -77,6 +77,23 @@ def test_failed_verification_exits_one(capsys, monkeypatch):
     assert "A1: charge" in captured.err
 
 
+@pytest.mark.parametrize("second_mode,want", [
+    ("exact-structural", "exact"),
+    ("verified-to-cutoff", "verified-to-cutoff"),
+])
+def test_unit_coincidence_mode_follows_its_check(capsys, monkeypatch, second_mode, want):
+    # the reported mode follows the two composites' modes by validate_mbf's
+    # rule: "exact" only if both are exact
+    monkeypatch.setattr(cli, "unit_coincidence_check", lambda d: {
+        "lam_after_laminv": {"ok": True, "mode": "exact-structural"},
+        "rho_after_laminv": {"ok": True, "mode": second_mode},
+        "ok": True,
+    })
+    code, doc = run_json(capsys, "verify", "monoidal", "--d", "3")
+    (check,) = [c for c in doc["checks"] if c["name"] == "unit-maps-coincide-on-unit"]
+    assert code == 0 and check == {"name": "unit-maps-coincide-on-unit", "ok": True, "mode": want}
+
+
 def test_failed_numeric_self_check_exits_one(capsys, monkeypatch):
     # group-like scalars that differ refute the numeric computation, as in
     # the exact checks above: exit 1 with one error line
@@ -92,7 +109,7 @@ def test_failed_numeric_self_check_exits_one(capsys, monkeypatch):
 def _not_proportional(d, left, right, check):
     # no subcommand compares bracketings; stand in for `fuse` to reach the check
     return fusion.proportionality_scalar(
-        fusion.lam(d, 1, 2, check=False), fusion.lam(d, 2, 1, check=False))
+        fusion.lam(d, 1, 2), fusion.lam(d, 2, 1))
 
 
 _clear_pivot = fusion._clear_pivot

@@ -12,7 +12,6 @@ from mbf.exactalg import (
     Cyclo,
     cyclotomic_poly,
     euler_phi,
-    real_value,
 )
 
 
@@ -105,12 +104,6 @@ class TestCycloArithmetic:
         i = Cyclo.root(4)
         assert -i / (i**2 + i + 1) == Cyclo.from_rat(4, -1)
 
-    def test_real_value_guards_imaginary(self):
-        eta = Cyclo.root(6)
-        assert close(real_value(-eta / (eta**2 + eta + 1)), -0.5)
-        with pytest.raises(ValueError):
-            real_value(Cyclo.root(4))  # i is not real
-
 
 def cyclos(n):
     coeff = st.integers(min_value=-9, max_value=9)
@@ -139,14 +132,6 @@ def test_field_axioms_n12(a, b, c):
 def test_embedding_is_ring_hom(a, b):
     assert close((a + b).to_complex(), a.to_complex() + b.to_complex(), 1e-28)
     assert close((a * b).to_complex(), a.to_complex() * b.to_complex(), 1e-26)
-
-
-def test_json_round_trip():
-    x = Cyclo(12, [Rat(1, 2), Rat(-3), Rat(0), Rat(7, 5)])
-    j = x.to_json()
-    assert j["conductor"] == 12
-    assert j["coeffs"] == ["1/2", "-3", "0", "7/5"]
-    assert Cyclo.from_json(j) == x
 
 
 def test_rat_str_parse():
@@ -295,5 +280,3 @@ def test_printing_edges_unchanged(x, text, coeffs):
     assert repr(x) == text
     assert [rat_str(c) for c in x.coeffs] == coeffs
     assert all(isinstance(c, Rat) for c in x.coeffs)
-    assert x.to_json() == {"conductor": x.n, "coeffs": coeffs}
-    assert Cyclo.from_json(x.to_json()) == x

@@ -24,6 +24,7 @@ from mbf.fusion import (
     PSObject,
     VerificationError,
     decompose_into_PS,
+    f_pair,
     fuse,
     lam,
     m_prime_word,
@@ -68,7 +69,7 @@ class TestGroupLikeJunctions:
     def test_all_lam_closed_charge_zero_d5(self):
         for i in range(5):
             for j in range(5):
-                lam(5, i, j, check=True)  # raises on failure
+                _closed_and_chargeless(lam(5, i, j), f"lam({i},{j})")  # raises on failure
 
     def test_trivial_triple(self):
         assert verify_group_like(3, 0, 0, 0) == Cyclo.one(3)
@@ -95,24 +96,29 @@ class TestSignPair:
             with pytest.raises(ValueError):
                 verify_sign(d)
 
+    @pytest.mark.parametrize("d", [4, 6, 8])
+    def test_pair_closed_charge_zero(self, d):
+        _, _, F_l, F_r = f_pair(d)
+        _closed_and_chargeless(F_l, "F_l")  # raises on failure
+        _closed_and_chargeless(F_r, "F_r")
+
     def test_wrong_sign_variant_not_closed(self):
-        # dropping the (-1)^{d/2-1} factor must break delta-closedness
-        d = 4
-        jn = Junctions(d)
-        TL = tensor_obj(jn.P_A, jn.P_B)
-        TB = jn.P_B
-        mp = m_prime_word(d, d // 2)
-        bad = Morphism(
-            TL, TB, 0,
-            Operator(TL.m0, TB.m0, {(0, 1): [mp]}),
-            Operator(TL.m1, TB.m1, {(0, 0): [mp]}),
-        )
-        ok, _ = bad.is_closed()
-        assert not ok
-        assert jn.F_l.is_closed()[0]
-        # the construction-time check reports it as a failed verification
-        with pytest.raises(VerificationError):
-            _closed_and_chargeless(bad, "F_l")
+        # the opposite of the (-1)^{d/2-1} factor must break delta-closedness
+        for d in (4, 6, 8):
+            P_A, P_B, F_l, _ = f_pair(d)
+            TL = tensor_obj(P_A, P_B)
+            mp = m_prime_word(d, d // 2)
+            wrong = Cyclo.from_rat(d, (-1) ** (d // 2))
+            bad = Morphism(
+                TL, P_B, 0,
+                Operator(TL.m0, P_B.m0, {(0, 1): [mp]}),
+                Operator(TL.m1, P_B.m1, {(0, 0): [mp.scaled(wrong)]}),
+            )
+            ok, _ = bad.is_closed()
+            assert not ok
+            assert F_l.is_closed()[0]
+            with pytest.raises(VerificationError):
+                _closed_and_chargeless(bad, "F_l")
 
 
 class TestACollection:
@@ -126,11 +132,26 @@ class TestACollection:
         assert Junctions(3).A == {}
 
     def test_closed_and_chargeless(self):
-        jn = Junctions(6, check=False)
+        jn = Junctions(6)
         for n, mor in jn.A.items():
             ok, mode = mor.is_closed()
             assert ok and mode.startswith("exact")
             assert morphism_charge(mor) == 0
+
+    @pytest.mark.parametrize("d", list(range(4, 10)))
+    def test_construction_checks_every_junction(self, d, monkeypatch):
+        checked = []
+
+        def record(phi, name):
+            checked.append(name)
+            return _closed_and_chargeless(phi, name)
+
+        monkeypatch.setattr(fusion, "_closed_and_chargeless", record)
+        Junctions(d)
+        assert checked == [f"A{n}" for n in range(1, 7)]
+        monkeypatch.setattr(fusion, "morphism_charge", lambda phi: 1)
+        with pytest.raises(VerificationError, match="A1: charge"):
+            Junctions(d)
 
 
 class TestFusingMatrix:
@@ -156,7 +177,7 @@ class TestFusingMatrix:
 
     def test_determined_rows_vanish_exactly_d5(self):
         d = 5
-        _, _, L1, L2, X, Y = _fusing_composites(d, check=False)
+        _, L1, L2, X, Y = _fusing_composites(d)
         pX, pY = _entry_polys(X), _entry_polys(Y)
         F = expected_F(d)
         for pL, (f0, f2) in ((_entry_polys(L1), F[0]), (_entry_polys(L2), F[1])):
@@ -169,7 +190,7 @@ class TestFusingMatrix:
             assert exact == {_POS_TO_LEG[pos] for pos in DETERMINED}
 
     def test_all_entries_exact_at_d4(self):
-        _, _, L1, L2, X, Y = _fusing_composites(4, check=False)
+        _, L1, L2, X, Y = _fusing_composites(4)
         pX, pY = _entry_polys(X), _entry_polys(Y)
         F = expected_F(4)
         for pL, (f0, f2) in ((_entry_polys(L1), F[0]), (_entry_polys(L2), F[1])):
@@ -192,7 +213,7 @@ def _rescaled_ratio(d, scales):
     """Re-solve the relations after junction rescalings A_n -> c_n A_n."""
     from mbf.fusion import _solve_pair
 
-    _, _, L1, L2, X, Y = _fusing_composites(d, check=False)
+    _, L1, L2, X, Y = _fusing_composites(d)
     c = {n: scales[n] for n in range(1, 7)}
     L1 = L1.scale(c[1] * c[5])
     L2 = L2.scale(c[2] * c[6])
@@ -370,11 +391,31 @@ class TestHomotopyVerification:
         assert by_eq[1] == {"no"}
         assert by_eq[2] == {"witness"}
 
+    def test_junctions_built_once(self, monkeypatch):
+        # the verification reuses the solve's composites; neither reads f_pair
+        calls = {"Junctions": 0, "f_pair": 0}
+        init, pair = Junctions.__init__, fusion.f_pair
+
+        def counted_init(self, d):
+            calls["Junctions"] += 1
+            init(self, d)
+
+        def counted_pair(d):
+            calls["f_pair"] += 1
+            return pair(d)
+
+        monkeypatch.setattr(Junctions, "__init__", counted_init)
+        monkeypatch.setattr(fusion, "f_pair", counted_pair)
+        verify_fusing_up_to_homotopy(4)
+        assert calls == {"Junctions": 1, "f_pair": 0}
+        solve_fusing_2x2(4)
+        assert calls == {"Junctions": 2, "f_pair": 0}
+
 
 class TestProportionality:
     def test_scalar_multiple_recovered(self):
         d = 5
-        junction = lam(d, 1, 2, check=False)
+        junction = lam(d, 1, 2)
         c = Cyclo.root(d, 3)
         got, mode = proportionality_scalar(junction.scale(c), junction)
         assert got == c and mode.startswith("exact")
@@ -382,4 +423,4 @@ class TestProportionality:
     def test_non_proportional_raises(self):
         d = 5
         with pytest.raises(VerificationError, match="sides not proportional"):
-            proportionality_scalar(lam(d, 1, 2, check=False), lam(d, 2, 1, check=False))
+            proportionality_scalar(lam(d, 1, 2), lam(d, 2, 1))

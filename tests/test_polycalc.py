@@ -350,12 +350,6 @@ class TestSubstitution:
         with pytest.raises(KeyError):
             R.var("b").subst_scale({"a": (1, "a")}, R)
 
-    def test_general_substitution(self):
-        R = Ring(["t"], 4)
-        T = Ring(["a", "b"], 4)
-        w = R.var("t") ** 4
-        assert w.substitute({"t": T.var("a") * T.var("b")}) == T.var("a") ** 4 * T.var("b") ** 4
-
     def test_rename(self):
         R = Ring(["a", "b"], 3)
         T = Ring(["a", "x1", "b"], 3)
@@ -469,55 +463,38 @@ class TestStructureQueries:
 
 
 class TestPolyMatrix:
-    def test_mul_identity_and_zero(self):
-        R = Ring(["a", "b"], 4)
-        M = PolyMatrix(R, [[R.var("a"), R.var("b")], [R.zero(), R.one()]])
-        assert M * PolyMatrix.identity(R, 2) == M
-        assert PolyMatrix.identity(R, 2) * M == M
-        assert (M - M).is_zero()
-
-    def test_mul_matches_entrywise(self):
-        R = Ring(["a", "b"], 4)
-        a, b = R.var("a"), R.var("b")
-        M = PolyMatrix(R, [[a, b], [b, a]])
-        N = PolyMatrix(R, [[a, R.zero()], [R.one(), b]])
-        P = M * N
-        assert P[0, 0] == a * a + b
-        assert P[0, 1] == b * b
-        assert P[1, 0] == b * a + a
-        assert P[1, 1] == a * b
-
     def test_factorisation_square(self):
-        # the defining property the whole package rests on, in matrix form
+        # the defining property the whole package rests on: D = [[0, p1c],
+        # [p1, 0]] squares to W*id, i.e. both off-diagonal products are W
         d = 4
         R = Ring(["a", "b"], d)
         z = R.zero()
         p1 = R.p_S([0])
         p1c = R.p_S([1, 2, 3])
         D = PolyMatrix(R, [[z, p1c], [p1, z]])
-        sq = D * D
         W = R.var("a") ** d - R.var("b") ** d
-        assert sq == PolyMatrix.scalar(R, 2, W)
+        assert D[0, 1] * D[1, 0] == W
+        assert D[1, 0] * D[0, 1] == W
 
     def test_shape_errors(self):
         R = Ring(["a"], 3)
         M = PolyMatrix(R, [[R.one(), R.zero()]])
-        with pytest.raises(ValueError):
-            M * M
-        with pytest.raises(ValueError):
-            M + PolyMatrix.identity(R, 2)
+        assert (M.rows, M.cols) == (1, 2)
+        with pytest.raises(ValueError, match="ragged"):
+            PolyMatrix(R, [[R.one(), R.zero()], [R.one()]])
 
     def test_ring_mismatch_between_matrices(self):
         R, S = Ring(["a"], 3), Ring(["b"], 3)
-        M, N = PolyMatrix.zero(R, 2, 2), PolyMatrix.zero(S, 2, 2)
-        for op in (lambda: M + N, lambda: M * N, lambda: PolyMatrix(R, [[S.one()]])):
-            with pytest.raises(RingMismatch):
-                op()
+        with pytest.raises(RingMismatch):
+            PolyMatrix(R, [[S.one()]])
+        assert PolyMatrix(R, [[R.one()]]) != PolyMatrix(S, [[S.one()]])
 
-    def test_scalar_mul(self):
-        R = Ring(["a"], 3)
-        M = PolyMatrix.identity(R, 2)
-        assert (M * R.var("a"))[0, 0] == R.var("a")
+    def test_map_and_is_zero(self):
+        R, T = Ring(["a"], 3), Ring(["a", "b"], 3)
+        M = PolyMatrix(R, [[R.var("a"), R.zero()]])
+        N = M.map(lambda p: p.rename({}, T))
+        assert N.ring == T and N[0, 0] == T.var("a")
+        assert not M.is_zero() and M.map(lambda p: p * 0).is_zero()
 
     def test_json_strings(self):
         R = Ring(["a", "b"], 4)
