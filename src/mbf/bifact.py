@@ -9,18 +9,21 @@ extraction), each of which commutes with the outer bimodule action.  That
 invariant is what makes equality decidable here:
 
 * any two operators agree iff they agree on all internal-slot monomials, and
-* from a 2-slot source there are no internal slots, so comparing images of
-  the rank generators is a complete, exact test.
+* from a 2-slot source there are no internal slots, so the images of the
+  copy generators (`Operator.matrix`) describe a map completely and
+  comparing them is an exact test.
 
-Operators from sources with internal slots are compared structurally after
-word normalization (substitution merging, multiplier merging and pushing)
-and, failing that, pointwise on internal monomials up to a total degree:
-evidence, not proof.  Only `op_equal` and `morphism_equal` take that degree
-(`cutoff`); every check built on them sweeps to `DEFAULT_CUTOFF`.
+`op_equal` has three tiers.  Operators are compared structurally after word
+normalization (substitution merging, multiplier merging and pushing);
+failing that, from a 2-slot source, by their generator matrices; from a
+source with internal slots, pointwise on internal monomials up to a total
+degree: evidence, not proof.  Only `op_equal` and `morphism_equal` take
+that degree (`cutoff`); every check built on them sweeps to
+`DEFAULT_CUTOFF`.
 
 An `Operator` is an immutable sparse matrix, {(row, col): tuple of words},
 built once by its one constructor.  Because it cannot change, it caches its
-normal form (which is its own normal form) and its multiplier matrix; an
+normal form (which is its own normal form) and its generator matrix; an
 operator made by `Operator.from_poly_matrix` starts with the matrix it was
 given.  Objects cache nothing: `tensor_obj` builds its product on every call
 (no workload asks for the same product twice often enough to pay for a
@@ -38,7 +41,6 @@ from .polycalc import MultiPoly, PolyMatrix, Ring
 DEFAULT_CUTOFF = 30
 
 _RING_CACHE: dict = {}
-_UNSET = object()  # an operator's multiplier matrix before it is computed
 
 
 def _slot_names(nslots: int, nvars: int, slot: int) -> tuple:
@@ -533,7 +535,7 @@ class Operator:
     `cells` maps (row, col) to the tuple of words summed in that entry, in
     row-major key order; a missing key is a zero entry.  The one constructor
     copies what it is given into a read-only view, so an operator never
-    changes: its normal form and its multiplier matrix are computed at most
+    changes: its normal form and its generator matrix are computed at most
     once and cached, and a normal form is its own normal form.
     """
 
@@ -546,7 +548,7 @@ class Operator:
         object.__setattr__(self, "dst", dst)
         object.__setattr__(self, "cells", MappingProxyType(cells))
         object.__setattr__(self, "_normal", None)
-        object.__setattr__(self, "_pm", _UNSET)
+        object.__setattr__(self, "_pm", None)
 
     def __setattr__(self, *a):
         raise AttributeError("Operator is immutable")
@@ -557,7 +559,7 @@ class Operator:
 
     @staticmethod
     def from_poly_matrix(src: FreeBimod, dst: FreeBimod, pm: PolyMatrix) -> "Operator":
-        """Multiplication by `pm`, which is cached as the multiplier matrix."""
+        """Multiplication by `pm`, which is kept as the operator's `matrix()`."""
         if pm.rows != dst.rank or pm.cols != src.rank:
             raise ValueError("matrix shape mismatch")
         if src.shape != dst.shape:
@@ -635,42 +637,22 @@ class Operator:
         elem[copy] = ring.monomial(exps)
         return self.apply(elem)
 
-    def generator_images(self) -> list:
-        """Images of the copy generators (complete data for 2-slot sources)."""
-        return [self.apply_basis(j, {}) for j in range(self.src.rank)]
+    def matrix(self) -> PolyMatrix:
+        """The images of the copy generators: column j is the image of copy j.
 
-    def generator_matrix(self) -> PolyMatrix:
-        if self.src.shape.nslots > 2:
-            raise ValueError("generator matrix is only faithful for 2-slot sources")
-        cols = self.generator_images()
-        ring = self.dst.shape.ring()
-        return PolyMatrix(
-            ring, [[cols[j][i] for j in range(self.src.rank)] for i in range(self.dst.rank)]
-        )
-
-    def pure_mul_matrix(self):
-        """PolyMatrix of multipliers if every word is a plain multiplication,
-        else None; computed once from the normal form."""
-        if self._pm is _UNSET:
-            object.__setattr__(self, "_pm", self._multipliers())
+        From a 2-slot source this is the whole map; an operator made by
+        `from_poly_matrix` returns the matrix it was given, any other computes
+        it once.  From a source with internal slots the images are not
+        faithful, so without a given matrix that raises ValueError.
+        """
+        if self._pm is None:
+            if self.src.shape.nslots > 2:
+                raise ValueError("generator matrix is only faithful for 2-slot sources")
+            cols = [self.apply_basis(j, {}) for j in range(self.src.rank)]
+            object.__setattr__(self, "_pm", PolyMatrix(
+                self.dst.shape.ring(),
+                [[col[i] for col in cols] for i in range(self.dst.rank)]))
         return self._pm
-
-    def _multipliers(self):
-        if self.src.shape != self.dst.shape:
-            return None
-        ring = self.src.shape.ring()
-        rows = [[ring.zero()] * self.src.rank for _ in range(self.dst.rank)]
-        for (i, j), ws in self.normalized().cells.items():
-            p = ring.zero()
-            for w in ws:
-                if len(w.prims) == 0:
-                    p = p + ring.const(w.coeff)
-                elif len(w.prims) == 1 and isinstance(w.prims[0], PMul):
-                    p = p + w.prims[0].poly * w.coeff
-                else:
-                    return None
-            rows[i][j] = p
-        return PolyMatrix._raw(ring, rows)
 
 
 def _normal_words(words) -> list:
@@ -721,13 +703,13 @@ def _internal_monomials(shape: SlotShape, cutoff: int):
 def op_equal(A: Operator, B: Operator, cutoff: int = DEFAULT_CUTOFF):
     """Tiered operator equality: (equal, mode).
 
-    Tiers: structural cancellation of the difference; pure-multiplier
-    comparison (faithful on any chain); generator images (complete for
-    sources without internal slots); pointwise on internal monomials up to
-    `cutoff` total degree.  Verdicts from the first three tiers are exact;
-    a True from the last, "verified-to-cutoff", is evidence, and a False
-    carries the failing basis element in the mode.  A negative `cutoff`
-    would sweep no monomial at all, so it raises ValueError.
+    Three tiers: structural cancellation of the difference; its generator
+    matrix (complete for sources without internal slots); pointwise on
+    internal monomials up to `cutoff` total degree.  Verdicts from the first
+    two tiers are exact; a True from the last, "verified-to-cutoff", is
+    evidence, and a False carries the failing basis element in the mode.  A
+    negative `cutoff` would sweep no monomial at all, so it raises
+    ValueError.
     """
     if cutoff < 0:
         raise ValueError(f"cutoff must be >= 0, got {cutoff}")
@@ -736,13 +718,9 @@ def op_equal(A: Operator, B: Operator, cutoff: int = DEFAULT_CUTOFF):
     diff = (A - B).normalized()
     if not diff.cells:
         return True, "exact-structural"
-    pm = diff.pure_mul_matrix()
-    if pm is not None:
-        return pm.is_zero(), "exact-multiplier"
-    zero_dst = [diff.dst.shape.ring().zero()] * diff.dst.rank
     if diff.src.shape.nslots <= 2:
-        eq = all(diff.apply_basis(j, {}) == zero_dst for j in range(diff.src.rank))
-        return eq, "exact-generator"
+        return diff.matrix().is_zero(), "exact-generator"
+    zero_dst = [diff.dst.shape.ring().zero()] * diff.dst.rank
     for copy in range(diff.src.rank):
         for exps in _internal_monomials(diff.src.shape, cutoff):
             if diff.apply_basis(copy, exps) != zero_dst:
@@ -903,11 +881,7 @@ def validate_mbf(D: MBF) -> ValidationReport:
             detail = None
             if diff.cells:
                 i, j = next(iter(diff.cells))
-                pm = diff.pure_mul_matrix()
-                detail = {
-                    "block": [i, j],
-                    "difference": str(pm[i, j]) if pm is not None else "non-multiplier word",
-                }
+                detail = {"block": [i, j], "difference": str(diff.apply_basis(j, {})[i])}
             violations.append({"which": name, "mode": mode, "detail": detail})
     mode = "exact" if all(m.startswith("exact") for m in modes) else "verified-to-cutoff"
     return ValidationReport(not violations, mode, violations)
@@ -1168,10 +1142,6 @@ def ps_object(d: int, S) -> MBF:
 def twist_object(D: MBF, m: int, n: int) -> MBF:
     """Substitute a → η^{−m} a, b → η^{−n} b in the differentials (W = x^d);
     the charges are kept."""
-    pm0 = D.d0.pure_mul_matrix()
-    pm1 = D.d1.pure_mul_matrix()
-    if pm0 is None or pm1 is None:
-        raise ValueError("twisting needs multiplier-only differentials")
     shape = D.shape
     if shape.nvars != 1 or shape.nslots != 2:
         raise ValueError("twisting implemented for one-variable 2-slot objects")
@@ -1181,8 +1151,8 @@ def twist_object(D: MBF, m: int, n: int) -> MBF:
     sub = lambda p: p.subst_scale(tw, ring)
     return MBF(
         D.m0, D.m1,
-        Operator.from_poly_matrix(D.m0, D.m1, pm0.map(sub)),
-        Operator.from_poly_matrix(D.m1, D.m0, pm1.map(sub)),
+        Operator.from_poly_matrix(D.m0, D.m1, D.d0.matrix().map(sub)),
+        Operator.from_poly_matrix(D.m1, D.m0, D.d1.matrix().map(sub)),
         D.w, D.grading,
     )
 
@@ -1278,10 +1248,7 @@ def unit_isos_inverse(D: MBF):
     """(λ_D⁻¹, ρ_D⁻¹) via the divided-difference pattern; one variable only."""
     if D.shape.nvars != 1 or D.shape.nslots != 2:
         raise ValueError("inverse unit isomorphisms: one-variable 2-slot objects only")
-    pm0 = D.d0.pure_mul_matrix()
-    pm1 = D.d1.pure_mul_matrix()
-    if pm0 is None or pm1 is None:
-        raise ValueError("inverse unit isomorphisms need multiplier-only differentials")
+    pm0, pm1 = D.d0.matrix(), D.d1.matrix()
     I = unit_object(D.w)
     ID = tensor_obj(I, D)
     DI = tensor_obj(D, I)
@@ -1306,7 +1273,7 @@ def unit_isos_inverse(D: MBF):
         for i, row in enumerate(corr):
             for j, p in enumerate(row):
                 if not p.is_zero():
-                    w = ins.then(w_mul(ID.shape, p))
+                    w = w_then_mul(ins, p)
                     cells[corr_at + i, j] = (w.scaled(minus) if negate else w,)
         return Operator(src_mod, FreeBimod(ID.shape, r0 + r1), cells)
 

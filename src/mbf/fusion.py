@@ -44,7 +44,7 @@ from __future__ import annotations
 
 from . import VerificationError
 from .exactalg import Cyclo
-from .polycalc import MultiPoly, NotDivisibleError, PolyMatrix
+from .polycalc import MultiPoly, NotDivisibleError
 from .bifact import (
     MBF,
     Morphism,
@@ -350,8 +350,8 @@ def _fusing_composites(d: int):
 
 def _entry_polys(mor: Morphism):
     """Generator images of the two legs, as (leg, row) -> poly."""
-    me = mor.opE.generator_matrix()
-    mo = mor.opO.generator_matrix()
+    me = mor.opE.matrix()
+    mo = mor.opO.matrix()
     return {0: [me[i, 0] for i in range(me.rows)],
             1: [mo[i, 0] for i in range(mo.rows)]}
 
@@ -366,13 +366,12 @@ def _solve_pair(d, polyL, polyX, polyY):
         for e in sorted(set(pL.terms) | set(pX.terms) | set(pY.terms)):
             rows.append([pX.terms.get(e, z), pY.terms.get(e, z)])
             rhs.append(pL.terms.get(e, z))
-    _, pivots = linalg.rref([list(r) for r in rows], d)
-    if len(pivots) < 2:
+    m, pivots = linalg.rref([r + [v] for r, v in zip(rows, rhs)])
+    if pivots[:2] != [0, 1]:
         raise VerificationError("fusing system underdetermined")
-    sol = linalg.solve(rows, rhs, d)
-    if sol is None:
+    if 2 in pivots:  # a pivot in the constants column
         raise VerificationError("fusing system inconsistent")
-    return sol[0], sol[1]
+    return m[0][2], m[1][2]
 
 
 def _fusing_report(d, L1, L2, X, Y) -> FusingReport:
@@ -456,20 +455,13 @@ def reduce_tensor(Am: MBF, Bm: MBF, check: bool = True) -> ReducedTensor:
     sh3, sh2 = T.shape, Am.shape
     r3, r2 = sh3.ring(), sh2.ring()
     to_mid = {"a": "x1", "b": "b"}
-    dB1 = Bm.d1.pure_mul_matrix()
-    dB0 = Bm.d0.pure_mul_matrix()
-    if dB1 is None or dB0 is None:
-        raise ValueError("differentials must be pure multiplications")
-    q1 = dB1[0, 0].rename(to_mid, r3)
+    q1 = Bm.d1.matrix()[0, 0].rename(to_mid, r3)
     g = q1.degree_in("x1")
     lead = q1.coefficients_in("x1").get(g)
     if g < 1 or lead is None or lead.constant_value() != Cyclo.one(d):
         raise ValueError("right d1 entry must be monic in its left variable")
 
-    pmA0 = Am.d0.pure_mul_matrix()
-    pmA1 = Am.d1.pure_mul_matrix()
-    if pmA0 is None or pmA1 is None:
-        raise ValueError("differentials must be pure multiplications")
+    pmA0, pmA1 = Am.d0.matrix(), Am.d1.matrix()
     shift = {"a": "a", "b": "x1"}
     rA0, rA1 = Am.m0.rank, Am.m1.rank
     dA0 = [[pmA0[v, u].rename(shift, r3) for u in range(rA0)] for v in range(rA1)]
@@ -543,25 +535,14 @@ def reduce_tensor(Am: MBF, Bm: MBF, check: bool = True) -> ReducedTensor:
 # -- decomposition into P_S summands --------------------------------------------
 
 
-def _nested(pm: PolyMatrix):
-    return [[pm[i, j] for j in range(pm.cols)] for i in range(pm.rows)]
-
-
 def _is_unit(p: MultiPoly):
     c = p.constant_value()
     return c is not None and not c.is_zero()
 
 
 def _divides_line(p: MultiPoly, mat, i: int, j: int) -> bool:
-    for q in mat[i]:
-        if q.is_zero() or q is p:
-            continue
-        try:
-            q.exact_divide(p)
-        except NotDivisibleError:
-            return False
-    for row in mat:
-        q = row[j]
+    """p divides every other entry of row i and of column j of `mat`."""
+    for q in mat[i] + [row[j] for row in mat]:
         if q.is_zero() or q is p:
             continue
         try:
@@ -639,8 +620,8 @@ def decompose_into_PS(D):
     verifications: each raises VerificationError (exit 1 in `mbf`), since the
     input passed the shape checks and it is the claim that it splits into P_S
     summands that this elimination could not confirm.  Input of the wrong kind
-    (TypeError) or shape (not 2-slot, differentials not pure multiplications)
-    is a plain ValueError.
+    is a TypeError, and input that is not a 2-slot object a plain ValueError;
+    the differentials are read through their generator matrices.
     """
     if isinstance(D, ReducedTensor):
         D = D.reduced
@@ -649,10 +630,8 @@ def decompose_into_PS(D):
     if D.shape.nslots != 2:
         raise ValueError("decomposition expects a 2-slot object")
     d = D.shape.conductor
-    pm1, pm0 = D.d1.pure_mul_matrix(), D.d0.pure_mul_matrix()
-    if pm1 is None or pm0 is None:
-        raise ValueError("differentials must be pure multiplications")
-    B, A = _nested(pm1), _nested(pm0)
+    B = [list(r) for r in D.d1.matrix().entries]
+    A = [list(r) for r in D.d0.matrix().entries]
     pivots = []
     while B and B[0]:
         hit = None
@@ -706,16 +685,6 @@ def fuse(d: int, left, right, check: bool = True):
 # -- homotopy verification of the remaining fusing entries ----------------------
 
 
-def _pure_mul_morphism(phi: Morphism, dst: MBF) -> Morphism:
-    """Rewrite a 2-slot-source morphism as multiplier blocks (faithful)."""
-    src, par = phi.src, phi.parity
-    return Morphism(
-        src, dst, par,
-        Operator.from_poly_matrix(src.m0, dst.component(par), phi.opE.generator_matrix()),
-        Operator.from_poly_matrix(src.m1, dst.component(1 + par), phi.opO.generator_matrix()),
-    )
-
-
 def verify_fusing_up_to_homotopy(d: int, perturb=None) -> FusingReport:
     """Check that the solved 2x2 matrix closes both relations up to homotopy.
 
@@ -744,7 +713,9 @@ def verify_fusing_up_to_homotopy(d: int, perturb=None) -> FusingReport:
     entries = []
     for eqno, L, f0, f2 in ((1, L1, F[0][0], F[0][1]), (2, L2, F[1][0], F[1][1])):
         delta = L - X.scale(f0) - Y.scale(f2)
-        theta = _pure_mul_morphism(transport.compose(delta), r2.reduced)
+        moved = transport.compose(delta)
+        theta = Morphism.from_poly_blocks(moved.src, moved.dst, moved.parity,
+                                          moved.opE.matrix().entries, moved.opO.matrix().entries)
         ok, mode = theta.is_closed()
         if not ok:
             raise VerificationError(f"transported defect not closed ({mode})")

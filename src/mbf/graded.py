@@ -37,7 +37,6 @@ from .bifact import (
     unit_isos,
     w_mul,
 )
-from .polycalc import MultiPoly, PolyMatrix
 
 
 class _NotHomogeneous:
@@ -60,31 +59,16 @@ class _NotHomogeneous:
 NotHomogeneous = _NotHomogeneous()
 
 
-def _entry_charges(poly: MultiPoly, qshift: Rat):
-    """Set of q_x-unit charges of the monomials of one block entry."""
-    return {sum(e) + qshift for e in poly.terms}
-
-
 def graded_validate(D: MBF):
-    """Every differential entry must carry charge d/2 in q_x units."""
+    """Every differential must carry charge d/2 in q_x units, read word by
+    word against the charges of its endpoints (`operator_charge_units`)."""
     half = Rat(D.shape.conductor, 2)
     violations = []
     c0, c1 = D.charges(0), D.charges(1)
     for name, op, csrc, cdst in (("d0", D.d0, c0, c1), ("d1", D.d1, c1, c0)):
-        pm = op.pure_mul_matrix()
-        if pm is None:
-            violations.append({"which": name, "reason": "non-multiplier entries"})
-            continue
-        for i in range(pm.rows):
-            for j in range(pm.cols):
-                p = pm[i, j]
-                if p.is_zero():
-                    continue
-                bad = {c for c in _entry_charges(p, cdst[i] - csrc[j]) if c != half}
-                if bad:
-                    violations.append(
-                        {"which": name, "block": [i, j], "charges": sorted(map(str, bad))}
-                    )
+        q = operator_charge_units(op, csrc, cdst)
+        if q is not None and q != half:
+            violations.append({"which": name, "charge": str(q)})
     return {"ok": not violations, "violations": violations}
 
 
@@ -222,7 +206,7 @@ class _Ansatz:
         return len(self.vars)
 
     def legs_for(self, coeffs) -> tuple:
-        """Assemble the two PolyMatrix legs from a coefficient vector."""
+        """The rows of the two legs' matrices for a coefficient vector."""
         ring = self.ring
         shapes = []
         for leg in (0, 1):
@@ -234,18 +218,10 @@ class _Ansatz:
                 continue
             mono = ring.monomial({"a": m, "b": n}, c)
             shapes[leg][i][j] = shapes[leg][i][j] + mono
-        return (PolyMatrix(ring, shapes[0]), PolyMatrix(ring, shapes[1]))
+        return shapes[0], shapes[1]
 
     def morphism(self, coeffs) -> Morphism:
-        legE, legO = self.legs_for(coeffs)
-        src, tgt = self.gs, self.gt
-        return Morphism(
-            src,
-            tgt,
-            self.parity,
-            Operator.from_poly_matrix(src.m0, tgt.component(self.parity), legE),
-            Operator.from_poly_matrix(src.m1, tgt.component(1 + self.parity), legO),
-        )
+        return Morphism.from_poly_blocks(self.gs, self.gt, self.parity, *self.legs_for(coeffs))
 
 
 def _delta_columns(ansatz: _Ansatz, index: dict) -> list:
@@ -261,8 +237,8 @@ def _delta_columns(ansatz: _Ansatz, index: dict) -> list:
     coordinate, so every entry is a copied or negated differential coefficient.
     """
     src, tgt, p = ansatz.gs, ansatz.gt, ansatz.parity
-    D = (src.d0.pure_mul_matrix(), src.d1.pure_mul_matrix())
-    E = (tgt.d0.pure_mul_matrix(), tgt.d1.pure_mul_matrix())
+    D = (src.d0.matrix(), src.d1.matrix())
+    E = (tgt.d0.matrix(), tgt.d1.matrix())
     columns = []
     for leg, i, j, m, n in ansatz.vars:
         shift = tuple({"a": m, "b": n}.get(v, 0) for v in ansatz.ring.vars)
@@ -329,8 +305,8 @@ class HomSpace:
                     "dim": s.dim,
                     "basis": [
                         {
-                            "even": rep.opE.pure_mul_matrix().to_json(),
-                            "odd": rep.opO.pure_mul_matrix().to_json(),
+                            "even": rep.opE.matrix().to_json(),
+                            "odd": rep.opO.matrix().to_json(),
                         }
                         for rep in s.representatives
                     ],
@@ -349,7 +325,7 @@ def _solve_sector(gs: MBF, gt: MBF, units: Rat, parity: int = 0):
     if not closed:
         return 0, []
     image = _image_vectors(ansatz)
-    ech = Echelon(gs.shape.conductor)
+    ech = Echelon()
     for vecv in image:
         ech.insert(vecv)
     reps = [ansatz.morphism(vecv) for vecv in closed if ech.insert(vecv)]
@@ -398,14 +374,11 @@ def hom_space(gs: MBF, gt: MBF, charge="all", parity: int = 0) -> HomSpace:
 def is_null_homotopic(phi: Morphism):
     """Exact witness psi with delta(psi) = phi, or None (a certified No).
 
-    phi must be charge-homogeneous with multiplier-only blocks between graded
-    objects; homogeneity makes the forced-sector ansatz complete, so failure
-    is a proof.
+    phi must be a charge-homogeneous map between graded 2-slot objects, read
+    through its generator matrices; homogeneity makes the forced-sector
+    ansatz complete, so failure is a proof.
     """
-    pmE = phi.opE.pure_mul_matrix()
-    pmO = phi.opO.pure_mul_matrix()
-    if pmE is None or pmO is None:
-        raise ValueError("need multiplier-only blocks")
+    pmE, pmO = phi.opE.matrix(), phi.opO.matrix()
     if pmE.is_zero() and pmO.is_zero():
         return Morphism.zero(phi.src, phi.dst, 1 + phi.parity)
     q = morphism_charge(phi)

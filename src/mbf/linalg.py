@@ -14,7 +14,7 @@ def _clone(rows):
     return [list(r) for r in rows]
 
 
-def rref(rows, conductor: int):
+def rref(rows):
     """Reduced row echelon form.  Returns (rref_rows, pivot_columns)."""
     m = _clone(rows)
     nrows = len(m)
@@ -47,8 +47,8 @@ def rref(rows, conductor: int):
     return m, pivots
 
 
-def rank(rows, conductor: int) -> int:
-    return len(rref(rows, conductor)[1])
+def rank(rows) -> int:
+    return len(rref(rows)[1])
 
 
 def nullspace(rows, conductor: int, ncols: int | None = None):
@@ -59,7 +59,7 @@ def nullspace(rows, conductor: int, ncols: int | None = None):
         return []
     if not rows:
         rows = [[Cyclo.zero(conductor)] * ncols]
-    m, pivots = rref(rows, conductor)
+    m, pivots = rref(rows)
     free = [c for c in range(ncols) if c not in pivots]
     zero, one = Cyclo.zero(conductor), Cyclo.one(conductor)
     basis = []
@@ -80,7 +80,7 @@ def solve(rows, rhs, conductor: int):
     if nrows == 0:
         return [zero] * ncols
     aug = [list(r) + [v] for r, v in zip(rows, rhs)]
-    m, pivots = rref(aug, conductor)
+    m, pivots = rref(aug)
     if ncols in pivots:
         return None  # pivot in the constants column: inconsistent
     x = [zero] * ncols
@@ -92,8 +92,7 @@ def solve(rows, rhs, conductor: int):
 class Echelon:
     """Growing row-echelon basis supporting incremental rank queries."""
 
-    def __init__(self, conductor: int):
-        self.conductor = conductor
+    def __init__(self):
         self.rows = []  # kept sorted by pivot column; rows are pivot-normalized
 
     @property

@@ -680,16 +680,6 @@ class PolyMatrix:
     def __setattr__(self, *a):
         raise AttributeError("PolyMatrix is immutable")
 
-    @classmethod
-    def _raw(cls, ring: Ring, rows: list) -> "PolyMatrix":
-        # internal fast path: rows must be non-ragged sequences of entries in `ring`
-        self = object.__new__(cls)
-        object.__setattr__(self, "ring", ring)
-        object.__setattr__(self, "rows", len(rows))
-        object.__setattr__(self, "cols", len(rows[0]) if rows else 0)
-        object.__setattr__(self, "entries", tuple(map(tuple, rows)))
-        return self
-
     def __getitem__(self, ij):
         return self.entries[ij[0]][ij[1]]
 

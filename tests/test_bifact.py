@@ -46,6 +46,14 @@ def strs(pm):
     return [[str(p) for p in row] for row in pm.entries]
 
 
+def _images(op):
+    """Generator images of `op`, column j for copy j.  On a 3-slot source they
+    are not the whole map, but they are the entries of a map that only
+    multiplies, as a tensor product's differentials do."""
+    cols = [op.apply_basis(j, {}) for j in range(op.src.rank)]
+    return PolyMatrix(op.dst.shape.ring(), [[c[i] for c in cols] for i in range(op.dst.rank)])
+
+
 class TestValidate:
     def test_unit_cubic_exact(self):
         I = unit_object(fermat_potential(3))
@@ -53,7 +61,7 @@ class TestValidate:
         assert rep.ok and rep.mode == "exact"
         # the telescoping identity behind it, as the 1x1 entry product d1*d0
         ring = I.shape.ring()
-        prod = I.d1.pure_mul_matrix()[0, 0] * I.d0.pure_mul_matrix()[0, 0]
+        prod = I.d1.matrix()[0, 0] * I.d0.matrix()[0, 0]
         assert prod == ring.parse("a^3 - b^3")
 
     def test_ps_d4(self):
@@ -63,7 +71,7 @@ class TestValidate:
     def test_ps_complement_product(self, d):
         P = ps_object(d, [0])
         ring = P.shape.ring()
-        prod = P.d1.pure_mul_matrix()[0, 0] * P.d0.pure_mul_matrix()[0, 0]
+        prod = P.d1.matrix()[0, 0] * P.d0.matrix()[0, 0]
         assert prod == ring.var("a") ** d - ring.var("b") ** d
 
     def test_corrupted_differential_reported(self):
@@ -106,8 +114,8 @@ class TestDelta:
         psi = Morphism.from_poly_blocks(I, I, 1, [[ring.one()]], [[ring.zero()]])
         d = psi.delta()
         assert d.parity == 0
-        assert strs(d.opE.pure_mul_matrix()) == [["a - b"]]
-        assert strs(d.opO.pure_mul_matrix()) == [["a - b"]]
+        assert strs(d.opE.matrix()) == [["a - b"]]
+        assert strs(d.opO.matrix()) == [["a - b"]]
 
     @pytest.mark.parametrize("parity", [0, 1])
     @pytest.mark.parametrize("e,o", [("a^2", "b"), ("a*b + 1", "a - 2*b"), ("b^3", "0")])
@@ -147,7 +155,7 @@ class TestTensorObject:
         T = tensor_obj(ps_object(3, [0]), ps_object(3, [1]))
         assert T.m0.rank == 2 and T.m1.rank == 2
         assert T.shape.nslots == 3
-        d0 = T.d0.pure_mul_matrix()
+        d0 = _images(T.d0)
         assert strs(d0) == [
             ["a^2 + a*x1 + x1^2", "-x1 + z*b"],
             ["x1^2 + z*x1*b + (-1 - z)*b^2", "a - x1"],
@@ -163,10 +171,10 @@ class TestTensorObject:
         ring = T.shape.ring()
         iota0 = ring.parse("a^3 + a^2*x1 + a*x1^2 + x1^3")
         iota1 = ring.parse("a - x1")
-        dd0 = D.d0.pure_mul_matrix()[0, 0].rename({"a": "x1", "b": "b"}, ring)
-        dd1 = D.d1.pure_mul_matrix()[0, 0].rename({"a": "x1", "b": "b"}, ring)
-        m0 = T.d0.pure_mul_matrix()
-        m1 = T.d1.pure_mul_matrix()
+        dd0 = D.d0.matrix()[0, 0].rename({"a": "x1", "b": "b"}, ring)
+        dd1 = D.d1.matrix()[0, 0].rename({"a": "x1", "b": "b"}, ring)
+        m0 = _images(T.d0)
+        m1 = _images(T.d1)
         assert m0[0, 0] == iota0 and m0[0, 1] == -dd1
         assert m0[1, 0] == dd0 and m0[1, 1] == iota1
         assert m1[0, 0] == iota1 and m1[0, 1] == dd1
@@ -281,19 +289,19 @@ class TestUnitObject:
     def test_one_variable_is_p0(self, d):
         I = unit_object(fermat_potential(d))
         P0 = ps_object(d, [0])
-        assert I.d0.pure_mul_matrix() == P0.d0.pure_mul_matrix()
-        assert I.d1.pure_mul_matrix() == P0.d1.pure_mul_matrix()
+        assert I.d0.matrix() == P0.d0.matrix()
+        assert I.d1.matrix() == P0.d1.matrix()
 
     def test_two_variable_quadric_display(self):
         ring = Ring(("x", "y"), 2)
         w = ring.var("x") ** 2 + ring.var("y") ** 2
         I = unit_object(w)
         assert I.m0.rank == 2 and I.m1.rank == 2
-        assert strs(I.d0.pure_mul_matrix()) == [
+        assert strs(I.d0.matrix()) == [
             ["a1 + b1", "-a2 + b2"],
             ["a2 + b2", "a1 - b1"],
         ]
-        assert strs(I.d1.pure_mul_matrix()) == [
+        assert strs(I.d1.matrix()) == [
             ["a1 - b1", "a2 - b2"],
             ["-a2 - b2", "a1 + b1"],
         ]
@@ -456,26 +464,25 @@ class TestTwists:
         assert validate_mbf(T).ok
         # target is P_{{2}}
         ring = target.shape.ring()
-        assert target.d1.pure_mul_matrix()[0, 0] == ring.p_S([2])
+        assert target.d1.matrix()[0, 0] == ring.p_S([2])
         ok, mode = iso.is_closed()
         assert ok and mode == "exact-structural"
         # phi_1 = eta^{-1}
         eta = ring.root(1)
-        assert iso.opO.pure_mul_matrix()[0, 0] == ring.const(eta ** 2)
+        assert iso.opO.matrix()[0, 0] == ring.const(eta ** 2)
 
     def test_equal_twist_is_scalar_iso(self):
         T, iso, target = twist_iso_ps(5, [0, 3], 2, 2)
         ring = target.shape.ring()
-        assert target.d1.pure_mul_matrix()[0, 0] == ring.p_S([0, 3])
-        assert iso.opE.pure_mul_matrix()[0, 0] == ring.one()
-        phi1 = iso.opO.pure_mul_matrix()[0, 0].constant_value()
+        assert target.d1.matrix()[0, 0] == ring.p_S([0, 3])
+        assert iso.opE.matrix()[0, 0] == ring.one()
+        phi1 = iso.opO.matrix()[0, 0].constant_value()
         assert phi1 is not None and not phi1.is_zero()
         assert iso.is_closed()[0]
 
-    def test_twist_needs_multiplier_entries(self):
+    def test_twist_needs_a_two_slot_object(self):
         I = unit_object(fermat_potential(3))
-        lam, _ = unit_isos(I)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="2-slot"):
             twist_object(tensor_obj(I, I), 1, 0)
 
 
@@ -486,7 +493,20 @@ class TestOperatorEquality:
         a = Operator(D.m0, D.m0, {(0, 0): [w_mul(D.shape, ring.var("a"))]})
         b = Operator(D.m0, D.m0, {(0, 0): [w_mul(D.shape, ring.var("b"))]})
         eq, mode = op_equal(a, b)
-        assert not eq and mode in ("exact-multiplier", "exact-structural")
+        assert not eq and mode == "exact-generator"
+        # on a 3-slot chain the generator matrix is not faithful, so there is
+        # none to read; the sweep's first monomial tells the multipliers apart
+        shape = SlotShape(3, 1, 4)
+        mod = FreeBimod(shape, 1)
+        ring3 = shape.ring()
+        a3 = Operator(mod, mod, {(0, 0): [w_mul(shape, ring3.var("a"))]})
+        x3 = Operator(mod, mod, {(0, 0): [w_mul(shape, ring3.var("x1"))]})
+        assert op_equal(a3, x3) == (False, "counterexample at copy 0, monomial {'x1': 0}")
+        with pytest.raises(ValueError, match="2-slot"):
+            (a3 - x3).matrix()
+        # unless the operator was built from a matrix, which it returns
+        pm3 = PolyMatrix(ring3, [[ring3.var("x1")]])
+        assert Operator.from_poly_matrix(mod, mod, pm3).matrix() is pm3
 
     def test_sweep_degree_must_be_nonnegative(self):
         # a 3-slot difference that only the pointwise sweep settles; a negative
@@ -768,7 +788,7 @@ class TestOperatorImmutability:
         assert fresh is not n
         assert _Dense.of(fresh).keys() == _Dense.of(n).keys()
 
-    def test_pure_mul_matrix_is_read_from_the_given_matrix(self, monkeypatch):
+    def test_matrix_is_the_given_matrix(self, monkeypatch):
         P = ps_object(5, [0, 2])
         ring = P.shape.ring()
         pm = PolyMatrix(ring, [[ring.p_S([1, 3, 4]), ring.const(2)], [ring.zero(), ring.var("a")]])
@@ -779,11 +799,11 @@ class TestOperatorImmutability:
 
         monkeypatch.setattr(Word, "normalized", refuse)
         op = Operator.from_poly_matrix(mod, mod, pm)
-        assert op.pure_mul_matrix() == pm and op.pure_mul_matrix() is pm
+        assert op.matrix() is pm
         assert set(op.cells) == {(0, 0), (0, 1), (1, 1)}
         monkeypatch.undo()
-        # the matrix read back through the normal form is the same
-        rebuilt = Operator(mod, mod, dict(op.cells)).pure_mul_matrix()
+        # the matrix read back from the generator images is the same
+        rebuilt = Operator(mod, mod, dict(op.cells)).matrix()
         assert rebuilt == pm
         assert [list(p.terms.items()) for row in rebuilt.entries for p in row] == [
             list(p.terms.items()) for row in pm.entries for p in row]
@@ -800,8 +820,8 @@ class TestOperatorImmutability:
             op.cells[key].append(word)
         with pytest.raises(AttributeError):
             op.cells = {}
-        # the cached multiplier matrix is handed to every caller: read-only too
-        pm = ps_object(4, [1]).d0.pure_mul_matrix()
+        # the cached generator matrix is handed to every caller: read-only too
+        pm = ps_object(4, [1]).d0.matrix()
         with pytest.raises(TypeError):
             pm.entries[0][0] = pm[0, 0] * 2
         with pytest.raises(TypeError):

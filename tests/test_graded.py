@@ -86,6 +86,9 @@ class TestGradedValidate:
         report = graded_validate(bad)
         assert not report["ok"]
         assert report["violations"][0]["which"] in ("d0", "d1")
+        # the same factor inside a 3-slot tensor product is flagged too
+        assert not graded_validate(tensor_obj(bad, g))["ok"]
+        assert not graded_validate(tensor_obj(g, bad))["ok"]
 
     def test_tensor_inherits_grading(self):
         # blockwise charge sums keep the differential at charge 1
@@ -130,8 +133,8 @@ class TestHomSpace:
             assert sector.dim == 1
             (rep,) = sector.representatives
             want = [["1" if k == 0 else ("a" if k == 1 else f"a^{k}")]]
-            assert rep.opE.pure_mul_matrix().to_json() == want
-            assert rep.opO.pure_mul_matrix().to_json() == want
+            assert rep.opE.matrix().to_json() == want
+            assert rep.opO.matrix().to_json() == want
 
     def test_singleton_to_pair_d5(self):
         H = hom_space(graded_ps(5, 0, 0), graded_ps(5, 0, 1), "all")
@@ -209,10 +212,10 @@ class TestHomSpace:
 
 
 def _leg_terms(phi):
-    """{(leg, i, j, exponents): coefficient} of a multiplier-only morphism."""
+    """{(leg, i, j, exponents): coefficient} of a morphism between 2-slot objects."""
     out = {}
     for leg, op in enumerate((phi.opE, phi.opO)):
-        pm = op.pure_mul_matrix()
+        pm = op.matrix()
         for i in range(pm.rows):
             for j in range(pm.cols):
                 for e, c in pm[i, j].terms.items():
@@ -308,7 +311,7 @@ class TestNullHomotopy:
             [[ring.zero()]],
         )
         phi = psi.delta()
-        if phi.opE.pure_mul_matrix().is_zero() and phi.opO.pure_mul_matrix().is_zero():
+        if phi.opE.matrix().is_zero() and phi.opO.matrix().is_zero():
             return
         witness = is_null_homotopic(phi)
         assert witness is not None
@@ -348,8 +351,8 @@ class TestGradingOnObjects:
     def test_unit_is_graded_like_singleton(self, d):
         I, P0 = graded_unit(d), graded_ps(d, 0, 0)
         assert I.grading == P0.grading == charge_matrix_ps(d, 0)
-        assert I.d0.pure_mul_matrix() == P0.d0.pure_mul_matrix()
-        assert I.d1.pure_mul_matrix() == P0.d1.pure_mul_matrix()
+        assert I.d0.matrix() == P0.d0.matrix()
+        assert I.d1.matrix() == P0.d1.matrix()
 
     @pytest.mark.parametrize("d", [3, 4, 5])
     def test_tensor_and_reduced_charges(self, d):
@@ -375,14 +378,14 @@ class TestGradingOnObjects:
         # order of a reduced object shows
         P, Q = objs[0], objs[-2]
         z = P.shape.ring().zero()
-        e = lambda D, k: D.differential_from(k).pure_mul_matrix()[0, 0]
+        e = lambda D, k: D.differential_from(k).matrix()[0, 0]
         dsum = mbf_from_polys(P.shape, [[e(P, 0), z], [z, e(Q, 0)]], [[e(P, 1), z], [z, e(Q, 1)]],
                               P.w, tuple(P.charges(p) + Q.charges(p) for p in (0, 1)))
         for A in objs + [dsum]:
             for B in objs:
                 for R in (A, reduce_tensor(A, B, check=False).reduced):
                     red = reduce_tensor(R, B, check=False).reduced
-                    g = B.d1.pure_mul_matrix()[0, 0].degree_in("a")
+                    g = B.d1.matrix()[0, 0].degree_in("a")
                     want = tuple(tuple(c + B.charges(0)[0] + j for c in R.charges(p) for j in range(g))
                                  for p in (0, 1))
                     assert red.grading == want
