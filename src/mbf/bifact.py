@@ -25,13 +25,19 @@ An `Operator` is an immutable sparse matrix, {(row, col): tuple of words},
 built once by its one constructor.  Because it cannot change, it caches its
 normal form (which is its own normal form) and its generator matrix; an
 operator made by `Operator.from_poly_matrix` starts with the matrix it was
-given.  Objects cache nothing: `tensor_obj` builds its product on every call
-(no workload asks for the same product twice often enough to pay for a
-cache).
+given and is built in normal form.  Objects cache nothing: `tensor_obj`
+builds its product on every call (no workload asks for the same product
+twice often enough to pay for a cache).
+
+One routine, `_tensor_legs`, builds every f ⊗ g, the differential
+d_X ⊗ 1 + 1 ⊗ d_Y of X ⊗ Y included; `tensor_copy` is the one copy index
+of X ⊗ Y, which the associator, the unit maps and `fusion.reduce_tensor`
+read.
 """
 
 from __future__ import annotations
 
+import itertools
 from types import MappingProxyType
 
 from ._rat import Rat
@@ -111,10 +117,9 @@ class SlotShape:
             r = _RING_CACHE.setdefault(key, Ring(names, self.conductor))
         return r
 
-    def glue(self, other: "SlotShape") -> "SlotShape":
-        if self.nvars != other.nvars or self.conductor != other.conductor:
-            raise ValueError("incompatible shapes for gluing")
-        return SlotShape(self.nslots + other.nslots - 1, self.nvars, self.conductor)
+    def widen(self, left: int, right: int) -> "SlotShape":
+        """This chain with `left` slots glued on before it and `right` after."""
+        return SlotShape(left + self.nslots + right, self.nvars, self.conductor)
 
     def drop_slot(self, slot: int) -> "SlotShape":
         if slot <= 0 or slot >= self.nslots - 1:
@@ -394,6 +399,11 @@ class Word:
     def then(self, other: "Word") -> "Word":
         if self.dst != other.src:
             raise ValueError("word shapes do not chain")
+        # a word without primitives is an identity times its coefficient
+        if not other.prims and other.coeff.is_one():
+            return self
+        if not self.prims and self.coeff.is_one():
+            return other
         return Word(self.coeff * other.coeff, self.prims + other.prims, self.src, other.dst)
 
     def scaled(self, c: Cyclo) -> "Word":
@@ -443,14 +453,9 @@ class Word:
         return (self.src, self.dst, tuple(p.signature() for p in self.prims))
 
     def lift(self, left: int, right: int) -> "Word":
-        asrc = SlotShape(left + self.src.nslots + right, self.src.nvars, self.src.conductor)
-        adst = SlotShape(left + self.dst.nslots + right, self.dst.nvars, self.dst.conductor)
-        prims = []
-        for prim in self.prims:
-            ps = SlotShape(left + prim.src.nslots + right, prim.src.nvars, prim.src.conductor)
-            pd = SlotShape(left + prim.dst.nslots + right, prim.dst.nvars, prim.dst.conductor)
-            prims.append(prim.lift(left, right, ps, pd))
-        return Word(self.coeff, tuple(prims), asrc, adst)
+        prims = tuple(p.lift(left, right, p.src.widen(left, right), p.dst.widen(left, right))
+                      for p in self.prims)
+        return Word(self.coeff, prims, self.src.widen(left, right), self.dst.widen(left, right))
 
     def __repr__(self):
         inner = "∘".join(p.signature()[0] for p in reversed(self.prims)) or "id"
@@ -559,16 +564,24 @@ class Operator:
 
     @staticmethod
     def from_poly_matrix(src: FreeBimod, dst: FreeBimod, pm: PolyMatrix) -> "Operator":
-        """Multiplication by `pm`, which is kept as the operator's `matrix()`."""
+        """Multiplication by `pm`, which is kept as the operator's `matrix()`.
+
+        Built in normal form (a constant entry as a coefficient, any other as
+        one multiplication), the operator is its own normal form."""
         if pm.rows != dst.rank or pm.cols != src.rank:
             raise ValueError("matrix shape mismatch")
         if src.shape != dst.shape:
             raise ValueError("from_poly_matrix needs equal shapes")
-        op = Operator(src, dst, {
-            (i, j): (w_mul(src.shape, p),)
-            for i, row in enumerate(pm.entries) for j, p in enumerate(row) if not p.is_zero()
-        })
+        shape = src.shape
+        cells = {}
+        for i, row in enumerate(pm.entries):
+            for j, p in enumerate(row):
+                if not p.is_zero():
+                    cv = p.constant_value()
+                    cells[i, j] = (w_mul(shape, p) if cv is None else Word(cv, (), shape, shape),)
+        op = Operator(src, dst, cells)
         object.__setattr__(op, "_pm", pm)
+        object.__setattr__(op, "_normal", True)
         return op
 
     def compose(self, first: "Operator") -> "Operator":
@@ -617,6 +630,13 @@ class Operator:
             object.__setattr__(n, "_normal", True)
             object.__setattr__(self, "_normal", n)
         return self._normal
+
+    def lift(self, left: int, right: int) -> "Operator":
+        """The same map on the chain with `left` slots glued on before and
+        `right` after: every word lifted once."""
+        mod = lambda m: FreeBimod(m.shape.widen(left, right), m.rank)
+        return Operator(mod(self.src), mod(self.dst), {
+            k: [w.lift(left, right) for w in ws] for k, ws in self.cells.items()})
 
     def apply(self, element) -> list:
         sring = self.src.shape.ring()
@@ -728,53 +748,23 @@ def op_equal(A: Operator, B: Operator, cutoff: int = DEFAULT_CUTOFF):
     return True, "verified-to-cutoff"
 
 
-def _kron(op: Operator, ident: FreeBimod, op_first: bool, glue: bool = True) -> Operator:
-    """op ⊗ id (op_first) or id ⊗ op, with id the identity of `ident`.
+def _kron(F: Operator, G: Operator) -> Operator:
+    """F ⊗ G on one chain: G, then F.
 
-    Kronecker placement: copy (n, q) of op ⊗ id sits at n·rank(ident) + q and
-    copy (p, n) of id ⊗ op at p·rank(op) + n.  With `glue` the two factors
-    live on separate slot chains that are glued, and every word is lifted
-    into the glued chain; without it both share op's chain and the words are
-    placed as they are.
+    Copy (n, p) of the product sits at n·rank + p, with rank that of G's
+    module on the same side, as `tensor_copy` places it within a block.  The
+    cell of (n, p) and (m, q) holds each word of G[p, q] followed by each
+    word of F[n, m].
     """
-    k = ident.rank
-    lrank, rrank = (1, k) if op_first else (k, 1)
-    shift = ident.shape.nslots - 1
-    lslots, rslots = (0, shift) if op_first else (shift, 0)
-
-    def module(m: FreeBimod) -> FreeBimod:
-        shape = m.shape
-        if glue:
-            shape = shape.glue(ident.shape) if op_first else ident.shape.glue(shape)
-        return FreeBimod(shape, k * m.rank)
-
+    if G.dst.shape != F.src.shape:
+        raise ValueError("Kronecker factors do not chain")
+    gs, gd = G.src.rank, G.dst.rank
     cells = {}
-    for (n, m), words in op.cells.items():
-        if glue:
-            words = [w.lift(lslots, rslots) for w in words]
-        for p in range(lrank):
-            for q in range(rrank):
-                cells[(p * op.dst.rank + n) * rrank + q, (p * op.src.rank + m) * rrank + q] = words
-    return Operator(module(op.src), module(op.dst), cells)
-
-
-def _block_operator(src: FreeBimod, dst: FreeBimod, blocks, col_mods, row_mods) -> Operator:
-    """Stitch a 2x2 grid of Operators (or None) into one Operator; block
-    (bi, bj) has row_mods[bi] rows and col_mods[bj] columns."""
-    cells = {}
-    roff = 0
-    for bi, rm in enumerate(row_mods):
-        coff = 0
-        for bj, cm in enumerate(col_mods):
-            blk = blocks[bi][bj]
-            if blk is not None:
-                if blk.src.rank != cm or blk.dst.rank != rm:
-                    raise ValueError("block rank mismatch")
-                for (i, j), words in blk.cells.items():
-                    cells[roff + i, coff + j] = words
-            coff += cm
-        roff += rm
-    return Operator(src, dst, cells)
+    for (n, m), fws in F.cells.items():
+        for (p, q), gws in G.cells.items():
+            cells[n * gd + p, m * gs + q] = [wg.then(wf) for wg in gws for wf in fws]
+    return Operator(FreeBimod(G.src.shape, F.src.rank * gs),
+                    FreeBimod(F.dst.shape, F.dst.rank * gd), cells)
 
 
 # -- objects and morphisms ------------------------------------------------------
@@ -991,45 +981,58 @@ def _tensor_blocks(parity: int):
     return ((0, 0), (1, 1)) if parity % 2 == 0 else ((1, 0), (0, 1))
 
 
-def _block_offset(X: MBF, Y: MBF, parity: int, i: int, j: int) -> int:
-    off = 0
-    for (bi, bj) in _tensor_blocks(parity):
-        if (bi, bj) == (i, j):
-            return off
-        off += X.component(bi).rank * Y.component(bj).rank
-    raise ValueError("block not in this parity part")
+def tensor_copy(X: MBF, Y: MBF, i: int, ci: int, j: int, cj: int) -> int:
+    """Position of copy ci of X_i ⊗ copy cj of Y_j in component i + j of X ⊗ Y.
+
+    The blocks of a component are ordered as in _tensor_blocks, so the block
+    with j = 1 comes second; within a block the copies are X-major.
+    """
+    off = X.component(1 - i).rank * Y.m0.rank if j % 2 else 0
+    return off + ci * Y.component(j).rank + cj
+
+
+def _tensor_legs(f: Morphism, g: Morphism, glue: bool = True) -> list:
+    """The two legs of f ⊗ g, with the sign (−1)^{|g|·i} on the X_i-source blocks.
+
+    With `glue` every leg of f and g is lifted once into the glued chain;
+    without it both factors already share one chain.  The block of X_i Y_j
+    is the Kronecker product of f's leg from X_i and g's leg from Y_j.
+    """
+    X, Y, Xp, Yp = f.src, g.src, f.dst, g.dst
+    F, G = [f.opE, f.opO], [g.opE, g.opO]
+    if glue:
+        F = [op.lift(0, Yp.shape.nslots - 1) for op in F]
+        G = [op.lift(X.shape.nslots - 1, 0) for op in G]
+    minus = Cyclo.from_rat(X.shape.conductor, -1)
+    legs = []
+    for sp in (0, 1):
+        cells, rows, cols = {}, 0, 0
+        for i, j in _tensor_blocks(sp):
+            ip, jp = (i + f.parity) % 2, (j + g.parity) % 2
+            roff, coff = tensor_copy(Xp, Yp, ip, 0, jp, 0), tensor_copy(X, Y, i, 0, j, 0)
+            K = _kron(F[i], G[j])
+            for (r, c), ws in K.cells.items():
+                cells[roff + r, coff + c] = [w.scaled(minus) for w in ws] if g.parity and i else ws
+            rows, cols = rows + K.dst.rank, cols + K.src.rank
+        legs.append(Operator(FreeBimod(K.src.shape, cols), FreeBimod(K.dst.shape, rows), cells))
+    return legs
 
 
 def _tensor(X: MBF, Y: MBF, glue: bool) -> MBF:
-    """X ⊗ Y with the derivation-style signs d_X ⊗ 1 + (−1)^i 1 ⊗ d_Y on X_i.
+    """X ⊗ Y with the differential d_X ⊗ 1 + 1 ⊗ d_Y, each d an odd
+    endomorphism, so 1 ⊗ d_Y carries the sign (−1)^i on X_i.
 
-    A source block X_i Y_j maps by d_X to X_{1−i} Y_j and by d_Y to X_i Y_{1−j};
-    blocks are ordered as in _tensor_blocks, and within a block the copy of
-    X_i ⊗ Y_j is X-major (as _kron places it).  If both factors are graded,
-    a copy's charge is the sum of its factors' charges.  `glue` is passed to
-    _kron.
+    If both factors are graded, a copy's charge is the sum of its factors'
+    charges.  `glue` is passed to _tensor_legs.
     """
-    shape = X.shape.glue(Y.shape) if glue else X.shape
-    r = lambda i, j: X.component(i).rank * Y.component(j).rank
-    mods = [FreeBimod(shape, sum(r(i, j) for i, j in _tensor_blocks(p))) for p in (0, 1)]
-    diffs = []
-    for parity in (0, 1):
-        src_blocks, dst_blocks = _tensor_blocks(parity), _tensor_blocks(1 + parity)
-        blocks = [[None, None], [None, None]]
-        for c, (i, j) in enumerate(src_blocks):
-            blocks[dst_blocks.index((1 - i, j))][c] = _kron(
-                X.differential_from(i), Y.component(j), True, glue)
-            dy = _kron(Y.differential_from(j), X.component(i), False, glue)
-            blocks[dst_blocks.index((i, 1 - j))][c] = dy.scale(-1) if i else dy
-        diffs.append(_block_operator(
-            mods[parity], mods[1 - parity], blocks,
-            [r(i, j) for i, j in src_blocks], [r(i, j) for i, j in dst_blocks],
-        ))
+    dx = _tensor_legs(Morphism(X, X, 1, X.d0, X.d1), Morphism.identity(Y), glue)
+    dy = _tensor_legs(Morphism.identity(X), Morphism(Y, Y, 1, Y.d0, Y.d1), glue)
+    d0, d1 = dx[0] + dy[0], dx[1] + dy[1]
     grading = None
     if X.grading is not None and Y.grading is not None:
         grading = tuple([cx + cy for i, j in _tensor_blocks(p)
                          for cx in X.charges(i) for cy in Y.charges(j)] for p in (0, 1))
-    return MBF(mods[0], mods[1], diffs[0], diffs[1], X.w, grading)
+    return MBF(d0.src, d1.src, d0, d1, X.w, grading)
 
 
 def tensor_obj(X: MBF, Y: MBF) -> MBF:
@@ -1041,61 +1044,26 @@ def tensor_obj(X: MBF, Y: MBF) -> MBF:
 
 def tensor_mor(f: Morphism, g: Morphism) -> Morphism:
     """f ⊗ g with the sign (−1)^{|g|·i} on the X_i-source blocks."""
-    X, Y, Xp, Yp = f.src, g.src, f.dst, g.dst
-    src = tensor_obj(X, Y)
-    dst = tensor_obj(Xp, Yp)
-    par = (f.parity + g.parity) % 2
-    ops = {}
-    for sp in (0, 1):
-        tp = (sp + par) % 2
-        src_blocks, dst_blocks = _tensor_blocks(sp), _tensor_blocks(tp)
-        blocks = [[None, None], [None, None]]
-        for c, (i, j) in enumerate(src_blocks):
-            fi, gj = f.op_from(i), g.op_from(j)
-            ip, jp = (i + f.parity) % 2, (j + g.parity) % 2
-            piece = _kron(fi, Yp.component(jp), True).compose(_kron(gj, X.component(i), False))
-            blocks[dst_blocks.index((ip, jp))][c] = piece.scale(-1) if g.parity and i else piece
-        ops[sp] = _block_operator(
-            src.component(sp), dst.component(tp), blocks,
-            [X.component(i).rank * Y.component(j).rank for i, j in src_blocks],
-            [Xp.component(i).rank * Yp.component(j).rank for i, j in dst_blocks],
-        )
-    return Morphism(src, dst, par, ops[0], ops[1])
-
-
-def _triple_layout(X: MBF, Y: MBF, Z: MBF, parity: int, left_bracketed: bool):
-    """Copy order of ((X⊗Y)⊗Z) or (X⊗(Y⊗Z)) as (i,j,k,ci,cj,ck) tuples."""
-    out = []
-    if left_bracketed:
-        for (p, k) in _tensor_blocks(parity):
-            for (i, j) in _tensor_blocks(p):
-                for ci in range(X.component(i).rank):
-                    for cj in range(Y.component(j).rank):
-                        for ck in range(Z.component(k).rank):
-                            out.append((i, j, k, ci, cj, ck))
-    else:
-        for (i, q) in _tensor_blocks(parity):
-            for ci in range(X.component(i).rank):
-                for (j, k) in _tensor_blocks(q):
-                    for cj in range(Y.component(j).rank):
-                        for ck in range(Z.component(k).rank):
-                            out.append((i, j, k, ci, cj, ck))
-    return out
+    opE, opO = _tensor_legs(f, g)
+    return Morphism(tensor_obj(f.src, g.src), tensor_obj(f.dst, g.dst),
+                    f.parity + g.parity, opE, opO)
 
 
 def _associator(X: MBF, Y: MBF, Z: MBF, forward: bool) -> Morphism:
     """(X⊗Y)⊗Z → X⊗(Y⊗Z) if `forward`, else back: a pure copy permutation."""
-    left = tensor_obj(tensor_obj(X, Y), Z)
-    right = tensor_obj(X, tensor_obj(Y, Z))
+    XY, YZ = tensor_obj(X, Y), tensor_obj(Y, Z)
+    left, right = tensor_obj(XY, Z), tensor_obj(X, YZ)
     src, dst = (left, right) if forward else (right, left)
-    ident = Word.identity(src.shape)
-    ops = {}
-    for parity in (0, 1):
-        s_layout = _triple_layout(X, Y, Z, parity, forward)
-        t_pos = {t: n for n, t in enumerate(_triple_layout(X, Y, Z, parity, not forward))}
-        ops[parity] = Operator(src.component(parity), dst.component(parity),
-                               {(t_pos[key], col): (ident,) for col, key in enumerate(s_layout)})
-    return Morphism(src, dst, 0, ops[0], ops[1])
+    ident = (Word.identity(src.shape),)
+    cells = ({}, {})
+    for i, j, k in itertools.product((0, 1), repeat=3):
+        ranks = (X.component(i).rank, Y.component(j).rank, Z.component(k).rank)
+        for ci, cj, ck in itertools.product(*map(range, ranks)):
+            lpos = tensor_copy(XY, Z, (i + j) % 2, tensor_copy(X, Y, i, ci, j, cj), k, ck)
+            rpos = tensor_copy(X, YZ, i, ci, (j + k) % 2, tensor_copy(Y, Z, j, cj, k, ck))
+            cells[(i + j + k) % 2][(rpos, lpos) if forward else (lpos, rpos)] = ident
+    return Morphism(src, dst, 0, *(
+        Operator(src.component(p), dst.component(p), cells[p]) for p in (0, 1)))
 
 
 def associator(X: MBF, Y: MBF, Z: MBF) -> Morphism:
@@ -1213,101 +1181,79 @@ def unit_object(w: MultiPoly) -> MBF:
     return out
 
 
+def _unit_side(I: MBF, D: MBF, left: bool):
+    """(I ⊗ D if `left`, else D ⊗ I; at) with at(k, p, c) the position of
+    copy c of D_p beside copy 0 of I_k, the unit generator for k = 0."""
+    if left:
+        return tensor_obj(I, D), lambda k, p, c: tensor_copy(I, D, k, 0, p, c)
+    return tensor_obj(D, I), lambda k, p, c: tensor_copy(D, I, p, c, k, 0)
+
+
 def unit_isos(D: MBF):
-    """(λ_D: I⊗D → D, ρ_D: D⊗I → D), multiplication as untwisted collapse."""
+    """(λ_D: I⊗D → D, ρ_D: D⊗I → D), multiplication as untwisted collapse
+    of copy c of D_p beside the unit generator onto copy c."""
     I = unit_object(D.w)
-    ID = tensor_obj(I, D)
-    DI = tensor_obj(D, I)
-    cl = w_collapse(ID.shape, 0)
-    cr = w_collapse(DI.shape, D.shape.nslots - 1)
-
-    def proj(src_obj, src_parity, left_block_parities, word, dst_mod, unit_left):
-        i, j = left_block_parities
-        off = _block_offset(*( (I, D) if unit_left else (D, I) ), src_parity, i, j)
-        unit_copies = I.component(i if unit_left else j).rank
-        # copies ordered (unit copy, D copy) or (D copy, unit copy); the unit
-        # generator is copy 0
-        step = 1 if unit_left else unit_copies
-        return Operator(src_obj.component(src_parity), dst_mod,
-                        {(c, off + c * step): (word,) for c in range(dst_mod.rank)})
-
-    lam = Morphism(
-        ID, D, 0,
-        proj(ID, 0, (0, 0), cl, D.m0, True),
-        proj(ID, 1, (0, 1), cl, D.m1, True),
-    )
-    rho = Morphism(
-        DI, D, 0,
-        proj(DI, 0, (0, 0), cr, D.m0, False),
-        proj(DI, 1, (1, 0), cr, D.m1, False),
-    )
-    return lam, rho
+    isos = []
+    for left in (True, False):
+        T, at = _unit_side(I, D, left)
+        word = (w_collapse(T.shape, 0 if left else D.shape.nslots - 1),)
+        isos.append(Morphism(T, D, 0, *(
+            Operator(T.component(p), D.component(p),
+                     {(c, at(0, p, c)): word for c in range(D.component(p).rank)})
+            for p in (0, 1))))
+    return tuple(isos)
 
 
 def unit_isos_inverse(D: MBF):
-    """(λ_D⁻¹, ρ_D⁻¹) via the divided-difference pattern; one variable only."""
+    """(λ_D⁻¹, ρ_D⁻¹) via the divided-difference pattern; one variable only.
+
+    Copy c of D_p goes to its copy beside I_0 by the insertion of a middle
+    slot, and to D_{1−p} beside I_1 by the divided difference of d_p into
+    the middle slot after it (negated on ρ's odd leg).
+    """
     if D.shape.nvars != 1 or D.shape.nslots != 2:
         raise ValueError("inverse unit isomorphisms: one-variable 2-slot objects only")
-    pm0, pm1 = D.d0.matrix(), D.d1.matrix()
     I = unit_object(D.w)
-    ID = tensor_obj(I, D)
-    DI = tensor_obj(D, I)
     ins = w_insert(D.shape, 1)
-    ring3 = ID.shape.ring()
-    lift = lambda p: p.rename({}, ring3)
-
-    def dd_into_x(p):  # (p(a,b) − p(x1,b)) / (a − x1)
-        return lift(p).divided_difference("a", "x1")
-
-    def dd_from_b(p):  # (p(a,x1) − p(a,b)) / (x1 − b)
-        return lift(p).rename({"b": "x1"}, ring3).divided_difference("x1", "b")
-
-    r0, r1 = D.m0.rank, D.m1.rank
+    ring3 = D.shape.widen(0, 1).ring()
+    # (p(a,b) − p(x1,b)) / (a − x1) and (p(a,x1) − p(a,b)) / (x1 − b)
+    dd_into_x = lambda p: p.rename({}, ring3).divided_difference("a", "x1")
+    dd_from_b = lambda p: p.rename({"b": "x1"}, ring3).divided_difference("x1", "b")
     minus = Cyclo.from_rat(D.shape.conductor, -1)
 
-    def leg(src_mod, corr, diag_at, corr_at, negate=False):
-        # insert on the diagonal of the block at row diag_at and ±corr∘insert
-        # in the block at row corr_at of a tensor parity part (ID and DI
-        # share the 3-slot shape)
-        cells = {(diag_at + c, c): (ins,) for c in range(src_mod.rank)}
-        for i, row in enumerate(corr):
-            for j, p in enumerate(row):
-                if not p.is_zero():
-                    w = w_then_mul(ins, p)
-                    cells[corr_at + i, j] = (w.scaled(minus) if negate else w,)
-        return Operator(src_mod, FreeBimod(ID.shape, r0 + r1), cells)
+    def leg(T, at, dd, p, negate):
+        pm = D.differential_from(p).matrix()
+        cells = {(at(0, p, c), c): (ins,) for c in range(pm.cols)}
+        for i in range(pm.rows):
+            for j in range(pm.cols):
+                q = dd(pm[i, j])
+                if not q.is_zero():
+                    w = w_then_mul(ins, q)
+                    cells[at(1, 1 - p, i), j] = (w.scaled(minus) if negate else w,)
+        return Operator(D.component(p), T.component(p), cells)
 
-    q0 = [[dd_into_x(pm0[i, j]) for j in range(r0)] for i in range(r1)]
-    q1 = [[dd_into_x(pm1[i, j]) for j in range(r1)] for i in range(r0)]
-    # even part into (I0 D0, I1 D1), odd part into (I1 D0, I0 D1)
-    lam_inv = Morphism(D, ID, 0, leg(D.m0, q0, 0, r0), leg(D.m1, q1, r0, 0))
-    s0 = [[dd_from_b(pm0[i, j]) for j in range(r0)] for i in range(r1)]
-    s1 = [[dd_from_b(pm1[i, j]) for j in range(r1)] for i in range(r0)]
-    # even part into (D0 I0, D1 I1), odd part into (D1 I0, D0 I1)
-    rho_inv = Morphism(D, DI, 0, leg(D.m0, s0, 0, r0), leg(D.m1, s1, 0, r1, negate=True))
-    return lam_inv, rho_inv
+    inverses = []
+    for left, dd in ((True, dd_into_x), (False, dd_from_b)):
+        T, at = _unit_side(I, D, left)
+        inverses.append(Morphism(D, T, 0, leg(T, at, dd, 0, False), leg(T, at, dd, 1, not left)))
+    return tuple(inverses)
 
 
 def homotopy_psi(D: MBF, side: str) -> Morphism:
-    """The odd divided-transfer homotopy for λ (side='left') or ρ (side='right')."""
+    """The odd divided-transfer homotopy for λ (side='left') or ρ (side='right'):
+    copy c of D_p beside I_0 goes to the same copy beside I_1."""
     if D.shape.nvars != 1 or D.shape.nslots != 2:
         raise ValueError("homotopy witnesses: one-variable 2-slot objects only")
-    I = unit_object(D.w)
-    r0, r1 = D.m0.rank, D.m1.rank
-    if side == "left":
-        ID = tensor_obj(I, D)
-        td = (w_tdiv(ID.shape, "x1", "a"),)
-        opE = Operator(ID.m0, ID.m1, {(c, c): td for c in range(r0)})  # I0 D0 → I1 D0
-        opO = Operator(ID.m1, ID.m0, {(r0 + c, r0 + c): td for c in range(r1)})  # I0 D1 → I1 D1
-        return Morphism(ID, ID, 1, opE, opO)
-    if side == "right":
-        DI = tensor_obj(D, I)
-        td = w_tdiv(DI.shape, "x1", "b")
-        minus = (td.scaled(Cyclo.from_rat(DI.shape.conductor, -1)),)
-        opE = Operator(DI.m0, DI.m1, {(r1 + c, c): minus for c in range(r0)})  # D0 I0 → D0 I1, sign −
-        opO = Operator(DI.m1, DI.m0, {(r0 + c, c): (td,) for c in range(r1)})  # D1 I0 → D1 I1
-        return Morphism(DI, DI, 1, opE, opO)
-    raise ValueError("side must be 'left' or 'right'")
+    if side not in ("left", "right"):
+        raise ValueError("side must be 'left' or 'right'")
+    T, at = _unit_side(unit_object(D.w), D, side == "left")
+    td = w_tdiv(T.shape, "x1", "a" if side == "left" else "b")
+    # ρ's even leg carries the sign −
+    even = td if side == "left" else td.scaled(Cyclo.from_rat(T.shape.conductor, -1))
+    return Morphism(T, T, 1, *(
+        Operator(T.component(p), T.component(1 + p),
+                 {(at(1, p, c), at(0, p, c)): ((even, td)[p],) for c in range(D.component(p).rank)})
+        for p in (0, 1)))
 
 
 def unit_coincidence_check(d: int):

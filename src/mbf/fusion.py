@@ -56,6 +56,7 @@ from .bifact import (
     mbf_from_polys,
     morphism_equal,
     ps_object,
+    tensor_copy,
     tensor_mor,
     tensor_obj,
     validate_mbf,
@@ -494,34 +495,34 @@ def reduce_tensor(Am: MBF, Bm: MBF, check: bool = True) -> ReducedTensor:
     # incl: reduced generator (u, j) |-> copy_u * x^j plus the quotient
     # correction on the complementary block (negated out of odd copies);
     # exact chain map
-    incl_cells = []
-    for dA, rsrc, rdst, negate in ((dA0, rA0, rA1, False), (dA1, rA1, rA0, True)):
+    at = lambda p, u, k: tensor_copy(Am, Bm, p, u, k, 0)  # copy u of A_p beside B_k
+
+    def incl_leg(p):
         cells = {}
-        for u in range(rsrc):
+        for u in range(Am.component(p).rank):
             for j in range(g):
                 col = u * g + j
-                cells[u, col] = (w_then_mul(ins, xpow[j]),)
-                for v in range(rdst):
-                    quo = (dA[v][u] * xpow[j]).divmod_in_var(q1, "x1")[0]
+                cells[at(p, u, 0), col] = (w_then_mul(ins, xpow[j]),)
+                for v, row in enumerate((dA0, dA1)[p]):
+                    quo = (row[u] * xpow[j]).divmod_in_var(q1, "x1")[0]
                     if not quo.is_zero():
-                        cells[rsrc + v, col] = (w_then_mul(ins, -quo if negate else quo),)
-        incl_cells.append(cells)
-    incl = Morphism(reduced, T, 0, Operator(reduced.m0, T.m0, incl_cells[0]),
-                    Operator(reduced.m1, T.m1, incl_cells[1]))
+                        cells[at(1 - p, v, 1), col] = (w_then_mul(ins, -quo if p else quo),)
+        return Operator(reduced.component(p), T.component(p), cells)
+
+    incl = Morphism(reduced, T, 0, incl_leg(0), incl_leg(1))
 
     # proj: remainder coefficients on the ⊗B0 blocks, zero on the rest
     rem_coeff = lambda m: (w_rem(sh3, q1, "x1").then(w_coeff(sh3, "x1", m)),)
-    proj_E = Operator(T.m0, reduced.m0,
-                      {(u * g + m, u): rem_coeff(m) for u in range(rA0) for m in range(g)})
-    proj_O = Operator(T.m1, reduced.m1,
-                      {(u * g + m, u): rem_coeff(m) for u in range(rA1) for m in range(g)})
-    proj = Morphism(T, reduced, 0, proj_E, proj_O)
+    proj = Morphism(T, reduced, 0, *(
+        Operator(T.component(p), reduced.component(p),
+                 {(u * g + m, at(p, u, 0)): rem_coeff(m) for u in range(rank) for m in range(g)})
+        for p, rank in ((0, rA0), (1, rA1))))
 
-    # odd homotopy: division quotients between the complementary blocks
-    minus = -Cyclo.one(d)
-    h0 = Operator(T.m0, T.m1, {
-        (rA1 + u, u): (w_quo(sh3, q1, "x1").scaled(minus),) for u in range(rA0)})
-    h1 = Operator(T.m1, T.m0, {(rA0 + u, u): (w_quo(sh3, q1, "x1"),) for u in range(rA1)})
+    # odd homotopy: division quotients from A_p B0 to A_p B1
+    quo = w_quo(sh3, q1, "x1")
+    negated = (quo.scaled(-Cyclo.one(d)),)
+    h0 = Operator(T.m0, T.m1, {(at(0, u, 1), at(0, u, 0)): negated for u in range(rA0)})
+    h1 = Operator(T.m1, T.m0, {(at(1, u, 1), at(1, u, 0)): (quo,) for u in range(rA1)})
     homotopy = Morphism(T, T, 1, h0, h1)
 
     out = ReducedTensor(T, reduced, incl, proj, homotopy)

@@ -4,9 +4,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from mbf.bifact import (
-    _block_offset,
     _kron,
-    _tensor_blocks,
     DEFAULT_CUTOFF,
     FreeBimod,
     MBF,
@@ -24,6 +22,7 @@ from mbf.bifact import (
     pentagon_check,
     ps_object,
     rxa_lemma_check,
+    tensor_copy,
     tensor_mor,
     tensor_obj,
     triangle_check,
@@ -194,6 +193,18 @@ class TestTensorObject:
         T = tensor_obj(tensor_obj(P, Q), P)
         assert T.shape.nslots == 4
         assert validate_mbf(T).ok
+
+    def test_tensor_copy_is_the_block_layout(self):
+        # enumerating the blocks of a component in order, X-major inside each,
+        # counts its copies 0, 1, 2, ...
+        P, Q = ps_object(3, [0]), ps_object(3, [1, 2])
+        PQ = tensor_obj(P, Q)
+        for X, Y in ((PQ, P), (P, PQ), (PQ, PQ)):
+            for p in (0, 1):
+                seen = [tensor_copy(X, Y, i, ci, j, cj) for i, j in _BLOCKS[p]
+                        for ci in range(X.component(i).rank)
+                        for cj in range(Y.component(j).rank)]
+                assert seen == list(range(tensor_obj(X, Y).component(p).rank))
 
     def test_potential_mismatch(self):
         with pytest.raises(ValueError):
@@ -523,20 +534,31 @@ class TestOperatorEquality:
 
     def test_lift_shapes(self):
         D = ps_object(3, [0])
-        L = _kron(D.d0, D.m0, True)
-        assert L.src.shape.nslots == 3 and L.src.rank == 1
-        R = _kron(D.d0, D.m1, False)
-        assert R.dst.shape.nslots == 3
-        # Kronecker placement: op ⊗ id puts copy (n, q) at n·k + q, id ⊗ op
-        # puts copy (p, n) at p·rank + n; without gluing words stay unlifted
+        L, R = D.d0.lift(0, 1), D.d0.lift(1, 0)
+        assert (L.src.rank, L.dst.rank, L.src.shape.nslots, R.dst.shape.nslots) == (1, 1, 3, 3)
+        # the left factor's b becomes the junction x1, the right factor's a
+        ring3, p = L.src.shape.ring(), D.d0.matrix()[0, 0]
+        assert L.cells[0, 0][0].prims[0].poly == p.rename({"a": "a", "b": "x1"}, ring3)
+        assert R.cells[0, 0][0].prims[0].poly == p.rename({"a": "x1", "b": "b"}, ring3)
+        # Kronecker placement: copy (n, p) of F ⊗ G sits at n·rank(G) + p; an
+        # identity factor adds no word of its own, so the words are reused
         mod2 = FreeBimod(D.shape, 2)
         word = w_mul(D.shape, D.shape.ring().var("a"))
         op = Operator(mod2, D.m0, {(0, 1): [word]})
-        for op_first, want in ((True, {(0, 2), (1, 3)}), (False, {(0, 1), (1, 3)})):
-            K = _kron(op, mod2, op_first, glue=False)
+        ident = Operator.identity(mod2)
+        for K, want in ((_kron(op, ident), {(0, 2), (1, 3)}),
+                        (_kron(ident, op), {(0, 1), (1, 3)})):
             assert (K.src.rank, K.dst.rank, K.src.shape) == (4, 2, D.shape)
             assert set(K.cells) == want
             assert all(ws == (word,) and ws[0] is word for ws in K.cells.values())
+        # G runs first: each of its words, then each word of F
+        f1, f2 = word, w_mul(D.shape, D.shape.ring().var("b"))
+        g = w_mul(D.shape, D.shape.ring().const(Cyclo.root(3, 1)))
+        K = _kron(Operator(D.m0, D.m0, {(0, 0): [f1, f2]}), Operator(D.m0, D.m0, {(0, 0): [g, g]}))
+        assert [w.signature() for w in K.cells[0, 0]] == [
+            g.then(f).signature() for g in (g, g) for f in (f1, f2)]
+        with pytest.raises(ValueError, match="chain"):
+            _kron(L, op)
 
 
 # -- the sparse Operator against the dense word matrix it replaced ---------------
@@ -612,19 +634,32 @@ class _Dense:
         return out
 
 
+_BLOCKS = (((0, 0), (1, 1)), ((1, 0), (0, 1)))  # the blocks of each parity part, in order
+
+
+def _offset(X, Y, parity, i, j):
+    """Offset of the block X_i Y_j in the parity part `parity` of X ⊗ Y."""
+    off = 0
+    for bi, bj in _BLOCKS[parity % 2]:
+        if (bi, bj) == (i, j):
+            return off
+        off += X.component(bi).rank * Y.component(bj).rank
+    raise ValueError("block not in this parity part")
+
+
 def _ref_tensor(X, Y):
     """Dense reference of the differentials of tensor_obj(X, Y)."""
     T = tensor_obj(X, Y)
     diffs = []
     for parity in (0, 1):
         out = _Dense(T.component(1 + parity).rank, T.component(parity).rank)
-        for i, j in _tensor_blocks(parity):
-            coff = _block_offset(X, Y, parity, i, j)
+        for i, j in _BLOCKS[parity]:
+            coff = _offset(X, Y, parity, i, j)
             dx = _Dense.of(X.differential_from(i)).kron(Y.component(j), True, True)
-            out.place(dx, _block_offset(X, Y, 1 + parity, 1 - i, j), coff)
+            out.place(dx, _offset(X, Y, 1 + parity, 1 - i, j), coff)
             dy = _Dense.of(Y.differential_from(j)).kron(X.component(i), False, True)
             out.place(dy.scale(Cyclo.from_rat(X.shape.conductor, -1)) if i else dy,
-                      _block_offset(X, Y, 1 + parity, i, 1 - j), coff)
+                      _offset(X, Y, 1 + parity, i, 1 - j), coff)
         diffs.append(out)
     return diffs
 
@@ -636,15 +671,35 @@ def _ref_tensor_mor(f, g):
     for sp in (0, 1):
         tp = (sp + par) % 2
         acc = _Dense(tensor_obj(Xp, Yp).component(tp).rank, tensor_obj(X, Y).component(sp).rank)
-        for i, j in _tensor_blocks(sp):
+        for i, j in _BLOCKS[sp]:
             ip, jp = (i + f.parity) % 2, (j + g.parity) % 2
             piece = _Dense.of(f.op_from(i)).kron(Yp.component(jp), True, True).compose(
                 _Dense.of(g.op_from(j)).kron(X.component(i), False, True))
             if g.parity and i:
                 piece = piece.scale(Cyclo.from_rat(X.shape.conductor, -1))
-            acc.place(piece, _block_offset(Xp, Yp, tp, ip, jp), _block_offset(X, Y, sp, i, j))
+            acc.place(piece, _offset(Xp, Yp, tp, ip, jp), _offset(X, Y, sp, i, j))
         legs.append(acc)
     return legs
+
+
+def _kron_ident(op, ident, op_first, glue):
+    """op ⊗ id (op_first) or id ⊗ op through the two-operator _kron, with id
+    the identity on `ident`'s copies: on the glued chain with `glue`, else on
+    op's chain."""
+    if glue:
+        if op_first:
+            return _kron(op.lift(0, ident.shape.nslots - 1),
+                         Operator.identity(ident).lift(op.src.shape.nslots - 1, 0))
+        return _kron(Operator.identity(ident).lift(0, op.dst.shape.nslots - 1),
+                     op.lift(ident.shape.nslots - 1, 0))
+    if op_first:
+        return _kron(op, Operator.identity(FreeBimod(op.src.shape, ident.rank)))
+    return _kron(Operator.identity(FreeBimod(op.dst.shape, ident.rank)), op)
+
+
+def _dense_kron(F, G):
+    """F ⊗ G on one chain as the dense (F ⊗ id)∘(id ⊗ G)."""
+    return _Dense.of(F).kron(G.dst, True, False).compose(_Dense.of(G).kron(F.src, False, False))
 
 
 def _assert_matches_dense(ops, d):
@@ -659,12 +714,14 @@ def _assert_matches_dense(ops, d):
         assert _Dense.of(op + op.scale(c)).keys() == (ref + ref.scale(c)).keys()
         for op_first in (True, False):
             for glue in (True, False):
-                got = _kron(op, ident, op_first, glue)
+                got = _kron_ident(op, ident, op_first, glue)
                 assert _Dense.of(got).keys() == ref.kron(ident, op_first, glue).keys()
         for first in ops:
             if first.dst == op.src:
                 want = ref.compose(_Dense.of(first))
                 assert _Dense.of(op.compose(first)).keys() == want.keys()
+            if first.dst.shape == op.src.shape:
+                assert _Dense.of(_kron(op, first)).keys() == _dense_kron(op, first).keys()
 
 
 def _legs(*morphisms):
@@ -757,14 +814,16 @@ class TestSparseOperatorAgainstDense:
         BAC = B.compose(A + C)
         assert _Dense.of(BAC).keys() == rB.compose(rA + rC).keys()
         assert _Dense.of(E.compose(BAC)).keys() == rE.compose(rB.compose(rA + rC)).keys()
-        for op in (BAC, A + C, E.compose(B), _kron(B, FreeBimod(shape, 2), False)):
+        for op in (BAC, A + C, E.compose(B), _kron(B, E), _kron(E, A)):
             assert list(op.cells) == sorted(op.cells)
         assert _Dense.of(A.scale(z)).keys() == rA.scale(z).keys()
         ident = FreeBimod(shape, data.draw(st.integers(1, 3)))
         for op_first in (True, False):
             for glue in (True, False):
-                got = _Dense.of(_kron(A, ident, op_first, glue)).keys()
+                got = _Dense.of(_kron_ident(A, ident, op_first, glue)).keys()
                 assert got == rA.kron(ident, op_first, glue).keys()
+        for F, G in ((B, E), (E, A), (A, C)):
+            assert _Dense.of(_kron(F, G)).keys() == _dense_kron(F, G).keys()
         polys = [ring.zero(), a, b * b + a, a * b * z + ring.one()]
         element = [data.draw(st.sampled_from(polys)) for _ in range(A.src.rank)]
         got = A.apply(element)
@@ -807,6 +866,27 @@ class TestOperatorImmutability:
         assert rebuilt == pm
         assert [list(p.terms.items()) for row in rebuilt.entries for p in row] == [
             list(p.terms.items()) for row in pm.entries for p in row]
+
+    @pytest.mark.parametrize("d", [3, 4, 5])
+    def test_matrix_operators_are_built_in_normal_form(self, d):
+        # the differentials of every consecutive P_S and of its reduced
+        # tensors with each singleton, and the constant twist isomorphisms:
+        # cells equal to the generic normal form
+        from mbf.fusion import reduce_tensor
+
+        sets = [[(s + i) % d for i in range(n)] for s in range(d) for n in range(1, d)]
+        objs = [ps_object(d, S) for S in sets]
+        objs += [reduce_tensor(ps_object(d, S), ps_object(d, [k]), check=False).reduced
+                 for S in sets for k in range(d)]
+        ops = [op for D in objs for op in (D.d0, D.d1)]
+        ops += _legs(*(twist_iso_ps(d, S, 1, 0)[1] for S in sets))
+        constants = 0
+        for op in ops:
+            assert op.normalized() is op
+            generic = Operator(op.src, op.dst, dict(op.cells)).normalized()
+            assert _Dense.of(generic).keys() == _Dense.of(op).keys()
+            constants += sum(not w.prims for ws in op.cells.values() for w in ws)
+        assert constants > 0
 
     def test_writing_into_cells_raises(self):
         op = self._op()

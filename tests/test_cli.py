@@ -1,3 +1,4 @@
+import collections
 import csv
 import io
 import json
@@ -298,12 +299,43 @@ class TestFuseCommand:
         assert a == b
 
 
+_SWEEP, _STRUCT = "verified-to-cutoff", "exact-structural"
+_MONOIDAL_TIERS = [
+    ("unit-object-valid", True, "exact"),
+    ("unit-maps-coincide-on-unit", True, "exact"),
+    ("unit-iso-roundtrip-P0", True, f"{_STRUCT};{_STRUCT}"),
+    ("homotopy-condition-left-P0", True, _SWEEP),
+    ("homotopy-condition-right-P0", True, _SWEEP),
+    ("unit-iso-roundtrip-P01", True, f"{_STRUCT};{_STRUCT}"),
+    ("homotopy-condition-left-P01", True, _SWEEP),
+    ("homotopy-condition-right-P01", True, _SWEEP),
+    ("triangle-singletons", True, _STRUCT),
+    ("triangle-consecutive", True, _STRUCT),
+    ("pentagon-singletons", True, _STRUCT),
+    ("pentagon-consecutive", True, _STRUCT),
+    ("transfer-lemma-i", True, _SWEEP),
+    ("transfer-lemma-ii", True, _SWEEP),
+    ("transfer-lemma-iii", True, _SWEEP),
+    ("coherence-maps-charge-zero", True, ""),
+]
+
+
 class TestVerifyCommand:
     def test_monoidal_suite_d3(self, capsys):
         code, doc = run_json(capsys, "verify", "monoidal", "--d", "3")
         assert code == 0 and doc["pass"]
         assert len(doc["checks"]) == 16
         assert all(c["ok"] for c in doc["checks"])
+
+    @pytest.mark.parametrize("d", [3, 4])
+    def test_monoidal_suite_tiers(self, capsys, d):
+        # which op_equal tier settles each check: 7 rest on the pointwise
+        # sweep, which is evidence and not a proof
+        code, doc = run_json(capsys, "verify", "monoidal", "--d", str(d))
+        got = [(c["name"], c["ok"], c["mode"]) for c in doc["checks"]]
+        assert code == 0 and got == _MONOIDAL_TIERS
+        tally = collections.Counter(mode for _, _, mode in got)
+        assert tally == {_SWEEP: 7, _STRUCT: 4, "exact": 2, f"{_STRUCT};{_STRUCT}": 2, "": 1}
 
 
 class TestCftCommands:
@@ -384,6 +416,19 @@ class TestReportPlumbing:
         assert out == ""
         doc = json.loads(path.read_text())
         assert doc["version"] == __version__
+
+    @pytest.mark.parametrize("argv", [
+        ["cft", "spectrum", "--d", "4", "--u", "0"],
+        ["cft", "sixj", "--k", "1"],
+    ], ids=["json", "csv"])
+    @pytest.mark.parametrize("where", ["missing-directory", "directory"])
+    def test_unwritable_out_is_usage_error(self, capsys, tmp_path, argv, where):
+        path = tmp_path / "missing" / "x.json" if where == "missing-directory" else tmp_path
+        code = main(argv + ["--out", str(path)])
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == ""
+        assert captured.err.startswith("error: ") and str(path) in captured.err
+        assert captured.err.count("\n") == 1 and "Traceback" not in captured.err
 
     def test_byte_identical_reruns(self, capsys):
         _, a = run(capsys, "compare", "ratio", "--d", "5")
