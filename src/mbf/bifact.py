@@ -23,11 +23,12 @@ that degree (`cutoff`); every check built on them sweeps to
 
 An `Operator` is an immutable sparse matrix, {(row, col): tuple of words},
 built once by its one constructor.  Because it cannot change, it caches its
-normal form (which is its own normal form) and its generator matrix; an
-operator made by `Operator.from_poly_matrix` starts with the matrix it was
-given and is built in normal form.  Objects cache nothing: `tensor_obj`
-builds its product on every call (no workload asks for the same product
-twice often enough to pay for a cache).
+normal form (which is its own normal form) and its generator matrix, a
+tuple of row tuples of polynomials.  `Operator.from_poly_matrix` is the one
+place that checks such a matrix (its shape and its ring); the operator it
+makes starts with the rows it was given and is built in normal form.
+Objects cache nothing: `tensor_obj` builds its product on every call (no
+workload asks for the same product twice often enough to pay for a cache).
 
 One routine, `_tensor_legs`, builds every f ⊗ g, the differential
 d_X ⊗ 1 + 1 ⊗ d_Y of X ⊗ Y included; `tensor_copy` is the one copy index
@@ -42,7 +43,7 @@ from types import MappingProxyType
 
 from ._rat import Rat
 from .exactalg import Cyclo
-from .polycalc import MultiPoly, PolyMatrix, Ring
+from .polycalc import MultiPoly, Ring, RingMismatch
 
 DEFAULT_CUTOFF = 30
 
@@ -563,19 +564,24 @@ class Operator:
         return Operator(mod, mod, {(i, i): (Word.identity(mod.shape),) for i in range(mod.rank)})
 
     @staticmethod
-    def from_poly_matrix(src: FreeBimod, dst: FreeBimod, pm: PolyMatrix) -> "Operator":
-        """Multiplication by `pm`, which is kept as the operator's `matrix()`.
+    def from_poly_matrix(src: FreeBimod, dst: FreeBimod, rows) -> "Operator":
+        """Multiplication by the matrix `rows`, kept as the operator's `matrix()`.
 
-        Built in normal form (a constant entry as a coefficient, any other as
+        This is the one check of a matrix: dst.rank rows of src.rank entries
+        (else ValueError), each in the ring of the shared shape (else
+        RingMismatch).  Built in normal form (a constant entry as a coefficient, any other as
         one multiplication), the operator is its own normal form."""
-        if pm.rows != dst.rank or pm.cols != src.rank:
-            raise ValueError("matrix shape mismatch")
         if src.shape != dst.shape:
             raise ValueError("from_poly_matrix needs equal shapes")
-        shape = src.shape
+        shape, ring = src.shape, src.shape.ring()
+        pm = tuple(tuple(row) for row in rows)
+        if len(pm) != dst.rank or any(len(row) != src.rank for row in pm):
+            raise ValueError("matrix shape mismatch")
         cells = {}
-        for i, row in enumerate(pm.entries):
+        for i, row in enumerate(pm):
             for j, p in enumerate(row):
+                if p.ring != ring:
+                    raise RingMismatch(f"entry ring {p.ring} vs {ring}")
                 if not p.is_zero():
                     cv = p.constant_value()
                     cells[i, j] = (w_mul(shape, p) if cv is None else Word(cv, (), shape, shape),)
@@ -657,21 +663,21 @@ class Operator:
         elem[copy] = ring.monomial(exps)
         return self.apply(elem)
 
-    def matrix(self) -> PolyMatrix:
-        """The images of the copy generators: column j is the image of copy j.
+    def matrix(self) -> tuple:
+        """The images of the copy generators as a tuple of row tuples: column
+        j is the image of copy j.
 
         From a 2-slot source this is the whole map; an operator made by
-        `from_poly_matrix` returns the matrix it was given, any other computes
-        it once.  From a source with internal slots the images are not
+        `from_poly_matrix` returns the rows it was given, any other computes
+        them once.  From a source with internal slots the images are not
         faithful, so without a given matrix that raises ValueError.
         """
         if self._pm is None:
             if self.src.shape.nslots > 2:
                 raise ValueError("generator matrix is only faithful for 2-slot sources")
             cols = [self.apply_basis(j, {}) for j in range(self.src.rank)]
-            object.__setattr__(self, "_pm", PolyMatrix(
-                self.dst.shape.ring(),
-                [[col[i] for col in cols] for i in range(self.dst.rank)]))
+            object.__setattr__(self, "_pm", tuple(
+                tuple(col[i] for col in cols) for i in range(self.dst.rank)))
         return self._pm
 
 
@@ -739,7 +745,7 @@ def op_equal(A: Operator, B: Operator, cutoff: int = DEFAULT_CUTOFF):
     if not diff.cells:
         return True, "exact-structural"
     if diff.src.shape.nslots <= 2:
-        return diff.matrix().is_zero(), "exact-generator"
+        return not any(p for row in diff.matrix() for p in row), "exact-generator"
     zero_dst = [diff.dst.shape.ring().zero()] * diff.dst.rank
     for copy in range(diff.src.rank):
         for exps in _internal_monomials(diff.src.shape, cutoff):
@@ -823,17 +829,13 @@ class MBF:
         return self.grading[parity % 2]
 
 
-def mbf_from_polys(shape: SlotShape, d0_entries, d1_entries, w: MultiPoly,
+def mbf_from_polys(shape: SlotShape, d0_rows, d1_rows, w: MultiPoly,
                    grading=None) -> MBF:
-    ring = shape.ring()
-    pm0 = PolyMatrix(ring, d0_entries)
-    pm1 = PolyMatrix(ring, d1_entries)
-    m0 = FreeBimod(shape, pm0.cols)
-    m1 = FreeBimod(shape, pm0.rows)
-    if pm1.rows != m0.rank or pm1.cols != m1.rank:
-        raise ValueError("d0/d1 shapes inconsistent")
-    return MBF(m0, m1, Operator.from_poly_matrix(m0, m1, pm0),
-               Operator.from_poly_matrix(m1, m0, pm1), w, grading)
+    """The object with differentials d0_rows and d1_rows; d0_rows fixes the ranks."""
+    m0 = FreeBimod(shape, len(d0_rows[0]) if d0_rows else 0)
+    m1 = FreeBimod(shape, len(d0_rows))
+    return MBF(m0, m1, Operator.from_poly_matrix(m0, m1, d0_rows),
+               Operator.from_poly_matrix(m1, m0, d1_rows), w, grading)
 
 
 class ValidationReport:
@@ -907,14 +909,11 @@ class Morphism:
         )
 
     @staticmethod
-    def from_poly_blocks(src: MBF, dst: MBF, parity: int, mat_even, mat_odd) -> "Morphism":
-        ring = src.shape.ring()
-        pe = PolyMatrix(ring, mat_even)
-        po = PolyMatrix(ring, mat_odd)
+    def from_poly_blocks(src: MBF, dst: MBF, parity: int, rows_even, rows_odd) -> "Morphism":
         return Morphism(
             src, dst, parity,
-            Operator.from_poly_matrix(src.m0, dst.component(parity), pe),
-            Operator.from_poly_matrix(src.m1, dst.component(1 + parity), po),
+            Operator.from_poly_matrix(src.m0, dst.component(parity), rows_even),
+            Operator.from_poly_matrix(src.m1, dst.component(1 + parity), rows_odd),
         )
 
     def op_from(self, parity: int) -> Operator:
@@ -1116,13 +1115,8 @@ def twist_object(D: MBF, m: int, n: int) -> MBF:
     ring = shape.ring()
     eta = ring.root(1)
     tw = {"a": (eta ** (-m % shape.conductor), "a"), "b": (eta ** (-n % shape.conductor), "b")}
-    sub = lambda p: p.subst_scale(tw, ring)
-    return MBF(
-        D.m0, D.m1,
-        Operator.from_poly_matrix(D.m0, D.m1, D.d0.matrix().map(sub)),
-        Operator.from_poly_matrix(D.m1, D.m0, D.d1.matrix().map(sub)),
-        D.w, D.grading,
-    )
+    sub = lambda op: [[p.subst_scale(tw, ring) for p in row] for row in op.matrix()]
+    return mbf_from_polys(shape, sub(D.d0), sub(D.d1), D.w, D.grading)
 
 
 def twist_iso_ps(d: int, S, m: int, n: int):
@@ -1222,11 +1216,10 @@ def unit_isos_inverse(D: MBF):
     minus = Cyclo.from_rat(D.shape.conductor, -1)
 
     def leg(T, at, dd, p, negate):
-        pm = D.differential_from(p).matrix()
-        cells = {(at(0, p, c), c): (ins,) for c in range(pm.cols)}
-        for i in range(pm.rows):
-            for j in range(pm.cols):
-                q = dd(pm[i, j])
+        cells = {(at(0, p, c), c): (ins,) for c in range(D.component(p).rank)}
+        for i, row in enumerate(D.differential_from(p).matrix()):
+            for j, entry in enumerate(row):
+                q = dd(entry)
                 if not q.is_zero():
                     w = w_then_mul(ins, q)
                     cells[at(1, 1 - p, i), j] = (w.scaled(minus) if negate else w,)

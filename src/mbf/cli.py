@@ -15,6 +15,7 @@ import csv
 import io
 import itertools
 import json
+import math
 import sys
 from fractions import Fraction
 
@@ -101,6 +102,18 @@ def _precision(text: str) -> int:
     reports print floats and the numeric self-checks compare to 1e-12, which
     lower precisions cannot reach."""
     return _int_at_least(text, 53)
+
+
+def _tolerance(text: str) -> float:
+    """--tol: a finite number >= 0.  nan or inf would print as invalid JSON,
+    and no residual lies below a negative bound."""
+    try:
+        value = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected a number, got {text!r}") from None
+    if not math.isfinite(value) or value < 0:
+        raise argparse.ArgumentTypeError(f"must be finite and >= 0, got {text!r}")
+    return value
 
 
 def _charge(text: str):
@@ -456,12 +469,12 @@ def build_parser() -> argparse.ArgumentParser:
     c2 = csub.add_parser("pentagon", help="largest pentagon residual at level k")
     c2.add_argument("--k", type=_level, required=True)
     c2.add_argument("--precision", type=_precision, default=DEFAULT_PREC)
-    c2.add_argument("--tol", type=float, default=1e-18)
+    c2.add_argument("--tol", type=_tolerance, default=1e-18)
     _add_out(c2)
     c3 = csub.add_parser("fusing", help="worked 2x2 example against closed forms")
     c3.add_argument("--d", type=_degree, required=True)
     c3.add_argument("--precision", type=_precision, default=DEFAULT_PREC)
-    c3.add_argument("--tol", type=float, default=1e-10)
+    c3.add_argument("--tol", type=_tolerance, default=1e-10)
     _add_out(c3)
     c4 = csub.add_parser("spectrum", help="defect-changing spectrum labels")
     c4.add_argument("--d", type=_degree, required=True)
@@ -478,7 +491,7 @@ def build_parser() -> argparse.ArgumentParser:
     m1.add_argument("--d", type=_degree)
     m1.add_argument("--d-min", type=_degree)
     m1.add_argument("--d-max", type=_degree)
-    m1.add_argument("--tol", type=float, default=1e-10)
+    m1.add_argument("--tol", type=_tolerance, default=1e-10)
     _add_out(m1)
     m2 = msub.add_parser("spectrum", help="defect-changing charge multisets")
     m2.add_argument("--d", type=_degree, required=True)

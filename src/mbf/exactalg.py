@@ -175,7 +175,7 @@ class Cyclo:
     def _check(self, other: "Cyclo"):
         if self.n != other.n:
             raise ConductorMismatch(
-                f"conductor mismatch: {self.n} vs {other.n}; lift explicitly"
+                f"conductor mismatch: {self.n} vs {other.n}"
             )
 
     def is_zero(self) -> bool:
@@ -335,15 +335,6 @@ class Cyclo:
         return not self.is_zero()
 
     # -- conversions -------------------------------------------------------
-
-    def lift(self, m: int) -> "Cyclo":
-        """Lift into Q(zeta_m) for n | m (zeta_n = zeta_m^(m/n))."""
-        if m % self.n:
-            raise ConductorMismatch(f"{self.n} does not divide {m}")
-        step = m // self.n
-        ints = [0] * ((len(self.num) - 1) * step + 1)
-        ints[::step] = self.num
-        return _from_ints(m, ints, self.den)
 
     def to_complex(self, precision_bits: int = DEFAULT_PRECISION_BITS):
         """Numeric embedding zeta_n -> exp(2*pi*i/n) at the given precision."""

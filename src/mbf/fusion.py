@@ -31,9 +31,6 @@ YZ; odd: X, Y, Z, XYZ):
     display row : 1       2       3       4       5       6       7       8
     T copy      : X0Y0Z0  X1Y1Z0  X1Y0Z1  X0Y1Z1  X1Y0Z0  X0Y1Z0  X0Y0Z1  X1Y1Z1
 
-Internally the nested pairwise tensor stores the even copies in the order
-(X0Y0Z0, X0Y1Z1, X1Y1Z0, X1Y0Z1) and the odd ones in the order
-(X1Y0Z0, X1Y1Z1, X0Y1Z0, X0Y0Z1); `_POS_TO_LEG` records the translation.
 Since the sides are even, only (rows 1-4, col 1) and (rows 5-8, col 2) can
 be nonzero.  The four positions (1,1), (5,2), (6,2), (7,2) determine the
 fusing matrix exactly; the remaining four hold up to homotopy only (at
@@ -293,11 +290,25 @@ def verify_sign(d: int) -> Cyclo:
 # -- the 2x2 fusing matrix ------------------------------------------------------
 
 
-# display position -> (parity leg, internal copy row) per the layout in
-# the module docstring; these four entries hold on the nose
+# display positions (row, column) per the layout in the module docstring:
+# the DETERMINED entries hold on the nose, the others up to homotopy
 DETERMINED = ((1, 1), (5, 2), (6, 2), (7, 2))
-_POS_TO_LEG = {(1, 1): (0, 0), (5, 2): (1, 0), (6, 2): (1, 2), (7, 2): (1, 3)}
 HOMOTOPY_POSITIONS = ((2, 1), (3, 1), (4, 1), (8, 2))
+# display row -> parities of the factors X, Y, Z of its copy of T
+_DISPLAY_PARITIES = ((0, 0, 0), (1, 1, 0), (1, 0, 1), (0, 1, 1),
+                     (1, 0, 0), (0, 1, 0), (0, 0, 1), (1, 1, 1))
+
+
+def _determined_copies(P: MBF) -> list:
+    """(parity leg, copy) in T = P⊗(P⊗P) of each DETERMINED position, read
+    through `tensor_copy` from the factor parities of its display row."""
+    PP = tensor_obj(P, P)
+    out = []
+    for row, _ in DETERMINED:
+        x, y, z = _DISPLAY_PARITIES[row - 1]
+        inner = tensor_copy(P, P, y, 0, z, 0)
+        out.append(((x + y + z) % 2, tensor_copy(P, PP, x, 0, (y + z) % 2, inner)))
+    return out
 
 
 class FusingReport:
@@ -351,18 +362,16 @@ def _fusing_composites(d: int):
 
 def _entry_polys(mor: Morphism):
     """Generator images of the two legs, as (leg, row) -> poly."""
-    me = mor.opE.matrix()
-    mo = mor.opO.matrix()
-    return {0: [me[i, 0] for i in range(me.rows)],
-            1: [mo[i, 0] for i in range(mo.rows)]}
+    return {leg: [row[0] for row in op.matrix()]
+            for leg, op in enumerate((mor.opE, mor.opO))}
 
 
-def _solve_pair(d, polyL, polyX, polyY):
-    """Exact (f0, f2) with polyL = f0*polyX + f2*polyY at every position."""
+def _solve_pair(d, copies, polyL, polyX, polyY):
+    """Exact (f0, f2) with polyL = f0*polyX + f2*polyY at every (leg, row)
+    of `copies`."""
     z = Cyclo.zero(d)
     rows, rhs = [], []
-    for pos in DETERMINED:
-        leg, r = _POS_TO_LEG[pos]
+    for leg, r in copies:
         pL, pX, pY = polyL[leg][r], polyX[leg][r], polyY[leg][r]
         for e in sorted(set(pL.terms) | set(pX.terms) | set(pY.terms)):
             rows.append([pX.terms.get(e, z), pY.terms.get(e, z)])
@@ -375,11 +384,12 @@ def _solve_pair(d, polyL, polyX, polyY):
     return m[0][2], m[1][2]
 
 
-def _fusing_report(d, L1, L2, X, Y) -> FusingReport:
+def _fusing_report(d, P, L1, L2, X, Y) -> FusingReport:
     """The exact 2x2 matrix solved from the composites of `_fusing_composites`."""
+    copies = _determined_copies(P)
     pX, pY = _entry_polys(X), _entry_polys(Y)
-    f00, f02 = _solve_pair(d, _entry_polys(L1), pX, pY)
-    f20, f22 = _solve_pair(d, _entry_polys(L2), pX, pY)
+    f00, f02 = _solve_pair(d, copies, _entry_polys(L1), pX, pY)
+    f20, f22 = _solve_pair(d, copies, _entry_polys(L2), pX, pY)
     F = [[f00, f02], [f20, f22]]
     ratio = f00 * f22 * (f02 * f20).inverse()
     z = ratio.to_complex(96)
@@ -390,7 +400,7 @@ def _fusing_report(d, L1, L2, X, Y) -> FusingReport:
 
 def solve_fusing_2x2(d: int) -> FusingReport:
     """Solve the on-the-nose entries of the 2x2 junction relations exactly."""
-    return _fusing_report(d, *_fusing_composites(d)[1:])
+    return _fusing_report(d, *_fusing_composites(d))
 
 
 # -- finite-rank reduction of tensor products -----------------------------------
@@ -456,17 +466,16 @@ def reduce_tensor(Am: MBF, Bm: MBF, check: bool = True) -> ReducedTensor:
     sh3, sh2 = T.shape, Am.shape
     r3, r2 = sh3.ring(), sh2.ring()
     to_mid = {"a": "x1", "b": "b"}
-    q1 = Bm.d1.matrix()[0, 0].rename(to_mid, r3)
+    q1 = Bm.d1.matrix()[0][0].rename(to_mid, r3)
     g = q1.degree_in("x1")
     lead = q1.coefficients_in("x1").get(g)
     if g < 1 or lead is None or lead.constant_value() != Cyclo.one(d):
         raise ValueError("right d1 entry must be monic in its left variable")
 
-    pmA0, pmA1 = Am.d0.matrix(), Am.d1.matrix()
     shift = {"a": "a", "b": "x1"}
     rA0, rA1 = Am.m0.rank, Am.m1.rank
-    dA0 = [[pmA0[v, u].rename(shift, r3) for u in range(rA0)] for v in range(rA1)]
-    dA1 = [[pmA1[v, u].rename(shift, r3) for u in range(rA1)] for v in range(rA0)]
+    dA0, dA1 = ([[p.rename(shift, r3) for p in row] for row in op.matrix()]
+                for op in (Am.d0, Am.d1))
 
     drop = {"a": "a", "b": "b"}
     xpow = [r3.monomial({"x1": j}) for j in range(g)]
@@ -631,8 +640,8 @@ def decompose_into_PS(D):
     if D.shape.nslots != 2:
         raise ValueError("decomposition expects a 2-slot object")
     d = D.shape.conductor
-    B = [list(r) for r in D.d1.matrix().entries]
-    A = [list(r) for r in D.d0.matrix().entries]
+    B = [list(r) for r in D.d1.matrix()]
+    A = [list(r) for r in D.d0.matrix()]
     pivots = []
     while B and B[0]:
         hit = None
@@ -698,7 +707,7 @@ def verify_fusing_up_to_homotopy(d: int, perturb=None) -> FusingReport:
     first; any perturbation must produce at least one "no".
     """
     P, L1, L2, X, Y = _fusing_composites(d)
-    report = _fusing_report(d, L1, L2, X, Y)
+    report = _fusing_report(d, P, L1, L2, X, Y)
     F = [row[:] for row in report.F]
     if perturb is not None:
         r, c = perturb
@@ -716,7 +725,7 @@ def verify_fusing_up_to_homotopy(d: int, perturb=None) -> FusingReport:
         delta = L - X.scale(f0) - Y.scale(f2)
         moved = transport.compose(delta)
         theta = Morphism.from_poly_blocks(moved.src, moved.dst, moved.parity,
-                                          moved.opE.matrix().entries, moved.opO.matrix().entries)
+                                          moved.opE.matrix(), moved.opO.matrix())
         ok, mode = theta.is_closed()
         if not ok:
             raise VerificationError(f"transported defect not closed ({mode})")

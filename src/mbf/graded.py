@@ -243,8 +243,8 @@ def _delta_columns(ansatz: _Ansatz, index: dict) -> list:
     for leg, i, j, m, n in ansatz.vars:
         shift = tuple({"a": m, "b": n}.get(v, 0) for v in ansatz.ring.vars)
         Et, Ds = E[(leg + p) % 2], D[1 - leg]
-        parts = [(leg, r, j, Et[r, i], False) for r in range(Et.rows)]
-        parts += [(1 - leg, i, c, Ds[j, c], p == 0) for c in range(Ds.cols)]
+        parts = [(leg, r, j, row[i], False) for r, row in enumerate(Et)]
+        parts += [(1 - leg, i, c, poly, p == 0) for c, poly in enumerate(Ds[j])]
         col = {}
         for out, r, c, poly, negate in sorted(parts, key=lambda t: t[0]):
             for e, v in poly.terms.items():
@@ -305,8 +305,8 @@ class HomSpace:
                     "dim": s.dim,
                     "basis": [
                         {
-                            "even": rep.opE.matrix().to_json(),
-                            "odd": rep.opO.matrix().to_json(),
+                            "even": [[str(p) for p in row] for row in rep.opE.matrix()],
+                            "odd": [[str(p) for p in row] for row in rep.opO.matrix()],
                         }
                         for rep in s.representatives
                     ],
@@ -378,8 +378,8 @@ def is_null_homotopic(phi: Morphism):
     through its generator matrices; homogeneity makes the forced-sector
     ansatz complete, so failure is a proof.
     """
-    pmE, pmO = phi.opE.matrix(), phi.opO.matrix()
-    if pmE.is_zero() and pmO.is_zero():
+    legs = (phi.opE.matrix(), phi.opO.matrix())
+    if not any(p for pm in legs for row in pm for p in row):
         return Morphism.zero(phi.src, phi.dst, 1 + phi.parity)
     q = morphism_charge(phi)
     if q is NotHomogeneous:
@@ -393,8 +393,8 @@ def is_null_homotopic(phi: Morphism):
     index, z = {}, Cyclo.zero(d)
     columns = _delta_columns(lower, index)
     rhs = {}
-    for leg, pm in enumerate((pmE, pmO)):
-        for i, row in enumerate(pm.entries):
+    for leg, pm in enumerate(legs):
+        for i, row in enumerate(pm):
             for j, poly in enumerate(row):
                 for e, c in poly.terms.items():
                     rhs[index.setdefault((leg, i, j, e), len(index))] = c

@@ -305,8 +305,11 @@ class MultiPoly:
         """Ring map sending each variable to scalar*target_variable.
 
         mapping: {src_var: (scalar, dst_var)}; unmapped source variables must
-        not occur.  Scalars are Cyclo of the target conductor (or coercible).
+        not occur.  Both rings have one conductor, and the scalars are Cyclo
+        of it (or coercible); another conductor raises RingMismatch.
         """
+        if self.ring.conductor != target.conductor:
+            raise RingMismatch(f"conductor {self.ring.conductor} vs {target.conductor}")
         cols = []
         for i, v in enumerate(self.ring.vars):
             if v in mapping:
@@ -316,10 +319,8 @@ class MultiPoly:
                 cols.append((i, None, None))
         out: dict = {}
         width = len(target.vars)
-        for e, c in self.terms.items():
+        for e, coeff in self.terms.items():
             ne = [0] * width
-            coeff = c if c.n == target.conductor else c.lift(target.conductor)
-            ok = True
             for i, sc, j in cols:
                 k = e[i]
                 if k == 0:
@@ -332,13 +333,11 @@ class MultiPoly:
                 if not (sc - 1).is_zero():
                     coeff = coeff * sc**k
                 if coeff.is_zero():
-                    ok = False
                     break
-            if not ok:
-                continue
-            key = tuple(ne)
-            prev = out.get(key)
-            out[key] = coeff if prev is None else prev + coeff
+            else:
+                key = tuple(ne)
+                prev = out.get(key)
+                out[key] = coeff if prev is None else prev + coeff
         return MultiPoly(target, out)
 
     def rename(self, name_map: Mapping[str, str], target: Ring) -> "MultiPoly":
@@ -650,60 +649,3 @@ def _parse_poly(ring: Ring, text: str) -> MultiPoly:
     if p.peek() is not None:
         raise ValueError(f"trailing tokens at {p.toks[p.i:]}")
     return out
-
-
-# -- matrices ---------------------------------------------------------------------
-
-
-class PolyMatrix:
-    """Immutable dense matrix of MultiPoly entries over one ring; `entries`
-    is a tuple of row tuples, so a matrix can be cached and shared.
-
-    It is read-only data: the differentials and morphism blocks are built
-    from it, and all arithmetic happens on the entries or on operators."""
-
-    __slots__ = ("ring", "rows", "cols", "entries")
-
-    def __init__(self, ring: Ring, entries):
-        rows = tuple(tuple(r) for r in entries)
-        object.__setattr__(self, "ring", ring)
-        object.__setattr__(self, "rows", len(rows))
-        object.__setattr__(self, "cols", len(rows[0]) if rows else 0)
-        for r in rows:
-            if len(r) != self.cols:
-                raise ValueError("ragged matrix")
-            for p in r:
-                if p.ring != ring:
-                    raise RingMismatch("entry ring differs from matrix ring")
-        object.__setattr__(self, "entries", rows)
-
-    def __setattr__(self, *a):
-        raise AttributeError("PolyMatrix is immutable")
-
-    def __getitem__(self, ij):
-        return self.entries[ij[0]][ij[1]]
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, PolyMatrix)
-            and self.ring == other.ring
-            and self.entries == other.entries
-        )
-
-    def __hash__(self):
-        return hash((self.ring, self.entries))
-
-    def is_zero(self) -> bool:
-        return all(p.is_zero() for r in self.entries for p in r)
-
-    def map(self, fn) -> "PolyMatrix":
-        out = [[fn(p) for p in r] for r in self.entries]
-        ring = out[0][0].ring if out and out[0] else self.ring
-        return PolyMatrix(ring, out)
-
-    def to_json(self):
-        return [[poly_to_str(p) for p in r] for r in self.entries]
-
-    def __repr__(self):
-        return "[" + "; ".join(", ".join(str(p) for p in r) for r in self.entries) + "]"
-

@@ -213,8 +213,8 @@ def test_criterion_07_multivariable_units(capsys):
     quadric = unit_object(ring2.var("x") ** 2 + ring2.var("y") ** 2)
     rep = validate_mbf(quadric)
     assert rep.ok and rep.mode == "exact"
-    d0 = [[str(p) for p in row] for row in quadric.d0.matrix().entries]
-    d1 = [[str(p) for p in row] for row in quadric.d1.matrix().entries]
+    d0 = [[str(p) for p in row] for row in quadric.d0.matrix()]
+    d1 = [[str(p) for p in row] for row in quadric.d1.matrix()]
     assert d0 == [["a1 + b1", "-a2 + b2"], ["a2 + b2", "a1 - b1"]]
     assert d1 == [["a1 - b1", "a2 - b2"], ["-a2 - b2", "a1 + b1"]]
     ring3 = Ring(("x", "y"), 3)

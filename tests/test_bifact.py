@@ -38,11 +38,11 @@ from mbf.bifact import (
     Word,
 )
 from mbf.exactalg import Cyclo
-from mbf.polycalc import PolyMatrix, Ring
+from mbf.polycalc import Ring, RingMismatch
 
 
-def strs(pm):
-    return [[str(p) for p in row] for row in pm.entries]
+def strs(rows):
+    return [[str(p) for p in row] for row in rows]
 
 
 def _images(op):
@@ -50,7 +50,7 @@ def _images(op):
     are not the whole map, but they are the entries of a map that only
     multiplies, as a tensor product's differentials do."""
     cols = [op.apply_basis(j, {}) for j in range(op.src.rank)]
-    return PolyMatrix(op.dst.shape.ring(), [[c[i] for c in cols] for i in range(op.dst.rank)])
+    return [[c[i] for c in cols] for i in range(op.dst.rank)]
 
 
 class TestValidate:
@@ -60,7 +60,7 @@ class TestValidate:
         assert rep.ok and rep.mode == "exact"
         # the telescoping identity behind it, as the 1x1 entry product d1*d0
         ring = I.shape.ring()
-        prod = I.d1.matrix()[0, 0] * I.d0.matrix()[0, 0]
+        prod = I.d1.matrix()[0][0] * I.d0.matrix()[0][0]
         assert prod == ring.parse("a^3 - b^3")
 
     def test_ps_d4(self):
@@ -70,7 +70,7 @@ class TestValidate:
     def test_ps_complement_product(self, d):
         P = ps_object(d, [0])
         ring = P.shape.ring()
-        prod = P.d1.matrix()[0, 0] * P.d0.matrix()[0, 0]
+        prod = P.d1.matrix()[0][0] * P.d0.matrix()[0][0]
         assert prod == ring.var("a") ** d - ring.var("b") ** d
 
     def test_corrupted_differential_reported(self):
@@ -170,14 +170,10 @@ class TestTensorObject:
         ring = T.shape.ring()
         iota0 = ring.parse("a^3 + a^2*x1 + a*x1^2 + x1^3")
         iota1 = ring.parse("a - x1")
-        dd0 = D.d0.matrix()[0, 0].rename({"a": "x1", "b": "b"}, ring)
-        dd1 = D.d1.matrix()[0, 0].rename({"a": "x1", "b": "b"}, ring)
-        m0 = _images(T.d0)
-        m1 = _images(T.d1)
-        assert m0[0, 0] == iota0 and m0[0, 1] == -dd1
-        assert m0[1, 0] == dd0 and m0[1, 1] == iota1
-        assert m1[0, 0] == iota1 and m1[0, 1] == dd1
-        assert m1[1, 0] == -dd0 and m1[1, 1] == iota0
+        dd0 = D.d0.matrix()[0][0].rename({"a": "x1", "b": "b"}, ring)
+        dd1 = D.d1.matrix()[0][0].rename({"a": "x1", "b": "b"}, ring)
+        assert _images(T.d0) == [[iota0, -dd1], [dd0, iota1]]
+        assert _images(T.d1) == [[iota1, dd1], [-dd0, iota0]]
 
     @pytest.mark.parametrize("d", [3, 4, 5, 6])
     def test_tensor_sweep_valid(self, d):
@@ -475,19 +471,19 @@ class TestTwists:
         assert validate_mbf(T).ok
         # target is P_{{2}}
         ring = target.shape.ring()
-        assert target.d1.matrix()[0, 0] == ring.p_S([2])
+        assert target.d1.matrix()[0][0] == ring.p_S([2])
         ok, mode = iso.is_closed()
         assert ok and mode == "exact-structural"
         # phi_1 = eta^{-1}
         eta = ring.root(1)
-        assert iso.opO.matrix()[0, 0] == ring.const(eta ** 2)
+        assert iso.opO.matrix()[0][0] == ring.const(eta ** 2)
 
     def test_equal_twist_is_scalar_iso(self):
         T, iso, target = twist_iso_ps(5, [0, 3], 2, 2)
         ring = target.shape.ring()
-        assert target.d1.matrix()[0, 0] == ring.p_S([0, 3])
-        assert iso.opE.matrix()[0, 0] == ring.one()
-        phi1 = iso.opO.matrix()[0, 0].constant_value()
+        assert target.d1.matrix()[0][0] == ring.p_S([0, 3])
+        assert iso.opE.matrix()[0][0] == ring.one()
+        phi1 = iso.opO.matrix()[0][0].constant_value()
         assert phi1 is not None and not phi1.is_zero()
         assert iso.is_closed()[0]
 
@@ -516,8 +512,8 @@ class TestOperatorEquality:
         with pytest.raises(ValueError, match="2-slot"):
             (a3 - x3).matrix()
         # unless the operator was built from a matrix, which it returns
-        pm3 = PolyMatrix(ring3, [[ring3.var("x1")]])
-        assert Operator.from_poly_matrix(mod, mod, pm3).matrix() is pm3
+        rows3 = [[ring3.var("x1")]]
+        assert Operator.from_poly_matrix(mod, mod, rows3).matrix() == ((ring3.var("x1"),),)
 
     def test_sweep_degree_must_be_nonnegative(self):
         # a 3-slot difference that only the pointwise sweep settles; a negative
@@ -537,7 +533,7 @@ class TestOperatorEquality:
         L, R = D.d0.lift(0, 1), D.d0.lift(1, 0)
         assert (L.src.rank, L.dst.rank, L.src.shape.nslots, R.dst.shape.nslots) == (1, 1, 3, 3)
         # the left factor's b becomes the junction x1, the right factor's a
-        ring3, p = L.src.shape.ring(), D.d0.matrix()[0, 0]
+        ring3, p = L.src.shape.ring(), D.d0.matrix()[0][0]
         assert L.cells[0, 0][0].prims[0].poly == p.rename({"a": "a", "b": "x1"}, ring3)
         assert R.cells[0, 0][0].prims[0].poly == p.rename({"a": "x1", "b": "b"}, ring3)
         # Kronecker placement: copy (n, p) of F ⊗ G sits at n·rank(G) + p; an
@@ -833,6 +829,40 @@ class TestSparseOperatorAgainstDense:
         assert n.normalized() is n and A.normalized() is n
 
 
+class TestMatrixCheck:
+    """`Operator.from_poly_matrix` is the one check of a polynomial matrix."""
+
+    def test_shape_errors(self):
+        P = ps_object(3, [0])
+        ring = P.shape.ring()
+        one, zero = ring.one(), ring.zero()
+        m1, m2 = FreeBimod(P.shape, 1), FreeBimod(P.shape, 2)
+        assert Operator.from_poly_matrix(m2, m1, [[one, zero]]).matrix() == ((one, zero),)
+        for src, dst, rows in (
+            (m2, m2, [[one, zero], [one]]),  # ragged
+            (m2, m1, [[one], [zero]]),  # the ranks swapped
+            (m1, m1, []),  # no row
+        ):
+            with pytest.raises(ValueError, match="shape mismatch"):
+                Operator.from_poly_matrix(src, dst, rows)
+        # the objects and morphisms built from rows are checked there
+        with pytest.raises(ValueError, match="shape mismatch"):
+            mbf_from_polys(P.shape, [[one]], [[one, one]], P.w)
+        with pytest.raises(ValueError, match="shape mismatch"):
+            Morphism.from_poly_blocks(P, P, 0, [[one]], [[one], [one]])
+
+    def test_entry_from_another_ring(self):
+        P = ps_object(3, [0])
+        one = P.shape.ring().one()
+        others = (Ring(["a", "b"], 4).one(), Ring(["b", "a"], 3).one(),
+                  SlotShape(3, 1, 3).ring().zero())
+        for entry in others:
+            with pytest.raises(RingMismatch):
+                Operator.from_poly_matrix(P.m0, P.m1, [[entry]])
+            with pytest.raises(RingMismatch):
+                Morphism.from_poly_blocks(P, P, 0, [[one]], [[entry]])
+
+
 class TestOperatorImmutability:
     def _op(self):
         D = ps_object(4, [1])
@@ -850,22 +880,23 @@ class TestOperatorImmutability:
     def test_matrix_is_the_given_matrix(self, monkeypatch):
         P = ps_object(5, [0, 2])
         ring = P.shape.ring()
-        pm = PolyMatrix(ring, [[ring.p_S([1, 3, 4]), ring.const(2)], [ring.zero(), ring.var("a")]])
+        rows = [[ring.p_S([1, 3, 4]), ring.const(2)], [ring.zero(), ring.var("a")]]
         mod = FreeBimod(P.shape, 2)
 
         def refuse(self):
             raise AssertionError("Word.normalized called")
 
         monkeypatch.setattr(Word, "normalized", refuse)
-        op = Operator.from_poly_matrix(mod, mod, pm)
-        assert op.matrix() is pm
+        op = Operator.from_poly_matrix(mod, mod, rows)
+        pm = op.matrix()
+        assert pm == tuple(map(tuple, rows)) and op.matrix() is pm
         assert set(op.cells) == {(0, 0), (0, 1), (1, 1)}
         monkeypatch.undo()
         # the matrix read back from the generator images is the same
         rebuilt = Operator(mod, mod, dict(op.cells)).matrix()
         assert rebuilt == pm
-        assert [list(p.terms.items()) for row in rebuilt.entries for p in row] == [
-            list(p.terms.items()) for row in pm.entries for p in row]
+        assert [list(p.terms.items()) for row in rebuilt for p in row] == [
+            list(p.terms.items()) for row in pm for p in row]
 
     @pytest.mark.parametrize("d", [3, 4, 5])
     def test_matrix_operators_are_built_in_normal_form(self, d):
@@ -903,9 +934,9 @@ class TestOperatorImmutability:
         # the cached generator matrix is handed to every caller: read-only too
         pm = ps_object(4, [1]).d0.matrix()
         with pytest.raises(TypeError):
-            pm.entries[0][0] = pm[0, 0] * 2
+            pm[0][0] = pm[0][0] * 2
         with pytest.raises(TypeError):
-            pm.entries[0] = (pm[0, 0],)
+            pm[0] = (pm[0][0],)
         # the constructor copies: changing what it was given changes nothing
         given = {key: [word]}
         other = Operator(op.src, op.dst, given)

@@ -42,6 +42,14 @@ class TestSetSyntax:
             parse_set(" ", 4)
 
 
+_TOL_COMMANDS = {
+    "cft-pentagon": ["cft", "pentagon", "--k", "1"],
+    "cft-fusing": ["cft", "fusing", "--d", "4"],
+    "compare-ratio": ["compare", "ratio", "--d", "4"],
+}
+_BAD_TOLS = ("nan", "inf", "-1")
+
+
 @pytest.mark.parametrize(
     "argv",
     [
@@ -53,10 +61,11 @@ class TestSetSyntax:
         ["verify", "monoidal", "--d", "3", "--cutoff", "8"],
         ["cft", "fusing", "--d", "4", "--precision", "0"],
         ["cft", "fusing", "--d", "4", "--precision", "52"],
-    ],
+    ] + [[*argv, "--tol", tol] for argv in _TOL_COMMANDS.values() for tol in _BAD_TOLS],
     ids=["d-zero", "charge-zero-denominator", "negative-k", "removed-tol",
          "removed-cutoff", "removed-monoidal-cutoff", "precision-zero",
-         "precision-below-double"],
+         "precision-below-double"]
+    + [f"tol-{tol}-{name}" for name in _TOL_COMMANDS for tol in _BAD_TOLS],
 )
 def test_bad_arguments_are_usage_errors(capsys, argv):
     with pytest.raises(SystemExit) as exc:
@@ -65,6 +74,24 @@ def test_bad_arguments_are_usage_errors(capsys, argv):
     assert exc.value.code == 2 and captured.out == ""
     errors = [line for line in captured.err.splitlines() if "error:" in line]
     assert len(errors) == 1 and captured.err.endswith(errors[0] + "\n")
+
+
+def _strict_json(text: str):
+    """json.loads that refuses NaN, Infinity and -Infinity."""
+    def refuse(name):
+        raise ValueError(f"not JSON: {name}")
+    return json.loads(text, parse_constant=refuse)
+
+
+@pytest.mark.parametrize("tol", [None, "0", "1e-3"])
+@pytest.mark.parametrize("command", sorted(_TOL_COMMANDS))
+def test_tolerance_reports_are_strict_json(capsys, command, tol):
+    argv = _TOL_COMMANDS[command] + ([] if tol is None else ["--tol", tol])
+    code, out = run(capsys, *argv)
+    doc = _strict_json(out)
+    assert code == (0 if doc["pass"] else 1)
+    if tol is not None:
+        assert doc["tol"] == float(tol)
 
 
 def test_failed_verification_exits_one(capsys, monkeypatch):
@@ -181,7 +208,7 @@ _VALUES = {
     "--labels": (["1,1,0,1,1,2", "1,0,0,0,0,0", "2,2,2,2,2,2"],
                  ["1,1,0", "a,b,c,d,e,f", "-1,1,0,1,1,2"]),
     "--precision": (["64", "96"], ["0", "-8", "p"]),
-    "--tol": (["1e-10", "0"], ["-1", "nan", "t"]),
+    "--tol": (["1e-10", "0"], ["-1", "nan", "inf", "t"]),
     "--u": (["0", "1", "2"], ["-1", "7", "u"]), "--n": (["0", "2"], ["-2", "n"]),
 }
 _SWITCHES = ["--verify-homotopy", "--all", "--chiral-only", "--version", "-h"]

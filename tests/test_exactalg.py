@@ -81,14 +81,6 @@ class TestCycloArithmetic:
         with pytest.raises(ConductorMismatch):
             Cyclo.root(3) * Cyclo.root(4)
 
-    def test_lift(self):
-        assert Cyclo.root(3).lift(12) == Cyclo.root(12, 4)
-        assert Cyclo.root(2).lift(6) == Cyclo.root(6, 3)
-        x = Cyclo.root(6) + 2
-        assert close(x.lift(24).to_complex(), x.to_complex())
-        with pytest.raises(ConductorMismatch):
-            Cyclo.root(5).lift(12)
-
     def test_division_and_inverse(self):
         eta = Cyclo.root(5)
         x = eta**3 - 2 * eta + Cyclo.from_rat(5, Rat(1, 3))

@@ -19,7 +19,6 @@ from mbf.graded import graded_validate, morphism_charge
 from mbf.fusion import (
     DETERMINED,
     HOMOTOPY_POSITIONS,
-    _POS_TO_LEG,
     Junctions,
     PSObject,
     VerificationError,
@@ -35,6 +34,7 @@ from mbf.fusion import (
     verify_group_like,
     verify_sign,
     _closed_and_chargeless,
+    _determined_copies,
     _entry_polys,
     _fusing_composites,
 )
@@ -175,9 +175,15 @@ class TestFusingMatrix:
         assert DETERMINED == ((1, 1), (5, 2), (6, 2), (7, 2))
         assert HOMOTOPY_POSITIONS == ((2, 1), (3, 1), (4, 1), (8, 2))
 
+    @pytest.mark.parametrize("d", [4, 7])
+    def test_determined_copies_follow_tensor_copy(self, d):
+        # (parity leg, copy) in P⊗(P⊗P) of display rows 1, 5, 6 and 7
+        P = ps_object(d, (0, 1))
+        assert _determined_copies(P) == [(0, 0), (1, 0), (1, 2), (1, 3)]
+
     def test_determined_rows_vanish_exactly_d5(self):
         d = 5
-        _, L1, L2, X, Y = _fusing_composites(d)
+        P, L1, L2, X, Y = _fusing_composites(d)
         pX, pY = _entry_polys(X), _entry_polys(Y)
         F = expected_F(d)
         for pL, (f0, f2) in ((_entry_polys(L1), F[0]), (_entry_polys(L2), F[1])):
@@ -187,7 +193,7 @@ class TestFusingMatrix:
                 for r in range(4)
                 if (pL[leg][r] - pX[leg][r] * f0 - pY[leg][r] * f2).is_zero()
             }
-            assert exact == {_POS_TO_LEG[pos] for pos in DETERMINED}
+            assert exact == set(_determined_copies(P))
 
     def test_all_entries_exact_at_d4(self):
         _, L1, L2, X, Y = _fusing_composites(4)
@@ -213,15 +219,15 @@ def _rescaled_ratio(d, scales):
     """Re-solve the relations after junction rescalings A_n -> c_n A_n."""
     from mbf.fusion import _solve_pair
 
-    _, L1, L2, X, Y = _fusing_composites(d)
+    P, L1, L2, X, Y = _fusing_composites(d)
     c = {n: scales[n] for n in range(1, 7)}
     L1 = L1.scale(c[1] * c[5])
     L2 = L2.scale(c[2] * c[6])
     X = X.scale(c[1] * c[3])
     Y = Y.scale(c[2] * c[4])
-    pX, pY = _entry_polys(X), _entry_polys(Y)
-    f00, f02 = _solve_pair(d, _entry_polys(L1), pX, pY)
-    f20, f22 = _solve_pair(d, _entry_polys(L2), pX, pY)
+    copies, pX, pY = _determined_copies(P), _entry_polys(X), _entry_polys(Y)
+    f00, f02 = _solve_pair(d, copies, _entry_polys(L1), pX, pY)
+    f20, f22 = _solve_pair(d, copies, _entry_polys(L2), pX, pY)
     return f00 * f22 * (f02 * f20).inverse()
 
 

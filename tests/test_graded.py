@@ -133,8 +133,8 @@ class TestHomSpace:
             assert sector.dim == 1
             (rep,) = sector.representatives
             want = [["1" if k == 0 else ("a" if k == 1 else f"a^{k}")]]
-            assert rep.opE.matrix().to_json() == want
-            assert rep.opO.matrix().to_json() == want
+            for op in (rep.opE, rep.opO):
+                assert [[str(p) for p in row] for row in op.matrix()] == want
 
     def test_singleton_to_pair_d5(self):
         H = hom_space(graded_ps(5, 0, 0), graded_ps(5, 0, 1), "all")
@@ -215,10 +215,9 @@ def _leg_terms(phi):
     """{(leg, i, j, exponents): coefficient} of a morphism between 2-slot objects."""
     out = {}
     for leg, op in enumerate((phi.opE, phi.opO)):
-        pm = op.matrix()
-        for i in range(pm.rows):
-            for j in range(pm.cols):
-                for e, c in pm[i, j].terms.items():
+        for i, row in enumerate(op.matrix()):
+            for j, entry in enumerate(row):
+                for e, c in entry.terms.items():
                     out[(leg, i, j, e)] = c
     return out
 
@@ -311,7 +310,7 @@ class TestNullHomotopy:
             [[ring.zero()]],
         )
         phi = psi.delta()
-        if phi.opE.matrix().is_zero() and phi.opO.matrix().is_zero():
+        if not any(p for op in (phi.opE, phi.opO) for row in op.matrix() for p in row):
             return
         witness = is_null_homotopic(phi)
         assert witness is not None
@@ -378,14 +377,14 @@ class TestGradingOnObjects:
         # order of a reduced object shows
         P, Q = objs[0], objs[-2]
         z = P.shape.ring().zero()
-        e = lambda D, k: D.differential_from(k).matrix()[0, 0]
+        e = lambda D, k: D.differential_from(k).matrix()[0][0]
         dsum = mbf_from_polys(P.shape, [[e(P, 0), z], [z, e(Q, 0)]], [[e(P, 1), z], [z, e(Q, 1)]],
                               P.w, tuple(P.charges(p) + Q.charges(p) for p in (0, 1)))
         for A in objs + [dsum]:
             for B in objs:
                 for R in (A, reduce_tensor(A, B, check=False).reduced):
                     red = reduce_tensor(R, B, check=False).reduced
-                    g = B.d1.matrix()[0, 0].degree_in("a")
+                    g = B.d1.matrix()[0][0].degree_in("a")
                     want = tuple(tuple(c + B.charges(0)[0] + j for c in R.charges(p) for j in range(g))
                                  for p in (0, 1))
                     assert red.grading == want
