@@ -389,7 +389,8 @@ def defect_spectrum(
     src = mm_normalize(d, 0, 2 * n, 0)
     dst = mm_normalize(d, u, u + 2 * n, 0)
     fused = mm_fuse(src.dual(), dst)
-    assert fused == [mm_normalize(d, u, u, 0)], "target channel must be [u,u,0]"
+    if fused != [mm_normalize(d, u, u, 0)]:
+        raise VerificationError(f"target channel must be [u,u,0], got {[str(c) for c in fused]}")
     target = fused[0]
     if chiral_only:
         return [
@@ -429,7 +430,8 @@ def cft_fusing_examples(d: int, which: str, prec: int = DEFAULT_PREC):
     k = d - 2
     if which == "groupLike":
         unit = su2_fusing(k, 0, 0, 0, 0, 0, 0, prec=prec)
-        assert unit.value == 1
+        if unit.value != 1:
+            raise VerificationError(f"su(2) unit entry is {unit.value}, not 1")
         values = {
             int(unit.value) * u1_data(d, "F", 2 * i % (2 * d), 2 * j % (2 * d), 2 * kk % (2 * d))
             for i, j, kk in itertools.product(range(d), repeat=3)

@@ -20,6 +20,9 @@ modulo the image of the odd ansatz).
 
 from __future__ import annotations
 
+import math
+
+from . import VerificationError
 from ._rat import Rat, rat_str
 from .exactalg import Cyclo
 from .linalg import Echelon, nullspace, solve
@@ -271,7 +274,8 @@ def _image_vectors(ansatz: _Ansatz):
     lower = _Ansatz(gs, gt, 1 - ansatz.parity, ansatz.units - Rat(d, 2))
     coords = {(leg, i, j, (m, n)): t for t, (leg, i, j, m, n) in enumerate(ansatz.vars)}
     columns = _delta_columns(lower, coords)
-    assert len(coords) == len(ansatz), "delta image left the charge sector"
+    if len(coords) != len(ansatz):
+        raise VerificationError("delta image left the charge sector")
     z = Cyclo.zero(d)
     return [[col.get(t, z) for t in range(len(ansatz))] for col in columns]
 
@@ -332,35 +336,58 @@ def _solve_sector(gs: MBF, gt: MBF, units: Rat, parity: int = 0):
     return len(reps), reps
 
 
+def _charge_window(gs: MBF, gt: MBF, parity: int) -> Rat:
+    """Inclusive upper bound, in q_x units, on the charge of a non-zero class
+    of H(X, Y) of the given parity, X = gs and Y = gt.
+
+    Lower bound: every block entry of a morphism is a polynomial of degree
+    >= 0, so a homogeneous non-zero morphism Y -> X of parity p has charge at
+    least L(Y, X), the least c_X(leg + p)[i] - c_Y(leg)[j] over both legs.
+
+    Upper bound: for graded matrix factorisations of W = a^d - b^d (two
+    variables of charge q_x = 2/d) the Serre functor is the shift [2], which
+    keeps the parity, followed by a charge shift of ĉ = Σ(1 - q_i) = 2 - 4/d,
+    that is d - 2 in q_x units (the boundary pairing of Kapustin and Li,
+    "D-branes in Landau-Ginzburg models and algebraic geometry", JHEP 2003;
+    Murfet, "Residues and duality for singularity categories of isolated
+    Gorenstein singularities", Compositio 2013).  So
+    H^q(X, Y) ≅ H^(ĉ-q)(Y, X)^* with the same parity, and a non-zero class
+    of H(X, Y) has ĉ - q >= L(Y, X), i.e. q <= (d - 2) - L(Y, X).
+    """
+    low = min(cx - cy for leg in (0, 1)
+              for cx in gs.charges(leg + parity) for cy in gt.charges(leg))
+    return gs.shape.conductor - 2 - low
+
+
 def hom_space(gs: MBF, gt: MBF, charge="all", parity: int = 0) -> HomSpace:
     """Cohomology classes of morphisms gs -> gt, per exact charge sector;
     both objects must be graded.
 
-    `charge` is an actual R-charge (rational) or "all", which scans every
-    sector reachable with block entry degrees up to 2d.
+    `charge` is an actual R-charge (rational), whose sector is kept even when
+    empty, or "all", which solves exactly the sectors inside the proved Serre
+    window: every charge deg + c_target(i) - c_source(j) with deg >= 0 up to
+    `_charge_window`, and keeps the non-empty ones.  The window is proved
+    for every pair of graded 2-slot objects: entries of degree >= 0 bound the
+    charge of Y -> X from below by L(Y, X), and Serre duality,
+    H^q(X, Y) ≅ H^(ĉ-q)(Y, X)^* with ĉ = 2 - 4/d and the same parity
+    (Kapustin and Li, JHEP 2003; Murfet, Compositio 2013), turns that into
+    q <= ĉ - L(Y, X); `_charge_window` spells the argument out.
 
-    Why 2d is enough between rank-one defects P_S -> P_T: with A = S & T,
-    B = S - T, C = T - S and D the residues in neither, a closed even
-    morphism is (p_C h, p_B h) and it is exact iff h lies in (p_A, p_D); a
-    closed odd one is (p_D k, p_A k), exact iff k lies in (p_B, p_C).  Two
-    coprime binary forms of degrees m and n span every degree from m+n-1 on,
-    so a non-zero class has deg h <= |A|+|D|-2 (deg k <= |B|+|C|-2), and its
-    entries on one leg have degree <= d - 2.  For other objects the
-    cohomology is a module over the Jacobian ring C[a,b]/(a^(d-1), b^(d-1)),
-    whose top degree is 2d - 4; there 2d is a scan limit, not a proof.
+    Between rank-one defects P_S -> P_T, with A = S & T, B = S - T,
+    C = T - S and D the residues in neither, a closed even morphism is
+    (p_C h, p_B h) and it is exact iff h lies in (p_A, p_D); a closed odd one
+    is (p_D k, p_A k), exact iff k lies in (p_B, p_C).  So the even classes
+    have dimension |A|*|D| and the odd ones |B|*|C|.
     """
     d = gs.shape.conductor
     qx = Rat(2, d)
     if charge == "all":
-        units_candidates = set()
-        for leg in (0, 1):
-            csrc = gs.charges(leg)
-            cdst = gt.charges(leg + parity)
-            for ci in cdst:
-                for cj in csrc:
-                    for deg in range(0, 2 * d + 1):
-                        units_candidates.add(deg + ci - cj)
-        todo = sorted(units_candidates)
+        top = _charge_window(gs, gt, parity)
+        todo = sorted({deg + ci - cj
+                       for leg in (0, 1)
+                       for ci in gt.charges(leg + parity)
+                       for cj in gs.charges(leg)
+                       for deg in range(math.floor(top - ci + cj) + 1)})
     else:
         todo = [Rat(charge) / qx]
     sectors = []

@@ -2,11 +2,12 @@ import collections
 import csv
 import io
 import json
+import types
 
 import pytest
 from hypothesis import HealthCheck, assume, given, settings, strategies as st
 
-from mbf import __version__, cft, cli, fusion
+from mbf import __version__, bifact, cft, cli, fusion
 from mbf._rat import Rat
 from mbf.cli import main, parse_set
 
@@ -132,6 +133,39 @@ def test_failed_numeric_self_check_exits_one(capsys, monkeypatch):
     assert "Traceback" not in captured.err
     assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
     assert "group-like scalars are not constant" in captured.err
+
+
+def _ps_with_raised_even_charge(d, S):
+    # its differentials no longer carry charge d/2, so delta of the sector
+    # below lands outside the sector being solved
+    P = bifact.ps_object(d, S)
+    raised = tuple(c + 1 for c in P.charges(0))
+    return bifact.MBF(P.m0, P.m1, P.d0, P.d1, P.w, (raised, P.charges(1)))
+
+
+@pytest.mark.parametrize(
+    "target,name,replacement,argv,message",
+    [
+        (cft, "mm_fuse", lambda x, y: [], ["cft", "spectrum", "--d", "5", "--u", "1"],
+         "target channel must be [u,u,0]"),
+        (cft, "su2_fusing", lambda *a, **kw: types.SimpleNamespace(value=2),
+         ["cft", "fusing", "--d", "5"], "su(2) unit entry is 2, not 1"),
+        (cli, "ps_object", _ps_with_raised_even_charge,
+         ["hom", "--d", "3", "--source", "0", "--target", "0"],
+         "delta image left the charge sector"),
+    ],
+    ids=["spectrum-channel", "group-like-unit", "hom-sector"],
+)
+def test_internal_checks_raise_and_exit_one(capsys, monkeypatch, target, name,
+                                            replacement, argv, message):
+    # raised, not asserted, so `python -O` keeps them; a failed one is exit 1
+    monkeypatch.setattr(target, name, replacement)
+    code = main(argv)
+    captured = capsys.readouterr()
+    assert code == 1 and captured.out == ""
+    assert "Traceback" not in captured.err
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+    assert message in captured.err
 
 
 def _not_proportional(d, left, right, check):

@@ -1,4 +1,5 @@
 import math
+import random
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -15,7 +16,7 @@ from mbf.bifact import (
     ps_object,
     tensor_obj,
 )
-from mbf.graded import graded_validate, morphism_charge
+from mbf.graded import graded_validate, hom_space, morphism_charge
 from mbf.fusion import (
     DETERMINED,
     HOMOTOPY_POSITIONS,
@@ -368,6 +369,36 @@ class TestDecompose:
         D = mbf_from_polys(sh, d0, d1, fermat_potential(d))
         with pytest.raises(VerificationError, match="not factorable"):
             decompose_into_PS(D)
+
+    def test_krull_schmidt_hom_dimensions(self):
+        """For 8 seeded fusion pairs at d = 4, every P_T and both parities,
+        dim H(P_T, X) of the reduced tensor X is the sum of dim H(P_T, P_S)
+        over the returned summands P_S; with any one summand dropped, some
+        P_T and parity tell the difference."""
+        d = 4
+        sets = [tuple(sorted((i + t) % d for t in range(j + 1)))
+                for i in range(d) for j in range(d - 1)]
+        pairs = random.Random(8).sample([(a, b) for a in sets for b in sets], 8)
+        P = {S: ps_object(d, S) for S in sets}
+        cache = {}
+
+        def dims(summands):
+            for T in sets:
+                for S in summands:
+                    for parity in (0, 1):
+                        if (T, S, parity) not in cache:
+                            H = hom_space(P[T], P[S], "all", parity)
+                            cache[T, S, parity] = H.total_dim()
+            return {(T, parity): sum(cache[T, S, parity] for S in summands)
+                    for T in sets for parity in (0, 1)}
+
+        for left, right in pairs:
+            rt, summands = fuse(d, left, right)
+            got = {(T, parity): hom_space(P[T], rt.reduced, "all", parity).total_dim()
+                   for T in sets for parity in (0, 1)}
+            assert got == dims(summands)
+            for drop in range(len(summands)):
+                assert got != dims(summands[:drop] + summands[drop + 1:])
 
     def test_accepts_graded_and_rejects_junk(self):
         assert decompose_into_PS(ps_object(4, (0, 1))) == [(0, 1)]

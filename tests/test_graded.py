@@ -6,7 +6,8 @@ from hypothesis import given, settings, strategies as st
 from mbf._rat import Rat
 from mbf.exactalg import Cyclo
 from mbf import cli
-from mbf.fusion import reduce_tensor
+from mbf import graded
+from mbf.fusion import fuse, reduce_tensor
 from mbf.bifact import (
     MBF,
     Morphism,
@@ -165,9 +166,10 @@ class TestHomSpace:
 
     @pytest.mark.parametrize("d,sample", [(3, None), (4, 12)])
     def test_scan_limit_misses_no_sector(self, d, sample):
-        """hom_space("all") scans entry degrees up to 2d; up to 4d finds
-        nothing more, and the dimensions are the |S&T|*|neither| (even) and
-        |S-T|*|T-S| (odd) the hom_space docstring derives."""
+        """hom_space("all") solves the sectors inside the Serre window; a scan
+        of entry degrees up to 4d finds nothing more, and the dimensions are
+        the |S&T|*|neither| (even) and |S-T|*|T-S| (odd) the hom_space
+        docstring derives."""
         from mbf.graded import _solve_sector
 
         sets = [(i, j) for i in range(d) for j in range(d - 1)]
@@ -209,6 +211,102 @@ class TestHomSpace:
         gI = graded_unit(4)
         H = hom_space(gI, gI, Rat(1, 4))
         assert [s.dim for s in H.sectors] == [0]
+
+
+def _dims(X, Y, parity):
+    """{charge: dim} of the non-empty sectors of H(X, Y)."""
+    return {s.charge: s.dim for s in hom_space(X, Y, "all", parity).sectors}
+
+
+def _scanned_charges(X, Y, parity, reach):
+    """Charges of the non-empty sectors with entry degrees up to `reach`,
+    each solved on its own, with no window."""
+    from mbf.graded import _solve_sector
+
+    d = X.shape.conductor
+    units = {deg + ci - cj for leg in (0, 1) for ci in Y.charges(leg + parity)
+             for cj in X.charges(leg) for deg in range(reach + 1)}
+    return [u * Rat(2, d) for u in sorted(units) if _solve_sector(X, Y, u, parity)[0]]
+
+
+def _reduced_tensors(d, count, seed):
+    """`count` seeded reduced tensors P_S1 ⊗ P_S2 of rank > 1, each with a
+    seeded P_T."""
+    sets = [tuple((i + t) % d for t in range(j + 1)) for i in range(d) for j in range(d - 1)]
+    rng = random.Random(seed)
+    out = []
+    for S1, S2 in rng.sample([(a, b) for a in sets for b in sets], len(sets) ** 2):
+        R = fuse(d, S1, S2)[0].reduced
+        if len(R.charges(0)) > 1:
+            out.append((R, ps_object(d, rng.choice(sets))))
+        if len(out) == count:
+            return out
+
+
+class TestSerreWindow:
+    """H^q(X, Y) ≅ H^(ĉ-q)(Y, X)^* with ĉ = 2 - 4/d and the same parity, the
+    duality `graded._charge_window` rests on."""
+
+    @pytest.mark.parametrize("d,sample", [(3, None), (4, None), (5, 40)])
+    def test_duality_on_consecutive_pairs(self, d, sample):
+        """Every ordered pair of consecutive P_S at d = 3 and 4, and a seeded
+        sample at d = 5, in both parities; the sectors of Y -> X reflected
+        through any other ĉ do not match."""
+        objs = [graded_ps(d, i, j) for i in range(d) for j in range(d - 1)]
+        pairs = [(a, b) for a in range(len(objs)) for b in range(a, len(objs))]
+        if sample:
+            pairs = random.Random(5).sample(pairs, sample)
+        chat = 2 - Rat(4, d)
+        nonempty = 0
+        for a, b in pairs:
+            X, Y = objs[a], objs[b]
+            for parity in (0, 1):
+                there, back = _dims(X, Y, parity), _dims(Y, X, parity)
+                assert {chat - q: n for q, n in there.items()} == back
+                if there:
+                    nonempty += 1
+                    assert {chat + Rat(2, d) - q: n for q, n in there.items()} != back
+        assert nonempty
+
+    @pytest.mark.parametrize("d,count,scanned", [(3, 6, 4), (4, 6, 1)])
+    def test_reduced_tensors(self, d, count, scanned):
+        """Seeded reduced tensors of rank > 1 against a P_T, in both orders and
+        parities: duality holds, and on the first `scanned` of them the
+        window's sectors are those a scan of entry degrees up to 3d finds."""
+        chat = 2 - Rat(4, d)
+        for k, (R, P) in enumerate(_reduced_tensors(d, count, seed=13)):
+            for parity in (0, 1):
+                there, back = _dims(R, P, parity), _dims(P, R, parity)
+                assert {chat - q: n for q, n in there.items()} == back
+                if k < scanned:
+                    for X, Y, dims in ((R, P, there), (P, R, back)):
+                        assert _scanned_charges(X, Y, parity, 3 * d) == sorted(dims)
+
+    @pytest.mark.parametrize("S,T,parity", [((0, 1), (0, 1), 0), ((0, 1), (2, 3), 1)])
+    def test_window_cannot_shrink(self, monkeypatch, S, T, parity):
+        """At d = 4 the top sector of these pairs sits on the window's edge;
+        a window one unit narrower misses it."""
+        X, Y = ps_object(4, S), ps_object(4, T)
+        top = graded._charge_window(X, Y, parity)
+        full = hom_space(X, Y, "all", parity).charges()
+        assert full == _scanned_charges(X, Y, parity, 16)
+        assert full[-1] == top * Rat(1, 2)
+        window = graded._charge_window
+        monkeypatch.setattr(graded, "_charge_window", lambda *a: window(*a) - 1)
+        assert hom_space(X, Y, "all", parity).charges() == full[:-1]
+
+    def test_edge_count_d3(self):
+        """The top sector reaches the window's edge in 12 of the hom spaces
+        between consecutive P_S at d = 3, both parities counted."""
+        objs = [graded_ps(3, i, j) for i in range(3) for j in range(2)]
+        edge = 0
+        for X in objs:
+            for Y in objs:
+                for parity in (0, 1):
+                    H = hom_space(X, Y, "all", parity)
+                    top = graded._charge_window(X, Y, parity) * Rat(2, 3)
+                    edge += bool(H.sectors) and H.charges()[-1] == top
+        assert edge == 12
 
 
 def _leg_terms(phi):
