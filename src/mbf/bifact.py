@@ -27,8 +27,12 @@ normal form (which is its own normal form) and its generator matrix, a
 tuple of row tuples of polynomials.  `Operator.from_poly_matrix` is the one
 place that checks such a matrix (its shape and its ring); the operator it
 makes starts with the rows it was given and is built in normal form.
-Objects cache nothing: `tensor_obj` builds its product on every call (no
-workload asks for the same product twice often enough to pay for a cache).
+An `MBF` is immutable too.  `ps_object` memoises P_S, one object per
+(d, S).  `tensor_obj` builds a new product on every call (no workload asks
+for the same product twice often enough to pay for a cache), but only its
+modules and charges at once: the differential is built on its first read.
+Most products only name the endpoints of a tensor product of maps or an
+associator and never have it read.
 
 One routine, `_tensor_legs`, builds every f ⊗ g, the differential
 d_X ⊗ 1 + 1 ⊗ d_Y of X ⊗ Y included; `tensor_copy` is the one copy index
@@ -782,16 +786,30 @@ class MBF:
     `grading` is None or the pair (charges of the D0 copies, charges of the
     D1 copies): exact R-charges in units of q_x = 2/d (see `graded`).  Only
     the x^d family is graded; `charges` raises ValueError on other objects.
+
+    An object is immutable, since `ps_object` hands the same P_S to every
+    caller.  A tensor product is made by `_deferred`: its differentials are
+    built on the first read of `d0` or `d1`, and their endpoints checked then.
     """
 
-    __slots__ = ("m0", "m1", "d0", "d1", "w", "grading")
+    __slots__ = ("m0", "m1", "w", "grading", "_d", "_build")
 
     def __init__(self, m0: FreeBimod, m1: FreeBimod, d0: Operator, d1: Operator, w: MultiPoly,
                  grading=None):
+        self._set_modules(m0, m1, w, grading)
+        self._set_differentials(d0, d1)
+
+    @classmethod
+    def _deferred(cls, m0: FreeBimod, m1: FreeBimod, w: MultiPoly, grading, build) -> "MBF":
+        """The object whose differentials are `build()`, called on first read."""
+        D = cls.__new__(cls)
+        D._set_modules(m0, m1, w, grading)
+        object.__setattr__(D, "_build", build)
+        return D
+
+    def _set_modules(self, m0, m1, w, grading):
         if m0.shape != m1.shape:
             raise ValueError("component modules must share the slot shape")
-        if d0.src != m0 or d0.dst != m1 or d1.src != m1 or d1.dst != m0:
-            raise ValueError("differential endpoints inconsistent")
         if len(w.ring.vars) != m0.shape.nvars:
             raise ValueError("potential variable count mismatch")
         if grading is not None:
@@ -799,12 +817,28 @@ class MBF:
             if len(c0) != m0.rank or len(c1) != m1.rank:
                 raise ValueError("charge vector length does not match rank")
             grading = (tuple(Rat(c) for c in c0), tuple(Rat(c) for c in c1))
-        self.m0 = m0
-        self.m1 = m1
-        self.d0 = d0
-        self.d1 = d1
-        self.w = w
-        self.grading = grading
+        object.__setattr__(self, "m0", m0)
+        object.__setattr__(self, "m1", m1)
+        object.__setattr__(self, "w", w)
+        object.__setattr__(self, "grading", grading)
+
+    def _set_differentials(self, d0, d1):
+        if d0.src != self.m0 or d0.dst != self.m1 or d1.src != self.m1 or d1.dst != self.m0:
+            raise ValueError("differential endpoints inconsistent")
+        object.__setattr__(self, "_d", (d0, d1))
+        object.__setattr__(self, "_build", None)
+
+    def __setattr__(self, *a):
+        raise AttributeError("MBF is immutable")
+
+    def _differentials(self) -> tuple:
+        """(d0, d1), built on the first call if the object was `_deferred`."""
+        if self._build is not None:
+            self._set_differentials(*self._build())
+        return self._d
+
+    d0 = property(lambda self: self._differentials()[0])
+    d1 = property(lambda self: self._differentials()[1])
 
     @property
     def shape(self) -> SlotShape:
@@ -1021,17 +1055,24 @@ def _tensor(X: MBF, Y: MBF, glue: bool) -> MBF:
     """X ⊗ Y with the differential d_X ⊗ 1 + 1 ⊗ d_Y, each d an odd
     endomorphism, so 1 ⊗ d_Y carries the sign (−1)^i on X_i.
 
-    If both factors are graded, a copy's charge is the sum of its factors'
-    charges.  `glue` is passed to _tensor_legs.
+    The modules and charges are built at once, the differential on its first
+    read (`MBF._deferred`).  If both factors are graded, a copy's charge is
+    the sum of its factors' charges.  `glue` is passed to _tensor_legs.
     """
-    dx = _tensor_legs(Morphism(X, X, 1, X.d0, X.d1), Morphism.identity(Y), glue)
-    dy = _tensor_legs(Morphism.identity(X), Morphism(Y, Y, 1, Y.d0, Y.d1), glue)
-    d0, d1 = dx[0] + dy[0], dx[1] + dy[1]
+    shape = X.shape.widen(0, Y.shape.nslots - 1) if glue else X.shape
+    m0, m1 = (FreeBimod(shape, sum(X.component(i).rank * Y.component(j).rank
+                                   for i, j in _tensor_blocks(p))) for p in (0, 1))
     grading = None
     if X.grading is not None and Y.grading is not None:
         grading = tuple([cx + cy for i, j in _tensor_blocks(p)
                          for cx in X.charges(i) for cy in Y.charges(j)] for p in (0, 1))
-    return MBF(d0.src, d1.src, d0, d1, X.w, grading)
+
+    def build():
+        dx = _tensor_legs(Morphism(X, X, 1, X.d0, X.d1), Morphism.identity(Y), glue)
+        dy = _tensor_legs(Morphism.identity(X), Morphism(Y, Y, 1, Y.d0, Y.d1), glue)
+        return dx[0] + dy[0], dx[1] + dy[1]
+
+    return MBF._deferred(m0, m1, X.w, grading, build)
 
 
 def tensor_obj(X: MBF, Y: MBF) -> MBF:
@@ -1094,16 +1135,25 @@ def charge_matrix_ps(d: int, j: int):
     return (Rat(-j, 2),), (Rat(j - d + 2, 2),)
 
 
+_PS_CACHE: dict = {}
+
+
 def ps_object(d: int, S) -> MBF:
-    """P_S = (R⊗R, R⊗R, p_{S^c}, p_S) for W = x^d, graded."""
-    S = sorted(set(i % d for i in S))
+    """P_S = (R⊗R, R⊗R, p_{S^c}, p_S) for W = x^d, graded.
+
+    One object per (d, S): at most 2^d − 2 for each d, built on first use."""
+    S = tuple(sorted(set(i % d for i in S)))
     if not S or len(S) == d:
         raise ValueError("S must be a proper nonempty residue set")
-    shape = SlotShape(2, 1, d)
-    ring = shape.ring()
-    Sc = [i for i in range(d) if i not in S]
-    return mbf_from_polys(shape, [[ring.p_S(Sc)]], [[ring.p_S(S)]], fermat_potential(d),
-                          charge_matrix_ps(d, len(S) - 1))
+    P = _PS_CACHE.get((d, S))
+    if P is None:
+        shape = SlotShape(2, 1, d)
+        ring = shape.ring()
+        Sc = [i for i in range(d) if i not in S]
+        P = _PS_CACHE.setdefault((d, S), mbf_from_polys(
+            shape, [[ring.p_S(Sc)]], [[ring.p_S(S)]], fermat_potential(d),
+            charge_matrix_ps(d, len(S) - 1)))
+    return P
 
 
 def twist_object(D: MBF, m: int, n: int) -> MBF:

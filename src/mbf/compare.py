@@ -85,8 +85,11 @@ def spectrum_compare(d: int, u: int) -> dict:
 
     Both sides are computed, neither is hardcoded: the morphism side lists
     every cohomology sector charge with multiplicity, the coset side sums the
-    chiral charges of each spectrum pair.
+    chiral charges of each spectrum pair.  A `u` outside 0..d−2 raises
+    ValueError, as in `cft.defect_spectrum`.
     """
+    if not 0 <= u <= d - 2:
+        raise ValueError(f"u={u} outside 0..{d - 2}")
     hs = hom_space(ps_object(d, (0,)), ps_object(d, range(u + 1)))
     lg_charges = sorted(
         itertools.chain.from_iterable([s.charge] * s.dim for s in hs.sectors)

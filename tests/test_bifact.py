@@ -1,10 +1,13 @@
 """Bi-factorisation layer: objects, delta, tensor structure, units, homotopies."""
 
+import itertools
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from mbf.bifact import (
     _kron,
+    _tensor_legs,
     DEFAULT_CUTOFF,
     FreeBimod,
     MBF,
@@ -25,6 +28,7 @@ from mbf.bifact import (
     tensor_copy,
     tensor_mor,
     tensor_obj,
+    tensor_prime,
     triangle_check,
     twist_iso_ps,
     twist_object,
@@ -38,6 +42,7 @@ from mbf.bifact import (
     Word,
 )
 from mbf.exactalg import Cyclo
+from mbf.fusion import PSObject
 from mbf.polycalc import Ring, RingMismatch
 
 
@@ -205,6 +210,84 @@ class TestTensorObject:
     def test_potential_mismatch(self):
         with pytest.raises(ValueError):
             tensor_obj(ps_object(3, [0]), ps_object(4, [0]))
+
+
+def _all_ps(d):
+    return [ps_object(d, S) for n in range(1, d)
+            for S in itertools.combinations(range(d), n)]
+
+
+class TestSharedObjects:
+    """`ps_object` hands out one object per (d, S), so an MBF is immutable."""
+
+    def test_one_object_per_residue_set(self):
+        assert ps_object(4, [1, 0]) is ps_object(4, (5, 0))
+        assert ps_object(4, (0,)) is not ps_object(5, (0,))
+        assert len({id(P) for P in _all_ps(4)}) == 14
+
+    @pytest.mark.parametrize("S", [(), range(4), (4, 1, 6, 3)])
+    def test_improper_set_raises_after_a_valid_call(self, S):
+        ps_object(4, (0,))
+        with pytest.raises(ValueError, match="proper nonempty"):
+            ps_object(4, S)
+
+    def test_shell_holds_the_shared_object(self):
+        assert PSObject(5, (7, 1)).underlying is ps_object(5, (1, 2))
+
+    @pytest.mark.parametrize("name", ["m0", "m1", "d0", "d1", "w", "grading"])
+    def test_assignment_raises(self, name):
+        P = ps_object(4, (0,))
+        for D in (P, tensor_obj(P, P)):
+            with pytest.raises(AttributeError):
+                setattr(D, name, None)
+
+
+class TestDeferredDifferential:
+    """A tensor product's differential, built on first read, is d_X ⊗ 1 + 1 ⊗ d_Y."""
+
+    @staticmethod
+    def _assert_forced(T, X, Y, glue):
+        dx = _tensor_legs(Morphism(X, X, 1, X.d0, X.d1), Morphism.identity(Y), glue)
+        dy = _tensor_legs(Morphism.identity(X), Morphism(Y, Y, 1, Y.d0, Y.d1), glue)
+        rep = validate_mbf(T)
+        assert rep.ok and rep.mode == "exact"
+        assert op_equal(T.d0, dx[0] + dy[0]) == (True, "exact-structural")
+        assert op_equal(T.d1, dx[1] + dy[1]) == (True, "exact-structural")
+
+    def test_every_ps_pair_d4(self):
+        Ps = _all_ps(4)
+        for X in Ps:
+            for Y in Ps:
+                self._assert_forced(tensor_obj(X, Y), X, Y, True)
+
+    def test_threefold_product(self):
+        P, Q = ps_object(4, (0,)), ps_object(4, (1, 2))
+        PQ = tensor_obj(P, Q)
+        self._assert_forced(tensor_obj(PQ, P), PQ, P, True)
+        self._assert_forced(tensor_obj(P, PQ), P, PQ, True)
+
+    def test_two_variable_unit(self):
+        ring = Ring(("x", "y"), 2)
+        w = ring.var("x") ** 2 + ring.var("y") ** 2
+        shape = SlotShape(2, 2, 2)
+        r = shape.ring()
+        X = mbf_from_polys(shape, [[r.parse("a1 + b1")]], [[r.parse("a1 - b1")]], w)
+        Y = mbf_from_polys(shape, [[r.parse("a2 + b2")]], [[r.parse("a2 - b2")]], w)
+        self._assert_forced(unit_object(w), X, Y, False)
+        self._assert_forced(tensor_prime(X, Y), X, Y, False)
+
+    def test_built_once_then_kept(self):
+        P = ps_object(3, (0,))
+        T = tensor_obj(P, P)
+        d0 = T.d0
+        assert T.d0 is d0 and T.d1 is T.d1
+
+    def test_endpoints_checked_when_built(self):
+        P = ps_object(3, (0,))
+        T = tensor_obj(P, P)
+        D = MBF._deferred(T.m0, T.m1, P.w, None, lambda: (P.d0, P.d1))
+        with pytest.raises(ValueError, match="endpoints"):
+            D.d0
 
 
 class TestTensorMorphism:

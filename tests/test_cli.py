@@ -463,6 +463,14 @@ class TestCompareCommands:
         assert code == 0 and doc["pass"]
         assert [r["u"] for r in doc["results"]] == [0, 1, 2]
 
+    @pytest.mark.parametrize("u", ["9", "-1"])
+    def test_spectrum_u_out_of_range(self, capsys, u):
+        # the range message of `cft spectrum`, not the residue-set one
+        code = main(["compare", "spectrum", "--d", "4", "--u", u])
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == ""
+        assert captured.err == f"error: u={u} outside 0..2\n"
+
     def test_fusion(self, capsys):
         code, doc = run_json(capsys, "compare", "fusion", "--d", "3")
         assert code == 0 and doc["pass"]

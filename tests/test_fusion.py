@@ -4,7 +4,7 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from mbf import fusion
+from mbf import bifact, fusion
 from mbf.exactalg import Cyclo
 from mbf.bifact import (
     Morphism,
@@ -85,6 +85,25 @@ class TestGroupLikeJunctions:
     @given(st.integers(0, 3), st.integers(0, 3), st.integers(0, 3))
     def test_group_like_property_d4(self, i, j, k):
         assert verify_group_like(4, i, j, k) == Cyclo.one(4)
+
+
+class TestDeferredProducts:
+    @pytest.mark.parametrize("check", [lambda: verify_group_like(5, 1, 2, 3),
+                                       lambda: verify_sign(4)],
+                             ids=["group-like", "sign"])
+    def test_only_the_morphism_legs_are_built(self, monkeypatch, check):
+        # each of the two tensor_mor calls builds its legs; no endpoint of a
+        # junction, a tensor_mor or an associator has its differential read
+        calls = []
+        legs = bifact._tensor_legs
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return legs(*args, **kwargs)
+
+        monkeypatch.setattr(bifact, "_tensor_legs", counted)
+        check()
+        assert len(calls) == 2
 
 
 class TestSignPair:
