@@ -420,36 +420,32 @@ class Word:
         if coeff.is_zero():
             return None
         stack: list = []
-
-        def push(prim):
-            nonlocal coeff
-            if isinstance(prim, PMul):
-                cv = prim.poly.constant_value()
-                if cv is not None:
-                    coeff = coeff * cv
-                    return
-                if stack and isinstance(stack[-1], PMul):
-                    top = stack.pop()
-                    merged = PMul(prim.shape, top.poly * prim.poly)
-                    push(merged)
+        for first in self.prims:
+            # primitives still to push, last one next: a substitution pushed
+            # past a multiplier is pushed before the moved multiplier
+            todo = [first]
+            while todo:
+                prim = todo.pop()
+                if isinstance(prim, PMul):
+                    cv = prim.poly.constant_value()
+                    if cv is not None:
+                        coeff = coeff * cv
+                    elif stack and isinstance(stack[-1], PMul):
+                        todo.append(PMul(prim.shape, stack.pop().poly * prim.poly))
+                    else:
+                        stack.append(prim)
+                elif isinstance(prim, PSubst):
+                    if stack and isinstance(stack[-1], PMul):
+                        todo.append(PMul(prim.dst, prim.apply(stack.pop().poly)))
+                        todo.append(prim)
+                    elif stack and isinstance(stack[-1], PSubst):
+                        merged = stack.pop().merge(prim)
+                        if not merged.is_identity():
+                            stack.append(merged)
+                    elif not prim.is_identity():
+                        stack.append(prim)
                 else:
                     stack.append(prim)
-            elif isinstance(prim, PSubst):
-                if stack and isinstance(stack[-1], PMul):
-                    m = stack.pop()
-                    push(prim)
-                    push(PMul(prim.dst, prim.apply(m.poly)))
-                elif stack and isinstance(stack[-1], PSubst):
-                    merged = stack.pop().merge(prim)
-                    if not merged.is_identity():
-                        stack.append(merged)
-                elif not prim.is_identity():
-                    stack.append(prim)
-            else:
-                stack.append(prim)
-
-        for prim in self.prims:
-            push(prim)
             if coeff.is_zero():
                 return None
         return Word(coeff, tuple(stack), self.src, self.dst)

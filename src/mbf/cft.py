@@ -208,7 +208,7 @@ def su2_fusing(k, r, s, t, u, p, q, prec: int = DEFAULT_PREC) -> SixJValue:
         return SixJValue(k, labels, mp.mpf(0), False)
     if 0 in (r, s, t):
         return SixJValue(k, labels, mp.mpf(1), True)
-    return sixj(k, *labels, prec=prec)
+    return SixJValue(k, labels, _brace2(int(k), t, s, p, r, u, q, int(prec)), True)
 
 
 def su2_fuse(k: int, i: int, j: int) -> Tuple[int, ...]:
@@ -217,6 +217,25 @@ def su2_fuse(k: int, i: int, j: int) -> Tuple[int, ...]:
         if not 0 <= x <= k:
             raise ValueError(f"label {x} outside 0..{k}")
     return tuple(range(abs(i - j), min(i + j, 2 * k - i - j) + 1, 2))
+
+
+def admissible_sixj_labels(k: int):
+    """Yield every doubled (a, b, e, d, c, f) in 0..k whose four triads
+    (a, b, e), (a, c, f), (c, e, d), (d, b, f) are admissible at level k,
+    in the lexicographic order of ``itertools.product(range(k + 1), repeat=6)``.
+
+    e and c run over the channels of (a, b) and (e, d), f over those of
+    (a, c) filtered by (d, b, f), so no inadmissible tuple is built: a triad
+    is admissible exactly when its third label is a channel of the other two.
+    """
+    labels = range(k + 1)
+    for a, b in itertools.product(labels, repeat=2):
+        for e in su2_fuse(k, a, b):
+            for d in labels:
+                for c in su2_fuse(k, e, d):
+                    for f in su2_fuse(k, a, c):
+                        if _admissible2(k, d, b, f):
+                            yield (a, b, e, d, c, f)
 
 
 # ---------------------------------------------------------------------------
@@ -376,10 +395,18 @@ def defect_spectrum(
     """Bosonic defect-changing spectrum from [0, 2n, 0] to [u, u+2n, 0].
 
     Returns (left, right) label pairs.  A pair (x, y) belongs to the full
-    spectrum when the target channel occurs in the fusion of x with the
+    spectrum when the target channel t occurs in the fusion of x with the
     m-reflected y.  The target is the single channel of dual(source) fused
     with the destination; it always comes out as [u, u, 0], which makes the
     n-independence a checked fact rather than an assumption.
+
+    The pairs are found with one fusion per x, not one per (x, y): by the
+    symmetry N_{x,z}^t = N_{dual(x),t}^z of the fusion rules (Verlinde,
+    Nucl. Phys. B300, 1988), t occurs in x (x) z exactly when z occurs in
+    dual(x) (x) t.  Here that is plain: su(2) level-k admissibility of a spin
+    triple is symmetric in the triple, and the torus parts add.  The
+    m-reflection is an involution on canonical labels, so the partners of x
+    are the reflections of dual(x) (x) t, sorted in the order of mm_labels.
 
     With chiral_only the list restricts to the pairs carrying chiral
     primaries, ([u+l, u+l, 0], [l, l, 0]) for 0 <= l <= d-u-2.
@@ -397,14 +424,11 @@ def defect_spectrum(
             (mm_normalize(d, u + l, u + l, 0), mm_normalize(d, l, l, 0))
             for l in range(d - u - 1)
         ]
-    labels = mm_labels(d)
-    pairs = []
-    for x in labels:
-        for y in labels:
-            reflected = mm_normalize(d, y.l, -y.m, y.s)
-            if target in mm_fuse(x, reflected):
-                pairs.append((x, y))
-    return pairs
+    return [
+        (x, y)
+        for x in mm_labels(d)
+        for y in sorted(mm_normalize(d, z.l, -z.m, z.s) for z in mm_fuse(x.dual(), target))
+    ]
 
 
 # ---------------------------------------------------------------------------

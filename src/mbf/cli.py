@@ -13,7 +13,6 @@ from __future__ import annotations
 import argparse
 import csv
 import io
-import itertools
 import json
 import math
 import sys
@@ -41,6 +40,7 @@ from .bifact import (
 )
 from .cft import (
     DEFAULT_PREC,
+    admissible_sixj_labels,
     cft_fusing_examples,
     defect_spectrum,
     chiral_charge,
@@ -296,10 +296,8 @@ def cmd_cft(args) -> int:
         k, prec = args.k, args.precision
         digits = _sixj_digits(prec)
         rows = []
-        for doubled in itertools.product(range(k + 1), repeat=6):
+        for doubled in admissible_sixj_labels(k):
             v = sixj(k, *(Fraction(x, 2) for x in doubled), prec=prec)
-            if not v.admissible:
-                continue
             with mp.workprec(prec):
                 rows.append(list(doubled) + [mp.nstr(v.value, digits)])
         emit_csv(["a", "b", "e", "d", "c", "f", "value"], rows, args.out)

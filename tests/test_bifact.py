@@ -1,5 +1,6 @@
 """Bi-factorisation layer: objects, delta, tensor structure, units, homotopies."""
 
+import gc
 import itertools
 
 import pytest
@@ -959,6 +960,23 @@ class TestOperatorImmutability:
         fresh = Operator(n.src, n.dst, dict(n.cells)).normalized()
         assert fresh is not n
         assert _Dense.of(fresh).keys() == _Dense.of(n).keys()
+
+    def test_word_normal_form_leaves_no_cycles(self):
+        # the four words of the 3-slot d0 of P_{0} (x) P_{0} at d = 5, 100
+        # times over: each normal form frees its own state, so the cyclic
+        # collector finds nothing
+        P = ps_object(5, [0])
+        words = [w for ws in tensor_obj(P, P).d0.cells.values() for w in ws]
+        assert len(words) == 4
+        gc.collect()
+        gc.disable()
+        try:
+            for _ in range(100):
+                for w in words:
+                    w.normalized()
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
 
     def test_matrix_is_the_given_matrix(self, monkeypatch):
         P = ps_object(5, [0, 2])

@@ -9,6 +9,7 @@ from mbf._rat import Rat
 from mbf.cft import (
     MMLabel,
     SixJValue,
+    admissible_sixj_labels,
     cft_fusing_examples,
     chiral_charge,
     defect_spectrum,
@@ -147,6 +148,21 @@ class TestBraceStructure:
             assert abs(lo - hi) < mp.mpf("1e-30")
 
 
+class TestAdmissibleLabels:
+    @pytest.mark.parametrize("k, count", [(0, 1), (1, 8), (2, 36), (3, 120),
+                                          (4, 329), (5, 784), (6, 1680)])
+    def test_equals_filtered_product_in_order(self, k, count):
+        def triad(x, y, z):
+            return (x + y + z) % 2 == 0 and abs(x - y) <= z <= x + y and x + y + z <= 2 * k
+
+        def admissible(a, b, e, d, c, f):
+            return triad(a, b, e) and triad(a, c, f) and triad(c, e, d) and triad(d, b, f)
+
+        want = [t for t in itertools.product(range(k + 1), repeat=6) if admissible(*t)]
+        got = list(admissible_sixj_labels(k))
+        assert got == want and len(got) == count
+
+
 class TestFusingEntries:
     def test_label_range(self):
         with pytest.raises(ValueError):
@@ -170,6 +186,22 @@ class TestFusingEntries:
                        0, Fraction(u, 2), Fraction(u, 2))
             with mp.workprec(200):
                 assert abs(ent.value - raw.value) < mp.mpf("1e-25")
+
+    @pytest.mark.parametrize("k", range(1, 5))
+    def test_entries_equal_their_brace_symbols(self, k):
+        # F^(rst)u_pq = {t/2 s/2 p/2; r/2 u/2 q/2} exactly, off the unit path
+        seen = 0
+        for r, s, t, u, p, q in itertools.product(range(k + 1), repeat=6):
+            if 0 in (r, s, t):
+                continue
+            ent = su2_fusing(k, r, s, t, u, p, q)
+            if not ent.admissible:
+                continue
+            halves = tuple(Fraction(x, 2) for x in (t, s, p, r, u, q))
+            brace = sixj(k, *halves)
+            assert ent.value == brace.value and ent.labels == brace.labels == halves
+            seen += 1
+        assert seen > 0
 
     def test_inadmissible_entry(self):
         v = su2_fusing(2, 1, 1, 1, 1, 1, 1)  # p=1 not in 1 x 1 at level 2
@@ -372,6 +404,18 @@ class TestDefectSpectra:
     def test_width_validation(self):
         with pytest.raises(ValueError):
             defect_spectrum(5, 4)
+
+    @pytest.mark.parametrize("d", range(3, 9))
+    def test_full_spectrum_matches_pairwise_fusion(self, d):
+        # oracle: fuse every x with every m-reflected y, O(L^2) per d
+        labels = mm_labels(d)
+        fused = {(x, y): mm_fuse(x, mm_normalize(d, y.l, -y.m, y.s))
+                 for x in labels for y in labels}
+        for u in range(d - 1):
+            target = mm_normalize(d, u, u, 0)
+            want = [(x, y) for x in labels for y in labels if target in fused[x, y]]
+            for n in (0, 1, 3):
+                assert defect_spectrum(d, u, n=n) == want
 
 
 class TestFusingExamples:

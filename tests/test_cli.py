@@ -1,11 +1,14 @@
 import collections
 import csv
 import io
+import itertools
 import json
 import types
+from fractions import Fraction
 
 import pytest
 from hypothesis import HealthCheck, assume, given, settings, strategies as st
+from mpmath import mp
 
 from mbf import __version__, bifact, cft, cli, fusion
 from mbf._rat import Rat
@@ -408,6 +411,28 @@ class TestCftCommands:
         assert all(len(r) == 7 for r in rows)
         values = [float(r[6]) for r in rows[1:]]
         assert values and all(abs(v) <= 10 for v in values)
+
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    def test_sixj_table_matches_product_loop(self, capsys, k):
+        # oracle: every (k+1)^6 doubled tuple, the inadmissible ones dropped
+        prec = cli.DEFAULT_PREC
+        rows = []
+        for doubled in itertools.product(range(k + 1), repeat=6):
+            v = cft.sixj(k, *(Fraction(x, 2) for x in doubled), prec=prec)
+            if not v.admissible:
+                continue
+            with mp.workprec(prec):
+                rows.append(list(doubled) + [mp.nstr(v.value, cli._sixj_digits(prec))])
+        buf = io.StringIO()
+        csv.writer(buf, lineterminator="\n").writerows(
+            [["a", "b", "e", "d", "c", "f", "value"]] + rows)
+        code, out = run(capsys, "cft", "sixj", "--k", str(k))
+        assert code == 0 and out == buf.getvalue()
+
+    def test_sixj_table_evaluates_only_admissible_symbols(self, capsys):
+        cft._brace2.cache_clear()
+        code, _ = run(capsys, "cft", "sixj", "--k", "3")
+        assert code == 0 and cft._brace2.cache_info().currsize == 120
 
     def test_pentagon_pass_and_fail(self, capsys):
         code, doc = run_json(capsys, "cft", "pentagon", "--k", "1")
