@@ -22,7 +22,7 @@ import functools
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, List, Optional, Sequence, Tuple
+from typing import List, Sequence, Tuple
 
 from mpmath import mp
 
@@ -368,18 +368,15 @@ def mm_labels(d: int) -> List[MMLabel]:
 def mm_fuse(x: MMLabel, y: MMLabel) -> List[MMLabel]:
     """Fusion product as a sorted list of canonical labels.
 
-    The su(2) parts couple from |l-l'| to min(l+l', 2d-4-l-l') in steps of
-    two; the torus parts add.  Distinct channels land on distinct orbits, so
-    the result is multiplicity free.
+    The su(2) parts couple as `su2_fuse` at level k = d - 2; the torus parts
+    add.  Distinct channels land on distinct orbits, so the result is
+    multiplicity free.
     """
     if x.d != y.d:
         raise ValueError("labels live at different d")
     d = x.d
-    top = min(x.l + y.l, 2 * d - 4 - x.l - y.l)
-    return sorted(
-        mm_normalize(d, u, x.m + y.m, x.s + y.s)
-        for u in range(abs(x.l - y.l), top + 1, 2)
-    )
+    return sorted(mm_normalize(d, u, x.m + y.m, x.s + y.s)
+                  for u in su2_fuse(d - 2, x.l, y.l))
 
 
 def chiral_charge(d: int, l: int) -> Rat:
@@ -536,26 +533,16 @@ def gauge_transform(F, scalars: Sequence):
 # pentagon sweep
 
 
-def pentagon_residuals(
-    k: int, sample: Optional[Iterable[int]] = None, prec: int = DEFAULT_PREC
-):
+def pentagon_residuals(k: int, prec: int = DEFAULT_PREC):
     """Yield ((a, b, c, d, e), residual) over admissible fused 4-tuples.
 
     For each way of fusing a x b x c x d into e the identity
       F^(abl)e_kq F^(qcd)e_lm = sum_h F^(bcd)k_lh F^(ahd)e_km F^(abc)m_hq
     must hold for all channel choices; the reported residual is the largest
-    |lhs - rhs| over the channels of that 5-tuple.  Outer labels are drawn
-    from sample (default all of 0..k); channel and summation labels always
-    run over the full label set.
+    |lhs - rhs| over the channels of that 5-tuple.  Every label runs over
+    0..k.
     """
     labels = range(k + 1)
-    if sample is None:
-        outer = tuple(labels)
-    else:
-        outer = tuple(sorted(set(int(x) for x in sample)))
-        for x in outer:
-            if not 0 <= x <= k:
-                raise ValueError(f"label {x} outside 0..{k}")
     fuse = {(i, j): su2_fuse(k, i, j) for i in labels for j in labels}
     fset = {ij: frozenset(ch) for ij, ch in fuse.items()}
     cache = {}
@@ -566,7 +553,7 @@ def pentagon_residuals(
             cache[key] = su2_fusing(k, r, s, t, u, p, q, prec=prec).value
         return cache[key]
 
-    for a, b, c, d, e in itertools.product(outer, repeat=5):
+    for a, b, c, d, e in itertools.product(labels, repeat=5):
         # the residual arithmetic itself must run at working precision, not
         # at whatever the ambient mpmath context happens to be
         with mp.workprec(prec + _GUARD_BITS):
@@ -592,12 +579,10 @@ def pentagon_residuals(
             yield (a, b, c, d, e), worst
 
 
-def pentagon_check(
-    k: int, sample: Optional[Iterable[int]] = None, prec: int = DEFAULT_PREC
-) -> float:
-    """Largest pentagon residual over the sampled 5-tuples (0.0 if none)."""
+def pentagon_check(k: int, prec: int = DEFAULT_PREC) -> float:
+    """Largest pentagon residual over every 5-tuple (0.0 if none)."""
     best = mp.mpf(0)
-    for _tuple, res in pentagon_residuals(k, sample, prec):
+    for _tuple, res in pentagon_residuals(k, prec):
         if res > best:
             best = res
     return float(best)

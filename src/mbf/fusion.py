@@ -412,6 +412,8 @@ class ReducedTensor:
     incl : reduced -> original and proj : original -> reduced satisfy
     proj∘incl = id exactly; homotopy h (odd) satisfies
     delta(h) = incl∘proj - id, so the two objects are homotopy equivalent.
+    `reduce_tensor(check=True)` checks the exact invariants;
+    `compare.fusion_rule_compare` checks the homotopy witness.
     `reduced` is graded: its copy u·x^j carries the charge of A-copy u, plus
     that of B's even copy, plus j.
     """
@@ -425,29 +427,6 @@ class ReducedTensor:
         self.proj = proj
         self.homotopy = homotopy
 
-    def _exact_checks(self):
-        """The exact invariants `reduce_tensor(check=True)` enforces, lazily and
-        in that order: (report key, holds, failure message)."""
-        rep = validate_mbf(self.reduced)
-        yield ("reduced_valid", bool(rep) and rep.mode == "exact",
-               f"reduced object invalid: {rep.violations}")
-        eq, mode = morphism_equal(self.proj.compose(self.incl), Morphism.identity(self.reduced))
-        yield "proj_incl_identity", eq and mode.startswith("exact"), "proj∘incl is not the identity"
-        yield "grading_valid", graded_validate(self.reduced)["ok"], "reduced grading invalid"
-
-    def validate(self) -> dict:
-        """Re-run every contraction invariant; all verdicts must be true."""
-        out = {key: ok for key, ok, _ in self._exact_checks()}
-        ok_i, mode_i = self.incl.is_closed()
-        ok_p, _ = self.proj.is_closed()
-        out["incl_closed"] = ok_i and mode_i.startswith("exact")
-        out["proj_closed"] = bool(ok_p)
-        ip = self.incl.compose(self.proj) - Morphism.identity(self.original)
-        eq_h, _ = morphism_equal(self.homotopy.delta(), ip)
-        out["homotopy_witness"] = bool(eq_h)
-        out["ok"] = all(out.values())
-        return out
-
 
 def reduce_tensor(Am: MBF, Bm: MBF, check: bool = True) -> ReducedTensor:
     """Contract Am ⊗ Bm to finite rank; Bm must be rank (1,1), and both
@@ -455,7 +434,12 @@ def reduce_tensor(Am: MBF, Bm: MBF, check: bool = True) -> ReducedTensor:
 
     The middle slot is eliminated by division with remainder by the
     monic-in-x entry of B's d1, so the reduced generators are the A-copies
-    times the x-powers below its degree.
+    times the x-powers below its degree.  Each entry of A's differentials
+    times each such power is divided once: the remainder gives the reduced
+    differential, the quotient the correction in incl.  With `check`, the
+    reduced object must be exactly valid, proj∘incl = id must hold exactly
+    and the reduced grading must be valid, in that order; the first that
+    fails raises VerificationError.
     """
     if Am.shape.nslots != 2 or Bm.shape.nslots != 2:
         raise ValueError("factors must be 2-slot objects")
@@ -479,46 +463,38 @@ def reduce_tensor(Am: MBF, Bm: MBF, check: bool = True) -> ReducedTensor:
 
     drop = {"a": "a", "b": "b"}
     xpow = [r3.monomial({"x1": j}) for j in range(g)]
+    ins = w_insert(sh2, 1)
+    at = lambda p, u, k: tensor_copy(Am, Bm, p, u, k, 0)  # copy u of A_p beside B_k
 
-    def red_block(dmat, rsrc, rdst):
+    # one division per entry (v, u) of dA_p and power x^j: the remainder's
+    # x-coefficients fill column (u, j) of the reduced d_p, and the quotient
+    # is incl's correction on the complementary block (negated out of odd
+    # copies), beside the generator (u, j) |-> copy_u * x^j; incl is then an
+    # exact chain map
+    blocks, cells = [], []
+    for p, (dmat, rsrc, rdst) in enumerate(((dA0, rA0, rA1), (dA1, rA1, rA0))):
         rows = [[r2.zero() for _ in range(rsrc * g)] for _ in range(rdst * g)]
+        leg = {}
         for u in range(rsrc):
-            for v in range(rdst):
-                p = dmat[v][u]
-                if p.is_zero():
-                    continue
-                for j in range(g):
-                    rem = (p * xpow[j]).divmod_in_var(q1, "x1")[1]
+            for j in range(g):
+                col = u * g + j
+                leg[at(p, u, 0), col] = (w_then_mul(ins, xpow[j]),)
+                for v in range(rdst):
+                    if dmat[v][u].is_zero():
+                        continue
+                    quo, rem = (dmat[v][u] * xpow[j]).divmod_in_var(q1, "x1")
                     for m, cp in rem.coefficients_in("x1").items():
-                        rows[v * g + m][u * g + j] = (
-                            rows[v * g + m][u * g + j] + cp.rename(drop, r2))
-        return rows
+                        rows[v * g + m][col] = cp.rename(drop, r2)
+                    if not quo.is_zero():
+                        leg[at(1 - p, v, 1), col] = (w_then_mul(ins, -quo if p else quo),)
+        blocks.append(rows)
+        cells.append(leg)
 
     cB = Bm.charges(0)[0]
     grading = [[c + cB + j for c in Am.charges(p) for j in range(g)] for p in (0, 1)]
-    reduced = mbf_from_polys(sh2, red_block(dA0, rA0, rA1),
-                             red_block(dA1, rA1, rA0), Am.w, grading)
-
-    ins = w_insert(sh2, 1)
-
-    # incl: reduced generator (u, j) |-> copy_u * x^j plus the quotient
-    # correction on the complementary block (negated out of odd copies);
-    # exact chain map
-    at = lambda p, u, k: tensor_copy(Am, Bm, p, u, k, 0)  # copy u of A_p beside B_k
-
-    def incl_leg(p):
-        cells = {}
-        for u in range(Am.component(p).rank):
-            for j in range(g):
-                col = u * g + j
-                cells[at(p, u, 0), col] = (w_then_mul(ins, xpow[j]),)
-                for v, row in enumerate((dA0, dA1)[p]):
-                    quo = (row[u] * xpow[j]).divmod_in_var(q1, "x1")[0]
-                    if not quo.is_zero():
-                        cells[at(1 - p, v, 1), col] = (w_then_mul(ins, -quo if p else quo),)
-        return Operator(reduced.component(p), T.component(p), cells)
-
-    incl = Morphism(reduced, T, 0, incl_leg(0), incl_leg(1))
+    reduced = mbf_from_polys(sh2, *blocks, Am.w, grading)
+    incl = Morphism(reduced, T, 0, *(
+        Operator(reduced.component(p), T.component(p), cells[p]) for p in (0, 1)))
 
     # proj: remainder coefficients on the ⊗B0 blocks, zero on the rest
     rem_coeff = lambda m: (w_rem(sh3, q1, "x1").then(w_coeff(sh3, "x1", m)),)
@@ -534,12 +510,16 @@ def reduce_tensor(Am: MBF, Bm: MBF, check: bool = True) -> ReducedTensor:
     h1 = Operator(T.m1, T.m0, {(at(1, u, 1), at(1, u, 0)): (quo,) for u in range(rA1)})
     homotopy = Morphism(T, T, 1, h0, h1)
 
-    out = ReducedTensor(T, reduced, incl, proj, homotopy)
     if check:
-        for _, ok, message in out._exact_checks():
-            if not ok:
-                raise VerificationError(message)
-    return out
+        rep = validate_mbf(reduced)
+        if not rep or rep.mode != "exact":
+            raise VerificationError(f"reduced object invalid: {rep.violations}")
+        eq, mode = morphism_equal(proj.compose(incl), Morphism.identity(reduced))
+        if not eq or not mode.startswith("exact"):
+            raise VerificationError("proj∘incl is not the identity")
+        if not graded_validate(reduced)["ok"]:
+            raise VerificationError("reduced grading invalid")
+    return ReducedTensor(T, reduced, incl, proj, homotopy)
 
 
 # -- decomposition into P_S summands --------------------------------------------
@@ -618,25 +598,23 @@ def _assert_split(P, j: int, i: int, what: str):
             raise VerificationError(f"{what}: partner column not split after clearing")
 
 
-def decompose_into_PS(D):
+def decompose_into_PS(D: MBF):
     """Multiset of index sets S with D ≃ ⊕ P_S (plus contractible pieces).
 
-    Accepts an MBF or a ReducedTensor.  Invertible constant
-    entries are stripped by exact elimination; surviving pivots must clear
-    their row and column by exact division and then factor into distinct
-    (a - eta^i b) terms.  A residual block with no such pivot, a partner row
-    or column left unsplit by the clearing, and a pivot that does not factor
-    into defect lines or factors into none or all of them are failed
-    verifications: each raises VerificationError (exit 1 in `mbf`), since the
-    input passed the shape checks and it is the claim that it splits into P_S
-    summands that this elimination could not confirm.  Input of the wrong kind
-    is a TypeError, and input that is not a 2-slot object a plain ValueError;
-    the differentials are read through their generator matrices.
+    Invertible constant entries are stripped by exact elimination; surviving
+    pivots must clear their row and column by exact division and then factor
+    into distinct (a - eta^i b) terms.  A residual block with no such pivot,
+    a partner row or column left unsplit by the clearing, and a pivot that
+    does not factor into defect lines or factors into none or all of them are
+    failed verifications: each raises VerificationError (exit 1 in `mbf`),
+    since the input passed the shape checks and it is the claim that it
+    splits into P_S summands that this elimination could not confirm.  Input
+    that is not an MBF is a TypeError, and input that is not a 2-slot object
+    a plain ValueError; the differentials are read through their generator
+    matrices.
     """
-    if isinstance(D, ReducedTensor):
-        D = D.reduced
     if not isinstance(D, MBF):
-        raise TypeError("expected an MBF or a ReducedTensor")
+        raise TypeError("expected an MBF")
     if D.shape.nslots != 2:
         raise ValueError("decomposition expects a 2-slot object")
     d = D.shape.conductor
@@ -687,9 +665,10 @@ def decompose_into_PS(D):
 
 
 def fuse(d: int, left, right, check: bool = True):
-    """Reduce P_left ⊗ P_right and decompose: (ReducedTensor, multiset)."""
+    """Reduce P_left ⊗ P_right, checked as `reduce_tensor` with `check`, and
+    decompose the reduced object: (ReducedTensor, multiset)."""
     rt = reduce_tensor(ps_object(d, left), ps_object(d, right), check=check)
-    return rt, decompose_into_PS(rt)
+    return rt, decompose_into_PS(rt.reduced)
 
 
 # -- homotopy verification of the remaining fusing entries ----------------------

@@ -361,7 +361,8 @@ def _charge_window(gs: MBF, gt: MBF, parity: int) -> Rat:
 
 def hom_space(gs: MBF, gt: MBF, charge="all", parity: int = 0) -> HomSpace:
     """Cohomology classes of morphisms gs -> gt, per exact charge sector;
-    both objects must be graded.
+    both objects must be graded, and a differential off charge d/2 in its
+    object's grading (`graded_validate`) raises VerificationError.
 
     `charge` is an actual R-charge (rational), whose sector is kept even when
     empty, or "all", which solves exactly the sectors inside the proved Serre
@@ -379,6 +380,10 @@ def hom_space(gs: MBF, gt: MBF, charge="all", parity: int = 0) -> HomSpace:
     is (p_D k, p_A k), exact iff k lies in (p_B, p_C).  So the even classes
     have dimension |A|*|D| and the odd ones |B|*|C|.
     """
+    for D in (gs,) if gs is gt else (gs, gt):
+        rep = graded_validate(D)
+        if not rep["ok"]:
+            raise VerificationError(f"differential off charge d/2: {rep['violations']}")
     d = gs.shape.conductor
     qx = Rat(2, d)
     if charge == "all":

@@ -139,8 +139,7 @@ def test_failed_numeric_self_check_exits_one(capsys, monkeypatch):
 
 
 def _ps_with_raised_even_charge(d, S):
-    # its differentials no longer carry charge d/2, so delta of the sector
-    # below lands outside the sector being solved
+    # its differentials no longer carry charge d/2 in its own grading
     P = bifact.ps_object(d, S)
     raised = tuple(c + 1 for c in P.charges(0))
     return bifact.MBF(P.m0, P.m1, P.d0, P.d1, P.w, (raised, P.charges(1)))
@@ -155,7 +154,7 @@ def _ps_with_raised_even_charge(d, S):
          ["cft", "fusing", "--d", "5"], "su(2) unit entry is 2, not 1"),
         (cli, "ps_object", _ps_with_raised_even_charge,
          ["hom", "--d", "3", "--source", "0", "--target", "0"],
-         "delta image left the charge sector"),
+         "differential off charge d/2"),
     ],
     ids=["spectrum-channel", "group-like-unit", "hom-sector"],
 )

@@ -2,8 +2,11 @@ import json
 
 import pytest
 
+from mbf import compare
 from mbf._rat import Rat, rat_str
 from mbf.cft import mm_normalize
+from mbf.cli import main
+from mbf.fusion import ReducedTensor, fuse
 from mbf.compare import (
     _label_to_set,
     _set_to_label,
@@ -149,6 +152,24 @@ class TestFusionRuleCompare:
         assert rep["homotopy_checked"] and rep["homotopy_cutoff"] == 6
         assert rep["witness_failures"] == 0
         assert all(r["homotopy_witness"] for r in rep["rows"])
+
+    def test_wrong_homotopy_fails_every_witness(self, monkeypatch, capsys):
+        # twice the contraction homotopy: delta(2h) = 2(incl∘proj - id) is not
+        # incl∘proj - id on any pair, and the report says so without raising
+        def doubled(d, left, right, check):
+            rt, summands = fuse(d, left, right, check)
+            return ReducedTensor(rt.original, rt.reduced, rt.incl, rt.proj,
+                                 rt.homotopy.scale(2)), summands
+
+        monkeypatch.setattr(compare, "fuse", doubled)
+        rep = fusion_rule_compare(3, verify_homotopy=True)
+        assert not rep["pass"] and rep["mismatches"] == 0
+        assert rep["pairs"] == rep["witness_failures"] == 36
+        assert not any(r["homotopy_witness"] for r in rep["rows"])
+        assert main(["compare", "fusion", "--d", "3", "--verify-homotopy"]) == 1
+        captured = capsys.readouterr()
+        assert not json.loads(captured.out)["pass"]
+        assert "Traceback" not in captured.err
 
     def test_range_validation(self):
         with pytest.raises(ValueError):

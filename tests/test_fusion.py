@@ -15,8 +15,10 @@ from mbf.bifact import (
     morphism_equal,
     ps_object,
     tensor_obj,
+    validate_mbf,
 )
 from mbf.graded import graded_validate, hom_space, morphism_charge
+from mbf.polycalc import MultiPoly
 from mbf.fusion import (
     DETERMINED,
     HOMOTOPY_POSITIONS,
@@ -267,11 +269,27 @@ class TestGaugeInvariance:
         assert got == base.ratio_exact
 
 
+def _contraction_invariants(rt) -> dict:
+    """Every invariant of a contraction, each read on its own."""
+    rep = validate_mbf(rt.reduced)
+    eq, mode = morphism_equal(rt.proj.compose(rt.incl), Morphism.identity(rt.reduced))
+    ok_i, mode_i = rt.incl.is_closed()
+    gap = rt.incl.compose(rt.proj) - Morphism.identity(rt.original)
+    return {
+        "reduced_valid": bool(rep) and rep.mode == "exact",
+        "proj_incl_identity": eq and mode.startswith("exact"),
+        "incl_closed": ok_i and mode_i.startswith("exact"),
+        "proj_closed": bool(rt.proj.is_closed()[0]),
+        "homotopy_witness": bool(morphism_equal(rt.homotopy.delta(), gap)[0]),
+        "grading_valid": graded_validate(rt.reduced)["ok"],
+    }
+
+
 class TestReduceTensor:
     def test_singleton_pair_d3(self):
         rt = reduce_tensor(ps_object(3, [0]), ps_object(3, [1]))
         assert (rt.reduced.m0.rank, rt.reduced.m1.rank) == (1, 1)
-        assert decompose_into_PS(rt) == [(1,)]
+        assert decompose_into_PS(rt.reduced) == [(1,)]
 
     @pytest.mark.parametrize("d", [3, 4, 5, 6])
     def test_singleton_pairs_proj_incl_identity(self, d):
@@ -293,38 +311,63 @@ class TestReduceTensor:
 
     def test_validate_full(self):
         rt = reduce_tensor(ps_object(5, (0, 1)), ps_object(5, (0, 1)))
-        report = rt.validate()
-        assert report["ok"]
-        assert report == {
+        assert _contraction_invariants(rt) == {
             "reduced_valid": True,
             "proj_incl_identity": True,
             "incl_closed": True,
             "proj_closed": True,
             "homotopy_witness": True,
             "grading_valid": True,
-            "ok": True,
         }
 
     @pytest.mark.parametrize(
-        "name,replacement,message,key",
+        "names,message",
         [
-            ("validate_mbf", lambda D: ValidationReport(False, "exact", ["v"]),
-             "reduced object invalid: ['v']", "reduced_valid"),
-            ("graded_validate", lambda g: {"ok": False}, "reduced grading invalid",
-             "grading_valid"),
+            (["validate_mbf"], "reduced object invalid: ['v']"),
+            (["morphism_equal"], "proj∘incl is not the identity"),
+            (["graded_validate"], "reduced grading invalid"),
+            (["graded_validate", "morphism_equal", "validate_mbf"],
+             "reduced object invalid: ['v']"),
         ],
-        ids=["reduced-object", "grading"],
+        ids=["reduced-object", "proj-incl", "grading", "first-failure-wins"],
     )
-    def test_failed_check_raises_and_is_reported(self, monkeypatch, name, replacement,
-                                                 message, key):
-        # reduce_tensor(check=True) and validate read the same checks
-        monkeypatch.setattr(fusion, name, replacement)
+    def test_failed_check_raises_and_is_reported(self, monkeypatch, names, message):
+        # reduce_tensor(check=True) checks the reduced object, then
+        # proj∘incl = id, then the grading, and reports the first failure in
+        # the VerificationError it raises
+        A, B = ps_object(4, [0]), ps_object(4, [1])
+        failing = {
+            "validate_mbf": lambda D: ValidationReport(False, "exact", ["v"]),
+            "morphism_equal": lambda L, R: (False, "exact-structural"),
+            "graded_validate": lambda D: {"ok": False},
+        }
+        for name in names:
+            monkeypatch.setattr(fusion, name, failing[name])
         with pytest.raises(VerificationError) as exc:
-            reduce_tensor(ps_object(4, [0]), ps_object(4, [1]))
+            reduce_tensor(A, B)
         assert str(exc.value) == message
-        report = reduce_tensor(ps_object(4, [0]), ps_object(4, [1]), check=False).validate()
-        assert not report[key] and not report["ok"]
-        assert report["proj_incl_identity"] and report["homotopy_witness"]
+        # unchecked, the same contraction is built and every invariant holds
+        assert all(_contraction_invariants(reduce_tensor(A, B, check=False)).values())
+
+    @pytest.mark.parametrize("d,left,right,divisions", [
+        (5, (0, 1), (0, 1), 4),
+        (4, (0, 1, 2), (1, 2), 4),
+        (6, (0, 1, 2), (3,), 2),
+    ])
+    def test_each_division_made_once(self, monkeypatch, d, left, right, divisions):
+        # one division per entry of A's differentials and power of x gives
+        # both the reduced entry (remainder) and incl's correction (quotient)
+        A, B = ps_object(d, left), ps_object(d, right)
+        calls = []
+        divmod_in_var = MultiPoly.divmod_in_var
+
+        def counted(self, divisor, var):
+            calls.append((self, divisor, var))
+            return divmod_in_var(self, divisor, var)
+
+        monkeypatch.setattr(MultiPoly, "divmod_in_var", counted)
+        reduce_tensor(A, B, check=False)
+        assert len(calls) == len(set(calls)) == divisions
 
     def test_reduced_grading_valid(self):
         rt = reduce_tensor(ps_object(6, (0, 1, 2)), ps_object(6, (2, 3)))
@@ -423,6 +466,10 @@ class TestDecompose:
         assert decompose_into_PS(ps_object(4, (0, 1))) == [(0, 1)]
         with pytest.raises(TypeError):
             decompose_into_PS("nope")
+        # a contraction is decomposed through its reduced object only
+        rt, _ = fuse(4, (0, 1), (1,))
+        with pytest.raises(TypeError):
+            decompose_into_PS(rt)
 
 
 class TestHomotopyVerification:

@@ -5,7 +5,7 @@ from hypothesis import given, settings, strategies as st
 
 from mbf._rat import Rat
 from mbf.exactalg import Cyclo
-from mbf import cli
+from mbf import VerificationError, cli
 from mbf import graded
 from mbf.fusion import fuse, reduce_tensor
 from mbf.bifact import (
@@ -40,6 +40,12 @@ def graded_ps(d, i, j):
 
 def graded_unit(d):
     return unit_object(fermat_potential(d))
+
+
+def shifted_p01():
+    """P_{0,1} at d = 5 with its even charge shifted from -1/2 to 0."""
+    g = graded_ps(5, 0, 1)
+    return MBF(g.m0, g.m1, g.d0, g.d1, g.w, ((Rat(0),), g.charges(1)))
 
 
 def diag_morphism(g, text):
@@ -81,9 +87,7 @@ class TestGradedValidate:
                 assert graded_validate(graded_ps(d, i, j))["ok"]
 
     def test_wrong_charge_flagged(self):
-        # P_{0,1} at d = 5 with its even charge shifted from -1/2 to 0
-        g = graded_ps(5, 0, 1)
-        bad = MBF(g.m0, g.m1, g.d0, g.d1, g.w, ((Rat(0),), g.charges(1)))
+        g, bad = graded_ps(5, 0, 1), shifted_p01()
         report = graded_validate(bad)
         assert not report["ok"]
         assert report["violations"][0]["which"] in ("d0", "d1")
@@ -211,6 +215,28 @@ class TestHomSpace:
         gI = graded_unit(4)
         H = hom_space(gI, gI, Rat(1, 4))
         assert [s.dim for s in H.sectors] == [0]
+
+    def test_ill_graded_object_raises(self, monkeypatch):
+        # left unchecked, the endomorphisms of the shifted P_{0,1} come out
+        # in 4 sectors of total dimension 10, where the graded object has 6
+        g, bad = graded_ps(5, 0, 1), shifted_p01()
+        assert hom_space(g, g).total_dim() == 6
+        for X, Y in ((bad, bad), (bad, g), (g, bad)):
+            with pytest.raises(VerificationError, match="differential off charge d/2"):
+                hom_space(X, Y)
+        monkeypatch.setattr(graded, "graded_validate", lambda D: {"ok": True})
+        H = hom_space(bad, bad)
+        assert (len(H.sectors), H.total_dim()) == (4, 10)
+
+    def test_delta_image_leaving_its_sector_raises(self, monkeypatch):
+        # past the grading check, P_{0} at d = 3 with its even charge raised
+        # by 1 sends delta of the sector below outside the sector solved
+        P = graded_ps(3, 0, 0)
+        raised = MBF(P.m0, P.m1, P.d0, P.d1, P.w,
+                     (tuple(c + 1 for c in P.charges(0)), P.charges(1)))
+        monkeypatch.setattr(graded, "graded_validate", lambda D: {"ok": True})
+        with pytest.raises(VerificationError, match="delta image left the charge sector"):
+            hom_space(raised, raised)
 
 
 def _dims(X, Y, parity):
