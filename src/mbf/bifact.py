@@ -19,7 +19,13 @@ failing that, from a 2-slot source, by their generator matrices; from a
 source with internal slots, pointwise on internal monomials up to a total
 degree: evidence, not proof.  Only `op_equal` and `morphism_equal` take
 that degree (`cutoff`); every check built on them sweeps to
-`DEFAULT_CUTOFF`.
+`DEFAULT_CUTOFF`.  With one internal variable the sweep of a copy stops at
+that copy's shift-annihilator order N when N <= cutoff + 1
+(`_annihilator_orders`): the values on x^k obey a monic recurrence of order
+N, so N zeros prove the rest, and those N are the full sweep's first, so
+every verdict and counterexample is the full sweep's.  A True keeps the
+label `verified-to-cutoff` and no report changes; the benchmark's digests
+hash that label, so a label of its own waits for a change of the benchmark.
 
 An `Operator` is an immutable sparse matrix, {(row, col): tuple of words},
 built once by its one constructor.  Because it cannot change, it caches its
@@ -43,6 +49,7 @@ read.
 from __future__ import annotations
 
 import itertools
+from collections import Counter
 from types import MappingProxyType
 
 from ._rat import Rat
@@ -275,6 +282,8 @@ class PTDiv:
     def __init__(self, shape: SlotShape, v1: str, v2: str):
         ring = shape.ring()
         ring.index(v1), ring.index(v2)
+        if v1 == v2:
+            raise ValueError(f"a divided transfer needs two variables, got {v1!r} twice")
         self.shape = shape
         self.v1 = v1
         self.v2 = v2
@@ -726,6 +735,98 @@ def _internal_monomials(shape: SlotShape, cutoff: int):
     yield from rec(0, cutoff, [])
 
 
+def _annihilator_orders(op: Operator, x: str) -> dict:
+    """{copy: N} such that op(x^k in that copy) = 0 for every k once it is 0
+    for k < N, or None when a word of that copy is unbounded.  `x` is the one
+    internal variable of the source.
+
+    Proof.  Fix a copy and a row; s_k, the image of x^k, lies in the target
+    slot ring, a polynomial ring over the field Q(zeta_n) and so a domain.
+    If a monic A(E) = E^N + c_{N-1}E^{N-1} + ... + c_0 with coefficients in
+    that ring, constant in k, satisfies sum_i c_i s_{k+i} = 0 for every k,
+    then s_0 = ... = s_{N-1} = 0 forces every s_k = 0 by induction on k
+    (C-finite sequences: Kauers and Paule, The Concrete Tetrahedron, ch. 4).
+    A is kept as a tuple of monic factors, each the tuple (c_0, ..., c_{n-1})
+    of its lower coefficients.  A word is read left to right from x^k,
+    annihilated by E - x, keeping its values t_k annihilated; coefficients
+    commute with E, so factors may be reordered:
+      * PMul by p: p*t_k is annihilated by the same A (the ring commutes);
+      * PSubst σ, a ring map: σ(t_k) is annihilated by σ(A);
+      * PTDiv v1 -> v2 (v1 != v2, as its constructor checks): with
+        σ: v1 ↦ v2, A·σ(A) kills t_k - σ(t_k) = (v1 - v2)·u_k, hence u_k in
+        a domain; A alone if σ(A) = A;
+      * PQuo by q in v, q̂ = q/lead with v read as E (a lead that is not a
+        constant is unbounded, and the sweep raises on it as before): quo
+        and rem are linear over the polynomials free of v, so
+        an A free of v is kept; on A = E - v, t_k = v^k t_0 and
+        q̂(v) ≡ 0 mod q, so rem(t_k) is killed by q̂ and q·quo(t_k) =
+        t_k - rem(t_k) by (E - v)·q̂, hence quo(t_k) in a domain; any
+        other A is unbounded;
+      * PCoeff (v, m): linear over the polynomials free of v, so an A free of
+        v is renamed into the target ring; any other A is unbounded.
+    A cell sums its words, so it takes the product over distinct factors of
+    each to the largest multiplicity any word has: a common monic multiple
+    of every word's A.  A copy is bounded by the largest order of its rows.
+    """
+    ring = op.src.shape.ring()
+    start = ((-ring.var(x),),)
+    orders = dict.fromkeys(range(op.src.rank), 0)
+    memo: dict = {}
+    for (_, j), ws in op.cells.items():
+        if orders[j] is None:
+            continue
+        cell = Counter()
+        for w in ws:
+            # words that differ only in multipliers share one annihilator
+            key = tuple(p.signature() for p in w.prims if not isinstance(p, PMul))
+            if key not in memo:
+                memo[key] = _word_annihilator(w, start)
+            fs = memo[key]
+            if fs is None:
+                orders[j] = None
+                break
+            cell |= Counter(fs)
+        else:
+            orders[j] = max(orders[j], sum(len(f) * m for f, m in cell.items()))
+    return orders
+
+
+def _word_annihilator(w: Word, fs: tuple):
+    """The factors annihilating w(t_k) when `fs` annihilates t_k, by the
+    rules of `_annihilator_orders`; None when a rule does not apply."""
+    for prim in w.prims:
+        if isinstance(prim, PMul):
+            continue
+        if isinstance(prim, PSubst):
+            fs = tuple(tuple(prim.apply(c) for c in f) for f in fs)
+            continue
+        if isinstance(prim, PTDiv):
+            ring = prim.shape.ring()
+            moved = tuple(tuple(c.rename({prim.v1: prim.v2}, ring) for c in f) for f in fs)
+            if moved != fs:
+                fs += moved
+            continue
+        if not isinstance(prim, (PQuo, PCoeff)):
+            return None
+        v = prim.var
+        if all(c.degree_in(v) < 1 for f in fs for c in f):
+            if isinstance(prim, PCoeff):
+                ring, names = prim.dst.ring(), prim._rename()
+                fs = tuple(tuple(c.rename(names, ring) for c in f) for f in fs)
+            continue
+        if isinstance(prim, PCoeff) or fs != ((-prim.shape.ring().var(v),),):
+            return None
+        q = prim.modulus.coefficients_in(v)
+        n = max(q, default=0)
+        lead = q[n].constant_value() if q else None
+        if lead is None:
+            return None
+        zero, inv = prim.shape.ring().zero(), lead.inverse()
+        qhat = (tuple(q.get(i, zero) * inv for i in range(n)),)
+        fs = qhat if prim.part == "rem" else fs + qhat
+    return fs
+
+
 def op_equal(A: Operator, B: Operator, cutoff: int = DEFAULT_CUTOFF):
     """Tiered operator equality: (equal, mode).
 
@@ -736,6 +837,17 @@ def op_equal(A: Operator, B: Operator, cutoff: int = DEFAULT_CUTOFF):
     evidence, and a False carries the failing basis element in the mode.  A
     negative `cutoff` would sweep no monomial at all, so it raises
     ValueError.
+
+    With one internal variable x, the sweep of each copy stops after its
+    first N monomials x^0..x^(N-1), N the copy's annihilator order from
+    `_annihilator_orders`, when N <= cutoff + 1: they are the first N that
+    the full sweep checks, in the same order, so a zero prefix proves what
+    the full sweep would say and a non-zero one gives its first
+    counterexample.  With no bound (an unbounded word, two or more internal
+    variables) or a larger N the sweep runs to `cutoff` as before.  The
+    label stays "verified-to-cutoff" and the reports are unchanged; a label
+    of its own for the proved case waits for a change of the benchmark,
+    whose digests hash it.
     """
     if cutoff < 0:
         raise ValueError(f"cutoff must be >= 0, got {cutoff}")
@@ -746,9 +858,15 @@ def op_equal(A: Operator, B: Operator, cutoff: int = DEFAULT_CUTOFF):
         return True, "exact-structural"
     if diff.src.shape.nslots <= 2:
         return not any(p for row in diff.matrix() for p in row), "exact-generator"
+    names = diff.src.shape.internal_names()
+    orders = _annihilator_orders(diff, names[0]) if len(names) == 1 else {}
     zero_dst = [diff.dst.shape.ring().zero()] * diff.dst.rank
     for copy in range(diff.src.rank):
-        for exps in _internal_monomials(diff.src.shape, cutoff):
+        # a copy's first N monomials are the full sweep's first N, so past
+        # its annihilator order N the sweep could find no counterexample;
+        # islice stops there, or never when N is None or past the cutoff
+        monomials = _internal_monomials(diff.src.shape, cutoff)
+        for exps in itertools.islice(monomials, orders.get(copy)):
             if diff.apply_basis(copy, exps) != zero_dst:
                 return False, f"counterexample at copy {copy}, monomial {exps}"
     return True, "verified-to-cutoff"

@@ -1,12 +1,16 @@
 """Bi-factorisation layer: objects, delta, tensor structure, units, homotopies."""
 
+import collections
 import gc
 import itertools
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from mbf import bifact
 from mbf.bifact import (
+    _annihilator_orders,
+    _internal_monomials,
     _kron,
     _tensor_legs,
     DEFAULT_CUTOFF,
@@ -38,12 +42,16 @@ from mbf.bifact import (
     unit_isos_inverse,
     unit_object,
     validate_mbf,
+    w_coeff,
     w_mul,
+    w_quo,
+    w_rem,
+    w_tdiv,
     w_transfer,
     Word,
 )
 from mbf.exactalg import Cyclo
-from mbf.fusion import PSObject
+from mbf.fusion import PSObject, fuse
 from mbf.polycalc import Ring, RingMismatch
 
 
@@ -639,6 +647,175 @@ class TestOperatorEquality:
             g.then(f).signature() for g in (g, g) for f in (f1, f2)]
         with pytest.raises(ValueError, match="chain"):
             _kron(L, op)
+
+
+# -- the sweep stopped at each copy's annihilator order ---------------------------
+
+
+def _full_sweep(A, B, cutoff):
+    """The reference: op_equal's last tier without a bound, every monomial of
+    total degree <= cutoff in every copy."""
+    diff = (A - B).normalized()
+    zero = [diff.dst.shape.ring().zero()] * diff.dst.rank
+    for copy in range(diff.src.rank):
+        for exps in _internal_monomials(diff.src.shape, cutoff):
+            if diff.apply_basis(copy, exps) != zero:
+                return False, f"counterexample at copy {copy}, monomial {exps}"
+    return True, "verified-to-cutoff"
+
+
+def _one_copy(nslots=3, conductor=4):
+    shape = SlotShape(nslots, 1, conductor)
+    return shape, FreeBimod(shape, 1), shape.ring()
+
+
+def _op(mod, *words):
+    return Operator(mod, mod, {(0, 0): words})
+
+
+def _count_evaluations(monkeypatch):
+    """A list that gets (copy, exps) of every Operator.apply_basis call."""
+    seen = []
+    apply_basis = Operator.apply_basis
+
+    def counted(self, copy, exps):
+        seen.append((copy, dict(exps)))
+        return apply_basis(self, copy, exps)
+
+    monkeypatch.setattr(Operator, "apply_basis", counted)
+    return seen
+
+
+class TestAnnihilatorSweep:
+    def test_agrees_with_the_full_sweep(self, monkeypatch):
+        # every op_equal call of `verify monoidal` at d = 3..6 and of the
+        # fusion witnesses at d = 4, against a full sweep to the same degree
+        from mbf import cli, compare
+
+        swept = []
+        bounded = bifact.op_equal
+
+        def both(A, B, cutoff=DEFAULT_CUTOFF):
+            got = bounded(A, B, cutoff)
+            diff = (A - B).normalized()
+            if diff.cells and diff.src.shape.nslots > 2:
+                swept.append(got == _full_sweep(A, B, cutoff))
+            return got
+
+        monkeypatch.setattr(bifact, "op_equal", both)
+        for d in range(3, 7):
+            cli._run_monoidal_suite(d)
+        assert len(swept) == 4 * 11 and all(swept)
+        swept.clear()
+        assert compare.fusion_rule_compare(4, verify_homotopy=True)["pass"]
+        assert len(swept) == 2 * 144 and all(swept)
+
+    @pytest.mark.parametrize("d", [3, 4, 5])
+    def test_negative_control_past_the_cutoff(self, d, monkeypatch):
+        # D = rem(., x1^(2d+1) - b^(2d+1)) - id is zero on x1^0..x1^(2d) and not
+        # on x1^(2d+1); its bound 2d + 2 exceeds cutoff + 1 = 2d + 1, so the
+        # sweep runs in full and, as before, cannot tell D from zero
+        shape, mod, ring = _one_copy(conductor=d)
+        q = ring.parse(f"x1^{2 * d + 1} - b^{2 * d + 1}")
+        rem = _op(mod, w_rem(shape, q, "x1"))
+        ident = Operator.identity(mod)
+        assert _annihilator_orders((rem - ident).normalized(), "x1") == {0: 2 * d + 2}
+        seen = _count_evaluations(monkeypatch)
+        assert op_equal(rem, ident, 2 * d) == (True, "verified-to-cutoff")
+        assert len(seen) == 2 * d + 1
+        assert op_equal(rem, ident, 2 * d + 1) == (
+            False, f"counterexample at copy 0, monomial {{'x1': {2 * d + 1}}}")
+
+    def test_two_internal_variables_sweep_every_monomial(self, monkeypatch):
+        # the same kind of difference on a 4-slot chain has internal x1 and
+        # x2, which the bound does not cover: all 15 monomials of degree <= 4
+        shape, mod, ring = _one_copy(nslots=4)
+        rem = _op(mod, w_rem(shape, ring.parse("x1^5 - b^5"), "x1"))
+        seen = _count_evaluations(monkeypatch)
+        assert op_equal(rem, Operator.identity(mod), 4) == (True, "verified-to-cutoff")
+        assert len(seen) == 15
+        assert {tuple(sorted(e)) for _, e in seen} == {("x1", "x2")}
+
+    @pytest.mark.parametrize("word, first", [
+        # coefficient extraction in x1 while the annihilator holds x1
+        pytest.param(lambda s, r: w_coeff(s, "x1", 5), 5, id="coeff"),
+        # division in x1 once the annihilator is no longer E - x1
+        pytest.param(lambda s, r: w_tdiv(s, "x1", "b").then(
+            w_quo(s, r.parse("x1^5 - b^5"), "x1")), 6, id="tdiv-then-quo"),
+    ])
+    def test_unbounded_word_sweeps_to_the_cutoff(self, word, first, monkeypatch):
+        shape, mod, ring = _one_copy()
+        w = word(shape, ring)
+        op = Operator(mod, FreeBimod(w.dst, 1), {(0, 0): (w,)})
+        assert _annihilator_orders(op, "x1") == {0: None}
+        seen = _count_evaluations(monkeypatch)
+        assert op_equal(op, Operator(op.src, op.dst), 6) == (
+            False, f"counterexample at copy 0, monomial {{'x1': {first}}}")
+        assert len(seen) == first + 1
+
+    @pytest.mark.parametrize("words, order", [
+        # rem on E - x1 gives q̂ only: kept at E - x1, the order would be 1
+        pytest.param(lambda s, r: [w_rem(s, r.parse("x1^2 - b^2"), "x1"),
+                                   Word.identity(s).scaled(-s.one())], 3, id="rem-drops-E-v"),
+        # quo on E - x1 gives (E - x1)·q̂: without E - x1 the order would be 2
+        pytest.param(lambda s, r: [w_quo(s, r.parse("x1^2 - b^2"), "x1")], 3,
+                     id="quo-keeps-E-v"),
+        # tdiv x1 -> b gives (E - x1)(E - b): kept at E - x1, the order would be 1
+        pytest.param(lambda s, r: [w_tdiv(s, "x1", "b")], 2, id="tdiv-appends-moved"),
+        # id and x1 -> b have orders 1 each; the cell needs the union (E - x1)(E - b)
+        pytest.param(lambda s, r: [Word.identity(s), w_transfer(s, "x1", "b").scaled(-s.one())],
+                     2, id="cell-takes-union"),
+    ])
+    def test_one_factor_short_would_miss_the_counterexample(self, words, order):
+        # each difference is zero on x1^0..x1^(order-2) and not on x1^(order-1),
+        # so a rule one factor short stops the sweep just before it
+        shape, mod, ring = _one_copy()
+        diff = _op(mod, *words(shape, ring))
+        assert _annihilator_orders(diff.normalized(), "x1") == {0: order}
+        assert op_equal(diff, Operator(mod, mod)) == (
+            False, f"counterexample at copy 0, monomial {{'x1': {order - 1}}}")
+
+    def test_divided_transfer_needs_two_variables(self):
+        # (p - p[x1 -> x1]) / (x1 - x1) is undefined, and the PTDiv rule
+        # divides by v1 - v2
+        shape, _, _ = _one_copy()
+        with pytest.raises(ValueError, match="two variables"):
+            w_tdiv(shape, "x1", "x1")
+
+    def test_witness_evaluations(self, monkeypatch):
+        # the P_{0,1} ⊗ P_{1,2} witness at d = 4 evaluates the sum of its column
+        # orders, 3 per copy of each leg, where the full sweep to degree 8 made
+        # 2 legs × 2 copies × 9 = 36 evaluations
+        d = 4
+        rt, _ = fuse(d, (0, 1), (1, 2), check=True)
+        gap = rt.incl.compose(rt.proj) - Morphism.identity(rt.original)
+        delta = rt.homotopy.delta()
+        orders = [_annihilator_orders((delta.op_from(p) - gap.op_from(p)).normalized(), "x1")
+                  for p in (0, 1)]
+        assert orders == [{0: 3, 1: 3}] * 2
+        seen = _count_evaluations(monkeypatch)
+        assert morphism_equal(delta, gap, 2 * d) == (True, "verified-to-cutoff")
+        assert len(seen) == 12 == sum(sum(o.values()) for o in orders)
+
+    def test_monoidal_suite_evaluates_two_monomials_per_copy(self, monkeypatch):
+        # the full sweep evaluated 31 monomials per copy at the default cutoff
+        from mbf import cli
+
+        per_call = []
+        bounded = bifact.op_equal
+
+        def counted(A, B, cutoff=DEFAULT_CUTOFF):
+            seen.clear()
+            got = bounded(A, B, cutoff)
+            if seen:
+                per_call.append(collections.Counter(copy for copy, _ in seen))
+            return got
+
+        seen = _count_evaluations(monkeypatch)
+        monkeypatch.setattr(bifact, "op_equal", counted)
+        assert all(c["ok"] for c in cli._run_monoidal_suite(4))
+        assert len(per_call) == 11
+        assert max(n for c in per_call for n in c.values()) <= 2
 
 
 # -- the sparse Operator against the dense word matrix it replaced ---------------
