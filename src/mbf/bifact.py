@@ -18,14 +18,15 @@ normalization (substitution merging, multiplier merging and pushing);
 failing that, from a 2-slot source, by their generator matrices; from a
 source with internal slots, pointwise on internal monomials up to a total
 degree: evidence, not proof.  Only `op_equal` and `morphism_equal` take
-that degree (`cutoff`); every check built on them sweeps to
-`DEFAULT_CUTOFF`.  With one internal variable the sweep of a copy stops at
-that copy's shift-annihilator order N when N <= cutoff + 1
-(`_annihilator_orders`): the values on x^k obey a monic recurrence of order
-N, so N zeros prove the rest, and those N are the full sweep's first, so
-every verdict and counterexample is the full sweep's.  A True keeps the
-label `verified-to-cutoff` and no report changes; the benchmark's digests
-hash that label, so a label of its own waits for a change of the benchmark.
+that degree (`cutoff`); the checks built on them sweep to 30
+(`DEFAULT_CUTOFF`), the homotopy witnesses of `mbf compare fusion` to 2d.
+With one internal variable the sweep of a copy stops at that copy's
+shift-annihilator order N when N <= cutoff + 1 (`_annihilator_orders`): the
+values on x^k obey a monic recurrence of order N, so N zeros prove the rest,
+and those N are the full sweep's first, so every verdict and counterexample
+is the full sweep's.  A True keeps the label `verified-to-cutoff` and no
+report changes; the benchmark's digests hash that label, so a label of its
+own waits for a change of the benchmark.
 
 An `Operator` is an immutable sparse matrix, {(row, col): tuple of words},
 built once by its one constructor.  Because it cannot change, it caches its
@@ -43,7 +44,8 @@ associator and never have it read.
 One routine, `_tensor_legs`, builds every f ⊗ g, the differential
 d_X ⊗ 1 + 1 ⊗ d_Y of X ⊗ Y included; `tensor_copy` is the one copy index
 of X ⊗ Y, which the associator, the unit maps and `fusion.reduce_tensor`
-read.
+read.  `slot_map` builds every renaming from one slot chain to another: a
+lift into a glued chain, inserting, collapsing or dropping a junction slot.
 """
 
 from __future__ import annotations
@@ -59,22 +61,6 @@ from .polycalc import MultiPoly, Ring, RingMismatch
 DEFAULT_CUTOFF = 30
 
 _RING_CACHE: dict = {}
-
-
-def _slot_names(nslots: int, nvars: int, slot: int) -> tuple:
-    if nslots == 1:
-        base = "t"
-    elif slot == 0:
-        base = "a"
-    elif slot == nslots - 1:
-        base = "b"
-    else:
-        base = f"x{slot}"
-    if nvars == 1:
-        return (base,)
-    if base[0] == "x":
-        return tuple(f"{base}_{j}" for j in range(1, nvars + 1))
-    return tuple(f"{base}{j}" for j in range(1, nvars + 1))
 
 
 class SlotShape:
@@ -105,7 +91,19 @@ class SlotShape:
         return f"SlotShape({self.nslots}, nvars={self.nvars}, zeta_{self.conductor})"
 
     def slot_names(self, slot: int) -> tuple:
-        return _slot_names(self.nslots, self.nvars, slot)
+        if self.nslots == 1:
+            base = "t"
+        elif slot == 0:
+            base = "a"
+        elif slot == self.nslots - 1:
+            base = "b"
+        else:
+            base = f"x{slot}"
+        if self.nvars == 1:
+            return (base,)
+        if base[0] == "x":
+            return tuple(f"{base}_{j}" for j in range(1, self.nvars + 1))
+        return tuple(f"{base}{j}" for j in range(1, self.nvars + 1))
 
     def left_names(self) -> tuple:
         return self.slot_names(0)
@@ -132,11 +130,6 @@ class SlotShape:
     def widen(self, left: int, right: int) -> "SlotShape":
         """This chain with `left` slots glued on before it and `right` after."""
         return SlotShape(left + self.nslots + right, self.nvars, self.conductor)
-
-    def drop_slot(self, slot: int) -> "SlotShape":
-        if slot <= 0 or slot >= self.nslots - 1:
-            raise ValueError("only internal slots can be dropped")
-        return SlotShape(self.nslots - 1, self.nvars, self.conductor)
 
     def one(self) -> Cyclo:
         return Cyclo.one(self.conductor)
@@ -173,11 +166,15 @@ class FreeBimod:
 # -- primitives -------------------------------------------------------------
 
 
-def _embed_names(inner: SlotShape, ambient: SlotShape, offset: int) -> dict:
+def slot_map(src: SlotShape, dst: SlotShape, place) -> dict:
+    """{variable of `src`: variable of `dst`}: the variables of slot s of
+    `src` go to those of slot place(s) of `dst`, in order; a slot placed at
+    None is dropped.  Every renaming between two slot chains is made here."""
     out = {}
-    for s in range(inner.nslots):
-        for vi, va in zip(inner.slot_names(s), ambient.slot_names(offset + s)):
-            out[vi] = va
+    for s in range(src.nslots):
+        d = place(s)
+        if d is not None:
+            out.update(zip(src.slot_names(s), dst.slot_names(d)))
     return out
 
 
@@ -201,8 +198,9 @@ class PMul:
     def signature(self):
         return ("mul", self.shape, self.poly)
 
-    def lift(self, left: int, right: int, asrc: SlotShape, adst: SlotShape) -> "PMul":
-        return PMul(asrc, self.poly.rename(_embed_names(self.shape, asrc, left), asrc.ring()))
+    def lift(self, left: int, asrc: SlotShape, adst: SlotShape) -> "PMul":
+        names = slot_map(self.shape, asrc, lambda s: left + s)
+        return PMul(asrc, self.poly.rename(names, asrc.ring()))
 
 
 class PSubst:
@@ -226,14 +224,12 @@ class PSubst:
             cc = c if isinstance(c, Cyclo) else Cyclo.from_rat(src.conductor, c)
             dst.ring().index(w)
             norm[v] = (cc, w)
-        for sv, dv in zip(src.left_names(), dst.left_names()):
-            c, w = norm[sv]
-            if w != dv or c != one:
-                raise ValueError(f"outer-left variable {sv!r} must map to {dv!r} untwisted")
-        for sv, dv in zip(src.right_names(), dst.right_names()):
-            c, w = norm[sv]
-            if w != dv or c != one:
-                raise ValueError(f"outer-right variable {sv!r} must map to {dv!r} untwisted")
+        for side, snames, dnames in (("left", src.left_names(), dst.left_names()),
+                                     ("right", src.right_names(), dst.right_names())):
+            for sv, dv in zip(snames, dnames):
+                c, w = norm[sv]
+                if w != dv or c != one:
+                    raise ValueError(f"outer-{side} variable {sv!r} must map to {dv!r} untwisted")
         self.src = src
         self.dst = dst
         self.mapping = norm
@@ -258,19 +254,15 @@ class PSubst:
     def signature(self):
         return ("subst", self.src, self.dst, frozenset(self.mapping.items()))
 
-    def lift(self, left: int, right: int, asrc: SlotShape, adst: SlotShape) -> "PSubst":
-        src_emb = _embed_names(self.src, asrc, left)
-        dst_emb = _embed_names(self.dst, adst, left)
-        m = {src_emb[v]: (c, dst_emb[w]) for v, (c, w) in self.mapping.items()}
+    def lift(self, left: int, asrc: SlotShape, adst: SlotShape) -> "PSubst":
+        # glued slots map untwisted, those after the chain past its target
+        end, grow = left + self.src.nslots, self.dst.nslots - self.src.nslots
+        glued = slot_map(asrc, adst, lambda s: s if s < left else s + grow if s >= end else None)
+        src_emb = slot_map(self.src, asrc, lambda s: left + s)
+        dst_emb = slot_map(self.dst, adst, lambda s: left + s)
         one = Cyclo.one(asrc.conductor)
-        for s in range(left):
-            for sv, dv in zip(asrc.slot_names(s), adst.slot_names(s)):
-                m[sv] = (one, dv)
-        for t in range(right):
-            ss = left + self.src.nslots + t
-            ds = left + self.dst.nslots + t
-            for sv, dv in zip(asrc.slot_names(ss), adst.slot_names(ds)):
-                m[sv] = (one, dv)
+        m = {v: (one, w) for v, w in glued.items()}
+        m.update((src_emb[v], (c, dst_emb[w])) for v, (c, w) in self.mapping.items())
         return PSubst(asrc, adst, m)
 
 
@@ -297,8 +289,8 @@ class PTDiv:
     def signature(self):
         return ("tdiv", self.shape, self.v1, self.v2)
 
-    def lift(self, left, right, asrc, adst):
-        emb = _embed_names(self.shape, asrc, left)
+    def lift(self, left, asrc, adst):
+        emb = slot_map(self.shape, asrc, lambda s: left + s)
         return PTDiv(asrc, emb[self.v1], emb[self.v2])
 
 
@@ -330,55 +322,43 @@ class PQuo:
     def signature(self):
         return (self.part, self.shape, self.modulus, self.var)
 
-    def lift(self, left, right, asrc, adst):
-        emb = _embed_names(self.shape, asrc, left)
+    def lift(self, left, asrc, adst):
+        emb = slot_map(self.shape, asrc, lambda s: left + s)
         return PQuo(asrc, self.modulus.rename(emb, asrc.ring()), emb[self.var], self.part)
 
 
 class PCoeff:
     """Extract the coefficient of var^k and drop that internal slot."""
 
-    __slots__ = ("shape", "dst_shape", "var", "k", "slot")
+    __slots__ = ("shape", "dst_shape", "var", "k", "to_dst")
 
     def __init__(self, shape: SlotShape, var: str, k: int):
         if shape.nvars != 1:
             raise ValueError("coefficient extraction implemented for one-variable slots")
-        slot = None
-        for s in range(1, shape.nslots - 1):
-            if shape.slot_names(s)[0] == var:
-                slot = s
-        if slot is None:
+        if var not in shape.internal_names():
             raise ValueError(f"{var!r} is not an internal slot variable")
+        slot = shape.ring().index(var)  # one variable per slot
         self.shape = shape
-        self.dst_shape = shape.drop_slot(slot)
+        self.dst_shape = SlotShape(shape.nslots - 1, 1, shape.conductor)
         self.var = var
         self.k = k
-        self.slot = slot
+        self.to_dst = slot_map(shape, self.dst_shape,
+                               lambda s: s if s < slot else s - 1 if s > slot else None)
 
     src = property(lambda self: self.shape)
     dst = property(lambda self: self.dst_shape)
-
-    def _rename(self) -> dict:
-        out = {}
-        for s in range(self.shape.nslots):
-            if s == self.slot:
-                continue
-            d = s if s < self.slot else s - 1
-            for vi, va in zip(self.shape.slot_names(s), self.dst_shape.slot_names(d)):
-                out[vi] = va
-        return out
 
     def apply(self, p: MultiPoly) -> MultiPoly:
         part = p.coefficients_in(self.var).get(self.k)
         if part is None:
             return self.dst_shape.ring().zero()
-        return part.rename(self._rename(), self.dst_shape.ring())
+        return part.rename(self.to_dst, self.dst_shape.ring())
 
     def signature(self):
         return ("coeff", self.shape, self.var, self.k)
 
-    def lift(self, left, right, asrc, adst):
-        emb = _embed_names(self.shape, asrc, left)
+    def lift(self, left, asrc, adst):
+        emb = slot_map(self.shape, asrc, lambda s: left + s)
         return PCoeff(asrc, emb[self.var], self.k)
 
 
@@ -463,7 +443,7 @@ class Word:
         return (self.src, self.dst, tuple(p.signature() for p in self.prims))
 
     def lift(self, left: int, right: int) -> "Word":
-        prims = tuple(p.lift(left, right, p.src.widen(left, right), p.dst.widen(left, right))
+        prims = tuple(p.lift(left, p.src.widen(left, right), p.dst.widen(left, right))
                       for p in self.prims)
         return Word(self.coeff, prims, self.src.widen(left, right), self.dst.widen(left, right))
 
@@ -480,12 +460,8 @@ def w_insert(src: SlotShape, position: int) -> Word:
     """r ⊗ s ↦ r ⊗ 1 ⊗ s: a new internal slot at `position`."""
     dst = SlotShape(src.nslots + 1, src.nvars, src.conductor)
     one = Cyclo.one(src.conductor)
-    m = {}
-    for s in range(src.nslots):
-        d = s if s < position else s + 1
-        for sv, dv in zip(src.slot_names(s), dst.slot_names(d)):
-            m[sv] = (one, dv)
-    return Word.of(PSubst(src, dst, m))
+    names = slot_map(src, dst, lambda s: s if s < position else s + 1)
+    return Word.of(PSubst(src, dst, {v: (one, w) for v, w in names.items()}))
 
 
 def w_then_mul(word: Word, poly: MultiPoly) -> Word:
@@ -502,18 +478,11 @@ def w_collapse(src: SlotShape, pair_left: int, scalar=None, twist_on: str = "lef
     """Merge slots pair_left, pair_left+1; the twisted side picks up `scalar`."""
     dst = SlotShape(src.nslots - 1, src.nvars, src.conductor)
     one = Cyclo.one(src.conductor)
-    sc = one if scalar is None else scalar
-    m = {}
-    for s in range(src.nslots):
-        d = s if s <= pair_left else s - 1
-        if s == pair_left:
-            c = sc if twist_on == "left" else one
-        elif s == pair_left + 1:
-            c = sc if twist_on == "right" else one
-        else:
-            c = one
-        for sv, dv in zip(src.slot_names(s), dst.slot_names(d)):
-            m[sv] = (c, dv)
+    names = slot_map(src, dst, lambda s: s if s <= pair_left else s - 1)
+    m = {v: (one, w) for v, w in names.items()}
+    if scalar is not None and twist_on in ("left", "right"):
+        for v in src.slot_names(pair_left + (twist_on == "right")):
+            m[v] = (scalar, names[v])
     return Word.of(PSubst(src, dst, m))
 
 
@@ -811,7 +780,7 @@ def _word_annihilator(w: Word, fs: tuple):
         v = prim.var
         if all(c.degree_in(v) < 1 for f in fs for c in f):
             if isinstance(prim, PCoeff):
-                ring, names = prim.dst.ring(), prim._rename()
+                ring, names = prim.dst.ring(), prim.to_dst
                 fs = tuple(tuple(c.rename(names, ring) for c in f) for f in fs)
             continue
         if isinstance(prim, PCoeff) or fs != ((-prim.shape.ring().var(v),),):
@@ -996,9 +965,6 @@ class ValidationReport:
 
     def __bool__(self):
         return self.ok
-
-    def to_json(self):
-        return {"ok": self.ok, "mode": self.mode, "violations": self.violations}
 
     def __repr__(self):
         return f"ValidationReport(ok={self.ok}, mode={self.mode!r})"
@@ -1434,15 +1400,12 @@ def mu_relation_check(w: MultiPoly):
     I = unit_object(w)
     if I.shape.nvars != 1:
         raise ValueError("one-variable potentials only")
-    two = I.shape
-    one_slot = SlotShape(1, 1, two.conductor)
-    onesr = one_slot.ring()
-    m = {"a": (Cyclo.one(two.conductor), "t"), "b": (Cyclo.one(two.conductor), "t")}
-    mu_word = Word.of(PSubst(two, one_slot, m))
-    src0 = FreeBimod(two, 1)
+    mu_word = w_collapse(I.shape, 0)
+    one_slot = mu_word.dst
+    src0 = FreeBimod(I.shape, 1)
     tgt = FreeBimod(one_slot, 1)
     mu = Operator(src0, tgt, {(0, 0): (mu_word,)})
-    dw = w.rename({w.ring.vars[0]: "t"}, onesr).derivative("t")
+    dw = w.rename({w.ring.vars[0]: "t"}, one_slot.ring()).derivative("t")
     want = Operator(src0, tgt, {(0, 0): (mu_word.then(w_mul(one_slot, dw)),)})
     ok0, mode0 = op_equal(mu.compose(I.d0), want)
     ok1, mode1 = op_equal(mu.compose(I.d1), Operator(src0, tgt))

@@ -53,6 +53,7 @@ from .bifact import (
     mbf_from_polys,
     morphism_equal,
     ps_object,
+    slot_map,
     tensor_copy,
     tensor_mor,
     tensor_obj,
@@ -449,19 +450,18 @@ def reduce_tensor(Am: MBF, Bm: MBF, check: bool = True) -> ReducedTensor:
     T = tensor_obj(Am, Bm)
     sh3, sh2 = T.shape, Am.shape
     r3, r2 = sh3.ring(), sh2.ring()
-    to_mid = {"a": "x1", "b": "b"}
-    q1 = Bm.d1.matrix()[0][0].rename(to_mid, r3)
+    # A sits on the first two slots of the glued chain, B on the last two
+    q1 = Bm.d1.matrix()[0][0].rename(slot_map(sh2, sh3, lambda s: s + 1), r3)
     g = q1.degree_in("x1")
     lead = q1.coefficients_in("x1").get(g)
     if g < 1 or lead is None or lead.constant_value() != Cyclo.one(d):
         raise ValueError("right d1 entry must be monic in its left variable")
 
-    shift = {"a": "a", "b": "x1"}
+    a_names = slot_map(sh2, sh3, lambda s: s)
     rA0, rA1 = Am.m0.rank, Am.m1.rank
-    dA0, dA1 = ([[p.rename(shift, r3) for p in row] for row in op.matrix()]
+    dA0, dA1 = ([[p.rename(a_names, r3) for p in row] for row in op.matrix()]
                 for op in (Am.d0, Am.d1))
 
-    drop = {"a": "a", "b": "b"}
     xpow = [r3.monomial({"x1": j}) for j in range(g)]
     ins = w_insert(sh2, 1)
     at = lambda p, u, k: tensor_copy(Am, Bm, p, u, k, 0)  # copy u of A_p beside B_k
@@ -484,7 +484,7 @@ def reduce_tensor(Am: MBF, Bm: MBF, check: bool = True) -> ReducedTensor:
                         continue
                     quo, rem = (dmat[v][u] * xpow[j]).divmod_in_var(q1, "x1")
                     for m, cp in rem.coefficients_in("x1").items():
-                        rows[v * g + m][col] = cp.rename(drop, r2)
+                        rows[v * g + m][col] = cp.rename({}, r2)
                     if not quo.is_zero():
                         leg[at(1 - p, v, 1), col] = (w_then_mul(ins, -quo if p else quo),)
         blocks.append(rows)

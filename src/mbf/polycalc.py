@@ -310,30 +310,32 @@ class MultiPoly:
         """
         if self.ring.conductor != target.conductor:
             raise RingMismatch(f"conductor {self.ring.conductor} vs {target.conductor}")
+        # (source index, target index or None if unmapped, scalar or None if 1)
         cols = []
         for i, v in enumerate(self.ring.vars):
             if v in mapping:
                 sc, dst = mapping[v]
-                cols.append((i, target.coerce_scalar(sc), target.index(dst)))
+                sc = target.coerce_scalar(sc)
+                cols.append((i, target.index(dst), None if sc.is_one() else sc))
             else:
                 cols.append((i, None, None))
         out: dict = {}
         width = len(target.vars)
         for e, coeff in self.terms.items():
             ne = [0] * width
-            for i, sc, j in cols:
+            for i, j, sc in cols:
                 k = e[i]
                 if k == 0:
                     continue
-                if sc is None:
+                if j is None:
                     raise KeyError(
                         f"variable {self.ring.vars[i]!r} occurs but is not mapped"
                     )
                 ne[j] += k
-                if not (sc - 1).is_zero():
+                if sc is not None:
                     coeff = coeff * sc**k
-                if coeff.is_zero():
-                    break
+                    if coeff.is_zero():
+                        break
             else:
                 key = tuple(ne)
                 prev = out.get(key)

@@ -18,6 +18,8 @@ from mbf.bifact import (
     MBF,
     Morphism,
     Operator,
+    PCoeff,
+    PSubst,
     SlotShape,
     associator,
     associator_inv,
@@ -30,6 +32,7 @@ from mbf.bifact import (
     pentagon_check,
     ps_object,
     rxa_lemma_check,
+    slot_map,
     tensor_copy,
     tensor_mor,
     tensor_obj,
@@ -43,6 +46,8 @@ from mbf.bifact import (
     unit_object,
     validate_mbf,
     w_coeff,
+    w_collapse,
+    w_insert,
     w_mul,
     w_quo,
     w_rem,
@@ -1221,3 +1226,196 @@ class TestOperatorImmutability:
         given[key].append(word)
         given[0, 0] = [word]
         assert dict(other.cells) == {key: (word,)}
+
+
+# -- slot maps ----------------------------------------------------------------
+#
+# Reference renamings, written out slot by slot as loops, one per structure
+# map; `slot_map` must build the same dictionaries.
+
+
+def _ref_embed(inner, ambient, offset):
+    out = {}
+    for s in range(inner.nslots):
+        for vi, va in zip(inner.slot_names(s), ambient.slot_names(offset + s)):
+            out[vi] = va
+    return out
+
+
+def _ref_insert(src, position):
+    dst = SlotShape(src.nslots + 1, src.nvars, src.conductor)
+    one = Cyclo.one(src.conductor)
+    m = {}
+    for s in range(src.nslots):
+        d = s if s < position else s + 1
+        for sv, dv in zip(src.slot_names(s), dst.slot_names(d)):
+            m[sv] = (one, dv)
+    return m
+
+
+def _ref_collapse(src, pair_left, scalar, twist_on):
+    dst = SlotShape(src.nslots - 1, src.nvars, src.conductor)
+    one = Cyclo.one(src.conductor)
+    sc = one if scalar is None else scalar
+    m = {}
+    for s in range(src.nslots):
+        d = s if s <= pair_left else s - 1
+        if s == pair_left:
+            c = sc if twist_on == "left" else one
+        elif s == pair_left + 1:
+            c = sc if twist_on == "right" else one
+        else:
+            c = one
+        for sv, dv in zip(src.slot_names(s), dst.slot_names(d)):
+            m[sv] = (c, dv)
+    return m
+
+
+def _ref_lift_subst(prim, left, right):
+    asrc, adst = prim.src.widen(left, right), prim.dst.widen(left, right)
+    src_emb = _ref_embed(prim.src, asrc, left)
+    dst_emb = _ref_embed(prim.dst, adst, left)
+    m = {src_emb[v]: (c, dst_emb[w]) for v, (c, w) in prim.mapping.items()}
+    one = Cyclo.one(asrc.conductor)
+    for s in range(left):
+        for sv, dv in zip(asrc.slot_names(s), adst.slot_names(s)):
+            m[sv] = (one, dv)
+    for t in range(right):
+        ss = left + prim.src.nslots + t
+        ds = left + prim.dst.nslots + t
+        for sv, dv in zip(asrc.slot_names(ss), adst.slot_names(ds)):
+            m[sv] = (one, dv)
+    return m
+
+
+def _ref_coeff_rename(shape, slot):
+    dst = SlotShape(shape.nslots - 1, shape.nvars, shape.conductor)
+    out = {}
+    for s in range(shape.nslots):
+        if s == slot:
+            continue
+        d = s if s < slot else s - 1
+        for vi, va in zip(shape.slot_names(s), dst.slot_names(d)):
+            out[vi] = va
+    return out
+
+
+_CHAINS = [SlotShape(n, v, 5) for n in range(2, 6) for v in (1, 2)]
+
+
+def _subst_words(shape):
+    """An insert, a collapse and (with an internal slot) a transfer word."""
+    if shape.nslots == 2:
+        return [w_insert(shape, 1), w_collapse(shape, 0)]
+    return [w_insert(shape, 1), w_collapse(shape, 0, Cyclo.root(5, 2), "right"),
+            w_transfer(shape, shape.slot_names(1)[0], shape.left_names()[0])]
+
+
+class TestSlotMap:
+    def test_map_places_slots_in_order(self):
+        src, dst = SlotShape(3, 2, 4), SlotShape(2, 2, 4)
+        assert slot_map(src, dst, lambda s: None if s == 1 else s // 2) == {
+            "a1": "a1", "a2": "a2", "b1": "b1", "b2": "b2"}
+        assert slot_map(dst, src, lambda s: s + 1) == {
+            "a1": "x1_1", "a2": "x1_2", "b1": "b1", "b2": "b2"}
+
+    @pytest.mark.parametrize("shape", _CHAINS, ids=repr)
+    def test_insert_matches_the_loop(self, shape):
+        for position in range(1, shape.nslots):
+            (prim,) = w_insert(shape, position).prims
+            assert prim.mapping == _ref_insert(shape, position)
+
+    @pytest.mark.parametrize("shape", _CHAINS, ids=repr)
+    def test_collapse_matches_the_loop(self, shape):
+        for pair_left, scalar, twist_on in itertools.product(
+                range(shape.nslots - 1), (None, Cyclo.root(5, 1)), ("left", "right")):
+            twisted = pair_left + (twist_on == "right")
+            if scalar is not None and twisted in (0, shape.nslots - 1):
+                # an outer variable may not be twisted
+                with pytest.raises(ValueError, match="outer-"):
+                    w_collapse(shape, pair_left, scalar, twist_on)
+                continue
+            (prim,) = w_collapse(shape, pair_left, scalar, twist_on).prims
+            assert prim.mapping == _ref_collapse(shape, pair_left, scalar, twist_on)
+
+    @pytest.mark.parametrize("shape", _CHAINS, ids=repr)
+    def test_lift_matches_the_loop(self, shape):
+        for word, left, right in itertools.product(_subst_words(shape), range(3), range(3)):
+            (prim,) = word.prims
+            (lifted,) = word.lift(left, right).prims
+            assert lifted.mapping == _ref_lift_subst(prim, left, right)
+
+    @pytest.mark.parametrize("shape", _CHAINS, ids=repr)
+    def test_shape_keeping_lifts_match_the_loop(self, shape):
+        ring = shape.ring()
+        a, b = shape.left_names()[0], shape.right_names()[0]
+        for left, right in itertools.product(range(3), range(3)):
+            wide = shape.widen(left, right)
+            emb = _ref_embed(shape, wide, left)
+            (mul,) = w_mul(shape, ring.var(a) * ring.var(b)).lift(left, right).prims
+            assert mul.poly == wide.ring().var(emb[a]) * wide.ring().var(emb[b])
+            (td,) = w_tdiv(shape, a, b).lift(left, right).prims
+            assert (td.v1, td.v2) == (emb[a], emb[b])
+            (rem,) = w_rem(shape, ring.var(a) - ring.var(b), a).lift(left, right).prims
+            assert rem.var == emb[a]
+
+    @pytest.mark.parametrize("nslots", range(3, 6))
+    def test_coefficient_drop_matches_the_loop(self, nslots):
+        shape = SlotShape(nslots, 1, 5)
+        for slot in range(1, nslots - 1):
+            (prim,) = w_coeff(shape, f"x{slot}", 2).prims
+            assert prim.dst == SlotShape(nslots - 1, 1, 5)
+            assert prim.to_dst == _ref_coeff_rename(shape, slot)
+            for left, right in itertools.product(range(3), range(3)):
+                (lifted,) = w_coeff(shape, f"x{slot}", 2).lift(left, right).prims
+                assert lifted.var == f"x{left + slot}"
+                assert lifted.to_dst == _ref_coeff_rename(shape.widen(left, right), left + slot)
+
+    @pytest.mark.parametrize("shape", _CHAINS, ids=repr)
+    @pytest.mark.parametrize("side", ["left", "right"])
+    def test_outer_variable_twisted_or_misplaced_raises(self, shape, side):
+        one, eta = Cyclo.one(5), Cyclo.root(5, 1)
+        ident = {v: (one, v) for v in shape.ring().vars}
+        outer = (shape.left_names() if side == "left" else shape.right_names())[-1]
+        other = (shape.right_names() if side == "left" else shape.left_names())[-1]
+        for bad in ((eta, outer), (one, other)):
+            with pytest.raises(ValueError, match=f"outer-{side} variable {outer!r}"):
+                PSubst(shape, shape, {**ident, outer: bad})
+        # internal variables may be twisted
+        for v in shape.internal_names():
+            assert not PSubst(shape, shape, {**ident, v: (eta, v)}).is_identity()
+
+    @pytest.mark.parametrize("var", ["a", "b", "x3", "t"])
+    def test_coefficient_of_an_outer_variable_raises(self, var):
+        with pytest.raises(ValueError, match="is not an internal slot variable"):
+            PCoeff(SlotShape(3, 1, 5), var, 0)
+
+    def test_unit_scalars_do_no_scalar_arithmetic(self, monkeypatch):
+        shape = SlotShape(3, 1, 5)
+        ring = shape.ring()
+        eta = Cyclo.root(5, 1)
+        p = ring.p_S([0, 2], "a", "x1") * ring.var("b") + ring.const(eta)
+        (insert,) = w_insert(SlotShape(2, 1, 5), 1).prims
+        (merge,) = w_collapse(shape, 0).prims
+        (twisted,) = w_collapse(shape, 0, eta, "right").prims
+        q = ring.p_S([1], "a", "b").rename({}, SlotShape(2, 1, 5).ring())
+        calls = collections.Counter()
+
+        def counted(name):
+            original = getattr(Cyclo, name)
+
+            def wrapper(self, other):
+                calls[name] += 1
+                return original(self, other)
+            monkeypatch.setattr(Cyclo, name, wrapper)
+        counted("__sub__")
+        counted("__mul__")
+        renamed = p.rename({"x1": "b"}, ring)
+        merged, inserted = merge.apply(p), insert.apply(q)
+        assert calls == {}
+        twisted.apply(p)
+        assert calls["__mul__"] > 0
+        monkeypatch.undo()
+        assert renamed == p.subst_scale({"a": (1, "a"), "x1": (1, "b"), "b": (1, "b")}, ring)
+        assert merged == p.rename({"x1": "a"}, merge.dst.ring())
+        assert inserted == q.rename({}, ring)
