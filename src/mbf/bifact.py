@@ -476,11 +476,13 @@ def w_then_mul(word: Word, poly: MultiPoly) -> Word:
 
 def w_collapse(src: SlotShape, pair_left: int, scalar=None, twist_on: str = "left") -> Word:
     """Merge slots pair_left, pair_left+1; the twisted side picks up `scalar`."""
+    if twist_on not in ("left", "right"):
+        raise ValueError(f"twist_on must be 'left' or 'right', got {twist_on!r}")
     dst = SlotShape(src.nslots - 1, src.nvars, src.conductor)
     one = Cyclo.one(src.conductor)
     names = slot_map(src, dst, lambda s: s if s <= pair_left else s - 1)
     m = {v: (one, w) for v, w in names.items()}
-    if scalar is not None and twist_on in ("left", "right"):
+    if scalar is not None:
         for v in src.slot_names(pair_left + (twist_on == "right")):
             m[v] = (scalar, names[v])
     return Word.of(PSubst(src, dst, m))
@@ -1339,10 +1341,13 @@ def unit_isos_inverse(D: MBF):
         raise ValueError("inverse unit isomorphisms: one-variable 2-slot objects only")
     I = unit_object(D.w)
     ins = w_insert(D.shape, 1)
-    ring3 = D.shape.widen(0, 1).ring()
+    ring3 = ins.dst.ring()
+    # D on the outer slots (the map of `ins`) and on the first two slots
+    outer = slot_map(D.shape, ins.dst, lambda s: 2 * s)
+    first = slot_map(D.shape, ins.dst, lambda s: s)
     # (p(a,b) − p(x1,b)) / (a − x1) and (p(a,x1) − p(a,b)) / (x1 − b)
-    dd_into_x = lambda p: p.rename({}, ring3).divided_difference("a", "x1")
-    dd_from_b = lambda p: p.rename({"b": "x1"}, ring3).divided_difference("x1", "b")
+    dd_into_x = lambda p: p.rename(outer, ring3).divided_difference("a", "x1")
+    dd_from_b = lambda p: p.rename(first, ring3).divided_difference("x1", "b")
     minus = Cyclo.from_rat(D.shape.conductor, -1)
 
     def leg(T, at, dd, p, negate):

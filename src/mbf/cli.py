@@ -1,5 +1,7 @@
 """Command-line front end: subcommand dispatch, JSON/CSV reports, exit codes.
 
+Every handler returns (text, ok): its whole report and its verdict.  `main`
+alone writes the text, to --out or stdout, and turns ok into the exit code.
 Exit codes: 0 success, 1 verification failure, 2 usage error.  Output is
 deterministic (no timestamps, sorted keys); every report embeds the package
 version and the parameters that shaped it.  Set-valued arguments accept comma
@@ -11,8 +13,6 @@ so "1,1,0,1,1,2" is {1/2 1/2 0; 1/2 1/2 1}.
 from __future__ import annotations
 
 import argparse
-import csv
-import io
 import json
 import math
 import sys
@@ -124,31 +124,13 @@ def _charge(text: str):
         raise argparse.ArgumentTypeError(f"expected a rational p or p/q, got {text!r}") from None
 
 
-def _write(text: str, out: str | None):
-    if out:
-        with open(out, "w") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
-
-
-def emit_json(doc: dict, out: str | None = None):
-    _write(json.dumps(doc, indent=2, sort_keys=True) + "\n", out)
-
-
-def emit_csv(header, rows, out: str | None = None):
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(header)
-    writer.writerows(rows)
-    _write(buf.getvalue(), out)
-
-
-def _document(command: str, params: dict, payload: dict, ok: bool) -> dict:
-    doc = {"version": __version__, "command": command, "pass": bool(ok)}
+def _report(command: str, params: dict, payload: dict, ok: bool) -> tuple[str, bool]:
+    """The JSON report of one run and its verdict, as a handler returns them."""
+    ok = bool(ok)
+    doc = {"version": __version__, "command": command, "pass": ok}
     doc.update(params)
     doc.update(payload)
-    return doc
+    return json.dumps(doc, indent=2, sort_keys=True) + "\n", ok
 
 
 # ---------------------------------------------------------------------------
@@ -206,46 +188,33 @@ def _run_monoidal_suite(d: int):
     return checks
 
 
-def cmd_verify(args) -> int:
+def cmd_verify(args) -> tuple[str, bool]:
     checks = _run_monoidal_suite(args.d)
-    ok = all(c["ok"] for c in checks)
-    doc = _document(
-        "verify monoidal",
-        {"d": args.d, "cutoff": DEFAULT_CUTOFF},
-        {"checks": checks},
-        ok,
-    )
-    emit_json(doc, args.out)
-    return EXIT_OK if ok else EXIT_FAIL
+    return _report("verify monoidal", {"d": args.d, "cutoff": DEFAULT_CUTOFF},
+                   {"checks": checks}, all(c["ok"] for c in checks))
 
 
 # ---------------------------------------------------------------------------
 # fusing / hom / fuse
 
 
-def cmd_fusing(args) -> int:
+def cmd_fusing(args) -> tuple[str, bool]:
     if args.verify_homotopy:
         rep = verify_fusing_up_to_homotopy(args.d)
         ok = all(e["status"] == "witness" for e in rep.homotopy_entries)
     else:
         rep = solve_fusing_2x2(args.d)
         ok = True
-    doc = _document(
-        "fusing",
-        {"d": args.d},
-        {"report": rep.to_json(), "homotopy_verified": bool(args.verify_homotopy)},
-        ok,
-    )
-    emit_json(doc, args.out)
-    return EXIT_OK if ok else EXIT_FAIL
+    payload = {"report": rep.to_json(), "homotopy_verified": bool(args.verify_homotopy)}
+    return _report("fusing", {"d": args.d}, payload, ok)
 
 
-def cmd_hom(args) -> int:
+def cmd_hom(args) -> tuple[str, bool]:
     source = parse_set(args.source, args.d)
     target = parse_set(args.target, args.d)
     charge = "all" if args.all or args.charge is None else args.charge
     hs = hom_space(ps_object(args.d, source), ps_object(args.d, target), charge=charge)
-    doc = _document(
+    return _report(
         "hom",
         {
             "d": args.d,
@@ -260,15 +229,13 @@ def cmd_hom(args) -> int:
         },
         True,
     )
-    emit_json(doc, args.out)
-    return EXIT_OK
 
 
-def cmd_fuse(args) -> int:
+def cmd_fuse(args) -> tuple[str, bool]:
     left = parse_set(args.left, args.d)
     right = parse_set(args.right, args.d)
     rt, summands = fuse(args.d, left, right, check=True)
-    doc = _document(
+    return _report(
         "fuse",
         {"d": args.d, "left": list(left), "right": list(right)},
         {
@@ -278,8 +245,6 @@ def cmd_fuse(args) -> int:
         },
         True,
     )
-    emit_json(doc, args.out)
-    return EXIT_OK
 
 
 # ---------------------------------------------------------------------------
@@ -291,79 +256,63 @@ def _sixj_digits(precision: int) -> int:
     return max(10, int(precision * 0.301) - 2)
 
 
-def cmd_cft(args) -> int:
-    if args.cftcmd == "sixj":
-        k, prec = args.k, args.precision
-        digits = _sixj_digits(prec)
-        rows = []
-        for doubled in admissible_sixj_labels(k):
-            v = sixj(k, *(Fraction(x, 2) for x in doubled), prec=prec)
-            with mp.workprec(prec):
-                rows.append(list(doubled) + [mp.nstr(v.value, digits)])
-        emit_csv(["a", "b", "e", "d", "c", "f", "value"], rows, args.out)
-        return EXIT_OK
-
-    if args.cftcmd == "pentagon":
-        res = sixj_pentagon_check(args.k, prec=args.precision)
-        ok = res <= args.tol
-        doc = _document(
-            "cft pentagon",
-            {"k": args.k, "precision": args.precision, "tol": args.tol},
-            {"max_residual": res},
-            ok,
-        )
-        emit_json(doc, args.out)
-        return EXIT_OK if ok else EXIT_FAIL
-
-    if args.cftcmd == "fusing":
-        d, prec, tol = args.d, args.precision, args.tol
-        F = cft_fusing_examples(d, "twoByTwo", prec=prec)
+def cmd_cft_sixj(args) -> tuple[str, bool]:
+    # the labels are integers and mp.nstr prints no comma, so no field needs quoting
+    k, prec = args.k, args.precision
+    digits = _sixj_digits(prec)
+    lines = ["a,b,e,d,c,f,value\n"]
+    for doubled in admissible_sixj_labels(k):
+        v = sixj(k, *(Fraction(x, 2) for x in doubled), prec=prec)
         with mp.workprec(prec):
-            diag = 1 / (2 * mp.cospi(mp.mpf(1) / d))
-            off = mp.sqrt(mp.sinpi(mp.mpf(1) / d) * mp.sinpi(mp.mpf(3) / d)) / mp.sinpi(
-                mp.mpf(2) / d
-            )
-            closed = ((-diag, off), (off, diag))
-            entry_dev = max(
-                float(abs(F[i][j] - closed[i][j])) for i in (0, 1) for j in (0, 1)
-            )
-            ratio = fusing_ratio(F)
-            target = fusing_ratio_closed_form(d)
-            ratio_dev = float(abs(ratio - target))
-        payload = {
-            "F": [[float(F[i][j]) for j in (0, 1)] for i in (0, 1)],
-            "entry_deviation": entry_dev,
-            "ratio": float(ratio),
-            "ratio_closed_form": float(target),
-            "ratio_deviation": ratio_dev,
-            "group_like_scalar": cft_fusing_examples(d, "groupLike"),
-        }
-        if d % 2 == 0:
-            payload["sign_scalar"] = cft_fusing_examples(d, "sign", prec=prec)
-        ok = entry_dev <= tol and ratio_dev <= tol and payload["group_like_scalar"] == 1
-        doc = _document(
-            "cft fusing", {"d": d, "precision": prec, "tol": tol}, payload, ok
-        )
-        emit_json(doc, args.out)
-        return EXIT_OK if ok else EXIT_FAIL
+            lines.append(",".join(map(str, doubled)) + f",{mp.nstr(v.value, digits)}\n")
+    return "".join(lines), True
 
-    if args.cftcmd == "spectrum":
-        pairs = defect_spectrum(args.d, args.u, n=args.n, chiral_only=args.chiral_only)
-        payload = {"count": len(pairs), "pairs": [[str(x), str(y)] for x, y in pairs]}
-        if args.chiral_only:
-            payload["charges"] = [
-                rat_str(chiral_charge(args.d, x.l) + chiral_charge(args.d, y.l))
-                for x, y in pairs
-            ]
-        doc = _document(
-            "cft spectrum",
-            {"d": args.d, "u": args.u, "n": args.n, "chiral_only": args.chiral_only},
-            payload,
-            True,
+
+def cmd_cft_pentagon(args) -> tuple[str, bool]:
+    res = sixj_pentagon_check(args.k, prec=args.precision)
+    return _report("cft pentagon", {"k": args.k, "precision": args.precision, "tol": args.tol},
+                   {"max_residual": res}, res <= args.tol)
+
+
+def cmd_cft_fusing(args) -> tuple[str, bool]:
+    d, prec, tol = args.d, args.precision, args.tol
+    F = cft_fusing_examples(d, "twoByTwo", prec=prec)
+    with mp.workprec(prec):
+        diag = 1 / (2 * mp.cospi(mp.mpf(1) / d))
+        off = mp.sqrt(mp.sinpi(mp.mpf(1) / d) * mp.sinpi(mp.mpf(3) / d)) / mp.sinpi(
+            mp.mpf(2) / d
         )
-        emit_json(doc, args.out)
-        return EXIT_OK
-    raise AssertionError(f"unhandled cft subcommand {args.cftcmd!r}")
+        closed = ((-diag, off), (off, diag))
+        entry_dev = max(
+            float(abs(F[i][j] - closed[i][j])) for i in (0, 1) for j in (0, 1)
+        )
+        ratio = fusing_ratio(F)
+        target = fusing_ratio_closed_form(d)
+        ratio_dev = float(abs(ratio - target))
+    payload = {
+        "F": [[float(F[i][j]) for j in (0, 1)] for i in (0, 1)],
+        "entry_deviation": entry_dev,
+        "ratio": float(ratio),
+        "ratio_closed_form": float(target),
+        "ratio_deviation": ratio_dev,
+        "group_like_scalar": cft_fusing_examples(d, "groupLike"),
+    }
+    if d % 2 == 0:
+        payload["sign_scalar"] = cft_fusing_examples(d, "sign", prec=prec)
+    ok = entry_dev <= tol and ratio_dev <= tol and payload["group_like_scalar"] == 1
+    return _report("cft fusing", {"d": d, "precision": prec, "tol": tol}, payload, ok)
+
+
+def cmd_cft_spectrum(args) -> tuple[str, bool]:
+    pairs = defect_spectrum(args.d, args.u, n=args.n, chiral_only=args.chiral_only)
+    payload = {"count": len(pairs), "pairs": [[str(x), str(y)] for x, y in pairs]}
+    if args.chiral_only:
+        payload["charges"] = [
+            rat_str(chiral_charge(args.d, x.l) + chiral_charge(args.d, y.l))
+            for x, y in pairs
+        ]
+    params = {"d": args.d, "u": args.u, "n": args.n, "chiral_only": args.chiral_only}
+    return _report("cft spectrum", params, payload, True)
 
 
 # ---------------------------------------------------------------------------
@@ -380,44 +329,45 @@ def _d_range(args) -> list:
     return list(range(args.d_min, args.d_max + 1))
 
 
-def cmd_compare(args) -> int:
-    if args.cmpcmd == "ratio":
-        results = [ratio_compare(d, args.tol) for d in _d_range(args)]
-        ok = all(r["pass"] for r in results)
-        doc = _document("compare ratio", {"tol": args.tol}, {"results": results}, ok)
-    elif args.cmpcmd == "spectrum":
-        us = range(args.d - 1) if args.u is None else [args.u]
-        results = [spectrum_compare(args.d, u) for u in us]
-        ok = all(r["pass"] for r in results)
-        doc = _document("compare spectrum", {"d": args.d}, {"results": results}, ok)
-    else:
-        result = fusion_rule_compare(args.d, verify_homotopy=args.verify_homotopy)
-        ok = result["pass"]
-        doc = _document("compare fusion", {"d": args.d}, {"result": result}, ok)
-    emit_json(doc, args.out)
-    return EXIT_OK if ok else EXIT_FAIL
+def cmd_compare_ratio(args) -> tuple[str, bool]:
+    results = [ratio_compare(d, args.tol) for d in _d_range(args)]
+    return _report("compare ratio", {"tol": args.tol}, {"results": results},
+                   all(r["pass"] for r in results))
+
+
+def cmd_compare_spectrum(args) -> tuple[str, bool]:
+    us = range(args.d - 1) if args.u is None else [args.u]
+    results = [spectrum_compare(args.d, u) for u in us]
+    return _report("compare spectrum", {"d": args.d}, {"results": results},
+                   all(r["pass"] for r in results))
+
+
+def cmd_compare_fusion(args) -> tuple[str, bool]:
+    result = fusion_rule_compare(args.d, verify_homotopy=args.verify_homotopy)
+    return _report("compare fusion", {"d": args.d}, {"result": result}, result["pass"])
 
 
 # ---------------------------------------------------------------------------
 # top-level sixj evaluation
 
 
-def cmd_sixj(args) -> int:
+def cmd_sixj(args) -> tuple[str, bool]:
     doubled = [int(tok) for tok in args.labels.split(",")]
     if len(doubled) != 6:
         raise ValueError("--labels needs six comma-separated doubled spins")
     v = sixj(args.k, *(Fraction(x, 2) for x in doubled), prec=args.precision)
     with mp.workprec(args.precision):
-        _write(mp.nstr(v.value, _sixj_digits(args.precision)) + "\n", args.out)
-    return EXIT_OK
+        return mp.nstr(v.value, _sixj_digits(args.precision)) + "\n", True
 
 
 # ---------------------------------------------------------------------------
 # parser wiring
 
 
-def _add_out(p):
+def _finish(p, func):
+    """The last flag of every subcommand, and the handler that runs it."""
     p.add_argument("--out", help="write the report to this path instead of stdout")
+    p.set_defaults(func=func)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -432,14 +382,12 @@ def build_parser() -> argparse.ArgumentParser:
     vsub = vp.add_subparsers(dest="what", required=True)
     vm = vsub.add_parser("monoidal", help="pentagon/triangle/unit-iso/homotopy suite")
     vm.add_argument("--d", type=_degree, required=True)
-    _add_out(vm)
-    vm.set_defaults(func=cmd_verify)
+    _finish(vm, cmd_verify)
 
     fp = sub.add_parser("fusing", help="solve the 2x2 fusing matrix exactly")
     fp.add_argument("--d", type=_degree, required=True)
     fp.add_argument("--verify-homotopy", action="store_true")
-    _add_out(fp)
-    fp.set_defaults(func=cmd_fusing)
+    _finish(fp, cmd_fusing)
 
     hp = sub.add_parser("hom", help="cohomology of graded morphisms between defects")
     hp.add_argument("--d", type=_degree, required=True)
@@ -448,40 +396,36 @@ def build_parser() -> argparse.ArgumentParser:
     hg = hp.add_mutually_exclusive_group()
     hg.add_argument("--charge", type=_charge, help='single R-charge sector, e.g. "2/5"')
     hg.add_argument("--all", action="store_true", help="every sector (default)")
-    _add_out(hp)
-    hp.set_defaults(func=cmd_hom)
+    _finish(hp, cmd_hom)
 
     up = sub.add_parser("fuse", help="reduce a tensor product and decompose it")
     up.add_argument("--d", type=_degree, required=True)
     up.add_argument("--left", required=True)
     up.add_argument("--right", required=True)
-    _add_out(up)
-    up.set_defaults(func=cmd_fuse)
+    _finish(up, cmd_fuse)
 
     cp = sub.add_parser("cft", help="quantum 6j and coset data")
     csub = cp.add_subparsers(dest="cftcmd", required=True)
     c1 = csub.add_parser("sixj", help="CSV table of admissible 6j values")
     c1.add_argument("--k", type=_level, required=True)
     c1.add_argument("--precision", type=_precision, default=DEFAULT_PREC)
-    _add_out(c1)
+    _finish(c1, cmd_cft_sixj)
     c2 = csub.add_parser("pentagon", help="largest pentagon residual at level k")
     c2.add_argument("--k", type=_level, required=True)
     c2.add_argument("--precision", type=_precision, default=DEFAULT_PREC)
     c2.add_argument("--tol", type=_tolerance, default=1e-18)
-    _add_out(c2)
+    _finish(c2, cmd_cft_pentagon)
     c3 = csub.add_parser("fusing", help="worked 2x2 example against closed forms")
     c3.add_argument("--d", type=_degree, required=True)
     c3.add_argument("--precision", type=_precision, default=DEFAULT_PREC)
     c3.add_argument("--tol", type=_tolerance, default=1e-10)
-    _add_out(c3)
+    _finish(c3, cmd_cft_fusing)
     c4 = csub.add_parser("spectrum", help="defect-changing spectrum labels")
     c4.add_argument("--d", type=_degree, required=True)
     c4.add_argument("--u", type=int, default=0)
     c4.add_argument("--n", type=int, default=0)
     c4.add_argument("--chiral-only", action="store_true")
-    _add_out(c4)
-    for c in (c1, c2, c3, c4):
-        c.set_defaults(func=cmd_cft)
+    _finish(c4, cmd_cft_spectrum)
 
     mp_ = sub.add_parser("compare", help="cross-verification of the two sides")
     msub = mp_.add_subparsers(dest="cmpcmd", required=True)
@@ -490,17 +434,15 @@ def build_parser() -> argparse.ArgumentParser:
     m1.add_argument("--d-min", type=_degree)
     m1.add_argument("--d-max", type=_degree)
     m1.add_argument("--tol", type=_tolerance, default=1e-10)
-    _add_out(m1)
+    _finish(m1, cmd_compare_ratio)
     m2 = msub.add_parser("spectrum", help="defect-changing charge multisets")
     m2.add_argument("--d", type=_degree, required=True)
     m2.add_argument("--u", type=int)
-    _add_out(m2)
+    _finish(m2, cmd_compare_spectrum)
     m3 = msub.add_parser("fusion", help="fusion rules under the label dictionary")
     m3.add_argument("--d", type=_degree, required=True)
     m3.add_argument("--verify-homotopy", action="store_true")
-    _add_out(m3)
-    for m in (m1, m2, m3):
-        m.set_defaults(func=cmd_compare)
+    _finish(m3, cmd_compare_fusion)
 
     sp = sub.add_parser("sixj", help="evaluate one 6j symbol (doubled-spin labels)")
     sp.add_argument("--k", type=_level, required=True)
@@ -510,19 +452,25 @@ def build_parser() -> argparse.ArgumentParser:
         help="six doubled spins a,b,e,d,c,f; e.g. 1,1,0,1,1,2",
     )
     sp.add_argument("--precision", type=_precision, default=DEFAULT_PREC)
-    _add_out(sp)
-    sp.set_defaults(func=cmd_sixj)
+    _finish(sp, cmd_sixj)
     return p
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    """Run one subcommand; the only code that writes a report or picks the
+    exit code.  A raised check writes nothing."""
+    args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        text, ok = args.func(args)
+        if args.out:
+            with open(args.out, "w") as fh:
+                fh.write(text)
+        else:
+            sys.stdout.write(text)
     except (ValueError, OSError) as exc:  # OSError: an --out that cannot be written
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_FAIL if isinstance(exc, VerificationError) else EXIT_USAGE
+    return EXIT_OK if ok else EXIT_FAIL
 
 
 if __name__ == "__main__":

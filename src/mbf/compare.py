@@ -143,8 +143,10 @@ def fusion_rule_compare(d: int, verify_homotopy: bool = False) -> dict:
     Every reduction is built with its exact validity checks on (the retract
     identity in particular); verify_homotopy additionally confirms the
     homotopy witness for the other composite on each pair.  That witness
-    reaches `morphism_equal`'s pointwise sweep (evidence, not proof), run to
-    total degree 2d, as the report's `homotopy_cutoff` records.
+    reaches `morphism_equal`'s pointwise sweep, capped at total degree 2d, as
+    the report's `homotopy_cutoff` records; each copy stops at its
+    shift-annihilator order (2 to 4 at d = 4), and the label stays
+    "verified-to-cutoff".
     """
     if not 3 <= d <= 8:
         raise ValueError("supported range is 3 <= d <= 8 (runtime grows fast)")

@@ -69,10 +69,6 @@ from .graded import NotHomogeneous, graded_validate, is_null_homotopic, morphism
 from . import linalg
 
 
-def _eta(d: int, k: int = 1) -> Cyclo:
-    return Cyclo.root(d, k % d)
-
-
 class PSObject:
     """`underlying` is `ps_object(d, S)`.  Only the benchmark's workloads
     still build P_S through this class; everything else calls `ps_object`."""
@@ -94,12 +90,12 @@ def _closed_and_chargeless(phi: Morphism, name: str):
 
 def m_word(d: int, j: int) -> Word:
     """Merge the middle slot rightward with twist eta^j per power."""
-    return w_collapse(SlotShape(3, 1, d), 1, _eta(d, j), "left")
+    return w_collapse(SlotShape(3, 1, d), 1, Cyclo.root(d, j), "left")
 
 
 def m_prime_word(d: int, j: int) -> Word:
     """Merge the middle slot leftward with twist eta^{-j} per power."""
-    return w_collapse(SlotShape(3, 1, d), 0, _eta(d, -j), "right")
+    return w_collapse(SlotShape(3, 1, d), 0, Cyclo.root(d, -j), "right")
 
 
 def lam(d: int, i: int, j: int) -> Morphism:
@@ -163,7 +159,7 @@ class Junctions:
         J = w_insert(SlotShape(2, 1, d), 1)
         ring = J.dst.ring()
         one = Cyclo.one(d)
-        e = lambda k: _eta(d, k)
+        e = lambda k: Cyclo.root(d, k)
 
         def lin(ca, cx, cb):
             return (

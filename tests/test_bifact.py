@@ -1338,6 +1338,12 @@ class TestSlotMap:
             (prim,) = w_collapse(shape, pair_left, scalar, twist_on).prims
             assert prim.mapping == _ref_collapse(shape, pair_left, scalar, twist_on)
 
+    @pytest.mark.parametrize("scalar", [None, Cyclo.root(5, 1)], ids=["plain", "twisted"])
+    def test_collapse_rejects_an_unknown_twist_side(self, scalar):
+        # a misspelt side must not drop the twist unnoticed
+        with pytest.raises(ValueError, match="'Left'"):
+            w_collapse(SlotShape(3, 1, 5), 1, scalar, "Left")
+
     @pytest.mark.parametrize("shape", _CHAINS, ids=repr)
     def test_lift_matches_the_loop(self, shape):
         for word, left, right in itertools.product(_subst_words(shape), range(3), range(3)):

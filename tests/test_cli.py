@@ -511,6 +511,34 @@ class TestReportPlumbing:
         assert doc["version"] == __version__
 
     @pytest.mark.parametrize("argv", [
+        ["verify", "monoidal", "--d", "3"],
+        ["fusing", "--d", "4"],
+        ["hom", "--d", "3", "--source", "0", "--target", "0"],
+        ["fuse", "--d", "3", "--left", "0", "--right", "1"],
+        ["sixj", "--k", "2", "--labels", "1,1,0,1,1,2"],
+        ["cft", "sixj", "--k", "1"],
+        ["cft", "pentagon", "--k", "2", "--tol", "1e-60"],
+        ["cft", "fusing", "--d", "4"],
+        ["cft", "spectrum", "--d", "4", "--u", "1"],
+        ["compare", "ratio", "--d", "4"],
+        ["compare", "spectrum", "--d", "4"],
+        ["compare", "fusion", "--d", "3"],
+    ], ids=" ".join)
+    def test_out_holds_the_stdout_report(self, capsys, tmp_path, argv):
+        # one writer: --out gets exactly the bytes stdout would, with the same exit code
+        code, out = run(capsys, *argv)
+        path = tmp_path / "report"
+        code_out, out_out = run(capsys, *argv, "--out", str(path))
+        assert out and code == (1 if "pentagon" in argv else 0)
+        assert (code_out, out_out, path.read_text()) == (code, "", out)
+
+    def test_failed_verification_writes_no_file(self, capsys, monkeypatch, tmp_path):
+        monkeypatch.setattr(fusion, "morphism_charge", lambda *a: Rat(1))
+        path = tmp_path / "report.json"
+        code, out = run(capsys, "fusing", "--d", "4", "--out", str(path))
+        assert code == 1 and out == "" and not path.exists()
+
+    @pytest.mark.parametrize("argv", [
         ["cft", "spectrum", "--d", "4", "--u", "0"],
         ["cft", "sixj", "--k", "1"],
     ], ids=["json", "csv"])
