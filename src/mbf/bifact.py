@@ -843,6 +843,11 @@ def op_equal(A: Operator, B: Operator, cutoff: int = DEFAULT_CUTOFF):
     return True, "verified-to-cutoff"
 
 
+def joint_mode(modes) -> str:
+    """"exact" if every op_equal mode in `modes` is exact, else "verified-to-cutoff"."""
+    return "exact" if all(m.startswith("exact") for m in modes) else "verified-to-cutoff"
+
+
 def _kron(F: Operator, G: Operator) -> Operator:
     """F ⊗ G on one chain: G, then F.
 
@@ -991,8 +996,7 @@ def validate_mbf(D: MBF) -> ValidationReport:
                 i, j = next(iter(diff.cells))
                 detail = {"block": [i, j], "difference": str(diff.apply_basis(j, {})[i])}
             violations.append({"which": name, "mode": mode, "detail": detail})
-    mode = "exact" if all(m.startswith("exact") for m in modes) else "verified-to-cutoff"
-    return ValidationReport(not violations, mode, violations)
+    return ValidationReport(not violations, joint_mode(modes), violations)
 
 
 class Morphism:

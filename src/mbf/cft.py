@@ -55,19 +55,21 @@ def qnum(k: int, n: int, prec: int = DEFAULT_PREC):
 
 
 @functools.lru_cache(maxsize=None)
-def _qfact(k: int, n: int, prec: int):
-    if n == 0:
-        return mp.mpf(1)
-    with mp.workprec(prec + _GUARD_BITS):
-        return +(_qfact(k, n - 1, prec) * qnum(k, n, prec))
+def _qfacts(k: int, prec: int) -> list:
+    """[0]!, [1]!, ... at level k, as far as `qfact` has extended them."""
+    return [mp.mpf(1)]
 
 
 def qfact(k: int, n: int, prec: int = DEFAULT_PREC):
     """The q-factorial [n]! at level k, with [0]! = 1."""
-    n = int(n)
+    k, n, prec = int(k), int(n), int(prec)
     if n < 0:
         raise ValueError("q-factorial of a negative integer")
-    return _qfact(int(k), n, int(prec))
+    facts = _qfacts(k, prec)  # a loop, not a recursion: no depth limit at large k
+    while len(facts) <= n:
+        with mp.workprec(prec + _GUARD_BITS):
+            facts.append(+(facts[-1] * qnum(k, len(facts), prec)))
+    return facts[n]
 
 
 # ---------------------------------------------------------------------------

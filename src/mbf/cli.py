@@ -27,6 +27,7 @@ from .bifact import (
     Morphism,
     fermat_potential,
     homotopy_psi,
+    joint_mode,
     morphism_equal,
     pentagon_check as mbf_pentagon_check,
     ps_object,
@@ -149,8 +150,7 @@ def _run_monoidal_suite(d: int):
 
     uc = unit_coincidence_check(d)
     uc_modes = (uc["lam_after_laminv"]["mode"], uc["rho_after_laminv"]["mode"])
-    uc_exact = all(m.startswith("exact") for m in uc_modes)
-    add("unit-maps-coincide-on-unit", uc["ok"], "exact" if uc_exact else "verified-to-cutoff")
+    add("unit-maps-coincide-on-unit", uc["ok"], joint_mode(uc_modes))
 
     for S in ((0,), (0, 1)):
         D = ps_object(d, S)

@@ -5,8 +5,9 @@ P_S = (p_{S^c}, p_S) with S a proper subset of residues mod d.  It provides
 
 * the explicit junction morphisms between such defects, built from slot
   words: the group-like family `lam` and the sign pair `f_pair` (functions of
-  d alone, built unchecked; `verify_group_like` and `verify_sign` compare
-  their two bracketings), and in `Junctions` the six one-to-many junctions
+  d alone, built unchecked; `verify_group_like` and `verify_sign` read the
+  scalar between their two bracketings from one probe image, and
+  morphism_equal decides), and in `Junctions` the six one-to-many junctions
   ``A[1]`` .. ``A[6]``, each checked on construction to be delta-closed and
   of charge zero against the charges of its endpoints (`bifact.ps_object`
   grades every P_S);
@@ -215,49 +216,40 @@ def _probes(shape: SlotShape):
         yield {v: 2}
 
 
-def _poly_ratio(p: MultiPoly, q: MultiPoly):
-    """Exact scalar c with p = c*q, or None."""
-    eq, cq = q.leading_term()
-    cp = p.terms.get(eq)
-    if cp is None:
-        return None
-    c = cp * cq.inverse()
-    return c if q * c == p else None
-
-
-def proportionality_scalar(L: Morphism, R: Morphism):
-    """The exact scalar c with L = c*R, plus the equality mode.
-
-    "Sides not proportional" is a failed verification, so it raises
-    VerificationError (exit 1 in `mbf`): the callers compare two bracketings
-    the theory says are proportional, and a probe image or the final
-    morphism_equal that tells them apart refutes that computation.  A parity
-    mismatch or a right side that vanishes on every probe leaves no scalar
-    to check and stays a plain ValueError about the input.
-    """
-    if L.parity != R.parity:
-        raise ValueError("parity mismatch")
-    candidate = None
+def _first_nonzero_entry(L: Morphism, R: Morphism):
+    """The entries (of L, of R) at the first probe image where R is non-zero."""
     for opL, opR in ((L.opE, R.opE), (L.opO, R.opO)):
         for j in range(opR.src.rank):
             for exps in _probes(opR.src.shape):
-                imL = opL.apply_basis(j, exps)
-                imR = opR.apply_basis(j, exps)
-                for pL, pR in zip(imL, imR):
-                    if pR.is_zero():
-                        if not pL.is_zero():
-                            raise VerificationError("sides not proportional")
-                        continue
-                    c = _poly_ratio(pL, pR)
-                    if c is None or (candidate is not None and c != candidate):
-                        raise VerificationError("sides not proportional")
-                    candidate = c
-    if candidate is None:
-        raise ValueError("right side vanishes on all probes")
-    eq, mode = morphism_equal(L, R.scale(candidate))
+                for pL, pR in zip(opL.apply_basis(j, exps), opR.apply_basis(j, exps)):
+                    if not pR.is_zero():
+                        return pL, pR
+    raise ValueError("right side vanishes on all probes")
+
+
+def proportionality_scalar(L: Morphism, R: Morphism):
+    """The exact scalar c with L = c*R, plus the equality mode: c is read
+    from the first probe image where R is non-zero, at R's leading exponent,
+    and morphism_equal(L, c*R) alone decides.
+
+    "Sides not proportional" is a failed verification, so it raises
+    VerificationError (exit 1 in `mbf`): the callers compare two bracketings
+    the theory says are proportional, and an L with no term to read c from,
+    or a morphism_equal that tells L from c*R, refutes that computation.  A
+    parity mismatch or a right side that vanishes on every probe leaves no
+    scalar to check and stays a plain ValueError about the input.
+    """
+    if L.parity != R.parity:
+        raise ValueError("parity mismatch")
+    pL, pR = _first_nonzero_entry(L, R)
+    exps, coeff = pR.leading_term()
+    if exps not in pL.terms:
+        raise VerificationError("sides not proportional")
+    c = pL.terms[exps] * coeff.inverse()
+    eq, mode = morphism_equal(L, R.scale(c))
     if not eq:
         raise VerificationError(f"sides not proportional ({mode})")
-    return candidate, mode
+    return c, mode
 
 
 def verify_group_like(d: int, i: int, j: int, k: int) -> Cyclo:

@@ -5,8 +5,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from mpmath import mp
 
+from mbf import cft
 from mbf._rat import Rat
 from mbf.cft import (
+    DEFAULT_PREC,
     MMLabel,
     SixJValue,
     admissible_sixj_labels,
@@ -27,6 +29,7 @@ from mbf.cft import (
     su2_fusing,
     u1_cocycle_check,
     u1_data,
+    _GUARD_BITS,
 )
 
 HALF = Fraction(1, 2)
@@ -59,6 +62,28 @@ class TestQNumbers:
         with mp.workprec(200):
             ref = qnum(2, 1) * qnum(2, 2)
             assert abs(qfact(2, 2) - ref) < mp.mpf("1e-35")
+
+    @pytest.mark.parametrize("k", [5, 600])
+    def test_factorial_rounds_step_by_step(self, k):
+        # each step rounds [n-1]! * [n] once at the guarded precision
+        for n in range(1, 51):
+            with mp.workprec(DEFAULT_PREC + _GUARD_BITS):
+                want = +(qfact(k, n - 1) * qnum(k, n))
+            assert qfact(k, n) == want, n
+
+    def test_factorial_takes_each_q_number_once(self, monkeypatch):
+        # [n]! extends the factorials already computed at (k, prec), so a
+        # level-997 table up to n = 301 takes [1] .. [301] once each
+        calls = []
+
+        def counted(k, n, prec=DEFAULT_PREC):
+            calls.append(n)
+            return qnum(k, n, prec)
+
+        monkeypatch.setattr(cft, "qnum", counted)
+        for n in (300, 301, 150):
+            qfact(997, n, 131)
+        assert calls == list(range(1, 302))
 
     def test_factorial_negative(self):
         with pytest.raises(ValueError):

@@ -114,8 +114,8 @@ def test_failed_verification_exits_one(capsys, monkeypatch):
     ("verified-to-cutoff", "verified-to-cutoff"),
 ])
 def test_unit_coincidence_mode_follows_its_check(capsys, monkeypatch, second_mode, want):
-    # the reported mode follows the two composites' modes by validate_mbf's
-    # rule: "exact" only if both are exact
+    # the reported mode follows the two composites' modes by
+    # bifact.joint_mode, validate_mbf's rule: "exact" only if both are exact
     monkeypatch.setattr(cli, "unit_coincidence_check", lambda d: {
         "lam_after_laminv": {"ok": True, "mode": "exact-structural"},
         "rho_after_laminv": {"ok": True, "mode": second_mode},
@@ -299,6 +299,15 @@ class TestSixjAlias:
         code, out = run(capsys, "sixj", "--k", "2", "--labels", "1,1,0,1,1,2")
         assert code == 0
         assert out.startswith("0.70710678118654752")
+
+    @pytest.mark.parametrize("k", [600, 1000, 3000])
+    def test_large_level_exits_cleanly(self, capsys, k):
+        # [n]! up to n = k + 1 is a loop, so no level reaches the recursion limit
+        code = main(["sixj", "--k", str(k), "--labels", f"{k},{k},0,{k},{k},0"])
+        captured = capsys.readouterr()
+        assert code == 0
+        assert captured.out.count("\n") == 1 and captured.out.strip()
+        assert "Traceback" not in captured.err
 
     def test_inadmissible_prints_zero(self, capsys):
         code, out = run(capsys, "sixj", "--k", "2", "--labels", "1,0,0,0,0,0")

@@ -1,3 +1,4 @@
+import itertools
 import math
 import random
 
@@ -527,3 +528,48 @@ class TestProportionality:
         d = 5
         with pytest.raises(VerificationError, match="sides not proportional"):
             proportionality_scalar(lam(d, 1, 2), lam(d, 2, 1))
+
+    def test_one_leg_off_is_caught_by_the_proof(self):
+        # c is read from the first non-zero image, on the even leg; the odd
+        # leg's c + 1 is left for morphism_equal, whose mode the error names
+        d = 5
+        R = lam(d, 1, 2)
+        c = Cyclo.root(d, 3)
+        L = Morphism(R.src, R.dst, R.parity, R.opE.scale(c), R.opO.scale(c + Cyclo.one(d)))
+        with pytest.raises(VerificationError, match=r"sides not proportional \(counterexample"):
+            proportionality_scalar(L, R)
+
+    @pytest.mark.parametrize("check,want", [(lambda: verify_group_like(5, 1, 2, 3), 2),
+                                            (lambda: verify_sign(4), 22)],
+                             ids=["group-like", "sign"])
+    def test_probes_stop_at_the_first_nonzero_image(self, monkeypatch, check, want):
+        # one (L, R) pair of images per probe up to the first non-zero one of
+        # R: the group-like one is the first probe, the sign one the 11th
+        calls = []
+        apply_basis = Operator.apply_basis
+
+        def counted(self, copy, exps):
+            calls.append((copy, exps))
+            return apply_basis(self, copy, exps)
+
+        monkeypatch.setattr(Operator, "apply_basis", counted)
+        check()
+        assert len(calls) == want
+
+    def test_every_scalar_is_proved_structurally(self, monkeypatch):
+        # all 152 group-like triples at d = 3, 5 and the sign pairs at d = 4, 6, 8
+        modes = []
+        scalar = fusion.proportionality_scalar
+
+        def recorded(L, R):
+            c, mode = scalar(L, R)
+            modes.append(mode)
+            return c, mode
+
+        monkeypatch.setattr(fusion, "proportionality_scalar", recorded)
+        for d in (3, 5):
+            for i, j, k in itertools.product(range(d), repeat=3):
+                assert verify_group_like(d, i, j, k) == Cyclo.one(d), (d, i, j, k)
+        for d, want in ((4, -1), (6, 1), (8, -1)):
+            assert verify_sign(d) == Cyclo.from_rat(d, want)
+        assert len(modes) == 155 and set(modes) == {"exact-structural"}
