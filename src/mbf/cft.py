@@ -25,6 +25,7 @@ from fractions import Fraction
 from typing import List, Sequence, Tuple
 
 from mpmath import mp
+from mpmath.libmp import fzero, mpf_abs, mpf_add, mpf_gt, mpf_mul, mpf_sub, round_nearest
 
 from . import VerificationError
 from ._rat import Rat
@@ -39,11 +40,14 @@ _GUARD_BITS = 30
 # q-numbers
 
 
+@functools.lru_cache(maxsize=None)
 def qnum(k: int, n: int, prec: int = DEFAULT_PREC):
     """The q-number [n] at level k, as an mpmath float.
 
     [n] = sin(pi n/(k+2)) / sin(pi/(k+2)).  Multiples of k+2 give an exact
-    zero rather than a rounded sine.
+    zero rather than a rounded sine.  Memoised per (k, n, prec): the value
+    is rounded at prec + _GUARD_BITS whatever the ambient precision, so one
+    evaluation serves every caller.
     """
     if k < 0:
         raise ValueError("level must be >= 0")
@@ -543,7 +547,15 @@ def pentagon_residuals(k: int, prec: int = DEFAULT_PREC):
     must hold for all channel choices; the reported residual is the largest
     |lhs - rhs| over the channels of that 5-tuple.  Every label runs over
     0..k.
+
+    The sweep works on raw mpmath values (`_mpf_` tuples) with the libmp
+    calls that the mpf operators make, at prec + _GUARD_BITS and
+    round-to-nearest whatever the ambient precision.  Rounding is not
+    associative, so the fixed order is what keeps the residual bits: lhs is
+    one product, rhs sums (F F) F from zero over h in channel order, and the
+    worst |lhs - rhs| is replaced only by a strictly larger one.
     """
+    wp, rnd = prec + _GUARD_BITS, round_nearest
     labels = range(k + 1)
     fuse = {(i, j): su2_fuse(k, i, j) for i in labels for j in labels}
     fset = {ij: frozenset(ch) for ij, ch in fuse.items()}
@@ -552,33 +564,31 @@ def pentagon_residuals(k: int, prec: int = DEFAULT_PREC):
     def F(r, s, t, u, p, q):
         key = (r, s, t, u, p, q)
         if key not in cache:
-            cache[key] = su2_fusing(k, r, s, t, u, p, q, prec=prec).value
+            cache[key] = su2_fusing(k, r, s, t, u, p, q, prec=prec).value._mpf_
         return cache[key]
 
     for a, b, c, d, e in itertools.product(labels, repeat=5):
-        # the residual arithmetic itself must run at working precision, not
-        # at whatever the ambient mpmath context happens to be
-        with mp.workprec(prec + _GUARD_BITS):
-            worst = mp.mpf(0)
-            seen = False
-            for l in fuse[c, d]:
-                for kk in fuse[b, l]:
-                    if e not in fset[a, kk]:
-                        continue
-                    for q in fuse[a, b]:
-                        for m in fuse[q, c]:
-                            if e not in fset[m, d]:
-                                continue
-                            seen = True
-                            lhs = F(a, b, l, e, kk, q) * F(q, c, d, e, l, m)
-                            rhs = mp.mpf(0)
-                            for h in fuse[b, c]:
-                                rhs += F(b, c, d, kk, l, h) * F(a, h, d, e, kk, m) * F(a, b, c, m, h, q)
-                            diff = abs(lhs - rhs)
-                            if diff > worst:
-                                worst = diff
+        worst = fzero
+        seen = False
+        for l in fuse[c, d]:
+            for kk in fuse[b, l]:
+                if e not in fset[a, kk]:
+                    continue
+                for q in fuse[a, b]:
+                    for m in fuse[q, c]:
+                        if e not in fset[m, d]:
+                            continue
+                        seen = True
+                        lhs = mpf_mul(F(a, b, l, e, kk, q), F(q, c, d, e, l, m), wp, rnd)
+                        rhs = fzero
+                        for h in fuse[b, c]:
+                            term = mpf_mul(F(b, c, d, kk, l, h), F(a, h, d, e, kk, m), wp, rnd)
+                            rhs = mpf_add(rhs, mpf_mul(term, F(a, b, c, m, h, q), wp, rnd), wp, rnd)
+                        diff = mpf_abs(mpf_sub(lhs, rhs, wp, rnd), wp, rnd)
+                        if mpf_gt(diff, worst):
+                            worst = diff
         if seen:
-            yield (a, b, c, d, e), worst
+            yield (a, b, c, d, e), mp.make_mpf(worst)
 
 
 def pentagon_check(k: int, prec: int = DEFAULT_PREC) -> float:

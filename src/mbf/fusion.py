@@ -217,13 +217,14 @@ def _probes(shape: SlotShape):
 
 
 def _first_nonzero_entry(L: Morphism, R: Morphism):
-    """The entries (of L, of R) at the first probe image where R is non-zero."""
+    """The entries (of L, of R) at the first probe image where R is non-zero;
+    L is evaluated at that probe only."""
     for opL, opR in ((L.opE, R.opE), (L.opO, R.opO)):
         for j in range(opR.src.rank):
             for exps in _probes(opR.src.shape):
-                for pL, pR in zip(opL.apply_basis(j, exps), opR.apply_basis(j, exps)):
+                for i, pR in enumerate(opR.apply_basis(j, exps)):
                     if not pR.is_zero():
-                        return pL, pR
+                        return opL.apply_basis(j, exps)[i], pR
     raise ValueError("right side vanishes on all probes")
 
 

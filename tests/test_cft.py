@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 from fractions import Fraction
 
@@ -263,6 +264,43 @@ class TestPentagon:
                 assert res < mp.mpf("1e-30")
                 numeric += 1
         assert exact > 0 and numeric > 0
+
+    @pytest.mark.parametrize("k,prec,count,digest", [
+        (3, 128, 432, "c0da2ceb5f8fa0936aee75eb36e82ed01436fc9774a4d801e05e383976e90abb"),
+        (3, 256, 432, "4e7624b7857f054a681ee6ee7b41cf5cfacd2e0b5970c253d8f9544d5c4d3333"),
+        (4, 128, 1307, "42f5e7835371b7f7a49778d101f540bda61c9d2bd7e016d18040239b549d9b67"),
+        (4, 256, 1307, "56f4f6e403717244ce82289c2303ea217f06cd014b547a135ecf82037107b589"),
+    ])
+    def test_residual_bits_are_pinned(self, k, prec, count, digest):
+        # every residual, mantissa and exponent, as the sweep first produced it
+        lines = [f"{a},{b},{c},{d},{e} {int(r.man)} {int(r.exp)}"
+                 for (a, b, c, d, e), r in pentagon_residuals(k, prec)]
+        assert len(lines) == count
+        assert hashlib.sha256("\n".join(lines).encode()).hexdigest() == digest
+
+    @staticmethod
+    def _clear_caches():
+        for memo in (qnum, cft._qfacts, cft._tri2, cft._brace2):
+            memo.cache_clear()
+
+    def test_residuals_ignore_the_ambient_precision(self):
+        # every cached value and every residual is rounded at the sweep's own
+        # working precision, so a fresh sweep under any ambient context agrees
+        runs = []
+        for bits in (None, 20, 400):
+            self._clear_caches()
+            if bits is None:
+                runs.append([r._mpf_ for _, r in pentagon_residuals(3)])
+            else:
+                with mp.workprec(bits):
+                    runs.append([r._mpf_ for _, r in pentagon_residuals(3)])
+        assert runs[0] == runs[1] == runs[2]
+
+    def test_each_q_number_is_computed_once(self):
+        # the level-3 sweep asks 146 times for [1] .. [4], the only q-numbers it needs
+        self._clear_caches()
+        pentagon_check(3)
+        assert qnum.cache_info().misses == 4
 
 
 class TestTorusBlock:

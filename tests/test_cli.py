@@ -3,6 +3,10 @@ import csv
 import io
 import itertools
 import json
+import os
+import pathlib
+import subprocess
+import sys
 import types
 from fractions import Fraction
 
@@ -569,3 +573,13 @@ class TestReportPlumbing:
         code, out = run(capsys, "--version")
         assert code == 0
         assert __version__ in out
+
+    def test_module_entry_point(self, capsys):
+        # `python -m mbf` runs the same main: same exit code, same bytes
+        argv = ["cft", "pentagon", "--k", "1"]
+        src = pathlib.Path(__file__).resolve().parents[1] / "src"
+        env = dict(os.environ, PYTHONPATH=str(src))
+        proc = subprocess.run([sys.executable, "-m", "mbf", *argv], env=env,
+                              capture_output=True, timeout=120)
+        code, out = run(capsys, *argv)
+        assert proc.returncode == code == 0 and proc.stdout == out.encode()

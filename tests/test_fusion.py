@@ -540,11 +540,12 @@ class TestProportionality:
             proportionality_scalar(L, R)
 
     @pytest.mark.parametrize("check,want", [(lambda: verify_group_like(5, 1, 2, 3), 2),
-                                            (lambda: verify_sign(4), 22)],
+                                            (lambda: verify_sign(4), 12)],
                              ids=["group-like", "sign"])
     def test_probes_stop_at_the_first_nonzero_image(self, monkeypatch, check, want):
-        # one (L, R) pair of images per probe up to the first non-zero one of
-        # R: the group-like one is the first probe, the sign one the 11th
+        # R's image at each probe up to its first non-zero one, then L's image
+        # at that probe only: the group-like one is the first probe, the sign
+        # one the 11th
         calls = []
         apply_basis = Operator.apply_basis
 
