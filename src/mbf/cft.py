@@ -8,12 +8,12 @@ the parity rule l+m+s even and the identification
 [l, m, s] = [d-2-l, m+d, s+2]; fusion adds the torus parts and couples the
 su(2) parts in steps of two.
 
-Numerical policy: 6j values are evaluated with mpmath at a configurable bit
-precision (default 128).  Entries forced by a unit label in one of the outer
-slots are returned as exact integers, so coherence sweeps can assert them
-with equality instead of a tolerance.  Inadmissible label combinations give
-value 0 with ``admissible=False`` rather than an error, which keeps pentagon
-sweeps free of special cases.
+Numerical policy: 6j labels are doubled spins (ints), and 6j values are
+mpmath floats evaluated at a configurable bit precision (default 128).
+Admissible entries forced by a unit label in one of the outer slots are
+exactly mpf(1), so coherence sweeps can assert them with equality instead of
+a tolerance.  Inadmissible label combinations give value 0 rather than an
+error, which keeps pentagon sweeps free of special cases.
 """
 
 from __future__ import annotations
@@ -21,7 +21,6 @@ from __future__ import annotations
 import functools
 import itertools
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import List, Sequence, Tuple
 
 from mpmath import mp
@@ -80,15 +79,6 @@ def qfact(k: int, n: int, prec: int = DEFAULT_PREC):
 # su(2) level k: brace symbol and fusing-matrix entries
 
 
-def _doubled(x) -> int:
-    # accepts 1, Fraction(1,2), 0.5; rejects anything that is not a half-integer
-    q = Fraction(x)
-    two = 2 * q
-    if two.denominator != 1:
-        raise ValueError(f"not a half-integer: {x!r}")
-    return int(two)
-
-
 def _admissible2(k: int, x2: int, y2: int, z2: int) -> bool:
     """Level-k admissibility of a spin triple, arguments doubled."""
     if min(x2, y2, z2) < 0 or max(x2, y2, z2) > k:
@@ -112,10 +102,10 @@ def _tri2(k: int, x2: int, y2: int, z2: int, prec: int):
 
 @functools.lru_cache(maxsize=None)
 def _brace2(k, a2, b2, e2, d2, c2, f2, prec):
-    """{a b e; d c f} with doubled arguments, or None when inadmissible."""
+    """{a b e; d c f} with doubled arguments; 0 when inadmissible."""
     triads = ((a2, b2, e2), (a2, c2, f2), (c2, e2, d2), (d2, b2, f2))
     if not all(_admissible2(k, *t) for t in triads):
-        return None
+        return mp.mpf(0)
     with mp.workprec(prec + _GUARD_BITS):
         delta = mp.mpf(1)
         for x2, y2, z2 in triads:
@@ -151,70 +141,46 @@ def _brace2(k, a2, b2, e2, d2, c2, f2, prec):
         return +((-1) ** sign_exp * weight * delta * acc)
 
 
-@dataclass(frozen=True)
-class SixJValue:
-    """A brace-symbol evaluation; echoes its inputs.
+def sixj(k, a, b, e, d, c, f, prec: int = DEFAULT_PREC):
+    """The brace symbol {a b e; d c f} at level k, as an mpmath float.
 
-    ``value`` is an mpmath float (exact integer 0 or 1 in forced cases) and
-    ``admissible`` records whether the four coupling triples pass the level
-    truncation.  Inadmissible symbols carry value 0.
-    """
-
-    k: int
-    labels: Tuple[Fraction, Fraction, Fraction, Fraction, Fraction, Fraction]
-    value: object
-    admissible: bool
-
-    def __float__(self) -> float:
-        return float(self.value)
-
-    def __repr__(self) -> str:
-        a, b, e, d, c, f = self.labels
-        flag = "" if self.admissible else ", inadmissible"
-        return f"SixJValue(k={self.k}, {{{a} {b} {e}; {d} {c} {f}}} = {self.value}{flag})"
-
-
-def sixj(k, a, b, e, d, c, f, prec: int = DEFAULT_PREC) -> SixJValue:
-    """The brace symbol {a b e; d c f} at level k, half-integer arguments.
-
-    Products of the four triangle factors Delta(a,b,e), Delta(a,c,f),
-    Delta(c,e,d), Delta(d,b,f), the weight sqrt([2e+1][2f+1]), the sign
-    (-1)^(a+b-c-d-2e) and the alternating z-sum over q-factorials.  The
-    symbol is invariant under exchanging the upper and lower entries in any
-    two of the three columns (but not under column permutations, which
+    The labels are doubled spins (ints), in brace order: 1 is spin 1/2.
+    Inadmissible labels, those above k included, give 0.  In the spins, the
+    symbol is the product of the four triangle factors Delta(a,b,e),
+    Delta(a,c,f), Delta(c,e,d), Delta(d,b,f), the weight sqrt([2e+1][2f+1]),
+    the sign (-1)^(a+b-c-d-2e) and the alternating z-sum over q-factorials.
+    The symbol is invariant under exchanging the upper and lower entries in
+    any two of the three columns (but not under column permutations, which
     reweight it).
     """
+    labels = (a, b, e, d, c, f)
+    if not all(isinstance(x, int) for x in labels):
+        raise ValueError(f"6j labels are doubled spins (ints), got {labels!r}")
     k = int(k)
     if k < 0:
         raise ValueError("level must be >= 0")
-    labels = tuple(Fraction(x) for x in (a, b, e, d, c, f))
-    doubled = tuple(_doubled(x) for x in labels)
-    raw = _brace2(k, *doubled, int(prec))
-    if raw is None:
-        return SixJValue(k, labels, mp.mpf(0), False)
-    return SixJValue(k, labels, raw, True)
+    return _brace2(k, *labels, int(prec))
 
 
-def su2_fusing(k, r, s, t, u, p, q, prec: int = DEFAULT_PREC) -> SixJValue:
-    """Fusing-matrix entry F^(rst)u_pq of the level-k su(2) block.
+def su2_fusing(k, r, s, t, u, p, q, prec: int = DEFAULT_PREC):
+    """Fusing-matrix entry F^(rst)u_pq of the level-k su(2) block, as an
+    mpmath float.
 
-    Integer labels 0..k.  Equals the brace symbol of the halved labels,
-    {t/2 s/2 p/2; r/2 u/2 q/2}.  A unit label among r, s, t forces the entry
-    to a Kronecker pattern; those entries come back as exact 1 (admissibility
-    already encodes the deltas, so every admissible forced entry is 1).
+    Doubled-spin labels 0..k.  Equals the brace symbol `sixj(k, t, s, p, r,
+    u, q)`, that is {t/2 s/2 p/2; r/2 u/2 q/2}.  A unit label among r, s, t
+    forces the entry to a Kronecker pattern; those entries come back as
+    exactly mpf(1) (admissibility already encodes the deltas, so every
+    admissible forced entry is 1).  Inadmissible entries are 0.
     """
-    ints = (int(r), int(s), int(t), int(u), int(p), int(q))
-    r, s, t, u, p, q = ints
-    for x in ints:
+    for x in (r, s, t, u, p, q):
+        if not isinstance(x, int):
+            raise ValueError(f"6j labels are doubled spins (ints), got {x!r}")
         if not 0 <= x <= k:
             raise ValueError(f"label {x} outside 0..{k}")
-    labels = tuple(Fraction(x, 2) for x in (t, s, p, r, u, q))
-    triads = ((t, s, p), (t, u, q), (u, p, r), (r, s, q))
-    if not all(_admissible2(k, *tr) for tr in triads):
-        return SixJValue(k, labels, mp.mpf(0), False)
     if 0 in (r, s, t):
-        return SixJValue(k, labels, mp.mpf(1), True)
-    return SixJValue(k, labels, _brace2(int(k), t, s, p, r, u, q, int(prec)), True)
+        triads = ((t, s, p), (t, u, q), (u, p, r), (r, s, q))
+        return mp.mpf(1 if all(_admissible2(k, *tr) for tr in triads) else 0)
+    return _brace2(k, t, s, p, r, u, q, prec)
 
 
 def su2_fuse(k: int, i: int, j: int) -> Tuple[int, ...]:
@@ -457,10 +423,10 @@ def cft_fusing_examples(d: int, which: str, prec: int = DEFAULT_PREC):
     k = d - 2
     if which == "groupLike":
         unit = su2_fusing(k, 0, 0, 0, 0, 0, 0, prec=prec)
-        if unit.value != 1:
-            raise VerificationError(f"su(2) unit entry is {unit.value}, not 1")
+        if unit != 1:
+            raise VerificationError(f"su(2) unit entry is {unit}, not 1")
         values = {
-            int(unit.value) * u1_data(d, "F", 2 * i % (2 * d), 2 * j % (2 * d), 2 * kk % (2 * d))
+            int(unit) * u1_data(d, "F", 2 * i % (2 * d), 2 * j % (2 * d), 2 * kk % (2 * d))
             for i, j, kk in itertools.product(range(d), repeat=3)
         }
         if len(values) != 1:
@@ -472,8 +438,8 @@ def cft_fusing_examples(d: int, which: str, prec: int = DEFAULT_PREC):
         f = d // 2 - 1
         torus = u1_data(d, "F", 0, f, 0)
         with mp.workprec(2 * prec + _GUARD_BITS):
-            val = su2_fusing(k, k, f, k, f, f, f, prec=prec).value * torus
-            check = su2_fusing(k, k, f, k, f, f, f, prec=2 * prec).value * torus
+            val = su2_fusing(k, k, f, k, f, f, f, prec=prec) * torus
+            check = su2_fusing(k, k, f, k, f, f, f, prec=2 * prec) * torus
             snapped = int(mp.nint(val))
             bad = abs(val - snapped) > mp.mpf("1e-10") or abs(check - snapped) > mp.mpf("1e-10")
         if bad:
@@ -485,7 +451,7 @@ def cft_fusing_examples(d: int, which: str, prec: int = DEFAULT_PREC):
         torus = u1_data(d, "F", 1, 1, 1)
 
         def entry(p, q, bits):
-            return su2_fusing(k, 1, 1, 1, 1, p, q, prec=bits).value * torus
+            return su2_fusing(k, 1, 1, 1, 1, p, q, prec=bits) * torus
 
         rows = []
         for p in (0, 2):
@@ -564,7 +530,7 @@ def pentagon_residuals(k: int, prec: int = DEFAULT_PREC):
     def F(r, s, t, u, p, q):
         key = (r, s, t, u, p, q)
         if key not in cache:
-            cache[key] = su2_fusing(k, r, s, t, u, p, q, prec=prec).value._mpf_
+            cache[key] = su2_fusing(k, r, s, t, u, p, q, prec=prec)._mpf_
         return cache[key]
 
     for a, b, c, d, e in itertools.product(labels, repeat=5):

@@ -16,7 +16,6 @@ import argparse
 import json
 import math
 import sys
-from fractions import Fraction
 
 from mpmath import mp
 
@@ -262,9 +261,9 @@ def cmd_cft_sixj(args) -> tuple[str, bool]:
     digits = _sixj_digits(prec)
     lines = ["a,b,e,d,c,f,value\n"]
     for doubled in admissible_sixj_labels(k):
-        v = sixj(k, *(Fraction(x, 2) for x in doubled), prec=prec)
+        v = sixj(k, *doubled, prec=prec)
         with mp.workprec(prec):
-            lines.append(",".join(map(str, doubled)) + f",{mp.nstr(v.value, digits)}\n")
+            lines.append(",".join(map(str, doubled)) + f",{mp.nstr(v, digits)}\n")
     return "".join(lines), True
 
 
@@ -355,9 +354,9 @@ def cmd_sixj(args) -> tuple[str, bool]:
     doubled = [int(tok) for tok in args.labels.split(",")]
     if len(doubled) != 6:
         raise ValueError("--labels needs six comma-separated doubled spins")
-    v = sixj(args.k, *(Fraction(x, 2) for x in doubled), prec=args.precision)
+    v = sixj(args.k, *doubled, prec=args.precision)
     with mp.workprec(args.precision):
-        return mp.nstr(v.value, _sixj_digits(args.precision)) + "\n", True
+        return mp.nstr(v, _sixj_digits(args.precision)) + "\n", True
 
 
 # ---------------------------------------------------------------------------

@@ -51,6 +51,7 @@ from .bifact import (
     Word,
     associator,
     associator_inv,
+    joint_mode,
     mbf_from_polys,
     morphism_equal,
     ps_object,
@@ -82,7 +83,7 @@ class PSObject:
 
 def _closed_and_chargeless(phi: Morphism, name: str):
     ok, mode = phi.is_closed()
-    if not ok or not mode.startswith("exact"):
+    if not ok or joint_mode([mode]) != "exact":
         raise VerificationError(f"{name}: not exactly delta-closed ({mode})")
     q = morphism_charge(phi)
     if q is NotHomogeneous or q != 0:
@@ -504,7 +505,7 @@ def reduce_tensor(Am: MBF, Bm: MBF, check: bool = True) -> ReducedTensor:
         if not rep or rep.mode != "exact":
             raise VerificationError(f"reduced object invalid: {rep.violations}")
         eq, mode = morphism_equal(proj.compose(incl), Morphism.identity(reduced))
-        if not eq or not mode.startswith("exact"):
+        if not eq or joint_mode([mode]) != "exact":
             raise VerificationError("proj∘incl is not the identity")
         if not graded_validate(reduced)["ok"]:
             raise VerificationError("reduced grading invalid")

@@ -11,7 +11,6 @@ from mbf._rat import Rat
 from mbf.cft import (
     DEFAULT_PREC,
     MMLabel,
-    SixJValue,
     admissible_sixj_labels,
     cft_fusing_examples,
     chiral_charge,
@@ -32,9 +31,6 @@ from mbf.cft import (
     u1_data,
     _GUARD_BITS,
 )
-
-HALF = Fraction(1, 2)
-
 
 class TestQNumbers:
     def test_unit(self):
@@ -96,80 +92,74 @@ class TestQNumbers:
 
 
 class TestBracePins:
-    # hand-evaluated symbols at level 2
+    # hand-evaluated symbols at level 2, labels doubled
     def test_half_column_diagonal(self):
         with mp.workprec(200):
             inv_sqrt2 = 1 / mp.sqrt(2)
-            v00 = sixj(2, HALF, HALF, 0, HALF, HALF, 0).value
-            v11 = sixj(2, HALF, HALF, 1, HALF, HALF, 1).value
+            v00 = sixj(2, 1, 1, 0, 1, 1, 0)
+            v11 = sixj(2, 1, 1, 2, 1, 1, 2)
             assert abs(v00 + inv_sqrt2) < mp.mpf("1e-35")
             assert abs(v11 - inv_sqrt2) < mp.mpf("1e-35")
 
     def test_half_column_off_diagonal(self):
         with mp.workprec(200):
             inv_sqrt2 = 1 / mp.sqrt(2)
-            v01 = sixj(2, HALF, HALF, 0, HALF, HALF, 1).value
-            v10 = sixj(2, HALF, HALF, 1, HALF, HALF, 0).value
+            v01 = sixj(2, 1, 1, 0, 1, 1, 2)
+            v10 = sixj(2, 1, 1, 2, 1, 1, 0)
             assert abs(v01 - inv_sqrt2) < mp.mpf("1e-35")
             assert abs(v10 - inv_sqrt2) < mp.mpf("1e-35")
 
     def test_spin_one_corner(self):
-        v = sixj(2, 1, HALF, HALF, 1, HALF, HALF)
-        assert v.admissible
-        assert abs(v.value + 1) < mp.mpf("1e-35")
+        v = sixj(2, 2, 1, 1, 2, 1, 1)
+        assert (2, 1, 1, 2, 1, 1) in set(admissible_sixj_labels(2))
+        assert abs(v + 1) < mp.mpf("1e-35")
 
     def test_inadmissible_is_flagged_zero(self):
-        v = sixj(2, HALF, HALF, HALF, HALF, HALF, HALF)  # parity fails
-        assert not v.admissible
-        assert v.value == 0
+        v = sixj(2, 1, 1, 1, 1, 1, 1)  # parity fails
+        assert (1, 1, 1, 1, 1, 1) not in set(admissible_sixj_labels(2))
+        assert v == 0
         assert float(v) == 0.0
-        assert "inadmissible" in repr(v)
 
-    def test_repr_and_float(self):
-        v = sixj(2, HALF, HALF, 1, HALF, HALF, 1)
-        assert "1/2" in repr(v)
+    def test_float_value(self):
+        v = sixj(2, 1, 1, 2, 1, 1, 2)
         assert abs(float(v) - 0.7071067811865476) < 1e-12
 
     def test_rejects_non_half_integers(self):
         with pytest.raises(ValueError):
             sixj(2, Fraction(1, 3), 0, 0, 0, 0, 0)
 
-    def test_accepts_float_halves(self):
-        a = sixj(2, 0.5, 0.5, 1, 0.5, 0.5, 1).value
-        b = sixj(2, HALF, HALF, 1, HALF, HALF, 1).value
-        assert a == b
+    def test_rejects_non_int_labels(self):
+        # a spin in place of a doubled spin fails loudly, never read as doubled
+        for half in (Fraction(1, 2), 0.5, 1.0, "1"):
+            with pytest.raises(ValueError, match="doubled spins"):
+                sixj(2, half, 1, 2, 1, 1, 2)
 
 
 class TestBraceStructure:
     @pytest.mark.parametrize("k", [1, 2, 3, 4])
     def test_values_are_bounded(self, k):
-        labs = [Fraction(n, 2) for n in range(k + 1)]
-        for tup in itertools.product(labs, repeat=6):
-            v = sixj(k, *tup)
-            if v.admissible:
-                assert abs(float(v)) <= 10
+        for tup in itertools.product(range(k + 1), repeat=6):
+            assert abs(float(sixj(k, *tup))) <= 10
 
     @pytest.mark.parametrize("k", [1, 2, 3])
     def test_two_column_flip_invariance(self, k):
         # flipping the upper and lower rows in exactly two columns preserves
-        # the symbol; full column permutations do not and are not tested
-        labs = [Fraction(n, 2) for n in range(k + 1)]
-        for a, b, e, d, c, f in itertools.product(labs, repeat=6):
+        # the symbol, inadmissible zeros included; full column permutations
+        # do not and are not tested
+        for a, b, e, d, c, f in itertools.product(range(k + 1), repeat=6):
             v = sixj(k, a, b, e, d, c, f)
-            if not v.admissible:
-                continue
             with mp.workprec(200):
                 flips = (
-                    sixj(k, d, c, e, a, b, f).value,
-                    sixj(k, d, b, f, a, c, e).value,
-                    sixj(k, a, c, f, d, b, e).value,
+                    sixj(k, d, c, e, a, b, f),
+                    sixj(k, d, b, f, a, c, e),
+                    sixj(k, a, c, f, d, b, e),
                 )
                 for w in flips:
-                    assert abs(v.value - w) < mp.mpf("1e-18")
+                    assert abs(v - w) < mp.mpf("1e-18")
 
     def test_precision_parameter_is_honoured(self):
-        lo = sixj(3, 1, HALF, HALF, 1, HALF, HALF, prec=128).value
-        hi = sixj(3, 1, HALF, HALF, 1, HALF, HALF, prec=256).value
+        lo = sixj(3, 2, 1, 1, 2, 1, 1, prec=128)
+        hi = sixj(3, 2, 1, 1, 2, 1, 1, prec=256)
         with mp.workprec(300):
             assert abs(lo - hi) < mp.mpf("1e-30")
 
@@ -195,44 +185,41 @@ class TestFusingEntries:
             su2_fusing(2, 3, 0, 0, 0, 0, 0)
         with pytest.raises(ValueError):
             su2_fusing(2, 0, -1, 0, 0, 0, 0)
+        with pytest.raises(ValueError, match="doubled spins"):
+            su2_fusing(3, 1.5, 1, 1, 1, 1, 1)
 
     def test_unit_labels_force_exact_one(self):
         # a unit in any of the three fused slots pins the admissible entries
-        assert su2_fusing(3, 0, 2, 2, 2, 2, 2).value == 1
-        assert su2_fusing(3, 2, 0, 2, 2, 2, 2).value == 1
-        assert su2_fusing(3, 2, 2, 0, 2, 2, 2).value == 1
+        assert su2_fusing(3, 0, 2, 2, 2, 2, 2) == 1
+        assert su2_fusing(3, 2, 0, 2, 2, 2, 2) == 1
+        assert su2_fusing(3, 2, 2, 0, 2, 2, 2) == 1
 
     def test_forced_path_agrees_with_raw_brace(self):
         k = 3
+        admissible = set(admissible_sixj_labels(k))
         for s, t, u in itertools.product(range(k + 1), repeat=3):
-            ent = su2_fusing(k, 0, s, t, u, s, u)
-            if not ent.admissible:
+            if (t, s, s, 0, u, u) not in admissible:
                 continue
-            raw = sixj(k, Fraction(t, 2), Fraction(s, 2), Fraction(s, 2),
-                       0, Fraction(u, 2), Fraction(u, 2))
             with mp.workprec(200):
-                assert abs(ent.value - raw.value) < mp.mpf("1e-25")
+                assert abs(su2_fusing(k, 0, s, t, u, s, u) - sixj(k, t, s, s, 0, u, u)) \
+                    < mp.mpf("1e-25")
 
     @pytest.mark.parametrize("k", range(1, 5))
     def test_entries_equal_their_brace_symbols(self, k):
-        # F^(rst)u_pq = {t/2 s/2 p/2; r/2 u/2 q/2} exactly, off the unit path
+        # F^(rst)u_pq = {t s p; r u q} exactly, off the unit path
+        admissible = set(admissible_sixj_labels(k))
         seen = 0
         for r, s, t, u, p, q in itertools.product(range(k + 1), repeat=6):
             if 0 in (r, s, t):
                 continue
-            ent = su2_fusing(k, r, s, t, u, p, q)
-            if not ent.admissible:
-                continue
-            halves = tuple(Fraction(x, 2) for x in (t, s, p, r, u, q))
-            brace = sixj(k, *halves)
-            assert ent.value == brace.value and ent.labels == brace.labels == halves
-            seen += 1
+            assert su2_fusing(k, r, s, t, u, p, q) == sixj(k, t, s, p, r, u, q)
+            seen += (t, s, p, r, u, q) in admissible
         assert seen > 0
 
     def test_inadmissible_entry(self):
         v = su2_fusing(2, 1, 1, 1, 1, 1, 1)  # p=1 not in 1 x 1 at level 2
-        assert not v.admissible
-        assert v.value == 0
+        assert (1, 1, 1, 1, 1, 1) not in set(admissible_sixj_labels(2))
+        assert v == 0
 
     def test_channels(self):
         assert su2_fuse(2, 1, 1) == (0, 2)
@@ -241,6 +228,26 @@ class TestFusingEntries:
         assert su2_fuse(3, 0, 2) == (2,)
         with pytest.raises(ValueError):
             su2_fuse(2, 3, 0)
+
+
+def _digest(lines):
+    return len(lines), hashlib.sha256("".join(lines).encode()).hexdigest()
+
+
+class TestSixjBitsArePinned:
+    # every value, sign, mantissa and exponent, keyed by its doubled labels
+
+    def test_fusing_entries(self):
+        lines = [f"{k} {labels} {su2_fusing(k, *labels)._mpf_}\n"
+                 for k in range(1, 5) for labels in itertools.product(range(k + 1), repeat=6)]
+        assert _digest(lines) == (
+            20514, "8e8012e8558af25c386565bb05705e7877b5b4f5895080ad4857a29e808247b0")
+
+    def test_brace_symbols(self):
+        lines = [f"{k} {labels} {sixj(k, *labels)._mpf_}\n"
+                 for k in range(1, 6) for labels in admissible_sixj_labels(k)]
+        assert _digest(lines) == (
+            1277, "b93543daad25d7256607f1f647e9c3cb702a0c7836b35bcb87f99e71982ce581")
 
 
 class TestPentagon:

@@ -1,5 +1,6 @@
 import collections
 import csv
+import hashlib
 import io
 import itertools
 import json
@@ -7,8 +8,6 @@ import os
 import pathlib
 import subprocess
 import sys
-import types
-from fractions import Fraction
 
 import pytest
 from hypothesis import HealthCheck, assume, given, settings, strategies as st
@@ -154,7 +153,7 @@ def _ps_with_raised_even_charge(d, S):
     [
         (cft, "mm_fuse", lambda x, y: [], ["cft", "spectrum", "--d", "5", "--u", "1"],
          "target channel must be [u,u,0]"),
-        (cft, "su2_fusing", lambda *a, **kw: types.SimpleNamespace(value=2),
+        (cft, "su2_fusing", lambda *a, **kw: 2,
          ["cft", "fusing", "--d", "5"], "su(2) unit entry is 2, not 1"),
         (cli, "ps_object", _ps_with_raised_even_charge,
          ["hom", "--d", "3", "--source", "0", "--target", "0"],
@@ -428,18 +427,28 @@ class TestCftCommands:
     def test_sixj_table_matches_product_loop(self, capsys, k):
         # oracle: every (k+1)^6 doubled tuple, the inadmissible ones dropped
         prec = cli.DEFAULT_PREC
+        admissible = set(cft.admissible_sixj_labels(k))
         rows = []
         for doubled in itertools.product(range(k + 1), repeat=6):
-            v = cft.sixj(k, *(Fraction(x, 2) for x in doubled), prec=prec)
-            if not v.admissible:
+            if doubled not in admissible:
                 continue
+            v = cft.sixj(k, *doubled, prec=prec)
             with mp.workprec(prec):
-                rows.append(list(doubled) + [mp.nstr(v.value, cli._sixj_digits(prec))])
+                rows.append(list(doubled) + [mp.nstr(v, cli._sixj_digits(prec))])
         buf = io.StringIO()
         csv.writer(buf, lineterminator="\n").writerows(
             [["a", "b", "e", "d", "c", "f", "value"]] + rows)
         code, out = run(capsys, "cft", "sixj", "--k", str(k))
         assert code == 0 and out == buf.getvalue()
+
+    @pytest.mark.parametrize("k,count,digest", [
+        (5, 785, "8ebbb240d830eefb505c9226449afd511538fd59fc1c8677a53efa047811fbe6"),
+        (6, 1681, "77da418261a5feb0bd67f7838781f836a3caade1979096e777ec956f741ca8b0"),
+    ])
+    def test_sixj_table_is_pinned(self, capsys, k, count, digest):
+        code, out = run(capsys, "cft", "sixj", "--k", str(k))
+        assert code == 0 and out.count("\n") == count
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
 
     def test_sixj_table_evaluates_only_admissible_symbols(self, capsys):
         cft._brace2.cache_clear()

@@ -143,6 +143,14 @@ class TestSignPair:
             with pytest.raises(VerificationError):
                 _closed_and_chargeless(bad, "F_l")
 
+    def test_closed_only_to_cutoff_is_rejected(self, monkeypatch):
+        # a True that is not exact is not a proof of closedness
+        _, _, F_l, _ = f_pair(4)
+        monkeypatch.setattr(Morphism, "is_closed", lambda self: (True, "verified-to-cutoff"))
+        with pytest.raises(VerificationError) as exc:
+            _closed_and_chargeless(F_l, "F_l")
+        assert str(exc.value) == "F_l: not exactly delta-closed (verified-to-cutoff)"
+
 
 class TestACollection:
     @pytest.mark.parametrize("d", list(range(4, 10)))
@@ -322,24 +330,26 @@ class TestReduceTensor:
         }
 
     @pytest.mark.parametrize(
-        "names,message",
+        "names,equal,message",
         [
-            (["validate_mbf"], "reduced object invalid: ['v']"),
-            (["morphism_equal"], "proj∘incl is not the identity"),
-            (["graded_validate"], "reduced grading invalid"),
-            (["graded_validate", "morphism_equal", "validate_mbf"],
+            (["validate_mbf"], None, "reduced object invalid: ['v']"),
+            (["morphism_equal"], (False, "exact-structural"), "proj∘incl is not the identity"),
+            (["morphism_equal"], (True, "verified-to-cutoff"), "proj∘incl is not the identity"),
+            (["graded_validate"], None, "reduced grading invalid"),
+            (["graded_validate", "morphism_equal", "validate_mbf"], (False, "exact-structural"),
              "reduced object invalid: ['v']"),
         ],
-        ids=["reduced-object", "proj-incl", "grading", "first-failure-wins"],
+        ids=["reduced-object", "proj-incl", "proj-incl-to-cutoff", "grading",
+             "first-failure-wins"],
     )
-    def test_failed_check_raises_and_is_reported(self, monkeypatch, names, message):
+    def test_failed_check_raises_and_is_reported(self, monkeypatch, names, equal, message):
         # reduce_tensor(check=True) checks the reduced object, then
         # proj∘incl = id, then the grading, and reports the first failure in
-        # the VerificationError it raises
+        # the VerificationError it raises; a True that is not exact fails too
         A, B = ps_object(4, [0]), ps_object(4, [1])
         failing = {
             "validate_mbf": lambda D: ValidationReport(False, "exact", ["v"]),
-            "morphism_equal": lambda L, R: (False, "exact-structural"),
+            "morphism_equal": lambda L, R: equal,
             "graded_validate": lambda D: {"ok": False},
         }
         for name in names:
