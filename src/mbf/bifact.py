@@ -33,7 +33,15 @@ built once by its one constructor.  Because it cannot change, it caches its
 normal form (which is its own normal form) and its generator matrix, a
 tuple of row tuples of polynomials.  `Operator.from_poly_matrix` is the one
 place that checks such a matrix (its shape and its ring); the operator it
-makes starts with the rows it was given and is built in normal form.
+makes starts with the rows it was given and is built in normal form.  For
+the same reason an operator memoises its evaluation for as long as it
+lives: per input monomial (keyed by its exponent tuple) each word prefix is
+evaluated once, keyed by the identities of its primitives, and a quotient
+and a remainder by one modulus share one division; the sweep, `matrix()`
+and the probes of `fusion` all evaluate through it.  Annihilator orders
+read each word's factors from `_ANNIHILATOR_CACHE`, one entry per process
+for each source shape, internal variable and non-multiplier signature,
+beside `_RING_CACHE`, `_PS_CACHE` and `polycalc._DIV_CACHE`.
 An `MBF` is immutable too.  `ps_object` memoises P_S, one object per
 (d, S).  `tensor_obj` builds a new product on every call (no workload asks
 for the same product twice often enough to pay for a cache), but only its
@@ -386,6 +394,8 @@ class Word:
         return Word(Cyclo.one(prim.src.conductor), (prim,), prim.src, prim.dst)
 
     def apply(self, p: MultiPoly) -> MultiPoly:
+        """The word applied to p, primitive by primitive, with no memo: the
+        reference for `Operator.apply`."""
         for prim in self.prims:
             p = prim.apply(p)
         return p if self.coeff.is_one() else p * self.coeff
@@ -523,10 +533,18 @@ class Operator:
     copies what it is given into a read-only view, so an operator never
     changes: its normal form and its generator matrix are computed at most
     once and cached, and a normal form is its own normal form.
+
+    `apply` and `apply_basis` evaluate through `_memo`, kept for the
+    operator's lifetime: {input key: (input, children)}, a trie of word
+    prefix images per input (see `_word_image`).  So each prefix is
+    evaluated once per input monomial across every cell and every call, a
+    `quo` and a `rem` by one modulus on one input share one `divmod_in_var`,
+    and the images are those of summing `Word.apply` over each cell, term
+    order included.
     """
 
     # _normal: None until computed, True on a normal form, else the normal form
-    __slots__ = ("src", "dst", "cells", "_normal", "_pm")
+    __slots__ = ("src", "dst", "cells", "_normal", "_pm", "_memo")
 
     def __init__(self, src: FreeBimod, dst: FreeBimod, cells=None):
         cells = {k: tuple(ws) for k, ws in sorted(cells.items()) if ws} if cells else {}
@@ -535,6 +553,7 @@ class Operator:
         object.__setattr__(self, "cells", MappingProxyType(cells))
         object.__setattr__(self, "_normal", None)
         object.__setattr__(self, "_pm", None)
+        object.__setattr__(self, "_memo", {})
 
     def __setattr__(self, *a):
         raise AttributeError("Operator is immutable")
@@ -628,20 +647,66 @@ class Operator:
         sring = self.src.shape.ring()
         if any(p.ring != sring for p in element if not p.is_zero()):
             raise ValueError("element not in the source ring")
-        out = [self.dst.shape.ring().zero() for _ in range(self.dst.rank)]
-        for (i, j), ws in self.cells.items():
-            p = element[j]
-            if p.is_zero():
-                continue
-            for w in ws:
-                out[i] = out[i] + w.apply(p)
-        return out
+        return self._images({j: self._memo_root(p) for j, p in enumerate(element)
+                             if not p.is_zero()})
 
     def apply_basis(self, copy: int, exps: dict) -> list:
-        ring = self.src.shape.ring()
-        elem = [ring.zero()] * self.src.rank
-        elem[copy] = ring.monomial(exps)
-        return self.apply(elem)
+        return self._images({copy: self._memo_root(self.src.shape.ring().monomial(exps))})
+
+    def _images(self, roots: dict) -> list:
+        """The image of the element whose copy j is the input of the memo
+        node roots[j], each cell's words summed in order."""
+        out = [self.dst.shape.ring().zero()] * self.dst.rank
+        for (i, j), ws in self.cells.items():
+            root = roots.get(j)
+            if root is not None:
+                for w in ws:
+                    out[i] = out[i] + self._word_image(w, root)
+        return out
+
+    def _memo_root(self, p: MultiPoly) -> tuple:
+        """The memo node (p, children) of the input p.  A monomial with
+        coefficient one is keyed by its exponent tuple, so finding it hashes
+        no polynomial; any other input is keyed by itself."""
+        key = p
+        if len(p.terms) == 1:
+            ((e, c),) = p.terms.items()
+            if c.is_one():
+                key = e
+        node = self._memo.get(key)
+        if node is None:
+            node = self._memo[key] = (p, {})
+        return node
+
+    def _word_image(self, w: Word, node: tuple) -> MultiPoly:
+        """w applied to the input of the memo node `node`.
+
+        Each node is (image, children): the children of a prefix's node are
+        keyed by the id of the next primitive, so words that share
+        primitives share their images, and the ids stay valid because the
+        operator holds its words.  A division is keyed by the id of its
+        modulus, its variable and its part instead, and one `divmod_in_var`
+        fills both parts.  A trailing multiplier and the coefficient are
+        applied after the lookup, in the order `Word.apply` applies them.
+        """
+        prims = w.prims
+        last = prims[-1] if prims and isinstance(prims[-1], PMul) else None
+        for prim in prims[:-1] if last else prims:
+            p, children = node
+            if isinstance(prim, PQuo):
+                key = (id(prim.modulus), prim.var, prim.part)
+                node = children.get(key)
+                if node is None:
+                    quo, rem = p.divmod_in_var(prim.modulus, prim.var)
+                    children[key[:2] + ("quo",)] = (quo, {})
+                    children[key[:2] + ("rem",)] = (rem, {})
+                    node = children[key]
+            else:
+                node = children.get(id(prim))
+                if node is None:
+                    node = children[id(prim)] = (prim.apply(p), {})
+        p = node[0] if last is None else node[0] * last.poly
+        return p if w.coeff.is_one() else p * w.coeff
 
     def matrix(self) -> tuple:
         """The images of the copy generators as a tuple of row tuples: column
@@ -706,6 +771,11 @@ def _internal_monomials(shape: SlotShape, cutoff: int):
     yield from rec(0, cutoff, [])
 
 
+# (source shape, internal variable, non-PMul signatures of a word) -> its
+# factors from `_word_annihilator`, or None
+_ANNIHILATOR_CACHE: dict = {}
+
+
 def _annihilator_orders(op: Operator, x: str) -> dict:
     """{copy: N} such that op(x^k in that copy) = 0 for every k once it is 0
     for k < N, or None when a word of that copy is unbounded.  `x` is the one
@@ -739,20 +809,19 @@ def _annihilator_orders(op: Operator, x: str) -> dict:
     each to the largest multiplicity any word has: a common monic multiple
     of every word's A.  A copy is bounded by the largest order of its rows.
     """
-    ring = op.src.shape.ring()
-    start = ((-ring.var(x),),)
+    shape = op.src.shape
+    start = ((-shape.ring().var(x),),)
     orders = dict.fromkeys(range(op.src.rank), 0)
-    memo: dict = {}
     for (_, j), ws in op.cells.items():
         if orders[j] is None:
             continue
         cell = Counter()
         for w in ws:
             # words that differ only in multipliers share one annihilator
-            key = tuple(p.signature() for p in w.prims if not isinstance(p, PMul))
-            if key not in memo:
-                memo[key] = _word_annihilator(w, start)
-            fs = memo[key]
+            key = (shape, x, tuple(p.signature() for p in w.prims if not isinstance(p, PMul)))
+            if key not in _ANNIHILATOR_CACHE:
+                _ANNIHILATOR_CACHE[key] = _word_annihilator(w, start)
+            fs = _ANNIHILATOR_CACHE[key]
             if fs is None:
                 orders[j] = None
                 break

@@ -104,6 +104,14 @@ def _precision(text: str) -> int:
     return _int_at_least(text, 53)
 
 
+def _labels(text: str) -> tuple:
+    """--labels: six comma-separated doubled spins, each an integer >= 0."""
+    labels = tuple(_int_at_least(tok, 0) for tok in text.split(","))
+    if len(labels) != 6:
+        raise argparse.ArgumentTypeError(f"expected six doubled spins, got {len(labels)}")
+    return labels
+
+
 def _tolerance(text: str) -> float:
     """--tol: a finite number >= 0.  nan or inf would print as invalid JSON,
     and no residual lies below a negative bound."""
@@ -351,10 +359,7 @@ def cmd_compare_fusion(args) -> tuple[str, bool]:
 
 
 def cmd_sixj(args) -> tuple[str, bool]:
-    doubled = [int(tok) for tok in args.labels.split(",")]
-    if len(doubled) != 6:
-        raise ValueError("--labels needs six comma-separated doubled spins")
-    v = sixj(args.k, *doubled, prec=args.precision)
+    v = sixj(args.k, *args.labels, prec=args.precision)
     with mp.workprec(args.precision):
         return mp.nstr(v, _sixj_digits(args.precision)) + "\n", True
 
@@ -447,6 +452,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--k", type=_level, required=True)
     sp.add_argument(
         "--labels",
+        type=_labels,
         required=True,
         help="six doubled spins a,b,e,d,c,f; e.g. 1,1,0,1,1,2",
     )

@@ -57,7 +57,7 @@ from mbf.bifact import (
 )
 from mbf.exactalg import Cyclo
 from mbf.fusion import PSObject, fuse
-from mbf.polycalc import Ring, RingMismatch
+from mbf.polycalc import MultiPoly, Ring, RingMismatch
 
 
 def strs(rows):
@@ -821,6 +821,109 @@ class TestAnnihilatorSweep:
         assert all(c["ok"] for c in cli._run_monoidal_suite(4))
         assert len(per_call) == 11
         assert max(n for c in per_call for n in c.values()) <= 2
+
+
+# -- memoised evaluation ----------------------------------------------------------
+
+
+def _plain_images(op, copy, exps):
+    """The reference for `Operator.apply_basis`: each cell's words applied one
+    by one with `Word.apply`, summed in cell order, with no memo."""
+    p = op.src.shape.ring().monomial(exps)
+    out = [op.dst.shape.ring().zero()] * op.dst.rank
+    for (i, j), ws in op.cells.items():
+        if j == copy:
+            for w in ws:
+                out[i] = out[i] + w.apply(p)
+    return out
+
+
+def _count_divisions(monkeypatch):
+    """A list that gets the variable of every MultiPoly.divmod_in_var call."""
+    calls = []
+    divmod_in_var = MultiPoly.divmod_in_var
+
+    def counted(self, divisor, var):
+        calls.append(var)
+        return divmod_in_var(self, divisor, var)
+
+    monkeypatch.setattr(MultiPoly, "divmod_in_var", counted)
+    return calls
+
+
+class TestMemoisedEvaluation:
+    def test_images_match_the_plain_word_sums(self, monkeypatch):
+        # every basis element swept by the d = 4 fusion witnesses, by `verify
+        # monoidal` at d = 3 and by the negative control
+        # rem(., x1^(2d+1) - b^(2d+1)) - id, term for term
+        from mbf import cli, compare
+
+        swept = []
+        apply_basis = Operator.apply_basis
+
+        def checked(self, copy, exps):
+            got = apply_basis(self, copy, exps)
+            want = _plain_images(self, copy, exps)
+            if self.src.shape.nslots > 2:
+                swept.append(copy)
+            assert [list(p.terms.items()) for p in got] == [list(p.terms.items()) for p in want]
+            return got
+
+        monkeypatch.setattr(Operator, "apply_basis", checked)
+        assert compare.fusion_rule_compare(4, verify_homotopy=True)["pass"]
+        assert len(swept) > 0
+        swept.clear()
+        assert all(c["ok"] for c in cli._run_monoidal_suite(3))
+        assert len(swept) > 0
+        d = 4
+        shape, mod, ring = _one_copy(conductor=d)
+        rem = _op(mod, w_rem(shape, ring.parse(f"x1^{2 * d + 1} - b^{2 * d + 1}"), "x1"))
+        assert op_equal(rem, Operator.identity(mod), 2 * d + 1) == (
+            False, f"counterexample at copy 0, monomial {{'x1': {2 * d + 1}}}")
+
+    def test_quotient_and_remainder_share_one_division(self, monkeypatch):
+        # quo and rem by one modulus on one input: one divmod_in_var, kept
+        # for the next call on the same monomial, in either copy
+        shape = SlotShape(3, 1, 4)
+        ring = shape.ring()
+        q = ring.parse("x1^2 - b^2")
+        mod = FreeBimod(shape, 2)
+        quo, rem = w_quo(shape, q, "x1"), w_rem(shape, q, "x1")
+        op = Operator(mod, FreeBimod(shape, 1), {(0, 0): (quo, rem), (0, 1): (rem,)})
+        x3 = {"x1": 3}
+        want = [_plain_images(op, copy, x3) for copy in (0, 1)]
+        calls = _count_divisions(monkeypatch)
+        assert [op.apply_basis(copy, x3) for copy in (0, 1)] == want
+        assert calls == ["x1"]
+
+    def test_witness_divisions(self, monkeypatch):
+        # the P_{0,1} ⊗ P_{0,1} witness at d = 4: each word prefix once per
+        # monomial and one division for quo and rem, where evaluating every
+        # word on its own made 48
+        d = 4
+        rt, _ = fuse(d, (0, 1), (0, 1), check=True)
+        gap = rt.incl.compose(rt.proj) - Morphism.identity(rt.original)
+        delta = rt.homotopy.delta()
+        calls = _count_divisions(monkeypatch)
+        assert morphism_equal(delta, gap, 2 * d) == (True, "verified-to-cutoff")
+        assert len(calls) == 18
+
+    def test_annihilators_are_computed_once_per_process(self, monkeypatch):
+        # a second fusion run with witnesses finds every word's annihilator
+        # in the process-wide memo
+        from mbf import compare
+
+        assert compare.fusion_rule_compare(4, verify_homotopy=True)["pass"]
+        calls = []
+        word_annihilator = bifact._word_annihilator
+
+        def counted(w, fs):
+            calls.append(w)
+            return word_annihilator(w, fs)
+
+        monkeypatch.setattr(bifact, "_word_annihilator", counted)
+        assert compare.fusion_rule_compare(4, verify_homotopy=True)["pass"]
+        assert calls == []
 
 
 # -- the sparse Operator against the dense word matrix it replaced ---------------

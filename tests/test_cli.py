@@ -68,10 +68,12 @@ _BAD_TOLS = ("nan", "inf", "-1")
         ["verify", "monoidal", "--d", "3", "--cutoff", "8"],
         ["cft", "fusing", "--d", "4", "--precision", "0"],
         ["cft", "fusing", "--d", "4", "--precision", "52"],
+        ["sixj", "--k", "2", "--labels", "1,1,0,1,1,-2"],
+        ["sixj", "--k", "2", "--labels=-1,1,0,1,1,2"],
     ] + [[*argv, "--tol", tol] for argv in _TOL_COMMANDS.values() for tol in _BAD_TOLS],
     ids=["d-zero", "charge-zero-denominator", "negative-k", "removed-tol",
          "removed-cutoff", "removed-monoidal-cutoff", "precision-zero",
-         "precision-below-double"]
+         "precision-below-double", "sixj-negative-label", "sixj-negative-first-label"]
     + [f"tol-{tol}-{name}" for name in _TOL_COMMANDS for tol in _BAD_TOLS],
 )
 def test_bad_arguments_are_usage_errors(capsys, argv):
