@@ -74,7 +74,7 @@ _RING_CACHE: dict = {}
 class SlotShape:
     """A chain of nslots polynomial slots, nvars variables per slot."""
 
-    __slots__ = ("nslots", "nvars", "conductor")
+    __slots__ = ("nslots", "nvars", "conductor", "_key", "_hash")
 
     def __init__(self, nslots: int, nvars: int, conductor: int):
         if nslots < 1 or nvars < 1:
@@ -82,18 +82,18 @@ class SlotShape:
         object.__setattr__(self, "nslots", nslots)
         object.__setattr__(self, "nvars", nvars)
         object.__setattr__(self, "conductor", conductor)
+        # hashed and compared on every dict lookup of the evaluation memos
+        object.__setattr__(self, "_key", (nslots, nvars, conductor))
+        object.__setattr__(self, "_hash", hash(self._key))
 
     def __setattr__(self, *a):
         raise AttributeError("SlotShape is immutable")
 
-    def _key(self):
-        return (self.nslots, self.nvars, self.conductor)
-
     def __eq__(self, other):
-        return isinstance(other, SlotShape) and self._key() == other._key()
+        return isinstance(other, SlotShape) and self._key == other._key
 
     def __hash__(self):
-        return hash(self._key())
+        return self._hash
 
     def __repr__(self):
         return f"SlotShape({self.nslots}, nvars={self.nvars}, zeta_{self.conductor})"
@@ -126,7 +126,7 @@ class SlotShape:
         return tuple(out)
 
     def ring(self) -> Ring:
-        key = self._key()
+        key = self._key
         r = _RING_CACHE.get(key)
         if r is None:
             names = []
@@ -219,7 +219,7 @@ class PSubst:
     substitution a bimodule map for the outer action.
     """
 
-    __slots__ = ("src", "dst", "mapping")
+    __slots__ = ("src", "dst", "mapping", "_signature")
 
     def __init__(self, src: SlotShape, dst: SlotShape, mapping: dict):
         sring = src.ring()
@@ -241,6 +241,7 @@ class PSubst:
         self.src = src
         self.dst = dst
         self.mapping = norm
+        self._signature = ("subst", src, dst, frozenset(norm.items()))
 
     def apply(self, p: MultiPoly) -> MultiPoly:
         return p.subst_scale(self.mapping, self.dst.ring())
@@ -260,7 +261,7 @@ class PSubst:
         return PSubst(self.src, then.dst, m)
 
     def signature(self):
-        return ("subst", self.src, self.dst, frozenset(self.mapping.items()))
+        return self._signature
 
     def lift(self, left: int, asrc: SlotShape, adst: SlotShape) -> "PSubst":
         # glued slots map untwisted, those after the chain past its target

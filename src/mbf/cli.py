@@ -13,6 +13,7 @@ so "1,1,0,1,1,2" is {1/2 1/2 0; 1/2 1/2 1}.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -328,6 +329,8 @@ def cmd_cft_spectrum(args) -> tuple[str, bool]:
 
 def _d_range(args) -> list:
     if args.d is not None:
+        if args.d_min is not None or args.d_max is not None:
+            raise ValueError("--d cannot be combined with --d-min or --d-max")
         return [args.d]
     if args.d_min is None or args.d_max is None:
         raise ValueError("give either --d or both --d-min and --d-max")
@@ -374,7 +377,20 @@ def _finish(p, func):
     p.set_defaults(func=func)
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The `mbf` parser, built on the first call and shared by every later one
+    in the process, so `main` pays for the argparse tree once.
+
+    - Callers must not add arguments to it: every later `main` would see them.
+    - Each subcommand's handler is bound (`set_defaults(func=...)`) when the
+      tree is first built; replacing a `cmd_*` function afterwards does not
+      reach it.
+    - argparse keeps no state between `parse_args` calls: each call starts
+      from a fresh namespace, each subparser parses into its own fresh
+      namespace, and the help formatter is created, reading the terminal
+      width, on every format call.
+    """
     p = argparse.ArgumentParser(
         prog="mbf",
         description="Exact defect workbench for x^d with a numeric CFT mirror.",

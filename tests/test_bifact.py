@@ -1414,6 +1414,23 @@ def _subst_words(shape):
             w_transfer(shape, shape.slot_names(1)[0], shape.left_names()[0])]
 
 
+class TestStoredKeys:
+    def test_equal_shapes_built_apart_compare_and_hash_equal(self):
+        a, b = SlotShape(3, 2, 4), SlotShape(3, 2, 4)
+        assert a is not b and a == b and hash(a) == hash(b) == hash((3, 2, 4))
+        assert {a: "ring"}[b] == "ring" and a.ring() is b.ring()
+        other = SlotShape(3, 2, 5)
+        assert a != other and (3, 2, 4) != a
+        assert len({a, b, other}) == 2
+
+    @pytest.mark.parametrize("shape", _CHAINS, ids=repr)
+    def test_subst_signature_is_the_fresh_tuple(self, shape):
+        for word in _subst_words(shape):
+            (prim,) = word.prims
+            fresh = ("subst", prim.src, prim.dst, frozenset(prim.mapping.items()))
+            assert prim.signature() == fresh and hash(prim.signature()) == hash(fresh)
+
+
 class TestSlotMap:
     def test_map_places_slots_in_order(self):
         src, dst = SlotShape(3, 2, 4), SlotShape(2, 2, 4)

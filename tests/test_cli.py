@@ -32,6 +32,13 @@ def run_json(capsys, *argv):
     return code, json.loads(out)
 
 
+def python(*args):
+    """`python args` in a fresh process, importing mbf from these sources."""
+    src = pathlib.Path(__file__).resolve().parents[1] / "src"
+    env = dict(os.environ, PYTHONPATH=str(src))
+    return subprocess.run([sys.executable, *args], env=env, capture_output=True, timeout=120)
+
+
 class TestSetSyntax:
     def test_comma_list(self):
         assert parse_set("0,1,2", 5) == (0, 1, 2)
@@ -70,17 +77,22 @@ _BAD_TOLS = ("nan", "inf", "-1")
         ["cft", "fusing", "--d", "4", "--precision", "52"],
         ["sixj", "--k", "2", "--labels", "1,1,0,1,1,-2"],
         ["sixj", "--k", "2", "--labels=-1,1,0,1,1,2"],
+        ["compare", "ratio", "--d", "4", "--d-min", "5", "--d-max", "3"],
+        ["compare", "ratio", "--d", "4", "--d-min", "5", "--d-max", "6"],
     ] + [[*argv, "--tol", tol] for argv in _TOL_COMMANDS.values() for tol in _BAD_TOLS],
     ids=["d-zero", "charge-zero-denominator", "negative-k", "removed-tol",
          "removed-cutoff", "removed-monoidal-cutoff", "precision-zero",
-         "precision-below-double", "sixj-negative-label", "sixj-negative-first-label"]
+         "precision-below-double", "sixj-negative-label", "sixj-negative-first-label",
+         "ratio-d-and-empty-range", "ratio-d-and-range"]
     + [f"tol-{tol}-{name}" for name in _TOL_COMMANDS for tol in _BAD_TOLS],
 )
 def test_bad_arguments_are_usage_errors(capsys, argv):
-    with pytest.raises(SystemExit) as exc:
-        main(argv)
+    try:
+        code = main(argv)
+    except SystemExit as exc:  # argparse rejects; a handler's ValueError returns 2
+        code = exc.code
     captured = capsys.readouterr()
-    assert exc.value.code == 2 and captured.out == ""
+    assert code == 2 and captured.out == ""
     errors = [line for line in captured.err.splitlines() if "error:" in line]
     assert len(errors) == 1 and captured.err.endswith(errors[0] + "\n")
 
@@ -588,9 +600,27 @@ class TestReportPlumbing:
     def test_module_entry_point(self, capsys):
         # `python -m mbf` runs the same main: same exit code, same bytes
         argv = ["cft", "pentagon", "--k", "1"]
-        src = pathlib.Path(__file__).resolve().parents[1] / "src"
-        env = dict(os.environ, PYTHONPATH=str(src))
-        proc = subprocess.run([sys.executable, "-m", "mbf", *argv], env=env,
-                              capture_output=True, timeout=120)
+        proc = python("-m", "mbf", *argv)
         code, out = run(capsys, *argv)
         assert proc.returncode == code == 0 and proc.stdout == out.encode()
+
+
+class TestSharedParser:
+    def test_one_parser_per_process(self):
+        assert cli.build_parser() is cli.build_parser()
+
+    def test_import_builds_no_parser(self):
+        proc = python("-c", "from mbf import cli; print(cli.build_parser.cache_info().currsize)")
+        assert proc.returncode == 0 and proc.stdout == b"0\n"
+
+    def test_earlier_calls_leave_no_state(self, capsys):
+        # a usage error, --version and a help page each end in SystemExit
+        # part-way through a parse; later parses must not see any of it
+        for argv in (["sixj", "--k", "2", "--labels", "1,1,0"], ["--version"],
+                     ["cft", "pentagon", "-h"]):
+            code, _ = run(capsys, *argv)
+            assert code == (2 if "sixj" in argv else 0)
+        for argv in (["cft", "sixj", "--k", "2"], ["sixj", "--k", "2", "--labels", "1,1,0,1,1,2"]):
+            code, out = run(capsys, *argv)
+            proc = python("-m", "mbf", *argv)
+            assert (code, out.encode()) == (proc.returncode, proc.stdout) and code == 0
