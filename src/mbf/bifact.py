@@ -950,9 +950,10 @@ class MBF:
     An object is immutable, since `ps_object` hands the same P_S to every
     caller.  A tensor product is made by `_deferred`: its differentials are
     built on the first read of `d0` or `d1`, and their endpoints checked then.
+    `validate_mbf` keeps its report in `_report`.
     """
 
-    __slots__ = ("m0", "m1", "w", "grading", "_d", "_build")
+    __slots__ = ("m0", "m1", "w", "grading", "_d", "_build", "_report")
 
     def __init__(self, m0: FreeBimod, m1: FreeBimod, d0: Operator, d1: Operator, w: MultiPoly,
                  grading=None):
@@ -981,6 +982,7 @@ class MBF:
         object.__setattr__(self, "m1", m1)
         object.__setattr__(self, "w", w)
         object.__setattr__(self, "grading", grading)
+        object.__setattr__(self, "_report", None)
 
     def _set_differentials(self, d0, d1):
         if d0.src != self.m0 or d0.dst != self.m1 or d1.src != self.m1 or d1.dst != self.m0:
@@ -1048,7 +1050,14 @@ class ValidationReport:
 
 
 def validate_mbf(D: MBF) -> ValidationReport:
-    """Check d1∘d0 = (W(a)−W(b))·id on D0 and d0∘d1 likewise on D1."""
+    """Check d1∘d0 = (W(a)−W(b))·id on D0 and d0∘d1 likewise on D1.
+
+    An `MBF` is immutable, so the report is memoised on the object: each
+    `ps_object` is checked once per process, and a reduced tensor built with
+    `reduce_tensor(check=True)` keeps the report of that check.
+    """
+    if D._report is not None:
+        return D._report
     wdiff = w_mul(D.shape, D.w_difference())
     violations = []
     modes = []
@@ -1066,7 +1075,9 @@ def validate_mbf(D: MBF) -> ValidationReport:
                 i, j = next(iter(diff.cells))
                 detail = {"block": [i, j], "difference": str(diff.apply_basis(j, {})[i])}
             violations.append({"which": name, "mode": mode, "detail": detail})
-    return ValidationReport(not violations, joint_mode(modes), violations)
+    rep = ValidationReport(not violations, joint_mode(modes), violations)
+    object.__setattr__(D, "_report", rep)
+    return rep
 
 
 class Morphism:

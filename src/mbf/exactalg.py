@@ -16,9 +16,16 @@ only at the edges: the constructor, ``coeffs`` and printing.  The field
 inverse is integral too: the product of the other Galois conjugates over the
 norm.
 
+Reduction modulo a prime: with p ≡ 1 (mod n) and r a root of Phi_n in F_p,
+zeta_n -> r is a ring map Z[zeta_n] -> F_p, and it extends to every value
+whose ``den`` is prime to p.  ``modular_prime(n)`` fixes one (p, r) per
+conductor and ``Cyclo.reduce_mod`` applies it; ``linalg.rank_mod_p`` uses it
+for lower bounds on ranks.
+
 Values are immutable; all operations return fresh objects, so sharing across
-threads is safe.  The Phi_n caches are filled idempotently (recomputation
-yields the identical value), which is harmless under concurrent first use.
+threads is safe.  The Phi_n and (p, r) caches are filled idempotently
+(recomputation yields the identical value), which is harmless under
+concurrent first use.
 """
 
 from __future__ import annotations
@@ -87,6 +94,57 @@ def cyclotomic_poly(n: int) -> tuple:
 
 def euler_phi(n: int) -> int:
     return len(cyclotomic_poly(n)) - 1
+
+
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+_MODULAR: dict[int, tuple] = {}
+
+
+def _is_prime(m: int) -> bool:
+    """Miller-Rabin on the first twelve prime bases, deterministic below
+    3.18 * 10^23 (Sorenson and Webster, Math. Comp. 2017)."""
+    if m < 2:
+        return False
+    for q in _MR_BASES:
+        if m % q == 0:
+            return m == q
+    s, odd = 0, m - 1
+    while not odd & 1:
+        s, odd = s + 1, odd >> 1
+    for a in _MR_BASES:
+        x = pow(a, odd, m)
+        if x in (1, m - 1):
+            continue
+        for _ in range(s - 1):
+            x = x * x % m
+            if x == m - 1:
+                break
+        else:
+            return False
+    return True
+
+
+def modular_prime(n: int) -> tuple:
+    """(p, r) for reducing Q(zeta_n) modulo a prime; memoised per conductor.
+
+    p is the least prime above 2^31 with p ≡ 1 (mod n), so F_p holds the n-th
+    roots of unity, and r = g^((p-1)/n) for the least g >= 2 with
+    Phi_n(r) ≡ 0 (mod p), a primitive n-th root of unity.
+    """
+    found = _MODULAR.get(n)
+    if found is None:
+        p = -(-2 ** 31 // n) * n + 1  # least k·n + 1 above 2^31
+        while not _is_prime(p):
+            p += n
+        phi = cyclotomic_poly(n)
+        g = 2
+        while True:
+            r = pow(g, (p - 1) // n, p)
+            if sum(c * pow(r, i, p) for i, c in enumerate(phi)) % p == 0:
+                break
+            g += 1
+        found = _MODULAR.setdefault(n, (p, r))
+    return found
 
 
 _RED_ROWS: dict = {}
@@ -189,6 +247,17 @@ class Cyclo:
         if any(self.num[1:]):
             return None
         return Rat(self.num[0], self.den)
+
+    def reduce_mod(self, p: int, r: int):
+        """The image in F_p under zeta_n -> r (a root of Phi_n mod p), as an
+        int in [0, p), or None when p divides ``den``."""
+        den = self.den
+        if den % p == 0:
+            return None
+        acc = 0
+        for c in reversed(self.num):
+            acc = (acc * r + c) % p
+        return acc if den == 1 else acc * pow(den, -1, p) % p
 
     # -- ring/field ops ----------------------------------------------------
 

@@ -14,8 +14,11 @@ an ungraded object raises ValueError.
 
 Hom spaces are computed sector by sector: homogeneity forces the total
 degree of every block entry, so each charge sector is a finite linear
-problem over the cyclotomic field, solved exactly (closedness nullspace
-modulo the image of the odd ansatz).
+problem over the cyclotomic field.  A sector whose ranks modulo a prime
+already account for every ansatz variable is proved empty by that count
+(`_solve_sector`); every other sector is solved exactly (closedness
+nullspace modulo the image of the odd ansatz), and only the exact solve
+reports a non-empty sector.
 """
 
 from __future__ import annotations
@@ -25,7 +28,7 @@ import math
 from . import VerificationError
 from ._rat import Rat, rat_str
 from .exactalg import Cyclo
-from .linalg import Echelon, nullspace, solve
+from .linalg import Echelon, nullspace, rank_mod_p, solve
 from .bifact import (
     MBF,
     Morphism,
@@ -38,6 +41,7 @@ from .bifact import (
     associator,
     ps_object,
     unit_isos,
+    validate_mbf,
     w_mul,
 )
 
@@ -257,13 +261,11 @@ def _delta_columns(ansatz: _Ansatz, index: dict) -> list:
     return columns
 
 
-def _closed_subspace(ansatz: _Ansatz):
-    """Basis vectors (over the ansatz variables) of the delta kernel."""
-    d = ansatz.gs.shape.conductor
-    index, z = {}, Cyclo.zero(d)
+def _delta_matrix(ansatz: _Ansatz):
+    """The matrix of delta on the ansatz: one column per ansatz variable."""
+    index, z = {}, Cyclo.zero(ansatz.gs.shape.conductor)
     columns = _delta_columns(ansatz, index)
-    matrix = [[col.get(r, z) for col in columns] for r in range(len(index))]
-    return nullspace(matrix, d, ncols=len(ansatz))
+    return [[col.get(r, z) for col in columns] for r in range(len(index))]
 
 
 def _image_vectors(ansatz: _Ansatz):
@@ -321,14 +323,39 @@ class HomSpace:
 
 
 def _solve_sector(gs: MBF, gt: MBF, units: Rat, parity: int = 0):
-    """(dim, representatives) of the charge-u cohomology, exact."""
+    """(dim, representatives) of the charge-u cohomology, exact; gs and gt
+    must be factorisations of one potential (`hom_space` checks this).
+
+    With n ansatz variables, M the matrix of delta on the ansatz
+    (`_delta_matrix`) and I the delta images of the opposite-parity ansatz
+    d/2 units lower (`_image_vectors`), a sector is first tried for an
+    emptiness certificate modulo a prime.  `rank_mod_p` is a lower bound on
+    the rank over Q(zeta_d): zeta -> r is a ring map on the entries, so each
+    minor mod p is the image of the same minor.  If rank_p(M) = n, the closed
+    space is 0.  Otherwise, delta^2 = (W_target - W_source)·id = 0 puts span I
+    inside ker M, so dim H_u = n - rank M - rank I
+    <= n - rank_p(M) - rank_p(I), and rank_p(M) + rank_p(I) = n proves the
+    sector empty.  In every other case, or when an entry has a denominator
+    divisible by p, the sector is solved exactly from the same M and I: the
+    exact solve alone reports a dimension > 0 or a representative.
+    """
     ansatz = _Ansatz(gs, gt, parity, units)
-    if not len(ansatz):
+    n = len(ansatz)
+    if not n:
         return 0, []
-    closed = _closed_subspace(ansatz)
-    if not closed:
+    d = gs.shape.conductor
+    matrix = _delta_matrix(ansatz)
+    low = rank_mod_p(matrix, d)
+    if low == n:
         return 0, []
     image = _image_vectors(ansatz)
+    if low is not None:
+        low_image = rank_mod_p(image, d)
+        if low_image is not None and low + low_image == n:
+            return 0, []
+    closed = nullspace(matrix, d, ncols=n)
+    if not closed:
+        return 0, []
     ech = Echelon()
     for vecv in image:
         ech.insert(vecv)
@@ -362,7 +389,11 @@ def _charge_window(gs: MBF, gt: MBF, parity: int) -> Rat:
 def hom_space(gs: MBF, gt: MBF, charge="all", parity: int = 0) -> HomSpace:
     """Cohomology classes of morphisms gs -> gt, per exact charge sector;
     both objects must be graded, and a differential off charge d/2 in its
-    object's grading (`graded_validate`) raises VerificationError.
+    object's grading (`graded_validate`) raises VerificationError.  So does
+    an object that is not an exact factorisation of its potential
+    (`validate_mbf` not ok with mode "exact") or a pair of different
+    potentials: the emptiness certificate of `_solve_sector` rests on
+    delta^2 = 0, which holds when both are factorisations of one W.
 
     `charge` is an actual R-charge (rational), whose sector is kept even when
     empty, or "all", which solves exactly the sectors inside the proved Serre
@@ -384,6 +415,12 @@ def hom_space(gs: MBF, gt: MBF, charge="all", parity: int = 0) -> HomSpace:
         rep = graded_validate(D)
         if not rep["ok"]:
             raise VerificationError(f"differential off charge d/2: {rep['violations']}")
+        rep = validate_mbf(D)
+        if not rep.ok or rep.mode != "exact":
+            raise VerificationError(
+                f"not an exact factorisation of its potential ({rep.mode}): {rep.violations}")
+    if gs.w != gt.w:
+        raise VerificationError("source and target potentials differ")
     d = gs.shape.conductor
     qx = Rat(2, d)
     if charge == "all":

@@ -3,11 +3,12 @@
 Matrices are plain list-of-rows of Cyclo entries, all of one conductor.
 Everything here is fraction-free in spirit but uses exact field division,
 so results are certified: a None from solve() means genuinely inconsistent.
+The one inexact-looking routine, `rank_mod_p`, is a certified lower bound.
 """
 
 from __future__ import annotations
 
-from .exactalg import Cyclo
+from .exactalg import Cyclo, modular_prime
 
 
 def _clone(rows):
@@ -49,6 +50,49 @@ def rref(rows):
 
 def rank(rows) -> int:
     return len(rref(rows)[1])
+
+
+def rank_mod_p(rows, conductor: int):
+    """Rank of `rows` reduced modulo `exactalg.modular_prime(conductor)`, or
+    None when some entry's denominator is divisible by p.
+
+    The reduction is a ring map on the entries, so every minor of the reduced
+    matrix is the image of the same minor over Q(zeta_n): a non-zero minor
+    mod p is non-zero over the field, and the result never exceeds the exact
+    rank.  It can fall short of it (an entry p reduces to 0).
+    """
+    p, r = modular_prime(conductor)
+    residues = {}  # numerator -> residue, for the entries with den 1
+    pivots = {}  # pivot column -> reduced row {column: value}, pivot value 1
+    for row in rows:
+        v = {}
+        for c, e in enumerate(row):
+            if e.den == 1:
+                x = residues.get(e.num)
+                if x is None:
+                    x = residues[e.num] = e.reduce_mod(p, r)
+            else:
+                x = e.reduce_mod(p, r)
+                if x is None:
+                    return None
+            if x:
+                v[c] = x
+        while v:
+            c = min(v)
+            piv = pivots.get(c)
+            if piv is None:
+                inv = pow(v[c], -1, p)
+                pivots[c] = {k: x * inv % p for k, x in v.items()}
+                break
+            f = v.pop(c)
+            for k, x in piv.items():
+                if k != c:
+                    y = (v.get(k, 0) - f * x) % p
+                    if y:
+                        v[k] = y
+                    else:
+                        v.pop(k, None)
+    return len(pivots)
 
 
 def nullspace(rows, conductor: int, ncols: int | None = None):

@@ -108,6 +108,27 @@ class TestValidate:
         assert v["detail"]["block"] == [0, 0]
         assert v["detail"]["difference"]  # nonzero difference polynomial
 
+    def test_report_is_memoised_on_the_object(self, monkeypatch):
+        shape = SlotShape(2, 1, 3)
+        ring = shape.ring()
+        D = mbf_from_polys(shape, [[ring.parse("a^2 + a*b + b^2")]], [[ring.parse("a - b")]],
+                           fermat_potential(3))
+        calls = []
+        real = bifact.op_equal
+        monkeypatch.setattr(bifact, "op_equal", lambda *a: calls.append(a) or real(*a))
+        rep = validate_mbf(D)
+        assert rep.ok and rep.mode == "exact" and len(calls) == 2
+        assert validate_mbf(D) is rep and len(calls) == 2
+        # an object with the same differentials is checked afresh
+        E = mbf_from_polys(shape, D.d0.matrix(), D.d1.matrix(), D.w)
+        assert validate_mbf(E) is not rep and len(calls) == 4
+
+    def test_reduced_tensor_keeps_its_check(self, monkeypatch):
+        rt, _ = fuse(4, (0, 1), (1, 2), check=True)
+        monkeypatch.setattr(bifact, "op_equal", lambda *a: pytest.fail("checked twice"))
+        rep = validate_mbf(rt.reduced)
+        assert rep.ok and rep.mode == "exact" and validate_mbf(rt.reduced) is rep
+
     def test_rank_mismatch_rejected(self):
         shape = SlotShape(2, 1, 3)
         ring = shape.ring()

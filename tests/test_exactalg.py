@@ -10,8 +10,10 @@ from mbf._rat import Rat, parse_rat, rat_str
 from mbf.exactalg import (
     ConductorMismatch,
     Cyclo,
+    _is_prime,
     cyclotomic_poly,
     euler_phi,
+    modular_prime,
 )
 
 
@@ -272,3 +274,66 @@ def test_printing_edges_unchanged(x, text, coeffs):
     assert repr(x) == text
     assert [rat_str(c) for c in x.coeffs] == coeffs
     assert all(isinstance(c, Rat) for c in x.coeffs)
+
+
+class TestModularReduction:
+    @pytest.mark.parametrize("n", list(range(1, 13)))
+    def test_prime_and_root_rule(self, n):
+        """p is the least prime above 2^31 with p ≡ 1 (mod n); r = g^((p-1)/n)
+        for the least g >= 2 that makes r a root of Phi_n, so r has order n."""
+        import sympy
+
+        p, r = modular_prime(n)
+        assert p > 2**31 and (p - 1) % n == 0 and sympy.isprime(p)
+        assert not any(sympy.isprime(q) for q in range(p - n, 2**31, -n))
+        phi_at = lambda x: sum(c * pow(x, i, p) for i, c in enumerate(cyclotomic_poly(n))) % p
+        assert phi_at(r) == 0
+        assert pow(r, n, p) == 1 and all(pow(r, k, p) != 1 for k in range(1, n))
+        g = next(g for g in range(2, p) if pow(g, (p - 1) // n, p) == r)
+        assert all(phi_at(pow(h, (p - 1) // n, p)) for h in range(2, g))
+        assert modular_prime(n) is modular_prime(n)
+
+    def test_miller_rabin(self):
+        import sympy
+
+        assert [m for m in range(200) if _is_prime(m)] == list(sympy.primerange(200))
+        # strong pseudoprimes to the first four and the first nine prime bases
+        for m in (3215031751, 3825123056546413051):
+            assert not _is_prime(m) and not sympy.isprime(m)
+        for m in (2**31 - 1, 2**61 - 1, 2147483659):
+            assert _is_prime(m)
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.data())
+    def test_reduction_is_a_ring_map(self, data):
+        n = data.draw(st.sampled_from([3, 4, 5, 12]), label="n")
+        frac = st.fractions(min_value=-6, max_value=6, max_denominator=12)
+        a = Cyclo(n, data.draw(st.lists(frac, max_size=euler_phi(n) + 2), label="a"))
+        b = Cyclo(n, data.draw(st.lists(frac, max_size=euler_phi(n) + 2), label="b"))
+        p, r = modular_prime(n)
+        red = lambda x: x.reduce_mod(p, r)
+        assert red(a + b) == (red(a) + red(b)) % p
+        assert red(a * b) == red(a) * red(b) % p
+        assert red(-a) == -red(a) % p
+        if not a.is_zero():
+            assert red(a.inverse()) * red(a) % p == 1
+        assert red(Cyclo.root(n)) == r and red(Cyclo.zero(n)) == 0
+
+    def test_denominator_divisible_by_p(self):
+        p, r = modular_prime(5)
+        assert Cyclo.from_rat(5, Rat(1, p)).reduce_mod(p, r) is None
+        assert Cyclo.from_rat(5, Rat(1, 3 * p)).reduce_mod(p, r) is None
+        assert Cyclo.from_rat(5, p).reduce_mod(p, r) == 0
+
+    def test_rule_is_computed_on_first_use(self):
+        import os
+        import pathlib
+        import subprocess
+        import sys
+
+        src = pathlib.Path(__file__).resolve().parent.parent / "src"
+        code = "import mbf.exactalg as e; assert not e._MODULAR; e.modular_prime(4); print(e._MODULAR)"
+        out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                             env={**os.environ, "PYTHONPATH": str(src)})
+        assert out.returncode == 0, out.stderr
+        assert out.stdout.strip() == "{4: (2147483693, 72742850)}"

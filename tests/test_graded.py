@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from mbf._rat import Rat
-from mbf.exactalg import Cyclo
+from mbf.exactalg import Cyclo, modular_prime
 from mbf import VerificationError, cli
 from mbf import graded
 from mbf.fusion import fuse, reduce_tensor
@@ -21,6 +21,7 @@ from mbf.bifact import (
     tensor_obj,
     twist_object,
     unit_object,
+    validate_mbf,
 )
 from mbf.graded import (
     NotHomogeneous,
@@ -333,6 +334,119 @@ class TestSerreWindow:
                     top = graded._charge_window(X, Y, parity) * Rat(2, 3)
                     edge += bool(H.sectors) and H.charges()[-1] == top
         assert edge == 12
+
+
+def _consecutive_sets(d):
+    return [tuple(sorted((i + t) % d for t in range(j + 1)))
+            for i in range(d) for j in range(d - 1)]
+
+
+def _rescaled(P, even, odd, w=None):
+    """P with d0 scaled by `even` and d1 by `odd`, the same grading, and the
+    potential `w` (default P's)."""
+    (e,), = P.d0.matrix()
+    (o,), = P.d1.matrix()
+    return mbf_from_polys(P.shape, [[e * even]], [[o * odd]], P.w if w is None else w,
+                          P.grading)
+
+
+def _hom_docs(pairs):
+    return [hom_space(X, Y, "all", parity).to_json() for X, Y in pairs for parity in (0, 1)]
+
+
+def _exact_docs(monkeypatch, pairs):
+    """`_hom_docs` with every sector forced through the exact solve."""
+    with monkeypatch.context() as m:
+        m.setattr(graded, "rank_mod_p", lambda rows, conductor: None)
+        return _hom_docs(pairs)
+
+
+def _consecutive_pairs(d):
+    objs = [ps_object(d, S) for S in _consecutive_sets(d)]
+    return [(X, Y) for X in objs for Y in objs]
+
+
+class TestEmptinessCertificate:
+    """`_solve_sector` proves a sector empty when its ranks modulo a prime
+    account for every ansatz variable; the exact solve does the rest."""
+
+    @pytest.mark.parametrize("d", [3, 4, 5])
+    def test_consecutive_pairs_match_the_exact_solve(self, monkeypatch, d):
+        pairs = _consecutive_pairs(d)
+        assert _hom_docs(pairs) == _exact_docs(monkeypatch, pairs)
+
+    def test_reduced_tensors_match_the_exact_solve(self, monkeypatch):
+        """P_T -> X and X -> P_T for 8 seeded reduced tensors X at d = 4."""
+        found = _reduced_tensors(4, 8, seed=13)
+        assert len(found) == 8
+        pairs = [(P, R) for R, P in found] + [(R, P) for R, P in found]
+        assert _hom_docs(pairs) == _exact_docs(monkeypatch, pairs)
+
+    def test_settled_sector_count_d4(self, monkeypatch):
+        """Of the 1,120 sectors with a non-empty ansatz over every ordered
+        pair of consecutive P_S at d = 4 and both parities, the certificate
+        settles 856; the other 264 are exactly the non-empty ones."""
+        count = {"sectors": 0, "exact": 0}
+
+        def counted(key, fn):
+            def call(*a, **k):
+                count[key] += 1
+                return fn(*a, **k)
+            return call
+
+        monkeypatch.setattr(graded, "_delta_matrix", counted("sectors", graded._delta_matrix))
+        monkeypatch.setattr(graded, "nullspace", counted("exact", graded.nullspace))
+        nonempty = sum(len(doc["sectors"]) for doc in _hom_docs(_consecutive_pairs(4)))
+        assert (count["sectors"], count["exact"], nonempty) == (1120, 264, 264)
+
+    def test_overstated_rank_is_caught(self, monkeypatch):
+        """Negative control: a rank bound one too high proves non-empty
+        sectors empty, and the equivalence with the exact solve fails."""
+        pairs = _consecutive_pairs(4)
+        exact = _exact_docs(monkeypatch, pairs)
+        rank = graded.rank_mod_p
+        monkeypatch.setattr(graded, "rank_mod_p", lambda rows, conductor: rank(rows, conductor) + 1)
+        assert _hom_docs(pairs) != exact
+
+    def test_denominator_divisible_by_p_falls_back(self, monkeypatch):
+        """P_{0,1} at d = 4 with d0 divided by p and d1 multiplied by p is
+        isomorphic to P_{0,1}; no entry of its sectors reduces mod p, so
+        every sector is solved exactly, with the same charges and dims."""
+        P = ps_object(4, (0, 1))
+        p, _ = modular_prime(4)
+        Q = _rescaled(P, Rat(1, p), p)
+        bounds = []
+        rank = graded.rank_mod_p
+
+        def recorded(rows, conductor):
+            bounds.append(rank(rows, conductor))
+            return bounds[-1]
+
+        sectors = lambda X, parity: [(s.charge, s.dim) for s in hom_space(X, X, "all", parity).sectors]
+        want = [sectors(P, parity) for parity in (0, 1)]
+        monkeypatch.setattr(graded, "rank_mod_p", recorded)
+        assert [sectors(Q, parity) for parity in (0, 1)] == want
+        assert bounds and set(bounds) == {None}
+
+    def test_non_factorisation_raises(self):
+        """P_{0,1} at d = 5 with d0 doubled keeps its grading but d1∘d0 = 2W:
+        delta^2 != 0, and left unchecked hom_space answered sectors (0, 1),
+        (2/5, 2), (4/5, 2), (6/5, 1) for it."""
+        g = graded_ps(5, 0, 1)
+        bad = _rescaled(g, 2, 1)
+        assert graded_validate(bad)["ok"] and not validate_mbf(bad)
+        for X, Y in ((bad, bad), (bad, g), (g, bad)):
+            with pytest.raises(VerificationError, match="not an exact factorisation"):
+                hom_space(X, Y)
+
+    def test_different_potentials_raise(self):
+        g = graded_ps(4, 0, 1)
+        doubled = _rescaled(g, 2, 1, g.w * 2)
+        assert validate_mbf(doubled) and validate_mbf(doubled).mode == "exact"
+        for X, Y in ((g, doubled), (doubled, g)):
+            with pytest.raises(VerificationError, match="potentials differ"):
+                hom_space(X, Y)
+        assert hom_space(doubled, doubled).total_dim() == hom_space(g, g).total_dim()
 
 
 def _leg_terms(phi):

@@ -4,8 +4,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mbf.exactalg import Cyclo
-from mbf.linalg import nullspace, rank, rref, solve
+from mbf.exactalg import Cyclo, modular_prime
+from mbf.linalg import nullspace, rank, rank_mod_p, rref, solve
 
 
 def C(n, v):
@@ -154,3 +154,34 @@ class TestEchelon:
         for row in m:
             ech.insert(row)
         assert ech.rank == rank(m)
+
+
+class TestRankModP:
+    @given(rational_matrices())
+    @settings(max_examples=60, deadline=None)
+    def test_small_integers_keep_their_rank(self, m):
+        assert rank_mod_p(m, 1) == rank(m)
+
+    def test_cyclotomic_entries(self):
+        # rows (1, i) and (i, -1) are proportional over Q(i), and so mod p
+        i = Cyclo.root(4, 1)
+        one = Cyclo.one(4)
+        assert rank_mod_p([[one, i], [i, -one]], 4) == rank([[one, i], [i, -one]]) == 1
+        assert rank_mod_p([[one, i], [i, one]], 4) == 2
+
+    def test_entry_equal_to_p_is_only_a_lower_bound(self):
+        """Negative control: p reduces to 0, so the bound falls short."""
+        for n in (3, 4, 5):
+            p, _ = modular_prime(n)
+            m = mat(n, [[p]])
+            assert (rank_mod_p(m, n), rank(m)) == (0, 1)
+
+    def test_denominator_divisible_by_p_gives_none(self):
+        p, _ = modular_prime(4)
+        m = mat(4, [[1, 0], [0, Fraction(1, p)]])
+        assert rank_mod_p(m, 4) is None and rank(m) == 2
+        assert rank_mod_p(mat(4, [[1, 0], [0, Fraction(p, 3)]]), 4) == 1
+
+    def test_empty(self):
+        assert rank_mod_p([], 5) == 0
+        assert rank_mod_p(mat(5, [[0, 0], [0, 0]]), 5) == 0
