@@ -63,7 +63,7 @@ from collections import Counter
 from types import MappingProxyType
 
 from ._rat import Rat
-from .exactalg import Cyclo
+from .exactalg import Cyclo, modular_prime
 from .polycalc import MultiPoly, Ring, RingMismatch
 
 DEFAULT_CUTOFF = 30
@@ -940,6 +940,9 @@ def _kron(F: Operator, G: Operator) -> Operator:
 # -- objects and morphisms ------------------------------------------------------
 
 
+_UNREDUCED = object()  # `MBF._residues` before `differential_residues` runs
+
+
 class MBF:
     """Matrix bi-factorisation: two modules, two differentials, a potential.
 
@@ -950,10 +953,11 @@ class MBF:
     An object is immutable, since `ps_object` hands the same P_S to every
     caller.  A tensor product is made by `_deferred`: its differentials are
     built on the first read of `d0` or `d1`, and their endpoints checked then.
-    `validate_mbf` keeps its report in `_report`.
+    `validate_mbf` keeps its report in `_report`, and
+    `differential_residues` its residue tables in `_residues`.
     """
 
-    __slots__ = ("m0", "m1", "w", "grading", "_d", "_build", "_report")
+    __slots__ = ("m0", "m1", "w", "grading", "_d", "_build", "_report", "_residues")
 
     def __init__(self, m0: FreeBimod, m1: FreeBimod, d0: Operator, d1: Operator, w: MultiPoly,
                  grading=None):
@@ -983,6 +987,7 @@ class MBF:
         object.__setattr__(self, "w", w)
         object.__setattr__(self, "grading", grading)
         object.__setattr__(self, "_report", None)
+        object.__setattr__(self, "_residues", _UNREDUCED)
 
     def _set_differentials(self, d0, d1):
         if d0.src != self.m0 or d0.dst != self.m1 or d1.src != self.m1 or d1.dst != self.m0:
@@ -1078,6 +1083,27 @@ def validate_mbf(D: MBF) -> ValidationReport:
     rep = ValidationReport(not violations, joint_mode(modes), violations)
     object.__setattr__(D, "_report", rep)
     return rep
+
+
+def differential_residues(D: MBF):
+    """The coefficients of d0 and d1 in F_p at `modular_prime`'s (p, r) for
+    D's conductor, or None when p divides the denominator of one of them.
+
+    The tables are (d0, d1), each a tuple of rows whose entries map the
+    exponents of a term of `matrix()` to its residue (`Cyclo.reduce_mod`),
+    zeros included.  An `MBF` is immutable, so the result is memoised on the
+    object: each object is reduced once per process.
+    """
+    if D._residues is _UNREDUCED:
+        p, r = modular_prime(D.shape.conductor)
+        tables = tuple(
+            tuple(tuple({e: c.reduce_mod(p, r) for e, c in poly.terms.items()} for poly in row)
+                  for row in op.matrix())
+            for op in (D.d0, D.d1))
+        reduced = all(None not in entry.values()
+                      for table in tables for row in table for entry in row)
+        object.__setattr__(D, "_residues", tables if reduced else None)
+    return D._residues
 
 
 class Morphism:

@@ -19,8 +19,10 @@ norm.
 Reduction modulo a prime: with p ≡ 1 (mod n) and r a root of Phi_n in F_p,
 zeta_n -> r is a ring map Z[zeta_n] -> F_p, and it extends to every value
 whose ``den`` is prime to p.  ``modular_prime(n)`` fixes one (p, r) per
-conductor and ``Cyclo.reduce_mod`` applies it; ``linalg.rank_mod_p`` uses it
-for lower bounds on ranks.
+conductor and ``Cyclo.reduce_mod`` applies it.
+``bifact.differential_residues`` reduces each object's differential
+coefficients with it once, and ``graded`` ranks δ columns read from those
+residues with ``linalg.rank_mod_p`` for lower bounds on ranks.
 
 Values are immutable; all operations return fresh objects, so sharing across
 threads is safe.  The Phi_n and (p, r) caches are filled idempotently

@@ -16,18 +16,24 @@ Hom spaces are computed sector by sector: homogeneity forces the total
 degree of every block entry, so each charge sector is a finite linear
 problem over the cyclotomic field.  A sector whose ranks modulo a prime
 already account for every ansatz variable is proved empty by that count
-(`_solve_sector`); every other sector is solved exactly (closedness
-nullspace modulo the image of the odd ansatz), and only the exact solve
-reports a non-empty sector.
+(`_solve_sector`).  The count needs no `Cyclo` arithmetic: every entry of
+δ is a copied or negated differential coefficient, so δ is read as sparse
+columns over F_p from each object's coefficients, reduced once per object
+(`bifact.differential_residues`), and ranked sparsely (`linalg.rank_mod_p`).
+`Cyclo` matrices are built only for the sectors the count does not settle;
+those are solved exactly (closedness nullspace modulo the image of the odd
+ansatz), and only the exact solve reports a non-empty sector.
 """
 
 from __future__ import annotations
 
+import functools
 import math
+import operator
 
 from . import VerificationError
 from ._rat import Rat, rat_str
-from .exactalg import Cyclo
+from .exactalg import Cyclo, modular_prime
 from .linalg import Echelon, nullspace, rank_mod_p, solve
 from .bifact import (
     MBF,
@@ -39,6 +45,7 @@ from .bifact import (
     PSubst,
     PTDiv,
     associator,
+    differential_residues,
     ps_object,
     unit_isos,
     validate_mbf,
@@ -182,8 +189,23 @@ def zero_charge_structure_check(d: int):
 # -- hom spaces ---------------------------------------------------------------
 
 
-def _is_nonneg_int(x) -> bool:
-    return x == int(x) and x >= 0
+@functools.lru_cache(maxsize=16)
+def _blocks(gs: MBF, gt: MBF, parity: int) -> tuple:
+    """(L, blocks): the (leg, i, j, L·(c_src[j] − c_tgt[i])) of every block
+    entry of a parity-`parity` morphism gs -> gt, with L the least common
+    denominator of both objects' charges, so that every offset is an int.
+
+    A block entry of charge u (q_x units) has degree u + c_src[j] − c_tgt[i];
+    with the offsets scaled by L, `_Ansatz` and `hom_space` find the degrees
+    of a sector by integer arithmetic.
+    """
+    charges = [c for D in (gs, gt) for leg in (0, 1) for c in D.charges(leg)]
+    scale = math.lcm(*(c.denominator for c in charges))
+    blocks = tuple((leg, i, j, int((cj - ci) * scale))
+                   for leg in (0, 1)
+                   for i, ci in enumerate(gt.charges(leg + parity))
+                   for j, cj in enumerate(gs.charges(leg)))
+    return scale, blocks
 
 
 class _Ansatz:
@@ -193,21 +215,19 @@ class _Ansatz:
         self.gs = gs
         self.gt = gt
         self.parity = parity % 2
-        self.units = units
         self.ring = gs.shape.ring()
         self.vars = []  # (leg, i, j, m, n)
-        for leg in (0, 1):
-            csrc = gs.charges(leg)
-            cdst = gt.charges(leg + parity)
-            for i in range(len(cdst)):
-                for j in range(len(csrc)):
-                    deg = units - cdst[i] + csrc[j]
-                    if not _is_nonneg_int(deg):
-                        continue
-                    deg = int(deg)
-                    # a-power descending so canonical representatives prefer a^k
-                    for m in range(deg, -1, -1):
-                        self.vars.append((leg, i, j, m, deg - m))
+        scale, blocks = _blocks(gs, gt, self.parity)
+        if scale % units.denominator:
+            return  # no block entry of an integral degree
+        u = units.numerator * (scale // units.denominator)
+        for leg, i, j, offset in blocks:
+            deg, rest = divmod(u + offset, scale)
+            if rest or deg < 0:
+                continue
+            # a-power descending so canonical representatives prefer a^k
+            for m in range(deg, -1, -1):
+                self.vars.append((leg, i, j, m, deg - m))
 
     def __len__(self):
         return len(self.vars)
@@ -231,55 +251,83 @@ class _Ansatz:
         return Morphism.from_poly_blocks(self.gs, self.gt, self.parity, *self.legs_for(coeffs))
 
 
-def _delta_columns(ansatz: _Ansatz, index: dict) -> list:
-    """δ(e_k) of every ansatz basis vector e_k, as a column {row: Cyclo}.
+def _terms(D: MBF) -> tuple:
+    """(d0, d1) as rows of {exponents: Cyclo}, the layout of
+    `differential_residues`."""
+    return tuple(tuple(tuple(poly.terms for poly in row) for row in op.matrix())
+                 for op in (D.d0, D.d1))
 
-    Row r is the coordinate (leg, i, j, exponents) of δ that `index` maps to
-    r; coordinates missing from `index` are appended in order of first use.
-    With D the source and E the target differentials, δφ = E∘φ − (−1)^p φ∘D
-    (`Morphism.delta`).  For e_k = a^m b^n at row i, column j of leg L:
-    column i of E out of component L+p, shifted by (m, n), goes into column j
-    of leg L, and row j of D out of component 1−L, shifted the same way and
-    times −(−1)^p, goes into row i of leg 1−L.  The two parts never share a
-    coordinate, so every entry is a copied or negated differential coefficient.
+
+def _residues(gs: MBF, gt: MBF):
+    """(p, source tables, target tables) of `differential_residues` at
+    `modular_prime(d)`, or None when p divides a denominator of either."""
+    src, tgt = differential_residues(gs), differential_residues(gt)
+    if src is None or tgt is None:
+        return None
+    return modular_prime(gs.shape.conductor)[0], src, tgt
+
+
+def _delta_columns(ansatz: _Ansatz, index: dict, residues=None) -> list:
+    """δ(e_k) of every ansatz basis vector e_k, as a sparse column {row: value}.
+
+    Row r is the coordinate (leg, i, j, exponents of a, b) of δ that `index`
+    maps to r; coordinates missing from `index` are appended in order of
+    first use.  With D the source and E the target differentials,
+    δφ = E∘φ − (−1)^p φ∘D (`Morphism.delta`).  For e_k = a^m b^n at row i,
+    column j of leg L: column i of E out of component L+p, shifted by (m, n),
+    goes into column j of leg L, and row j of D out of component 1−L, shifted
+    the same way and times −(−1)^p, goes into row i of leg 1−L.  The two
+    parts never share a coordinate, so every entry is a copied or negated
+    differential coefficient: a `Cyclo` by default, or with `residues` from
+    `_residues` its residue mod p, negated as p − v (0 stays 0).
     """
     src, tgt, p = ansatz.gs, ansatz.gt, ansatz.parity
-    D = (src.d0.matrix(), src.d1.matrix())
-    E = (tgt.d0.matrix(), tgt.d1.matrix())
+    if residues is None:
+        neg, D, E = operator.neg, _terms(src), _terms(tgt)
+    else:
+        prime, D, E = residues
+        neg = lambda v: -v % prime  # noqa: E731
     columns = []
     for leg, i, j, m, n in ansatz.vars:
-        shift = tuple({"a": m, "b": n}.get(v, 0) for v in ansatz.ring.vars)
-        Et, Ds = E[(leg + p) % 2], D[1 - leg]
-        parts = [(leg, r, j, row[i], False) for r, row in enumerate(Et)]
-        parts += [(1 - leg, i, c, poly, p == 0) for c, poly in enumerate(Ds[j])]
         col = {}
-        for out, r, c, poly, negate in sorted(parts, key=lambda t: t[0]):
-            for e, v in poly.terms.items():
-                e = tuple(x + y for x, y in zip(e, shift))
-                col[index.setdefault((out, r, c, e), len(index))] = -v if negate else v
+        for r, row in enumerate(E[(leg + p) % 2]):
+            for (ea, eb), v in row[i].items():
+                col[index.setdefault((leg, r, j, (ea + m, eb + n)), len(index))] = v
+        for c, terms in enumerate(D[1 - leg][j]):
+            for (ea, eb), v in terms.items():
+                col[index.setdefault((1 - leg, i, c, (ea + m, eb + n)), len(index))] = (
+                    neg(v) if p == 0 else v)
         columns.append(col)
     return columns
 
 
+def _dense(columns, nrows: int, zero) -> list:
+    """The rows of the matrix whose columns are the sparse `columns`."""
+    return [[col.get(r, zero) for col in columns] for r in range(nrows)]
+
+
 def _delta_matrix(ansatz: _Ansatz):
     """The matrix of delta on the ansatz: one column per ansatz variable."""
-    index, z = {}, Cyclo.zero(ansatz.gs.shape.conductor)
+    index = {}
     columns = _delta_columns(ansatz, index)
-    return [[col.get(r, z) for col in columns] for r in range(len(index))]
+    return _dense(columns, len(index), Cyclo.zero(ansatz.gs.shape.conductor))
 
 
-def _image_vectors(ansatz: _Ansatz):
-    """delta of every basis vector of the opposite-parity ansatz d/2 charge
-    units lower, in `ansatz` coordinates."""
-    gs, gt = ansatz.gs, ansatz.gt
-    d = gs.shape.conductor
-    lower = _Ansatz(gs, gt, 1 - ansatz.parity, ansatz.units - Rat(d, 2))
+def _image_columns(ansatz: _Ansatz, lower: _Ansatz, residues=None) -> list:
+    """delta of every basis vector of `lower`, the opposite-parity ansatz
+    d/2 charge units below `ansatz`, as sparse columns in `ansatz`
+    coordinates (`_delta_columns`)."""
     coords = {(leg, i, j, (m, n)): t for t, (leg, i, j, m, n) in enumerate(ansatz.vars)}
-    columns = _delta_columns(lower, coords)
+    columns = _delta_columns(lower, coords, residues)
     if len(coords) != len(ansatz):
         raise VerificationError("delta image left the charge sector")
-    z = Cyclo.zero(d)
-    return [[col.get(t, z) for t in range(len(ansatz))] for col in columns]
+    return columns
+
+
+def _image_vectors(ansatz: _Ansatz, lower: _Ansatz):
+    """The `_image_columns` of `lower` as dense vectors over Q(zeta_d)."""
+    zero = Cyclo.zero(ansatz.gs.shape.conductor)
+    return list(zip(*_dense(_image_columns(ansatz, lower), len(ansatz), zero)))
 
 
 class HomSector:
@@ -326,34 +374,40 @@ def _solve_sector(gs: MBF, gt: MBF, units: Rat, parity: int = 0):
     """(dim, representatives) of the charge-u cohomology, exact; gs and gt
     must be factorisations of one potential (`hom_space` checks this).
 
-    With n ansatz variables, M the matrix of delta on the ansatz
-    (`_delta_matrix`) and I the delta images of the opposite-parity ansatz
-    d/2 units lower (`_image_vectors`), a sector is first tried for an
-    emptiness certificate modulo a prime.  `rank_mod_p` is a lower bound on
-    the rank over Q(zeta_d): zeta -> r is a ring map on the entries, so each
-    minor mod p is the image of the same minor.  If rank_p(M) = n, the closed
-    space is 0.  Otherwise, delta^2 = (W_target - W_source)·id = 0 puts span I
-    inside ker M, so dim H_u = n - rank M - rank I
-    <= n - rank_p(M) - rank_p(I), and rank_p(M) + rank_p(I) = n proves the
-    sector empty.  In every other case, or when an entry has a denominator
-    divisible by p, the sector is solved exactly from the same M and I: the
-    exact solve alone reports a dimension > 0 or a representative.
+    With n ansatz variables, M the matrix of delta on the ansatz and I the
+    delta images of the opposite-parity ansatz d/2 units lower, a sector is
+    first tried for an emptiness certificate modulo a prime.  M and I are
+    reduced entry by entry: every entry is a copied or negated differential
+    coefficient (`_delta_columns`), so their sparse columns over F_p are read
+    straight from each object's residues (`_residues`).  `rank_mod_p` of
+    those columns is a lower bound on the rank over Q(zeta_d): zeta -> r is
+    a ring map on the entries, so each minor mod p is the image of the same
+    minor.  If rank_p(M) = n, the closed space is 0.  Otherwise,
+    delta^2 = (W_target - W_source)·id = 0 puts span I inside ker M, so
+    dim H_u = n - rank M - rank I <= n - rank_p(M) - rank_p(I), and
+    rank_p(M) + rank_p(I) = n proves the sector empty.  In every other case,
+    or when p divides a denominator of either object's coefficients, the
+    `Cyclo` matrices M (`_delta_matrix`) and I (`_image_vectors`) are built
+    and the sector is solved exactly: the exact solve alone reports a
+    dimension > 0 or a representative.
     """
     ansatz = _Ansatz(gs, gt, parity, units)
     n = len(ansatz)
     if not n:
         return 0, []
     d = gs.shape.conductor
-    matrix = _delta_matrix(ansatz)
-    low = rank_mod_p(matrix, d)
-    if low == n:
-        return 0, []
-    image = _image_vectors(ansatz)
-    if low is not None:
-        low_image = rank_mod_p(image, d)
-        if low_image is not None and low + low_image == n:
+    residues = _residues(gs, gt)
+    if residues is not None:
+        low = rank_mod_p(_delta_columns(ansatz, {}, residues), residues[0])
+        if low == n:
             return 0, []
-    closed = nullspace(matrix, d, ncols=n)
+    lower = _Ansatz(gs, gt, 1 - parity, units - Rat(d, 2))
+    if residues is not None:
+        low_image = rank_mod_p(_image_columns(ansatz, lower, residues), residues[0])
+        if low + low_image == n:
+            return 0, []
+    image = _image_vectors(ansatz, lower)
+    closed = nullspace(_delta_matrix(ansatz), d, ncols=n)
     if not closed:
         return 0, []
     ech = Echelon()
@@ -424,12 +478,11 @@ def hom_space(gs: MBF, gt: MBF, charge="all", parity: int = 0) -> HomSpace:
     d = gs.shape.conductor
     qx = Rat(2, d)
     if charge == "all":
-        top = _charge_window(gs, gt, parity)
-        todo = sorted({deg + ci - cj
-                       for leg in (0, 1)
-                       for ci in gt.charges(leg + parity)
-                       for cj in gs.charges(leg)
-                       for deg in range(math.floor(top - ci + cj) + 1)})
+        scale, blocks = _blocks(gs, gt, parity % 2)
+        top = int(_charge_window(gs, gt, parity) * scale)
+        todo = [Rat(u, scale) for u in sorted({deg * scale - offset
+                                               for *_, offset in blocks
+                                               for deg in range((top + offset) // scale + 1)})]
     else:
         todo = [Rat(charge) / qx]
     sectors = []
@@ -467,8 +520,7 @@ def is_null_homotopic(phi: Morphism):
             for j, poly in enumerate(row):
                 for e, c in poly.terms.items():
                     rhs[index.setdefault((leg, i, j, e), len(index))] = c
-    matrix = [[col.get(r, z) for col in columns] for r in range(len(index))]
-    sol = solve(matrix, [rhs.get(r, z) for r in range(len(index))], d)
+    sol = solve(_dense(columns, len(index), z), [rhs.get(r, z) for r in range(len(index))], d)
     if sol is None:
         return None
     return lower.morphism(sol)

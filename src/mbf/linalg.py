@@ -3,12 +3,18 @@
 Matrices are plain list-of-rows of Cyclo entries, all of one conductor.
 Everything here is fraction-free in spirit but uses exact field division,
 so results are certified: a None from solve() means genuinely inconsistent.
-The one inexact-looking routine, `rank_mod_p`, is a certified lower bound.
+
+The one routine outside Q(zeta_n), `rank_mod_p`, counts the rank of sparse
+vectors of residues mod a prime.  `graded` feeds it the δ columns of a charge
+sector reduced straight from each object's differential coefficients
+(`bifact.differential_residues`), where it is a certified lower bound on the
+exact rank; the dense `Cyclo` matrices are built only for the sectors that
+bound does not settle.
 """
 
 from __future__ import annotations
 
-from .exactalg import Cyclo, modular_prime
+from .exactalg import Cyclo
 
 
 def _clone(rows):
@@ -52,31 +58,19 @@ def rank(rows) -> int:
     return len(rref(rows)[1])
 
 
-def rank_mod_p(rows, conductor: int):
-    """Rank of `rows` reduced modulo `exactalg.modular_prime(conductor)`, or
-    None when some entry's denominator is divisible by p.
+def rank_mod_p(vectors, p: int) -> int:
+    """Rank over F_p of sparse vectors {index: residue}, residues in [0, p).
 
-    The reduction is a ring map on the entries, so every minor of the reduced
-    matrix is the image of the same minor over Q(zeta_n): a non-zero minor
-    mod p is non-zero over the field, and the result never exceeds the exact
-    rank.  It can fall short of it (an entry p reduces to 0).
+    The vectors may be the rows or the columns of a matrix, since
+    rank(M) = rank(M^T).  Fed the residues of a matrix over Q(zeta_n) under a
+    ring map Z[zeta_n] -> F_p (`exactalg.modular_prime`), it is a lower bound
+    on the exact rank: every minor of the reduced matrix is the image of the
+    same minor, so a non-zero minor mod p is non-zero over the field.  It can
+    fall short of it (an entry p reduces to 0).
     """
-    p, r = modular_prime(conductor)
-    residues = {}  # numerator -> residue, for the entries with den 1
-    pivots = {}  # pivot column -> reduced row {column: value}, pivot value 1
-    for row in rows:
-        v = {}
-        for c, e in enumerate(row):
-            if e.den == 1:
-                x = residues.get(e.num)
-                if x is None:
-                    x = residues[e.num] = e.reduce_mod(p, r)
-            else:
-                x = e.reduce_mod(p, r)
-                if x is None:
-                    return None
-            if x:
-                v[c] = x
+    pivots = {}  # pivot index -> reduced vector {index: value}, pivot value 1
+    for vector in vectors:
+        v = {k: x for k, x in vector.items() if x}
         while v:
             c = min(v)
             piv = pivots.get(c)

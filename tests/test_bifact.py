@@ -55,7 +55,8 @@ from mbf.bifact import (
     w_transfer,
     Word,
 )
-from mbf.exactalg import Cyclo
+from mbf._rat import Rat
+from mbf.exactalg import Cyclo, modular_prime
 from mbf.fusion import PSObject, fuse
 from mbf.polycalc import MultiPoly, Ring, RingMismatch
 
@@ -128,6 +129,33 @@ class TestValidate:
         monkeypatch.setattr(bifact, "op_equal", lambda *a: pytest.fail("checked twice"))
         rep = validate_mbf(rt.reduced)
         assert rep.ok and rep.mode == "exact" and validate_mbf(rt.reduced) is rep
+
+    def test_residues_are_memoised_on_the_object(self, monkeypatch):
+        P = ps_object(5, (0, 1, 2))
+        D = mbf_from_polys(P.shape, P.d0.matrix(), P.d1.matrix(), P.w)
+        p, r = modular_prime(5)
+        calls = []
+        real = Cyclo.reduce_mod
+        monkeypatch.setattr(Cyclo, "reduce_mod", lambda c, *a: calls.append(c) or real(c, *a))
+        tables = bifact.differential_residues(D)
+        assert tables == tuple(
+            tuple(tuple({e: real(c, p, r) for e, c in poly.terms.items()} for poly in row)
+                  for row in op.matrix())
+            for op in (D.d0, D.d1))
+        seen = len(calls)
+        assert seen == sum(len(poly.terms) for op in (D.d0, D.d1)
+                           for row in op.matrix() for poly in row)
+        assert bifact.differential_residues(D) is tables and len(calls) == seen
+
+    def test_denominator_divisible_by_p_memoises_none(self, monkeypatch):
+        P = ps_object(4, (0, 1))
+        p, _ = modular_prime(4)
+        (e,), = P.d0.matrix()
+        (o,), = P.d1.matrix()
+        Q = mbf_from_polys(P.shape, [[e * Rat(1, p)]], [[o * p]], P.w)
+        assert bifact.differential_residues(Q) is None
+        monkeypatch.setattr(Cyclo, "reduce_mod", lambda *a: pytest.fail("reduced twice"))
+        assert bifact.differential_residues(Q) is None
 
     def test_rank_mismatch_rejected(self):
         shape = SlotShape(2, 1, 3)

@@ -6,7 +6,7 @@ from hypothesis import given, settings, strategies as st
 from mbf._rat import Rat
 from mbf.exactalg import Cyclo, modular_prime
 from mbf import VerificationError, cli
-from mbf import graded
+from mbf import bifact, graded
 from mbf.fusion import fuse, reduce_tensor
 from mbf.bifact import (
     MBF,
@@ -354,11 +354,33 @@ def _hom_docs(pairs):
     return [hom_space(X, Y, "all", parity).to_json() for X, Y in pairs for parity in (0, 1)]
 
 
+def _counted_sectors(m, count):
+    """Count in `count["sectors"]` the sectors with a non-empty ansatz that
+    `hom_space` solves while `m` (a monkeypatch context) is active."""
+    solve = graded._solve_sector
+
+    def counted(gs, gt, units, parity=0):
+        count["sectors"] += bool(len(graded._Ansatz(gs, gt, parity, units)))
+        return solve(gs, gt, units, parity)
+
+    m.setattr(graded, "_solve_sector", counted)
+
+
 def _exact_docs(monkeypatch, pairs):
-    """`_hom_docs` with every sector forced through the exact solve."""
+    """`_hom_docs` with every sector forced through the exact solve: the
+    certificate is handed no residues, as when p divides a denominator.
+    The hook must fire once per sector with a non-empty ansatz."""
+    count = {"sectors": 0, "hook": 0}
+
+    def no_residues(gs, gt):
+        count["hook"] += 1
+
     with monkeypatch.context() as m:
-        m.setattr(graded, "rank_mod_p", lambda rows, conductor: None)
-        return _hom_docs(pairs)
+        _counted_sectors(m, count)
+        m.setattr(graded, "_residues", no_residues)
+        docs = _hom_docs(pairs)
+    assert count["hook"] == count["sectors"] > 0
+    return docs
 
 
 def _consecutive_pairs(d):
@@ -386,7 +408,7 @@ class TestEmptinessCertificate:
         """Of the 1,120 sectors with a non-empty ansatz over every ordered
         pair of consecutive P_S at d = 4 and both parities, the certificate
         settles 856; the other 264 are exactly the non-empty ones."""
-        count = {"sectors": 0, "exact": 0}
+        count = {"sectors": 0, "residues": 0, "exact": 0}
 
         def counted(key, fn):
             def call(*a, **k):
@@ -394,39 +416,57 @@ class TestEmptinessCertificate:
                 return fn(*a, **k)
             return call
 
-        monkeypatch.setattr(graded, "_delta_matrix", counted("sectors", graded._delta_matrix))
+        _counted_sectors(monkeypatch, count)
+        monkeypatch.setattr(graded, "_residues", counted("residues", graded._residues))
         monkeypatch.setattr(graded, "nullspace", counted("exact", graded.nullspace))
         nonempty = sum(len(doc["sectors"]) for doc in _hom_docs(_consecutive_pairs(4)))
         assert (count["sectors"], count["exact"], nonempty) == (1120, 264, 264)
+        assert count["residues"] == count["sectors"]
 
     def test_overstated_rank_is_caught(self, monkeypatch):
         """Negative control: a rank bound one too high proves non-empty
         sectors empty, and the equivalence with the exact solve fails."""
         pairs = _consecutive_pairs(4)
         exact = _exact_docs(monkeypatch, pairs)
-        rank = graded.rank_mod_p
-        monkeypatch.setattr(graded, "rank_mod_p", lambda rows, conductor: rank(rows, conductor) + 1)
+        rank, calls = graded.rank_mod_p, []
+
+        def overstated(vectors, p):
+            calls.append(p)
+            return rank(vectors, p) + 1
+
+        monkeypatch.setattr(graded, "rank_mod_p", overstated)
         assert _hom_docs(pairs) != exact
+        assert calls
 
     def test_denominator_divisible_by_p_falls_back(self, monkeypatch):
         """P_{0,1} at d = 4 with d0 divided by p and d1 multiplied by p is
-        isomorphic to P_{0,1}; no entry of its sectors reduces mod p, so
-        every sector is solved exactly, with the same charges and dims."""
+        isomorphic to P_{0,1}; its coefficients do not reduce mod p, so it
+        memoises no residues and every sector with a non-empty ansatz is
+        solved exactly, with the same charges and dims."""
         P = ps_object(4, (0, 1))
         p, _ = modular_prime(4)
         Q = _rescaled(P, Rat(1, p), p)
-        bounds = []
-        rank = graded.rank_mod_p
+        count = {"sectors": 0, "exact": 0}
+        found = []
+        residues, nullspace = graded._residues, graded.nullspace
 
-        def recorded(rows, conductor):
-            bounds.append(rank(rows, conductor))
-            return bounds[-1]
+        def recorded(gs, gt):
+            found.append(residues(gs, gt))
+            return found[-1]
+
+        def exact(*a, **k):
+            count["exact"] += 1
+            return nullspace(*a, **k)
 
         sectors = lambda X, parity: [(s.charge, s.dim) for s in hom_space(X, X, "all", parity).sectors]
         want = [sectors(P, parity) for parity in (0, 1)]
-        monkeypatch.setattr(graded, "rank_mod_p", recorded)
+        _counted_sectors(monkeypatch, count)
+        monkeypatch.setattr(graded, "_residues", recorded)
+        monkeypatch.setattr(graded, "nullspace", exact)
         assert [sectors(Q, parity) for parity in (0, 1)] == want
-        assert bounds and set(bounds) == {None}
+        assert bifact.differential_residues(Q) is None
+        assert found and set(found) == {None}
+        assert len(found) == count["exact"] == count["sectors"]
 
     def test_non_factorisation_raises(self):
         """P_{0,1} at d = 5 with d0 doubled keeps its grading but d1∘d0 = 2W:
@@ -447,6 +487,60 @@ class TestEmptinessCertificate:
             with pytest.raises(VerificationError, match="potentials differ"):
                 hom_space(X, Y)
         assert hom_space(doubled, doubled).total_dim() == hom_space(g, g).total_dim()
+
+
+class TestResidueColumns:
+    """The certificate's sparse columns over F_p against the `Cyclo` ones."""
+
+    @pytest.mark.parametrize("d", [3, 4])
+    def test_columns_are_the_reduced_cyclo_columns(self, monkeypatch, d):
+        """For every sector with a non-empty ansatz over every ordered pair of
+        consecutive P_S and both parities, M and I read from the residue
+        tables equal the entrywise `reduce_mod` of the `Cyclo` columns."""
+        from mbf.graded import _Ansatz, _delta_columns, _image_columns, _image_vectors
+
+        solved = []
+        solve = graded._solve_sector
+
+        def recorded(gs, gt, units, parity=0):
+            solved.append((gs, gt, units, parity))
+            return solve(gs, gt, units, parity)
+
+        monkeypatch.setattr(graded, "_solve_sector", recorded)
+        _hom_docs(_consecutive_pairs(d))
+        p, r = modular_prime(d)
+        checked, images = {0: 0, 1: 0}, 0
+        for gs, gt, units, parity in solved:
+            ansatz = _Ansatz(gs, gt, parity, units)
+            if not len(ansatz):
+                continue
+            residues = graded._residues(gs, gt)
+            index, index_p = {}, {}
+            exact = _delta_columns(ansatz, index)
+            assert _delta_columns(ansatz, index_p, residues) == [
+                {k: c.reduce_mod(p, r) for k, c in col.items()} for col in exact]
+            assert index_p == index
+            lower = _Ansatz(gs, gt, 1 - parity, units - Rat(d, 2))
+            image = _image_columns(ansatz, lower, residues)
+            assert [[col.get(t, 0) for t in range(len(ansatz))] for col in image] == [
+                [c.reduce_mod(p, r) for c in vec] for vec in _image_vectors(ansatz, lower)]
+            checked[parity] += 1
+            images += bool(image)
+        assert sum(checked.values()) == {3: 180, 4: 1120}[d]
+        assert min(checked.values()) and images
+
+    def test_hom_space_twice_gives_the_same_document(self):
+        """The second run reads the residues memoised by the first."""
+        P = graded_ps(5, 0, 1)
+        X = mbf_from_polys(P.shape, P.d0.matrix(), P.d1.matrix(), P.w, P.grading)
+        Y = reduce_tensor(graded_ps(5, 0, 0), graded_ps(5, 1, 1)).reduced
+        for gs, gt in ((X, Y), (Y, X)):
+            first = hom_space(gs, gt).to_json()
+            tables = bifact.differential_residues(gs), bifact.differential_residues(gt)
+            assert None not in tables
+            assert hom_space(gs, gt).to_json() == first
+            assert (bifact.differential_residues(gs), bifact.differential_residues(gt)) == tables
+            assert all(a is b for a, b in zip(tables, (gs._residues, gt._residues)))
 
 
 def _leg_terms(phi):

@@ -156,32 +156,62 @@ class TestEchelon:
         assert ech.rank == rank(m)
 
 
+def residues(m, n):
+    """The rows of m as sparse residue vectors at `modular_prime(n)`, zeros
+    included, or None when an entry's denominator is divisible by p."""
+    p, r = modular_prime(n)
+    rows = [{c: e.reduce_mod(p, r) for c, e in enumerate(row)} for row in m]
+    return None if any(None in v.values() for v in rows) else rows
+
+
+def columns(rows):
+    cols = {}
+    for i, v in enumerate(rows):
+        for c, x in v.items():
+            cols.setdefault(c, {})[i] = x
+    return list(cols.values())
+
+
 class TestRankModP:
     @given(rational_matrices())
     @settings(max_examples=60, deadline=None)
     def test_small_integers_keep_their_rank(self, m):
-        assert rank_mod_p(m, 1) == rank(m)
+        p, _ = modular_prime(1)
+        rows = residues(m, 1)
+        assert rank_mod_p(rows, p) == rank_mod_p(columns(rows), p) == rank(m)
 
     def test_cyclotomic_entries(self):
         # rows (1, i) and (i, -1) are proportional over Q(i), and so mod p
         i = Cyclo.root(4, 1)
         one = Cyclo.one(4)
-        assert rank_mod_p([[one, i], [i, -one]], 4) == rank([[one, i], [i, -one]]) == 1
-        assert rank_mod_p([[one, i], [i, one]], 4) == 2
+        p, _ = modular_prime(4)
+        m = [[one, i], [i, -one]]
+        assert rank_mod_p(residues(m, 4), p) == rank(m) == 1
+        assert rank_mod_p(residues([[one, i], [i, one]], 4), p) == 2
 
     def test_entry_equal_to_p_is_only_a_lower_bound(self):
         """Negative control: p reduces to 0, so the bound falls short."""
         for n in (3, 4, 5):
             p, _ = modular_prime(n)
             m = mat(n, [[p]])
-            assert (rank_mod_p(m, n), rank(m)) == (0, 1)
+            assert residues(m, n) == [{0: 0}]
+            assert (rank_mod_p(residues(m, n), p), rank(m)) == (0, 1)
 
     def test_denominator_divisible_by_p_gives_none(self):
+        """An entry 1/p has no residue, so the matrix never reaches the rank
+        count; p/3 reduces to 0 and the bound is 1 of 2."""
         p, _ = modular_prime(4)
         m = mat(4, [[1, 0], [0, Fraction(1, p)]])
-        assert rank_mod_p(m, 4) is None and rank(m) == 2
-        assert rank_mod_p(mat(4, [[1, 0], [0, Fraction(p, 3)]]), 4) == 1
+        assert residues(m, 4) is None and rank(m) == 2
+        assert rank_mod_p(residues(mat(4, [[1, 0], [0, Fraction(p, 3)]]), 4), p) == 1
+
+    def test_input_is_left_alone(self):
+        p, _ = modular_prime(5)
+        rows = [{0: 2, 1: 0}, {0: 4, 2: p - 1}]
+        assert rank_mod_p(rows, p) == 2
+        assert rows == [{0: 2, 1: 0}, {0: 4, 2: p - 1}]
 
     def test_empty(self):
-        assert rank_mod_p([], 5) == 0
-        assert rank_mod_p(mat(5, [[0, 0], [0, 0]]), 5) == 0
+        p, _ = modular_prime(5)
+        assert rank_mod_p([], p) == 0
+        assert rank_mod_p(residues(mat(5, [[0, 0], [0, 0]]), 5), p) == 0
