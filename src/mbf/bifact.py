@@ -953,11 +953,13 @@ class MBF:
     An object is immutable, since `ps_object` hands the same P_S to every
     caller.  A tensor product is made by `_deferred`: its differentials are
     built on the first read of `d0` or `d1`, and their endpoints checked then.
-    `validate_mbf` keeps its report in `_report`, and
-    `differential_residues` its residue tables in `_residues`.
+    `validate_mbf` keeps its report in `_report`, `graded.graded_validate`
+    its report in `_graded_report`, and `differential_residues` its residue
+    tables in `_residues`.
     """
 
-    __slots__ = ("m0", "m1", "w", "grading", "_d", "_build", "_report", "_residues")
+    __slots__ = ("m0", "m1", "w", "grading", "_d", "_build", "_report", "_graded_report",
+                 "_residues")
 
     def __init__(self, m0: FreeBimod, m1: FreeBimod, d0: Operator, d1: Operator, w: MultiPoly,
                  grading=None):
@@ -987,6 +989,7 @@ class MBF:
         object.__setattr__(self, "w", w)
         object.__setattr__(self, "grading", grading)
         object.__setattr__(self, "_report", None)
+        object.__setattr__(self, "_graded_report", None)
         object.__setattr__(self, "_residues", _UNREDUCED)
 
     def _set_differentials(self, d0, d1):

@@ -22,7 +22,8 @@ whose ``den`` is prime to p.  ``modular_prime(n)`` fixes one (p, r) per
 conductor and ``Cyclo.reduce_mod`` applies it.
 ``bifact.differential_residues`` reduces each object's differential
 coefficients with it once, and ``graded`` ranks δ columns read from those
-residues with ``linalg.rank_mod_p`` for lower bounds on ranks.
+residues with the sparse elimination that also solves over Q(zeta_n)
+(``linalg.rank_mod_p``), for lower bounds on ranks.
 
 Values are immutable; all operations return fresh objects, so sharing across
 threads is safe.  The Phi_n and (p, r) caches are filled idempotently

@@ -14,15 +14,14 @@ an ungraded object raises ValueError.
 
 Hom spaces are computed sector by sector: homogeneity forces the total
 degree of every block entry, so each charge sector is a finite linear
-problem over the cyclotomic field.  A sector whose ranks modulo a prime
-already account for every ansatz variable is proved empty by that count
-(`_solve_sector`).  The count needs no `Cyclo` arithmetic: every entry of
-δ is a copied or negated differential coefficient, so δ is read as sparse
-columns over F_p from each object's coefficients, reduced once per object
-(`bifact.differential_residues`), and ranked sparsely (`linalg.rank_mod_p`).
-`Cyclo` matrices are built only for the sectors the count does not settle;
-those are solved exactly (closedness nullspace modulo the image of the odd
-ansatz), and only the exact solve reports a non-empty sector.
+problem over the cyclotomic field.  Every entry of δ is a copied or
+negated differential coefficient, so δ is read as sparse columns straight
+from each object's coefficients (`_delta_columns`): residues mod p, reduced
+once per object (`bifact.differential_residues`), or `Cyclo` values.  Both
+go to the one sparse elimination, `linalg.Echelon`.  A sector whose ranks
+over F_p account for every ansatz variable is proved empty; the others are
+solved exactly (closedness nullspace modulo the image of the odd ansatz),
+and only the exact solve reports a non-empty sector (`_solve_sector`).
 """
 
 from __future__ import annotations
@@ -75,15 +74,21 @@ NotHomogeneous = _NotHomogeneous()
 
 def graded_validate(D: MBF):
     """Every differential must carry charge d/2 in q_x units, read word by
-    word against the charges of its endpoints (`operator_charge_units`)."""
-    half = Rat(D.shape.conductor, 2)
-    violations = []
-    c0, c1 = D.charges(0), D.charges(1)
-    for name, op, csrc, cdst in (("d0", D.d0, c0, c1), ("d1", D.d1, c1, c0)):
-        q = operator_charge_units(op, csrc, cdst)
-        if q is not None and q != half:
-            violations.append({"which": name, "charge": str(q)})
-    return {"ok": not violations, "violations": violations}
+    word against the charges of its endpoints (`operator_charge_units`).
+
+    An `MBF` is immutable, so the report is memoised on the object, as
+    `validate_mbf`'s is.
+    """
+    if D._graded_report is None:
+        half = Rat(D.shape.conductor, 2)
+        violations = []
+        c0, c1 = D.charges(0), D.charges(1)
+        for name, op, csrc, cdst in (("d0", D.d0, c0, c1), ("d1", D.d1, c1, c0)):
+            q = operator_charge_units(op, csrc, cdst)
+            if q is not None and q != half:
+                violations.append({"which": name, "charge": str(q)})
+        object.__setattr__(D, "_graded_report", {"ok": not violations, "violations": violations})
+    return D._graded_report
 
 
 # -- charges of operators and morphisms --------------------------------------
@@ -301,16 +306,13 @@ def _delta_columns(ansatz: _Ansatz, index: dict, residues=None) -> list:
     return columns
 
 
-def _dense(columns, nrows: int, zero) -> list:
-    """The rows of the matrix whose columns are the sparse `columns`."""
-    return [[col.get(r, zero) for col in columns] for r in range(nrows)]
-
-
-def _delta_matrix(ansatz: _Ansatz):
-    """The matrix of delta on the ansatz: one column per ansatz variable."""
-    index = {}
-    columns = _delta_columns(ansatz, index)
-    return _dense(columns, len(index), Cyclo.zero(ansatz.gs.shape.conductor))
+def _rows(columns, nrows: int) -> list:
+    """The sparse rows of the matrix with `nrows` rows and sparse `columns`."""
+    rows = [{} for _ in range(nrows)]
+    for k, col in enumerate(columns):
+        for r, v in col.items():
+            rows[r][k] = v
+    return rows
 
 
 def _image_columns(ansatz: _Ansatz, lower: _Ansatz, residues=None) -> list:
@@ -322,12 +324,6 @@ def _image_columns(ansatz: _Ansatz, lower: _Ansatz, residues=None) -> list:
     if len(coords) != len(ansatz):
         raise VerificationError("delta image left the charge sector")
     return columns
-
-
-def _image_vectors(ansatz: _Ansatz, lower: _Ansatz):
-    """The `_image_columns` of `lower` as dense vectors over Q(zeta_d)."""
-    zero = Cyclo.zero(ansatz.gs.shape.conductor)
-    return list(zip(*_dense(_image_columns(ansatz, lower), len(ansatz), zero)))
 
 
 class HomSector:
@@ -387,9 +383,9 @@ def _solve_sector(gs: MBF, gt: MBF, units: Rat, parity: int = 0):
     dim H_u = n - rank M - rank I <= n - rank_p(M) - rank_p(I), and
     rank_p(M) + rank_p(I) = n proves the sector empty.  In every other case,
     or when p divides a denominator of either object's coefficients, the
-    `Cyclo` matrices M (`_delta_matrix`) and I (`_image_vectors`) are built
-    and the sector is solved exactly: the exact solve alone reports a
-    dimension > 0 or a representative.
+    sector is solved exactly from the `Cyclo` columns of M and I: ker M from
+    their sparse rows (`_rows`), modulo span I (`Echelon`).  The exact solve
+    alone reports a dimension > 0 or a representative.
     """
     ansatz = _Ansatz(gs, gt, parity, units)
     n = len(ansatz)
@@ -406,13 +402,15 @@ def _solve_sector(gs: MBF, gt: MBF, units: Rat, parity: int = 0):
         low_image = rank_mod_p(_image_columns(ansatz, lower, residues), residues[0])
         if low + low_image == n:
             return 0, []
-    image = _image_vectors(ansatz, lower)
-    closed = nullspace(_delta_matrix(ansatz), d, ncols=n)
+    image = _image_columns(ansatz, lower)
+    index = {}
+    columns = _delta_columns(ansatz, index)
+    closed = nullspace(_rows(columns, len(index)), d, ncols=n)
     if not closed:
         return 0, []
     ech = Echelon()
-    for vecv in image:
-        ech.insert(vecv)
+    for col in image:
+        ech.insert(col)
     reps = [ansatz.morphism(vecv) for vecv in closed if ech.insert(vecv)]
     return len(reps), reps
 
@@ -512,7 +510,7 @@ def is_null_homotopic(phi: Morphism):
     lower = _Ansatz(phi.src, phi.dst, 1 + phi.parity, units - half)
     if not len(lower):
         return None
-    index, z = {}, Cyclo.zero(d)
+    index = {}
     columns = _delta_columns(lower, index)
     rhs = {}
     for leg, pm in enumerate(legs):
@@ -520,7 +518,7 @@ def is_null_homotopic(phi: Morphism):
             for j, poly in enumerate(row):
                 for e, c in poly.terms.items():
                     rhs[index.setdefault((leg, i, j, e), len(index))] = c
-    sol = solve(_dense(columns, len(index), z), [rhs.get(r, z) for r in range(len(index))], d)
+    sol = solve(_rows(columns, len(index)), rhs, d, ncols=len(lower))
     if sol is None:
         return None
     return lower.morphism(sol)

@@ -235,6 +235,24 @@ class TestFusingMatrix:
                 for r in range(4):
                     assert (pL[leg][r] - pX[leg][r] * f0 - pY[leg][r] * f2).is_zero()
 
+    @pytest.mark.parametrize("x,y,l,error", [
+        ("a", "b", "3*a - b", None),
+        ("a + b", "2*a + 2*b", "a + b", "fusing system underdetermined"),
+        ("a", "b", "a + b + 1", "fusing system inconsistent"),
+    ])
+    def test_solve_pair_failures(self, x, y, l, error):
+        """Dependent columns of the two unknowns, or a right side outside
+        their span, raise instead of returning a pair."""
+        from mbf.fusion import _solve_pair
+
+        ring = ps_object(5, (0, 1)).shape.ring()
+        polys = [{0: [ring.parse(text)]} for text in (l, x, y)]
+        if error is None:
+            assert _solve_pair(5, [(0, 0)], *polys) == (Cyclo.from_rat(5, 3), Cyclo.from_rat(5, -1))
+        else:
+            with pytest.raises(VerificationError, match=error):
+                _solve_pair(5, [(0, 0)], *polys)
+
     def test_report_json_shape(self):
         js = solve_fusing_2x2(5).to_json()
         assert set(js) == {

@@ -96,6 +96,23 @@ class TestGradedValidate:
         assert not graded_validate(tensor_obj(bad, g))["ok"]
         assert not graded_validate(tensor_obj(g, bad))["ok"]
 
+    def test_report_is_memoised(self, monkeypatch):
+        """The report is kept on the object: hom_space reads it again
+        without recomputing a charge."""
+        g = graded_ps(5, 0, 1)
+        X = MBF(g.m0, g.m1, g.d0, g.d1, g.w, g.grading)
+        calls, charge = [], graded.operator_charge_units
+
+        def counted(*a):
+            calls.append(a)
+            return charge(*a)
+
+        monkeypatch.setattr(graded, "operator_charge_units", counted)
+        report = graded_validate(X)
+        assert report["ok"] and len(calls) == 2
+        hom_space(X, X)
+        assert graded_validate(X) is report and len(calls) == 2
+
     def test_tensor_inherits_grading(self):
         # blockwise charge sums keep the differential at charge 1
         gI = graded_unit(4)
@@ -496,8 +513,8 @@ class TestResidueColumns:
     def test_columns_are_the_reduced_cyclo_columns(self, monkeypatch, d):
         """For every sector with a non-empty ansatz over every ordered pair of
         consecutive P_S and both parities, M and I read from the residue
-        tables equal the entrywise `reduce_mod` of the `Cyclo` columns."""
-        from mbf.graded import _Ansatz, _delta_columns, _image_columns, _image_vectors
+        tables equal the entrywise `reduce_mod` of the exact sparse columns."""
+        from mbf.graded import _Ansatz, _delta_columns, _image_columns
 
         solved = []
         solve = graded._solve_sector
@@ -522,8 +539,8 @@ class TestResidueColumns:
             assert index_p == index
             lower = _Ansatz(gs, gt, 1 - parity, units - Rat(d, 2))
             image = _image_columns(ansatz, lower, residues)
-            assert [[col.get(t, 0) for t in range(len(ansatz))] for col in image] == [
-                [c.reduce_mod(p, r) for c in vec] for vec in _image_vectors(ansatz, lower)]
+            assert image == [{t: c.reduce_mod(p, r) for t, c in col.items()}
+                             for col in _image_columns(ansatz, lower)]
             checked[parity] += 1
             images += bool(image)
         assert sum(checked.values()) == {3: 180, 4: 1120}[d]

@@ -1,6 +1,7 @@
 from fractions import Fraction
 
 import pytest
+import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -133,6 +134,62 @@ def test_rref_idempotent(m):
     r1, p1 = rref(m)
     r2, p2 = rref(r1)
     assert r1 == r2 and p1 == p2
+
+
+@st.composite
+def fraction_systems(draw):
+    """(rows, rhs): a 1..5 x 1..5 matrix of small fractions, zeros frequent,
+    and a right side of the same kind."""
+    rows = draw(st.integers(1, 5))
+    cols = draw(st.integers(1, 5))
+    entry = st.one_of(st.just(0), st.fractions(-4, 4, max_denominator=3))
+    data = draw(st.lists(st.lists(entry, min_size=cols, max_size=cols),
+                         min_size=rows, max_size=rows))
+    return data, draw(st.lists(entry, min_size=rows, max_size=rows))
+
+
+def rationals(vector):
+    return [c.is_rational() for c in vector]
+
+
+def from_sympy(column):
+    return [Fraction(int(x.p), int(x.q)) for x in column]
+
+
+class TestSympyOracle:
+    """The canonical answers `mbf hom` prints: the nullspace basis and the
+    particular solution are read from the unique reduced row echelon form,
+    so they must equal sympy's, vector for vector."""
+
+    @given(fraction_systems())
+    @settings(max_examples=150, deadline=None)
+    def test_nullspace_and_solve(self, system):
+        data, rhs = system
+        rational = lambda x: sympy.Rational(x.numerator, x.denominator)  # noqa: E731
+        A = sympy.Matrix([[rational(x) for x in row] for row in data])
+        b = sympy.Matrix([rational(x) for x in rhs])
+        m = mat(1, data)
+        assert [rationals(v) for v in nullspace(m, 1)] == [from_sympy(v) for v in A.nullspace()]
+        try:
+            sol, params = A.gauss_jordan_solve(b)
+        except ValueError:  # sympy: no solution
+            want = None
+        else:
+            want = from_sympy(sol.xreplace({t: 0 for t in params}))
+        got = solve(m, [C(1, x) for x in rhs], 1)
+        assert (got if got is None else rationals(got)) == want
+
+    def test_sparse_rows_give_the_dense_basis(self):
+        """{index: value} rows, zeros left out and the last column empty,
+        give the same basis and solution as the same dense rows."""
+        data = [[0, 2, 0, 1, 0], [1, 0, 0, 3, 0], [2, 2, 0, 7, 0]]
+        dense = mat(1, data)
+        sparse = [{c: C(1, x) for c, x in enumerate(row) if x} for row in data]
+        basis = nullspace(dense, 1)
+        assert len(basis) == 3
+        assert nullspace(sparse, 1, ncols=5) == basis
+        rhs = [C(1, 1), C(1, 0), C(1, 2)]
+        assert solve(sparse, {0: rhs[0], 2: rhs[2]}, 1, ncols=5) == solve(dense, rhs, 1)
 
 
 class TestEchelon:
