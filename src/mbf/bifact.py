@@ -13,7 +13,9 @@ invariant is what makes equality decidable here:
   copy generators (`Operator.matrix`) describe a map completely and
   comparing them is an exact test.
 
-`op_equal` has three tiers.  Operators are compared structurally after word
+Operators between two 2-slot chains are matrix-held: they compose by
+the matrix product and `op_equal` compares their rows.  Any other pair goes
+through three tiers.  Operators are compared structurally after word
 normalization (substitution merging, multiplier merging and pushing);
 failing that, from a 2-slot source, by their generator matrices; from a
 source with internal slots, pointwise on internal monomials up to a total
@@ -28,12 +30,12 @@ is the full sweep's.  A True keeps the label `verified-to-cutoff` and no
 report changes; the benchmark's digests hash that label, so a label of its
 own waits for a change of the benchmark.
 
-An `Operator` is an immutable sparse matrix, {(row, col): tuple of words},
-built once by its one constructor.  Because it cannot change, it caches its
-normal form (which is its own normal form) and its generator matrix, a
-tuple of row tuples of polynomials.  `Operator.from_poly_matrix` is the one
-place that checks such a matrix (its shape and its ring); the operator it
-makes starts with the rows it was given and is built in normal form.  For
+An `Operator` is an immutable sparse matrix, {(row, col): tuple of words}.
+Because it cannot change, it caches its normal form (which is its own
+normal form) and its generator matrix, a tuple of row tuples of
+polynomials.  `Operator.from_poly_matrix` is the one place that checks such
+a matrix (its shape and its ring); the operator it makes starts with the
+rows it was given and is built in normal form.  For
 the same reason an operator memoises its evaluation for as long as it
 lives: per input monomial (keyed by its exponent tuple) each word prefix is
 evaluated once, keyed by the identities of its primitives, and a quotient
@@ -41,7 +43,8 @@ and a remainder by one modulus share one division; the sweep, `matrix()`
 and the probes of `fusion` all evaluate through it.  Annihilator orders
 read each word's factors from `_ANNIHILATOR_CACHE`, one entry per process
 for each source shape, internal variable and non-multiplier signature,
-beside `_RING_CACHE`, `_PS_CACHE` and `polycalc._DIV_CACHE`.
+beside `_RING_CACHE`, `_IDENTITY_CACHE` (one identity operator per module),
+`_PS_CACHE` and `polycalc._DIV_CACHE`.
 An `MBF` is immutable too.  `ps_object` memoises P_S, one object per
 (d, S).  `tensor_obj` builds a new product on every call (no workload asks
 for the same product twice often enough to pay for a cache), but only its
@@ -60,6 +63,7 @@ from __future__ import annotations
 
 import itertools
 from collections import Counter
+from operator import add as _add
 from types import MappingProxyType
 
 from ._rat import Rat
@@ -69,6 +73,7 @@ from .polycalc import MultiPoly, Ring, RingMismatch
 DEFAULT_CUTOFF = 30
 
 _RING_CACHE: dict = {}
+_IDENTITY_CACHE: dict = {}  # FreeBimod -> Operator.identity
 
 
 class SlotShape:
@@ -526,6 +531,33 @@ def w_coeff(shape: SlotShape, var: str, k: int) -> Word:
 # -- operators ----------------------------------------------------------------
 
 
+def _holds_rows(src: FreeBimod, dst: FreeBimod) -> bool:
+    """Whether an operator src -> dst is held as its matrix: both ends lie on
+    one 2-slot chain, where a map is multiplication by its generator matrix."""
+    return src.shape.nslots == 2 and dst.shape == src.shape
+
+
+def _row_product(A: tuple, B: tuple, ncols: int, ring: Ring) -> tuple:
+    """The matrix product A·B of two tuples of row tuples of polynomials in
+    `ring`, B with `ncols` columns; each entry's terms accumulate in one dict."""
+    out = []
+    for row in A:
+        new = []
+        for j in range(ncols):
+            acc: dict = {}
+            for p, brow in zip(row, B):
+                q = brow[j]
+                if p.terms and q.terms:
+                    for ea, ca in p.terms.items():
+                        for eb, cb in q.terms.items():
+                            e = tuple(map(_add, ea, eb))
+                            s = acc.get(e)
+                            acc[e] = ca * cb if s is None else s + ca * cb
+            new.append(MultiPoly(ring, acc))
+        out.append(tuple(new))
+    return tuple(out)
+
+
 class Operator:
     """Sparse matrix of formal word sums between free slot modules.
 
@@ -534,6 +566,18 @@ class Operator:
     copies what it is given into a read-only view, so an operator never
     changes: its normal form and its generator matrix are computed at most
     once and cached, and a normal form is its own normal form.
+
+    Between two 2-slot chains of one shape an operator is matrix-held
+    (`matrix_held`): every primitive commutes with the outer bimodule
+    action, so such a map is multiplication by its generator matrix, and its
+    algebra works on the rows.  `compose` multiplies two of them; a
+    composite whose ends are 2-slot but which passes through internal slots
+    (proj∘incl, λ∘λ⁻¹) is composed word by word and evaluated to rows once,
+    through `matrix()`.  `+`, `-` and `scale` act entry by entry, `identity`
+    is the identity matrix and `op_equal` compares rows.  An operator made
+    from rows (`from_poly_matrix`, or the algebra above) also holds one
+    normal-form word per non-zero entry, to be lifted, tensored or
+    evaluated.
 
     `apply` and `apply_basis` evaluate through `_memo`, kept for the
     operator's lifetime: {input key: (input, children)}, a trie of word
@@ -559,9 +603,38 @@ class Operator:
     def __setattr__(self, *a):
         raise AttributeError("Operator is immutable")
 
+    @classmethod
+    def _of_rows(cls, src: FreeBimod, dst: FreeBimod, pm: tuple) -> "Operator":
+        """Multiplication by the unchecked matrix `pm`, a tuple of row tuples,
+        kept as its `matrix()`.  Its cells are in normal form, a constant
+        entry as a coefficient and any other as one multiplication, so the
+        operator is its own normal form."""
+        shape, cells = src.shape, {}
+        for i, row in enumerate(pm):
+            for j, p in enumerate(row):
+                if p.terms:
+                    cv = p.constant_value()
+                    cells[i, j] = (w_mul(shape, p) if cv is None else Word(cv, (), shape, shape),)
+        op = cls(src, dst, cells)
+        object.__setattr__(op, "_pm", pm)
+        object.__setattr__(op, "_normal", True)
+        return op
+
+    @property
+    def matrix_held(self) -> bool:
+        """Whether both ends lie on one 2-slot chain, so the algebra of this
+        operator works on its rows."""
+        return _holds_rows(self.src, self.dst)
+
     @staticmethod
     def identity(mod: FreeBimod) -> "Operator":
-        return Operator(mod, mod, {(i, i): (Word.identity(mod.shape),) for i in range(mod.rank)})
+        """The identity of `mod`: one identity word per copy, and on a 2-slot
+        chain the identity matrix too.  It is immutable, so there is one per
+        module and process (`_IDENTITY_CACHE`)."""
+        op = _IDENTITY_CACHE.get(mod)
+        if op is None:
+            op = _IDENTITY_CACHE[mod] = _diagonal(mod, mod.shape.ring().one())
+        return op
 
     @staticmethod
     def from_poly_matrix(src: FreeBimod, dst: FreeBimod, rows) -> "Operator":
@@ -569,31 +642,30 @@ class Operator:
 
         This is the one check of a matrix: dst.rank rows of src.rank entries
         (else ValueError), each in the ring of the shared shape (else
-        RingMismatch).  Built in normal form (a constant entry as a coefficient, any other as
-        one multiplication), the operator is its own normal form."""
+        RingMismatch).  The operator is built in normal form (`_of_rows`)."""
         if src.shape != dst.shape:
             raise ValueError("from_poly_matrix needs equal shapes")
-        shape, ring = src.shape, src.shape.ring()
+        ring = src.shape.ring()
         pm = tuple(tuple(row) for row in rows)
         if len(pm) != dst.rank or any(len(row) != src.rank for row in pm):
             raise ValueError("matrix shape mismatch")
-        cells = {}
-        for i, row in enumerate(pm):
-            for j, p in enumerate(row):
+        for row in pm:
+            for p in row:
                 if p.ring != ring:
                     raise RingMismatch(f"entry ring {p.ring} vs {ring}")
-                if not p.is_zero():
-                    cv = p.constant_value()
-                    cells[i, j] = (w_mul(shape, p) if cv is None else Word(cv, (), shape, shape),)
-        op = Operator(src, dst, cells)
-        object.__setattr__(op, "_pm", pm)
-        object.__setattr__(op, "_normal", True)
-        return op
+        return Operator._of_rows(src, dst, pm)
 
     def compose(self, first: "Operator") -> "Operator":
-        """self ∘ first (apply `first`, then self)."""
+        """self ∘ first (apply `first`, then self): the product of the rows
+        if all three chains are one 2-slot chain, else the words composed,
+        evaluated to rows if the ends are matrix-held."""
         if first.dst != self.src:
             raise ValueError(f"cannot compose {first.dst} into {self.src}")
+        src, dst = first.src, self.dst
+        held = _holds_rows(src, dst)
+        if held and self.src.shape == src.shape:
+            return Operator._of_rows(src, dst, _row_product(
+                self.matrix(), first.matrix(), src.rank, src.shape.ring()))
         by_col: dict = {}
         for (i, k), ws in self.cells.items():
             by_col.setdefault(k, []).append((i, ws))
@@ -604,11 +676,15 @@ class Operator:
                 for wf in wfs:
                     for ws in wss:
                         acc.append(wf.then(ws))
-        return Operator(first.src, self.dst, out)
+        op = Operator(src, dst, out)
+        return Operator._of_rows(src, dst, op.matrix()) if held else op
 
     def __add__(self, other: "Operator") -> "Operator":
         if self.src != other.src or self.dst != other.dst:
             raise ValueError("operator shape mismatch in sum")
+        if _holds_rows(self.src, self.dst):
+            return Operator._of_rows(self.src, self.dst, tuple(
+                tuple(p + q for p, q in zip(r, s)) for r, s in zip(self.matrix(), other.matrix())))
         out = dict(self.cells)
         for k, ws in other.cells.items():
             out[k] = out[k] + ws if k in out else ws
@@ -616,6 +692,9 @@ class Operator:
 
     def scale(self, c) -> "Operator":
         cc = c if isinstance(c, Cyclo) else Cyclo.from_rat(self.src.shape.conductor, c)
+        if _holds_rows(self.src, self.dst):
+            return Operator._of_rows(self.src, self.dst, tuple(
+                tuple(p * cc for p in row) for row in self.matrix()))
         return Operator(self.src, self.dst, {
             k: tuple(w.scaled(cc) for w in ws) for k, ws in self.cells.items()})
 
@@ -725,6 +804,18 @@ class Operator:
             object.__setattr__(self, "_pm", tuple(
                 tuple(col[i] for col in cols) for i in range(self.dst.rank)))
         return self._pm
+
+
+def _diagonal(mod: FreeBimod, poly: MultiPoly) -> Operator:
+    """Multiplication by `poly` on every copy of `mod`: the diagonal matrix on
+    a 2-slot chain, else one word per copy."""
+    n, shape = mod.rank, mod.shape
+    if shape.nslots == 2:
+        zero = shape.ring().zero()
+        return Operator._of_rows(mod, mod, tuple(
+            tuple(poly if i == j else zero for j in range(n)) for i in range(n)))
+    word = (w_then_mul(Word.identity(shape), poly),)
+    return Operator(mod, mod, {(i, i): word for i in range(n)})
 
 
 def _normal_words(words) -> list:
@@ -871,13 +962,25 @@ def _word_annihilator(w: Word, fs: tuple):
 def op_equal(A: Operator, B: Operator, cutoff: int = DEFAULT_CUTOFF):
     """Tiered operator equality: (equal, mode).
 
-    Three tiers: structural cancellation of the difference; its generator
-    matrix (complete for sources without internal slots); pointwise on
-    internal monomials up to `cutoff` total degree.  Verdicts from the first
-    two tiers are exact; a True from the last, "verified-to-cutoff", is
-    evidence, and a False carries the failing basis element in the mode.  A
-    negative `cutoff` would sweep no monomial at all, so it raises
-    ValueError.
+    Two matrix-held operators (both ends one 2-slot chain) are compared by
+    their rows: (True, "exact-structural") if they agree, else (False,
+    "exact-generator").  That is the verdict and the mode of the tiers
+    below on operators made from rows: each cell of one is a single
+    normal-form word (a coefficient or one multiplication), so the cells of
+    the normalised difference are the entries where the rows differ, each
+    merged to one multiplier by that difference; it is empty exactly when
+    the rows agree, and otherwise its generator matrix is not zero.  The
+    verdict is also the tiers' on operators held as words, whose rows are
+    the whole map; an equality the tiers settled by the generator matrix
+    now reads "exact-structural".
+
+    Any other pair goes through three tiers: structural cancellation of the
+    difference; its generator matrix (complete for sources without internal
+    slots); pointwise on internal monomials up to `cutoff` total degree.
+    Verdicts from the first two tiers are exact; a True from the last,
+    "verified-to-cutoff", is evidence, and a False carries the failing basis
+    element in the mode.  A negative `cutoff` would sweep no monomial at
+    all, so it raises ValueError.
 
     With one internal variable x, the sweep of each copy stops after its
     first N monomials x^0..x^(N-1), N the copy's annihilator order from
@@ -894,6 +997,10 @@ def op_equal(A: Operator, B: Operator, cutoff: int = DEFAULT_CUTOFF):
         raise ValueError(f"cutoff must be >= 0, got {cutoff}")
     if A.src != B.src or A.dst != B.dst:
         raise ValueError("operator shape mismatch")
+    if A.matrix_held:
+        if A.matrix() == B.matrix():
+            return True, "exact-structural"
+        return False, "exact-generator"
     diff = (A - B).normalized()
     if not diff.cells:
         return True, "exact-structural"
@@ -1060,20 +1167,26 @@ class ValidationReport:
 def validate_mbf(D: MBF) -> ValidationReport:
     """Check d1∘d0 = (W(a)−W(b))·id on D0 and d0∘d1 likewise on D1.
 
+    On a 2-slot object every operator here is matrix-held: each composite is
+    the product of the rows of the differentials, compared with the diagonal
+    matrix of W(a)−W(b) row by row, and no word is composed or normalised.
+    On a chain with internal slots the words are composed and `op_equal`
+    runs its tiers.
+
     An `MBF` is immutable, so the report is memoised on the object: each
     `ps_object` is checked once per process, and a reduced tensor built with
     `reduce_tensor(check=True)` keeps the report of that check.
     """
     if D._report is not None:
         return D._report
-    wdiff = w_mul(D.shape, D.w_difference())
+    wdiff = D.w_difference()
     violations = []
     modes = []
     for name, got, mod in (
         ("d1*d0", D.d1.compose(D.d0), D.m0),
         ("d0*d1", D.d0.compose(D.d1), D.m1),
     ):
-        want = Operator(mod, mod, {(i, i): (wdiff,) for i in range(mod.rank)})
+        want = _diagonal(mod, wdiff)
         eq, mode = op_equal(got, want)
         modes.append(mode)
         if not eq:

@@ -93,6 +93,12 @@ def _degree(text: str) -> int:
     return _int_at_least(text, 2)
 
 
+def _monoidal_degree(text: str) -> int:
+    """--d of `verify monoidal`: at least 3, since the suite builds P_{0,1},
+    which at d = 2 is the whole residue set and no defect."""
+    return _int_at_least(text, 3)
+
+
 def _level(text: str) -> int:
     """--k: the level k of the 6j symbols, at least 0."""
     return _int_at_least(text, 0)
@@ -401,7 +407,7 @@ def build_parser() -> argparse.ArgumentParser:
     vp = sub.add_parser("verify", help="coherence verification suites")
     vsub = vp.add_subparsers(dest="what", required=True)
     vm = vsub.add_parser("monoidal", help="pentagon/triangle/unit-iso/homotopy suite")
-    vm.add_argument("--d", type=_degree, required=True)
+    vm.add_argument("--d", type=_monoidal_degree, required=True)
     _finish(vm, cmd_verify)
 
     fp = sub.add_parser("fusing", help="solve the 2x2 fusing matrix exactly")

@@ -359,20 +359,21 @@ def _entry_polys(mor: Morphism):
 
 def _solve_pair(d, copies, polyL, polyX, polyY):
     """Exact (f0, f2) with polyL = f0*polyX + f2*polyY at every (leg, row)
-    of `copies`."""
-    z = Cyclo.zero(d)
-    rows, rhs = [], []
+    of `copies`: one sparse row {0: x, 1: y, 2: l} per monomial, read back
+    from the reduced row echelon form."""
+    ech = linalg.Echelon()
     for leg, r in copies:
-        pL, pX, pY = polyL[leg][r], polyX[leg][r], polyY[leg][r]
-        for e in sorted(set(pL.terms) | set(pX.terms) | set(pY.terms)):
-            rows.append([pX.terms.get(e, z), pY.terms.get(e, z)])
-            rhs.append(pL.terms.get(e, z))
-    m, pivots = linalg.rref([r + [v] for r, v in zip(rows, rhs)])
+        pL, pX, pY = polyL[leg][r].terms, polyX[leg][r].terms, polyY[leg][r].terms
+        for e in sorted(set(pL) | set(pX) | set(pY)):
+            ech.insert({k: p[e] for k, p in enumerate((pX, pY, pL)) if e in p})
+    reduced = ech.reduced()
+    pivots = [c for c, _ in reduced]
     if pivots[:2] != [0, 1]:
         raise VerificationError("fusing system underdetermined")
     if 2 in pivots:  # a pivot in the constants column
         raise VerificationError("fusing system inconsistent")
-    return m[0][2], m[1][2]
+    z = Cyclo.zero(d)
+    return reduced[0][1].get(2, z), reduced[1][1].get(2, z)
 
 
 def _fusing_report(d, P, L1, L2, X, Y) -> FusingReport:

@@ -123,19 +123,26 @@ def _word_charge_units(word):
 def operator_charge_units(op, src_units, dst_units):
     """Common q_x-unit charge of all words of an operator, or the sentinel.
 
-    Returns None for a structurally zero operator (any charge fits).
+    A matrix-held operator (`Operator.matrix_held`) is read entry by entry:
+    a non-zero entry's charge is its homogeneous degree, the charge of the
+    one normal-form word its cell holds.  Returns None for a structurally
+    zero operator (any charge fits).
     """
+    if op.matrix_held:
+        charges = ((i, j, p.homogeneous_degree())
+                   for i, row in enumerate(op.matrix()) for j, p in enumerate(row) if p)
+    else:
+        charges = ((i, j, _word_charge_units(w))
+                   for (i, j), words in op.normalized().cells.items() for w in words)
     found = None
-    for (i, j), words in op.normalized().cells.items():
-        for w in words:
-            wc = _word_charge_units(w)
-            if wc is None:
-                return NotHomogeneous
-            q = wc + dst_units[i] - src_units[j]
-            if found is None:
-                found = q
-            elif q != found:
-                return NotHomogeneous
+    for i, j, wc in charges:
+        if wc is None:
+            return NotHomogeneous
+        q = wc + dst_units[i] - src_units[j]
+        if found is None:
+            found = q
+        elif q != found:
+            return NotHomogeneous
     return found
 
 

@@ -3,6 +3,7 @@
 import collections
 import gc
 import itertools
+import random
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -12,6 +13,7 @@ from mbf.bifact import (
     _annihilator_orders,
     _internal_monomials,
     _kron,
+    _row_product,
     _tensor_legs,
     DEFAULT_CUTOFF,
     FreeBimod,
@@ -1116,24 +1118,35 @@ def _dense_kron(F, G):
     return _Dense.of(F).kron(G.dst, True, False).compose(_Dense.of(G).kron(F.src, False, False))
 
 
+def _assert_same(got, ref):
+    """`got` holds the reference's words in the reference's order, or, if it
+    is matrix-held (both ends one 2-slot chain), the rows they evaluate to."""
+    if got.matrix_held:
+        words = Operator(got.src, got.dst, {(i, j): cell for i, row in enumerate(ref.entries)
+                                            for j, cell in enumerate(row)})
+        assert got.matrix() == words.matrix()
+    else:
+        assert _Dense.of(got).keys() == ref.keys()
+
+
 def _assert_matches_dense(ops, d):
     """compose, +, scale and _kron of every operator (and composable pair)
-    give the reference's words in the reference's order."""
+    give the reference's words in the reference's order, or a matrix-held
+    result the rows of those words."""
     c = Cyclo.root(d, 1)
     ident = FreeBimod(SlotShape(2, 1, d), 2)
     for op in ops:
         ref = _Dense.of(op)
         assert all(0 <= i < op.dst.rank and 0 <= j < op.src.rank for i, j in op.cells)
-        assert _Dense.of(op.scale(c)).keys() == ref.scale(c).keys()
-        assert _Dense.of(op + op.scale(c)).keys() == (ref + ref.scale(c)).keys()
+        _assert_same(op.scale(c), ref.scale(c))
+        _assert_same(op + op.scale(c), ref + ref.scale(c))
         for op_first in (True, False):
             for glue in (True, False):
                 got = _kron_ident(op, ident, op_first, glue)
                 assert _Dense.of(got).keys() == ref.kron(ident, op_first, glue).keys()
         for first in ops:
             if first.dst == op.src:
-                want = ref.compose(_Dense.of(first))
-                assert _Dense.of(op.compose(first)).keys() == want.keys()
+                _assert_same(op.compose(first), ref.compose(_Dense.of(first)))
             if first.dst.shape == op.src.shape:
                 assert _Dense.of(_kron(op, first)).keys() == _dense_kron(op, first).keys()
 
@@ -1222,15 +1235,15 @@ class TestSparseOperatorAgainstDense:
         A, C = draw_op(mods[0], mods[1]), draw_op(mods[0], mods[1])
         B, E = draw_op(mods[1], mods[2]), draw_op(mods[2], mods[3])
         rA, rB, rC, rE = (_Dense.of(op) for op in (A, B, C, E))
-        assert _Dense.of(B.compose(A)).keys() == rB.compose(rA).keys()
-        assert _Dense.of(A + C).keys() == (rA + rC).keys()
+        _assert_same(B.compose(A), rB.compose(rA))
+        _assert_same(A + C, rA + rC)
         # results feed further operations: their cells stay in row-major order
         BAC = B.compose(A + C)
-        assert _Dense.of(BAC).keys() == rB.compose(rA + rC).keys()
-        assert _Dense.of(E.compose(BAC)).keys() == rE.compose(rB.compose(rA + rC)).keys()
+        _assert_same(BAC, rB.compose(rA + rC))
+        _assert_same(E.compose(BAC), rE.compose(rB.compose(rA + rC)))
         for op in (BAC, A + C, E.compose(B), _kron(B, E), _kron(E, A)):
             assert list(op.cells) == sorted(op.cells)
-        assert _Dense.of(A.scale(z)).keys() == rA.scale(z).keys()
+        _assert_same(A.scale(z), rA.scale(z))
         ident = FreeBimod(shape, data.draw(st.integers(1, 3)))
         for op_first in (True, False):
             for glue in (True, False):
@@ -1594,3 +1607,127 @@ class TestSlotMap:
         assert renamed == p.subst_scale({"a": (1, "a"), "x1": (1, "b"), "b": (1, "b")}, ring)
         assert merged == p.rename({"x1": "a"}, merge.dst.ring())
         assert inserted == q.rename({}, ring)
+
+
+# -- matrix-held operators against the word tiers they replaced -----------------
+
+
+def _word_tiers(A, B):
+    """op_equal before operators between 2-slot chains were matrix-held: the
+    difference's words normalised, then its generator matrix."""
+    minus = Cyclo.from_rat(A.src.shape.conductor, -1)
+    cells = {k: tuple(A.cells.get(k, ())) + tuple(w.scaled(minus) for w in B.cells.get(k, ()))
+             for k in set(A.cells) | set(B.cells)}
+    diff = Operator(A.src, A.dst, cells).normalized()
+    if not diff.cells:
+        return True, "exact-structural"
+    return not any(p for row in diff.matrix() for p in row), "exact-generator"
+
+
+def _word_compose(G, F):
+    """G ∘ F composed word by word, held as words."""
+    cells = {}
+    for (k, j), wfs in F.cells.items():
+        for (i, kk), wgs in G.cells.items():
+            if kk == k:
+                cells.setdefault((i, j), []).extend(wf.then(wg) for wf in wfs for wg in wgs)
+    return Operator(F.src, G.dst, cells)
+
+
+def _random_rows(rng, ring, nrows, ncols):
+    a, b = ring.var("a"), ring.var("b")
+    monomials = [ring.one(), a, b, a * b, a * a, b ** ring.conductor]
+    z, one = ring.root(1), Cyclo.one(ring.conductor)
+    scalars = [one, -one, z, z * z + one, Cyclo.from_rat(ring.conductor, Rat(-3, 2))]
+    return [[sum((m * rng.choice(scalars) for m in rng.sample(monomials, rng.randint(0, 3))),
+                 ring.zero()) for _ in range(ncols)] for _ in range(nrows)]
+
+
+def _dropping_product(A, B, ncols, ring):
+    """The matrix product with its first non-zero term A[i][k]·B[k][j] left out."""
+    out = [list(row) for row in _row_product(A, B, ncols, ring)]
+    for i, row in enumerate(A):
+        for j in range(ncols):
+            for p, brow in zip(row, B):
+                if p * brow[j]:
+                    out[i][j] = out[i][j] - p * brow[j]
+                    return tuple(map(tuple, out))
+    return tuple(map(tuple, out))
+
+
+class TestMatrixHeldOperators:
+    """Operators between 2-slot chains hold their rows; each operation on them
+    must agree with the words it replaced."""
+
+    @pytest.mark.parametrize("d", [3, 4, 5])
+    def test_op_equal_agrees_with_the_word_tiers(self, d):
+        rng = random.Random(d)
+        shape = SlotShape(2, 1, d)
+        ring = shape.ring()
+        verdicts = collections.Counter()
+        for _ in range(30):
+            src, dst = FreeBimod(shape, rng.randint(0, 3)), FreeBimod(shape, rng.randint(1, 3))
+            rows = _random_rows(rng, ring, dst.rank, src.rank)
+            other = [row[:] for row in rows]
+            if rng.random() < 0.5 and src.rank:
+                i, j = rng.randrange(dst.rank), rng.randrange(src.rank)
+                other[i][j] = other[i][j] + _random_rows(rng, ring, 1, 1)[0][0]
+            A = Operator.from_poly_matrix(src, dst, rows)
+            B = Operator.from_poly_matrix(src, dst, other)
+            C = Operator.from_poly_matrix(src, dst, _random_rows(rng, ring, dst.rank, src.rank))
+            for X, Y in ((A, B), (B, A), (A + C, B + C), (A.scale(-1), -B), (A - C, B - C)):
+                assert X.matrix_held and Y.matrix_held
+                got = op_equal(X, Y)
+                assert got == _word_tiers(X, Y)
+                verdicts[got] += 1
+        assert set(verdicts) == {(True, "exact-structural"), (False, "exact-generator")}
+
+    @pytest.mark.parametrize("d", [3, 4, 5])
+    def test_compose_is_the_word_composition(self, d):
+        rng = random.Random(100 + d)
+        shape = SlotShape(2, 1, d)
+        ring = shape.ring()
+        for _ in range(30):
+            m0, m1, m2 = (FreeBimod(shape, rng.randint(0, 3)) for _ in range(3))
+            F = Operator.from_poly_matrix(m0, m1, _random_rows(rng, ring, m1.rank, m0.rank))
+            G = Operator.from_poly_matrix(m1, m2, _random_rows(rng, ring, m2.rank, m1.rank))
+            words = _word_compose(G, F)
+            product = G.compose(F)
+            assert product.matrix() == words.matrix()
+            rows = Operator.from_poly_matrix(m0, m2, words.matrix())
+            assert op_equal(product, rows) == _word_tiers(words, rows) == (True, "exact-structural")
+
+    def test_composite_through_an_internal_slot_becomes_rows(self):
+        D = ps_object(4, (0, 1))
+        lam, _ = unit_isos(D)
+        lam_inv, _ = unit_isos_inverse(D)
+        for F, G in ((lam_inv.opE, lam.opE), (lam_inv.opO, lam.opO)):
+            assert not F.matrix_held and not G.matrix_held
+            composite = G.compose(F)
+            assert composite.matrix_held
+            assert composite.matrix() == _word_compose(G, F).matrix()
+            assert op_equal(composite, Operator.identity(F.src)) == (True, "exact-structural")
+
+    def test_identity_is_the_identity_matrix(self):
+        shape = SlotShape(2, 1, 3)
+        ring = shape.ring()
+        ident = Operator.identity(FreeBimod(shape, 2))
+        assert ident.matrix() == ((ring.one(), ring.zero()), (ring.zero(), ring.one()))
+        assert Operator.identity(FreeBimod(shape, 2)) is ident  # immutable: one per module
+        assert {k: [(w.coeff, w.signature()) for w in ws] for k, ws in ident.cells.items()} == {
+            (i, i): [(Cyclo.one(3), Word.identity(shape).signature())] for i in range(2)}
+
+    @pytest.mark.parametrize("d", [3, 4, 5])
+    def test_a_product_dropping_one_term_is_caught(self, d, monkeypatch):
+        # negative control: the oracle above must see a product that loses a term
+        monkeypatch.setattr(bifact, "_row_product", _dropping_product)
+        rng = random.Random(100 + d)
+        shape = SlotShape(2, 1, d)
+        ring = shape.ring()
+        caught = 0
+        for _ in range(30):
+            m0, m1, m2 = (FreeBimod(shape, rng.randint(0, 3)) for _ in range(3))
+            F = Operator.from_poly_matrix(m0, m1, _random_rows(rng, ring, m1.rank, m0.rank))
+            G = Operator.from_poly_matrix(m1, m2, _random_rows(rng, ring, m2.rank, m1.rank))
+            caught += G.compose(F).matrix() != _word_compose(G, F).matrix()
+        assert caught > 0

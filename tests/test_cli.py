@@ -97,6 +97,15 @@ def test_bad_arguments_are_usage_errors(capsys, argv):
     assert len(errors) == 1 and captured.err.endswith(errors[0] + "\n")
 
 
+def test_monoidal_degree_two_names_d(capsys):
+    # P_{0,1} is the whole residue set at d = 2: rejected while parsing
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", "monoidal", "--d", "2"])
+    captured = capsys.readouterr()
+    assert exc.value.code == 2 and captured.out == ""
+    assert captured.err.endswith("error: argument --d: must be >= 3, got 2\n")
+
+
 def _strict_json(text: str):
     """json.loads that refuses NaN, Infinity and -Infinity."""
     def refuse(name):

@@ -398,6 +398,25 @@ class TestReduceTensor:
         reduce_tensor(A, B, check=False)
         assert len(calls) == len(set(calls)) == divisions
 
+    def test_checks_normalise_no_word(self, monkeypatch):
+        # the reduced object and proj∘incl are matrix-held, so the checks
+        # multiply and compare rows; only the 3-slot witness normalises words
+        A, B = ps_object(4, (0, 1)), ps_object(4, (1, 2))
+        assert validate_mbf(A) and validate_mbf(B)
+        calls = []
+        normalized = Operator.normalized
+
+        def counted(self):
+            calls.append(self)
+            return normalized(self)
+
+        monkeypatch.setattr(Operator, "normalized", counted)
+        rt = reduce_tensor(A, B, check=True)
+        assert calls == []
+        gap = rt.incl.compose(rt.proj) - Morphism.identity(rt.original)
+        assert morphism_equal(rt.homotopy.delta(), gap, 8)[0]
+        assert calls  # the count sees the word path
+
     def test_reduced_grading_valid(self):
         rt = reduce_tensor(ps_object(6, (0, 1, 2)), ps_object(6, (2, 3)))
         assert graded_validate(rt.reduced)["ok"]
