@@ -39,8 +39,10 @@ rows it was given and is built in normal form.  For
 the same reason an operator memoises its evaluation for as long as it
 lives: per input monomial (keyed by its exponent tuple) each word prefix is
 evaluated once, keyed by the identities of its primitives, and a quotient
-and a remainder by one modulus share one division; the sweep, `matrix()`
-and the probes of `fusion` all evaluate through it.  Annihilator orders
+and a remainder by one modulus share one division; each target row is
+summed in one dict; the sweep, `matrix()` and the probes of `fusion` all
+evaluate through it.  A substitution and a coefficient extraction prepare
+their index maps on their first `apply` and keep them.  Annihilator orders
 read each word's factors from `_ANNIHILATOR_CACHE`, one entry per process
 for each source shape, internal variable and non-multiplier signature,
 beside `_RING_CACHE`, `_IDENTITY_CACHE` (one identity operator per module),
@@ -68,7 +70,7 @@ from types import MappingProxyType
 
 from ._rat import Rat
 from .exactalg import Cyclo, modular_prime
-from .polycalc import MultiPoly, Ring, RingMismatch
+from .polycalc import MultiPoly, Ring, RingMismatch, product_terms, subst_plan
 
 DEFAULT_CUTOFF = 30
 
@@ -221,10 +223,12 @@ class PSubst:
 
     Outer slots must map to the corresponding outer slots with scalar 1;
     internal variables may go anywhere with any scalar.  That keeps every
-    substitution a bimodule map for the outer action.
+    substitution a bimodule map for the outer action.  The first `apply`
+    prepares the map (`polycalc.subst_plan`) and keeps it; most
+    substitutions are built, merged or lifted and never applied.
     """
 
-    __slots__ = ("src", "dst", "mapping", "_signature")
+    __slots__ = ("src", "dst", "mapping", "_signature", "_plan")
 
     def __init__(self, src: SlotShape, dst: SlotShape, mapping: dict):
         sring = src.ring()
@@ -247,9 +251,16 @@ class PSubst:
         self.dst = dst
         self.mapping = norm
         self._signature = ("subst", src, dst, frozenset(norm.items()))
+        self._plan = None
 
     def apply(self, p: MultiPoly) -> MultiPoly:
-        return p.subst_scale(self.mapping, self.dst.ring())
+        if self._plan is None:
+            sring, dring = self.src.ring(), self.dst.ring()
+            self._plan = (sring, dring, subst_plan(sring, self.mapping, dring))
+        sring, dring, plan = self._plan
+        if p.ring is not sring and p.ring != sring:
+            raise RingMismatch(f"{p.ring} vs {sring}")
+        return p.substituted(plan, dring)
 
     def is_identity(self) -> bool:
         if self.src != self.dst:
@@ -342,31 +353,47 @@ class PQuo:
 
 
 class PCoeff:
-    """Extract the coefficient of var^k and drop that internal slot."""
+    """Extract the coefficient of var^k and drop that internal slot.
 
-    __slots__ = ("shape", "dst_shape", "var", "k", "to_dst")
+    With one variable per slot, the slot of `var` is its index in the ring,
+    and the target ring is the source ring without it (`to_dst`).  So
+    `apply` copies the terms whose exponent in `var` is k, with that index
+    dropped, in one pass: distinct terms stay distinct and none is zero.
+    The rings and the index are looked up on the first `apply`.
+    """
+
+    __slots__ = ("shape", "dst_shape", "var", "k", "_at")
 
     def __init__(self, shape: SlotShape, var: str, k: int):
         if shape.nvars != 1:
             raise ValueError("coefficient extraction implemented for one-variable slots")
         if var not in shape.internal_names():
             raise ValueError(f"{var!r} is not an internal slot variable")
-        slot = shape.ring().index(var)  # one variable per slot
         self.shape = shape
         self.dst_shape = SlotShape(shape.nslots - 1, 1, shape.conductor)
         self.var = var
         self.k = k
-        self.to_dst = slot_map(shape, self.dst_shape,
-                               lambda s: s if s < slot else s - 1 if s > slot else None)
+        self._at = None
 
     src = property(lambda self: self.shape)
     dst = property(lambda self: self.dst_shape)
 
+    @property
+    def to_dst(self) -> dict:
+        """{source variable: target variable}; `var` is dropped."""
+        slot = self.shape.ring().index(self.var)
+        return slot_map(self.shape, self.dst_shape,
+                        lambda s: s if s < slot else s - 1 if s > slot else None)
+
     def apply(self, p: MultiPoly) -> MultiPoly:
-        part = p.coefficients_in(self.var).get(self.k)
-        if part is None:
-            return self.dst_shape.ring().zero()
-        return part.rename(self.to_dst, self.dst_shape.ring())
+        if self._at is None:
+            sring = self.shape.ring()
+            self._at = (sring, self.dst_shape.ring(), sring.index(self.var))
+        sring, dring, i = self._at
+        if p.ring is not sring and p.ring != sring:
+            raise RingMismatch(f"{p.ring} vs {sring}")
+        k, j = self.k, i + 1
+        return MultiPoly._raw(dring, {e[:i] + e[j:]: c for e, c in p.terms.items() if e[i] == k})
 
     def signature(self):
         return ("coeff", self.shape, self.var, self.k)
@@ -581,15 +608,20 @@ class Operator:
 
     `apply` and `apply_basis` evaluate through `_memo`, kept for the
     operator's lifetime: {input key: (input, children)}, a trie of word
-    prefix images per input (see `_word_image`).  So each prefix is
-    evaluated once per input monomial across every cell and every call, a
-    `quo` and a `rem` by one modulus on one input share one `divmod_in_var`,
-    and the images are those of summing `Word.apply` over each cell, term
-    order included.
+    prefix images per input (see `_prefix_image`).  So each prefix is
+    evaluated once per input monomial across every cell and every call, and
+    a `quo` and a `rem` by one modulus on one input share one
+    `divmod_in_var`.  The first evaluation prepares every word once
+    (`_word_steps`: its trie keys, the terms of a trailing multiplier, its
+    coefficient), and `_images` sums each target row in one dict, applying
+    a word's multiplier and coefficient as its terms go in; the images are
+    those of summing `Word.apply` over each cell, term order included.
     """
 
     # _normal: None until computed, True on a normal form, else the normal form
-    __slots__ = ("src", "dst", "cells", "_normal", "_pm", "_memo")
+    # _plan: None until the first evaluation, then per cell (row, col, its
+    # words' `_word_steps`)
+    __slots__ = ("src", "dst", "cells", "_normal", "_pm", "_memo", "_plan")
 
     def __init__(self, src: FreeBimod, dst: FreeBimod, cells=None):
         cells = {k: tuple(ws) for k, ws in sorted(cells.items()) if ws} if cells else {}
@@ -599,6 +631,7 @@ class Operator:
         object.__setattr__(self, "_normal", None)
         object.__setattr__(self, "_pm", None)
         object.__setattr__(self, "_memo", {})
+        object.__setattr__(self, "_plan", None)
 
     def __setattr__(self, *a):
         raise AttributeError("Operator is immutable")
@@ -735,14 +768,39 @@ class Operator:
 
     def _images(self, roots: dict) -> list:
         """The image of the element whose copy j is the input of the memo
-        node roots[j], each cell's words summed in order."""
-        out = [self.dst.shape.ring().zero()] * self.dst.rank
-        for (i, j), ws in self.cells.items():
+        node roots[j].  Each target row is one dict: each word's prefix image
+        (`_prefix_image`) is multiplied by its trailing multiplier and its
+        coefficient on the way in and added term by term, a sum that
+        vanishes deleting its term, as `+` of the word images in cell order
+        would."""
+        if self._plan is None:
+            object.__setattr__(self, "_plan", tuple(
+                (i, j, tuple(_word_steps(w) for w in ws if not w.coeff.is_zero()))
+                for (i, j), ws in self.cells.items()))
+        rows = [{} for _ in range(self.dst.rank)]
+        for i, j, words in self._plan:
             root = roots.get(j)
-            if root is not None:
-                for w in ws:
-                    out[i] = out[i] + self._word_image(w, root)
-        return out
+            if root is None:
+                continue
+            acc = rows[i]
+            for steps, mul, c in words:
+                terms = self._prefix_image(steps, root).terms
+                if mul is not None:
+                    terms = product_terms(terms, mul)
+                for e, v in terms.items():
+                    if c is not None:
+                        v = v * c
+                    s = acc.get(e)
+                    if s is None:
+                        acc[e] = v
+                    else:
+                        s = s + v
+                        if s.is_zero():
+                            del acc[e]
+                        else:
+                            acc[e] = s
+        ring = self.dst.shape.ring()
+        return [MultiPoly._raw(ring, acc) for acc in rows]
 
     def _memo_root(self, p: MultiPoly) -> tuple:
         """The memo node (p, children) of the input p.  A monomial with
@@ -758,35 +816,30 @@ class Operator:
             node = self._memo[key] = (p, {})
         return node
 
-    def _word_image(self, w: Word, node: tuple) -> MultiPoly:
-        """w applied to the input of the memo node `node`.
+    @staticmethod
+    def _prefix_image(steps: tuple, node: tuple) -> MultiPoly:
+        """The image of a word prefix, given as its `_word_steps`, on the
+        input of the memo node `node`.
 
         Each node is (image, children): the children of a prefix's node are
         keyed by the id of the next primitive, so words that share
         primitives share their images, and the ids stay valid because the
         operator holds its words.  A division is keyed by the id of its
         modulus, its variable and its part instead, and one `divmod_in_var`
-        fills both parts.  A trailing multiplier and the coefficient are
-        applied after the lookup, in the order `Word.apply` applies them.
+        fills both parts.
         """
-        prims = w.prims
-        last = prims[-1] if prims and isinstance(prims[-1], PMul) else None
-        for prim in prims[:-1] if last else prims:
+        for key, prim in steps:
             p, children = node
-            if isinstance(prim, PQuo):
-                key = (id(prim.modulus), prim.var, prim.part)
-                node = children.get(key)
-                if node is None:
+            node = children.get(key)
+            if node is None:
+                if type(prim) is PQuo:
                     quo, rem = p.divmod_in_var(prim.modulus, prim.var)
                     children[key[:2] + ("quo",)] = (quo, {})
                     children[key[:2] + ("rem",)] = (rem, {})
                     node = children[key]
-            else:
-                node = children.get(id(prim))
-                if node is None:
-                    node = children[id(prim)] = (prim.apply(p), {})
-        p = node[0] if last is None else node[0] * last.poly
-        return p if w.coeff.is_one() else p * w.coeff
+                else:
+                    node = children[key] = (prim.apply(p), {})
+        return node[0]
 
     def matrix(self) -> tuple:
         """The images of the copy generators as a tuple of row tuples: column
@@ -804,6 +857,19 @@ class Operator:
             object.__setattr__(self, "_pm", tuple(
                 tuple(col[i] for col in cols) for i in range(self.dst.rank)))
         return self._pm
+
+
+def _word_steps(w: Word) -> tuple:
+    """A word prepared for `Operator._images`: (its prefix as (memo key,
+    primitive) pairs, the terms of a trailing multiplier or None, the
+    coefficient or None if it is 1).  The key of a division names its
+    modulus, variable and part, that of any other primitive its id."""
+    prims, mul = w.prims, None
+    if prims and isinstance(prims[-1], PMul):
+        prims, mul = prims[:-1], prims[-1].poly.terms
+    steps = tuple(((id(p.modulus), p.var, p.part) if type(p) is PQuo else id(p), p)
+                  for p in prims)
+    return steps, mul, None if w.coeff.is_one() else w.coeff
 
 
 def _diagonal(mod: FreeBimod, poly: MultiPoly) -> Operator:

@@ -99,6 +99,13 @@ def _monoidal_degree(text: str) -> int:
     return _int_at_least(text, 3)
 
 
+def _fusing_degree(text: str) -> int:
+    """--d of `fusing`, `cft fusing` and `compare ratio` (with --d-min and
+    --d-max): at least 4, since the worked 2x2 fusing example couples three
+    copies of P_{0,1} into P_{1,2}, which needs d >= 4."""
+    return _int_at_least(text, 4)
+
+
 def _level(text: str) -> int:
     """--k: the level k of the 6j symbols, at least 0."""
     return _int_at_least(text, 0)
@@ -411,7 +418,7 @@ def build_parser() -> argparse.ArgumentParser:
     _finish(vm, cmd_verify)
 
     fp = sub.add_parser("fusing", help="solve the 2x2 fusing matrix exactly")
-    fp.add_argument("--d", type=_degree, required=True)
+    fp.add_argument("--d", type=_fusing_degree, required=True)
     fp.add_argument("--verify-homotopy", action="store_true")
     _finish(fp, cmd_fusing)
 
@@ -442,7 +449,7 @@ def build_parser() -> argparse.ArgumentParser:
     c2.add_argument("--tol", type=_tolerance, default=1e-18)
     _finish(c2, cmd_cft_pentagon)
     c3 = csub.add_parser("fusing", help="worked 2x2 example against closed forms")
-    c3.add_argument("--d", type=_degree, required=True)
+    c3.add_argument("--d", type=_fusing_degree, required=True)
     c3.add_argument("--precision", type=_precision, default=DEFAULT_PREC)
     c3.add_argument("--tol", type=_tolerance, default=1e-10)
     _finish(c3, cmd_cft_fusing)
@@ -456,9 +463,9 @@ def build_parser() -> argparse.ArgumentParser:
     mp_ = sub.add_parser("compare", help="cross-verification of the two sides")
     msub = mp_.add_subparsers(dest="cmpcmd", required=True)
     m1 = msub.add_parser("ratio", help="gauge-invariant fusing ratio")
-    m1.add_argument("--d", type=_degree)
-    m1.add_argument("--d-min", type=_degree)
-    m1.add_argument("--d-max", type=_degree)
+    m1.add_argument("--d", type=_fusing_degree)
+    m1.add_argument("--d-min", type=_fusing_degree)
+    m1.add_argument("--d-max", type=_fusing_degree)
     m1.add_argument("--tol", type=_tolerance, default=1e-10)
     _finish(m1, cmd_compare_ratio)
     m2 = msub.add_parser("spectrum", help="defect-changing charge multisets")

@@ -26,7 +26,7 @@ residues with the sparse elimination that also solves over Q(zeta_n)
 (``linalg.rank_mod_p``), for lower bounds on ranks.
 
 Values are immutable; all operations return fresh objects, so sharing across
-threads is safe.  The Phi_n and (p, r) caches are filled idempotently
+threads is safe.  The Phi_n, (p, r) and unit caches are filled idempotently
 (recomputation yields the identical value), which is harmless under
 concurrent first use.
 """
@@ -44,6 +44,7 @@ from ._rat import Rat, rat_str
 DEFAULT_PRECISION_BITS = 128
 
 _PHI_CACHE: dict[int, tuple] = {}
+_ONES: dict[int, "Cyclo"] = {}
 
 
 class ConductorMismatch(ValueError):
@@ -223,7 +224,11 @@ class Cyclo:
 
     @staticmethod
     def one(n: int) -> "Cyclo":
-        return Cyclo.from_rat(n, 1)
+        # values are immutable, so one per conductor serves every caller
+        one = _ONES.get(n)
+        if one is None:
+            one = _ONES.setdefault(n, Cyclo.from_rat(n, 1))
+        return one
 
     @staticmethod
     def root(n: int, k: int = 1) -> "Cyclo":

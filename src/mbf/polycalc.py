@@ -5,6 +5,14 @@ A Ring fixes an ordered variable tuple and a cyclotomic conductor; a MultiPoly
 is a canonical sparse map {exponent tuple -> Cyclo} with no zero coefficients.
 Term order everywhere is graded lexicographic in the ring's variable order.
 
+Every ring map (`subst_scale`, `rename`) is one substitution plan, a tuple
+of (source index, target index or None, scalar or None for 1) per variable
+(`subst_plan`), applied by one loop (`MultiPoly.substituted`); a caller
+that applies one map many times keeps its plan.  `rename` builds its plan
+without a scalar.  `product_terms` is the one product of term dicts: a
+one-term factor can make no two terms meet and no coefficient vanish, so it
+is a single pass.
+
 Textual form: terms joined by ' + ' / ' - ', factors joined by '*', powers with
 '^', e.g. '3/2*a^2*x1*b'.  The primitive root of the ring's conductor prints
 as 'z' (so 'a - z*b' at conductor 3 means a - zeta_3 b).
@@ -13,6 +21,7 @@ as 'z' (so 'a - z*b' at conductor 3 means a - zeta_3 b).
 from __future__ import annotations
 
 import re
+from operator import add
 from typing import Iterable, Mapping
 
 from ._rat import Rat, rat_str
@@ -124,6 +133,55 @@ class Ring:
         return out
 
 
+def _same_conductor(source: Ring, target: Ring):
+    if source.conductor != target.conductor:
+        raise RingMismatch(f"conductor {source.conductor} vs {target.conductor}")
+
+
+def subst_plan(source: Ring, mapping: Mapping[str, tuple], target: Ring) -> tuple:
+    """The substitution {src_var: (scalar, dst_var)} from `source` into
+    `target`, prepared for `MultiPoly.substituted`: per source variable,
+    (its index, the index of its target variable or None if unmapped, the
+    scalar as a Cyclo or None if it is 1).  Both rings have one conductor
+    (else RingMismatch), and every target variable must exist (else KeyError).
+    """
+    _same_conductor(source, target)
+    plan = []
+    for i, v in enumerate(source.vars):
+        if v in mapping:
+            sc, dst = mapping[v]
+            sc = target.coerce_scalar(sc)
+            plan.append((i, target.index(dst), None if sc.is_one() else sc))
+        else:
+            plan.append((i, None, None))
+    return tuple(plan)
+
+
+def product_terms(a: dict, b: dict) -> dict:
+    """The terms of the product of two polynomials given by their terms, with
+    no zero coefficient.  The outer loop runs over the shorter factor (the
+    first on a tie), and each exponent keeps the place of its first product."""
+    if len(a) > len(b):
+        a, b = b, a
+    if len(a) == 1:
+        # one term: distinct exponents stay distinct, and over a field no
+        # product vanishes; a unit coefficient or a constant changes less
+        ((ea, ca),) = a.items()
+        one = ca.is_one()
+        if not any(ea):
+            return dict(b) if one else {eb: ca * cb for eb, cb in b.items()}
+        if one:
+            return {tuple(map(add, ea, eb)): cb for eb, cb in b.items()}
+        return {tuple(map(add, ea, eb)): ca * cb for eb, cb in b.items()}
+    out: dict = {}
+    for ea, ca in a.items():
+        for eb, cb in b.items():
+            e = tuple(map(add, ea, eb))
+            s = out.get(e)
+            out[e] = ca * cb if s is None else s + ca * cb
+    return {e: c for e, c in out.items() if not c.is_zero()}
+
+
 def _grlex_key(e: tuple) -> tuple:
     return (sum(e), e)
 
@@ -229,16 +287,7 @@ class MultiPoly:
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        a, b = self.terms, o.terms
-        if len(a) > len(b):
-            a, b = b, a
-        out: dict = {}
-        for ea, ca in a.items():
-            for eb, cb in b.items():
-                e = tuple(x + y for x, y in zip(ea, eb))
-                s = out.get(e)
-                out[e] = ca * cb if s is None else s + ca * cb
-        return MultiPoly(self.ring, out)
+        return MultiPoly._raw(self.ring, product_terms(self.terms, o.terms))
 
     __rmul__ = __mul__
 
@@ -306,51 +355,55 @@ class MultiPoly:
 
         mapping: {src_var: (scalar, dst_var)}; unmapped source variables must
         not occur.  Both rings have one conductor, and the scalars are Cyclo
-        of it (or coercible); another conductor raises RingMismatch.
+        of it (or coercible); another conductor raises RingMismatch.  The map
+        is prepared once (`subst_plan`) and applied by `substituted`.
         """
-        if self.ring.conductor != target.conductor:
-            raise RingMismatch(f"conductor {self.ring.conductor} vs {target.conductor}")
-        # (source index, target index or None if unmapped, scalar or None if 1)
-        cols = []
-        for i, v in enumerate(self.ring.vars):
-            if v in mapping:
-                sc, dst = mapping[v]
-                sc = target.coerce_scalar(sc)
-                cols.append((i, target.index(dst), None if sc.is_one() else sc))
-            else:
-                cols.append((i, None, None))
-        out: dict = {}
+        return self.substituted(subst_plan(self.ring, mapping, target), target)
+
+    def rename(self, name_map: Mapping[str, str], target: Ring) -> "MultiPoly":
+        """Variable renaming into `target`; names absent there stay unmapped
+        (so dropping a variable is fine as long as it does not occur).  Every
+        scalar of the plan is 1, so no Cyclo is built."""
+        _same_conductor(self.ring, target)
+        index = target._index
+        plan = tuple((i, index.get(name_map.get(v, v)), None) for i, v in enumerate(self.ring.vars))
+        return self.substituted(plan, target)
+
+    def substituted(self, plan: tuple, target: Ring) -> "MultiPoly":
+        """The image under a prepared substitution `plan` (see `subst_plan`):
+        one (source index, target index or None if unmapped, scalar or None
+        for 1) per variable of this ring.
+
+        A term whose coefficient a zero scalar kills is dropped; any other
+        zero is a sum of two terms that met, so with no meeting the result
+        needs no zero filter.
+        """
+        vars_ = self.ring.vars
         width = len(target.vars)
+        out: dict = {}
+        merged = False
         for e, coeff in self.terms.items():
             ne = [0] * width
-            for i, j, sc in cols:
+            for i, j, sc in plan:
                 k = e[i]
                 if k == 0:
                     continue
                 if j is None:
-                    raise KeyError(
-                        f"variable {self.ring.vars[i]!r} occurs but is not mapped"
-                    )
+                    raise KeyError(f"variable {vars_[i]!r} occurs but is not mapped")
                 ne[j] += k
                 if sc is not None:
-                    coeff = coeff * sc**k
+                    coeff = coeff * (sc if k == 1 else sc**k)
                     if coeff.is_zero():
                         break
             else:
                 key = tuple(ne)
                 prev = out.get(key)
-                out[key] = coeff if prev is None else prev + coeff
-        return MultiPoly(target, out)
-
-    def rename(self, name_map: Mapping[str, str], target: Ring) -> "MultiPoly":
-        """Variable renaming into `target`; names absent there stay unmapped
-        (so dropping a variable is fine as long as it does not occur)."""
-        mapping = {}
-        for v in self.ring.vars:
-            w = name_map.get(v, v)
-            if w in target._index:
-                mapping[v] = (1, w)
-        return self.subst_scale(mapping, target)
+                if prev is None:
+                    out[key] = coeff
+                else:
+                    out[key] = prev + coeff
+                    merged = True
+        return MultiPoly(target, out) if merged else MultiPoly._raw(target, out)
 
     def derivative(self, var: str) -> "MultiPoly":
         i = self.ring.index(var)

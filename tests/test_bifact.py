@@ -977,6 +977,109 @@ class TestMemoisedEvaluation:
         assert calls == []
 
 
+# -- prepared primitives and the row accumulator -----------------------------------
+
+
+def _seeded_poly(rng, ring, nterms):
+    """Up to `nterms` terms of degree <= 3 per variable, with coefficients
+    mixing rationals and powers of zeta."""
+    n = ring.conductor
+    terms = {}
+    for _ in range(nterms):
+        e = tuple(rng.randrange(4) for _ in ring.vars)
+        c = Cyclo.from_rat(n, Rat(rng.randint(-4, 4), rng.randint(1, 3)))
+        terms[e] = c + Cyclo.root(n, rng.randrange(n)) * rng.randint(-2, 2)
+    return MultiPoly(ring, terms)
+
+
+def _term_lists(polys):
+    return [list(p.terms.items()) for p in polys]
+
+
+class TestPreparedPrimitives:
+    @pytest.mark.parametrize("n", range(3, 13))
+    def test_coefficient_matches_bucket_then_rename(self, n):
+        # one pass over the terms against coefficients_in(var)[k] renamed
+        rng = random.Random(n)
+        for nslots in (3, 4, 5):
+            shape = SlotShape(nslots, 1, n)
+            for var in shape.internal_names():
+                for k in range(4):
+                    prim = PCoeff(shape, var, k)
+                    dring = prim.dst.ring()
+                    for _ in range(4):
+                        p = _seeded_poly(rng, shape.ring(), rng.randint(1, 10))
+                        part = p.coefficients_in(var).get(k)
+                        want = dring.zero() if part is None else part.rename(prim.to_dst, dring)
+                        assert _term_lists([prim.apply(p)]) == _term_lists([want])
+
+    @pytest.mark.parametrize("n", range(3, 13))
+    def test_substitution_matches_subst_scale(self, n):
+        # the kept plan against a fresh subst_scale of the same mapping
+        rng = random.Random(200 + n)
+        shape = SlotShape(4, 1, n)
+        ring, one = shape.ring(), Cyclo.one(n)
+        for _ in range(10):
+            m = {v: (one, v) for v in ring.vars}
+            for v in shape.internal_names():
+                m[v] = (Cyclo.root(n, rng.randrange(n)) * rng.choice([1, -1, Rat(1, 2)]),
+                        rng.choice(ring.vars))
+            prim = PSubst(shape, shape, m)
+            for _ in range(3):
+                p = _seeded_poly(rng, ring, rng.randint(1, 10))
+                want = p.subst_scale(prim.mapping, ring)
+                assert _term_lists([prim.apply(p)]) == _term_lists([want])
+
+    def test_preparation_waits_for_the_first_apply(self):
+        # construction and lifting prepare nothing; the first apply does, once
+        shape, _, ring = _one_copy(nslots=4, conductor=5)
+        subst = w_transfer(shape, "x1", "x2").lift(1, 0).prims[0]
+        coeff = w_coeff(shape, "x2", 1).lift(0, 1).prims[0]
+        assert subst._plan is None and coeff._at is None
+        p = subst.src.ring().parse("x2*x3^2 + a*b")
+        subst.apply(p)
+        coeff.apply(p)
+        plan, at = subst._plan, coeff._at
+        assert plan is not None and at is not None
+        subst.apply(p)
+        coeff.apply(p)
+        assert subst._plan is plan and coeff._at is at
+
+    def test_primitives_refuse_another_ring(self):
+        shape, _, ring = _one_copy(nslots=3, conductor=4)
+        other = SlotShape(4, 1, 4).ring().var("x1")
+        for (prim,) in (w_transfer(shape, "x1", "a").prims, w_coeff(shape, "x1", 0).prims):
+            with pytest.raises(RingMismatch):
+                prim.apply(other)
+
+    @pytest.mark.parametrize("n", range(3, 13))
+    def test_accumulated_rows_match_the_word_sums(self, n):
+        # coefficients, trailing multipliers of one and of several terms,
+        # a word that cancels another, a zero coefficient and an identity
+        shape = SlotShape(3, 1, n)
+        ring = shape.ring()
+        z = Cyclo.root(n, 1)
+        q = ring.p_S([0, 1], "x1", "b")
+        quo_mul = w_quo(shape, q, "x1").then(w_mul(shape, ring.parse("a + x1*b - 2*b")))
+        words = (
+            w_rem(shape, q, "x1"),
+            quo_mul,
+            w_transfer(shape, "x1", "a").then(w_mul(shape, ring.parse("2*a - b"))).scaled(z),
+            quo_mul.scaled(Cyclo.from_rat(n, -1)),
+            w_mul(shape, ring.parse("x1 + b")),
+            quo_mul,
+            w_rem(shape, q, "x1").scaled(Cyclo.zero(n)),
+            w_rem(shape, q, "x1").then(w_mul(shape, ring.parse("3*a^2"))).scaled(z * z),
+            Word.identity(shape).scaled(Cyclo.from_rat(n, -1)),
+            Word.identity(shape),
+        )
+        mod = FreeBimod(shape, 2)
+        op = Operator(mod, mod, {(0, 0): words, (0, 1): words[3:], (1, 0): words[::-1]})
+        for copy, k in itertools.product(range(2), range(7)):
+            want = _plain_images(op, copy, {"x1": k})
+            assert _term_lists(op.apply_basis(copy, {"x1": k})) == _term_lists(want)
+
+
 # -- the sparse Operator against the dense word matrix it replaced ---------------
 
 

@@ -106,6 +106,25 @@ def test_monoidal_degree_two_names_d(capsys):
     assert captured.err.endswith("error: argument --d: must be >= 3, got 2\n")
 
 
+@pytest.mark.parametrize("argv, flag, value", [
+    (["fusing", "--d", "3"], "--d", 3),
+    (["fusing", "--d", "3", "--verify-homotopy"], "--d", 3),
+    (["cft", "fusing", "--d", "3"], "--d", 3),
+    (["cft", "fusing", "--d", "2"], "--d", 2),
+    (["compare", "ratio", "--d", "3"], "--d", 3),
+    (["compare", "ratio", "--d-min", "3", "--d-max", "5"], "--d-min", 3),
+    (["compare", "ratio", "--d-min", "4", "--d-max", "2"], "--d-max", 2),
+], ids=["fusing", "fusing-homotopy", "cft-fusing-3", "cft-fusing-2", "ratio-d",
+        "ratio-d-min", "ratio-d-max"])
+def test_fusing_degree_below_four_names_the_flag(capsys, argv, flag, value):
+    # the 2x2 fusing example needs d >= 4: one bound, rejected while parsing
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    captured = capsys.readouterr()
+    assert exc.value.code == 2 and captured.out == ""
+    assert captured.err.endswith(f"error: argument {flag}: must be >= 4, got {value}\n")
+
+
 def _strict_json(text: str):
     """json.loads that refuses NaN, Infinity and -Infinity."""
     def refuse(name):

@@ -1,3 +1,5 @@
+import random
+
 import pytest
 import sympy
 from hypothesis import given, settings
@@ -375,6 +377,128 @@ class TestSubstitution:
         with pytest.raises(RingMismatch):
             p.rename({}, T)
         assert p.subst_scale({"a": (R.root(1), "a")}, R) == R.var("a") * R.root(2)
+
+
+def _subst_reference(p: MultiPoly, mapping, target: Ring) -> MultiPoly:
+    """The substitution loop as it was before plans: columns built per call,
+    then each term's exponents moved and its coefficient scaled."""
+    cols = []
+    for i, v in enumerate(p.ring.vars):
+        if v in mapping:
+            sc, dst = mapping[v]
+            sc = target.coerce_scalar(sc)
+            cols.append((i, target.index(dst), None if sc.is_one() else sc))
+        else:
+            cols.append((i, None, None))
+    out: dict = {}
+    for e, coeff in p.terms.items():
+        ne = [0] * len(target.vars)
+        for i, j, sc in cols:
+            k = e[i]
+            if k == 0:
+                continue
+            if j is None:
+                raise KeyError(f"variable {p.ring.vars[i]!r} occurs but is not mapped")
+            ne[j] += k
+            if sc is not None:
+                coeff = coeff * sc**k
+                if coeff.is_zero():
+                    break
+        else:
+            key = tuple(ne)
+            prev = out.get(key)
+            out[key] = coeff if prev is None else prev + coeff
+    return MultiPoly(target, out)
+
+
+def _seeded_poly(rng, ring: Ring, nterms: int, skip=()) -> MultiPoly:
+    """Up to `nterms` terms of degree <= 3 per variable, none in `skip`, with
+    coefficients mixing rationals and powers of zeta."""
+    n = ring.conductor
+    terms = {}
+    for _ in range(nterms):
+        e = tuple(0 if v in skip else rng.randrange(4) for v in ring.vars)
+        c = Cyclo.from_rat(n, Rat(rng.randint(-4, 4), rng.randint(1, 3)))
+        terms[e] = c + Cyclo.root(n, rng.randrange(n)) * rng.randint(-2, 2)
+    return MultiPoly(ring, terms)
+
+
+def _terms(p: MultiPoly) -> list:
+    return list(p.terms.items())
+
+
+_CONDUCTORS = range(3, 13)
+
+
+class TestSubstitutionPlan:
+    """`subst_scale`, `rename` and a kept plan against the loop they replace,
+    term for term, on seeded polynomials at conductors 3..12."""
+
+    @pytest.mark.parametrize("n", _CONDUCTORS)
+    def test_plan_matches_the_loop(self, n):
+        rng = random.Random(n)
+        R = Ring(["a", "x1", "x2", "b"], n)
+        T = Ring(["a", "y", "b"], n)
+        scalars = [1, -1, Rat(1, 2), 0] + [Cyclo.root(n, k) for k in range(1, n)]
+        seen_zero = seen_power = seen_merge = False
+        for _ in range(30):
+            # x2 is dropped (unmapped, and never occurs) in half of the cases
+            drop = rng.random() < 0.5
+            mapping = {v: (rng.choice(scalars), rng.choice(T.vars)) for v in R.vars
+                       if not (drop and v == "x2")}
+            p = _seeded_poly(rng, R, rng.randint(1, 8), skip=("x2",) if drop else ())
+            want = _subst_reference(p, mapping, T)
+            assert _terms(p.subst_scale(mapping, T)) == _terms(want)
+            plan = polycalc.subst_plan(R, mapping, T)
+            assert _terms(p.substituted(plan, T)) == _terms(want)
+            zeroed = any(mapping[v][0] == 0 for v in mapping)
+            seen_zero |= zeroed and len(want.terms) < len(p.terms)
+            seen_power |= any(e[R.index(v)] > 1 and mapping[v][0] not in (0, 1)
+                              for e in p.terms for v in mapping)
+            seen_merge |= len({w for _, w in mapping.values()}) < len(mapping)
+        assert seen_zero and seen_power and seen_merge
+
+    @pytest.mark.parametrize("n", _CONDUCTORS)
+    def test_rename_matches_the_loop_and_builds_no_scalar(self, n, monkeypatch):
+        rng = random.Random(100 + n)
+        R = Ring(["a", "x1", "x2", "b"], n)
+        T = Ring(["a", "x1", "b"], n)
+        cases = []
+        for _ in range(20):
+            p = _seeded_poly(rng, R, rng.randint(1, 8), skip=("x1",))
+            name_map = {"x2": "x1"} if rng.random() < 0.5 else {"x2": "x1", "a": "a"}
+            old = {v: (1, name_map.get(v, v)) for v in R.vars if name_map.get(v, v) in T.vars}
+            cases.append((p, name_map, _subst_reference(p, old, T)))
+        calls = []
+        from_rat = Cyclo.from_rat
+
+        def counted(*args):
+            calls.append(args)
+            return from_rat(*args)
+
+        monkeypatch.setattr(Cyclo, "from_rat", staticmethod(counted))
+        for p, name_map, want in cases:
+            assert _terms(p.rename(name_map, T)) == _terms(want)
+        assert calls == []
+
+    def test_unmapped_variable_and_conductor_errors_are_unchanged(self):
+        R = Ring(["a", "x1", "b"], 3)
+        T = Ring(["a", "b"], 3)
+        p = R.var("a") * R.var("x1")
+        with pytest.raises(KeyError, match="variable 'x1' occurs but is not mapped"):
+            p.rename({}, T)
+        with pytest.raises(KeyError, match="variable 'x1' occurs but is not mapped"):
+            p.subst_scale({"a": (1, "a"), "b": (1, "b")}, T)
+        with pytest.raises(KeyError, match="variable 'y' not in ring"):
+            p.subst_scale({"a": (1, "y")}, T)
+        other = Ring(["a", "b"], 6)
+        for call in (lambda: p.rename({}, other),
+                     lambda: p.subst_scale({"a": (1, "a")}, other),
+                     lambda: polycalc.subst_plan(R, {}, other)):
+            with pytest.raises(RingMismatch, match="conductor 3 vs 6"):
+                call()
+        with pytest.raises(RingMismatch, match="scalar conductor 6 vs ring conductor 3"):
+            p.subst_scale({"a": (Cyclo.root(6, 1), "a"), "x1": (1, "a")}, T)
 
 
 class TestTextualForm:
