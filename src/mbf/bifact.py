@@ -14,12 +14,13 @@ invariant is what makes equality decidable here:
   comparing them is an exact test.
 
 Operators between two 2-slot chains are matrix-held: they compose by
-the matrix product and `op_equal` compares their rows.  Any other pair goes
-through three tiers.  Operators are compared structurally after word
-normalization (substitution merging, multiplier merging and pushing);
-failing that, from a 2-slot source, by their generator matrices; from a
-source with internal slots, pointwise on internal monomials up to a total
-degree: evidence, not proof.  Only `op_equal` and `morphism_equal` take
+the matrix product.  `op_equal` compares any two operators out of a 2-slot
+source by their generator matrices, whatever the target (for matrix-held
+operators these are their rows), and normalises no word.  A pair out of a
+source with internal slots goes through two tiers: structurally after word
+normalization (substitution merging, multiplier merging and pushing), then
+pointwise on internal monomials up to a total degree: evidence, not
+proof.  Only `op_equal` and `morphism_equal` take
 that degree (`cutoff`); the checks built on them sweep to 30
 (`DEFAULT_CUTOFF`), the homotopy witnesses of `mbf compare fusion` to 2d.
 With one internal variable the sweep of a copy stops at that copy's
@@ -46,13 +47,16 @@ their index maps on their first `apply` and keep them.  Annihilator orders
 read each word's factors from `_ANNIHILATOR_CACHE`, one entry per process
 for each source shape, internal variable and non-multiplier signature,
 beside `_RING_CACHE`, `_IDENTITY_CACHE` (one identity operator per module),
-`_PS_CACHE` and `polycalc._DIV_CACHE`.
-An `MBF` is immutable too.  `ps_object` memoises P_S, one object per
-(d, S).  `tensor_obj` builds a new product on every call (no workload asks
-for the same product twice often enough to pay for a cache), but only its
-modules and charges at once: the differential is built on its first read.
-Most products only name the endpoints of a tensor product of maps or an
-associator and never have it read.
+`_PS_CACHE`, `_TENSOR_CACHE` and `polycalc._DIV_CACHE`.
+An `MBF` is immutable too, and so is a `Morphism`.  `ps_object` memoises
+P_S, one object per (d, S).  `tensor_obj` hands out one product per pair of
+factors for as long as something else holds it (`_TENSOR_CACHE`, a
+`weakref.WeakValueDictionary` keyed by the factors): the junction checks ask
+for the same products over and over, while a strong cache would keep every
+product of a fusion sweep alive with its evaluation memos.  A product builds
+only its modules and charges at once: the differential is built on its first
+read.  Most products only name the endpoints of a tensor product of maps or
+an associator and never have it read.
 
 One routine, `_tensor_legs`, builds every f ⊗ g, the differential
 d_X ⊗ 1 + 1 ⊗ d_Y of X ⊗ Y included; `tensor_copy` is the one copy index
@@ -64,6 +68,7 @@ lift into a glued chain, inserting, collapsing or dropping a junction slot.
 from __future__ import annotations
 
 import itertools
+import weakref
 from collections import Counter
 from operator import add as _add
 from types import MappingProxyType
@@ -1028,25 +1033,26 @@ def _word_annihilator(w: Word, fs: tuple):
 def op_equal(A: Operator, B: Operator, cutoff: int = DEFAULT_CUTOFF):
     """Tiered operator equality: (equal, mode).
 
-    Two matrix-held operators (both ends one 2-slot chain) are compared by
-    their rows: (True, "exact-structural") if they agree, else (False,
-    "exact-generator").  That is the verdict and the mode of the tiers
-    below on operators made from rows: each cell of one is a single
-    normal-form word (a coefficient or one multiplication), so the cells of
-    the normalised difference are the entries where the rows differ, each
-    merged to one multiplier by that difference; it is empty exactly when
-    the rows agree, and otherwise its generator matrix is not zero.  The
-    verdict is also the tiers' on operators held as words, whose rows are
-    the whole map; an equality the tiers settled by the generator matrix
-    now reads "exact-structural".
+    Two operators out of a source without internal slots (a 2-slot chain)
+    are compared by their generator matrices, `matrix()`: the images of the
+    copy generators describe such a map completely, whatever its target.
+    The verdict is (True, "exact-structural") if they agree, else (False,
+    "exact-generator"); no word is normalised.  Between two 2-slot chains
+    the matrices are the rows the operators hold.  For operators made from
+    rows this is the verdict and the mode of the word tiers below: each
+    cell of one is a single normal-form word (a coefficient or one
+    multiplication), so the normalised difference is empty exactly when the
+    rows agree.  On operators held as words the verdict is the tiers' too;
+    an equality they would have settled by the generator matrix (a
+    difference whose words do not cancel but whose images do) reads
+    "exact-structural".
 
-    Any other pair goes through three tiers: structural cancellation of the
-    difference; its generator matrix (complete for sources without internal
-    slots); pointwise on internal monomials up to `cutoff` total degree.
-    Verdicts from the first two tiers are exact; a True from the last,
-    "verified-to-cutoff", is evidence, and a False carries the failing basis
-    element in the mode.  A negative `cutoff` would sweep no monomial at
-    all, so it raises ValueError.
+    A pair out of a source with internal slots goes through two tiers:
+    structural cancellation of the normalised difference, which is exact,
+    then pointwise on internal monomials up to `cutoff` total degree.  A
+    True from the sweep, "verified-to-cutoff", is evidence, and a False
+    carries the failing basis element in the mode.  A negative `cutoff`
+    would sweep no monomial at all, so it raises ValueError.
 
     With one internal variable x, the sweep of each copy stops after its
     first N monomials x^0..x^(N-1), N the copy's annihilator order from
@@ -1063,15 +1069,13 @@ def op_equal(A: Operator, B: Operator, cutoff: int = DEFAULT_CUTOFF):
         raise ValueError(f"cutoff must be >= 0, got {cutoff}")
     if A.src != B.src or A.dst != B.dst:
         raise ValueError("operator shape mismatch")
-    if A.matrix_held:
+    if A.src.shape.nslots <= 2:
         if A.matrix() == B.matrix():
             return True, "exact-structural"
         return False, "exact-generator"
     diff = (A - B).normalized()
     if not diff.cells:
         return True, "exact-structural"
-    if diff.src.shape.nslots <= 2:
-        return not any(p for row in diff.matrix() for p in row), "exact-generator"
     names = diff.src.shape.internal_names()
     orders = _annihilator_orders(diff, names[0]) if len(names) == 1 else {}
     zero_dst = [diff.dst.shape.ring().zero()] * diff.dst.rank
@@ -1132,7 +1136,7 @@ class MBF:
     """
 
     __slots__ = ("m0", "m1", "w", "grading", "_d", "_build", "_report", "_graded_report",
-                 "_residues")
+                 "_residues", "__weakref__")
 
     def __init__(self, m0: FreeBimod, m1: FreeBimod, d0: Operator, d1: Operator, w: MultiPoly,
                  grading=None):
@@ -1289,7 +1293,10 @@ def differential_residues(D: MBF):
 
 
 class Morphism:
-    """Even or odd map of bi-factorisations, stored as the two parity legs."""
+    """Even or odd map of bi-factorisations, stored as the two parity legs.
+
+    A morphism is immutable, since `fusion.lam` hands the same one to every
+    caller."""
 
     __slots__ = ("src", "dst", "parity", "opE", "opO")
 
@@ -1299,11 +1306,14 @@ class Morphism:
             raise ValueError("morphism sources inconsistent")
         if opE.dst != dst.component(parity) or opO.dst != dst.component(1 + parity):
             raise ValueError("morphism targets inconsistent")
-        self.src = src
-        self.dst = dst
-        self.parity = parity
-        self.opE = opE
-        self.opO = opO
+        object.__setattr__(self, "src", src)
+        object.__setattr__(self, "dst", dst)
+        object.__setattr__(self, "parity", parity)
+        object.__setattr__(self, "opE", opE)
+        object.__setattr__(self, "opO", opO)
+
+    def __setattr__(self, *a):
+        raise AttributeError("Morphism is immutable")
 
     @staticmethod
     def identity(D: MBF) -> "Morphism":
@@ -1450,11 +1460,22 @@ def _tensor(X: MBF, Y: MBF, glue: bool) -> MBF:
     return MBF._deferred(m0, m1, X.w, grading, build)
 
 
+# (X, Y) -> tensor_obj(X, Y), for as long as something else holds the product
+_TENSOR_CACHE = weakref.WeakValueDictionary()
+
+
 def tensor_obj(X: MBF, Y: MBF) -> MBF:
-    """Slot-glued tensor product with the derivation-style sign pattern."""
-    if X.w != Y.w:
-        raise ValueError("potential mismatch")
-    return _tensor(X, Y, glue=True)
+    """Slot-glued tensor product with the derivation-style sign pattern.
+
+    Objects are immutable, so one product of X and Y serves every caller
+    while it lives (`_TENSOR_CACHE`, keyed by the factors themselves); a
+    product nothing holds is freed with its evaluation memos."""
+    T = _TENSOR_CACHE.get((X, Y))
+    if T is None:
+        if X.w != Y.w:
+            raise ValueError("potential mismatch")
+        T = _TENSOR_CACHE[X, Y] = _tensor(X, Y, glue=True)
+    return T
 
 
 def tensor_mor(f: Morphism, g: Morphism) -> Morphism:

@@ -93,10 +93,21 @@ def _degree(text: str) -> int:
     return _int_at_least(text, 2)
 
 
-def _monoidal_degree(text: str) -> int:
-    """--d of `verify monoidal`: at least 3, since the suite builds P_{0,1},
-    which at d = 2 is the whole residue set and no defect."""
+def _degree_from_three(text: str) -> int:
+    """--d of `verify monoidal`, `cft spectrum` and `compare spectrum`: at
+    least 3.  The monoidal suite builds P_{0,1}, which at d = 2 is the whole
+    residue set and no defect, and the coset labels [l, m, s] of level d - 2
+    (`cft.MMLabel`) need d >= 3."""
     return _int_at_least(text, 3)
+
+
+def _compare_fusion_degree(text: str) -> int:
+    """--d of `compare fusion`: 3..8, the range `fusion_rule_compare`
+    supports (its runtime grows fast with d)."""
+    value = _degree_from_three(text)
+    if value > 8:
+        raise argparse.ArgumentTypeError(f"must be <= 8 (runtime grows fast), got {value}")
+    return value
 
 
 def _fusing_degree(text: str) -> int:
@@ -414,7 +425,7 @@ def build_parser() -> argparse.ArgumentParser:
     vp = sub.add_parser("verify", help="coherence verification suites")
     vsub = vp.add_subparsers(dest="what", required=True)
     vm = vsub.add_parser("monoidal", help="pentagon/triangle/unit-iso/homotopy suite")
-    vm.add_argument("--d", type=_monoidal_degree, required=True)
+    vm.add_argument("--d", type=_degree_from_three, required=True)
     _finish(vm, cmd_verify)
 
     fp = sub.add_parser("fusing", help="solve the 2x2 fusing matrix exactly")
@@ -454,7 +465,7 @@ def build_parser() -> argparse.ArgumentParser:
     c3.add_argument("--tol", type=_tolerance, default=1e-10)
     _finish(c3, cmd_cft_fusing)
     c4 = csub.add_parser("spectrum", help="defect-changing spectrum labels")
-    c4.add_argument("--d", type=_degree, required=True)
+    c4.add_argument("--d", type=_degree_from_three, required=True)
     c4.add_argument("--u", type=int, default=0)
     c4.add_argument("--n", type=int, default=0)
     c4.add_argument("--chiral-only", action="store_true")
@@ -469,11 +480,11 @@ def build_parser() -> argparse.ArgumentParser:
     m1.add_argument("--tol", type=_tolerance, default=1e-10)
     _finish(m1, cmd_compare_ratio)
     m2 = msub.add_parser("spectrum", help="defect-changing charge multisets")
-    m2.add_argument("--d", type=_degree, required=True)
+    m2.add_argument("--d", type=_degree_from_three, required=True)
     m2.add_argument("--u", type=int)
     _finish(m2, cmd_compare_spectrum)
     m3 = msub.add_parser("fusion", help="fusion rules under the label dictionary")
-    m3.add_argument("--d", type=_degree, required=True)
+    m3.add_argument("--d", type=_compare_fusion_degree, required=True)
     m3.add_argument("--verify-homotopy", action="store_true")
     _finish(m3, cmd_compare_fusion)
 

@@ -11,7 +11,9 @@ of (source index, target index or None, scalar or None for 1) per variable
 that applies one map many times keeps its plan.  `rename` builds its plan
 without a scalar.  `product_terms` is the one product of term dicts: a
 one-term factor can make no two terms meet and no coefficient vanish, so it
-is a single pass.
+is a single pass.  `Ring.p_S` places the coefficients of a root product,
+computed once per process for each conductor and sequence of residues
+(`_ROOT_PRODUCTS`), on any pair of variables.
 
 Textual form: terms joined by ' + ' / ' - ', factors joined by '*', powers with
 '^', e.g. '3/2*a^2*x1*b'.  The primitive root of the ring's conductor prints
@@ -125,12 +127,46 @@ class Ring:
         return _parse_poly(self, text)
 
     def p_S(self, residues: Iterable[int], v1: str = "a", v2: str = "b") -> "MultiPoly":
-        """prod_{i in S} (v1 - zeta^i v2), the basic factor polynomials of x^d - y^d."""
-        out = self.one()
-        x, y = self.var(v1), self.var(v2)
+        """prod_{i in S} (v1 - zeta^i v2), the basic factor polynomials of x^d - y^d.
+
+        The coefficients come from `_root_product`, computed once per process
+        for each conductor and sequence of residues; here they are only
+        placed on the exponents of v1 and v2 (which must differ, else
+        ValueError), in the term order of multiplying the factors in turn."""
+        i1, i2 = self.index(v1), self.index(v2)
+        if i1 == i2:
+            raise ValueError(f"p_S needs two distinct variables, got {v1!r} twice")
+        n = self.conductor
+        terms = {}
+        e = list(self._zero_exp())
+        for k, j, c in _root_product(n, tuple(i % n for i in residues)):
+            e[i1], e[i2] = k, j
+            terms[tuple(e)] = c
+        return MultiPoly._raw(self, terms)
+
+
+# (conductor, residues mod the conductor) -> ((power of v1, power of v2,
+# coefficient), ...) of prod (v1 - zeta^i v2), for `Ring.p_S`
+_ROOT_PRODUCTS: dict = {}
+
+
+def _root_product(n: int, residues: tuple) -> tuple:
+    """The terms of prod_{i in residues} (v1 - zeta_n^i v2) on exponent pairs,
+    computed on the first call for each key.  Each factor runs the recurrence
+    c_j <- c_j - zeta^i c_{j-1} (c_j the coefficient of v1^(m-j) v2^j)
+    through `product_terms`, so the terms come in the order that multiplying
+    the factors in turn gives: descending powers of v1, except that a power
+    whose coefficient vanished at one step and returns at a later one comes
+    after the powers that stayed (at conductor 6, residues 0, 1, 2, 4, 5)."""
+    key = (n, residues)
+    terms = _ROOT_PRODUCTS.get(key)
+    if terms is None:
+        one = Cyclo.one(n)
+        acc = {(0, 0): one}
         for i in residues:
-            out = out * (x - y * self.root(i))
-        return out
+            acc = product_terms(acc, {(1, 0): one, (0, 1): -Cyclo.root(n, i)})
+        terms = _ROOT_PRODUCTS.setdefault(key, tuple((k, j, c) for (k, j), c in acc.items()))
+    return terms
 
 
 def _same_conductor(source: Ring, target: Ring):

@@ -4,6 +4,7 @@ import collections
 import gc
 import itertools
 import random
+import weakref
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -54,6 +55,7 @@ from mbf.bifact import (
     w_quo,
     w_rem,
     w_tdiv,
+    w_then_mul,
     w_transfer,
     Word,
 )
@@ -273,8 +275,27 @@ class TestTensorObject:
                 assert seen == list(range(tensor_obj(X, Y).component(p).rank))
 
     def test_potential_mismatch(self):
-        with pytest.raises(ValueError):
-            tensor_obj(ps_object(3, [0]), ps_object(4, [0]))
+        X = ps_object(3, [0])
+        t = X.w.ring.var("t")
+        Z = mbf_from_polys(X.shape, X.d0.matrix(), X.d1.matrix(), t ** 3 + t)
+        for Y in (ps_object(4, [0]), Z):
+            for _ in range(2):  # a refused pair is never cached, so it raises each time
+                with pytest.raises(ValueError):
+                    tensor_obj(X, Y)
+            assert (X, Y) not in bifact._TENSOR_CACHE
+        with pytest.raises(ValueError, match="potential mismatch"):
+            tensor_obj(Z, X)
+
+    def test_one_product_per_pair_while_held(self):
+        X, Y = ps_object(7, (0, 3)), ps_object(7, (2, 5))
+        T = tensor_obj(X, Y)
+        assert tensor_obj(X, Y) is T and tensor_obj(Y, X) is not T
+        assert validate_mbf(T).ok  # builds the differential and its memos
+        gone = weakref.ref(T)
+        del T
+        gc.collect()
+        assert gone() is None and (X, Y) not in bifact._TENSOR_CACHE
+        assert tensor_obj(X, Y).d0 is not None
 
 
 def _all_ps(d):
@@ -305,6 +326,13 @@ class TestSharedObjects:
         for D in (P, tensor_obj(P, P)):
             with pytest.raises(AttributeError):
                 setattr(D, name, None)
+
+    @pytest.mark.parametrize("name", ["src", "dst", "parity", "opE", "opO"])
+    def test_morphism_assignment_raises(self, name):
+        f = Morphism.identity(ps_object(4, (0,)))
+        with pytest.raises(AttributeError, match="Morphism is immutable"):
+            setattr(f, name, f.opO)
+        assert f.opE is Operator.identity(f.src.m0)
 
 
 class TestDeferredDifferential:
@@ -1834,3 +1862,55 @@ class TestMatrixHeldOperators:
             G = Operator.from_poly_matrix(m1, m2, _random_rows(rng, ring, m2.rank, m1.rank))
             caught += G.compose(F).matrix() != _word_compose(G, F).matrix()
         assert caught > 0
+
+
+class TestTwoSlotSourceEquality:
+    """`op_equal` out of a 2-slot source compares generator matrices, whatever
+    the target chain, and normalises no word."""
+
+    @pytest.mark.parametrize("d", [3, 4, 5])
+    def test_into_three_slots_agrees_with_the_word_tiers(self, d, monkeypatch):
+        rng = random.Random(300 + d)
+        sh2, sh3 = SlotShape(2, 1, d), SlotShape(3, 1, d)
+        ring = sh3.ring()
+        a, x, b = (ring.var(v) for v in ("a", "x1", "b"))
+        monomials = [ring.one(), a, x, b, a * x, x * b, x * x, a * b]
+        ins = w_insert(sh2, 1)
+        # the same map as `ins`, through other words
+        detour = ins.then(w_collapse(sh3, 0)).then(ins)
+
+        def poly():
+            z = Cyclo.root(d, rng.randrange(d))
+            return sum((m * rng.choice([1, -1, z, Rat(3, 2)]) for m in rng.sample(monomials, 2)),
+                       ring.zero())
+
+        def operator(src, dst, rows):
+            return Operator(src, dst, {(i, j): (w_then_mul(rng.choice((ins, detour)), p),)
+                                       for i, row in enumerate(rows) for j, p in enumerate(row)
+                                       if p})
+
+        cases = []
+        for _ in range(20):
+            src, dst = FreeBimod(sh2, rng.randint(1, 3)), FreeBimod(sh3, rng.randint(1, 3))
+            rows = [[poly() for _ in range(src.rank)] for _ in range(dst.rank)]
+            other = [row[:] for row in rows]
+            if rng.random() < 0.5:
+                i, j = rng.randrange(dst.rank), rng.randrange(src.rank)
+                other[i][j] = other[i][j] + rng.choice(monomials[1:])
+            A, B = operator(src, dst, rows), operator(src, dst, other)
+            cases.append((A, B, _word_tiers(A, B)))
+        calls = []
+        normalized = Operator.normalized
+
+        def counted(self):
+            calls.append(self)
+            return normalized(self)
+
+        monkeypatch.setattr(Operator, "normalized", counted)
+        verdicts = collections.Counter()
+        for A, B, (eq, _) in cases:
+            got = op_equal(A, B)
+            assert got == ((True, "exact-structural") if eq else (False, "exact-generator"))
+            verdicts[got] += 1
+        assert calls == []
+        assert set(verdicts) == {(True, "exact-structural"), (False, "exact-generator")}

@@ -125,6 +125,25 @@ def test_fusing_degree_below_four_names_the_flag(capsys, argv, flag, value):
     assert captured.err.endswith(f"error: argument {flag}: must be >= 4, got {value}\n")
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["cft", "spectrum", "--d", "2"], "must be >= 3, got 2"),
+    (["cft", "spectrum", "--d", "2", "--u", "0", "--chiral-only"], "must be >= 3, got 2"),
+    (["compare", "spectrum", "--d", "2"], "must be >= 3, got 2"),
+    (["compare", "fusion", "--d", "2"], "must be >= 3, got 2"),
+    (["compare", "fusion", "--d", "9", "--verify-homotopy"],
+     "must be <= 8 (runtime grows fast), got 9"),
+], ids=["cft-spectrum", "cft-spectrum-chiral", "compare-spectrum", "compare-fusion-2",
+        "compare-fusion-9"])
+def test_spectrum_and_compare_fusion_degrees_name_the_flag(capsys, argv, message):
+    # the coset labels need d >= 3, compare fusion runs 3 <= d <= 8: both
+    # rejected while parsing, naming the flag
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    captured = capsys.readouterr()
+    assert exc.value.code == 2 and captured.out == ""
+    assert captured.err.endswith(f"error: argument --d: {message}\n")
+
+
 def _strict_json(text: str):
     """json.loads that refuses NaN, Infinity and -Infinity."""
     def refuse(name):

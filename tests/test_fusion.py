@@ -78,6 +78,12 @@ class TestGroupLikeJunctions:
     def test_trivial_triple(self):
         assert verify_group_like(3, 0, 0, 0) == Cyclo.one(3)
 
+    def test_one_lam_per_residue_pair(self):
+        assert lam(5, 1, 2) is lam(5, 1 + 5, 2) is lam(5, 1, 2 - 5)
+        assert lam(5, 1, 2) is not lam(5, 2, 1) and lam(5, 1, 2) is not lam(6, 1, 2)
+        # and it is built on the one shared tensor product of its ends
+        assert lam(5, 1, 2).src is tensor_obj(ps_object(5, [1]), ps_object(5, [2]))
+
     @pytest.mark.parametrize("d", [3, 5])
     def test_group_like_scalar_is_one(self, d):
         one = Cyclo.one(d)
@@ -168,6 +174,42 @@ class TestACollection:
             ok, mode = mor.is_closed()
             assert ok and mode.startswith("exact")
             assert morphism_charge(mor) == 0
+
+    @pytest.mark.parametrize("n", range(1, 7))
+    def test_an_entry_off_by_one_term_is_not_closed(self, n, monkeypatch):
+        # negative control: A{n}'s (2,1) entry, the one exact division of
+        # its construction, gains a term; out of its 2-slot source the
+        # generator images tell it apart
+        quotients = []
+        exact_divide = MultiPoly.exact_divide
+
+        def perturbed(self, divisor):
+            q = exact_divide(self, divisor)
+            quotients.append(q)
+            return q + q.ring.monomial({"x1": 5}) if len(quotients) == n else q
+
+        monkeypatch.setattr(MultiPoly, "exact_divide", perturbed)
+        with pytest.raises(VerificationError) as exc:
+            Junctions(4)
+        assert str(exc.value) == f"A{n}: not exactly delta-closed (exact-generator)"
+        assert len(quotients) == 6
+
+    def test_closedness_normalises_no_word(self, monkeypatch):
+        jn = Junctions(5)
+        calls = []
+        normalized = Operator.normalized
+
+        def counted(self):
+            calls.append(self)
+            return normalized(self)
+
+        monkeypatch.setattr(Operator, "normalized", counted)
+        for mor in jn.A.values():
+            assert mor.src.shape.nslots == 2 and mor.dst.shape.nslots == 3
+            assert mor.is_closed() == (True, "exact-structural")
+        assert calls == []
+        morphism_charge(jn.A[1])
+        assert calls  # the count sees the charge check's normal forms
 
     @pytest.mark.parametrize("d", list(range(4, 10)))
     def test_construction_checks_every_junction(self, d, monkeypatch):

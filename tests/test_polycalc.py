@@ -501,6 +501,76 @@ class TestSubstitutionPlan:
             p.subst_scale({"a": (Cyclo.root(6, 1), "a"), "x1": (1, "a")}, T)
 
 
+def _p_S_reference(ring: Ring, residues, v1="a", v2="b") -> MultiPoly:
+    """`Ring.p_S` as it was before the root-product table: the linear
+    factors multiplied in turn."""
+    out = ring.one()
+    x, y = ring.var(v1), ring.var(v2)
+    for i in residues:
+        out = out * (x - y * ring.root(i))
+    return out
+
+
+class TestRootProductTable:
+    """`Ring.p_S` reads `_root_product`; against the product loop it
+    replaced, term for term and in order, at conductors 3..12."""
+
+    # (ring variables, (v1, v2) pairs): both orders in a 2-slot ring, and
+    # pairs that skip or include the junction variable in a 3-slot one
+    _PLACES = ((("a", "b"), (("a", "b"), ("b", "a"))),
+               (("a", "x1", "b"), (("a", "x1"), ("x1", "b"), ("b", "a"), ("x1", "a"))))
+
+    @pytest.mark.parametrize("n", _CONDUCTORS)
+    def test_table_matches_the_loop(self, n):
+        rng = random.Random(n)
+        sets = [(), tuple(range(n)), (0, 0), (1, n + 1, 1 - n)]
+        sets += [tuple(rng.randrange(-n, 2 * n) for _ in range(rng.randint(1, n + 2)))
+                 for _ in range(12)]
+        sets += [tuple(sorted(rng.sample(range(n), rng.randint(1, n - 1)))) for _ in range(12)]
+        for names, pairs in self._PLACES:
+            R = Ring(names, n)
+            for S in sets:
+                for v1, v2 in pairs:
+                    got, want = R.p_S(S, v1, v2), _p_S_reference(R, S, v1, v2)
+                    assert _terms(got) == _terms(want)
+
+    def test_loop_order_that_is_not_descending(self):
+        # p_{0,1,2,4} at conductor 6 has no a^2 b^2 term, so the factor for 5
+        # places a^3 b^2 after the powers that stayed, and the table keeps that
+        R = Ring(["a", "b"], 6)
+        got = R.p_S([0, 1, 2, 4, 5])
+        assert list(got.terms) == [(5, 0), (4, 1), (2, 3), (1, 4), (3, 2), (0, 5)]
+        assert _terms(got) == _terms(_p_S_reference(R, [0, 1, 2, 4, 5]))
+
+    def test_each_key_is_computed_once(self, monkeypatch):
+        monkeypatch.setattr(polycalc, "_ROOT_PRODUCTS", {})
+        calls = []
+        mul = Cyclo.__mul__
+
+        def counted(self, other):
+            calls.append(1)
+            return mul(self, other)
+
+        monkeypatch.setattr(Cyclo, "__mul__", counted)
+        R2, R3 = Ring(["a", "b"], 7), Ring(["a", "x1", "b"], 7)
+        first = R2.p_S([0, 2, 5])
+        assert calls
+        del calls[:]
+        # one key for every ring, variable pair and residue representative
+        again = [R2.p_S([0, 2, 5]), R2.p_S([7, 9, -2], "b", "a"), R3.p_S([0, 2, 5], "x1", "b")]
+        assert calls == [] and list(polycalc._ROOT_PRODUCTS) == [(7, (0, 2, 5))]
+        assert again[0] == first
+        R2.p_S([5, 2, 0])  # another order of the factors is another key
+        assert calls and len(polycalc._ROOT_PRODUCTS) == 2
+
+    def test_variables_must_differ(self):
+        R = Ring(["a", "b"], 5)
+        with pytest.raises(ValueError, match="two distinct variables"):
+            R.p_S([1], "a", "a")
+        with pytest.raises(KeyError, match="variable 'x' not in ring"):
+            R.p_S([1], "x", "b")
+
+
 class TestTextualForm:
     def test_spec_style_term(self):
         R = Ring(["a", "x1", "b"], 3)
