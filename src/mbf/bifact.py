@@ -80,29 +80,38 @@ from .polycalc import MultiPoly, Ring, RingMismatch, product_terms, subst_plan
 DEFAULT_CUTOFF = 30
 
 _RING_CACHE: dict = {}
+_SHAPES: dict = {}  # (nslots, nvars, conductor) -> its one SlotShape
 _IDENTITY_CACHE: dict = {}  # FreeBimod -> Operator.identity
 
 
 class SlotShape:
-    """A chain of nslots polynomial slots, nvars variables per slot."""
+    """A chain of nslots polynomial slots, nvars variables per slot.
+
+    Interned: one instance per (nslots, nvars, conductor) for the process
+    (`_SHAPES`), so equality is identity, the default `==`, and the tuple
+    keys of the evaluation memos that hold shapes compare without a Python
+    call.  The hash stays that of the key tuple.
+    """
 
     __slots__ = ("nslots", "nvars", "conductor", "_key", "_hash")
 
-    def __init__(self, nslots: int, nvars: int, conductor: int):
-        if nslots < 1 or nvars < 1:
-            raise ValueError("need at least one slot and one variable")
-        object.__setattr__(self, "nslots", nslots)
-        object.__setattr__(self, "nvars", nvars)
-        object.__setattr__(self, "conductor", conductor)
-        # hashed and compared on every dict lookup of the evaluation memos
-        object.__setattr__(self, "_key", (nslots, nvars, conductor))
-        object.__setattr__(self, "_hash", hash(self._key))
+    def __new__(cls, nslots: int, nvars: int, conductor: int):
+        key = (nslots, nvars, conductor)
+        self = _SHAPES.get(key)
+        if self is None:
+            if nslots < 1 or nvars < 1:
+                raise ValueError("need at least one slot and one variable")
+            self = object.__new__(cls)
+            object.__setattr__(self, "nslots", nslots)
+            object.__setattr__(self, "nvars", nvars)
+            object.__setattr__(self, "conductor", conductor)
+            object.__setattr__(self, "_key", key)
+            object.__setattr__(self, "_hash", hash(key))
+            self = _SHAPES.setdefault(key, self)
+        return self
 
     def __setattr__(self, *a):
         raise AttributeError("SlotShape is immutable")
-
-    def __eq__(self, other):
-        return isinstance(other, SlotShape) and self._key == other._key
 
     def __hash__(self):
         return self._hash

@@ -28,13 +28,14 @@ residues with the sparse elimination that also solves over Q(zeta_n)
 Values are immutable; all operations return fresh objects, so sharing across
 threads is safe.  The Phi_n, (p, r) and unit caches are filled idempotently
 (recomputation yields the identical value), which is harmless under
-concurrent first use.
+concurrent first use; the bounded memo of irrational inverses is an
+``lru_cache``, which is thread-safe.
 """
 
 from __future__ import annotations
 
 import math
-from functools import reduce
+from functools import lru_cache, reduce
 from operator import add, mul, sub
 
 import mpmath
@@ -324,8 +325,8 @@ class Cyclo:
             if o is None:
                 return NotImplemented
         a, b = self.num, o.num
-        den = self.den * o.den
         if any(a[1:]) and any(b[1:]):
+            den = self.den * o.den
             phi = len(a)
             out = [0] * (2 * phi - 1)
             for i, ca in enumerate(a):
@@ -339,11 +340,17 @@ class Cyclo:
                         head[j] += c * rc
             num = tuple(head)
         else:
-            # a rational factor (most products): scale the other vector
-            if any(b[1:]):
-                a, b = b, a
-            c = b[0]
-            num = a if c == 1 else tuple([x * c for x in a])
+            # a rational factor (most products): the other factor itself
+            # when it is 1, else the other vector scaled
+            x, r = (o, self) if any(b[1:]) else (self, o)
+            c, rd = r.num[0], r.den
+            if c == 1:
+                if rd == 1:
+                    return x
+                num = x.num
+            else:
+                num = tuple([v * c for v in x.num])
+            den = x.den * rd
         return _raw(self.n, num, 1) if den == 1 else _normalized(self.n, num, den)
 
     __rmul__ = __mul__
@@ -354,6 +361,7 @@ class Cyclo:
         With x = N/den and sigma_j the automorphism t -> t^j (gcd(j, n) = 1),
         N * prod_{j != 1} sigma_j(N) is the norm of N, a non-zero integer, so
         1/x = den * prod_{j != 1} sigma_j(N) / norm, all in integers.
+        An irrational inverse is memoised (`_irrational_inverse`).
         """
         if self.is_zero():
             raise ZeroDivisionError("inverse of zero in Q(zeta_n)")
@@ -361,18 +369,7 @@ class Cyclo:
         if not any(num[1:]):
             sign = -1 if num[0] < 0 else 1
             return _raw(n, (sign * den,) + num[1:], sign * num[0])
-        conjugates = []
-        for j in range(2, n):
-            if math.gcd(j, n) == 1:
-                ints = [0] * n
-                for i, c in enumerate(num):
-                    ints[i * j % n] += c
-                conjugates.append(_from_ints(n, ints, 1))
-        others = reduce(mul, conjugates)
-        norm = (_raw(n, num, 1) * others).num[0]
-        if norm < 0:
-            norm, den = -norm, -den
-        return _normalized(n, tuple(c * den for c in others.num), norm)
+        return _irrational_inverse(n, num, den)
 
     def __truediv__(self, other):
         o = self._coerce(other)
@@ -437,6 +434,26 @@ class Cyclo:
 
 
 _set_n, _set_num, _set_den = Cyclo.n.__set__, Cyclo.num.__set__, Cyclo.den.__set__
+
+
+# The same few irrational values are inverted again and again (lead
+# coefficients of divisors, unit pivots): in a d = 7 sample of 300 fusion
+# decompositions, 1,280 such inverses took 103 distinct values.  Bounded,
+# since the values themselves are not.
+@lru_cache(maxsize=4096)
+def _irrational_inverse(n: int, num: tuple, den: int) -> Cyclo:
+    conjugates = []
+    for j in range(2, n):
+        if math.gcd(j, n) == 1:
+            ints = [0] * n
+            for i, c in enumerate(num):
+                ints[i * j % n] += c
+            conjugates.append(_from_ints(n, ints, 1))
+    others = reduce(mul, conjugates)
+    norm = (_raw(n, num, 1) * others).num[0]
+    if norm < 0:
+        norm, den = -norm, -den
+    return _normalized(n, tuple(c * den for c in others.num), norm)
 
 
 def _raw(n: int, num: tuple, den: int) -> Cyclo:

@@ -532,58 +532,77 @@ def _is_unit(p: MultiPoly):
     return c is not None and not c.is_zero()
 
 
-def _divides_line(p: MultiPoly, mat, i: int, j: int) -> bool:
-    """p divides every other entry of row i and of column j of `mat`."""
-    for q in mat[i] + [row[j] for row in mat]:
-        if q.is_zero() or q is p:
-            continue
-        try:
-            q.exact_divide(p)
-        except NotDivisibleError:
-            return False
-    return True
+def _line_quotients(p: MultiPoly, mat, i: int, j: int):
+    """The quotients by p of the other non-zero entries of row i and column
+    j of `mat`, as ({j': M[i][j'] / p}, {i': M[i'][j] / p}), or None if p
+    does not divide one of them.  A unit p is inverted once and multiplies;
+    any other p divides each entry once, and stops at the first that does
+    not divide."""
+    row = {jp: q for jp, q in enumerate(mat[i]) if jp != j and not q.is_zero()}
+    col = {ip: r[j] for ip, r in enumerate(mat) if ip != i and not r[j].is_zero()}
+    c = p.constant_value()
+    if c is not None:
+        inv = c.inverse()
+        return ({jp: q * inv for jp, q in row.items()},
+                {ip: q * inv for ip, q in col.items()})
+    try:
+        return ({jp: q.exact_divide(p) for jp, q in row.items()},
+                {ip: q.exact_divide(p) for ip, q in col.items()})
+    except NotDivisibleError:
+        return None
 
 
 def _find_pivot(mat, constants_only: bool):
+    """(i, j, quotients) of the first unit of `mat`, else, unless
+    `constants_only`, of the first entry of least degree that divides its
+    row and column (`_line_quotients`); None if there is neither."""
     best = None
     for i, row in enumerate(mat):
         for j, p in enumerate(row):
             if p.is_zero():
                 continue
             if _is_unit(p):
-                return i, j
+                return i, j, _line_quotients(p, mat, i, j)
             if constants_only:
                 continue
             deg = sum(p.leading_term()[0])
-            if (best is None or deg < best[0]) and _divides_line(p, mat, i, j):
-                best = (deg, i, j)
-    return None if best is None else (best[1], best[2])
+            if best is None or deg < best[0]:
+                quotients = _line_quotients(p, mat, i, j)
+                if quotients is not None:
+                    best = (deg, i, j, quotients)
+    return None if best is None else best[1:]
 
 
-def _clear_pivot(M, P, i: int, j: int):
+def _clear_pivot(M, P, i: int, j: int, quotients):
     """Zero row i and column j of M around pivot (i,j), updating partner P.
 
     Column op C_{j'} -= beta*C_j on M pairs with row op R_j += beta*R_{j'}
     on P; row op R_{i'} -= gamma*R_i pairs with column op C_i += gamma*C_{i'}.
-    All quotients against the pivot are exact by pivot selection.
+    `quotients` = (beta, gamma) are the quotients by the pivot of the
+    other non-zero entries of row i and column j, computed once by
+    `_find_pivot` while it tested the pivot; the clearing divides nothing.
+    They stay valid: the column ops leave column j alone, and each changes
+    row i only in its own column.  Outside the pivot, row i and column j
+    become zero by the quotients' definition, so they are set, not
+    computed, and a product with a zero entry is skipped.
     """
-    c = M[i][j]
-    for jp in range(len(M[0])):
-        if jp == j or M[i][jp].is_zero():
-            continue
-        beta = M[i][jp].exact_divide(c)
-        for r in range(len(M)):
-            M[r][jp] = M[r][jp] - beta * M[r][j]
-        for k in range(len(P[0])):
-            P[j][k] = P[j][k] + beta * P[jp][k]
-    for ip in range(len(M)):
-        if ip == i or M[ip][j].is_zero():
-            continue
-        gamma = M[ip][j].exact_divide(c)
-        for cc in range(len(M[0])):
-            M[ip][cc] = M[ip][cc] - gamma * M[i][cc]
-        for k in range(len(P)):
-            P[k][i] = P[k][i] + gamma * P[k][ip]
+    beta, gamma = quotients
+    zero = M[i][j].ring.zero()
+    for jp, b in beta.items():
+        for ip in gamma:  # the other rows with a non-zero entry in column j
+            row = M[ip]
+            row[jp] = row[jp] - b * row[j]
+        M[i][jp] = zero
+        Pj = P[j]
+        for k, x in enumerate(P[jp]):
+            if not x.is_zero():
+                Pj[k] = Pj[k] + b * x
+    for ip, g in gamma.items():
+        M[ip][j] = zero
+        for row in P:
+            x = row[ip]
+            if not x.is_zero():
+                row[i] = row[i] + g * x
 
 
 def _drop(mat, row: int, col: int):
@@ -600,6 +619,28 @@ def _assert_split(P, j: int, i: int, what: str):
             raise VerificationError(f"{what}: partner column not split after clearing")
 
 
+def _defect_lines(p: MultiPoly, roots: list) -> tuple:
+    """S with p = c·∏_{i∈S}(a − ζ^i b) for a non-zero pivot p, read off the
+    values p(ζ^i, 1) at `roots` = [ζ^0, ..., ζ^(d-1)]; the test and its
+    proof are in `decompose_into_PS`.  VerificationError if p is no such
+    product, or if S is empty or every residue."""
+    d = len(roots)
+    # over (a, b), a term of a form of degree k is c·a^(e_a)·b^(k - e_a)
+    ia = p.ring.index("a")
+    k = p.homogeneous_degree()
+    S = None
+    if k is not None:
+        terms = [(e[ia], c) for e, c in p.terms.items()]
+        zero = Cyclo.zero(d)
+        S = tuple(i for i in range(d)
+                  if sum((c * roots[i * ea % d] for ea, c in terms), zero).is_zero())
+    if S is None or len(S) != k:
+        raise VerificationError(f"block does not factor into defect lines: {p}")
+    if not S or len(S) == d:
+        raise VerificationError(f"block is not a proper defect: {p}")
+    return S
+
+
 def decompose_into_PS(D: MBF):
     """Multiset of index sets S with D ≃ ⊕ P_S (plus contractible pieces).
 
@@ -614,6 +655,26 @@ def decompose_into_PS(D: MBF):
     that is not an MBF is a TypeError, and input that is not a 2-slot object
     a plain ValueError; the differentials are read through their generator
     matrices.
+
+    The factor test evaluates; it divides nothing.  A pivot p ≠ 0 factors
+    into defect lines, p = c·∏_{i∈S}(a − ζ^i b) with c ≠ 0 and S a set,
+    exactly when p is homogeneous of some degree k, its a^k coefficient
+    p(1, 0) is non-zero, and exactly k of the values p(ζ^i, 1), i < d,
+    vanish; S is that zero set.  Proof: such a product has all three
+    properties.  Conversely, a homogeneous p gives the one-variable
+    polynomial p(t, 1) = Σ_e c_e t^(e_a), non-zero since distinct terms of p
+    have distinct e_a, of degree at most k, with t^k coefficient p(1, 0).
+    Having k distinct roots ζ^i (i ∈ S), it has degree exactly k (so the
+    second condition follows from the other two and is not tested apart),
+    the ζ^i are all its roots, each simple, and
+    p(t, 1) = p(1, 0)·∏_{i∈S}(t − ζ^i).  Homogeneity gives
+    p(a, b) = b^k p(a/b, 1) = p(1, 0)·∏_{i∈S}(a − ζ^i b).  Each value is
+    Σ_e c_e ζ^(i·e_a) over the d roots built once per call, so a pivot
+    with m terms costs d·m scalar products and no polynomial division,
+    where trial division by each of the d lines made d exact divisions.
+    Each entry of a pivot's row and column is divided by the pivot at most
+    once, while the pivot is tested (`_line_quotients`), and a unit pivot
+    is inverted once and divides nothing.
     """
     if not isinstance(D, MBF):
         raise TypeError("expected an MBF")
@@ -636,8 +697,8 @@ def decompose_into_PS(D: MBF):
         if hit is None:
             shown = [[str(p) for p in row] for row in B]
             raise VerificationError(f"residual block not factorable: {shown}")
-        M, P, tag, (i, j) = hit
-        _clear_pivot(M, P, i, j)
+        M, P, tag, (i, j, quotients) = hit
+        _clear_pivot(M, P, i, j, quotients)
         _assert_split(P, j, i, tag)
         pivot, partner = M[i][j], P[j][i]
         if not _is_unit(pivot):
@@ -646,23 +707,8 @@ def decompose_into_PS(D: MBF):
             B, A = _drop(B, i, j), _drop(A, j, i)
         else:
             A, B = _drop(A, i, j), _drop(B, j, i)
-    ring = D.shape.ring()
-    out = []
-    for p in pivots:
-        S = []
-        rem = p
-        for i in range(d):
-            f = ring.var("a") - ring.var("b") * Cyclo.root(d, i)
-            try:
-                rem = rem.exact_divide(f)
-                S.append(i)
-            except NotDivisibleError:
-                pass
-        if rem.constant_value() is None:
-            raise VerificationError(f"block does not factor into defect lines: {p}")
-        if not S or len(S) == d:
-            raise VerificationError(f"block is not a proper defect: {p}")
-        out.append(tuple(S))
+    roots = [Cyclo.root(d, i) for i in range(d)]
+    out = [_defect_lines(p, roots) for p in pivots]
     return sorted(out, key=lambda s: (len(s), s))
 
 

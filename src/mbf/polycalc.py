@@ -11,7 +11,8 @@ of (source index, target index or None, scalar or None for 1) per variable
 that applies one map many times keeps its plan.  `rename` builds its plan
 without a scalar.  `product_terms` is the one product of term dicts: a
 one-term factor can make no two terms meet and no coefficient vanish, so it
-is a single pass.  `Ring.p_S` places the coefficients of a root product,
+is a single pass, and on either path a unit coefficient is copied, not
+multiplied.  `Ring.p_S` places the coefficients of a root product,
 computed once per process for each conductor and sequence of residues
 (`_ROOT_PRODUCTS`), on any pair of variables.
 
@@ -33,12 +34,18 @@ _ZERO_EXP_CACHE: dict[int, tuple] = {}
 
 
 class NotDivisibleError(ValueError):
-    """Exact division failed; carries the offending remainder (and partial quotient)."""
+    """Exact division failed; carries the offending remainder (and partial quotient).
+
+    The message is formatted when it is read: a divisibility test catches
+    the error without reading it."""
 
     def __init__(self, remainder, quotient=None):
-        super().__init__(f"division left a non-zero remainder: {remainder}")
+        super().__init__(remainder)
         self.remainder = remainder
         self.quotient = quotient
+
+    def __str__(self):
+        return f"division left a non-zero remainder: {self.remainder}"
 
 
 class RingMismatch(ValueError):
@@ -196,7 +203,8 @@ def subst_plan(source: Ring, mapping: Mapping[str, tuple], target: Ring) -> tupl
 def product_terms(a: dict, b: dict) -> dict:
     """The terms of the product of two polynomials given by their terms, with
     no zero coefficient.  The outer loop runs over the shorter factor (the
-    first on a tie), and each exponent keeps the place of its first product."""
+    first on a tie), and each exponent keeps the place of its first product.
+    A product with a unit coefficient is the other coefficient, taken as is."""
     if len(a) > len(b):
         a, b = b, a
     if len(a) == 1:
@@ -209,12 +217,16 @@ def product_terms(a: dict, b: dict) -> dict:
         if one:
             return {tuple(map(add, ea, eb)): cb for eb, cb in b.items()}
         return {tuple(map(add, ea, eb)): ca * cb for eb, cb in b.items()}
+    # many terms: a unit coefficient on either side is no multiplication
     out: dict = {}
+    bs = [(eb, cb, cb.is_one()) for eb, cb in b.items()]
     for ea, ca in a.items():
-        for eb, cb in b.items():
+        one = ca.is_one()
+        for eb, cb, unit in bs:
             e = tuple(map(add, ea, eb))
+            v = cb if one else ca if unit else ca * cb
             s = out.get(e)
-            out[e] = ca * cb if s is None else s + ca * cb
+            out[e] = v if s is None else s + v
     return {e: c for e, c in out.items() if not c.is_zero()}
 
 
@@ -319,6 +331,8 @@ class MultiPoly:
             c = self.ring.coerce_scalar(other)
             if c.is_zero():
                 return self.ring.zero()
+            if c.is_one():
+                return self
             return MultiPoly._raw(self.ring, {e: k * c for e, k in self.terms.items()})
         o = self._coerce(other)
         if o is None:
@@ -478,11 +492,16 @@ class MultiPoly:
         """Exact single-divisor division in graded-lex order.
 
         Raises NotDivisibleError carrying the remainder if division fails.
+        The lead coefficient is inverted once per call.  The popped exponent
+        falls strictly in graded-lex order (every term added lies below it),
+        so each quotient exponent is written once.
         """
         self._check(divisor)
         if divisor.is_zero():
             raise ZeroDivisionError("division by the zero polynomial")
         ed, cd = divisor.leading_term()
+        inv = cd.inverse()
+        tail = [(e2, -c2) for e2, c2 in divisor.terms.items() if e2 != ed]
         quotient: dict = {}
         remainder: dict = {}
         work = dict(self.terms)
@@ -491,23 +510,22 @@ class MultiPoly:
             c = work.pop(e)
             if all(x >= y for x, y in zip(e, ed)):
                 q = tuple(x - y for x, y in zip(e, ed))
-                f = c / cd
-                quotient[q] = quotient.get(q, Cyclo.zero(c.n)) + f
-                for e2, c2 in divisor.terms.items():
-                    if e2 == ed:
-                        continue
+                f = c * inv
+                quotient[q] = f
+                for e2, c2 in tail:
                     key = tuple(x + y for x, y in zip(q, e2))
                     prev = work.get(key)
-                    val = (prev if prev is not None else Cyclo.zero(c.n)) - f * c2
+                    val = f * c2 if prev is None else prev + f * c2
                     if val.is_zero():
                         work.pop(key, None)
                     else:
                         work[key] = val
             else:
                 remainder[e] = c
-        rem = MultiPoly(self.ring, remainder)
-        quo = MultiPoly(self.ring, quotient)
-        if not rem.is_zero():
+        # no zero coefficient reaches either dict
+        rem = MultiPoly._raw(self.ring, remainder)
+        quo = MultiPoly._raw(self.ring, quotient)
+        if remainder:
             raise NotDivisibleError(rem, quo)
         return quo
 

@@ -245,8 +245,8 @@ _clear_pivot = fusion._clear_pivot
 
 def _clear_then_set_pivot(text):
     # clear as usual, then put `text` on the pivot and its partner entry
-    def clear(M, P, i, j):
-        _clear_pivot(M, P, i, j)
+    def clear(M, P, i, j, quotients):
+        _clear_pivot(M, P, i, j, quotients)
         M[i][j] = P[j][i] = M[i][j].ring.parse(text)
     return clear
 

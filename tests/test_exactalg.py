@@ -185,8 +185,13 @@ def assert_canonical(x):
 
 
 def ref_vectors(n):
+    """Coefficient lists of 1, t, t^2, ...: arbitrary, or one of 1, -1,
+    zeta^k and -zeta^k (k < n), since a product with a factor 1 returns
+    the other factor itself."""
     frac = st.fractions(min_value=-6, max_value=6, max_denominator=12)
-    return st.lists(frac, max_size=euler_phi(n) + 3)
+    units = st.builds(lambda k, s: [Fraction(0)] * k + [Fraction(s)],
+                      st.integers(0, n - 1), st.sampled_from([1, -1]))
+    return st.one_of(st.lists(frac, max_size=euler_phi(n) + 3), units)
 
 
 @settings(max_examples=150, deadline=None)
@@ -203,6 +208,7 @@ def test_kernel_matches_fraction_reference(data):
         "a-b": (a - b, tuple(x - y for x, y in zip(fa, fb))),
         "-a": (-a, tuple(-x for x in fa)),
         "a*b": (a * b, ref_mul(n, fa, fb)),
+        "b*a": (b * a, ref_mul(n, fb, fa)),
         "a*a": (a * a, ref_mul(n, fa, fa)),
     }
     k = data.draw(st.integers(0, 5), label="k")

@@ -3,9 +3,11 @@ import math
 import random
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from mbf import bifact, fusion
+from mbf._rat import Rat
+from mbf.compare import consecutive_sets
 from mbf.exactalg import Cyclo
 from mbf.bifact import (
     Morphism,
@@ -19,7 +21,7 @@ from mbf.bifact import (
     validate_mbf,
 )
 from mbf.graded import graded_validate, hom_space, morphism_charge
-from mbf.polycalc import MultiPoly
+from mbf.polycalc import MultiPoly, NotDivisibleError
 from mbf.fusion import (
     DETERMINED,
     HOMOTOPY_POSITIONS,
@@ -560,6 +562,177 @@ class TestDecompose:
         rt, _ = fuse(4, (0, 1), (1,))
         with pytest.raises(TypeError):
             decompose_into_PS(rt)
+
+
+def _trial_division_lines(p, d):
+    """The factor test as trial division, the oracle for `_defect_lines`:
+    divide by each a - zeta^i b in turn, keeping the quotient when exact."""
+    ring = p.ring
+    S, rem = [], p
+    for i in range(d):
+        f = ring.var("a") - ring.var("b") * Cyclo.root(d, i)
+        try:
+            rem = rem.exact_divide(f)
+            S.append(i)
+        except NotDivisibleError:
+            pass
+    if rem.constant_value() is None:
+        raise VerificationError(f"block does not factor into defect lines: {p}")
+    if not S or len(S) == d:
+        raise VerificationError(f"block is not a proper defect: {p}")
+    return tuple(S)
+
+
+def _outcome(test, p, d):
+    try:
+        return test(p, d)
+    except VerificationError as exc:
+        return str(exc)
+
+
+def _by_evaluation(p, d):
+    return fusion._defect_lines(p, [Cyclo.root(d, i) for i in range(d)])
+
+
+@st.composite
+def _binary_forms(draw):
+    """(d, p): c times distinct lines a - zeta^i b, with one of the ways a
+    form can fail to be such a product applied or not."""
+    d = draw(st.integers(3, 7), label="d")
+    ring = ps_object(d, (0,)).shape.ring()
+    a, b = ring.var("a"), ring.var("b")
+    S = draw(st.sets(st.integers(0, d - 1)), label="S")
+    c = Cyclo.root(d, draw(st.integers(0, d - 1))) * draw(
+        st.sampled_from([1, -1, 2, Rat(1, 3)]))
+    p = ring.p_S(sorted(S)) * c
+    kind = draw(st.sampled_from(
+        ["distinct", "repeated", "b-factor", "perturbed", "inhomogeneous"]), label="kind")
+    if kind == "repeated":
+        p = p * ring.p_S([draw(st.integers(0, d - 1))])
+    elif kind == "b-factor":
+        p = p * b
+    elif kind == "perturbed":
+        k = len(S)
+        e = draw(st.integers(0, k), label="a-power")
+        p = p + ring.monomial({"a": e, "b": k - e}, draw(st.sampled_from([1, -2, Rat(1, 2)])))
+    elif kind == "inhomogeneous":
+        p = p + ring.monomial({"a": draw(st.integers(0, 2)), "b": len(S) + 1})
+    # a pivot is non-zero; a perturbed constant can cancel
+    assume(not p.is_zero())
+    return d, p
+
+
+class TestFactorTest:
+    @pytest.mark.parametrize("d", [3, 4, 5])
+    def test_every_pivot_agrees_with_trial_division(self, d, monkeypatch):
+        # every pivot of every consecutive pair, answered both ways
+        pivots = []
+        defect_lines = fusion._defect_lines
+
+        def record(p, roots):
+            pivots.append(p)
+            return defect_lines(p, roots)
+
+        monkeypatch.setattr(fusion, "_defect_lines", record)
+        sets = consecutive_sets(d)
+        P = {S: ps_object(d, S) for S in sets}
+        for S1, S2 in itertools.product(sets, repeat=2):
+            decompose_into_PS(reduce_tensor(P[S1], P[S2], check=False).reduced)
+        assert len(pivots) >= len(sets) ** 2
+        for p in pivots:
+            want = _trial_division_lines(p, d)
+            assert defect_lines(p, [Cyclo.root(d, i) for i in range(d)]) == want
+
+    @settings(max_examples=120, deadline=None)
+    @given(_binary_forms())
+    def test_drawn_forms_agree_with_trial_division(self, case):
+        d, p = case
+        assert _outcome(_by_evaluation, p, d) == _outcome(_trial_division_lines, p, d)
+
+    @pytest.mark.parametrize("text,message", [
+        ("a^2 - 2*a*b + b^2",
+         "block does not factor into defect lines: a^2 - 2*a*b + b^2"),
+        ("(a - b)^2*(a - z*b)", "block does not factor into defect lines: "
+         "a^3 + (-2 - z)*a^2*b + (1 + 2*z)*a*b^2 - z*b^3"),
+        ("a*b", "block does not factor into defect lines: a*b"),
+        ("a^2*b - z*a*b^2", "block does not factor into defect lines: a^2*b - z*a*b^2"),
+    ], ids=["repeated", "repeated-times-line", "b-factor", "b-times-line"])
+    def test_repeated_root_and_b_factor_raise_as_trial_division(
+            self, text, message, monkeypatch):
+        # the gate of the evaluation test: these messages are the ones the
+        # trial-division loop raised on the same input
+        clear_pivot = fusion._clear_pivot
+
+        def clear_then_set(M, P, i, j, quotients):
+            clear_pivot(M, P, i, j, quotients)
+            M[i][j] = P[j][i] = M[i][j].ring.parse(text)
+
+        D = reduce_tensor(ps_object(5, (0, 1)), ps_object(5, (1, 2, 3))).reduced
+        monkeypatch.setattr(fusion, "_clear_pivot", clear_then_set)
+        with pytest.raises(VerificationError) as exc:
+            decompose_into_PS(D)
+        assert str(exc.value) == message
+        assert _outcome(_trial_division_lines, D.shape.ring().parse(text), 5) == message
+
+
+def _division_counts(monkeypatch, clear_pivot=None):
+    """Divisions made by decomposing P_{0,1} x P_{1,2,3} at d = 5 (what
+    `mbf fuse --d 5 --left 0,1 --right 1+2` decomposes): the total, the
+    number made inside each clearing, and per pivot the number made by it
+    against the number of other non-zero entries of its row and column."""
+    D = reduce_tensor(ps_object(5, (0, 1)), ps_object(5, (1, 2, 3))).reduced
+    calls = []
+    exact_divide = MultiPoly.exact_divide
+
+    def counted(self, divisor):
+        calls.append((self, divisor))
+        return exact_divide(self, divisor)
+
+    clear = clear_pivot or fusion._clear_pivot
+    steps = []
+
+    def counted_clear(M, P, i, j, quotients):
+        p = M[i][j]
+        line = [q for k, q in enumerate(M[i]) if k != j and not q.is_zero()]
+        line += [r[j] for k, r in enumerate(M) if k != i and not r[j].is_zero()]
+        by_pivot = sum(1 for _, divisor in calls if divisor is p)
+        before = len(calls)
+        clear(M, P, i, j, quotients)
+        steps.append((fusion._is_unit(p), len(line), by_pivot, len(calls) - before))
+
+    monkeypatch.setattr(MultiPoly, "exact_divide", counted)
+    monkeypatch.setattr(fusion, "_clear_pivot", counted_clear)
+    assert decompose_into_PS(D) == [(2, 3), (1, 2, 3, 4)]
+    return len(calls), steps
+
+
+class TestDivisionCount:
+    # (unit pivot, other non-zero entries of its line, divisions by it,
+    # divisions inside its clearing) per pivot, in elimination order
+    PINNED = (4, [(True, 4, 0, 0), (False, 2, 2, 0), (False, 0, 0, 0)])
+
+    def test_each_entry_is_divided_at_most_once(self, monkeypatch):
+        total, steps = _division_counts(monkeypatch)
+        assert (total, steps) == self.PINNED
+        # a unit divides nothing; a non-unit pivot divides each other
+        # non-zero entry of its row and column once, while it is tested
+        for unit, line, by_pivot, in_clearing in steps:
+            assert in_clearing == 0
+            assert by_pivot == (0 if unit else line)
+
+    def test_a_second_division_in_the_clearing_fails_the_count(self, monkeypatch):
+        # negative control: a clearing that divides its row again, as the
+        # clearing did before it reused the quotients of the pivot test
+        clear_pivot = fusion._clear_pivot
+
+        def dividing_again(M, P, i, j, quotients):
+            for jp in quotients[0]:
+                M[i][jp].exact_divide(M[i][j])
+            clear_pivot(M, P, i, j, quotients)
+
+        total, steps = _division_counts(monkeypatch, dividing_again)
+        assert (total, steps) != self.PINNED
+        assert [s[3] for s in steps] == [2, 1, 0]
 
 
 class TestHomotopyVerification:

@@ -182,12 +182,31 @@ class TestDivision:
         assert zero_mod_phi(diff, zeta, 6)
         assert q.total_degree() == 4
 
+    @pytest.mark.parametrize("lead", [(3,), (2, 1), (0, Rat(1, 2), -1)],
+                             ids=["3", "2+z", "z/2-z^2"])
+    def test_exact_divide_non_unit_lead_sympy_oracle(self, lead):
+        # the lead coefficient is inverted once per call; the quotient of a
+        # divisor whose lead is not 1 still multiplies back to the dividend
+        R = Ring(["a", "b"], 6)
+        syms = sympy.symbols("a b")
+        zeta = sympy.Symbol("z")
+        c = Cyclo(6, lead)
+        den = R.p_S([0, 1]) * c + R.monomial({"b": 2})
+        q0 = R.p_S([2, 3]) * Cyclo(6, [1, -1]) + R.monomial({"a": 1, "b": 1}, Rat(2, 3))
+        num = q0 * den
+        q = num.exact_divide(den)
+        assert q == q0
+        assert den.leading_term()[1] == c and not c.is_one()
+        diff = to_sympy(q, syms, zeta) * to_sympy(den, syms, zeta) - to_sympy(num, syms, zeta)
+        assert zero_mod_phi(diff, zeta, 6)
+
     def test_not_divisible_carries_remainder(self):
         R = Ring(["a", "b"], 3)
         a, b = R.var("a"), R.var("b")
         with pytest.raises(NotDivisibleError) as exc:
             (a**2 + b).exact_divide(a - b)
         assert exc.value.remainder == b**2 + b
+        assert str(exc.value) == "division left a non-zero remainder: b^2 + b"
 
     def test_divide_by_zero(self):
         R = Ring(["a"], 3)
@@ -509,6 +528,52 @@ def _p_S_reference(ring: Ring, residues, v1="a", v2="b") -> MultiPoly:
     for i in residues:
         out = out * (x - y * ring.root(i))
     return out
+
+
+def _double_loop(a: dict, b: dict) -> dict:
+    """The product of two term dicts with every coefficient pair multiplied,
+    the shorter factor outermost, each exponent in the place of its first
+    product."""
+    if len(a) > len(b):
+        a, b = b, a
+    out: dict = {}
+    for ea, ca in a.items():
+        for eb, cb in b.items():
+            e = tuple(x + y for x, y in zip(ea, eb))
+            out[e] = ca * cb if e not in out else out[e] + ca * cb
+    return {e: c for e, c in out.items() if not c.is_zero()}
+
+
+class TestProductTerms:
+    @settings(max_examples=80, deadline=None)
+    @given(st.data())
+    def test_unit_coefficients_match_the_double_loop(self, data):
+        # the many-term path copies a unit coefficient's partner; the terms,
+        # their values and their order are the double loop's
+        n = data.draw(st.sampled_from([3, 4, 5, 7, 12]), label="n")
+        one = Cyclo.one(n)
+        coeff = st.one_of(
+            st.just(one),
+            st.integers(-3, 3).filter(bool).map(lambda k: Cyclo.from_rat(n, k)),
+            st.integers(1, n - 1).map(lambda k: Cyclo.root(n, k)),
+            st.tuples(st.integers(-2, 2), st.integers(-2, 2)).filter(any).map(
+                lambda t: Cyclo(n, t)),
+        )
+        terms = st.dictionaries(st.tuples(st.integers(0, 3), st.integers(0, 3)),
+                                coeff, min_size=2, max_size=6)
+        a, b = data.draw(terms, label="a"), data.draw(terms, label="b")
+        got = polycalc.product_terms(a, b)
+        assert list(got.items()) == list(_double_loop(a, b).items())
+
+    def test_units_on_both_sides_cancel_and_order(self):
+        # (a + b)(a - b): unit coefficients on both factors, and the a*b
+        # terms cancel, so the loop's zero filter is exercised
+        one, n1 = Cyclo.one(5), Cyclo.from_rat(5, -1)
+        a = {(1, 0): one, (0, 1): one}
+        b = {(1, 0): one, (0, 1): n1}
+        got = polycalc.product_terms(a, b)
+        assert list(got.items()) == [((2, 0), one), ((0, 2), n1)]
+        assert got[(2, 0)] is one
 
 
 class TestRootProductTable:
