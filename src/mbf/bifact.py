@@ -37,16 +37,22 @@ normal form) and its generator matrix, a tuple of row tuples of
 polynomials.  `Operator.from_poly_matrix` is the one place that checks such
 a matrix (its shape and its ring); the operator it makes starts with the
 rows it was given and is built in normal form.  For
-the same reason an operator memoises its evaluation for as long as it
-lives: per input monomial (keyed by its exponent tuple) each word prefix is
-evaluated once, keyed by the identities of its primitives, and a quotient
-and a remainder by one modulus share one division; each target row is
-summed in one dict; the sweep, `matrix()` and the probes of `fusion` all
-evaluate through it.  A substitution and a coefficient extraction prepare
-their index maps on their first `apply` and keep them.  Annihilator orders
-read each word's factors from `_ANNIHILATOR_CACHE`, one entry per process
-for each source shape, internal variable and non-multiplier signature,
-beside `_RING_CACHE`, `_IDENTITY_CACHE` (one identity operator per module),
+the same reason it keeps each of its lifts (`Operator.lift`).
+
+Evaluation is shared by every operator of the process.  A word prefix's
+image on a monomial input is read from one trie per source shape and
+exponent tuple (`_IMAGE_ROOTS`), whose steps are keyed by primitive
+tokens (`_prim_token`): primitives that compute the same images share one
+token, so the witnesses of different fusion pairs, each built anew, find
+the prefixes they have in common already evaluated, and a quotient and a
+remainder by one modulus share one division.  The memo is bounded: it is
+emptied once it has made `_IMAGE_BOUND` nodes.  Each target row is summed
+in one dict; the sweep, `matrix()` and the probes of `fusion` all evaluate
+through it.  A substitution and a coefficient extraction prepare their
+index maps on their first `apply` and keep them.  Annihilator orders read
+each word's factors from `_ANNIHILATOR_CACHE`, one entry per process for
+each source shape, internal variable and non-multiplier signature, beside
+`_RING_CACHE`, `_IDENTITY_CACHE` (one identity operator per module),
 `_PS_CACHE`, `_TENSOR_CACHE` and `polycalc._DIV_CACHE`.
 An `MBF` is immutable too, and so is a `Morphism`.  `ps_object` memoises
 P_S, one object per (d, S).  `tensor_obj` hands out one product per pair of
@@ -69,7 +75,6 @@ from __future__ import annotations
 
 import itertools
 import weakref
-from collections import Counter
 from operator import add as _add
 from types import MappingProxyType
 
@@ -210,13 +215,15 @@ def slot_map(src: SlotShape, dst: SlotShape, place) -> dict:
 class PMul:
     """Multiply by a fixed polynomial of the (unchanged) slot ring."""
 
-    __slots__ = ("shape", "poly")
+    __slots__ = ("shape", "poly", "_token")
 
     def __init__(self, shape: SlotShape, poly: MultiPoly):
-        if poly.ring != shape.ring():
+        ring = shape.ring()
+        if poly.ring is not ring and poly.ring != ring:
             raise ValueError("multiplier not in the slot ring")
         self.shape = shape
         self.poly = poly
+        self._token = None
 
     src = property(lambda self: self.shape)
     dst = property(lambda self: self.shape)
@@ -242,7 +249,7 @@ class PSubst:
     substitutions are built, merged or lifted and never applied.
     """
 
-    __slots__ = ("src", "dst", "mapping", "_signature", "_plan")
+    __slots__ = ("src", "dst", "mapping", "_signature", "_plan", "_token")
 
     def __init__(self, src: SlotShape, dst: SlotShape, mapping: dict):
         sring = src.ring()
@@ -266,6 +273,7 @@ class PSubst:
         self.mapping = norm
         self._signature = ("subst", src, dst, frozenset(norm.items()))
         self._plan = None
+        self._token = None
 
     def apply(self, p: MultiPoly) -> MultiPoly:
         if self._plan is None:
@@ -308,7 +316,7 @@ class PSubst:
 class PTDiv:
     """Divided transfer: p ↦ (p − p[v1→v2]) / (v1 − v2), shape preserved."""
 
-    __slots__ = ("shape", "v1", "v2")
+    __slots__ = ("shape", "v1", "v2", "_token")
 
     def __init__(self, shape: SlotShape, v1: str, v2: str):
         ring = shape.ring()
@@ -318,6 +326,7 @@ class PTDiv:
         self.shape = shape
         self.v1 = v1
         self.v2 = v2
+        self._token = None
 
     src = property(lambda self: self.shape)
     dst = property(lambda self: self.shape)
@@ -339,10 +348,11 @@ class PQuo:
     `part` is "quo" for the quotient or "rem" for the remainder.
     """
 
-    __slots__ = ("shape", "modulus", "var", "part")
+    __slots__ = ("shape", "modulus", "var", "part", "_token")
 
     def __init__(self, shape: SlotShape, modulus: MultiPoly, var: str, part: str):
-        if modulus.ring != shape.ring():
+        ring = shape.ring()
+        if modulus.ring is not ring and modulus.ring != ring:
             raise ValueError("modulus not in the slot ring")
         if part not in ("quo", "rem"):
             raise ValueError(f"division part must be 'quo' or 'rem', not {part!r}")
@@ -350,6 +360,7 @@ class PQuo:
         self.modulus = modulus
         self.var = var
         self.part = part
+        self._token = None
 
     src = property(lambda self: self.shape)
     dst = property(lambda self: self.shape)
@@ -376,7 +387,7 @@ class PCoeff:
     The rings and the index are looked up on the first `apply`.
     """
 
-    __slots__ = ("shape", "dst_shape", "var", "k", "_at")
+    __slots__ = ("shape", "dst_shape", "var", "k", "_at", "_token")
 
     def __init__(self, shape: SlotShape, var: str, k: int):
         if shape.nvars != 1:
@@ -388,6 +399,7 @@ class PCoeff:
         self.var = var
         self.k = k
         self._at = None
+        self._token = None
 
     src = property(lambda self: self.shape)
     dst = property(lambda self: self.dst_shape)
@@ -620,22 +632,27 @@ class Operator:
     normal-form word per non-zero entry, to be lifted, tensored or
     evaluated.
 
-    `apply` and `apply_basis` evaluate through `_memo`, kept for the
-    operator's lifetime: {input key: (input, children)}, a trie of word
-    prefix images per input (see `_prefix_image`).  So each prefix is
-    evaluated once per input monomial across every cell and every call, and
-    a `quo` and a `rem` by one modulus on one input share one
-    `divmod_in_var`.  The first evaluation prepares every word once
-    (`_word_steps`: its trie keys, the terms of a trailing multiplier, its
-    coefficient), and `_images` sums each target row in one dict, applying
-    a word's multiplier and coefficient as its terms go in; the images are
-    those of summing `Word.apply` over each cell, term order included.
+    `apply` and `apply_basis` evaluate through tries of word-prefix
+    images, one per input (see `_prefix_image`).  `_memo` maps each input
+    the operator has seen to its trie root, {input key: (input, children)}.
+    The root of a monomial with coefficient one is the process's
+    (`_shared_root`), so each prefix is evaluated once per input monomial
+    across every cell, every call and every operator, until the shared memo
+    reaches its bound and is emptied; the operator keeps the roots it holds.
+    Any other input gets a trie of the operator's own.  A `quo` and a `rem`
+    by one modulus on one input share one `divmod_in_var`.  The first
+    evaluation prepares every word once (`_word_steps`: its primitive
+    tokens, the terms of a trailing multiplier, its coefficient), and
+    `_images` sums each target row in one dict, applying a word's multiplier
+    and coefficient as its terms go in; the images are those of summing
+    `Word.apply` over each cell, term order included.  `lift` keeps each
+    lift it makes in `_lifts`.
     """
 
     # _normal: None until computed, True on a normal form, else the normal form
     # _plan: None until the first evaluation, then per cell (row, col, its
     # words' `_word_steps`)
-    __slots__ = ("src", "dst", "cells", "_normal", "_pm", "_memo", "_plan")
+    __slots__ = ("src", "dst", "cells", "_normal", "_pm", "_memo", "_plan", "_lifts")
 
     def __init__(self, src: FreeBimod, dst: FreeBimod, cells=None):
         cells = {k: tuple(ws) for k, ws in sorted(cells.items()) if ws} if cells else {}
@@ -646,6 +663,7 @@ class Operator:
         object.__setattr__(self, "_pm", None)
         object.__setattr__(self, "_memo", {})
         object.__setattr__(self, "_plan", None)
+        object.__setattr__(self, "_lifts", {})
 
     def __setattr__(self, *a):
         raise AttributeError("Operator is immutable")
@@ -698,7 +716,7 @@ class Operator:
             raise ValueError("matrix shape mismatch")
         for row in pm:
             for p in row:
-                if p.ring != ring:
+                if p.ring is not ring and p.ring != ring:
                     raise RingMismatch(f"entry ring {p.ring} vs {ring}")
         return Operator._of_rows(src, dst, pm)
 
@@ -765,10 +783,14 @@ class Operator:
 
     def lift(self, left: int, right: int) -> "Operator":
         """The same map on the chain with `left` slots glued on before and
-        `right` after: every word lifted once."""
-        mod = lambda m: FreeBimod(m.shape.widen(left, right), m.rank)
-        return Operator(mod(self.src), mod(self.dst), {
-            k: [w.lift(left, right) for w in ws] for k, ws in self.cells.items()})
+        `right` after: every word lifted once, and the lift kept, since the
+        operator cannot change (`_lifts`)."""
+        op = self._lifts.get((left, right))
+        if op is None:
+            mod = lambda m: FreeBimod(m.shape.widen(left, right), m.rank)
+            op = self._lifts[left, right] = Operator(mod(self.src), mod(self.dst), {
+                k: [w.lift(left, right) for w in ws] for k, ws in self.cells.items()})
+        return op
 
     def apply(self, element) -> list:
         sring = self.src.shape.ring()
@@ -817,9 +839,10 @@ class Operator:
         return [MultiPoly._raw(ring, acc) for acc in rows]
 
     def _memo_root(self, p: MultiPoly) -> tuple:
-        """The memo node (p, children) of the input p.  A monomial with
+        """The trie root (p, children) of the input p.  A monomial with
         coefficient one is keyed by its exponent tuple, so finding it hashes
-        no polynomial; any other input is keyed by itself."""
+        no polynomial, and its root is the process's (`_shared_root`); any
+        other input is keyed by itself and gets a trie of this operator's own."""
         key = p
         if len(p.terms) == 1:
             ((e, c),) = p.terms.items()
@@ -827,20 +850,19 @@ class Operator:
                 key = e
         node = self._memo.get(key)
         if node is None:
-            node = self._memo[key] = (p, {})
+            node = self._memo[key] = (p, {}) if key is p else _shared_root(self.src.shape, p, key)
         return node
 
     @staticmethod
     def _prefix_image(steps: tuple, node: tuple) -> MultiPoly:
         """The image of a word prefix, given as its `_word_steps`, on the
-        input of the memo node `node`.
+        input of the trie node `node`.
 
         Each node is (image, children): the children of a prefix's node are
-        keyed by the id of the next primitive, so words that share
-        primitives share their images, and the ids stay valid because the
-        operator holds its words.  A division is keyed by the id of its
-        modulus, its variable and its part instead, and one `divmod_in_var`
-        fills both parts.
+        keyed by the token of the next primitive (`_prim_token`), so words
+        of any operator that share primitives share their images.  A `quo`
+        and a `rem` by one modulus have the tokens 2t and 2t + 1, and one
+        `divmod_in_var` fills both.
         """
         for key, prim in steps:
             p, children = node
@@ -848,11 +870,13 @@ class Operator:
             if node is None:
                 if type(prim) is PQuo:
                     quo, rem = p.divmod_in_var(prim.modulus, prim.var)
-                    children[key[:2] + ("quo",)] = (quo, {})
-                    children[key[:2] + ("rem",)] = (rem, {})
+                    children[key & -2] = (quo, {})
+                    children[key | 1] = (rem, {})
                     node = children[key]
+                    _count_images(2)
                 else:
                     node = children[key] = (prim.apply(p), {})
+                    _count_images(1)
         return node[0]
 
     def matrix(self) -> tuple:
@@ -874,16 +898,92 @@ class Operator:
 
 
 def _word_steps(w: Word) -> tuple:
-    """A word prepared for `Operator._images`: (its prefix as (memo key,
+    """A word prepared for `Operator._images`: (its prefix as (token,
     primitive) pairs, the terms of a trailing multiplier or None, the
-    coefficient or None if it is 1).  The key of a division names its
-    modulus, variable and part, that of any other primitive its id."""
+    coefficient or None if it is 1)."""
     prims, mul = w.prims, None
     if prims and isinstance(prims[-1], PMul):
         prims, mul = prims[:-1], prims[-1].poly.terms
-    steps = tuple(((id(p.modulus), p.var, p.part) if type(p) is PQuo else id(p), p)
-                  for p in prims)
+    steps = tuple((_prim_token(p), p) for p in prims)
     return steps, mul, None if w.coeff.is_one() else w.coeff
+
+
+# -- the shared image memo ------------------------------------------------------
+
+# Word-prefix images on monomial inputs, shared by every operator of the
+# process: (source shape, exponent tuple) -> the root (monomial, children)
+# of a trie as in `Operator._prefix_image`.  Operators of different fusion
+# pairs evaluate the same prefixes on the same monomials, so the memo must
+# outlive an operator; it is bounded instead, and emptied with
+# `_PRIM_TOKENS` once _IMAGE_BOUND nodes have been made since it was last
+# emptied.  The bound holds the 1,364 nodes of all 144 witnesses at d = 4;
+# the 900 at d = 6 make 9,342, which kept whole would add about 8 MB.
+_IMAGE_ROOTS: dict = {}
+_IMAGE_BOUND = 2048
+_image_nodes = 0  # nodes made since the memo was last emptied
+_image_epoch = 0  # how often it has been emptied
+# what a primitive computes -> its token, see `_prim_token`
+_PRIM_TOKENS: dict = {}
+_NEXT_TOKEN = itertools.count(0, 2)
+
+
+def _shared_root(shape: SlotShape, p: MultiPoly, e: tuple) -> tuple:
+    """The shared trie root of the monomial p, whose exponent tuple is e."""
+    key = (shape, e)
+    node = _IMAGE_ROOTS.get(key)
+    if node is None:
+        node = _IMAGE_ROOTS[key] = (p, {})
+        _count_images(1)
+    return node
+
+
+def _count_images(n: int):
+    """Count n new trie nodes, and empty the memo once past its bound.  A
+    walk in progress keeps the nodes it holds, and an operator its roots
+    (`Operator._memo`), but the process's table starts again."""
+    global _image_nodes
+    _image_nodes += n
+    if _image_nodes > _IMAGE_BOUND:
+        _clear_image_memo()
+
+
+def _clear_image_memo():
+    """Empty the shared image memo and the token table."""
+    global _image_nodes, _image_epoch
+    _IMAGE_ROOTS.clear()
+    _PRIM_TOKENS.clear()
+    _image_nodes = 0
+    _image_epoch += 1
+
+
+def _prim_token(prim) -> int:
+    """An integer that names what `prim` computes: two primitives get one
+    token when they compute the same images, term order included.  That is
+    their signature, except that a multiplier's polynomial is compared with
+    its term order, which orders its products, and that a division's part is
+    left out: its `quo` takes an even token t and its `rem` t + 1.
+
+    A primitive keeps its token with the epoch of the token table that gave
+    it.  Tokens are never given twice, so an old one still names only what
+    it computes; but a `quo` and a `rem` share a division only when their
+    tokens come from one table, so a primitive asks again after a clear."""
+    kept = prim._token
+    if kept is not None and kept[0] == _image_epoch:
+        return kept[1]
+    kind = type(prim)
+    if kind is PQuo:
+        key = ("div", prim.shape, prim.modulus, prim.var)
+    elif kind is PMul:
+        key = ("mul", prim.shape, tuple(prim.poly.terms.items()))
+    else:
+        key = prim.signature()
+    t = _PRIM_TOKENS.get(key)
+    if t is None:
+        t = _PRIM_TOKENS[key] = next(_NEXT_TOKEN)
+    if kind is PQuo and prim.part == "rem":
+        t += 1
+    prim._token = (_image_epoch, t)
+    return t
 
 
 def _diagonal(mod: FreeBimod, poly: MultiPoly) -> Operator:
@@ -944,8 +1044,9 @@ def _internal_monomials(shape: SlotShape, cutoff: int):
 
 
 # (source shape, internal variable, non-PMul signatures of a word) -> its
-# factors from `_word_annihilator`, or None
+# factors from `_word_annihilator`, each with its multiplicity, or None
 _ANNIHILATOR_CACHE: dict = {}
+_UNSEEN = object()
 
 
 def _annihilator_orders(op: Operator, x: str) -> dict:
@@ -987,17 +1088,20 @@ def _annihilator_orders(op: Operator, x: str) -> dict:
     for (_, j), ws in op.cells.items():
         if orders[j] is None:
             continue
-        cell = Counter()
+        cell: dict = {}
         for w in ws:
             # words that differ only in multipliers share one annihilator
             key = (shape, x, tuple(p.signature() for p in w.prims if not isinstance(p, PMul)))
-            if key not in _ANNIHILATOR_CACHE:
-                _ANNIHILATOR_CACHE[key] = _word_annihilator(w, start)
-            fs = _ANNIHILATOR_CACHE[key]
-            if fs is None:
+            mult = _ANNIHILATOR_CACHE.get(key, _UNSEEN)
+            if mult is _UNSEEN:
+                fs = _word_annihilator(w, start)
+                mult = _ANNIHILATOR_CACHE[key] = None if fs is None else {f: fs.count(f) for f in fs}
+            if mult is None:
                 orders[j] = None
                 break
-            cell |= Counter(fs)
+            for f, m in mult.items():
+                if m > cell.get(f, 0):
+                    cell[f] = m
         else:
             orders[j] = max(orders[j], sum(len(f) * m for f, m in cell.items()))
     return orders
@@ -1087,14 +1191,13 @@ def op_equal(A: Operator, B: Operator, cutoff: int = DEFAULT_CUTOFF):
         return True, "exact-structural"
     names = diff.src.shape.internal_names()
     orders = _annihilator_orders(diff, names[0]) if len(names) == 1 else {}
-    zero_dst = [diff.dst.shape.ring().zero()] * diff.dst.rank
     for copy in range(diff.src.rank):
         # a copy's first N monomials are the full sweep's first N, so past
         # its annihilator order N the sweep could find no counterexample;
         # islice stops there, or never when N is None or past the cutoff
         monomials = _internal_monomials(diff.src.shape, cutoff)
         for exps in itertools.islice(monomials, orders.get(copy)):
-            if diff.apply_basis(copy, exps) != zero_dst:
+            if any(diff.apply_basis(copy, exps)):
                 return False, f"counterexample at copy {copy}, monomial {exps}"
     return True, "verified-to-cutoff"
 

@@ -555,7 +555,10 @@ def _line_quotients(p: MultiPoly, mat, i: int, j: int):
 def _find_pivot(mat, constants_only: bool):
     """(i, j, quotients) of the first unit of `mat`, else, unless
     `constants_only`, of the first entry of least degree that divides its
-    row and column (`_line_quotients`); None if there is neither."""
+    row and column (`_line_quotients`); None if there is neither.  A
+    candidate whose row or column holds a non-zero entry of lower total
+    degree is passed over undivided: over a domain a multiple of p has at
+    least p's degree."""
     best = None
     for i, row in enumerate(mat):
         for j, p in enumerate(row):
@@ -567,6 +570,9 @@ def _find_pivot(mat, constants_only: bool):
                 continue
             deg = sum(p.leading_term()[0])
             if best is None or deg < best[0]:
+                if any(0 <= q.total_degree() < deg for q in row) or any(
+                        0 <= r[j].total_degree() < deg for r in mat):
+                    continue
                 quotients = _line_quotients(p, mat, i, j)
                 if quotients is not None:
                     best = (deg, i, j, quotients)

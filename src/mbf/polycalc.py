@@ -53,9 +53,13 @@ class RingMismatch(ValueError):
 
 
 class Ring:
-    """Polynomial ring Q(zeta_conductor)[vars], variables ordered as given."""
+    """Polynomial ring Q(zeta_conductor)[vars], variables ordered as given.
 
-    __slots__ = ("vars", "conductor", "_index")
+    Its hash is computed when it is built.  Rings come from one cache per
+    slot shape, so the two rings of a product or a division are nearly
+    always one object, and `MultiPoly._check` tests that first."""
+
+    __slots__ = ("vars", "conductor", "_index", "_hash")
 
     def __init__(self, variables: Iterable[str], conductor: int = 1):
         vs = tuple(variables)
@@ -64,6 +68,7 @@ class Ring:
         object.__setattr__(self, "vars", vs)
         object.__setattr__(self, "conductor", conductor)
         object.__setattr__(self, "_index", {v: i for i, v in enumerate(vs)})
+        object.__setattr__(self, "_hash", hash((vs, conductor)))
 
     def __setattr__(self, *a):
         raise AttributeError("Ring is immutable")
@@ -76,7 +81,7 @@ class Ring:
         )
 
     def __hash__(self):
-        return hash((self.vars, self.conductor))
+        return self._hash
 
     def __repr__(self):
         return f"Ring({list(self.vars)}, zeta_{self.conductor})"
@@ -270,7 +275,7 @@ class MultiPoly:
         return bool(self.terms)
 
     def _check(self, other: "MultiPoly"):
-        if self.ring != other.ring:
+        if self.ring is not other.ring and self.ring != other.ring:
             raise RingMismatch(f"{self.ring} vs {other.ring}")
 
     def _coerce(self, other):

@@ -859,6 +859,15 @@ class TestAnnihilatorSweep:
         assert op_equal(diff, Operator(mod, mod)) == (
             False, f"counterexample at copy 0, monomial {{'x1': {order - 1}}}")
 
+    def test_a_cell_keeps_each_factors_largest_multiplicity(self):
+        # two divided transfers x1 -> b leave (E - x1)(E - b)^3; a transfer
+        # x1 -> b leaves (E - b); their sum needs order 4 in either order
+        shape, mod, _ = _one_copy()
+        twice = w_tdiv(shape, "x1", "b").then(w_tdiv(shape, "x1", "b"))
+        transfer = w_transfer(shape, "x1", "b")
+        for words in ((twice, transfer), (transfer, twice)):
+            assert _annihilator_orders(Operator(mod, mod, {(0, 0): words}), "x1") == {0: 4}
+
     def test_divided_transfer_needs_two_variables(self):
         # (p - p[x1 -> x1]) / (x1 - x1) is undefined, and the PTDiv rule
         # divides by v1 - v2
@@ -960,7 +969,7 @@ class TestMemoisedEvaluation:
         assert op_equal(rem, Operator.identity(mod), 2 * d + 1) == (
             False, f"counterexample at copy 0, monomial {{'x1': {2 * d + 1}}}")
 
-    def test_quotient_and_remainder_share_one_division(self, monkeypatch):
+    def test_quotient_and_remainder_share_one_division(self, monkeypatch, fresh_image_memo):
         # quo and rem by one modulus on one input: one divmod_in_var, kept
         # for the next call on the same monomial, in either copy
         shape = SlotShape(3, 1, 4)
@@ -975,17 +984,97 @@ class TestMemoisedEvaluation:
         assert [op.apply_basis(copy, x3) for copy in (0, 1)] == want
         assert calls == ["x1"]
 
-    def test_witness_divisions(self, monkeypatch):
+    def test_witness_divisions(self, monkeypatch, fresh_image_memo):
         # the P_{0,1} ⊗ P_{0,1} witness at d = 4: each word prefix once per
         # monomial and one division for quo and rem, where evaluating every
-        # word on its own made 48
+        # word on its own made 48; its two legs share their images, where
+        # each leg divided on its own in 18
         d = 4
         rt, _ = fuse(d, (0, 1), (0, 1), check=True)
         gap = rt.incl.compose(rt.proj) - Morphism.identity(rt.original)
         delta = rt.homotopy.delta()
         calls = _count_divisions(monkeypatch)
         assert morphism_equal(delta, gap, 2 * d) == (True, "verified-to-cutoff")
-        assert len(calls) == 18
+        assert len(calls) == 12
+
+    def test_a_second_identical_witness_divides_nothing(self, monkeypatch, fresh_image_memo):
+        # the images outlive the operators of the first witness: a second
+        # fusion of the same pair, built anew, finds every one in the memo
+        d = 4
+        for run in range(2):
+            rt, _ = fuse(d, (0, 1), (1, 2), check=True)
+            gap = rt.incl.compose(rt.proj) - Morphism.identity(rt.original)
+            delta = rt.homotopy.delta()
+            calls = _count_divisions(monkeypatch)
+            assert morphism_equal(delta, gap, 2 * d) == (True, "verified-to-cutoff")
+            assert (len(calls) > 0) == (run == 0)
+            monkeypatch.undo()
+
+    def test_one_witness_compares_no_ring_by_value(self, monkeypatch, fresh_image_memo):
+        # every ring of a witness is the one ring of its shape, so `_check`
+        # settles each comparison by identity: 90 Python-level Ring.__eq__
+        # calls before it did
+        d = 4
+        rt, _ = fuse(d, (0, 1), (0, 1), check=True)
+        gap = rt.incl.compose(rt.proj) - Morphism.identity(rt.original)
+        delta = rt.homotopy.delta()
+        calls = []
+        ring_eq = Ring.__eq__
+
+        def counted(self, other):
+            calls.append(other)
+            return ring_eq(self, other)
+
+        monkeypatch.setattr(Ring, "__eq__", counted)
+        assert morphism_equal(delta, gap, 2 * d) == (True, "verified-to-cutoff")
+        assert calls == []
+
+    def test_moduli_that_differ_in_one_coefficient_share_no_image(
+            self, monkeypatch, fresh_image_memo):
+        # negative control: x1^2 - b^2 and x1^2 - 2b^2 are two divisions, so
+        # the second operator divides on its own and gets its own images;
+        # the modulus x1^2 - b^2 built apart again is the first division
+        shape, mod, ring = _one_copy()
+        ops = [_op(mod, w_rem(shape, ring.parse(text), "x1"), w_quo(shape, ring.parse(text), "x1"))
+               for text in ("x1^2 - b^2", "x1^2 - 2*b^2", "x1^2 - b^2")]
+        x3 = {"x1": 3}
+        want = [_plain_images(op, 0, x3) for op in ops]
+        assert want[0] != want[1]
+        calls = _count_divisions(monkeypatch)
+        assert [op.apply_basis(0, x3) for op in ops] == want
+        assert calls == ["x1", "x1"]
+
+    def test_a_multiplier_shares_only_with_its_own_term_order(self, fresh_image_memo):
+        # x1 + 2b and 2b + x1 are one polynomial, but their products with x1,
+        # and so the remainders that follow, list their terms in two orders
+        shape, mod, ring = _one_copy()
+        (ex,), (eb,) = ring.var("x1").terms, ring.var("b").terms
+        one, q = Cyclo.one(4), ring.parse("x1^2 - b^2")
+        ops = [_op(mod, w_mul(shape, MultiPoly(ring, terms)).then(w_rem(shape, q, "x1")))
+               for terms in ({ex: one, eb: one * 2}, {eb: one * 2, ex: one})]
+        want = [_term_lists(_plain_images(op, 0, {"x1": 1})) for op in ops]
+        assert want[0] != want[1]
+        assert [_term_lists(op.apply_basis(0, {"x1": 1})) for op in ops] == want
+
+    def test_the_memo_stays_within_its_bound(self, fresh_image_memo):
+        # more distinct inputs than the bound: the shared tries never hold
+        # more nodes than it, and every image is still the plain word's
+        shape, mod, ring = _one_copy()
+        z = Cyclo.root(4, 1)
+        twist = PSubst(shape, shape, {"a": (1, "a"), "x1": (z, "x1"), "b": (1, "b")})
+        op = _op(mod, Word.of(twist).then(w_rem(shape, ring.parse("x1^2 - b^2"), "x1")))
+
+        def size(node):
+            return 1 + sum(size(child) for child in node[1].values())
+
+        bound, epoch = bifact._IMAGE_BOUND, bifact._image_epoch
+        for k in range(bound + 100):
+            got = op.apply_basis(0, {"b": k})
+            assert bifact._image_nodes <= bound
+            if k % 100 == 0:
+                assert got == _plain_images(op, 0, {"b": k})
+                assert sum(size(root) for root in bifact._IMAGE_ROOTS.values()) <= bound
+        assert bifact._image_epoch > epoch
 
     def test_annihilators_are_computed_once_per_process(self, monkeypatch):
         # a second fusion run with witnesses finds every word's annihilator
@@ -1438,6 +1527,17 @@ class TestOperatorImmutability:
         fresh = Operator(n.src, n.dst, dict(n.cells)).normalized()
         assert fresh is not n
         assert _Dense.of(fresh).keys() == _Dense.of(n).keys()
+
+    def test_lift_is_kept(self):
+        # the operator cannot change, so each (left, right) is lifted once;
+        # an operator built apart lifts its own, to the same words
+        op = self._op()
+        L = op.lift(0, 1)
+        assert op.lift(0, 1) is L and op.lift(1, 0) is not L
+        fresh = Operator(op.src, op.dst, dict(op.cells)).lift(0, 1)
+        assert fresh is not L
+        signatures = lambda o: {k: [w.signature() for w in ws] for k, ws in o.cells.items()}
+        assert signatures(fresh) == signatures(L)
 
     def test_word_normal_form_leaves_no_cycles(self):
         # the four words of the 3-slot d0 of P_{0} (x) P_{0} at d = 5, 100

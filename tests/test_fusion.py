@@ -427,7 +427,8 @@ class TestReduceTensor:
         (4, (0, 1, 2), (1, 2), 4),
         (6, (0, 1, 2), (3,), 2),
     ])
-    def test_each_division_made_once(self, monkeypatch, d, left, right, divisions):
+    def test_each_division_made_once(self, monkeypatch, fresh_image_memo, d, left, right,
+                                     divisions):
         # one division per entry of A's differentials and power of x gives
         # both the reduced entry (remainder) and incl's correction (quotient)
         A, B = ps_object(d, left), ps_object(d, right)
@@ -706,10 +707,31 @@ def _division_counts(monkeypatch, clear_pivot=None):
     return len(calls), steps
 
 
+def _find_pivot_by_division(mat, constants_only):
+    """`fusion._find_pivot` without its degree test: each candidate of least
+    degree so far is tested by dividing its row and column."""
+    best = None
+    for i, row in enumerate(mat):
+        for j, p in enumerate(row):
+            if p.is_zero():
+                continue
+            if fusion._is_unit(p):
+                return i, j, fusion._line_quotients(p, mat, i, j)
+            if constants_only:
+                continue
+            deg = sum(p.leading_term()[0])
+            if best is None or deg < best[0]:
+                quotients = fusion._line_quotients(p, mat, i, j)
+                if quotients is not None:
+                    best = (deg, i, j, quotients)
+    return None if best is None else best[1:]
+
+
+@pytest.mark.usefixtures("fresh_image_memo")
 class TestDivisionCount:
     # (unit pivot, other non-zero entries of its line, divisions by it,
     # divisions inside its clearing) per pivot, in elimination order
-    PINNED = (4, [(True, 4, 0, 0), (False, 2, 2, 0), (False, 0, 0, 0)])
+    PINNED = (2, [(True, 4, 0, 0), (False, 2, 2, 0), (False, 0, 0, 0)])
 
     def test_each_entry_is_divided_at_most_once(self, monkeypatch):
         total, steps = _division_counts(monkeypatch)
@@ -719,6 +741,36 @@ class TestDivisionCount:
         for unit, line, by_pivot, in_clearing in steps:
             assert in_clearing == 0
             assert by_pivot == (0 if unit else line)
+
+    @pytest.mark.parametrize("d", [4, 5])
+    def test_no_candidate_is_divided_in_vain(self, monkeypatch, d):
+        # every pivot search of every consecutive pair against a copy of
+        # the search that divided each candidate of least degree so far:
+        # the same pivot and quotients, and not one failed division, where
+        # that search failed 32 times at d = 4 and 200 at d = 5
+        failed = []
+        exact_divide, find_pivot = MultiPoly.exact_divide, fusion._find_pivot
+
+        def counted(self, divisor):
+            try:
+                return exact_divide(self, divisor)
+            except NotDivisibleError:
+                failed.append(divisor)
+                raise
+
+        def checked(mat, constants_only):
+            got = find_pivot(mat, constants_only)
+            assert failed == []
+            assert got == _find_pivot_by_division(mat, constants_only)
+            failed.clear()
+            return got
+
+        monkeypatch.setattr(MultiPoly, "exact_divide", counted)
+        monkeypatch.setattr(fusion, "_find_pivot", checked)
+        sets = consecutive_sets(d)
+        for S1, S2 in itertools.product(sets, repeat=2):
+            D = reduce_tensor(ps_object(d, S1), ps_object(d, S2), check=False).reduced
+            decompose_into_PS(D)
 
     def test_a_second_division_in_the_clearing_fails_the_count(self, monkeypatch):
         # negative control: a clearing that divides its row again, as the
