@@ -46,14 +46,19 @@ tokens (`_prim_token`): primitives that compute the same images share one
 token, so the witnesses of different fusion pairs, each built anew, find
 the prefixes they have in common already evaluated, and a quotient and a
 remainder by one modulus share one division.  The memo is bounded: it is
-emptied once it has made `_IMAGE_BOUND` nodes.  Each target row is summed
-in one dict; the sweep, `matrix()` and the probes of `fusion` all evaluate
-through it.  A substitution and a coefficient extraction prepare their
-index maps on their first `apply` and keep them.  Annihilator orders read
+emptied once it has made `_IMAGE_BOUND` nodes, while the token table
+(`_token_of`) is never emptied, so a primitive keeps its token.  Each
+target row is summed in one dict; the sweep, `matrix()` and the probes of
+`fusion` all evaluate through it.  A substitution and a coefficient
+extraction prepare their index maps on their first `apply` and keep
+them.  Annihilator orders read
 each word's factors from `_ANNIHILATOR_CACHE`, one entry per process for
-each source shape, internal variable and non-multiplier signature, beside
-`_RING_CACHE`, `_IDENTITY_CACHE` (one identity operator per module),
-`_PS_CACHE`, `_TENSOR_CACHE` and `polycalc._DIV_CACHE`.
+each source shape, internal variable and non-multiplier signature.  Every
+other process memo is a functools cache (`Operator.identity`,
+`_ps_object`, `_token_of`, reporting through `cache_info()`) or an
+attribute of the interned object that owns it (a `SlotShape`'s ring); the
+module dicts `_SHAPES`, `_ANNIHILATOR_CACHE`, `_IMAGE_ROOTS` and the weak
+`_TENSOR_CACHE` say why they are dicts.
 An `MBF` is immutable too, and so is a `Morphism`.  `ps_object` memoises
 P_S, one object per (d, S).  `tensor_obj` hands out one product per pair of
 factors for as long as something else holds it (`_TENSOR_CACHE`, a
@@ -73,6 +78,7 @@ lift into a glued chain, inserting, collapsing or dropping a junction slot.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import weakref
 from operator import add as _add
@@ -84,9 +90,9 @@ from .polycalc import MultiPoly, Ring, RingMismatch, product_terms, subst_plan
 
 DEFAULT_CUTOFF = 30
 
-_RING_CACHE: dict = {}
-_SHAPES: dict = {}  # (nslots, nvars, conductor) -> its one SlotShape
-_IDENTITY_CACHE: dict = {}  # FreeBimod -> Operator.identity
+# (nslots, nvars, conductor) -> its one SlotShape.  A dict, not a functools
+# cache, because interning happens in `SlotShape.__new__`.
+_SHAPES: dict = {}
 
 
 class SlotShape:
@@ -95,10 +101,11 @@ class SlotShape:
     Interned: one instance per (nslots, nvars, conductor) for the process
     (`_SHAPES`), so equality is identity, the default `==`, and the tuple
     keys of the evaluation memos that hold shapes compare without a Python
-    call.  The hash stays that of the key tuple.
+    call.  The hash stays that of the key tuple.  Each shape builds its
+    ring once, when it is made, and `ring()` returns it.
     """
 
-    __slots__ = ("nslots", "nvars", "conductor", "_key", "_hash")
+    __slots__ = ("nslots", "nvars", "conductor", "_ring", "_hash")
 
     def __new__(cls, nslots: int, nvars: int, conductor: int):
         key = (nslots, nvars, conductor)
@@ -110,8 +117,9 @@ class SlotShape:
             object.__setattr__(self, "nslots", nslots)
             object.__setattr__(self, "nvars", nvars)
             object.__setattr__(self, "conductor", conductor)
-            object.__setattr__(self, "_key", key)
             object.__setattr__(self, "_hash", hash(key))
+            names = [v for s in range(nslots) for v in self.slot_names(s)]
+            object.__setattr__(self, "_ring", Ring(names, conductor))
             self = _SHAPES.setdefault(key, self)
         return self
 
@@ -152,14 +160,7 @@ class SlotShape:
         return tuple(out)
 
     def ring(self) -> Ring:
-        key = self._key
-        r = _RING_CACHE.get(key)
-        if r is None:
-            names = []
-            for s in range(self.nslots):
-                names.extend(self.slot_names(s))
-            r = _RING_CACHE.setdefault(key, Ring(names, self.conductor))
-        return r
+        return self._ring
 
     def widen(self, left: int, right: int) -> "SlotShape":
         """This chain with `left` slots glued on before it and `right` after."""
@@ -692,14 +693,12 @@ class Operator:
         return _holds_rows(self.src, self.dst)
 
     @staticmethod
+    @functools.cache
     def identity(mod: FreeBimod) -> "Operator":
         """The identity of `mod`: one identity word per copy, and on a 2-slot
         chain the identity matrix too.  It is immutable, so there is one per
-        module and process (`_IDENTITY_CACHE`)."""
-        op = _IDENTITY_CACHE.get(mod)
-        if op is None:
-            op = _IDENTITY_CACHE[mod] = _diagonal(mod, mod.shape.ring().one())
-        return op
+        module and process (a functools cache)."""
+        return _diagonal(mod, mod.shape.ring().one())
 
     @staticmethod
     def from_poly_matrix(src: FreeBimod, dst: FreeBimod, rows) -> "Operator":
@@ -914,16 +913,15 @@ def _word_steps(w: Word) -> tuple:
 # process: (source shape, exponent tuple) -> the root (monomial, children)
 # of a trie as in `Operator._prefix_image`.  Operators of different fusion
 # pairs evaluate the same prefixes on the same monomials, so the memo must
-# outlive an operator; it is bounded instead, and emptied with
-# `_PRIM_TOKENS` once _IMAGE_BOUND nodes have been made since it was last
-# emptied.  The bound holds the 1,364 nodes of all 144 witnesses at d = 4;
-# the 900 at d = 6 make 9,342, which kept whole would add about 8 MB.
+# outlive an operator; it is bounded instead, and emptied once _IMAGE_BOUND
+# nodes have been made since it was last emptied.  A dict, not a functools
+# cache, because it is a trie that counts its nodes.  The bound holds the
+# 1,364 nodes of all 144 witnesses at d = 4; the 900 at d = 6 make 9,342,
+# which kept whole would add about 8 MB.
 _IMAGE_ROOTS: dict = {}
 _IMAGE_BOUND = 2048
 _image_nodes = 0  # nodes made since the memo was last emptied
 _image_epoch = 0  # how often it has been emptied
-# what a primitive computes -> its token, see `_prim_token`
-_PRIM_TOKENS: dict = {}
 _NEXT_TOKEN = itertools.count(0, 2)
 
 
@@ -948,12 +946,18 @@ def _count_images(n: int):
 
 
 def _clear_image_memo():
-    """Empty the shared image memo and the token table."""
+    """Empty the shared image memo.  The token table is kept, so a token
+    names one computation for the life of the process."""
     global _image_nodes, _image_epoch
     _IMAGE_ROOTS.clear()
-    _PRIM_TOKENS.clear()
     _image_nodes = 0
     _image_epoch += 1
+
+
+@functools.cache
+def _token_of(key) -> int:
+    """The even token of what a primitive computes, see `_prim_token`."""
+    return next(_NEXT_TOKEN)
 
 
 def _prim_token(prim) -> int:
@@ -961,28 +965,22 @@ def _prim_token(prim) -> int:
     token when they compute the same images, term order included.  That is
     their signature, except that a multiplier's polynomial is compared with
     its term order, which orders its products, and that a division's part is
-    left out: its `quo` takes an even token t and its `rem` t + 1.
-
-    A primitive keeps its token with the epoch of the token table that gave
-    it.  Tokens are never given twice, so an old one still names only what
-    it computes; but a `quo` and a `rem` share a division only when their
-    tokens come from one table, so a primitive asks again after a clear."""
-    kept = prim._token
-    if kept is not None and kept[0] == _image_epoch:
-        return kept[1]
-    kind = type(prim)
-    if kind is PQuo:
-        key = ("div", prim.shape, prim.modulus, prim.var)
-    elif kind is PMul:
-        key = ("mul", prim.shape, tuple(prim.poly.terms.items()))
-    else:
-        key = prim.signature()
-    t = _PRIM_TOKENS.get(key)
+    left out: its `quo` takes an even token t and its `rem` t + 1.  The
+    table is never emptied, so a primitive keeps its token, and a `quo` and
+    a `rem` by one modulus share a division whenever they were made."""
+    t = prim._token
     if t is None:
-        t = _PRIM_TOKENS[key] = next(_NEXT_TOKEN)
-    if kind is PQuo and prim.part == "rem":
-        t += 1
-    prim._token = (_image_epoch, t)
+        kind = type(prim)
+        if kind is PQuo:
+            key = ("div", prim.shape, prim.modulus, prim.var)
+        elif kind is PMul:
+            key = ("mul", prim.shape, tuple(prim.poly.terms.items()))
+        else:
+            key = prim.signature()
+        t = _token_of(key)
+        if kind is PQuo and prim.part == "rem":
+            t += 1
+        prim._token = t
     return t
 
 
@@ -1044,9 +1042,10 @@ def _internal_monomials(shape: SlotShape, cutoff: int):
 
 
 # (source shape, internal variable, non-PMul signatures of a word) -> its
-# factors from `_word_annihilator`, each with its multiplicity, or None
+# factors from `_word_annihilator`, each with its multiplicity, or None.  A
+# dict, not a functools cache: the value is computed from a word, which the
+# key does not hold.
 _ANNIHILATOR_CACHE: dict = {}
-_UNSEEN = object()
 
 
 def _annihilator_orders(op: Operator, x: str) -> dict:
@@ -1092,8 +1091,9 @@ def _annihilator_orders(op: Operator, x: str) -> dict:
         for w in ws:
             # words that differ only in multipliers share one annihilator
             key = (shape, x, tuple(p.signature() for p in w.prims if not isinstance(p, PMul)))
-            mult = _ANNIHILATOR_CACHE.get(key, _UNSEEN)
-            if mult is _UNSEEN:
+            try:
+                mult = _ANNIHILATOR_CACHE[key]
+            except KeyError:
                 fs = _word_annihilator(w, start)
                 mult = _ANNIHILATOR_CACHE[key] = None if fs is None else {f: fs.count(f) for f in fs}
             if mult is None:
@@ -1572,7 +1572,8 @@ def _tensor(X: MBF, Y: MBF, glue: bool) -> MBF:
     return MBF._deferred(m0, m1, X.w, grading, build)
 
 
-# (X, Y) -> tensor_obj(X, Y), for as long as something else holds the product
+# (X, Y) -> tensor_obj(X, Y), for as long as something else holds the
+# product.  Not a functools cache, whose values would be strong.
 _TENSOR_CACHE = weakref.WeakValueDictionary()
 
 
@@ -1643,25 +1644,26 @@ def charge_matrix_ps(d: int, j: int):
     return (Rat(-j, 2),), (Rat(j - d + 2, 2),)
 
 
-_PS_CACHE: dict = {}
-
-
 def ps_object(d: int, S) -> MBF:
     """P_S = (R⊗R, R⊗R, p_{S^c}, p_S) for W = x^d, graded.
 
-    One object per (d, S): at most 2^d − 2 for each d, built on first use."""
+    One object per (d, S): at most 2^d − 2 for each d, built on first use
+    (`_ps_object`).  S is normalised and checked on every call, so an
+    improper S always raises ValueError."""
     S = tuple(sorted(set(i % d for i in S)))
     if not S or len(S) == d:
         raise ValueError("S must be a proper nonempty residue set")
-    P = _PS_CACHE.get((d, S))
-    if P is None:
-        shape = SlotShape(2, 1, d)
-        ring = shape.ring()
-        Sc = [i for i in range(d) if i not in S]
-        P = _PS_CACHE.setdefault((d, S), mbf_from_polys(
-            shape, [[ring.p_S(Sc)]], [[ring.p_S(S)]], fermat_potential(d),
-            charge_matrix_ps(d, len(S) - 1)))
-    return P
+    return _ps_object(d, S)
+
+
+@functools.cache
+def _ps_object(d: int, S: tuple) -> MBF:
+    """P_S for a sorted proper residue tuple S, once per process."""
+    shape = SlotShape(2, 1, d)
+    ring = shape.ring()
+    Sc = [i for i in range(d) if i not in S]
+    return mbf_from_polys(shape, [[ring.p_S(Sc)]], [[ring.p_S(S)]], fermat_potential(d),
+                          charge_matrix_ps(d, len(S) - 1))
 
 
 def twist_object(D: MBF, m: int, n: int) -> MBF:

@@ -26,16 +26,16 @@ residues with the sparse elimination that also solves over Q(zeta_n)
 (``linalg.rank_mod_p``), for lower bounds on ranks.
 
 Values are immutable; all operations return fresh objects, so sharing across
-threads is safe.  The Phi_n, (p, r) and unit caches are filled idempotently
-(recomputation yields the identical value), which is harmless under
-concurrent first use; the bounded memo of irrational inverses is an
-``lru_cache``, which is thread-safe.
+threads is safe.  Every memo (Phi_n, the (p, r) rule, the reduction rows,
+the unit and the bounded memo of irrational inverses) is a ``functools``
+cache, which is thread-safe and reports its size and hits through
+``cache_info()``.
 """
 
 from __future__ import annotations
 
 import math
-from functools import lru_cache, reduce
+from functools import cache, lru_cache, reduce
 from operator import add, mul, sub
 
 import mpmath
@@ -43,9 +43,6 @@ import mpmath
 from ._rat import Rat, rat_str
 
 DEFAULT_PRECISION_BITS = 128
-
-_PHI_CACHE: dict[int, tuple] = {}
-_ONES: dict[int, "Cyclo"] = {}
 
 
 class ConductorMismatch(ValueError):
@@ -74,6 +71,7 @@ def _poly_divmod(num: list, den: list) -> tuple[list, list]:
     return _poly_trim(q), _poly_trim(num)
 
 
+@cache
 def cyclotomic_poly(n: int) -> tuple:
     """Dense integer coefficients (low to high) of Phi_n, by exact division.
 
@@ -81,9 +79,6 @@ def cyclotomic_poly(n: int) -> tuple:
     """
     if n < 1:
         raise ValueError("conductor must be >= 1")
-    cached = _PHI_CACHE.get(n)
-    if cached is not None:
-        return cached
     num = [0] * (n + 1)
     num[0] = -1
     num[n] = 1
@@ -92,9 +87,7 @@ def cyclotomic_poly(n: int) -> tuple:
             num, rem = _poly_divmod(num, cyclotomic_poly(d))
             if rem:
                 raise AssertionError(f"Phi_{d} must divide t^{n}-1 exactly")
-    result = tuple(num)
-    _PHI_CACHE[n] = result
-    return result
+    return tuple(num)
 
 
 def euler_phi(n: int) -> int:
@@ -102,7 +95,6 @@ def euler_phi(n: int) -> int:
 
 
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
-_MODULAR: dict[int, tuple] = {}
 
 
 def _is_prime(m: int) -> bool:
@@ -129,6 +121,7 @@ def _is_prime(m: int) -> bool:
     return True
 
 
+@cache
 def modular_prime(n: int) -> tuple:
     """(p, r) for reducing Q(zeta_n) modulo a prime; memoised per conductor.
 
@@ -136,38 +129,28 @@ def modular_prime(n: int) -> tuple:
     roots of unity, and r = g^((p-1)/n) for the least g >= 2 with
     Phi_n(r) ≡ 0 (mod p), a primitive n-th root of unity.
     """
-    found = _MODULAR.get(n)
-    if found is None:
-        p = -(-2 ** 31 // n) * n + 1  # least k·n + 1 above 2^31
-        while not _is_prime(p):
-            p += n
-        phi = cyclotomic_poly(n)
-        g = 2
-        while True:
-            r = pow(g, (p - 1) // n, p)
-            if sum(c * pow(r, i, p) for i, c in enumerate(phi)) % p == 0:
-                break
-            g += 1
-        found = _MODULAR.setdefault(n, (p, r))
-    return found
+    p = -(-2 ** 31 // n) * n + 1  # least k·n + 1 above 2^31
+    while not _is_prime(p):
+        p += n
+    phi = cyclotomic_poly(n)
+    g = 2
+    while True:
+        r = pow(g, (p - 1) // n, p)
+        if sum(c * pow(r, i, p) for i, c in enumerate(phi)) % p == 0:
+            return p, r
+        g += 1
 
 
-_RED_ROWS: dict = {}
-
-
+@cache
 def _reduction_rows(n: int) -> tuple:
     """Row k: the non-zero (j, c) of t^(phi+k) mod Phi_n = sum c*t^j, for k
     up to phi-2.  Integers, since Phi_n is monic over Z."""
-    rows = _RED_ROWS.get(n)
-    if rows is None:
-        phi = euler_phi(n)
-        out = []
-        for k in range(max(0, phi - 1)):
-            _, rem = _poly_divmod([0] * (phi + k) + [1], cyclotomic_poly(n))
-            out.append(tuple((j, c) for j, c in enumerate(rem) if c))
-        rows = tuple(out)
-        _RED_ROWS[n] = rows
-    return rows
+    phi = euler_phi(n)
+    out = []
+    for k in range(max(0, phi - 1)):
+        _, rem = _poly_divmod([0] * (phi + k) + [1], cyclotomic_poly(n))
+        out.append(tuple((j, c) for j, c in enumerate(rem) if c))
+    return tuple(out)
 
 
 def _normalized(n: int, num: tuple, den: int) -> "Cyclo":
@@ -224,12 +207,10 @@ class Cyclo:
         return _raw(n, (0,) * euler_phi(n), 1)
 
     @staticmethod
+    @cache
     def one(n: int) -> "Cyclo":
         # values are immutable, so one per conductor serves every caller
-        one = _ONES.get(n)
-        if one is None:
-            one = _ONES.setdefault(n, Cyclo.from_rat(n, 1))
-        return one
+        return Cyclo.from_rat(n, 1)
 
     @staticmethod
     def root(n: int, k: int = 1) -> "Cyclo":

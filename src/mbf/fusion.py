@@ -40,6 +40,8 @@ d = 4 every entry happens to hold on the nose).
 
 from __future__ import annotations
 
+import functools
+
 from . import VerificationError
 from .exactalg import Cyclo
 from .polycalc import MultiPoly, NotDivisibleError
@@ -100,25 +102,22 @@ def m_prime_word(d: int, j: int) -> Word:
     return w_collapse(SlotShape(3, 1, d), 0, Cyclo.root(d, -j), "right")
 
 
-# (d, i mod d, j mod d) -> lam(d, i, j)
-_LAM_CACHE: dict = {}
-
-
 def lam(d: int, i: int, j: int) -> Morphism:
     """The group-like junction P_i ⊗ P_j → P_{i+j}, acting by m_word(d, j)
     on the Y0 columns.  Unchecked.
 
     It depends on i and j mod d only, and a morphism is immutable, so there
-    is one per (d, i mod d, j mod d) and process (`_LAM_CACHE`)."""
-    key = (d, i % d, j % d)
-    mor = _LAM_CACHE.get(key)
-    if mor is None:
-        T = tensor_obj(ps_object(d, [i]), ps_object(d, [j]))
-        K = ps_object(d, [(i + j) % d])
-        m = m_word(d, j)
-        mor = _LAM_CACHE[key] = Morphism(T, K, 0, Operator(T.m0, K.m0, {(0, 0): (m,)}),
-                                         Operator(T.m1, K.m1, {(0, 0): (m,)}))
-    return mor
+    is one per (d, i mod d, j mod d) and process (`_lam`)."""
+    return _lam(d, i % d, j % d)
+
+
+@functools.cache
+def _lam(d: int, i: int, j: int) -> Morphism:
+    T = tensor_obj(ps_object(d, [i]), ps_object(d, [j]))
+    K = ps_object(d, [(i + j) % d])
+    m = m_word(d, j)
+    return Morphism(T, K, 0, Operator(T.m0, K.m0, {(0, 0): (m,)}),
+                    Operator(T.m1, K.m1, {(0, 0): (m,)}))
 
 
 def f_pair(d: int):

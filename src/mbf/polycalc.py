@@ -14,7 +14,7 @@ one-term factor can make no two terms meet and no coefficient vanish, so it
 is a single pass, and on either path a unit coefficient is copied, not
 multiplied.  `Ring.p_S` places the coefficients of a root product,
 computed once per process for each conductor and sequence of residues
-(`_ROOT_PRODUCTS`), on any pair of variables.
+(`_root_product`, a functools cache), on any pair of variables.
 
 Textual form: terms joined by ' + ' / ' - ', factors joined by '*', powers with
 '^', e.g. '3/2*a^2*x1*b'.  The primitive root of the ring's conductor prints
@@ -24,13 +24,12 @@ as 'z' (so 'a - z*b' at conductor 3 means a - zeta_3 b).
 from __future__ import annotations
 
 import re
+from functools import cache
 from operator import add
 from typing import Iterable, Mapping
 
 from ._rat import Rat, rat_str
 from .exactalg import Cyclo
-
-_ZERO_EXP_CACHE: dict[int, tuple] = {}
 
 
 class NotDivisibleError(ValueError):
@@ -55,11 +54,12 @@ class RingMismatch(ValueError):
 class Ring:
     """Polynomial ring Q(zeta_conductor)[vars], variables ordered as given.
 
-    Its hash is computed when it is built.  Rings come from one cache per
-    slot shape, so the two rings of a product or a division are nearly
-    always one object, and `MultiPoly._check` tests that first."""
+    Its hash and its zero exponent tuple are computed when it is built.
+    Each interned slot shape builds its ring once, so the two rings of a
+    product or a division are nearly always one object, and
+    `MultiPoly._check` tests that first."""
 
-    __slots__ = ("vars", "conductor", "_index", "_hash")
+    __slots__ = ("vars", "conductor", "_index", "_hash", "_zero_exp")
 
     def __init__(self, variables: Iterable[str], conductor: int = 1):
         vs = tuple(variables)
@@ -69,6 +69,7 @@ class Ring:
         object.__setattr__(self, "conductor", conductor)
         object.__setattr__(self, "_index", {v: i for i, v in enumerate(vs)})
         object.__setattr__(self, "_hash", hash((vs, conductor)))
+        object.__setattr__(self, "_zero_exp", (0,) * len(vs))
 
     def __setattr__(self, *a):
         raise AttributeError("Ring is immutable")
@@ -92,13 +93,6 @@ class Ring:
         except KeyError:
             raise KeyError(f"variable {name!r} not in ring {self.vars}") from None
 
-    def _zero_exp(self) -> tuple:
-        n = len(self.vars)
-        e = _ZERO_EXP_CACHE.get(n)
-        if e is None:
-            e = _ZERO_EXP_CACHE.setdefault(n, (0,) * n)
-        return e
-
     # -- element constructors ----------------------------------------------
 
     def coerce_scalar(self, c) -> Cyclo:
@@ -118,7 +112,7 @@ class Ring:
 
     def const(self, c) -> "MultiPoly":
         cc = self.coerce_scalar(c)
-        return MultiPoly(self, {} if cc.is_zero() else {self._zero_exp(): cc})
+        return MultiPoly(self, {} if cc.is_zero() else {self._zero_exp: cc})
 
     def var(self, name: str) -> "MultiPoly":
         e = [0] * len(self.vars)
@@ -150,35 +144,28 @@ class Ring:
             raise ValueError(f"p_S needs two distinct variables, got {v1!r} twice")
         n = self.conductor
         terms = {}
-        e = list(self._zero_exp())
+        e = list(self._zero_exp)
         for k, j, c in _root_product(n, tuple(i % n for i in residues)):
             e[i1], e[i2] = k, j
             terms[tuple(e)] = c
         return MultiPoly._raw(self, terms)
 
 
-# (conductor, residues mod the conductor) -> ((power of v1, power of v2,
-# coefficient), ...) of prod (v1 - zeta^i v2), for `Ring.p_S`
-_ROOT_PRODUCTS: dict = {}
-
-
+@cache
 def _root_product(n: int, residues: tuple) -> tuple:
     """The terms of prod_{i in residues} (v1 - zeta_n^i v2) on exponent pairs,
-    computed on the first call for each key.  Each factor runs the recurrence
-    c_j <- c_j - zeta^i c_{j-1} (c_j the coefficient of v1^(m-j) v2^j)
+    ((power of v1, power of v2, coefficient), ...), computed on the first
+    call for each conductor and residues mod it.  Each factor runs the
+    recurrence c_j <- c_j - zeta^i c_{j-1} (c_j the coefficient of v1^(m-j) v2^j)
     through `product_terms`, so the terms come in the order that multiplying
     the factors in turn gives: descending powers of v1, except that a power
     whose coefficient vanished at one step and returns at a later one comes
     after the powers that stayed (at conductor 6, residues 0, 1, 2, 4, 5)."""
-    key = (n, residues)
-    terms = _ROOT_PRODUCTS.get(key)
-    if terms is None:
-        one = Cyclo.one(n)
-        acc = {(0, 0): one}
-        for i in residues:
-            acc = product_terms(acc, {(1, 0): one, (0, 1): -Cyclo.root(n, i)})
-        terms = _ROOT_PRODUCTS.setdefault(key, tuple((k, j, c) for (k, j), c in acc.items()))
-    return terms
+    one = Cyclo.one(n)
+    acc = {(0, 0): one}
+    for i in residues:
+        acc = product_terms(acc, {(1, 0): one, (0, 1): -Cyclo.root(n, i)})
+    return tuple((k, j, c) for (k, j), c in acc.items())
 
 
 def _same_conductor(source: Ring, target: Ring):
@@ -543,10 +530,7 @@ class MultiPoly:
         the divisor's power table (see `_PowerTable`).
         """
         self._check(divisor)
-        key = (self.ring, var, divisor)
-        table = _DIV_CACHE.get(key)
-        if table is None:
-            table = _DIV_CACHE.setdefault(key, _PowerTable(divisor, var))
+        table = _power_table(self.ring, var, divisor)
         i, n = table.i, table.n
         quo: dict = {}
         rem: dict = {}
@@ -580,8 +564,11 @@ class MultiPoly:
 
 # -- division by a monic modulus ---------------------------------------------------
 
-# (ring, var, divisor) -> _PowerTable
-_DIV_CACHE: dict = {}
+@cache
+def _power_table(ring: Ring, var: str, divisor: MultiPoly) -> "_PowerTable":
+    """The one power table of `divisor` in `var`.  The ring comes first in
+    the key, so equal-term divisors of other rings are never compared."""
+    return _PowerTable(divisor, var)
 
 
 class _PowerTable:

@@ -307,7 +307,7 @@ class TestSharedObjects:
     """`ps_object` hands out one object per (d, S), so an MBF is immutable."""
 
     def test_one_object_per_residue_set(self):
-        assert ps_object(4, [1, 0]) is ps_object(4, (5, 0))
+        assert ps_object(4, [1, 0]) is ps_object(4, (5, 0)) is ps_object(4, (0, 1))
         assert ps_object(4, (0,)) is not ps_object(5, (0,))
         assert len({id(P) for P in _all_ps(4)}) == 14
 
@@ -983,6 +983,23 @@ class TestMemoisedEvaluation:
         calls = _count_divisions(monkeypatch)
         assert [op.apply_basis(copy, x3) for copy in (0, 1)] == want
         assert calls == ["x1"]
+
+    def test_tokens_outlive_an_emptying(self, monkeypatch, fresh_image_memo):
+        # the token table is never emptied: a quo made before the memo is
+        # emptied keeps its token, and a rem by the same modulus made after
+        # it still shares the quo's division
+        shape, mod, ring = _one_copy()
+        q, x3 = ring.parse("x1^2 - b^2"), {"x1": 3}
+        quo = w_quo(shape, q, "x1")
+        _op(mod, quo).apply_basis(0, x3)
+        (prim,) = quo.prims
+        token = prim._token
+        bifact._clear_image_memo()
+        op = _op(mod, quo, w_rem(shape, q, "x1"))
+        want = _plain_images(op, 0, x3)
+        calls = _count_divisions(monkeypatch)
+        assert op.apply_basis(0, x3) == want
+        assert prim._token == token and calls == ["x1"]
 
     def test_witness_divisions(self, monkeypatch, fresh_image_memo):
         # the P_{0,1} ⊗ P_{0,1} witness at d = 4: each word prefix once per
@@ -1712,6 +1729,7 @@ class TestStoredKeys:
         a, b = SlotShape(3, 2, 4), SlotShape(3, 2, 4)
         assert a is b and a == b and hash(a) == hash(b) == hash((3, 2, 4))
         assert {a: "ring"}[b] == "ring" and a.ring() is b.ring()
+        assert SlotShape(3, 1, 4).ring() is SlotShape(3, 1, 4).ring()
         other = SlotShape(3, 2, 5)
         assert a != other and (3, 2, 4) != a
         assert len({a, b, other}) == 2
@@ -1942,9 +1960,11 @@ class TestMatrixHeldOperators:
     def test_identity_is_the_identity_matrix(self):
         shape = SlotShape(2, 1, 3)
         ring = shape.ring()
-        ident = Operator.identity(FreeBimod(shape, 2))
+        mod, again = FreeBimod(shape, 2), FreeBimod(shape, 2)
+        ident = Operator.identity(mod)
         assert ident.matrix() == ((ring.one(), ring.zero()), (ring.zero(), ring.one()))
-        assert Operator.identity(FreeBimod(shape, 2)) is ident  # immutable: one per module
+        assert again is not mod and again == mod
+        assert Operator.identity(again) is ident  # immutable: one per module
         assert {k: [(w.coeff, w.signature()) for w in ws] for k, ws in ident.cells.items()} == {
             (i, i): [(Cyclo.one(3), Word.identity(shape).signature())] for i in range(2)}
 

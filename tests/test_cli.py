@@ -660,6 +660,16 @@ class TestSharedParser:
         proc = python("-c", "from mbf import cli; print(cli.build_parser.cache_info().currsize)")
         assert proc.returncode == 0 and proc.stdout == b"0\n"
 
+    def test_import_fills_no_process_memo(self):
+        memos = ("exactalg.cyclotomic_poly", "exactalg.modular_prime", "exactalg._reduction_rows",
+                 "exactalg.Cyclo.one", "polycalc._root_product", "polycalc._power_table",
+                 "bifact.Operator.identity", "bifact._ps_object", "bifact._token_of",
+                 "fusion._lam")
+        code = ("import mbf.cli\nfrom mbf import bifact, exactalg, fusion, polycalc\n"
+                f"print([m.cache_info().currsize for m in ({', '.join(memos)})])")
+        proc = python("-c", code)
+        assert proc.returncode == 0 and proc.stdout == f"{[0] * len(memos)}\n".encode()
+
     def test_earlier_calls_leave_no_state(self, capsys):
         # a usage error, --version and a help page each end in SystemExit
         # part-way through a parse; later parses must not see any of it

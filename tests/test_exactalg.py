@@ -338,8 +338,9 @@ class TestModularReduction:
         import sys
 
         src = pathlib.Path(__file__).resolve().parent.parent / "src"
-        code = "import mbf.exactalg as e; assert not e._MODULAR; e.modular_prime(4); print(e._MODULAR)"
+        code = ("import mbf.exactalg as e; size = lambda: e.modular_prime.cache_info().currsize; "
+                "assert size() == 0; print(e.modular_prime(4), size())")
         out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                              env={**os.environ, "PYTHONPATH": str(src)})
         assert out.returncode == 0, out.stderr
-        assert out.stdout.strip() == "{4: (2147483693, 72742850)}"
+        assert out.stdout.strip() == "(2147483693, 72742850) 1"

@@ -82,6 +82,7 @@ class TestGroupLikeJunctions:
 
     def test_one_lam_per_residue_pair(self):
         assert lam(5, 1, 2) is lam(5, 1 + 5, 2) is lam(5, 1, 2 - 5)
+        assert lam(4, 1, 2) is lam(4, 5, 6)
         assert lam(5, 1, 2) is not lam(5, 2, 1) and lam(5, 1, 2) is not lam(6, 1, 2)
         # and it is built on the one shared tensor product of its ends
         assert lam(5, 1, 2).src is tensor_obj(ps_object(5, [1]), ps_object(5, [2]))

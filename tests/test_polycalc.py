@@ -312,42 +312,43 @@ class TestPowerTableDivision:
     def test_rows_out_of_order_match_fresh_table(self):
         R = Ring(["a", "x", "b"], 7)
         divisor = R.p_S([1, 4, 6], "x", "b") + R.parse("a*b*x - a^2")
-        key = (R, "x", divisor)
-        polycalc._DIV_CACHE.pop(key, None)
+        polycalc._power_table.cache_clear()
         dividends = [R.parse(t) for t in ("a*x^3", "x^12*b - x", "z*x^5*a*b^2")]
         out_of_order = [p.divmod_in_var(divisor, "x") for p in dividends]
-        assert len(polycalc._DIV_CACHE[key].rows) == 12 - 3 + 1
+        assert polycalc._power_table.cache_info().currsize == 1
+        assert len(polycalc._power_table(R, "x", divisor).rows) == 12 - 3 + 1
         for p, got in zip(dividends, out_of_order):
-            polycalc._DIV_CACHE.pop(key)
+            polycalc._power_table.cache_clear()
             assert p.divmod_in_var(divisor, "x") == got == _divmod_reference(p, divisor, "x")
 
     def test_bad_divisors_raise_every_time(self):
         R = Ring(["a", "x"], 3)
         a, x = R.var("a"), R.var("x")
+        before = polycalc._power_table.cache_info()
         for _ in range(2):
             with pytest.raises(ZeroDivisionError):
                 x.divmod_in_var(R.zero(), "x")
             with pytest.raises(ValueError):
                 (x**2).divmod_in_var(a * x, "x")
-        assert (R, "x", R.zero()) not in polycalc._DIV_CACHE
-        assert (R, "x", a * x) not in polycalc._DIV_CACHE
+        # each call built a table anew and none was kept
+        after = polycalc._power_table.cache_info()
+        assert after.currsize == before.currsize and after.misses == before.misses + 4
 
     def test_corrupted_row_fails_identity(self):
         # negative control: the identity check sees a wrong table row
         R = Ring(["a", "x", "b"], 5)
         divisor = R.p_S([0, 2], "x", "b") + R.parse("a*b")
-        key = (R, "x", divisor)
         p = R.parse("a*x^6 + b*x")
-        polycalc._DIV_CACHE.pop(key, None)
+        polycalc._power_table.cache_clear()
         try:
             q, r = p.divmod_in_var(divisor, "x")
             assert q * divisor + r == p
-            quo6, rem6 = polycalc._DIV_CACHE[key].row(6)
+            quo6, rem6 = polycalc._power_table(R, "x", divisor).row(6)
             rem6.terms[(0, 0, 3)] = R.root()
             q, r = p.divmod_in_var(divisor, "x")
             assert q * divisor + r != p
         finally:
-            polycalc._DIV_CACHE.pop(key, None)
+            polycalc._power_table.cache_clear()
 
 
 class TestSubstitution:
@@ -608,7 +609,7 @@ class TestRootProductTable:
         assert _terms(got) == _terms(_p_S_reference(R, [0, 1, 2, 4, 5]))
 
     def test_each_key_is_computed_once(self, monkeypatch):
-        monkeypatch.setattr(polycalc, "_ROOT_PRODUCTS", {})
+        polycalc._root_product.cache_clear()
         calls = []
         mul = Cyclo.__mul__
 
@@ -623,10 +624,12 @@ class TestRootProductTable:
         del calls[:]
         # one key for every ring, variable pair and residue representative
         again = [R2.p_S([0, 2, 5]), R2.p_S([7, 9, -2], "b", "a"), R3.p_S([0, 2, 5], "x1", "b")]
-        assert calls == [] and list(polycalc._ROOT_PRODUCTS) == [(7, (0, 2, 5))]
+        info = polycalc._root_product.cache_info()
+        assert calls == [] and (info.currsize, info.misses, info.hits) == (1, 1, 3)
+        assert polycalc._root_product(7, (0, 2, 5)) is polycalc._root_product(7, (0, 2, 5))
         assert again[0] == first
         R2.p_S([5, 2, 0])  # another order of the factors is another key
-        assert calls and len(polycalc._ROOT_PRODUCTS) == 2
+        assert calls and polycalc._root_product.cache_info().currsize == 2
 
     def test_variables_must_differ(self):
         R = Ring(["a", "b"], 5)
