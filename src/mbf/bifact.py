@@ -32,15 +32,17 @@ report changes; the benchmark's digests hash that label, so a label of its
 own waits for a change of the benchmark.
 
 An `Operator` is an immutable sparse matrix, {(row, col): tuple of words}.
-Because it cannot change, it caches its normal form (which is its own
-normal form) and its generator matrix, a tuple of row tuples of
-polynomials.  `Operator.from_poly_matrix` is the one place that checks such
-a matrix (its shape and its ring); the operator it makes starts with the
-rows it was given and is built in normal form.  For
-the same reason it keeps each of its lifts (`Operator.lift`).
+Because it cannot change, it caches its normal form and its generator
+matrix, a tuple of row tuples of polynomials, and keeps each of its lifts
+(`Operator.lift`).  `Operator.from_poly_matrix` is the one place that
+checks such a matrix (its shape and its ring).  An operator made from rows
+holds only those rows and is its own normal form; its words are built on
+the first read of `cells`.
 
-Evaluation is shared by every operator of the process.  A word prefix's
-image on a monomial input is read from one trie per source shape and
+`Operator.apply_basis`, the image of one monomial in one copy, is the one
+evaluation: the sweep, `matrix()` and the probes of `fusion` all go
+through it, and it is shared by every operator of the process.  A word
+prefix's image on a monomial is read from one trie per source shape and
 exponent tuple (`_IMAGE_ROOTS`), whose steps are keyed by primitive
 tokens (`_prim_token`): primitives that compute the same images share one
 token, so the witnesses of different fusion pairs, each built anew, find
@@ -48,12 +50,11 @@ the prefixes they have in common already evaluated, and a quotient and a
 remainder by one modulus share one division.  The memo is bounded: it is
 emptied once it has made `_IMAGE_BOUND` nodes, while the token table
 (`_token_of`) is never emptied, so a primitive keeps its token.  Each
-target row is summed in one dict; the sweep, `matrix()` and the probes of
-`fusion` all evaluate through it.  A substitution and a coefficient
+target row is summed in one dict.  A substitution and a coefficient
 extraction prepare their index maps on their first `apply` and keep
-them.  Annihilator orders read
-each word's factors from `_ANNIHILATOR_CACHE`, one entry per process for
-each source shape, internal variable and non-multiplier signature.  Every
+them.  Annihilator orders read each word's factors from
+`_ANNIHILATOR_CACHE`, one entry per process for each source shape,
+internal variable and tuple of non-multiplier tokens.  Every
 other process memo is a functools cache (`Operator.identity`,
 `_ps_object`, `_token_of`, reporting through `cache_info()`) or an
 attribute of the interned object that owns it (a `SlotShape`'s ring); the
@@ -455,7 +456,7 @@ class Word:
 
     def apply(self, p: MultiPoly) -> MultiPoly:
         """The word applied to p, primitive by primitive, with no memo: the
-        reference for `Operator.apply`."""
+        reference for `Operator.apply_basis`."""
         for prim in self.prims:
             p = prim.apply(p)
         return p if self.coeff.is_one() else p * self.coeff
@@ -616,7 +617,7 @@ class Operator:
     """Sparse matrix of formal word sums between free slot modules.
 
     `cells` maps (row, col) to the tuple of words summed in that entry, in
-    row-major key order; a missing key is a zero entry.  The one constructor
+    row-major key order; a missing key is a zero entry.  The constructor
     copies what it is given into a read-only view, so an operator never
     changes: its normal form and its generator matrix are computed at most
     once and cached, and a normal form is its own normal form.
@@ -629,40 +630,34 @@ class Operator:
     (proj∘incl, λ∘λ⁻¹) is composed word by word and evaluated to rows once,
     through `matrix()`.  `+`, `-` and `scale` act entry by entry, `identity`
     is the identity matrix and `op_equal` compares rows.  An operator made
-    from rows (`from_poly_matrix`, or the algebra above) also holds one
-    normal-form word per non-zero entry, to be lifted, tensored or
-    evaluated.
+    from rows (`from_poly_matrix`, or the algebra above) holds only its rows
+    and is its own normal form; the first read of `cells` builds one
+    normal-form word per non-zero entry.  Only `lift`, `compose` of a word
+    operator with it, `_kron` and `validate_mbf`'s violation detail read
+    those words.
 
-    `apply` and `apply_basis` evaluate through tries of word-prefix
-    images, one per input (see `_prefix_image`).  `_memo` maps each input
-    the operator has seen to its trie root, {input key: (input, children)}.
-    The root of a monomial with coefficient one is the process's
-    (`_shared_root`), so each prefix is evaluated once per input monomial
-    across every cell, every call and every operator, until the shared memo
-    reaches its bound and is emptied; the operator keeps the roots it holds.
-    Any other input gets a trie of the operator's own.  A `quo` and a `rem`
-    by one modulus on one input share one `divmod_in_var`.  The first
-    evaluation prepares every word once (`_word_steps`: its primitive
-    tokens, the terms of a trailing multiplier, its coefficient), and
-    `_images` sums each target row in one dict, applying a word's multiplier
-    and coefficient as its terms go in; the images are those of summing
-    `Word.apply` over each cell, term order included.  `lift` keeps each
-    lift it makes in `_lifts`.
+    `apply_basis` is the one evaluation: it reads each word prefix's image
+    from the process's trie of the input monomial (`_shared_root`,
+    `_prefix_image`), so each prefix is evaluated once per monomial across
+    every cell, call and operator until the shared memo reaches its bound
+    and is emptied.  A `quo` and a `rem` by one modulus on one input share
+    one `divmod_in_var`.  `lift` keeps each lift it makes in `_lifts`.
     """
 
+    # _cells: the read-only cells, or None on an operator made from rows
+    # until `cells` is first read
     # _normal: None until computed, True on a normal form, else the normal form
-    # _plan: None until the first evaluation, then per cell (row, col, its
-    # words' `_word_steps`)
-    __slots__ = ("src", "dst", "cells", "_normal", "_pm", "_memo", "_plan", "_lifts")
+    # _plan: None until the first evaluation, then per source copy the
+    # (row, its words' `_word_steps`) of each cell of that column
+    __slots__ = ("src", "dst", "_cells", "_normal", "_pm", "_plan", "_lifts")
 
     def __init__(self, src: FreeBimod, dst: FreeBimod, cells=None):
         cells = {k: tuple(ws) for k, ws in sorted(cells.items()) if ws} if cells else {}
         object.__setattr__(self, "src", src)
         object.__setattr__(self, "dst", dst)
-        object.__setattr__(self, "cells", MappingProxyType(cells))
+        object.__setattr__(self, "_cells", MappingProxyType(cells))
         object.__setattr__(self, "_normal", None)
         object.__setattr__(self, "_pm", None)
-        object.__setattr__(self, "_memo", {})
         object.__setattr__(self, "_plan", None)
         object.__setattr__(self, "_lifts", {})
 
@@ -672,19 +667,28 @@ class Operator:
     @classmethod
     def _of_rows(cls, src: FreeBimod, dst: FreeBimod, pm: tuple) -> "Operator":
         """Multiplication by the unchecked matrix `pm`, a tuple of row tuples,
-        kept as its `matrix()`.  Its cells are in normal form, a constant
-        entry as a coefficient and any other as one multiplication, so the
-        operator is its own normal form."""
-        shape, cells = src.shape, {}
-        for i, row in enumerate(pm):
-            for j, p in enumerate(row):
-                if p.terms:
-                    cv = p.constant_value()
-                    cells[i, j] = (w_mul(shape, p) if cv is None else Word(cv, (), shape, shape),)
-        op = cls(src, dst, cells)
+        kept as its `matrix()`; the operator is its own normal form and has
+        no words until `cells` is read."""
+        op = cls(src, dst)
+        object.__setattr__(op, "_cells", None)
         object.__setattr__(op, "_pm", pm)
         object.__setattr__(op, "_normal", True)
         return op
+
+    @property
+    def cells(self):
+        """The read-only {(row, col): tuple of words}.  On an operator made
+        from rows the words are built on the first read, in normal form: a
+        constant entry as a coefficient and any other as one multiplication."""
+        if self._cells is None:
+            shape, cells = self.src.shape, {}
+            for i, row in enumerate(self._pm):
+                for j, p in enumerate(row):
+                    if p.terms:
+                        cv = p.constant_value()
+                        cells[i, j] = (w_mul(shape, p) if cv is None else Word(cv, (), shape, shape),)
+            object.__setattr__(self, "_cells", MappingProxyType(cells))
+        return self._cells
 
     @property
     def matrix_held(self) -> bool:
@@ -791,32 +795,25 @@ class Operator:
                 k: [w.lift(left, right) for w in ws] for k, ws in self.cells.items()})
         return op
 
-    def apply(self, element) -> list:
-        sring = self.src.shape.ring()
-        if any(p.ring != sring for p in element if not p.is_zero()):
-            raise ValueError("element not in the source ring")
-        return self._images({j: self._memo_root(p) for j, p in enumerate(element)
-                             if not p.is_zero()})
-
     def apply_basis(self, copy: int, exps: dict) -> list:
-        return self._images({copy: self._memo_root(self.src.shape.ring().monomial(exps))})
+        """The image of the monomial `exps` in copy `copy`, one polynomial per
+        target row: that of summing `Word.apply` over each cell of column
+        `copy`, term order included.
 
-    def _images(self, roots: dict) -> list:
-        """The image of the element whose copy j is the input of the memo
-        node roots[j].  Each target row is one dict: each word's prefix image
+        Each target row is one dict: each word's prefix image
         (`_prefix_image`) is multiplied by its trailing multiplier and its
         coefficient on the way in and added term by term, a sum that
         vanishes deleting its term, as `+` of the word images in cell order
-        would."""
+        would.  The first call prepares every word once (`_word_steps`),
+        grouped by source copy (`_plan`)."""
         if self._plan is None:
-            object.__setattr__(self, "_plan", tuple(
-                (i, j, tuple(_word_steps(w) for w in ws if not w.coeff.is_zero()))
-                for (i, j), ws in self.cells.items()))
+            plan = [[] for _ in range(self.src.rank)]
+            for (i, j), ws in self.cells.items():
+                plan[j].append((i, tuple(_word_steps(w) for w in ws if not w.coeff.is_zero())))
+            object.__setattr__(self, "_plan", tuple(map(tuple, plan)))
+        root = _shared_root(self.src.shape, self.src.shape.ring().monomial(exps))
         rows = [{} for _ in range(self.dst.rank)]
-        for i, j, words in self._plan:
-            root = roots.get(j)
-            if root is None:
-                continue
+        for i, words in self._plan[copy]:
             acc = rows[i]
             for steps, mul, c in words:
                 terms = self._prefix_image(steps, root).terms
@@ -836,21 +833,6 @@ class Operator:
                             acc[e] = s
         ring = self.dst.shape.ring()
         return [MultiPoly._raw(ring, acc) for acc in rows]
-
-    def _memo_root(self, p: MultiPoly) -> tuple:
-        """The trie root (p, children) of the input p.  A monomial with
-        coefficient one is keyed by its exponent tuple, so finding it hashes
-        no polynomial, and its root is the process's (`_shared_root`); any
-        other input is keyed by itself and gets a trie of this operator's own."""
-        key = p
-        if len(p.terms) == 1:
-            ((e, c),) = p.terms.items()
-            if c.is_one():
-                key = e
-        node = self._memo.get(key)
-        if node is None:
-            node = self._memo[key] = (p, {}) if key is p else _shared_root(self.src.shape, p, key)
-        return node
 
     @staticmethod
     def _prefix_image(steps: tuple, node: tuple) -> MultiPoly:
@@ -882,10 +864,10 @@ class Operator:
         """The images of the copy generators as a tuple of row tuples: column
         j is the image of copy j.
 
-        From a 2-slot source this is the whole map; an operator made by
-        `from_poly_matrix` returns the rows it was given, any other computes
-        them once.  From a source with internal slots the images are not
-        faithful, so without a given matrix that raises ValueError.
+        From a 2-slot source this is the whole map; an operator made from
+        rows returns them, any other evaluates each generator once
+        (`apply_basis`).  From a source with internal slots the images are
+        not faithful, so without rows that raises ValueError.
         """
         if self._pm is None:
             if self.src.shape.nslots > 2:
@@ -897,7 +879,7 @@ class Operator:
 
 
 def _word_steps(w: Word) -> tuple:
-    """A word prepared for `Operator._images`: (its prefix as (token,
+    """A word prepared for `Operator.apply_basis`: (its prefix as (token,
     primitive) pairs, the terms of a trailing multiplier or None, the
     coefficient or None if it is 1)."""
     prims, mul = w.prims, None
@@ -925,8 +907,9 @@ _image_epoch = 0  # how often it has been emptied
 _NEXT_TOKEN = itertools.count(0, 2)
 
 
-def _shared_root(shape: SlotShape, p: MultiPoly, e: tuple) -> tuple:
-    """The shared trie root of the monomial p, whose exponent tuple is e."""
+def _shared_root(shape: SlotShape, p: MultiPoly) -> tuple:
+    """The shared trie root of the monomial p, with coefficient one."""
+    (e,) = p.terms
     key = (shape, e)
     node = _IMAGE_ROOTS.get(key)
     if node is None:
@@ -937,8 +920,8 @@ def _shared_root(shape: SlotShape, p: MultiPoly, e: tuple) -> tuple:
 
 def _count_images(n: int):
     """Count n new trie nodes, and empty the memo once past its bound.  A
-    walk in progress keeps the nodes it holds, and an operator its roots
-    (`Operator._memo`), but the process's table starts again."""
+    walk in progress keeps the nodes it holds, but the process's table
+    starts again."""
     global _image_nodes
     _image_nodes += n
     if _image_nodes > _IMAGE_BOUND:
@@ -1041,10 +1024,12 @@ def _internal_monomials(shape: SlotShape, cutoff: int):
     yield from rec(0, cutoff, [])
 
 
-# (source shape, internal variable, non-PMul signatures of a word) -> its
-# factors from `_word_annihilator`, each with its multiplicity, or None.  A
-# dict, not a functools cache: the value is computed from a word, which the
-# key does not hold.
+# (source shape, internal variable, tokens of a word's non-PMul primitives)
+# -> its factors from `_word_annihilator`, each with its multiplicity, or
+# None.  Two tokens are equal exactly when the signatures are
+# (`_prim_token`), so a lookup compares integers, not polynomials.  A dict,
+# not a functools cache: the value is computed from a word, which the key
+# does not hold.
 _ANNIHILATOR_CACHE: dict = {}
 
 
@@ -1069,7 +1054,7 @@ def _annihilator_orders(op: Operator, x: str) -> dict:
         σ: v1 ↦ v2, A·σ(A) kills t_k - σ(t_k) = (v1 - v2)·u_k, hence u_k in
         a domain; A alone if σ(A) = A;
       * PQuo by q in v, q̂ = q/lead with v read as E (a lead that is not a
-        constant is unbounded, and the sweep raises on it as before): quo
+        constant is unbounded, and the sweep raises on it): quo
         and rem are linear over the polynomials free of v, so
         an A free of v is kept; on A = E - v, t_k = v^k t_0 and
         q̂(v) ≡ 0 mod q, so rem(t_k) is killed by q̂ and q·quo(t_k) =
@@ -1090,7 +1075,7 @@ def _annihilator_orders(op: Operator, x: str) -> dict:
         cell: dict = {}
         for w in ws:
             # words that differ only in multipliers share one annihilator
-            key = (shape, x, tuple(p.signature() for p in w.prims if not isinstance(p, PMul)))
+            key = (shape, x, tuple(_prim_token(p) for p in w.prims if not isinstance(p, PMul)))
             try:
                 mult = _ANNIHILATOR_CACHE[key]
             except KeyError:
@@ -1150,13 +1135,13 @@ def op_equal(A: Operator, B: Operator, cutoff: int = DEFAULT_CUTOFF):
     are compared by their generator matrices, `matrix()`: the images of the
     copy generators describe such a map completely, whatever its target.
     The verdict is (True, "exact-structural") if they agree, else (False,
-    "exact-generator"); no word is normalised.  Between two 2-slot chains
-    the matrices are the rows the operators hold.  For operators made from
-    rows this is the verdict and the mode of the word tiers below: each
-    cell of one is a single normal-form word (a coefficient or one
-    multiplication), so the normalised difference is empty exactly when the
-    rows agree.  On operators held as words the verdict is the tiers' too;
-    an equality they would have settled by the generator matrix (a
+    "exact-generator"); no word is normalised, and an operator made from
+    rows builds none.  Between two 2-slot chains the matrices are the rows
+    the operators hold.  The verdict is that of the word tiers below: the
+    words of an operator made from rows are one normal-form word per entry
+    (a coefficient or one multiplication), so their normalised difference
+    is empty exactly when the rows agree; on operators held as words, an
+    equality the tiers would have settled by the generator matrix (a
     difference whose words do not cancel but whose images do) reads
     "exact-structural".
 
@@ -1173,10 +1158,9 @@ def op_equal(A: Operator, B: Operator, cutoff: int = DEFAULT_CUTOFF):
     the full sweep checks, in the same order, so a zero prefix proves what
     the full sweep would say and a non-zero one gives its first
     counterexample.  With no bound (an unbounded word, two or more internal
-    variables) or a larger N the sweep runs to `cutoff` as before.  The
-    label stays "verified-to-cutoff" and the reports are unchanged; a label
-    of its own for the proved case waits for a change of the benchmark,
-    whose digests hash it.
+    variables) or a larger N the sweep runs to `cutoff`.  Both read
+    "verified-to-cutoff"; a label of its own for the proved case waits for
+    a change of the benchmark, whose digests hash it.
     """
     if cutoff < 0:
         raise ValueError(f"cutoff must be >= 0, got {cutoff}")

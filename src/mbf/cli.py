@@ -503,7 +503,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     """Run one subcommand; the only code that writes a report or picks the
-    exit code.  A raised check writes nothing."""
+    exit code.  A `ValueError` or an --out that cannot be written exits 2
+    and a `VerificationError` exits 1, both with nothing written."""
     args = build_parser().parse_args(argv)
     try:
         text, ok = args.func(args)

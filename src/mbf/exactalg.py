@@ -25,8 +25,8 @@ coefficients with it once, and ``graded`` ranks δ columns read from those
 residues with the sparse elimination that also solves over Q(zeta_n)
 (``linalg.rank_mod_p``), for lower bounds on ranks.
 
-Values are immutable; all operations return fresh objects, so sharing across
-threads is safe.  Every memo (Phi_n, the (p, r) rule, the reduction rows,
+Values are immutable, so an operation may return an operand (a product with
+a factor 1 returns the other factor) and sharing across threads is safe.  Every memo (Phi_n, the (p, r) rule, the reduction rows,
 the unit and the bounded memo of irrational inverses) is a ``functools``
 cache, which is thread-safe and reports its size and hits through
 ``cache_info()``.

@@ -755,13 +755,11 @@ def verify_fusing_up_to_homotopy(d: int, perturb=None) -> FusingReport:
     entries = []
     for eqno, L, f0, f2 in ((1, L1, F[0][0], F[0][1]), (2, L2, F[1][0], F[1][1])):
         delta = L - X.scale(f0) - Y.scale(f2)
-        moved = transport.compose(delta)
-        theta = Morphism.from_poly_blocks(moved.src, moved.dst, moved.parity,
-                                          moved.opE.matrix(), moved.opO.matrix())
-        ok, mode = theta.is_closed()
+        moved = transport.compose(delta)  # matrix-held: both ends on one 2-slot chain
+        ok, mode = moved.is_closed()
         if not ok:
             raise VerificationError(f"transported defect not closed ({mode})")
-        witness = is_null_homotopic(theta)
+        witness = is_null_homotopic(moved)
         status = "witness" if witness is not None else "no"
         for pos in HOMOTOPY_POSITIONS:
             entries.append({"pos": list(pos), "equation": eqno, "status": status})

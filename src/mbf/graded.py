@@ -123,10 +123,11 @@ def _word_charge_units(word):
 def operator_charge_units(op, src_units, dst_units):
     """Common q_x-unit charge of all words of an operator, or the sentinel.
 
-    A matrix-held operator (`Operator.matrix_held`) is read entry by entry:
-    a non-zero entry's charge is its homogeneous degree, the charge of the
-    one normal-form word its cell holds.  Returns None for a structurally
-    zero operator (any charge fits).
+    A matrix-held operator (`Operator.matrix_held`) is read from its rows,
+    so no word is built: a non-zero entry's charge is its homogeneous
+    degree, the charge of the one normal-form word its cell would hold.
+    Any other operator is read word by word from its normal form.  Returns
+    None for a structurally zero operator (any charge fits).
     """
     if op.matrix_held:
         charges = ((i, j, p.homogeneous_degree())

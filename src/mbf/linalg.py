@@ -4,8 +4,8 @@ One sparse elimination, `Echelon.insert`, does all of it.  A vector is
 {index: value}, zeros skipped; a sequence is read as its `enumerate`.  The
 field is the one parameter: `Cyclo` values by default, residues in [0, p)
 given a prime p.  `rank_mod_p` is the rank of an `Echelon(p)`; `rref`,
-`rank`, `nullspace` and `solve` read an exact one, back-substituted where
-they need the reduced row echelon form.  That form is unique, so their
+`nullspace` and `solve` read an exact one, back-substituted where they
+need the reduced row echelon form.  That form is unique, so their
 results do not depend on the row order, and a None from `solve` is a proof.
 """
 
@@ -88,10 +88,6 @@ def rref(rows):
     out = [[row.get(c, zero) for c in range(ncols)] for _, row in reduced]
     out += [[zero] * ncols for _ in range(len(rows) - len(out))]
     return out, [c for c, _ in reduced]
-
-
-def rank(rows) -> int:
-    return _echelon(rows).rank
 
 
 def rank_mod_p(vectors, p: int) -> int:

@@ -1488,11 +1488,16 @@ class TestSparseOperatorAgainstDense:
                 assert got == rA.kron(ident, op_first, glue).keys()
         for F, G in ((B, E), (E, A), (A, C)):
             assert _Dense.of(_kron(F, G)).keys() == _dense_kron(F, G).keys()
-        polys = [ring.zero(), a, b * b + a, a * b * z + ring.one()]
-        element = [data.draw(st.sampled_from(polys)) for _ in range(A.src.rank)]
-        got = A.apply(element)
-        want = rA.apply(element, ring.zero())
-        assert [list(p.terms.items()) for p in got] == [list(p.terms.items()) for p in want]
+        # a monomial in each copy, and each generator, against the dense
+        # words applied one by one, term order included
+        exps = data.draw(st.sampled_from([{}, {"a": 1}, {"a": 1, "b": 2}]))
+        for j in range(A.src.rank):
+            unit = [ring.monomial(exps) if k == j else ring.zero() for k in range(A.src.rank)]
+            want = rA.apply(unit, ring.zero())
+            assert _term_lists(A.apply_basis(j, exps)) == _term_lists(want)
+            generator = [ring.one() if k == j else ring.zero() for k in range(A.src.rank)]
+            column = [row[j] for row in A.matrix()]
+            assert _term_lists(column) == _term_lists(rA.apply(generator, ring.zero()))
         n = A.normalized()
         assert n.normalized() is n and A.normalized() is n
 
@@ -1639,6 +1644,45 @@ class TestOperatorImmutability:
         given[key].append(word)
         given[0, 0] = [word]
         assert dict(other.cells) == {key: (word,)}
+
+
+class TestRowsBeforeWords:
+    """An operator made from rows holds only its rows; its words are built
+    on the first read of `cells`."""
+
+    def _rows(self):
+        shape = SlotShape(2, 1, 5)
+        ring = shape.ring()
+        z2 = Cyclo.root(5, 2)
+        rows = [[ring.zero(), ring.const(z2)], [ring.p_S([1, 3]), ring.zero()]]
+        return shape, FreeBimod(shape, 2), rows, z2
+
+    def test_no_words_until_cells_are_read(self):
+        _, mod, rows, _ = self._rows()
+        op = Operator.from_poly_matrix(mod, mod, rows)
+        assert op._cells is None
+        made = (op.scale(2), op + op, op - op, op.compose(op), Operator.identity(mod))
+        assert op_equal(made[0], made[1]) == (True, "exact-structural")
+        assert op.matrix() == tuple(map(tuple, rows)) and op.normalized() is op
+        assert all(o._cells is None for o in (op,) + made)
+        cells = op.cells
+        assert cells is op.cells and op._cells is cells
+
+    def test_a_checked_fusion_leaves_the_reduced_object_without_words(self):
+        rt, _ = fuse(5, (0, 1), (1, 2, 3), check=True)
+        assert validate_mbf(rt.reduced).ok
+        assert rt.reduced.d0._cells is None and rt.reduced.d1._cells is None
+
+    def test_words_are_the_eager_normal_form(self):
+        # a zero entry has no cell, a constant one a coefficient and any
+        # other one multiplication; lifting them gives the same words
+        shape, mod, rows, z2 = self._rows()
+        op = Operator.from_poly_matrix(mod, mod, rows)
+        eager = {(0, 1): (Word(z2, (), shape, shape),), (1, 0): (w_mul(shape, rows[1][0]),)}
+        keys = lambda o: {k: [(w.coeff, w.signature()) for w in ws] for k, ws in o.cells.items()}
+        assert keys(op) == keys(Operator(mod, mod, eager))
+        for left, right in ((0, 1), (1, 0), (1, 1)):
+            assert keys(op.lift(left, right)) == keys(Operator(mod, mod, eager).lift(left, right))
 
 
 # -- slot maps ----------------------------------------------------------------
