@@ -939,7 +939,8 @@ def _clear_image_memo():
 
 @functools.cache
 def _token_of(key) -> int:
-    """The even token of what a primitive computes, see `_prim_token`."""
+    """The even token of what a primitive computes, see `_prim_token`, or
+    of an annihilator factor ("factor", f), see `_annihilator_orders`."""
     return next(_NEXT_TOKEN)
 
 
@@ -1025,11 +1026,12 @@ def _internal_monomials(shape: SlotShape, cutoff: int):
 
 
 # (source shape, internal variable, tokens of a word's non-PMul primitives)
-# -> its factors from `_word_annihilator`, each with its multiplicity, or
-# None.  Two tokens are equal exactly when the signatures are
-# (`_prim_token`), so a lookup compares integers, not polynomials.  A dict,
-# not a functools cache: the value is computed from a word, which the key
-# does not hold.
+# -> its factors from `_word_annihilator` as (token, order, multiplicity),
+# or None.  Two tokens are equal exactly when the signatures are
+# (`_prim_token`), and two factors share a token (`_token_of`) exactly when
+# they are equal, so a lookup and a cell's merge compare integers, not
+# polynomials.  A dict, not a functools cache: the value is computed from a
+# word, which the key does not hold.
 _ANNIHILATOR_CACHE: dict = {}
 
 
@@ -1080,15 +1082,16 @@ def _annihilator_orders(op: Operator, x: str) -> dict:
                 mult = _ANNIHILATOR_CACHE[key]
             except KeyError:
                 fs = _word_annihilator(w, start)
-                mult = _ANNIHILATOR_CACHE[key] = None if fs is None else {f: fs.count(f) for f in fs}
+                mult = _ANNIHILATOR_CACHE[key] = None if fs is None else tuple(
+                    (_token_of(("factor", f)), len(f), fs.count(f)) for f in dict.fromkeys(fs))
             if mult is None:
                 orders[j] = None
                 break
-            for f, m in mult.items():
-                if m > cell.get(f, 0):
-                    cell[f] = m
+            for t, n, m in mult:
+                if m > cell.get(t, (0, 0))[1]:
+                    cell[t] = n, m
         else:
-            orders[j] = max(orders[j], sum(len(f) * m for f, m in cell.items()))
+            orders[j] = max(orders[j], sum(n * m for n, m in cell.values()))
     return orders
 
 

@@ -140,9 +140,13 @@ def _label_to_set(lab) -> Tuple[int, ...]:
 def fusion_rule_compare(d: int, verify_homotopy: bool = False) -> dict:
     """Tensor decompositions against coset fusion for all consecutive pairs.
 
-    Every reduction is built with its exact validity checks on (the retract
-    identity in particular); verify_homotopy additionally confirms the
-    homotopy witness for the other composite on each pair.  That witness
+    Every reduction is checked exactly (`fuse`): the retract identity and
+    the grading on each pair; the validity of the reduced object and its
+    summands in full on the first pair of each rotation orbit, and on each
+    later pair by one exact check that its reduced object is the first
+    one's, rotated and conjugated by constant diagonals.  verify_homotopy
+    additionally confirms the homotopy witness for the other composite on
+    each pair.  That witness
     reaches `morphism_equal`'s pointwise sweep, capped at total degree 2d, as
     the report's `homotopy_cutoff` records; each copy stops at its
     shift-annihilator order (2 to 4 at d = 4), and the label stays

@@ -18,7 +18,13 @@ P_S = (p_{S^c}, p_S) with S a proper subset of residues mod d.  It provides
   factor (`reduce_tensor`), with inclusion/projection/homotopy data and the
   grading of the reduced object;
 * decomposition of a finite-rank two-slot factorisation into P_S summands
-  (`decompose_into_PS`).
+  (`decompose_into_PS`), and `fuse`, which reduces and decomposes P_S ⊗ P_T.
+
+Two process memos: `_lam`, a functools cache, holds one group-like junction
+per (d, i mod d, j mod d); `_ORBITS`, a dict, holds the first pair of each
+rotation orbit that `fuse` checked in full, with its reduced object and
+summands, which the later pairs of the orbit are checked against.  It is a
+dict because its value records which member came first.
 
 Entry layout of the 8x2 junction relations
 ------------------------------------------
@@ -510,17 +516,27 @@ def reduce_tensor(Am: MBF, Bm: MBF, check: bool = True) -> ReducedTensor:
     h0 = Operator(T.m0, T.m1, {(at(0, u, 1), at(0, u, 0)): negated for u in range(rA0)})
     h1 = Operator(T.m1, T.m0, {(at(1, u, 1), at(1, u, 0)): (quo,) for u in range(rA1)})
     homotopy = Morphism(T, T, 1, h0, h1)
-
+    rt = ReducedTensor(T, reduced, incl, proj, homotopy)
     if check:
+        _check_reduction(rt)
+    return rt
+
+
+def _check_reduction(rt: ReducedTensor, valid: bool = False):
+    """`reduce_tensor`'s checks, in order: the reduced object is exactly
+    valid (skipped when `valid`, for an object proved valid otherwise),
+    proj∘incl = id exactly, and the reduced grading is valid.  The first
+    that fails raises VerificationError."""
+    reduced = rt.reduced
+    if not valid:
         rep = validate_mbf(reduced)
         if not rep or rep.mode != "exact":
             raise VerificationError(f"reduced object invalid: {rep.violations}")
-        eq, mode = morphism_equal(proj.compose(incl), Morphism.identity(reduced))
-        if not eq or joint_mode([mode]) != "exact":
-            raise VerificationError("proj∘incl is not the identity")
-        if not graded_validate(reduced)["ok"]:
-            raise VerificationError("reduced grading invalid")
-    return ReducedTensor(T, reduced, incl, proj, homotopy)
+    eq, mode = morphism_equal(rt.proj.compose(rt.incl), Morphism.identity(reduced))
+    if not eq or joint_mode([mode]) != "exact":
+        raise VerificationError("proj∘incl is not the identity")
+    if not graded_validate(reduced)["ok"]:
+        raise VerificationError("reduced grading invalid")
 
 
 # -- decomposition into P_S summands --------------------------------------------
@@ -717,11 +733,122 @@ def decompose_into_PS(D: MBF):
     return sorted(out, key=lambda s: (len(s), s))
 
 
+# process: (d, the least member of a pair's rotation orbit) -> (the rotation
+# offset of the first member fused in full, its reduced object, validated
+# exactly, and its summand multiset).  A dict, not a functools cache: the
+# value records which member came first, and a cache on the least member
+# would reduce that member once more.
+_ORBITS: dict = {}
+
+
+def _orbit(d: int, left, right) -> tuple:
+    """(the least of the pairs (left + j, right + j), k) with the pair equal
+    to that least member plus k, every residue shifted mod d."""
+    pair = tuple(tuple(sorted({i % d for i in S})) for S in (left, right))
+    members = [tuple(tuple(sorted((i + j) % d for i in S)) for S in pair) for j in range(d)]
+    least = min(members)
+    return least, -members.index(least) % d
+
+
+def _rotation_conjugate(R: MBF, D: MBF, k: int) -> bool:
+    """Whether D.d0 = L·ρ^k(R.d0)·M⁻¹ and D.d1 = M·ρ^k(R.d1)·L⁻¹ for
+    invertible constant diagonals L (on D1) and M (on D0), where ρ^k is the
+    ring map fixing a and sending b to ζ^(2k)·b.
+
+    L and M are read from the entries: where one end of a non-zero entry is
+    known, one term gives the other, and a copy no known entry reaches gets
+    1.  Every entry is then compared term by term, the term c·b^e of R's
+    entry scaled by ζ^(2ke): D's entry times the diagonal at its source
+    must equal the diagonal at its target times ρ^k of R's.  Only the rows
+    of the four differentials are read; no twisted object is built.
+    """
+    if D.shape != R.shape or D.w != R.w or (D.m0.rank, D.m1.rank) != (R.m0.rank, R.m1.rank):
+        return False
+    d = D.shape.conductor
+    ib = D.shape.ring().index("b")
+    roots = [Cyclo.root(d, 2 * k * e) for e in range(d)]
+    # (parity of the source, row, column, D's entry, R's entry)
+    entries = []
+    for p, (opD, opR) in enumerate(((D.d0, R.d0), (D.d1, R.d1))):
+        for r, (rowD, rowR) in enumerate(zip(opD.matrix(), opR.matrix())):
+            for c, (pD, pR) in enumerate(zip(rowD, rowR)):
+                if pD.terms.keys() != pR.terms.keys():
+                    return False
+                if pR.terms:
+                    entries.append((p, r, c, pD.terms, pR.terms))
+    # the diagonals: scale[0] is M on the D0 copies, scale[1] L on the D1 copies
+    scale = [[None] * D.m0.rank, [None] * D.m1.rank]
+    for p0, i0 in ((p, i) for p in (0, 1) for i in range(len(scale[p]))):
+        if scale[p0][i0] is not None:
+            continue
+        scale[p0][i0] = Cyclo.one(d)
+        grown = True
+        while grown:
+            grown = False
+            for p, r, c, tD, tR in entries:
+                src, dst = scale[p][c], scale[1 - p][r]
+                if (src is None) == (dst is None):
+                    continue
+                e, cR = next(iter(tR.items()))
+                moved = cR * roots[e[ib] % d]
+                if src is None:
+                    scale[p][c] = dst * moved * tD[e].inverse()
+                else:
+                    scale[1 - p][r] = src * tD[e] * moved.inverse()
+                grown = True
+    return all(cD * scale[p][c] == scale[1 - p][r] * (tR[e] * roots[e[ib] % d])
+               for p, r, c, tD, tR in entries for e, cD in tD.items())
+
+
 def fuse(d: int, left, right, check: bool = True):
     """Reduce P_left ⊗ P_right, checked as `reduce_tensor` with `check`, and
-    decompose the reduced object: (ReducedTensor, multiset)."""
-    rt = reduce_tensor(ps_object(d, left), ps_object(d, right), check=check)
-    return rt, decompose_into_PS(rt.reduced)
+    decompose the reduced object: (ReducedTensor, multiset).
+
+    With `check`, the pairs (left + j, right + j) form one rotation orbit,
+    and the first member fused in full is kept in `_ORBITS`, once its
+    checks and decomposition have succeeded.  A later member, k rotations
+    on, is reduced unchecked; proj∘incl = id and the grading are checked
+    on it as always, but in place of `validate_mbf` and `decompose_into_PS`
+    one exact check, `_rotation_conjugate`, finds its reduced object D equal
+    to L·ρ^k(R)·M⁻¹ (d1: M·ρ^k(R)·L⁻¹) for the first member's R and
+    constant diagonals L and M, and the summands are R's shifted by 2k.
+    A failed check, `check=False` and the first member of an orbit take
+    the full path: `validate_mbf`, then `decompose_into_PS`.
+
+    Proof.  Let ρ fix a and send b to ζ²b.
+    * ρ^k is a ring automorphism of C[a, b] fixing a^d − b^d = W(a) − W(b),
+      so ρ^k(R) is a factorisation of it: ρ^k(R.d1)·ρ^k(R.d0) =
+      ρ^k((W(a) − W(b))·I), likewise on D1.
+    * Conjugating by invertible constant diagonals keeps this: D.d1·D.d0 =
+      M·ρ^k(R.d1)·ρ^k(R.d0)·M⁻¹ = (W(a) − W(b))·I, and likewise on D1.  So
+      D is exactly valid, and (M, L) is an even isomorphism ρ^k(R) → D.
+    * ρ^k(P_T) = P_{T+2k} exactly: a − ζ^i b goes to a − ζ^(i+2k) b, so
+      p_T goes to p_{T+2k} and p_{T^c} to p_{(T+2k)^c}.
+    * ρ^k maps R's isomorphism with ⊕P_T plus contractible pieces onto one
+      of ρ^k(R) ≅ D with ⊕P_{T+2k} plus contractible pieces.  By
+      Krull–Schmidt the summand multiset is unique, so it is the multiset
+      `decompose_into_PS` would find on D; sorted, it is the same list.
+    """
+    A, B = ps_object(d, left), ps_object(d, right)
+    if not check:
+        rt = reduce_tensor(A, B, check=False)
+        return rt, decompose_into_PS(rt.reduced)
+    least, k = _orbit(d, left, right)
+    first = _ORBITS.get((d, least))
+    if first is None:
+        rt = reduce_tensor(A, B)
+        summands = decompose_into_PS(rt.reduced)
+        _ORBITS[d, least] = (k, rt.reduced, summands)
+        return rt, summands
+    k0, R, summands = first
+    k = (k - k0) % d
+    rt = reduce_tensor(A, B, check=False)
+    if not _rotation_conjugate(R, rt.reduced, k):
+        _check_reduction(rt)
+        return rt, decompose_into_PS(rt.reduced)
+    _check_reduction(rt, valid=True)
+    shifted = (tuple(sorted((i + 2 * k) % d for i in T)) for T in summands)
+    return rt, sorted(shifted, key=lambda s: (len(s), s))
 
 
 # -- homotopy verification of the remaining fusing entries ----------------------

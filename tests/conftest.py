@@ -2,7 +2,7 @@
 
 import pytest
 
-from mbf import bifact
+from mbf import bifact, fusion
 
 
 @pytest.fixture
@@ -13,3 +13,14 @@ def fresh_image_memo():
     bifact._clear_image_memo()
     yield
     bifact._clear_image_memo()
+
+
+@pytest.fixture
+def fresh_orbits():
+    """Empty the rotation-orbit memo of `fusion.fuse` (`fusion._ORBITS`), so
+    that a test whose outcome depends on whether `fuse` takes the full path
+    or transports a pair along its orbit does not depend on what the tests
+    before it fused."""
+    fusion._ORBITS.clear()
+    yield
+    fusion._ORBITS.clear()

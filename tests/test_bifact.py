@@ -128,7 +128,9 @@ class TestValidate:
         E = mbf_from_polys(shape, D.d0.matrix(), D.d1.matrix(), D.w)
         assert validate_mbf(E) is not rep and len(calls) == 4
 
-    def test_reduced_tensor_keeps_its_check(self, monkeypatch):
+    def test_reduced_tensor_keeps_its_check(self, monkeypatch, fresh_orbits):
+        # the first member of its rotation orbit takes the full path, whose
+        # validate_mbf report the reduced object keeps
         rt, _ = fuse(4, (0, 1), (1, 2), check=True)
         monkeypatch.setattr(bifact, "op_equal", lambda *a: pytest.fail("checked twice"))
         rep = validate_mbf(rt.reduced)
@@ -874,6 +876,23 @@ class TestAnnihilatorSweep:
         shape, _, _ = _one_copy()
         with pytest.raises(ValueError, match="two variables"):
             w_tdiv(shape, "x1", "x1")
+
+    def test_a_cell_merges_its_factors_by_token(self, monkeypatch):
+        # a cached annihilator holds each factor as the token of its value
+        # and its order, so the merge of a cell's words compares integers:
+        # on the P_{0,1,2} ⊗ P_{0,1,2} witness at d = 4 it made 20 and 14
+        # MultiPoly.__eq__ calls per leg before, with the cache already full
+        d = 4
+        rt, _ = fuse(d, (0, 1, 2), (0, 1, 2), check=True)
+        gap = rt.incl.compose(rt.proj) - Morphism.identity(rt.original)
+        delta = rt.homotopy.delta()
+        ops = [(delta.op_from(p) - gap.op_from(p)).normalized() for p in (0, 1)]
+        first = [_annihilator_orders(op, "x1") for op in ops]
+        calls = []
+        eq = MultiPoly.__eq__
+        monkeypatch.setattr(MultiPoly, "__eq__", lambda a, b: calls.append(b) or eq(a, b))
+        assert [_annihilator_orders(op, "x1") for op in ops] == first == [{0: 4, 1: 4}] * 2
+        assert calls == []
 
     def test_witness_evaluations(self, monkeypatch):
         # the P_{0,1} ⊗ P_{1,2} witness at d = 4 evaluates the sum of its column
@@ -1668,7 +1687,7 @@ class TestRowsBeforeWords:
         cells = op.cells
         assert cells is op.cells and op._cells is cells
 
-    def test_a_checked_fusion_leaves_the_reduced_object_without_words(self):
+    def test_a_checked_fusion_leaves_the_reduced_object_without_words(self, fresh_orbits):
         rt, _ = fuse(5, (0, 1), (1, 2, 3), check=True)
         assert validate_mbf(rt.reduced).ok
         assert rt.reduced.d0._cells is None and rt.reduced.d1._cells is None

@@ -265,9 +265,10 @@ def _clear_then_set_pivot(text):
     ids=["residual-block", "not-proportional", "unsplit-partner", "not-lines",
          "improper-defect"],
 )
-def test_failed_decomposition_checks_exit_one(capsys, monkeypatch, target, name,
+def test_failed_decomposition_checks_exit_one(capsys, monkeypatch, fresh_orbits, target, name,
                                               replacement, message):
-    # each is a verdict on a computed object, not on the arguments
+    # each is a verdict on a computed object, not on the arguments; the pair
+    # is the first of its rotation orbit, so it is decomposed, not transported
     monkeypatch.setattr(target, name, replacement)
     # P_{0,1} x P_{1,2,3} has two summands, so clearing a pivot has work to do
     code = main(["fuse", "--d", "5", "--left", "0,1", "--right", "1+2"])

@@ -788,6 +788,147 @@ class TestDivisionCount:
         assert [s[3] for s in steps] == [2, 1, 0]
 
 
+def _counted(monkeypatch, *names):
+    # wrap each named function of `fusion` so that its calls are counted
+    calls = dict.fromkeys(names, 0)
+    for name in names:
+        def wrapped(*a, _real=getattr(fusion, name), _name=name, **kw):
+            calls[_name] += 1
+            return _real(*a, **kw)
+
+        monkeypatch.setattr(fusion, name, wrapped)
+    return calls
+
+
+def _scaled(D, leg: int, row=None, col=None, by=2):
+    # D with one row or one column of one differential multiplied by `by`:
+    # the other differential keeps the diagonal it had, so one entry of L or
+    # M is off
+    mats = [[list(r) for r in op.matrix()] for op in (D.d0, D.d1)]
+    mats[leg] = [[p * by if i == row or j == col else p for j, p in enumerate(r)]
+                 for i, r in enumerate(mats[leg])]
+    return mbf_from_polys(D.shape, *mats, D.w, D.grading)
+
+
+def _shifted(summands, s, d):
+    return sorted((tuple(sorted((i + s) % d for i in T)) for T in summands),
+                  key=lambda t: (len(t), t))
+
+
+class TestRotationOrbits:
+    @pytest.mark.parametrize("d,full,moved", [(4, 36, 108), (5, 80, 320)])
+    def test_every_transported_multiset_is_the_direct_one(self, monkeypatch, fresh_orbits,
+                                                           d, full, moved):
+        # oracle: each consecutive pair reduced and decomposed directly, with
+        # no orbit in play, against `fuse` over all of them in one pass
+        pairs = list(itertools.product(consecutive_sets(d), repeat=2))
+        direct = [decompose_into_PS(reduce_tensor(ps_object(d, S1), ps_object(d, S2),
+                                                  check=False).reduced)
+                  for S1, S2 in pairs]
+        verdicts = []
+        real = fusion._rotation_conjugate
+        monkeypatch.setattr(fusion, "_rotation_conjugate",
+                            lambda *a: verdicts.append(real(*a)) or verdicts[-1])
+        calls = _counted(monkeypatch, "validate_mbf", "decompose_into_PS")
+        assert [fuse(d, S1, S2)[1] for S1, S2 in pairs] == direct
+        assert calls == {"validate_mbf": full, "decompose_into_PS": full}
+        assert verdicts == [True] * moved and len(fusion._ORBITS) == full
+
+    def test_an_unchecked_fusion_neither_reads_nor_fills_the_orbits(
+            self, monkeypatch, fresh_orbits):
+        _, summands = fuse(4, (0, 1), (1, 2), check=False)
+        assert fusion._ORBITS == {}
+        # its rotation, checked, is the first of the orbit: the full path
+        calls = _counted(monkeypatch, "validate_mbf", "decompose_into_PS", "_rotation_conjugate")
+        rt, rotated = fuse(4, (1, 2), (2, 3), check=True)
+        assert calls == {"validate_mbf": 1, "decompose_into_PS": 1, "_rotation_conjugate": 0}
+        assert rotated == _shifted(summands, 2, 4) == [(0,), (0, 1, 3)]
+        assert [value[1] for value in fusion._ORBITS.values()] == [rt.reduced]
+        # and a later unchecked member takes the full path again
+        fuse(4, (2, 3), (3, 0), check=False)
+        assert calls == {"validate_mbf": 1, "decompose_into_PS": 2, "_rotation_conjugate": 0}
+
+    def test_a_failed_fusion_stores_no_member(self, monkeypatch, fresh_orbits):
+        with monkeypatch.context() as m:
+            m.setattr(fusion, "_find_pivot", lambda *a: None)
+            with pytest.raises(VerificationError, match="residual block not factorable"):
+                fuse(5, (0, 1), (1, 2, 3))
+        assert fusion._ORBITS == {}
+        calls = _counted(monkeypatch, "decompose_into_PS")
+        assert fuse(5, (1, 2), (2, 3, 4))[1] == [(0, 4), (0, 1, 3, 4)]
+        assert calls == {"decompose_into_PS": 1}
+
+    def test_the_check_reads_rows_and_builds_no_object(self, monkeypatch, fresh_orbits):
+        rt, summands = fuse(5, (0, 1), (1, 2, 3))
+        D = reduce_tensor(ps_object(5, (3, 4)), ps_object(5, (4, 0, 1)), check=False).reduced
+        with monkeypatch.context() as m:
+            m.setattr(bifact.MBF, "__init__", lambda *a: pytest.fail("an MBF was built"))
+            m.setattr(bifact.MBF, "_deferred", lambda *a: pytest.fail("an MBF was built"))
+            assert fusion._rotation_conjugate(rt.reduced, D, 3)
+            assert not fusion._rotation_conjugate(rt.reduced, D, 2)
+        moved, shifted = fuse(5, (3, 4), (4, 0, 1))
+        assert shifted == _shifted(summands, 6, 5) == [(3, 4), (0, 2, 3, 4)]
+        assert all(op._cells is None for D in (rt.reduced, moved.reduced) for op in (D.d0, D.d1))
+
+    @pytest.mark.parametrize("leg,row,col", [(0, 1, None), (0, None, 2), (1, 0, None),
+                                             (1, None, 1)],
+                             ids=["L-in-d0", "M-in-d0", "M-in-d1", "L-in-d1"])
+    def test_a_diagonal_off_by_one_entry_falls_back(self, monkeypatch, fresh_orbits,
+                                                    leg, row, col):
+        # negative control: doubling one row or column of one differential
+        # breaks d1·d0 = (W(a) - W(b))·I, so transporting R's summands would
+        # hide an invalid object; the check refuses it and the full path,
+        # `validate_mbf` first, raises
+        rt, _ = fuse(5, (0, 1), (1, 2, 3))
+        real = fusion.reduce_tensor
+
+        def perturbed(A, B, check=True):
+            out = real(A, B, check=check)
+            return fusion.ReducedTensor(out.original, _scaled(out.reduced, leg, row, col),
+                                        out.incl, out.proj, out.homotopy)
+
+        D = perturbed(ps_object(5, (1, 2)), ps_object(5, (2, 3, 4)), check=False).reduced
+        assert not fusion._rotation_conjugate(rt.reduced, D, 1)
+        monkeypatch.setattr(fusion, "reduce_tensor", perturbed)
+        calls = _counted(monkeypatch, "validate_mbf", "_rotation_conjugate")
+        with pytest.raises(VerificationError, match="reduced object invalid"):
+            fuse(5, (1, 2), (2, 3, 4))
+        assert calls == {"validate_mbf": 1, "_rotation_conjugate": 1}
+
+    @pytest.mark.parametrize("name,failing,message", [
+        ("morphism_equal", lambda L, R: (False, "exact-structural"),
+         "proj∘incl is not the identity"),
+        ("graded_validate", lambda D: {"ok": False}, "reduced grading invalid"),
+    ], ids=["proj-incl", "grading"])
+    def test_a_transported_pair_keeps_its_own_checks(self, monkeypatch, fresh_orbits,
+                                                     name, failing, message):
+        fuse(5, (0, 1), (1, 2, 3))
+        monkeypatch.setattr(fusion, name, failing)
+        calls = _counted(monkeypatch, "validate_mbf", "_rotation_conjugate")
+        with pytest.raises(VerificationError) as exc:
+            fuse(5, (2, 3), (3, 4, 0))
+        assert str(exc.value) == message
+        assert calls == {"validate_mbf": 0, "_rotation_conjugate": 1}
+
+    def test_a_conjugated_object_passes(self, fresh_orbits):
+        # the positive twin of the control above: one entry of L doubled in
+        # d0 and halved in d1 is another diagonal, and the check finds it
+        rt, _ = fuse(5, (0, 1), (1, 2, 3))
+        D = reduce_tensor(ps_object(5, (1, 2)), ps_object(5, (2, 3, 4)), check=False).reduced
+        E = _scaled(_scaled(D, 0, row=1), 1, col=1, by=Rat(1, 2))
+        for k, want in ((1, True), (0, False), (4, False)):
+            assert fusion._rotation_conjugate(rt.reduced, E, k) is want
+        assert validate_mbf(E).ok
+        # and an entry that lost one of its terms is no conjugate at any diagonal
+        rows = [list(r) for r in E.d1.matrix()]
+        i, j = next((i, j) for i, r in enumerate(rows) for j, p in enumerate(r)
+                    if len(p.terms) > 1)
+        p = rows[i][j]
+        rows[i][j] = MultiPoly(p.ring, dict(list(p.terms.items())[1:]))
+        cut = mbf_from_polys(E.shape, E.d0.matrix(), rows, E.w, E.grading)
+        assert not fusion._rotation_conjugate(rt.reduced, cut, 1)
+
+
 class TestHomotopyVerification:
     @pytest.mark.parametrize("d", [5, 7])
     def test_all_entries_witnessed(self, d):
