@@ -143,8 +143,9 @@ def fusion_rule_compare(d: int, verify_homotopy: bool = False) -> dict:
     Every reduction is checked exactly (`fuse`): the retract identity and
     the grading on each pair; the validity of the reduced object and its
     summands in full on the first pair of each rotation orbit, and on each
-    later pair by one exact check that its reduced object is the first
-    one's, rotated and conjugated by constant diagonals.  verify_homotopy
+    later pair, k rotations on, by one exact check that its reduced object
+    is Δ·ρ^k(R)·Δ⁻¹ for the first one's R and Δ = diag(ζ^(kj)) over the
+    copies x^j (`fuse` gives the proof).  verify_homotopy
     additionally confirms the homotopy witness for the other composite on
     each pair.  That witness
     reaches `morphism_equal`'s pointwise sweep, capped at total degree 2d, as

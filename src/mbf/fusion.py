@@ -23,8 +23,10 @@ P_S = (p_{S^c}, p_S) with S a proper subset of residues mod d.  It provides
 Two process memos: `_lam`, a functools cache, holds one group-like junction
 per (d, i mod d, j mod d); `_ORBITS`, a dict, holds the first pair of each
 rotation orbit that `fuse` checked in full, with its reduced object and
-summands, which the later pairs of the orbit are checked against.  It is a
-dict because its value records which member came first.
+summands.  A later pair of the orbit, k rotations on, is checked against
+them: its reduced object must be the first one's rotated by ρ^k and
+conjugated by the diagonal Δ = diag(ζ^(kj)) that `fuse`'s docstring
+derives.  It is a dict because its value records which member came first.
 
 Entry layout of the 8x2 junction relations
 ------------------------------------------
@@ -751,77 +753,67 @@ def _orbit(d: int, left, right) -> tuple:
 
 
 def _rotation_conjugate(R: MBF, D: MBF, k: int) -> bool:
-    """Whether D.d0 = L·ρ^k(R.d0)·M⁻¹ and D.d1 = M·ρ^k(R.d1)·L⁻¹ for
-    invertible constant diagonals L (on D1) and M (on D0), where ρ^k is the
-    ring map fixing a and sending b to ζ^(2k)·b.
+    """Whether D = Δ·ρ^k(R)·Δ⁻¹ on both components, for Δ = diag(ζ^(kj))
+    over the copies j, where ρ^k is the ring map fixing a and sending b to
+    ζ^(2k)·b.  R and D are reduced objects of rank-(1,1) factors, so copy j
+    is x^j (`fuse` derives Δ).
 
-    L and M are read from the entries: where one end of a non-zero entry is
-    known, one term gives the other, and a copy no known entry reaches gets
-    1.  Every entry is then compared term by term, the term c·b^e of R's
-    entry scaled by ζ^(2ke): D's entry times the diagonal at its source
-    must equal the diagonal at its target times ρ^k of R's.  Only the rows
-    of the four differentials are read; no twisted object is built.
+    Entry (m, j) of each differential of D must be ζ^(k(m−j)) times ρ^k of
+    R's: the term c·b^e of R's entry scaled by ζ^(k(2e+m−j)), term by term.
+    Only the rows of the four differentials are read; nothing is inverted
+    and no object is built.
     """
     if D.shape != R.shape or D.w != R.w or (D.m0.rank, D.m1.rank) != (R.m0.rank, R.m1.rank):
         return False
     d = D.shape.conductor
     ib = D.shape.ring().index("b")
-    roots = [Cyclo.root(d, 2 * k * e) for e in range(d)]
-    # (parity of the source, row, column, D's entry, R's entry)
-    entries = []
-    for p, (opD, opR) in enumerate(((D.d0, R.d0), (D.d1, R.d1))):
-        for r, (rowD, rowR) in enumerate(zip(opD.matrix(), opR.matrix())):
-            for c, (pD, pR) in enumerate(zip(rowD, rowR)):
-                if pD.terms.keys() != pR.terms.keys():
-                    return False
-                if pR.terms:
-                    entries.append((p, r, c, pD.terms, pR.terms))
-    # the diagonals: scale[0] is M on the D0 copies, scale[1] L on the D1 copies
-    scale = [[None] * D.m0.rank, [None] * D.m1.rank]
-    for p0, i0 in ((p, i) for p in (0, 1) for i in range(len(scale[p]))):
-        if scale[p0][i0] is not None:
-            continue
-        scale[p0][i0] = Cyclo.one(d)
-        grown = True
-        while grown:
-            grown = False
-            for p, r, c, tD, tR in entries:
-                src, dst = scale[p][c], scale[1 - p][r]
-                if (src is None) == (dst is None):
-                    continue
-                e, cR = next(iter(tR.items()))
-                moved = cR * roots[e[ib] % d]
-                if src is None:
-                    scale[p][c] = dst * moved * tD[e].inverse()
-                else:
-                    scale[1 - p][r] = src * tD[e] * moved.inverse()
-                grown = True
-    return all(cD * scale[p][c] == scale[1 - p][r] * (tR[e] * roots[e[ib] % d])
-               for p, r, c, tD, tR in entries for e, cD in tD.items())
+    roots = [Cyclo.root(d, k * n) for n in range(d)]
+    return all(
+        pD.terms.keys() == pR.terms.keys()
+        and all(pD.terms[e] == c * roots[(2 * e[ib] + m - j) % d] for e, c in pR.terms.items())
+        for opD, opR in ((D.d0, R.d0), (D.d1, R.d1))
+        for m, (rowD, rowR) in enumerate(zip(opD.matrix(), opR.matrix()))
+        for j, (pD, pR) in enumerate(zip(rowD, rowR)))
 
 
 def fuse(d: int, left, right, check: bool = True):
     """Reduce P_left ⊗ P_right, checked as `reduce_tensor` with `check`, and
     decompose the reduced object: (ReducedTensor, multiset).
 
-    With `check`, the pairs (left + j, right + j) form one rotation orbit,
-    and the first member fused in full is kept in `_ORBITS`, once its
-    checks and decomposition have succeeded.  A later member, k rotations
-    on, is reduced unchecked; proj∘incl = id and the grading are checked
-    on it as always, but in place of `validate_mbf` and `decompose_into_PS`
-    one exact check, `_rotation_conjugate`, finds its reduced object D equal
-    to L·ρ^k(R)·M⁻¹ (d1: M·ρ^k(R)·L⁻¹) for the first member's R and
-    constant diagonals L and M, and the summands are R's shifted by 2k.
-    A failed check, `check=False` and the first member of an orbit take
-    the full path: `validate_mbf`, then `decompose_into_PS`.
+    The pair is reduced unchecked once, and takes one of two paths.  With
+    `check`, the pairs (left + j, right + j) form one rotation orbit, and
+    the first member fused in full is kept in `_ORBITS`.  A later member,
+    k rotations on, is transported: proj∘incl = id and the grading are
+    checked on it as always, but in place of `validate_mbf` and
+    `decompose_into_PS` one exact check, `_rotation_conjugate`, finds its
+    reduced object D equal to Δ·ρ^k(R)·Δ⁻¹ for the first member's R, and
+    the summands are R's shifted by 2k.  Every other pair, a failed check
+    included, takes the full path: `_check_reduction` (with `check`), then
+    `decompose_into_PS`, then (with `check`) `_ORBITS.setdefault`, so an
+    orbit keeps the first member that succeeded.
 
-    Proof.  Let ρ fix a and send b to ζ²b.
+    The diagonal.  Let ρ fix a and send x to ζx and b to ζ²b.  It maps
+    a − ζ^i x to a − ζ^(i+1) x and x − ζ^i b to ζ·(x − ζ^(i+1) b), so
+    ρ^k maps each entry p_T(a, x) of A = P_{S1} to p_{T+k}(a, x) exactly,
+    and each entry p_T(x, b) of B = P_{S2} to ζ^(k|T|)·p_{T+k}(x, b): the
+    entries of the rotated pair, P_{S1+k} and P_{S2+k}.  Copy j of the
+    reduced object is x^j, and its entry (m, j) is the x^m coefficient of
+    the remainder of f·x^j by B's d1 entry q, monic in x, for the entry f
+    of A: f·x^j = Q·q + Σ_m r_m(a, b)·x^m.  Applying ρ^k gives
+    f′·ζ^(kj)·x^j = ρ^k(Q)·ζ^(kg)·q′ + Σ_m ρ^k(r_m)·ζ^(km)·x^m, with f′
+    and q′ the rotated pair's entries and g the degree of q.  The remainder
+    by the monic q′ is unique, so the rotated pair's entry (m, j) is
+    ζ^(k(m−j))·ρ^k(r_m): its reduced object is Δ·ρ^k(R)·Δ⁻¹ with
+    Δ = diag(ζ^(kj)) on both components.
+
+    Proof that a passed check is sound.  Let ρ now act on C[a, b].
     * ρ^k is a ring automorphism of C[a, b] fixing a^d − b^d = W(a) − W(b),
       so ρ^k(R) is a factorisation of it: ρ^k(R.d1)·ρ^k(R.d0) =
       ρ^k((W(a) − W(b))·I), likewise on D1.
-    * Conjugating by invertible constant diagonals keeps this: D.d1·D.d0 =
-      M·ρ^k(R.d1)·ρ^k(R.d0)·M⁻¹ = (W(a) − W(b))·I, and likewise on D1.  So
-      D is exactly valid, and (M, L) is an even isomorphism ρ^k(R) → D.
+    * Δ is one invertible constant diagonal, so conjugating by it keeps
+      this: D.d1·D.d0 = Δ·ρ^k(R.d1)·ρ^k(R.d0)·Δ⁻¹ = (W(a) − W(b))·I, and
+      likewise on D1.  So D is exactly valid, and (Δ, Δ) is an even
+      isomorphism ρ^k(R) → D.
     * ρ^k(P_T) = P_{T+2k} exactly: a − ζ^i b goes to a − ζ^(i+2k) b, so
       p_T goes to p_{T+2k} and p_{T^c} to p_{(T+2k)^c}.
     * ρ^k maps R's isomorphism with ⊕P_T plus contractible pieces onto one
@@ -829,26 +821,21 @@ def fuse(d: int, left, right, check: bool = True):
       Krull–Schmidt the summand multiset is unique, so it is the multiset
       `decompose_into_PS` would find on D; sorted, it is the same list.
     """
-    A, B = ps_object(d, left), ps_object(d, right)
-    if not check:
-        rt = reduce_tensor(A, B, check=False)
-        return rt, decompose_into_PS(rt.reduced)
+    rt = reduce_tensor(ps_object(d, left), ps_object(d, right), check=False)
     least, k = _orbit(d, left, right)
-    first = _ORBITS.get((d, least))
-    if first is None:
-        rt = reduce_tensor(A, B)
-        summands = decompose_into_PS(rt.reduced)
-        _ORBITS[d, least] = (k, rt.reduced, summands)
-        return rt, summands
-    k0, R, summands = first
-    k = (k - k0) % d
-    rt = reduce_tensor(A, B, check=False)
-    if not _rotation_conjugate(R, rt.reduced, k):
+    first = _ORBITS.get((d, least)) if check else None
+    if first is not None:
+        k0, R, summands = first
+        if _rotation_conjugate(R, rt.reduced, (k - k0) % d):
+            _check_reduction(rt, valid=True)
+            shifted = (tuple(sorted((i + 2 * (k - k0)) % d for i in T)) for T in summands)
+            return rt, sorted(shifted, key=lambda s: (len(s), s))
+    if check:
         _check_reduction(rt)
-        return rt, decompose_into_PS(rt.reduced)
-    _check_reduction(rt, valid=True)
-    shifted = (tuple(sorted((i + 2 * k) % d for i in T)) for T in summands)
-    return rt, sorted(shifted, key=lambda s: (len(s), s))
+    summands = decompose_into_PS(rt.reduced)
+    if check:
+        _ORBITS.setdefault((d, least), (k, rt.reduced, summands))
+    return rt, summands
 
 
 # -- homotopy verification of the remaining fusing entries ----------------------

@@ -802,8 +802,8 @@ def _counted(monkeypatch, *names):
 
 def _scaled(D, leg: int, row=None, col=None, by=2):
     # D with one row or one column of one differential multiplied by `by`:
-    # the other differential keeps the diagonal it had, so one entry of L or
-    # M is off
+    # one entry of a diagonal on D1 (L, rows of d0) or on D0 (M, rows of d1)
+    # applied to that differential alone
     mats = [[list(r) for r in op.matrix()] for op in (D.d0, D.d1)]
     mats[leg] = [[p * by if i == row or j == col else p for j, p in enumerate(r)]
                  for i, r in enumerate(mats[leg])]
@@ -864,6 +864,7 @@ class TestRotationOrbits:
         with monkeypatch.context() as m:
             m.setattr(bifact.MBF, "__init__", lambda *a: pytest.fail("an MBF was built"))
             m.setattr(bifact.MBF, "_deferred", lambda *a: pytest.fail("an MBF was built"))
+            m.setattr(Cyclo, "inverse", lambda *a: pytest.fail("a Cyclo was inverted"))
             assert fusion._rotation_conjugate(rt.reduced, D, 3)
             assert not fusion._rotation_conjugate(rt.reduced, D, 2)
         moved, shifted = fuse(5, (3, 4), (4, 0, 1))
@@ -910,23 +911,53 @@ class TestRotationOrbits:
         assert str(exc.value) == message
         assert calls == {"validate_mbf": 0, "_rotation_conjugate": 1}
 
-    def test_a_conjugated_object_passes(self, fresh_orbits):
-        # the positive twin of the control above: one entry of L doubled in
-        # d0 and halved in d1 is another diagonal, and the check finds it
+    def test_a_conjugated_object_takes_the_full_path(self, monkeypatch, fresh_orbits):
+        # a valid object conjugate to the rotated one by another diagonal
+        # (one entry of L doubled in d0 and halved in d1) is not the object
+        # the rotation gives: the check compares with Δ = diag(ζ^(kj)) alone,
+        # so it refuses it at every k, and `fuse` decomposes it in full
         rt, _ = fuse(5, (0, 1), (1, 2, 3))
-        D = reduce_tensor(ps_object(5, (1, 2)), ps_object(5, (2, 3, 4)), check=False).reduced
+        real = fusion.reduce_tensor
+        S1, S2 = (1, 2), (2, 3, 4)
+        D = real(ps_object(5, S1), ps_object(5, S2), check=False).reduced
         E = _scaled(_scaled(D, 0, row=1), 1, col=1, by=Rat(1, 2))
-        for k, want in ((1, True), (0, False), (4, False)):
-            assert fusion._rotation_conjugate(rt.reduced, E, k) is want
         assert validate_mbf(E).ok
-        # and an entry that lost one of its terms is no conjugate at any diagonal
-        rows = [list(r) for r in E.d1.matrix()]
+        assert fusion._rotation_conjugate(rt.reduced, D, 1)
+        assert not any(fusion._rotation_conjugate(rt.reduced, E, k) for k in range(5))
+
+        def conjugated(A, B, check=True):
+            out = real(A, B, check=check)
+            return fusion.ReducedTensor(out.original, E, out.incl, out.proj, out.homotopy)
+
+        monkeypatch.setattr(fusion, "reduce_tensor", conjugated)
+        calls = _counted(monkeypatch, "validate_mbf", "decompose_into_PS")
+        assert fuse(5, S1, S2)[1] == decompose_into_PS(D) == [(0, 4), (0, 1, 3, 4)]
+        assert calls == {"validate_mbf": 1, "decompose_into_PS": 1}
+        # and an entry of the rotated object that lost one of its terms is no
+        # conjugate either
+        rows = [list(r) for r in D.d1.matrix()]
         i, j = next((i, j) for i, r in enumerate(rows) for j, p in enumerate(r)
                     if len(p.terms) > 1)
         p = rows[i][j]
         rows[i][j] = MultiPoly(p.ring, dict(list(p.terms.items())[1:]))
-        cut = mbf_from_polys(E.shape, E.d0.matrix(), rows, E.w, E.grading)
+        cut = mbf_from_polys(D.shape, D.d0.matrix(), rows, D.w, D.grading)
         assert not fusion._rotation_conjugate(rt.reduced, cut, 1)
+
+    def test_every_rotated_pair_of_proper_subsets_is_conjugate(self):
+        # `mbf fuse` accepts any proper subsets, not only consecutive ones:
+        # at d = 4 every pair of them that is not the least member of its
+        # rotation orbit is Δ·ρ^k of that member
+        d = 4
+        subsets = [S for n in range(1, d) for S in itertools.combinations(range(d), n)]
+        reduced = {(S1, S2): reduce_tensor(ps_object(d, S1), ps_object(d, S2),
+                                           check=False).reduced
+                   for S1, S2 in itertools.product(subsets, repeat=2)}
+        verdicts = []
+        for pair, D in reduced.items():
+            least, k = fusion._orbit(d, *pair)
+            if least != pair:
+                verdicts.append(fusion._rotation_conjugate(reduced[least], D, k))
+        assert verdicts == [True] * 146
 
 
 class TestHomotopyVerification:
