@@ -14,17 +14,20 @@ Admissible entries forced by a unit label in one of the outer slots are
 exactly mpf(1), so coherence sweeps can assert them with equality instead of
 a tolerance.  Inadmissible label combinations give value 0 rather than an
 error, which keeps pentagon sweeps free of special cases.
+
+mpmath is loaded on the first numeric call: each function that computes a
+float imports it when it runs.  The label algebra (`su2_fuse`,
+`admissible_sixj_labels`, `MMLabel` and the `mm_*` functions,
+`chiral_charge`, `defect_spectrum`) imports nothing numeric, and the
+exact-side commands never load it.
 """
 
 from __future__ import annotations
 
 import functools
 import itertools
-from dataclasses import dataclass
-from typing import List, Sequence, Tuple
-
-from mpmath import mp
-from mpmath.libmp import fzero, mpf_abs, mpf_add, mpf_gt, mpf_mul, mpf_sub, round_nearest
+from collections.abc import Sequence
+from operator import itemgetter
 
 from . import VerificationError
 from ._rat import Rat
@@ -48,29 +51,35 @@ def qnum(k: int, n: int, prec: int = DEFAULT_PREC):
     is rounded at prec + _GUARD_BITS whatever the ambient precision, so one
     evaluation serves every caller.
     """
+    import mpmath
+
     if k < 0:
         raise ValueError("level must be >= 0")
     n = int(n)
     if n % (k + 2) == 0:
-        return mp.mpf(0)
-    with mp.workprec(prec + _GUARD_BITS):
-        return +(mp.sinpi(mp.mpf(n) / (k + 2)) / mp.sinpi(mp.mpf(1) / (k + 2)))
+        return mpmath.mpf(0)
+    with mpmath.workprec(prec + _GUARD_BITS):
+        return +(mpmath.sinpi(mpmath.mpf(n) / (k + 2)) / mpmath.sinpi(mpmath.mpf(1) / (k + 2)))
 
 
 @functools.lru_cache(maxsize=None)
 def _qfacts(k: int, prec: int) -> list:
     """[0]!, [1]!, ... at level k, as far as `qfact` has extended them."""
-    return [mp.mpf(1)]
+    import mpmath
+
+    return [mpmath.mpf(1)]
 
 
 def qfact(k: int, n: int, prec: int = DEFAULT_PREC):
     """The q-factorial [n]! at level k, with [0]! = 1."""
+    import mpmath
+
     k, n, prec = int(k), int(n), int(prec)
     if n < 0:
         raise ValueError("q-factorial of a negative integer")
     facts = _qfacts(k, prec)  # a loop, not a recursion: no depth limit at large k
     while len(facts) <= n:
-        with mp.workprec(prec + _GUARD_BITS):
+        with mpmath.workprec(prec + _GUARD_BITS):
             facts.append(+(facts[-1] * qnum(k, len(facts), prec)))
     return facts[n]
 
@@ -91,26 +100,30 @@ def _admissible2(k: int, x2: int, y2: int, z2: int) -> bool:
 @functools.lru_cache(maxsize=None)
 def _tri2(k: int, x2: int, y2: int, z2: int, prec: int):
     # sqrt([-x+y+z]! [x-y+z]! [x+y-z]! / [x+y+z+1]!), arguments doubled
-    with mp.workprec(prec + _GUARD_BITS):
+    import mpmath
+
+    with mpmath.workprec(prec + _GUARD_BITS):
         num = (
             qfact(k, (-x2 + y2 + z2) // 2, prec)
             * qfact(k, (x2 - y2 + z2) // 2, prec)
             * qfact(k, (x2 + y2 - z2) // 2, prec)
         )
-        return +mp.sqrt(num / qfact(k, (x2 + y2 + z2) // 2 + 1, prec))
+        return +mpmath.sqrt(num / qfact(k, (x2 + y2 + z2) // 2 + 1, prec))
 
 
 @functools.lru_cache(maxsize=None)
 def _brace2(k, a2, b2, e2, d2, c2, f2, prec):
     """{a b e; d c f} with doubled arguments; 0 when inadmissible."""
+    import mpmath
+
     triads = ((a2, b2, e2), (a2, c2, f2), (c2, e2, d2), (d2, b2, f2))
     if not all(_admissible2(k, *t) for t in triads):
-        return mp.mpf(0)
-    with mp.workprec(prec + _GUARD_BITS):
-        delta = mp.mpf(1)
+        return mpmath.mpf(0)
+    with mpmath.workprec(prec + _GUARD_BITS):
+        delta = mpmath.mpf(1)
         for x2, y2, z2 in triads:
             delta *= _tri2(k, x2, y2, z2, prec)
-        weight = mp.sqrt(qnum(k, e2 + 1, prec) * qnum(k, f2 + 1, prec))
+        weight = mpmath.sqrt(qnum(k, e2 + 1, prec) * qnum(k, f2 + 1, prec))
         # a+b-c-d is an integer for admissible labels, so the sign is well defined
         sign_exp = (a2 + b2 - c2 - d2) // 2 - e2
         zmin = max(
@@ -124,7 +137,7 @@ def _brace2(k, a2, b2, e2, d2, c2, f2, prec):
             (a2 + d2 + e2 + f2) // 2,
             (b2 + c2 + e2 + f2) // 2,
         )
-        acc = mp.mpf(0)
+        acc = mpmath.mpf(0)
         for z in range(zmin, zmax + 1):
             if z + 1 >= k + 2:
                 continue  # [z+1]! contains the vanishing q-number [k+2]
@@ -172,6 +185,8 @@ def su2_fusing(k, r, s, t, u, p, q, prec: int = DEFAULT_PREC):
     exactly mpf(1) (admissibility already encodes the deltas, so every
     admissible forced entry is 1).  Inadmissible entries are 0.
     """
+    import mpmath
+
     for x in (r, s, t, u, p, q):
         if not isinstance(x, int):
             raise ValueError(f"6j labels are doubled spins (ints), got {x!r}")
@@ -179,11 +194,11 @@ def su2_fusing(k, r, s, t, u, p, q, prec: int = DEFAULT_PREC):
             raise ValueError(f"label {x} outside 0..{k}")
     if 0 in (r, s, t):
         triads = ((t, s, p), (t, u, q), (u, p, r), (r, s, q))
-        return mp.mpf(1 if all(_admissible2(k, *tr) for tr in triads) else 0)
+        return mpmath.mpf(1 if all(_admissible2(k, *tr) for tr in triads) else 0)
     return _brace2(k, t, s, p, r, u, q, prec)
 
 
-def su2_fuse(k: int, i: int, j: int) -> Tuple[int, ...]:
+def su2_fuse(k: int, i: int, j: int) -> tuple[int, ...]:
     """Fusion channels of labels i, j at level k: |i-j| .. min(i+j, 2k-i-j)."""
     for x in (i, j):
         if not 0 <= x <= k:
@@ -219,7 +234,8 @@ def u1_data(N: int, kind: str, *labels: int, prec: int = DEFAULT_PREC):
 
     theta(k) = exp(-pi i k^2/(2N)); R(k, l) = exp(-pi i k l/(2N));
     F(r, s, t) = (-1)^(r sigma(s+t)) with sigma(x) = 1 iff x >= 2N.
-    Labels must lie in range(2N).  F is exact and returned as an int.
+    Labels must lie in range(2N).  F is exact and returned as an int, so
+    mpmath is imported only for theta and R: F is called in loops.
     """
     if N < 1:
         raise ValueError("N must be >= 1")
@@ -236,12 +252,14 @@ def u1_data(N: int, kind: str, *labels: int, prec: int = DEFAULT_PREC):
         r, s, t = labels
         sigma = 1 if s + t >= 2 * N else 0
         return (-1) ** (r * sigma)
-    with mp.workprec(prec + _GUARD_BITS):
+    import mpmath
+
+    with mpmath.workprec(prec + _GUARD_BITS):
         if kind == "theta":
             (kk,) = labels
-            return +mp.expjpi(mp.mpf(-(kk * kk)) / (2 * N))
+            return +mpmath.expjpi(mpmath.mpf(-(kk * kk)) / (2 * N))
         kk, ll = labels
-        return +mp.expjpi(mp.mpf(-(kk * ll)) / (2 * N))
+        return +mpmath.expjpi(mpmath.mpf(-(kk * ll)) / (2 * N))
 
 
 def u1_cocycle_check(N: int) -> bool:
@@ -268,22 +286,18 @@ def u1_cocycle_check(N: int) -> bool:
 # coset labels [l, m, s]
 
 
-@dataclass(frozen=True, order=True)
-class MMLabel:
+class MMLabel(tuple):
     """Canonical label [l, m, s] of the level d-2 coset.
 
     Construct through mm_normalize; direct construction expects an already
     canonical triple (0 <= l <= d-2, m reduced mod 2d, s in {0, 1}, parity
-    even).
+    even).  An immutable tuple (d, l, m, s): equality, hash and order are
+    those of the tuple.
     """
 
-    d: int
-    l: int
-    m: int
-    s: int
+    __slots__ = ()
 
-    def __post_init__(self):
-        d, l, m, s = self.d, self.l, self.m, self.s
+    def __new__(cls, d: int, l: int, m: int, s: int):
         if d < 3:
             raise ValueError("d must be >= 3")
         if not 0 <= l <= d - 2:
@@ -294,9 +308,21 @@ class MMLabel:
             raise ValueError(f"s={s} is not the preferred orbit representative")
         if (l + m + s) % 2:
             raise ValueError("parity: l+m+s must be even")
+        return tuple.__new__(cls, (d, l, m, s))
+
+    d = property(itemgetter(0))
+    l = property(itemgetter(1))
+    m = property(itemgetter(2))
+    s = property(itemgetter(3))
+
+    def __getnewargs__(self):
+        return tuple(self)
+
+    def __repr__(self) -> str:
+        return "MMLabel(d={!r}, l={!r}, m={!r}, s={!r})".format(*self)
 
     @property
-    def triple(self) -> Tuple[int, int, int]:
+    def triple(self) -> tuple[int, int, int]:
         return (self.l, self.m, self.s)
 
     def dual(self) -> "MMLabel":
@@ -327,7 +353,7 @@ def mm_normalize(d: int, l: int, m: int, s: int) -> MMLabel:
     return MMLabel(d, l, m, s)
 
 
-def mm_labels(d: int) -> List[MMLabel]:
+def mm_labels(d: int) -> list[MMLabel]:
     """All canonical labels at a given d, sorted; there are (d-1)*2d of them."""
     out = []
     for l in range(d - 1):
@@ -337,7 +363,7 @@ def mm_labels(d: int) -> List[MMLabel]:
     return sorted(out)
 
 
-def mm_fuse(x: MMLabel, y: MMLabel) -> List[MMLabel]:
+def mm_fuse(x: MMLabel, y: MMLabel) -> list[MMLabel]:
     """Fusion product as a sorted list of canonical labels.
 
     The su(2) parts couple as `su2_fuse` at level k = d - 2; the torus parts
@@ -360,7 +386,7 @@ def chiral_charge(d: int, l: int) -> Rat:
 
 def defect_spectrum(
     d: int, u: int, n: int = 0, chiral_only: bool = False
-) -> List[Tuple[MMLabel, MMLabel]]:
+) -> list[tuple[MMLabel, MMLabel]]:
     """Bosonic defect-changing spectrum from [0, 2n, 0] to [u, u+2n, 0].
 
     Returns (left, right) label pairs.  A pair (x, y) belongs to the full
@@ -418,6 +444,8 @@ def cft_fusing_examples(d: int, which: str, prec: int = DEFAULT_PREC):
       [1,3,0], rows and columns indexed by the middle su(2) channel p, q in
       {0, 2}; returned as a nested tuple of mpmath floats.
     """
+    import mpmath
+
     if d < 3:
         raise ValueError("d must be >= 3")
     k = d - 2
@@ -425,8 +453,9 @@ def cft_fusing_examples(d: int, which: str, prec: int = DEFAULT_PREC):
         unit = su2_fusing(k, 0, 0, 0, 0, 0, 0, prec=prec)
         if unit != 1:
             raise VerificationError(f"su(2) unit entry is {unit}, not 1")
+        unit = int(unit)
         values = {
-            int(unit) * u1_data(d, "F", 2 * i % (2 * d), 2 * j % (2 * d), 2 * kk % (2 * d))
+            unit * u1_data(d, "F", 2 * i % (2 * d), 2 * j % (2 * d), 2 * kk % (2 * d))
             for i, j, kk in itertools.product(range(d), repeat=3)
         }
         if len(values) != 1:
@@ -437,11 +466,12 @@ def cft_fusing_examples(d: int, which: str, prec: int = DEFAULT_PREC):
             raise ValueError("the sign example needs even d >= 4")
         f = d // 2 - 1
         torus = u1_data(d, "F", 0, f, 0)
-        with mp.workprec(2 * prec + _GUARD_BITS):
+        with mpmath.workprec(2 * prec + _GUARD_BITS):
             val = su2_fusing(k, k, f, k, f, f, f, prec=prec) * torus
             check = su2_fusing(k, k, f, k, f, f, f, prec=2 * prec) * torus
-            snapped = int(mp.nint(val))
-            bad = abs(val - snapped) > mp.mpf("1e-10") or abs(check - snapped) > mp.mpf("1e-10")
+            snapped = int(mpmath.nint(val))
+            tol = mpmath.mpf("1e-10")
+            bad = abs(val - snapped) > tol or abs(check - snapped) > tol
         if bad:
             raise VerificationError(f"sign example failed to settle on an integer: {val}")
         return snapped
@@ -458,9 +488,9 @@ def cft_fusing_examples(d: int, which: str, prec: int = DEFAULT_PREC):
             row = []
             for q in (0, 2):
                 v = entry(p, q, prec)
-                with mp.workprec(2 * prec + _GUARD_BITS):
+                with mpmath.workprec(2 * prec + _GUARD_BITS):
                     drift = abs(v - entry(p, q, 2 * prec))
-                if drift > mp.mpf("1e-12"):
+                if drift > mpmath.mpf("1e-12"):
                     raise VerificationError(f"entry ({p},{q}) drifts by {drift} under re-evaluation")
                 row.append(v)
             rows.append(tuple(row))
@@ -476,7 +506,9 @@ def fusing_ratio(F):
 def fusing_ratio_closed_form(d: int):
     """-1/(1 + 2 cos(2 pi/d)), the value of `fusing_ratio` on the twoByTwo
     example, at the current mpmath precision."""
-    return -1 / (1 + 2 * mp.cospi(mp.mpf(2) / d))
+    import mpmath
+
+    return -1 / (1 + 2 * mpmath.cospi(mpmath.mpf(2) / d))
 
 
 def gauge_transform(F, scalars: Sequence):
@@ -521,6 +553,9 @@ def pentagon_residuals(k: int, prec: int = DEFAULT_PREC):
     one product, rhs sums (F F) F from zero over h in channel order, and the
     worst |lhs - rhs| is replaced only by a strictly larger one.
     """
+    import mpmath
+    from mpmath.libmp import fzero, mpf_abs, mpf_add, mpf_gt, mpf_mul, mpf_sub, round_nearest
+
     wp, rnd = prec + _GUARD_BITS, round_nearest
     labels = range(k + 1)
     fuse = {(i, j): su2_fuse(k, i, j) for i in labels for j in labels}
@@ -554,12 +589,14 @@ def pentagon_residuals(k: int, prec: int = DEFAULT_PREC):
                         if mpf_gt(diff, worst):
                             worst = diff
         if seen:
-            yield (a, b, c, d, e), mp.make_mpf(worst)
+            yield (a, b, c, d, e), mpmath.make_mpf(worst)
 
 
 def pentagon_check(k: int, prec: int = DEFAULT_PREC) -> float:
     """Largest pentagon residual over every 5-tuple (0.0 if none)."""
-    best = mp.mpf(0)
+    import mpmath
+
+    best = mpmath.mpf(0)
     for _tuple, res in pentagon_residuals(k, prec):
         if res > best:
             best = res

@@ -18,8 +18,6 @@ import json
 import math
 import sys
 
-from mpmath import mp
-
 from . import VerificationError, __version__
 from ._rat import parse_rat, rat_str
 from .bifact import (
@@ -289,14 +287,16 @@ def _sixj_digits(precision: int) -> int:
 
 
 def cmd_cft_sixj(args) -> tuple[str, bool]:
-    # the labels are integers and mp.nstr prints no comma, so no field needs quoting
+    import mpmath
+
+    # the labels are integers and mpmath.nstr prints no comma, so no field needs quoting
     k, prec = args.k, args.precision
     digits = _sixj_digits(prec)
     lines = ["a,b,e,d,c,f,value\n"]
     for doubled in admissible_sixj_labels(k):
         v = sixj(k, *doubled, prec=prec)
-        with mp.workprec(prec):
-            lines.append(",".join(map(str, doubled)) + f",{mp.nstr(v, digits)}\n")
+        with mpmath.workprec(prec):
+            lines.append(",".join(map(str, doubled)) + f",{mpmath.nstr(v, digits)}\n")
     return "".join(lines), True
 
 
@@ -307,13 +307,14 @@ def cmd_cft_pentagon(args) -> tuple[str, bool]:
 
 
 def cmd_cft_fusing(args) -> tuple[str, bool]:
+    import mpmath
+
     d, prec, tol = args.d, args.precision, args.tol
     F = cft_fusing_examples(d, "twoByTwo", prec=prec)
-    with mp.workprec(prec):
-        diag = 1 / (2 * mp.cospi(mp.mpf(1) / d))
-        off = mp.sqrt(mp.sinpi(mp.mpf(1) / d) * mp.sinpi(mp.mpf(3) / d)) / mp.sinpi(
-            mp.mpf(2) / d
-        )
+    with mpmath.workprec(prec):
+        diag = 1 / (2 * mpmath.cospi(mpmath.mpf(1) / d))
+        off = (mpmath.sqrt(mpmath.sinpi(mpmath.mpf(1) / d) * mpmath.sinpi(mpmath.mpf(3) / d))
+               / mpmath.sinpi(mpmath.mpf(2) / d))
         closed = ((-diag, off), (off, diag))
         entry_dev = max(
             float(abs(F[i][j] - closed[i][j])) for i in (0, 1) for j in (0, 1)
@@ -386,9 +387,11 @@ def cmd_compare_fusion(args) -> tuple[str, bool]:
 
 
 def cmd_sixj(args) -> tuple[str, bool]:
+    import mpmath
+
     v = sixj(args.k, *args.labels, prec=args.precision)
-    with mp.workprec(args.precision):
-        return mp.nstr(v, _sixj_digits(args.precision)) + "\n", True
+    with mpmath.workprec(args.precision):
+        return mpmath.nstr(v, _sixj_digits(args.precision)) + "\n", True
 
 
 # ---------------------------------------------------------------------------

@@ -25,9 +25,6 @@ not as proof.
 from __future__ import annotations
 
 import itertools
-from typing import List, Tuple
-
-from mpmath import mp
 
 from ._rat import rat_str
 from .bifact import Morphism, morphism_equal, ps_object
@@ -53,11 +50,13 @@ def ratio_compare(d: int, tol: float = 1e-10) -> dict:
     torus signs.  All three are evaluated at `DEFAULT_PREC` bits.  The report
     never raises on disagreement.
     """
+    import mpmath
+
     if d < 4:
         raise ValueError("the 2x2 fusing example needs d >= 4")
     report = solve_fusing_2x2(d)
     exact = report.ratio_exact
-    with mp.workprec(DEFAULT_PREC):
+    with mpmath.workprec(DEFAULT_PREC):
         lg = exact.to_complex(DEFAULT_PREC)
         closed = fusing_ratio_closed_form(d)
         cft_ratio = fusing_ratio(cft_fusing_examples(d, "twoByTwo", prec=DEFAULT_PREC))
@@ -70,7 +69,7 @@ def ratio_compare(d: int, tol: float = 1e-10) -> dict:
         "d": d,
         "tol": tol,
         "lg_exact": str(exact),
-        "lg_numeric": float(mp.re(lg)),
+        "lg_numeric": float(mpmath.re(lg)),
         "closed_form": float(closed),
         "cft_numeric": float(cft_ratio),
         "lg_vs_closed": lg_vs_closed,
@@ -108,7 +107,7 @@ def spectrum_compare(d: int, u: int) -> dict:
     }
 
 
-def consecutive_sets(d: int) -> List[Tuple[int, ...]]:
+def consecutive_sets(d: int) -> list[tuple[int, ...]]:
     """All proper consecutive residue sets mod d, every size and start."""
     out = []
     for size in range(1, d):
@@ -117,7 +116,7 @@ def consecutive_sets(d: int) -> List[Tuple[int, ...]]:
     return out
 
 
-def _set_to_label(d: int, S: Tuple[int, ...]):
+def _set_to_label(d: int, S: tuple[int, ...]):
     # S = {m, ..., m+l} mod d corresponds to [l, l+2m, 0]; recover the start
     # from any rotation by finding the unique gap in the complement
     k = len(S)
@@ -129,7 +128,7 @@ def _set_to_label(d: int, S: Tuple[int, ...]):
     return mm_normalize(d, k - 1, (k - 1 + 2 * m) % (2 * d), 0)
 
 
-def _label_to_set(lab) -> Tuple[int, ...]:
+def _label_to_set(lab) -> tuple[int, ...]:
     # [u, n, 0] with n = u + 2m corresponds to P over {m, ..., m+u}
     if lab.s != 0:
         raise ValueError(f"{lab} carries no consecutive-defect counterpart")

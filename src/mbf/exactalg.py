@@ -1,4 +1,8 @@
-"""Exact scalar arithmetic: cyclotomic fields Q(zeta_n) and their numeric embedding.
+"""Exact scalar arithmetic: cyclotomic fields Q(zeta_n), numeric only on request.
+
+Nothing here touches a float except the numeric embedding
+``Cyclo.to_complex``, which imports mpmath on its first call; the exact-side
+commands never load it.
 
 An element of Q(zeta_n) is stored as an integer polynomial over one common
 denominator, the layout of FLINT's ``fmpq_poly``: ``num`` is a tuple of phi(n)
@@ -37,8 +41,6 @@ from __future__ import annotations
 import math
 from functools import cache, lru_cache, reduce
 from operator import add, mul, sub
-
-import mpmath
 
 from ._rat import Rat, rat_str
 
@@ -392,7 +394,10 @@ class Cyclo:
     # -- conversions -------------------------------------------------------
 
     def to_complex(self, precision_bits: int = DEFAULT_PRECISION_BITS):
-        """Numeric embedding zeta_n -> exp(2*pi*i/n) at the given precision."""
+        """Numeric embedding zeta_n -> exp(2*pi*i/n) at the given precision,
+        as an mpmath complex; mpmath is imported when this runs."""
+        import mpmath
+
         with mpmath.workprec(precision_bits):
             zeta = mpmath.e ** (2j * mpmath.pi / self.n)
             acc = mpmath.mpc(0)

@@ -26,7 +26,9 @@ rotation orbit that `fuse` checked in full, with its reduced object and
 summands.  A later pair of the orbit, k rotations on, is checked against
 them: its reduced object must be the first one's rotated by ρ^k and
 conjugated by the diagonal Δ = diag(ζ^(kj)) that `fuse`'s docstring
-derives.  It is a dict because its value records which member came first.
+derives.  It is a dict because its value records which member came first,
+and it drops an orbit once every distinct member of it has been fused, so
+it holds only the orbits still open.
 
 Entry layout of the 8x2 junction relations
 ------------------------------------------
@@ -737,19 +739,30 @@ def decompose_into_PS(D: MBF):
 
 # process: (d, the least member of a pair's rotation orbit) -> (the rotation
 # offset of the first member fused in full, its reduced object, validated
-# exactly, and its summand multiset).  A dict, not a functools cache: the
-# value records which member came first, and a cache on the least member
-# would reduce that member once more.
+# exactly, its summand multiset, and the set of offsets of the members fused
+# so far).  A dict, not a functools cache: the value records which member
+# came first, and a cache on the least member would reduce that member once
+# more.  An entry is dropped once every distinct member of its orbit is fused.
 _ORBITS: dict = {}
 
 
 def _orbit(d: int, left, right) -> tuple:
-    """(the least of the pairs (left + j, right + j), k) with the pair equal
-    to that least member plus k, every residue shifted mod d."""
+    """(the least of the pairs (left + j, right + j), k, n) with the pair
+    equal to that least member plus k, every residue shifted mod d, and n the
+    number of distinct pairs in the orbit: d, or fewer for a periodic pair."""
     pair = tuple(tuple(sorted({i % d for i in S})) for S in (left, right))
     members = [tuple(tuple(sorted((i + j) % d for i in S)) for S in pair) for j in range(d)]
     least = min(members)
-    return least, -members.index(least) % d
+    return least, -members.index(least) % d, len(set(members))
+
+
+def _fused(key: tuple, k: int, n: int):
+    """Record that the member at offset k of the orbit `key` is fused, and
+    drop the orbit's entry once all n of its distinct members are."""
+    fused = _ORBITS[key][3]
+    fused.add(k)
+    if len(fused) == n:
+        del _ORBITS[key]
 
 
 def _rotation_conjugate(R: MBF, D: MBF, k: int) -> bool:
@@ -782,7 +795,8 @@ def fuse(d: int, left, right, check: bool = True):
 
     The pair is reduced unchecked once, and takes one of two paths.  With
     `check`, the pairs (left + j, right + j) form one rotation orbit, and
-    the first member fused in full is kept in `_ORBITS`.  A later member,
+    the first member fused in full is kept in `_ORBITS` until every
+    distinct member of the orbit has been fused.  A later member,
     k rotations on, is transported: proj∘incl = id and the grading are
     checked on it as always, but in place of `validate_mbf` and
     `decompose_into_PS` one exact check, `_rotation_conjugate`, finds its
@@ -790,7 +804,8 @@ def fuse(d: int, left, right, check: bool = True):
     the summands are R's shifted by 2k.  Every other pair, a failed check
     included, takes the full path: `_check_reduction` (with `check`), then
     `decompose_into_PS`, then (with `check`) `_ORBITS.setdefault`, so an
-    orbit keeps the first member that succeeded.
+    orbit keeps the first member that succeeded.  A member fused after its
+    orbit's entry was dropped takes the full path and opens a new entry.
 
     The diagonal.  Let ρ fix a and send x to ζx and b to ζ²b.  It maps
     a − ζ^i x to a − ζ^(i+1) x and x − ζ^i b to ζ·(x − ζ^(i+1) b), so
@@ -822,19 +837,22 @@ def fuse(d: int, left, right, check: bool = True):
       `decompose_into_PS` would find on D; sorted, it is the same list.
     """
     rt = reduce_tensor(ps_object(d, left), ps_object(d, right), check=False)
-    least, k = _orbit(d, left, right)
-    first = _ORBITS.get((d, least)) if check else None
+    least, k, n = _orbit(d, left, right)
+    key = (d, least)
+    first = _ORBITS.get(key) if check else None
     if first is not None:
-        k0, R, summands = first
+        k0, R, summands, _ = first
         if _rotation_conjugate(R, rt.reduced, (k - k0) % d):
             _check_reduction(rt, valid=True)
+            _fused(key, k, n)
             shifted = (tuple(sorted((i + 2 * (k - k0)) % d for i in T)) for T in summands)
             return rt, sorted(shifted, key=lambda s: (len(s), s))
     if check:
         _check_reduction(rt)
     summands = decompose_into_PS(rt.reduced)
     if check:
-        _ORBITS.setdefault((d, least), (k, rt.reduced, summands))
+        _ORBITS.setdefault(key, (k, rt.reduced, summands, set()))
+        _fused(key, k, n)
     return rt, summands
 
 

@@ -24,9 +24,9 @@ as 'z' (so 'a - z*b' at conductor 3 means a - zeta_3 b).
 from __future__ import annotations
 
 import re
+from collections.abc import Iterable, Mapping
 from functools import cache
 from operator import add
-from typing import Iterable, Mapping
 
 from ._rat import Rat, rat_str
 from .exactalg import Cyclo

@@ -1,5 +1,7 @@
+import copy
 import hashlib
 import itertools
+import pickle
 from fractions import Fraction
 
 import pytest
@@ -374,6 +376,74 @@ class TestCosetLabels:
 
     def test_str(self):
         assert str(mm_normalize(5, 1, 3, 0)) == "[1,3,0]"
+
+
+class TestMMLabelBehaviour:
+    """`MMLabel` behaves as the frozen, ordered record of (d, l, m, s) it was
+    when built as a dataclass: the digests are of the reprs and strs of every
+    label in `mm_labels` order, taken from that version."""
+
+    DIGESTS = {
+        3: "39554b4822821b3df2666eb75b5cd3f3b586679c933780c608597ac4a41ca4d2",
+        4: "b4aa41f2e2be1cdfdf289cf3d6fceb0d0ce3948250f70c4dd883134573ab71ae",
+        5: "5a53cefbfa30e3462ef09c51975d63655390e023c171a6bb51ab97067f6dc315",
+        6: "2785961ee8b9e3488fe017e1b92cc531b6c4fe10a025dfe82aa56cd7bb62a8b4",
+        7: "7ab9085ce80186851183126bf6a60d43be94698038627f56338d756f7d5e07b1",
+    }
+
+    @pytest.mark.parametrize("d", range(3, 8))
+    def test_order_is_that_of_the_fields(self, d):
+        labs = mm_labels(d)
+        fields = [(x.d, x.l, x.m, x.s) for x in labs]
+        assert sorted(labs) == labs and fields == sorted(fields)
+        assert sorted(reversed(labs)) == labs
+        assert all(x < y and not y <= x for x, y in zip(labs, labs[1:]))
+
+    @pytest.mark.parametrize("d", range(3, 8))
+    def test_equal_and_hash_of_a_rebuilt_label(self, d):
+        for x in mm_labels(d):
+            y = MMLabel(x.d, x.l, x.m, x.s)
+            assert y == x and not y != x and hash(y) == hash(x)
+            assert hash(x) == hash((x.d, x.l, x.m, x.s))
+            assert MMLabel(d=x.d, l=x.l, m=x.m, s=x.s) == x
+            assert copy.copy(x) == pickle.loads(pickle.dumps(x)) == x
+        labs = mm_labels(d)
+        assert len({*labs, *(MMLabel(x.d, x.l, x.m, x.s) for x in labs)}) == len(labs)
+
+    @pytest.mark.parametrize("d", range(3, 8))
+    def test_repr_and_str(self, d):
+        text = "\n".join(f"{x!r} {x}" for x in mm_labels(d))
+        assert hashlib.sha256(text.encode()).hexdigest() == self.DIGESTS[d]
+
+    def test_repr_and_str_strings(self):
+        x = mm_normalize(5, 1, 3, 2)
+        assert (repr(x), str(x)) == ("MMLabel(d=5, l=2, m=8, s=0)", "[2,8,0]")
+        assert repr(x.dual()) == "MMLabel(d=5, l=2, m=2, s=0)" and x.triple == (2, 8, 0)
+        assert repr(mm_labels(3)[:2]) == ("[MMLabel(d=3, l=0, m=0, s=0), "
+                                          "MMLabel(d=3, l=0, m=1, s=1)]")
+
+    @pytest.mark.parametrize("d", range(3, 8))
+    def test_immutable(self, d):
+        x = mm_labels(d)[-1]
+        for name in ("d", "l", "m", "s", "triple", "other"):
+            with pytest.raises(AttributeError):
+                setattr(x, name, 0)
+        for name in ("d", "l"):
+            with pytest.raises(AttributeError):
+                delattr(x, name)
+        assert repr(x) == f"MMLabel(d={d}, l={d - 2}, m={2 * d - 1}, s={(d - 1) % 2})"
+
+    @pytest.mark.parametrize("args,message", [
+        ((2, 0, 0, 0), "d must be >= 3"),
+        ((5, 4, 0, 0), "l=4 outside 0..3"),
+        ((5, 0, 10, 0), "m=10 not reduced mod 10"),
+        ((5, 0, 0, 2), "s=2 is not the preferred orbit representative"),
+        ((5, 1, 0, 0), "parity: l+m+s must be even"),
+    ])
+    def test_constructor_messages(self, args, message):
+        with pytest.raises(ValueError) as info:
+            MMLabel(*args)
+        assert str(info.value) == message
 
 
 class TestCosetFusion:

@@ -832,7 +832,29 @@ class TestRotationOrbits:
         calls = _counted(monkeypatch, "validate_mbf", "decompose_into_PS")
         assert [fuse(d, S1, S2)[1] for S1, S2 in pairs] == direct
         assert calls == {"validate_mbf": full, "decompose_into_PS": full}
-        assert verdicts == [True] * moved and len(fusion._ORBITS) == full
+        # every orbit was fused whole, so none is still held
+        assert verdicts == [True] * moved and fusion._ORBITS == {}
+
+    @pytest.mark.parametrize("d,left,right,n", [(5, (0, 1), (1, 2, 3), 5),
+                                               (4, (0, 2), (1, 3), 2)],
+                             ids=["d5-five-members", "d4-periodic-two-members"])
+    def test_an_orbit_is_dropped_once_every_member_is_fused(self, monkeypatch, fresh_orbits,
+                                                           d, left, right, n):
+        members = [(tuple((i + j) % d for i in left), tuple((i + j) % d for i in right))
+                   for j in range(n)]
+        first = fuse(d, *members[0])[1]
+        assert fuse(d, *members[0])[1] == first  # a repeat is no new member
+        for j, pair in enumerate(members[1:], 1):
+            assert len(fusion._ORBITS) == 1
+            assert fuse(d, *pair)[1] == _shifted(first, 2 * j, d)
+        assert fusion._ORBITS == {}
+        # a member fused again takes the full path and opens the orbit anew
+        calls = _counted(monkeypatch, "decompose_into_PS", "_rotation_conjugate")
+        assert fuse(d, *members[0])[1] == first
+        assert calls == {"decompose_into_PS": 1, "_rotation_conjugate": 0}
+        assert len(fusion._ORBITS) == 1
+        assert fuse(d, *members[-1])[1] == _shifted(first, 2 * (n - 1), d)
+        assert calls == {"decompose_into_PS": 1, "_rotation_conjugate": 1}
 
     def test_an_unchecked_fusion_neither_reads_nor_fills_the_orbits(
             self, monkeypatch, fresh_orbits):
@@ -954,7 +976,7 @@ class TestRotationOrbits:
                    for S1, S2 in itertools.product(subsets, repeat=2)}
         verdicts = []
         for pair, D in reduced.items():
-            least, k = fusion._orbit(d, *pair)
+            least, k, _ = fusion._orbit(d, *pair)
             if least != pair:
                 verdicts.append(fusion._rotation_conjugate(reduced[least], D, k))
         assert verdicts == [True] * 146
